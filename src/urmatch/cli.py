@@ -29,6 +29,8 @@ from .recognition import InternalCheckError, RecognitionReport, every_ur, some_u
 from .ur_core import is_uniquely_restricted
 
 ORACLE_LIMIT_ENV = "URMATCH_ORACLE_LIMIT"
+# largest vertex count a graph file may declare; checked before any allocation
+MAX_VERTICES = 10**6
 
 
 class GraphParseError(ValueError):
@@ -56,6 +58,8 @@ def parse_graph(text: str) -> Graph:
             if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
                 raise GraphParseError("malformed header, expected 'n <count>'", line_no)
             n = int(parts[1])
+            if n > MAX_VERTICES:
+                raise GraphParseError(f"vertex count {n} exceeds the limit {MAX_VERTICES}", line_no)
             continue
         if len(parts) != 2:
             raise GraphParseError(f"malformed edge line {line!r}", line_no)
@@ -131,8 +135,11 @@ def _cmd_check(args) -> int:
     prefix_path = len(args.files) > 1
     for path in args.files:
         g = parse_graph(_read(path))
-        # one decomposition shared by both deciders when both are requested
+        # one decomposition shared by both deciders when both are requested;
+        # its time counts towards each of them
+        t0 = time.perf_counter()
         ge = gallai_edmonds(g) if args.property == "both" else None
+        shared_s = time.perf_counter() - t0
         reports = []
         for prop in props:
             t0 = time.perf_counter()
@@ -140,7 +147,7 @@ def _cmd_check(args) -> int:
                 rep = some_ur(g, ge=ge, all_failures=args.all_failures)
             else:
                 rep = every_ur(g, ge=ge, all_failures=args.all_failures)
-            ms = int((time.perf_counter() - t0) * 1000)
+            ms = int((shared_s + time.perf_counter() - t0) * 1000)
             reports.append((prop, rep, ms))
         if args.json:
             payload = [_report_json(path, g, rep, ms, args.all_failures) for _, rep, ms in reports]

@@ -1,10 +1,11 @@
 """Gallai-Edmonds decomposition and the bipartite contraction it induces.
 
-``d_set`` is computed by the per-vertex matching-number test: v belongs to it
-iff nu(g - v) == nu(g).  The contracted graph ``gb`` keeps the neighbors of
-``d_set`` on one side and one vertex per component of the induced subgraph on
-``d_set`` on the other; edges inside ``a_set`` and all of ``c_set`` are
-dropped.
+``d_set`` (the vertices v with nu(g - v) == nu(g)) comes from one maximum
+matching and one Edmonds labelling: it is the set of even vertices of the
+alternating forest grown from all free vertices.  The contracted graph ``gb``
+keeps the neighbors of ``d_set`` on one side and one vertex per component of
+the induced subgraph on ``d_set`` on the other; edges inside ``a_set`` and
+all of ``c_set`` are dropped.
 """
 
 from __future__ import annotations

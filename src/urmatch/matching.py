@@ -1,7 +1,8 @@
 """Maximum matchings (general and bipartite) and matching-theoretic predicates.
 
 The general-graph routine is an array-based blossom-contraction search (BFS
-alternating tree, bases contracted on odd cycles).  All searches iterate
+alternating tree, bases contracted on odd cycles).  The Gallai-Edmonds classes
+come from one Edmonds labelling of a maximum matching.  All searches iterate
 vertices and neighbors in ascending id order, so the "canonical" maximum
 matching returned for a given graph is reproducible.
 """
@@ -13,6 +14,10 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .graph_core import Graph, edge_key, induced_subgraph, validate_bipartition
+
+
+class InternalCheckError(RuntimeError):
+    """An internal invariant failed, or two equivalent internal routes disagreed."""
 
 
 @dataclass(frozen=True)
@@ -249,40 +254,87 @@ def edge_in_some_maximum_matching(g: Graph, e: tuple[int, int]) -> bool:
     return _augment_from(g.adj, match, mv, avoid=(u, v))
 
 
-def missable_vertex(g: Graph, v: int) -> bool:
-    """True iff nu(g - v) == nu(g), i.e. some maximum matching misses v."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    match = _max_match_array(g)
-    return _missable_given(g, match, v)
+_UNLABELLED, _EVEN, _ODD = 0, 1, 2
 
 
-def _missable_given(g: Graph, match: list[int], v: int) -> bool:
-    if match[v] == -1:
-        return True
-    if all(x != -1 for x in match):
-        # a perfectly matched graph loses one unit of matching with any vertex
-        return False
-    work = match[:]
-    u = work[v]
-    work[v] = work[u] = -1
-    return _augment_from(g.adj, work, u, avoid=(v,))
+def _edmonds_labels(adj, match):
+    """Even/odd labels of the alternating forest grown from every free vertex.
+
+    ``match`` must be a maximum matching.  All free vertices start as even
+    roots at once; an unlabelled neighbor of an even vertex becomes odd and
+    its mate even, and an edge between two even vertices of one tree closes a
+    blossom whose odd vertices turn even.  Blossom bases live in a union-find
+    (each set's representative is its base, path halving), so a contraction
+    touches only the blossom's own path.  By the Gallai-Edmonds theorem the
+    even vertices are D, the odd ones A and the unlabelled ones C.  An
+    even-even edge between two trees would be an augmenting path and raises.
+    """
+    n = len(adj)
+    label = [_UNLABELLED] * n
+    parent = [-1] * n  # odd vertex -> the even vertex that labelled it
+    blossom = list(range(n))
+    mark = [0] * n
+    stamp = 0
+
+    def find(x):
+        while blossom[x] != x:
+            blossom[x] = blossom[blossom[x]]
+            x = blossom[x]
+        return x
+
+    def absorb(x, b):
+        # x is the base of an outer blossom below b; fold the tree path up to b
+        while x != b:
+            m = match[x]
+            blossom[x] = blossom[m] = b
+            label[m] = _EVEN
+            stack.append(m)
+            x = find(parent[m])
+
+    stack = [v for v in range(n) if match[v] == -1]
+    for v in stack:
+        label[v] = _EVEN
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            lw = label[w]
+            if lw == _UNLABELLED:
+                m = match[w]
+                label[w] = _ODD
+                parent[w] = v
+                label[m] = _EVEN
+                stack.append(m)
+            elif lw == _EVEN:
+                x, y = find(v), find(w)
+                if x == y:
+                    continue
+                # nearest common base: step up from both sides in turn
+                stamp += 1
+                a, b = x, y
+                while True:
+                    if a != -1:
+                        if mark[a] == stamp:
+                            break
+                        mark[a] = stamp
+                        a = -1 if match[a] == -1 else find(parent[match[a]])
+                    elif b == -1:
+                        raise InternalCheckError(
+                            f"edge ({v}, {w}) joins two alternating trees: the matching is not maximum"
+                        )
+                    a, b = b, a
+                absorb(x, a)
+                absorb(y, a)
+    return label
 
 
 def missable_vertices(g: Graph) -> frozenset[int]:
-    """All vertices missed by some maximum matching (one nu test per vertex)."""
-    match = _max_match_array(g)
-    if g.n and all(x != -1 for x in match):
-        return frozenset()
-    out = {v for v in range(g.n) if match[v] == -1}
-    for v in range(g.n):
-        if match[v] != -1:
-            work = match[:]
-            u = work[v]
-            work[v] = work[u] = -1
-            if _augment_from(g.adj, work, u, avoid=(v,)):
-                out.add(v)
-    return frozenset(out)
+    """All vertices missed by some maximum matching: the Gallai-Edmonds D set.
+
+    One maximum matching and one Edmonds labelling: D is the set of even
+    vertices of the alternating forest grown from all free vertices.
+    """
+    label = _edmonds_labels(g.adj, _max_match_array(g))
+    return frozenset(v for v in range(g.n) if label[v] == _EVEN)
 
 
 def unique_perfect_matching(g: Graph) -> Matching | None:

@@ -25,6 +25,7 @@ from .graph_core import (
     is_forest,
 )
 from .matching import (
+    InternalCheckError,
     Matching,
     edge_in_some_maximum_matching,
     max_independent_set_bipartite,
@@ -56,10 +57,6 @@ FAILURE_TAGS = frozenset({
 })
 
 
-class InternalCheckError(RuntimeError):
-    """Two supposedly equivalent internal routes disagreed."""
-
-
 @dataclass(frozen=True)
 class AllowedEdgeSet:
     """Edges of gb eligible to carry a uniquely restricted matching.
@@ -86,8 +83,9 @@ def _gb_edge_parts(ge: GallaiEdmonds, e: tuple[int, int]) -> tuple[int, frozense
     x, y = e
     ia, ih = (x, y) if x in ge.gb_sides[0] else (y, x)
     kind, a = ge.contraction_map[ia]
-    assert kind == "a"
-    _, ci = ge.contraction_map[ih]
+    comp_kind, ci = ge.contraction_map[ih]
+    if kind != "a" or comp_kind != "d":
+        raise InternalCheckError(f"gb edge {e} does not join an a-vertex to a component")
     return a, ge.d_components[ci]
 
 
@@ -169,7 +167,8 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
 
     if failures:
         return RecognitionReport("some_ur", False, None, failures[0], tuple(failures))
-    assert ordering is not None and cond3_ok
+    if ordering is None or not cond3_ok:
+        raise InternalCheckError("some_ur reached witness assembly with a failed condition")
 
     # assemble the witness
     witness_edges: set[tuple[int, int]] = set()
@@ -180,7 +179,8 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     for e in sorted(ordering.induced_matching.edges):
         a, comp = _gb_edge_parts(ge, e)
         h = _unique_component_neighbor(g, a, comp)
-        assert h is not None  # the ordering only uses eligible edges
+        if h is None:  # the ordering only uses eligible edges
+            raise InternalCheckError(f"ordering edge {e} has no unique component neighbor")
         witness_edges.add(edge_key(a, h))
         ia, ih = (e[0], e[1]) if e[0] in ge.gb_sides[0] else (e[1], e[0])
         chosen_h[ih - k] = h
@@ -188,7 +188,8 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
         h = chosen_h[ci]
         sub, back = induced_subgraph(g, comp - {h})
         upm = unique_perfect_matching(sub)
-        assert upm is not None
+        if upm is None:
+            raise InternalCheckError(f"component {sorted(comp)} minus {h} has no unique perfect matching")
         for u, v in upm.edges:
             witness_edges.add(edge_key(back[u], back[v]))
     witness = Matching.from_edges(g, sorted(witness_edges))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,29 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
     assert main(["check", str(tmp_path / "missing.g"), "--property", "some"]) == 2
     capsys.readouterr()
+
+
+def test_huge_header_rejected_before_allocation(tmp_path, capsys):
+    path = _write(tmp_path, "huge.g", "n 1000000000\n0 1\n")
+    assert main(["check", path, "--property", "both"]) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+    with pytest.raises(GraphParseError):
+        parse_graph(f"n {cli.MAX_VERTICES + 1}\n")
+
+
+def test_both_runtime_includes_shared_decomposition(tmp_path, capsys, monkeypatch):
+    real = cli.gallai_edmonds
+
+    def slow_gallai_edmonds(g):
+        time.sleep(0.05)
+        return real(g)
+
+    monkeypatch.setattr(cli, "gallai_edmonds", slow_gallai_edmonds)
+    path = _write(tmp_path, "p3.g", P3_TEXT)
+    assert main(["check", path, "--property", "both", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [p["property"] for p in payload] == ["some_ur", "every_ur"]
+    assert all(p["runtime_ms"] >= 50 for p in payload)
 
 
 def test_is_ur_subcommand(tmp_path, capsys):

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from ge_reference import missable_vertex
 from strategies import bipartite_graphs, graphs, seeded_random_graphs
 from urmatch.families import (
     complete_bipartite,
@@ -21,7 +22,6 @@ from urmatch.matching import (
     max_independent_set_bipartite,
     maximum_matching,
     maximum_matching_bipartite,
-    missable_vertex,
     missable_vertices,
     unique_perfect_matching,
 )

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 
@@ -19,6 +21,8 @@ from urmatch.oracle import (
 )
 from urmatch.recognition import (
     FAILURE_TAGS,
+    InternalCheckError,
+    _gb_edge_parts,
     allowed_edges,
     every_ur,
     every_ur_bipartite,
@@ -190,3 +194,13 @@ def test_all_failures_collects_every_tag_stage():
     assert r.failures and all(t in FAILURE_TAGS for t in r.failures)
     r2 = every_ur(complete_graph(6), all_failures=True)
     assert not r2.answer and r2.failures
+
+
+def test_gb_edge_parts_rejects_corrupted_contraction_map():
+    g = Graph.from_edges(3, [(0, 1), (0, 2)])  # star: a = {0}, D = {1}, {2}
+    ge = gallai_edmonds(g)
+    e = min(ge.gb.edges)
+    assert _gb_edge_parts(ge, e) == (0, frozenset({1}))
+    swapped = replace(ge, contraction_map=tuple(("d", i) for i in range(ge.gb.n)))
+    with pytest.raises(InternalCheckError):
+        _gb_edge_parts(swapped, e)
