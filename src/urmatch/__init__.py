@@ -1,14 +1,8 @@
 """Uniquely restricted maximum matchings: recognition, certificates, oracles."""
 
-from .accessibility import (
-    AccessibilityOrdering,
-    find_e_good_ordering,
-    induced_matching_edges,
-    is_accessibility_ordering,
-)
+from .accessibility import AccessibilityOrdering, find_e_good_ordering
 from .decomposition import GallaiEdmonds, gallai_edmonds, verify_gallai_edmonds
 from .graph_core import (
-    Digraph,
     Graph,
     bipartition,
     biconnected_blocks,
@@ -46,15 +40,14 @@ from .recognition import (
     allowed_edges,
     every_ur,
     every_ur_bipartite,
+    every_ur_general,
     some_ur,
 )
 from .ur_core import (
     MatchingDigraph,
     build_matching_digraph,
-    edge_exchanges,
     is_acyclic,
     is_uniquely_restricted,
-    konig_maximality_check,
 )
 
 __version__ = "0.1.0"
@@ -62,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AccessibilityOrdering",
     "AllowedEdgeSet",
-    "Digraph",
     "GallaiEdmonds",
     "Graph",
     "GuardLimitError",
@@ -78,24 +70,21 @@ __all__ = [
     "build_matching_digraph",
     "connected_components",
     "count_perfect_matchings",
-    "edge_exchanges",
     "edge_in_some_maximum_matching",
     "edge_key",
     "enumerate_labeled_graphs",
     "enumerate_matchings",
     "every_ur",
     "every_ur_bipartite",
+    "every_ur_general",
     "find_e_good_ordering",
     "gallai_edmonds",
     "has_unique_perfect_matching",
-    "induced_matching_edges",
     "induced_subgraph",
-    "is_accessibility_ordering",
     "is_acyclic",
     "is_factor_critical",
     "is_forest",
     "is_uniquely_restricted",
-    "konig_maximality_check",
     "max_independent_set_bipartite",
     "maximum_matching",
     "maximum_matching_bipartite",

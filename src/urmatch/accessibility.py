@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .graph_core import Graph, edge_key, validate_bipartition
 from .matching import Matching, maximum_matching_bipartite
@@ -34,41 +33,6 @@ def _check_independent(g: Graph, i_set: frozenset[int]) -> None:
     for u, v in g.edges:
         if u in i_set and v in i_set:
             raise ValueError(f"set is not independent: contains edge ({u}, {v})")
-
-
-def induced_matching_edges(g: Graph, i_set, sigma) -> frozenset[tuple[int, int]]:
-    """Match each neighbor y of the set to the earliest sigma-vertex adjacent to y.
-
-    The result need not be a matching; it is one exactly when sigma is an
-    accessibility ordering.
-    """
-    i_set = frozenset(i_set)
-    sigma = tuple(sigma)
-    _check_independent(g, i_set)
-    if len(sigma) != len(i_set) or set(sigma) != i_set:
-        raise ValueError("sigma is not a permutation of the independent set")
-    p: dict[int, int] = {}
-    for x in sigma:
-        for y in g.adj[x]:
-            if y not in p:
-                p[y] = x
-    return frozenset(edge_key(y, x) for y, x in p.items())
-
-
-def is_accessibility_ordering(g: Graph, i_set, sigma) -> bool:
-    """True iff every prefix of sigma adds at most one new neighbor."""
-    i_set = frozenset(i_set)
-    sigma = tuple(sigma)
-    _check_independent(g, i_set)
-    if len(sigma) != len(i_set) or set(sigma) != i_set:
-        raise ValueError("sigma is not a permutation of the independent set")
-    seen: set[int] = set()
-    for x in sigma:
-        new = [y for y in g.adj[x] if y not in seen]
-        if len(new) > 1:
-            return False
-        seen.update(new)
-    return True
 
 
 def find_e_good_ordering(

@@ -15,7 +15,7 @@ import time
 
 from .decomposition import gallai_edmonds
 from .families import random_graph
-from .graph_core import Graph, bipartition
+from .graph_core import Graph, bipartition, blocks_are_odd_cycles, induced_subgraph
 from .matching import Matching, maximum_matching
 from .oracle import (
     DEFAULT_MAX_M,
@@ -25,7 +25,14 @@ from .oracle import (
     oracle_every_ur,
     oracle_some_ur,
 )
-from .recognition import InternalCheckError, RecognitionReport, every_ur, some_ur
+from .recognition import (
+    InternalCheckError,
+    RecognitionReport,
+    _component_all_near_perfect_unique,
+    every_ur,
+    every_ur_general,
+    some_ur,
+)
 from .ur_core import is_uniquely_restricted
 
 ORACLE_LIMIT_ENV = "URMATCH_ORACLE_LIMIT"
@@ -126,7 +133,6 @@ def _report_json(path: str, g: Graph, report: RecognitionReport, runtime_ms: int
 
 
 def _format_witness(report: RecognitionReport) -> str:
-    assert report.witness is not None
     return ",".join(f"{u}-{v}" for u, v in sorted(report.witness.edges))
 
 
@@ -224,17 +230,22 @@ def _cmd_oracle(args) -> int:
 
 def _selftest_instance(g: Graph, max_n: int, max_m: int) -> list[str]:
     problems = []
-    rs = some_ur(g)
-    re = every_ur(g, cross_validate=True)
+    ge = gallai_edmonds(g)
+    rs = some_ur(g, ge=ge)
+    re = every_ur(g, ge=ge)
     if rs.answer != oracle_some_ur(g, max_n=max_n, max_m=max_m):
         problems.append("some_ur disagrees with oracle")
     if re.answer != oracle_every_ur(g, max_n=max_n, max_m=max_m):
         problems.append("every_ur disagrees with oracle")
-    parts = bipartition(g)
-    if parts is not None:
-        rg = every_ur(g, route_bipartite=False, cross_validate=True)
-        if rg.answer != re.answer:
+    if bipartition(g) is not None:
+        # every_ur took the bipartite route; the general one must agree
+        if every_ur_general(g, ge=ge).answer != re.answer:
             problems.append("bipartite and general every_ur routes disagree")
+    for comp in ge.d_components:
+        by_blocks = blocks_are_odd_cycles(induced_subgraph(g, comp)[0])
+        if by_blocks != _component_all_near_perfect_unique(g, comp):
+            problems.append(f"block test (blocks_are_odd_cycles = {by_blocks}) disagrees with "
+                            f"the per-vertex test on component {sorted(comp)}")
     if rs.answer:
         w = rs.witness
         if w is None or len(w.edges) != len(maximum_matching(g).edges) \
@@ -246,6 +257,9 @@ def _selftest_instance(g: Graph, max_n: int, max_m: int) -> list[str]:
 def _cmd_selftest(args) -> int:
     if args.nmax > 6:
         print("selftest: --nmax above 6 is not supported (exhaustive sweep)", file=sys.stderr)
+        return 2
+    if args.nmax < 0 or args.random < 0:
+        print("selftest: --nmax and --random must be nonnegative", file=sys.stderr)
         return 2
     disagreements = 0
     exhaustive = 0

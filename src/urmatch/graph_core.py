@@ -1,9 +1,9 @@
-"""Immutable simple graphs / digraphs and the structural queries shared by all algorithms.
+"""Immutable simple graphs and the structural queries shared by all algorithms.
 
 Vertices are dense integer ids ``0..n-1``.  Every operation iterates vertices
 and neighbors in ascending id order, so outputs are deterministic for a fixed
-input.  Derived graphs (induced subgraphs, vertex deletions) are new values
-that carry a map back to the original vertex ids.
+input.  Induced subgraphs are new values that carry a map back to the
+original vertex ids.
 """
 
 from __future__ import annotations
@@ -63,39 +63,6 @@ class Graph:
         return sorted(self.edges)
 
 
-@dataclass(frozen=True)
-class Digraph:
-    """Directed graph on dense integer ids; arcs are ordered pairs, no loops."""
-
-    n: int
-    arcs: frozenset[tuple[int, int]]
-
-    @classmethod
-    def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]] = ()) -> "Digraph":
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        acc: set[tuple[int, int]] = set()
-        for u, v in arcs:
-            if u == v:
-                raise ValueError(f"loop arc at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
-            acc.add((u, v))
-        return cls(n, frozenset(acc))
-
-    def successor_lists(self) -> list[list[int]]:
-        succ: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in sorted(self.arcs):
-            succ[u].append(v)
-        return succ
-
-    def predecessor_lists(self) -> list[list[int]]:
-        pred: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in sorted(self.arcs):
-            pred[v].append(u)
-        return pred
-
-
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced by ``vertices``.
 
@@ -107,26 +74,10 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
     pos = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (pos[u], pos[v])
-        for u, v in g.edges
-        if u in pos and v in pos
-    ]
+    # walk only the kept vertices' adjacency: callers often keep a handful
+    # of vertices of a large host graph
+    edges = [(pos[u], pos[w]) for u in keep for w in g.adj[u] if w > u and w in pos]
     return Graph.from_edges(len(keep), edges), tuple(keep)
-
-
-def delete_vertex(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
-    """Graph with vertex ``v`` removed; returns ``(subgraph, id_map)``."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    return induced_subgraph(g, (u for u in range(g.n) if u != v))
-
-def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
-    """Graph with edge ``e`` removed; vertex ids are unchanged."""
-    key = edge_key(*e)
-    if key not in g.edges:
-        raise ValueError(f"edge {key} not in graph")
-    return Graph.from_edges(g.n, g.edges - {key})
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .graph_core import Graph, edge_key, induced_subgraph, validate_bipartition
+from .graph_core import Graph, edge_key, validate_bipartition
 
 
 class InternalCheckError(RuntimeError):
@@ -370,7 +370,7 @@ def is_factor_critical(g: Graph) -> bool:
     nu = sum(1 for x in match if x != -1) // 2
     if 2 * nu != g.n - 1:
         return False
-    return len(missable_vertices(g)) == g.n
+    return all(x == _EVEN for x in _edmonds_labels(g.adj, match))
 
 
 def max_independent_set_bipartite(g: Graph, sides) -> frozenset[int]:

@@ -204,7 +204,7 @@ def every_ur_bipartite(g: Graph, sides, *, all_failures: bool = False) -> Recogn
     m = maximum_matching_bipartite(g, sides)
     md = build_matching_digraph(g, sides, m)
     failures: list[str] = []
-    if not is_acyclic(md.d):
+    if not is_acyclic(md.succ):
         failures.append(GB_DIGRAPH_CYCLIC)
         if not all_failures:
             return RecognitionReport("every_ur", False, None, failures[0], tuple(failures))
@@ -225,7 +225,8 @@ def every_ur_bipartite(g: Graph, sides, *, all_failures: bool = False) -> Recogn
 
 def _component_all_near_perfect_unique(g: Graph, comp: frozenset[int]) -> bool:
     """Definitional form of the deficient-component condition: deleting any one
-    vertex must leave a unique perfect matching."""
+    vertex must leave a unique perfect matching.  The self-test compares it
+    with the block test of ``every_ur_general``."""
     for h in sorted(comp):
         sub, _ = induced_subgraph(g, comp - {h})
         if unique_perfect_matching(sub) is None:
@@ -233,26 +234,23 @@ def _component_all_near_perfect_unique(g: Graph, comp: frozenset[int]) -> bool:
     return True
 
 
-def every_ur(
-    g: Graph,
-    *,
-    ge: GallaiEdmonds | None = None,
-    all_failures: bool = False,
-    route_bipartite: bool = True,
-    cross_validate: bool = False,
-) -> RecognitionReport:
+def every_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = False) -> RecognitionReport:
     """Decide whether every maximum matching of g is uniquely restricted.
 
-    Bipartite inputs are routed to the direct bipartite decider unless
-    ``route_bipartite`` is off (the two routes agree; tests compare them).
-    ``cross_validate`` re-checks the deficient-component block test against
-    the definitional per-vertex form and raises on any disagreement.
+    Bipartite inputs take the direct bipartite decider, all others the
+    general route through the decomposition.
     """
-    if route_bipartite:
-        parts = bipartition(g)
-        if parts is not None:
-            return every_ur_bipartite(g, parts, all_failures=all_failures)
+    parts = bipartition(g)
+    if parts is not None:
+        return every_ur_bipartite(g, parts, all_failures=all_failures)
+    return every_ur_general(g, ge=ge, all_failures=all_failures)
 
+
+def every_ur_general(
+    g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = False
+) -> RecognitionReport:
+    """The every-decider through the Gallai-Edmonds decomposition; valid on
+    any graph, and the route ``every_ur`` takes on non-bipartite ones."""
     if ge is None:
         ge = gallai_edmonds(g)
     failures: list[str] = []
@@ -266,15 +264,7 @@ def every_ur(
 
     for comp in ge.d_components:
         sub, _ = induced_subgraph(g, comp)
-        by_blocks = blocks_are_odd_cycles(sub)
-        if cross_validate:
-            by_definition = _component_all_near_perfect_unique(g, comp)
-            if by_blocks != by_definition:
-                raise InternalCheckError(
-                    f"block test ({by_blocks}) and per-vertex test ({by_definition}) "
-                    f"disagree on component {sorted(comp)}"
-                )
-        if not by_blocks:
+        if not blocks_are_odd_cycles(sub):
             failures.append(D_COMPONENT_BLOCKS_NOT_ODD_CYCLES)
             if not all_failures:
                 return RecognitionReport("every_ur", False, None, failures[0], tuple(failures))

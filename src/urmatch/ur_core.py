@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph_core import Digraph, Graph, edge_key, induced_subgraph, validate_bipartition
+from .graph_core import Graph, induced_subgraph, validate_bipartition
 from .matching import Matching, has_unique_perfect_matching
 
 
@@ -22,13 +22,15 @@ from .matching import Matching, has_unique_perfect_matching
 class MatchingDigraph:
     """D(M) plus the free vertices and their reachability closures.
 
-    ``a0`` / ``b0`` are the unmatched vertices of sides A / B; ``v_plus`` is
-    everything reachable from ``a0`` (sources included), ``v_minus``
-    everything that can reach ``b0``.  Every matched A-vertex has in-degree 1
+    ``succ[v]`` / ``pred[v]`` are the ascending successors / predecessors of
+    v in D(M).  ``a0`` / ``b0`` are the unmatched vertices of sides A / B;
+    ``v_plus`` is everything reachable from ``a0`` (sources included),
+    ``v_minus`` everything that can reach ``b0``.  Every matched A-vertex has in-degree 1
     and every matched B-vertex out-degree 1 by construction.
     """
 
-    d: Digraph
+    succ: tuple[tuple[int, ...], ...]
+    pred: tuple[tuple[int, ...], ...]
     a0: frozenset[int]
     b0: frozenset[int]
     v_plus: frozenset[int]
@@ -42,7 +44,7 @@ def _validate_matching_of(g: Graph, m: Matching) -> None:
     # Matching.from_edges already guarantees disjointness and the mate map
 
 
-def _closure(n: int, adj: list[list[int]], sources: Iterable[int]) -> frozenset[int]:
+def _closure(n: int, adj: list[tuple[int, ...]], sources: Iterable[int]) -> frozenset[int]:
     seen = [False] * n
     queue = deque()
     for s in sorted(sources):
@@ -61,28 +63,33 @@ def _closure(n: int, adj: list[list[int]], sources: Iterable[int]) -> frozenset[
 def build_matching_digraph(g: Graph, sides, m: Matching) -> MatchingDigraph:
     side_a, side_b = validate_bipartition(g, sides)
     _validate_matching_of(g, m)
-    arcs = []
-    for u, v in g.sorted_edges():
-        a, b = (u, v) if u in side_a else (v, u)
-        if m.mate.get(a) == b:
-            arcs.append((b, a))
-        else:
-            arcs.append((a, b))
-    d = Digraph.from_arcs(g.n, arcs)
+    succ: list[tuple[int, ...]] = []
+    pred: list[tuple[int, ...]] = []
+    for u in range(g.n):
+        # u -> w iff u lies on side A xor uw is the matching edge at u
+        forward = u in side_a
+        mate = m.mate.get(u)
+        out, inn = [], []
+        for w in g.adj[u]:
+            (out if forward != (w == mate) else inn).append(w)
+        succ.append(tuple(out))
+        pred.append(tuple(inn))
     a0 = side_a - m.covered
     b0 = side_b - m.covered
-    v_plus = _closure(g.n, d.successor_lists(), a0)
-    v_minus = _closure(g.n, d.predecessor_lists(), b0)
-    return MatchingDigraph(d, a0, b0, v_plus, v_minus)
+    v_plus = _closure(g.n, succ, a0)
+    v_minus = _closure(g.n, pred, b0)
+    return MatchingDigraph(tuple(succ), tuple(pred), a0, b0, v_plus, v_minus)
 
 
-def is_acyclic(d: Digraph) -> bool:
-    """Kahn peeling: repeatedly delete in-degree-zero vertices."""
-    indeg = [0] * d.n
-    succ = d.successor_lists()
-    for _, v in d.arcs:
-        indeg[v] += 1
-    queue = deque(v for v in range(d.n) if indeg[v] == 0)
+def is_acyclic(succ: tuple[tuple[int, ...], ...]) -> bool:
+    """Kahn peeling of the digraph given by successor lists: repeatedly
+    delete in-degree-zero vertices."""
+    n = len(succ)
+    indeg = [0] * n
+    for ws in succ:
+        for w in ws:
+            indeg[w] += 1
+    queue = deque(v for v in range(n) if indeg[v] == 0)
     removed = 0
     while queue:
         v = queue.popleft()
@@ -91,7 +98,7 @@ def is_acyclic(d: Digraph) -> bool:
             indeg[w] -= 1
             if indeg[w] == 0:
                 queue.append(w)
-    return removed == d.n
+    return removed == n
 
 
 def is_uniquely_restricted(g: Graph, m: Matching) -> bool:
@@ -105,31 +112,3 @@ def is_uniquely_restricted(g: Graph, m: Matching) -> bool:
         return True
     sub, _ = induced_subgraph(g, m.covered)
     return has_unique_perfect_matching(sub)
-
-
-def konig_maximality_check(md: MatchingDigraph) -> bool:
-    """Koenig-style maximality: the matching is maximum iff the closures are disjoint."""
-    return md.v_plus.isdisjoint(md.v_minus)
-
-
-def edge_exchanges(g: Graph, sides, m: Matching) -> list[Matching]:
-    """All single edge exchanges of a maximum matching m.
-
-    For each unmatched vertex x and each matched neighbor y, the exchange
-    replaces the matching edge at y with xy.  Requires m maximum (checked via
-    the closure test).  Results come in ascending (x, then neighbor) order;
-    distinct exchanges yield distinct matchings.
-    """
-    side_a, side_b = validate_bipartition(g, sides)
-    md = build_matching_digraph(g, sides, m)
-    if not konig_maximality_check(md):
-        raise ValueError("matching is not maximum")
-    out = []
-    for x_side in (side_a, side_b):
-        for x in sorted(x_side - m.covered):
-            for y in g.adj[x]:
-                # y is matched: a free neighbor would contradict maximality
-                z = m.mate[y]
-                edges = (m.edges - {edge_key(z, y)}) | {edge_key(x, y)}
-                out.append(Matching.from_edges(g, edges))
-    return out

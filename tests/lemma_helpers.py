@@ -1,0 +1,91 @@
+"""Helpers that only the lemma suites use.
+
+None of the deciders needs them: they state the lemmas the deciders rest on
+(accessibility orderings, Koenig maximality, single edge exchanges) and the
+deletion operations the definitional checks are written with.
+"""
+
+from __future__ import annotations
+
+from urmatch.accessibility import _check_independent
+from urmatch.graph_core import Graph, edge_key, induced_subgraph, validate_bipartition
+from urmatch.matching import Matching
+from urmatch.ur_core import MatchingDigraph, build_matching_digraph
+
+
+def delete_vertex(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
+    """Graph with vertex ``v`` removed; returns ``(subgraph, id_map)``."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range")
+    return induced_subgraph(g, (u for u in range(g.n) if u != v))
+
+
+def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
+    """Graph with edge ``e`` removed; vertex ids are unchanged."""
+    key = edge_key(*e)
+    if key not in g.edges:
+        raise ValueError(f"edge {key} not in graph")
+    return Graph.from_edges(g.n, g.edges - {key})
+
+
+def induced_matching_edges(g: Graph, i_set, sigma) -> frozenset[tuple[int, int]]:
+    """Match each neighbor y of the set to the earliest sigma-vertex adjacent to y.
+
+    The result need not be a matching; it is one exactly when sigma is an
+    accessibility ordering.
+    """
+    i_set = frozenset(i_set)
+    sigma = tuple(sigma)
+    _check_independent(g, i_set)
+    if len(sigma) != len(i_set) or set(sigma) != i_set:
+        raise ValueError("sigma is not a permutation of the independent set")
+    p: dict[int, int] = {}
+    for x in sigma:
+        for y in g.adj[x]:
+            if y not in p:
+                p[y] = x
+    return frozenset(edge_key(y, x) for y, x in p.items())
+
+
+def is_accessibility_ordering(g: Graph, i_set, sigma) -> bool:
+    """True iff every prefix of sigma adds at most one new neighbor."""
+    i_set = frozenset(i_set)
+    sigma = tuple(sigma)
+    _check_independent(g, i_set)
+    if len(sigma) != len(i_set) or set(sigma) != i_set:
+        raise ValueError("sigma is not a permutation of the independent set")
+    seen: set[int] = set()
+    for x in sigma:
+        new = [y for y in g.adj[x] if y not in seen]
+        if len(new) > 1:
+            return False
+        seen.update(new)
+    return True
+
+
+def konig_maximality_check(md: MatchingDigraph) -> bool:
+    """Koenig-style maximality: the matching is maximum iff the closures are disjoint."""
+    return md.v_plus.isdisjoint(md.v_minus)
+
+
+def edge_exchanges(g: Graph, sides, m: Matching) -> list[Matching]:
+    """All single edge exchanges of a maximum matching m.
+
+    For each unmatched vertex x and each matched neighbor y, the exchange
+    replaces the matching edge at y with xy.  Requires m maximum (checked via
+    the closure test).  Results come in ascending (x, then neighbor) order;
+    distinct exchanges yield distinct matchings.
+    """
+    side_a, side_b = validate_bipartition(g, sides)
+    md = build_matching_digraph(g, sides, m)
+    if not konig_maximality_check(md):
+        raise ValueError("matching is not maximum")
+    out = []
+    for x_side in (side_a, side_b):
+        for x in sorted(x_side - m.covered):
+            for y in g.adj[x]:
+                # y is matched: a free neighbor would contradict maximality
+                z = m.mate[y]
+                edges = (m.edges - {edge_key(z, y)}) | {edge_key(x, y)}
+                out.append(Matching.from_edges(g, edges))
+    return out

@@ -15,12 +15,15 @@ import time
 
 import pytest
 
-from strategies import seeded_random_graphs
-from urmatch.accessibility import (
-    find_e_good_ordering,
+from lemma_helpers import (
+    delete_vertex,
+    edge_exchanges,
     induced_matching_edges,
     is_accessibility_ordering,
+    konig_maximality_check,
 )
+from strategies import seeded_random_graphs
+from urmatch.accessibility import find_e_good_ordering
 from urmatch.cli import render_graph
 from urmatch.families import (
     complete_bipartite,
@@ -29,12 +32,7 @@ from urmatch.families import (
     path_graph,
     random_graph_nm,
 )
-from urmatch.graph_core import (
-    Graph,
-    bipartition,
-    blocks_are_odd_cycles,
-    delete_vertex,
-)
+from urmatch.graph_core import Graph, bipartition, blocks_are_odd_cycles
 from urmatch.matching import (
     Matching,
     has_unique_perfect_matching,
@@ -49,12 +47,7 @@ from urmatch.oracle import (
     oracle_some_ur,
 )
 from urmatch.recognition import every_ur, some_ur
-from urmatch.ur_core import (
-    build_matching_digraph,
-    edge_exchanges,
-    is_uniquely_restricted,
-    konig_maximality_check,
-)
+from urmatch.ur_core import build_matching_digraph, is_uniquely_restricted
 
 RANDOM_SEED = 20260818
 

@@ -4,12 +4,9 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings
 
+from lemma_helpers import induced_matching_edges, is_accessibility_ordering
 from strategies import bipartite_graphs
-from urmatch.accessibility import (
-    find_e_good_ordering,
-    induced_matching_edges,
-    is_accessibility_ordering,
-)
+from urmatch.accessibility import find_e_good_ordering
 from urmatch.families import cycle_graph, path_graph, star_graph
 from urmatch.graph_core import bipartition, edge_key
 from urmatch.matching import max_independent_set_bipartite, maximum_matching

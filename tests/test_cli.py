@@ -1,7 +1,9 @@
+import ast
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -219,6 +221,45 @@ def test_selftest_detects_disagreement(capsys, monkeypatch):
 def test_selftest_rejects_large_nmax(capsys):
     assert main(["selftest", "--nmax", "7"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["--nmax", "-3"], ["--random", "-5"]])
+def test_selftest_rejects_negative_counts(argv, capsys):
+    assert main(["selftest", *argv]) == 2
+    captured = capsys.readouterr()
+    assert "nonnegative" in captured.err and "disagreements" not in captured.out
+
+
+def test_selftest_counts_block_test_disagreement(capsys, monkeypatch):
+    # K5 is factor-critical but its one block is not an odd cycle
+    monkeypatch.setattr(cli, "blocks_are_odd_cycles", lambda g: True)
+    assert main(["selftest", "--nmax", "5", "--random", "0"]) == 4
+    captured = capsys.readouterr()
+    assert "blocks_are_odd_cycles" in captured.err
+    assert "0 disagreements" not in captured.out
+
+
+def test_no_assert_in_library():
+    # invariants raise InternalCheckError: an assert vanishes under python -O
+    src = Path(cli.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_selftest_under_optimized_python():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "urmatch.cli", "selftest",
+         "--nmax", "4", "--random", "20", "--seed", "3"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "0 disagreements" in proc.stdout
 
 
 def test_console_entry_point(tmp_path):

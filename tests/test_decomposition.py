@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+from lemma_helpers import delete_vertex
 from strategies import graphs, seeded_random_graphs
 from urmatch.decomposition import gallai_edmonds, verify_gallai_edmonds
 from urmatch.families import (
@@ -11,7 +12,7 @@ from urmatch.families import (
     petersen_graph,
     star_graph,
 )
-from urmatch.graph_core import Graph, delete_vertex, induced_subgraph
+from urmatch.graph_core import Graph, induced_subgraph
 from urmatch.matching import is_factor_critical, maximum_matching, missable_vertices
 
 

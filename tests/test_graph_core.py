@@ -3,7 +3,9 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lemma_helpers import delete_edge, delete_vertex
 from strategies import graphs
 from urmatch.families import (
     bowtie_graph,
@@ -20,8 +22,6 @@ from urmatch.graph_core import (
     bipartition,
     blocks_are_odd_cycles,
     connected_components,
-    delete_edge,
-    delete_vertex,
     edge_key,
     induced_subgraph,
     is_forest,
@@ -54,6 +54,26 @@ def test_induced_subgraph_relabels_in_order():
     assert sub.n == 3
     assert id_map == (1, 3, 4)  # new id -> original id
     assert sub.edges == frozenset({(1, 2)})  # only edge 3-4 survives
+
+
+def _induced_by_edge_scan(g, vertices):
+    # reference: scan every edge of the host graph
+    keep = sorted(set(vertices))
+    pos = {v: i for i, v in enumerate(keep)}
+    edges = [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]
+    return Graph.from_edges(len(keep), edges), tuple(keep)
+
+
+@settings(deadline=None, max_examples=200)
+@given(graphs(max_n=12), st.data())
+def test_induced_subgraph_matches_edge_scan(g, data):
+    keep = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+    assert induced_subgraph(g, keep) == _induced_by_edge_scan(g, keep)
+
+
+def test_induced_subgraph_rejects_out_of_range():
+    with pytest.raises(ValueError):
+        induced_subgraph(cycle_graph(4), {0, 4})
 
 
 def test_delete_vertex_and_edge():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from ge_reference import missable_vertex
+from lemma_helpers import delete_vertex
 from strategies import bipartite_graphs, graphs, seeded_random_graphs
 from urmatch.families import (
     complete_bipartite,
@@ -13,7 +14,7 @@ from urmatch.families import (
     petersen_graph,
     star_graph,
 )
-from urmatch.graph_core import Graph, bipartition, delete_vertex
+from urmatch.graph_core import Graph, bipartition
 from urmatch.matching import (
     Matching,
     edge_in_some_maximum_matching,

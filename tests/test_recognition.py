@@ -12,7 +12,7 @@ from urmatch.families import (
     path_graph,
     petersen_graph,
 )
-from urmatch.graph_core import Graph, bipartition
+from urmatch.graph_core import Graph, bipartition, blocks_are_odd_cycles, induced_subgraph
 from urmatch.matching import maximum_matching
 from urmatch.oracle import (
     enumerate_labeled_graphs,
@@ -22,10 +22,12 @@ from urmatch.oracle import (
 from urmatch.recognition import (
     FAILURE_TAGS,
     InternalCheckError,
+    _component_all_near_perfect_unique,
     _gb_edge_parts,
     allowed_edges,
     every_ur,
     every_ur_bipartite,
+    every_ur_general,
     some_ur,
 )
 from urmatch.ur_core import is_uniquely_restricted
@@ -140,7 +142,8 @@ def test_family_grid():
 
 
 def _check_instance(g):
-    rs = some_ur(g)
+    ge = gallai_edmonds(g)
+    rs = some_ur(g, ge=ge)
     assert rs.answer == oracle_some_ur(g, max_n=12, max_m=66)
     if rs.answer:
         assert rs.witness is not None
@@ -148,15 +151,17 @@ def _check_instance(g):
         assert is_uniquely_restricted(g, rs.witness)
     else:
         assert rs.failure in FAILURE_TAGS
-    re_ = every_ur(g, cross_validate=True)
+    re_ = every_ur(g, ge=ge)
     assert re_.answer == oracle_every_ur(g, max_n=12, max_m=66)
     if not re_.answer:
         assert re_.failure in FAILURE_TAGS
     if re_.answer:
         assert rs.answer  # every maximum matching restricted-unique forces some
     if bipartition(g) is not None:
-        rg = every_ur(g, route_bipartite=False, cross_validate=True)
-        assert rg.answer == re_.answer
+        assert every_ur_general(g, ge=ge).answer == re_.answer
+    for comp in ge.d_components:
+        by_blocks = blocks_are_odd_cycles(induced_subgraph(g, comp)[0])
+        assert by_blocks == _component_all_near_perfect_unique(g, comp)
 
 
 def test_exhaustive_small():

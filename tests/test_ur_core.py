@@ -1,18 +1,13 @@
 import pytest
 from hypothesis import given, settings
 
+from lemma_helpers import edge_exchanges, konig_maximality_check
 from strategies import bipartite_graphs
 from urmatch.families import cycle_graph, path_graph
 from urmatch.graph_core import bipartition, induced_subgraph
 from urmatch.matching import Matching, maximum_matching
 from urmatch.oracle import count_perfect_matchings, enumerate_matchings, oracle_is_ur
-from urmatch.ur_core import (
-    build_matching_digraph,
-    edge_exchanges,
-    is_acyclic,
-    is_uniquely_restricted,
-    konig_maximality_check,
-)
+from urmatch.ur_core import build_matching_digraph, is_acyclic, is_uniquely_restricted
 
 
 def test_is_uniquely_restricted_basics():
@@ -36,10 +31,27 @@ def test_ur_equals_acyclic_equals_pm_count(gs):
         m = Matching.from_edges(g, edges)
         md = build_matching_digraph(g, sides, m)
         ur = is_uniquely_restricted(g, m)
-        assert ur == is_acyclic(md.d)
+        assert ur == is_acyclic(md.succ)
         assert ur == oracle_is_ur(g, m)
         sub, _ = induced_subgraph(g, m.covered)
         assert ur == (count_perfect_matchings(sub) == 1)
+
+
+@settings(deadline=None, max_examples=120)
+@given(bipartite_graphs(max_side=5))
+def test_digraph_lists_orient_every_edge_once(gs):
+    # A -> B off the matching, B -> A on it; pred is the transpose of succ
+    g, sides = gs
+    m = maximum_matching(g)
+    md = build_matching_digraph(g, sides, m)
+    arcs = {(u, w) for u in range(g.n) for w in md.succ[u]}
+    assert arcs == {(u, w) for w in range(g.n) for u in md.pred[w]}
+    expected = set()
+    for u, w in g.edges:
+        a, b = (u, w) if u in sides[0] else (w, u)
+        expected.add((b, a) if (u, w) in m.edges else (a, b))
+    assert arcs == expected
+    assert all(list(x) == sorted(x) for x in md.succ + md.pred)
 
 
 @settings(deadline=None, max_examples=120)
@@ -81,7 +93,7 @@ def test_exhaustive_bipartite_agreement_small():
                 m = Matching.from_edges(g, edges)
                 md = build_matching_digraph(g, sides, m)
                 ur = is_uniquely_restricted(g, m)
-                assert ur == is_acyclic(md.d)
+                assert ur == is_acyclic(md.succ)
                 assert konig_maximality_check(md) == (len(edges) == nu)
 
 
