@@ -1,10 +1,11 @@
 """Maximum matchings (general and bipartite) and matching-theoretic predicates.
 
-The general-graph routine is an array-based blossom-contraction search (BFS
-alternating tree, bases contracted on odd cycles).  The Gallai-Edmonds classes
-come from one Edmonds labelling of a maximum matching.  All searches iterate
-vertices and neighbors in ascending id order, so the "canonical" maximum
-matching returned for a given graph is reproducible.
+One alternating-forest search with union-find blossoms (Edmonds) serves the
+general matcher, the Gallai-Edmonds labelling and the deletion tests of
+unique perfect matchings and of edges in some maximum matching; bipartite
+graphs use Hopcroft-Karp.  All searches iterate vertices and neighbors in
+ascending id order, so the "canonical" maximum matching returned for a given
+graph is reproducible.
 """
 
 from __future__ import annotations
@@ -83,86 +84,107 @@ def _greedy_seed(adj: tuple[tuple[int, ...], ...]) -> list[int]:
     return match
 
 
-def _blossom_base(match, parent, base, u, w, n):
-    onpath = [False] * n
-    a = base[u]
-    while True:
-        onpath[a] = True
-        if match[a] == -1:
-            break
-        a = base[parent[match[a]]]
-    b = base[w]
-    while not onpath[b]:
-        b = base[parent[match[b]]]
-    return b
+_UNLABELLED, _EVEN, _ODD = 0, 1, 2
 
 
-def _mark_blossom(match, parent, base, flag, v, b, child):
-    while base[v] != b:
-        flag[base[v]] = True
-        flag[base[match[v]]] = True
-        parent[v] = child
-        child = match[v]
-        v = parent[match[v]]
+def _search(adj, match, roots):
+    """Grow Edmonds' alternating forest from the free vertices ``roots``.
 
+    BFS: an unlabelled neighbor of an even vertex becomes odd and its mate
+    even, and an edge between two even vertices of one tree closes a blossom
+    whose odd vertices turn even.  Blossom bases live in a union-find (each
+    set's representative is its base, path halving), so a contraction
+    touches only the blossom's own tree paths.  ``parent`` holds the path
+    pointers: from an even vertex v, the walk v, match[v], parent[match[v]],
+    ... alternates down to v's root.
 
-def _augment_from(adj, match, root, avoid=(), banned=None):
-    """Search for an augmenting path from the free vertex ``root``.
-
-    Blossom-contraction BFS.  Vertices in ``avoid`` are treated as deleted,
-    normalized pairs in ``banned`` as absent edges.  On success the path is
-    applied to ``match`` in place and True is returned.
+    If the forest reaches a free vertex outside ``roots``, or an even-even
+    edge joins two trees, the augmenting path is applied to ``match`` in
+    place and None is returned.  Otherwise ``match`` is untouched and the
+    labels are returned.
     """
     n = len(adj)
+    label = [_UNLABELLED] * n
     parent = [-1] * n
-    base = list(range(n))
-    seen = [False] * n
-    seen[root] = True
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for to in adj[v]:
-            if to in avoid:
+    blossom = list(range(n))
+
+    def find(x):
+        while blossom[x] != x:
+            blossom[x] = blossom[blossom[x]]
+            x = blossom[x]
+        return x
+
+    queue = list(roots)
+    for r in queue:
+        label[r] = _EVEN
+    for v in queue:  # the loop also visits vertices appended while it runs
+        for w in adj[v]:
+            lw = label[w]
+            if lw == _UNLABELLED:
+                m = match[w]
+                if m != -1:
+                    label[w] = _ODD
+                    parent[w] = v
+                    label[m] = _EVEN
+                    queue.append(m)
+                    continue
+            elif lw == _ODD:
                 continue
-            if banned is not None and edge_key(v, to) in banned:
-                continue
-            if base[v] == base[to] or match[v] == to:
-                continue
-            if to == root or (match[to] != -1 and parent[match[to]] != -1):
-                # edge closes an odd cycle: contract the blossom to its base
-                b = _blossom_base(match, parent, base, v, to, n)
-                flag = [False] * n
-                _mark_blossom(match, parent, base, flag, v, b, to)
-                _mark_blossom(match, parent, base, flag, to, b, v)
-                for i in range(n):
-                    if flag[base[i]]:
-                        base[i] = b
-                        if not seen[i]:
-                            seen[i] = True
-                            queue.append(i)
-            elif parent[to] == -1:
-                parent[to] = v
-                if match[to] == -1:
-                    u = to
-                    while u != -1:
-                        pv = parent[u]
-                        nxt = match[pv]
-                        match[u] = pv
-                        match[pv] = u
-                        u = nxt
-                    return True
-                w = match[to]
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-    return False
+            else:
+                x, y = find(v), find(w)
+                if x == y:
+                    continue
+                # nearest common base: step up from both sides in turn
+                seen = set()
+                while True:
+                    if x != -1:
+                        if x in seen:
+                            break
+                        seen.add(x)
+                        x = -1 if match[x] == -1 else find(parent[match[x]])
+                    elif y == -1:
+                        break
+                    x, y = y, x
+                if x != -1:
+                    # merge no base before both walks end: a walk stops at
+                    # base x, so an early merge would end it inside a blossom
+                    bases, odd = [], []
+                    for a, child in ((v, w), (w, v)):
+                        while find(a) != x:
+                            m = match[a]
+                            bases.append(find(a))
+                            if label[m] == _ODD:
+                                odd.append(m)
+                            parent[a] = child
+                            child = m
+                            a = parent[m]
+                    for b in bases:
+                        blossom[b] = x
+                    for m in odd:
+                        blossom[m] = x
+                        label[m] = _EVEN
+                        queue.append(m)
+                    continue
+            # w is free outside the forest, or in another tree: augment
+            for a in (v, w):
+                m = match[a]
+                while m != -1:
+                    p = parent[m]
+                    nxt = match[p]
+                    match[m] = p
+                    match[p] = m
+                    m = nxt
+            match[v] = w
+            match[w] = v
+            return None
+    return label
 
 
 def _max_match_array(g: Graph) -> list[int]:
     match = _greedy_seed(g.adj)
     for v in range(g.n):
         if match[v] == -1:
-            _augment_from(g.adj, match, v)
+            _search(g.adj, match, [v])
     return match
 
 
@@ -248,82 +270,22 @@ def edge_in_some_maximum_matching(g: Graph, e: tuple[int, int]) -> bool:
         return True
     mu, mv = match[u], match[v]
     match[u] = match[v] = match[mu] = match[mv] = -1
+    adj = list(g.adj)  # g - u - v: no list names u or v
+    for x in g.adj[u] + g.adj[v]:
+        adj[x] = tuple(y for y in adj[x] if y != u and y != v)
     # seed has nu-2 edges; any augmenting path in g-u-v ends at a freed mate
-    if _augment_from(g.adj, match, mu, avoid=(u, v)):
-        return True
-    return _augment_from(g.adj, match, mv, avoid=(u, v))
-
-
-_UNLABELLED, _EVEN, _ODD = 0, 1, 2
+    return _search(adj, match, [mu]) is None or _search(adj, match, [mv]) is None
 
 
 def _edmonds_labels(adj, match):
-    """Even/odd labels of the alternating forest grown from every free vertex.
+    """Labels of the forest grown from every free vertex of a maximum ``match``.
 
-    ``match`` must be a maximum matching.  All free vertices start as even
-    roots at once; an unlabelled neighbor of an even vertex becomes odd and
-    its mate even, and an edge between two even vertices of one tree closes a
-    blossom whose odd vertices turn even.  Blossom bases live in a union-find
-    (each set's representative is its base, path halving), so a contraction
-    touches only the blossom's own path.  By the Gallai-Edmonds theorem the
-    even vertices are D, the odd ones A and the unlabelled ones C.  An
-    even-even edge between two trees would be an augmenting path and raises.
+    By the Gallai-Edmonds theorem the even vertices are D, the odd ones A and
+    the unlabelled ones C.  A matching that is not maximum raises.
     """
-    n = len(adj)
-    label = [_UNLABELLED] * n
-    parent = [-1] * n  # odd vertex -> the even vertex that labelled it
-    blossom = list(range(n))
-    mark = [0] * n
-    stamp = 0
-
-    def find(x):
-        while blossom[x] != x:
-            blossom[x] = blossom[blossom[x]]
-            x = blossom[x]
-        return x
-
-    def absorb(x, b):
-        # x is the base of an outer blossom below b; fold the tree path up to b
-        while x != b:
-            m = match[x]
-            blossom[x] = blossom[m] = b
-            label[m] = _EVEN
-            stack.append(m)
-            x = find(parent[m])
-
-    stack = [v for v in range(n) if match[v] == -1]
-    for v in stack:
-        label[v] = _EVEN
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            lw = label[w]
-            if lw == _UNLABELLED:
-                m = match[w]
-                label[w] = _ODD
-                parent[w] = v
-                label[m] = _EVEN
-                stack.append(m)
-            elif lw == _EVEN:
-                x, y = find(v), find(w)
-                if x == y:
-                    continue
-                # nearest common base: step up from both sides in turn
-                stamp += 1
-                a, b = x, y
-                while True:
-                    if a != -1:
-                        if mark[a] == stamp:
-                            break
-                        mark[a] = stamp
-                        a = -1 if match[a] == -1 else find(parent[match[a]])
-                    elif b == -1:
-                        raise InternalCheckError(
-                            f"edge ({v}, {w}) joins two alternating trees: the matching is not maximum"
-                        )
-                    a, b = b, a
-                absorb(x, a)
-                absorb(y, a)
+    label = _search(adj, match, [v for v in range(len(adj)) if match[v] == -1])
+    if label is None:
+        raise InternalCheckError("an augmenting path exists: the matching is not maximum")
     return label
 
 
@@ -348,11 +310,15 @@ def unique_perfect_matching(g: Graph) -> Matching | None:
     match = _max_match_array(g)
     if any(x == -1 for x in match):
         return None
+    adj = list(g.adj)
     for u, v in sorted(e for e in g.edges if match[e[0]] == e[1]):
-        work = match[:]
-        work[u] = work[v] = -1
-        if _augment_from(g.adj, work, u, banned={(u, v)}):
+        match[u] = match[v] = -1
+        # g - uv: v is free outside the roots, so only u would scan the edge
+        adj[u] = tuple(x for x in g.adj[u] if x != v)
+        if _search(adj, match, [u]) is None:
             return None
+        match[u], match[v] = v, u
+        adj[u] = g.adj[u]
     return _matching_from_array(g, match)
 
 

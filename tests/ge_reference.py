@@ -1,42 +1,35 @@
 """Per-vertex reference for the Gallai-Edmonds classes.
 
 This is the definitional route that the library's single Edmonds labelling
-replaces: v belongs to D iff nu(g - v) == nu(g), tested by one augmenting
-search per matched vertex against one fixed maximum matching.  A is the
-outside neighborhood of D and C the rest.  It is quadratic, so tests use it
-only on small and medium graphs.
+replaces: v belongs to D iff nu(g - v) == nu(g), where nu(g - v) is the size
+of a maximum matching of the subgraph induced by V - v.  It shares no search
+with the labelling beyond the matcher itself.  A is the outside neighborhood
+of D and C the rest.  It costs one maximum matching per vertex, so tests use
+it only on small and medium graphs.
 """
 
 from __future__ import annotations
 
-from urmatch.graph_core import Graph
-from urmatch.matching import _augment_from, _max_match_array
+from urmatch.graph_core import Graph, induced_subgraph
+from urmatch.matching import maximum_matching
+
+
+def _nu_without(g: Graph, v: int) -> int:
+    sub, _ = induced_subgraph(g, (w for w in range(g.n) if w != v))
+    return maximum_matching(sub).size
 
 
 def missable_vertex(g: Graph, v: int) -> bool:
     """True iff nu(g - v) == nu(g), i.e. some maximum matching misses v."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    match = _max_match_array(g)
-    return _missable_given(g, match, v)
-
-
-def _missable_given(g: Graph, match: list[int], v: int) -> bool:
-    if match[v] == -1:
-        return True
-    if all(x != -1 for x in match):
-        # a perfectly matched graph loses one unit of matching with any vertex
-        return False
-    work = match[:]
-    u = work[v]
-    work[v] = work[u] = -1
-    return _augment_from(g.adj, work, u, avoid=(v,))
+    return _nu_without(g, v) == maximum_matching(g).size
 
 
 def missable_vertices_by_deletion(g: Graph) -> frozenset[int]:
     """All vertices missed by some maximum matching (one nu test per vertex)."""
-    match = _max_match_array(g)
-    return frozenset(v for v in range(g.n) if _missable_given(g, match, v))
+    nu = maximum_matching(g).size
+    return frozenset(v for v in range(g.n) if _nu_without(g, v) == nu)
 
 
 def reference_classes(g: Graph) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:

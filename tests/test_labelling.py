@@ -13,11 +13,13 @@ from urmatch.families import cycle_graph, path_graph, random_graph_nm
 from urmatch.graph_core import Graph
 from urmatch.matching import (
     InternalCheckError,
+    Matching,
     _EVEN,
     _ODD,
     _UNLABELLED,
     _edmonds_labels,
     _max_match_array,
+    _search,
 )
 from urmatch.oracle import enumerate_labeled_graphs, enumerate_matchings
 
@@ -144,6 +146,21 @@ def test_nested_blossom_flower(levels):
     _assert_classes(g, *expected)
     if levels <= 2:
         assert reference_classes(g) == expected
+
+
+@pytest.mark.parametrize("levels", [0, 1, 2, 1000])
+def test_search_augments_through_nested_blossoms(levels):
+    # a free pendant z on the deepest y_k: the only augmenting path from the
+    # free root r ends at z and runs through every nested blossom
+    g, match = _flower(levels)
+    z = g.n
+    g = Graph.from_edges(g.n + 1, g.edges | {(4 + 2 * levels, z)})
+    match.append(-1)
+    assert _search(g.adj, match, [0]) is None
+    assert all(match[match[v]] == v for v in range(g.n) if match[v] != -1)
+    # a valid matching of g, one edge larger than the flower's: perfect
+    m = Matching.from_edges(g, ((v, match[v]) for v in range(g.n) if match[v] > v))
+    assert 2 * len(m) == g.n
 
 
 def test_odd_cycles_joined_by_paths():

@@ -12,6 +12,7 @@ from urmatch.families import (
     cycle_graph,
     path_graph,
     petersen_graph,
+    random_graph_nm,
     star_graph,
 )
 from urmatch.graph_core import Graph, bipartition
@@ -213,3 +214,67 @@ def test_exhaustive_n6_matcher_size():
 
     for g in enumerate_labeled_graphs(6):
         assert len(maximum_matching(g)) == enumerate_matchings(g).maximum_size
+
+
+# networkx is a test-only reference, independent of the library's search,
+# at sizes the enumeration oracle cannot reach
+
+
+def _nx_nu(n, edges):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(edges)
+    return len(nx.max_weight_matching(h, maxcardinality=True))
+
+
+def test_maximum_matching_size_vs_networkx():
+    rng = random.Random(5)
+    for n in range(20, 201, 20):
+        for m in (n, 2 * n, 3 * n):
+            g = random_graph_nm(n, m, rng)
+            mm = maximum_matching(g)
+            _check_matching(g, mm)
+            assert len(mm) == _nx_nu(n, g.edges)
+
+
+def _planted_perfect_matching(n, extra, rng):
+    """A perfect matching on a random pairing plus ``extra`` random edges."""
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = {tuple(sorted(order[i:i + 2])) for i in range(0, n, 2)}
+    while len(edges) < n // 2 + extra:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph.from_edges(n, edges)
+
+
+def test_unique_perfect_matching_vs_networkx():
+    rng = random.Random(6)
+    seen = set()
+    for n in range(12, 41, 4):
+        for extra in (n // 4, n // 2, n):
+            g = _planted_perfect_matching(n, extra, rng)
+            pm = maximum_matching(g)
+            assert 2 * len(pm) == n
+            # unique iff deleting any edge of one perfect matching destroys all
+            unique = all(_nx_nu(n, g.edges - {e}) < n // 2 for e in pm.edges)
+            upm = unique_perfect_matching(g)
+            assert (upm is not None) == unique
+            if unique:
+                assert upm.edges == pm.edges
+            seen.add(unique)
+    assert seen == {True, False}
+
+
+def test_edge_in_some_maximum_matching_vs_networkx():
+    rng = random.Random(7)
+    seen = set()
+    for n in range(12, 31, 3):
+        g = random_graph_nm(n, 3 * n // 2, rng)
+        nu = _nx_nu(n, g.edges)
+        for u, v in sorted(g.edges):
+            rest = [e for e in g.edges if u not in e and v not in e]
+            expected = _nx_nu(n, rest) == nu - 1
+            assert edge_in_some_maximum_matching(g, (u, v)) == expected
+            seen.add(expected)
+    assert seen == {True, False}

@@ -110,16 +110,19 @@ def test_apex_two_c5_instance():
 
 
 def test_allowed_edges_drops_multi_neighbor_attachments():
-    # apex adjacent to two vertices of the same triangle: not allowed
-    g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    # apex 0 adjacent to two vertices of the triangle {1, 2, 3} and to the
+    # pendants 4 and 5: A = {0}, gb edges (0, 1), (0, 2), (0, 3)
+    g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 4), (0, 5)])
     ge = gallai_edmonds(g)
-    if ge.a_set:
-        al = allowed_edges(g, ge)
-        for a_id, comp_id in al.edges:
-            orig = ge.contraction_map[a_id][1]
-            comp = ge.d_components[ge.contraction_map[comp_id][1]]
-            nbrs = [v for v in g.adj[orig] if v in comp]
-            assert len(nbrs) == 1
+    assert ge.a_set == {0}
+    al = allowed_edges(g, ge)
+    # the triangle's gb edge is dropped: the apex has two neighbors in it
+    assert sorted(al.edges) == [(0, 2), (0, 3)]
+    for a_id, comp_id in al.edges:
+        orig = ge.contraction_map[a_id][1]
+        comp = ge.d_components[ge.contraction_map[comp_id][1]]
+        assert len([v for v in g.adj[orig] if v in comp]) == 1
+    assert every_ur(g).failure == "gb_edge_multiple_neighbors"
 
 
 def test_family_grid():
