@@ -13,7 +13,7 @@ import random
 import sys
 import time
 
-from .decomposition import gallai_edmonds
+from .decomposition import gallai_edmonds, verify_gallai_edmonds
 from .families import random_graph
 from .graph_core import Graph, bipartition, blocks_are_odd_cycles, induced_subgraph
 from .matching import Matching, maximum_matching
@@ -231,6 +231,8 @@ def _cmd_oracle(args) -> int:
 def _selftest_instance(g: Graph, max_n: int, max_m: int) -> list[str]:
     problems = []
     ge = gallai_edmonds(g)
+    if not verify_gallai_edmonds(g, ge):
+        problems.append("gallai_edmonds decomposition fails verify_gallai_edmonds")
     rs = some_ur(g, ge=ge)
     re = every_ur(g, ge=ge)
     if rs.answer != oracle_some_ur(g, max_n=max_n, max_m=max_m):

@@ -19,6 +19,7 @@ from .matching import (
     maximum_matching_bipartite,
     missable_vertices,
 )
+from .ur_core import build_matching_digraph
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,12 @@ def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
     that ``d_set`` induces, then the classical structure-theorem
     consequences: factor-critical components on the deficient side, perfectly
     matchable components on the untouched side, the deficiency identity
-    2 nu(g) = n - (#components - |a_set|), and nu(gb) = |a_set|.
+    2 nu(g) = n - (#components - |a_set|), nu(gb) = |a_set|, and positive
+    surplus of gb seen from A: every nonempty S of A-vertices has more than
+    |S| component neighbors.  Given nu(gb) = |a_set|, that holds iff every
+    A-vertex reaches an unmatched component vertex in D(M) of a maximum
+    matching M of gb (one reachability pass).  Without it a wrong ``d_set``
+    can pass every other test: ``{0}`` on the path 0-1.
     """
     verts = frozenset(range(g.n))
     if ge.d_set | ge.a_set | ge.c_set != verts:
@@ -112,6 +118,7 @@ def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
     nu = len(maximum_matching(g).edges)
     if 2 * nu != g.n - (len(ge.d_components) - len(ge.a_set)):
         return False
-    if len(maximum_matching_bipartite(ge.gb, ge.gb_sides).edges) != len(ge.a_set):
+    gb_m = maximum_matching_bipartite(ge.gb, ge.gb_sides)
+    if len(gb_m.edges) != len(ge.a_set):
         return False
-    return True
+    return ge.gb_sides[0] <= build_matching_digraph(ge.gb, ge.gb_sides, gb_m).v_minus

@@ -11,7 +11,7 @@ violated condition, and all violated conditions when diagnostics are requested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .accessibility import find_e_good_ordering
 from .decomposition import GallaiEdmonds, gallai_edmonds
@@ -27,7 +27,6 @@ from .graph_core import (
 from .matching import (
     InternalCheckError,
     Matching,
-    edge_in_some_maximum_matching,
     max_independent_set_bipartite,
     maximum_matching_bipartite,
     unique_perfect_matching,
@@ -63,10 +62,13 @@ class AllowedEdgeSet:
 
     A gb edge between a-side vertex (for original vertex a) and a component H
     qualifies iff a has exactly one neighbor h inside H and H - h has a unique
-    perfect matching.
+    perfect matching.  ``near_perfect`` maps each such h that was tested to
+    the edges (original ids) of that matching, or to None; ``some_ur`` reuses
+    it for condition 3 and the witness.
     """
 
     edges: frozenset[tuple[int, int]]
+    near_perfect: dict[int, list | None] = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -94,17 +96,30 @@ def _unique_component_neighbor(g: Graph, a: int, comp: frozenset[int]) -> int | 
     return nbrs[0] if len(nbrs) == 1 else None
 
 
+def _near_perfect_upm(g: Graph, comp: frozenset[int], h: int, upms: dict) -> list | None:
+    """Edges of the unique perfect matching of g[comp - h], in g's ids, or None.
+
+    ``upms`` holds the answers of one decision, keyed by h (which names its
+    component): ``allowed_edges``, condition 3 and witness assembly of
+    ``some_ur`` ask about the same component minus h.  ``some_ur`` starts
+    its dict from ``AllowedEdgeSet.near_perfect``.
+    """
+    if h not in upms:
+        sub, back = induced_subgraph(g, comp - {h})
+        upm = unique_perfect_matching(sub)
+        upms[h] = None if upm is None else [edge_key(back[u], back[v]) for u, v in upm.edges]
+    return upms[h]
+
+
 def allowed_edges(g: Graph, ge: GallaiEdmonds) -> AllowedEdgeSet:
     out = set()
+    upms: dict[int, list | None] = {}
     for e in ge.gb.sorted_edges():
         a, comp = _gb_edge_parts(ge, e)
         h = _unique_component_neighbor(g, a, comp)
-        if h is None:
-            continue
-        sub, _ = induced_subgraph(g, comp - {h})
-        if unique_perfect_matching(sub) is not None:
+        if h is not None and _near_perfect_upm(g, comp, h, upms) is not None:
             out.add(e)
-    return AllowedEdgeSet(frozenset(out))
+    return AllowedEdgeSet(frozenset(out), upms)
 
 
 def _c_component_subgraphs(g: Graph, ge: GallaiEdmonds):
@@ -139,6 +154,7 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     # condition 2: gb has a maximum uniquely restricted matching inside the
     # eligible edges; equivalent to an ordering of a maximum independent set
     eligible = allowed_edges(g, ge)
+    upms = dict(eligible.near_perfect)
     i_max = max_independent_set_bipartite(ge.gb, ge.gb_sides)
     ordering = find_e_good_ordering(ge.gb, ge.gb_sides, i_max, eligible.edges)
     if ordering is None:
@@ -153,8 +169,7 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     for ci, comp in enumerate(ge.d_components):
         found = None
         for h in sorted(comp):
-            sub, _ = induced_subgraph(g, comp - {h})
-            if unique_perfect_matching(sub) is not None:
+            if _near_perfect_upm(g, comp, h, upms) is not None:
                 found = h
                 break
         if found is None:
@@ -186,12 +201,10 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
         chosen_h[ih - k] = h
     for ci, comp in enumerate(ge.d_components):
         h = chosen_h[ci]
-        sub, back = induced_subgraph(g, comp - {h})
-        upm = unique_perfect_matching(sub)
-        if upm is None:
+        upm_edges = _near_perfect_upm(g, comp, h, upms)
+        if upm_edges is None:
             raise InternalCheckError(f"component {sorted(comp)} minus {h} has no unique perfect matching")
-        for u, v in upm.edges:
-            witness_edges.add(edge_key(back[u], back[v]))
+        witness_edges.update(upm_edges)
     witness = Matching.from_edges(g, sorted(witness_edges))
     return RecognitionReport("some_ur", True, witness, None, ())
 
@@ -250,7 +263,16 @@ def every_ur_general(
     g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = False
 ) -> RecognitionReport:
     """The every-decider through the Gallai-Edmonds decomposition; valid on
-    any graph, and the route ``every_ur`` takes on non-bipartite ones."""
+    any graph, and the route ``every_ur`` takes on non-bipartite ones.
+
+    The characterization constrains only gb edges that lie in some maximum
+    matching of gb.  By the Gallai-Edmonds structure theorem gb has positive
+    surplus seen from A (every nonempty S of A-vertices has more than |S|
+    component neighbors; ``verify_gallai_edmonds`` checks it), so every gb edge
+    lies in one: gb - a - H still matches all of A - a by Hall's condition.
+    The gb-edge condition is therefore one pass over the adjacency of A: no
+    A-vertex may have two neighbors in the same D component.
+    """
     if ge is None:
         ge = gallai_edmonds(g)
     failures: list[str] = []
@@ -276,11 +298,10 @@ def every_ur_general(
         if not all_failures:
             return RecognitionReport("every_ur", False, None, failures[0], tuple(failures))
 
-    for e in ge.gb.sorted_edges():
-        if not edge_in_some_maximum_matching(ge.gb, e):
-            continue
-        a, comp = _gb_edge_parts(ge, e)
-        if _unique_component_neighbor(g, a, comp) is None:
+    comp_of = {v: ci for ci, comp in enumerate(ge.d_components) for v in comp}
+    for a in sorted(ge.a_set):
+        touched = [comp_of[w] for w in g.adj[a] if w in comp_of]
+        if len(touched) != len(set(touched)):
             failures.append(GB_EDGE_MULTIPLE_NEIGHBORS)
             if not all_failures:
                 return RecognitionReport("every_ur", False, None, failures[0], tuple(failures))

@@ -1,17 +1,25 @@
-"""Per-vertex reference for the Gallai-Edmonds classes.
+"""Definitional references for the Gallai-Edmonds classes and the gb-edge test.
 
-This is the definitional route that the library's single Edmonds labelling
-replaces: v belongs to D iff nu(g - v) == nu(g), where nu(g - v) is the size
-of a maximum matching of the subgraph induced by V - v.  It shares no search
-with the labelling beyond the matcher itself.  A is the outside neighborhood
-of D and C the rest.  It costs one maximum matching per vertex, so tests use
-it only on small and medium graphs.
+The classes: v belongs to D iff nu(g - v) == nu(g), where nu(g - v) is the
+size of a maximum matching of the subgraph induced by V - v; this is the
+route that the library's single Edmonds labelling replaces, and it shares no
+search with the labelling beyond the matcher itself.  A is the outside
+neighborhood of D and C the rest.  It costs one maximum matching per vertex,
+so tests use it only on small and medium graphs.
+
+The gb-edge condition of the general every-decider, as the characterization
+states it: every gb edge that lies in some maximum matching of gb joins an
+A-vertex to a component in which it has exactly one neighbor.  It asks
+``edge_in_some_maximum_matching`` once per gb edge; the library's one pass
+over the adjacency of A replaces it.
 """
 
 from __future__ import annotations
 
+from urmatch.decomposition import GallaiEdmonds
 from urmatch.graph_core import Graph, induced_subgraph
-from urmatch.matching import maximum_matching
+from urmatch.matching import edge_in_some_maximum_matching, maximum_matching
+from urmatch.recognition import _gb_edge_parts, _unique_component_neighbor
 
 
 def _nu_without(g: Graph, v: int) -> int:
@@ -39,3 +47,15 @@ def reference_classes(g: Graph) -> tuple[frozenset[int], frozenset[int], frozens
         v for v in range(g.n) if v not in d_set and any(w in d_set for w in g.adj[v])
     )
     return d_set, a_set, frozenset(range(g.n)) - d_set - a_set
+
+
+def gb_edge_condition_by_edges(g: Graph, ge: GallaiEdmonds) -> bool:
+    """True iff no gb edge in some maximum matching of gb joins an A-vertex to
+    a component in which it has two or more neighbors."""
+    for e in ge.gb.sorted_edges():
+        if not edge_in_some_maximum_matching(ge.gb, e):
+            continue
+        a, comp = _gb_edge_parts(ge, e)
+        if _unique_component_neighbor(g, a, comp) is None:
+            return False
+    return True

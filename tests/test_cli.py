@@ -239,6 +239,15 @@ def test_selftest_counts_block_test_disagreement(capsys, monkeypatch):
     assert "0 disagreements" not in captured.out
 
 
+def test_selftest_counts_decomposition_rejection(capsys, monkeypatch):
+    # reject the decomposition of each of the 8 graphs on 3 vertices
+    monkeypatch.setattr(cli, "verify_gallai_edmonds", lambda g, ge: g.n != 3)
+    assert main(["selftest", "--nmax", "3", "--random", "0"]) == 4
+    captured = capsys.readouterr()
+    assert "gallai_edmonds" in captured.err
+    assert "selftest: 12 exhaustive + 0 random instances, 8 disagreements" in captured.out
+
+
 def test_no_assert_in_library():
     # invariants raise InternalCheckError: an assert vanishes under python -O
     src = Path(cli.__file__).parent

@@ -1,9 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
 from lemma_helpers import delete_vertex
 from strategies import graphs, seeded_random_graphs
-from urmatch.decomposition import gallai_edmonds, verify_gallai_edmonds
+from urmatch.decomposition import GallaiEdmonds, _contract, gallai_edmonds, verify_gallai_edmonds
 from urmatch.families import (
     bowtie_graph,
     complete_graph,
@@ -14,6 +16,12 @@ from urmatch.families import (
 )
 from urmatch.graph_core import Graph, induced_subgraph
 from urmatch.matching import is_factor_critical, maximum_matching, missable_vertices
+from urmatch.oracle import enumerate_labeled_graphs
+
+
+def _claim(g, d_set):
+    d_set = frozenset(d_set)
+    return GallaiEdmonds(d_set, *_contract(g, d_set))
 
 
 def test_star_decomposition():
@@ -111,3 +119,24 @@ def test_verifier_catches_corruption():
 def test_random_sweep_verifies():
     for g in seeded_random_graphs(80, (4, 12), [0.15, 0.3, 0.6], seed=23):
         assert verify_gallai_edmonds(g, gallai_edmonds(g))
+
+
+def test_verifier_rejects_zero_surplus_on_p2():
+    # {0} passes every other check: A = {1} is matched into the component {0},
+    # but with surplus 0, and no maximum matching misses 0
+    g = path_graph(2)
+    assert not verify_gallai_edmonds(g, _claim(g, {0}))
+    assert verify_gallai_edmonds(g, _claim(g, set()))
+
+
+def test_verifier_accepts_only_the_true_d_set():
+    for n in range(6):
+        for g in enumerate_labeled_graphs(n):
+            true_d = gallai_edmonds(g).d_set
+            accepted = [
+                frozenset(d)
+                for r in range(n + 1)
+                for d in itertools.combinations(range(n), r)
+                if verify_gallai_edmonds(g, _claim(g, d))
+            ]
+            assert accepted == [true_d]

@@ -1,8 +1,10 @@
+import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 
+from ge_reference import gb_edge_condition_by_edges
 from strategies import bipartite_graphs, seeded_random_graphs
 from urmatch.decomposition import gallai_edmonds
 from urmatch.families import (
@@ -13,7 +15,8 @@ from urmatch.families import (
     petersen_graph,
 )
 from urmatch.graph_core import Graph, bipartition, blocks_are_odd_cycles, induced_subgraph
-from urmatch.matching import maximum_matching
+from urmatch import recognition
+from urmatch.matching import edge_in_some_maximum_matching, maximum_matching, unique_perfect_matching
 from urmatch.oracle import (
     enumerate_labeled_graphs,
     oracle_every_ur,
@@ -21,6 +24,7 @@ from urmatch.oracle import (
 )
 from urmatch.recognition import (
     FAILURE_TAGS,
+    GB_EDGE_MULTIPLE_NEIGHBORS,
     InternalCheckError,
     _component_all_near_perfect_unique,
     _gb_edge_parts,
@@ -109,6 +113,22 @@ def test_apex_two_c5_instance():
     assert every_ur(g).answer
 
 
+def test_some_ur_tests_each_component_minus_h_once(monkeypatch):
+    # allowed_edges, condition 3 and the witness all need C5 - 1 and C5 - 6
+    g = _two_c5_apex()
+    ge = gallai_edmonds(g)
+    assert sorted(allowed_edges(g, ge).near_perfect) == [1, 6]
+    calls = []
+
+    def counting(sub):
+        calls.append(sub.n)
+        return unique_perfect_matching(sub)
+
+    monkeypatch.setattr(recognition, "unique_perfect_matching", counting)
+    r = some_ur(g, ge=ge)
+    assert r.answer and calls == [4, 4]
+
+
 def test_allowed_edges_drops_multi_neighbor_attachments():
     # apex 0 adjacent to two vertices of the triangle {1, 2, 3} and to the
     # pendants 4 and 5: A = {0}, gb edges (0, 1), (0, 2), (0, 3)
@@ -165,6 +185,47 @@ def _check_instance(g):
     for comp in ge.d_components:
         by_blocks = blocks_are_odd_cycles(induced_subgraph(g, comp)[0])
         assert by_blocks == _component_all_near_perfect_unique(g, comp)
+    _check_gb_edge_condition(g, ge)
+
+
+def _check_gb_edge_condition(g, ge):
+    # positive surplus puts every gb edge in some maximum matching of gb, so
+    # the one pass over A agrees with the per-edge definition
+    for e in ge.gb.sorted_edges():
+        assert edge_in_some_maximum_matching(ge.gb, e)
+    one_pass = GB_EDGE_MULTIPLE_NEIGHBORS not in every_ur_general(g, ge=ge, all_failures=True).failures
+    assert one_pass == gb_edge_condition_by_edges(g, ge)
+
+
+def _triangle_tree(n_tree, frac, rng):
+    # uniform random tree (Pruefer decoding), then a pendant triangle v, x, y
+    # on round(frac * n_tree) of its vertices
+    code = [rng.randrange(n_tree) for _ in range(n_tree - 2)]
+    degree = [1] * n_tree
+    for x in code:
+        degree[x] += 1
+    edges = []
+    for x in code:
+        leaf = degree.index(1)
+        edges.append((leaf, x))
+        degree[leaf] = 0
+        degree[x] -= 1
+    edges.append(tuple(v for v in range(n_tree) if degree[v] == 1))
+    n = n_tree
+    for v in sorted(rng.sample(range(n_tree), round(frac * n_tree))):
+        edges += [(v, n), (v, n + 1), (n, n + 1)]
+        n += 2
+    return Graph.from_edges(n, edges)
+
+
+def test_gb_edge_condition_on_triangle_trees():
+    rng = random.Random(5)
+    for n_tree in (100, 200, 400):
+        for _ in range(3):
+            g = _triangle_tree(n_tree, 0.25, rng)
+            ge = gallai_edmonds(g)
+            assert ge.gb.m > 0
+            _check_gb_edge_condition(g, ge)
 
 
 def test_exhaustive_small():
@@ -212,3 +273,18 @@ def test_gb_edge_parts_rejects_corrupted_contraction_map():
     swapped = replace(ge, contraction_map=tuple(("d", i) for i in range(ge.gb.n)))
     with pytest.raises(InternalCheckError):
         _gb_edge_parts(swapped, e)
+
+
+def test_all_failures_on_cyclic_gb_with_double_attachment():
+    # A = {0, 1}; D components: the triangle {2, 3, 4}, {5} and {6}.  gb holds
+    # the 4-cycle 0-T-1-{5}, and 0 has the two neighbors 2 and 3 in T
+    g = Graph.from_edges(7, [(0, 2), (0, 3), (0, 5), (1, 2), (1, 5), (1, 6),
+                             (2, 3), (2, 4), (3, 4)])
+    ge = gallai_edmonds(g)
+    assert (ge.a_set, len(ge.d_components)) == ({0, 1}, 3)
+    assert every_ur_bipartite(ge.gb, ge.gb_sides).failure == "gb_digraph_cyclic"
+    r = every_ur_general(g, ge=ge, all_failures=True)
+    assert r.failures == ("gb_every_max_matching_not_ur", "gb_edge_multiple_neighbors")
+    assert r.failure == "gb_every_max_matching_not_ur"
+    assert every_ur(g, all_failures=True).failures == r.failures
+    assert not r.answer and not oracle_every_ur(g)
