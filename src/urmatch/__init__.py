@@ -15,7 +15,6 @@ from .graph_core import (
 from .matching import (
     Matching,
     edge_in_some_maximum_matching,
-    has_unique_perfect_matching,
     is_factor_critical,
     max_independent_set_bipartite,
     maximum_matching,
@@ -26,7 +25,6 @@ from .matching import (
 from .oracle import (
     GuardLimitError,
     MatchingEnumeration,
-    count_perfect_matchings,
     enumerate_labeled_graphs,
     enumerate_matchings,
     oracle_every_ur,
@@ -69,7 +67,6 @@ __all__ = [
     "blocks_are_odd_cycles",
     "build_matching_digraph",
     "connected_components",
-    "count_perfect_matchings",
     "edge_in_some_maximum_matching",
     "edge_key",
     "enumerate_labeled_graphs",
@@ -79,7 +76,6 @@ __all__ = [
     "every_ur_general",
     "find_e_good_ordering",
     "gallai_edmonds",
-    "has_unique_perfect_matching",
     "induced_subgraph",
     "is_acyclic",
     "is_factor_critical",

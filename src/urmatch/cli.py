@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -35,7 +34,6 @@ from .recognition import (
 )
 from .ur_core import is_uniquely_restricted
 
-ORACLE_LIMIT_ENV = "URMATCH_ORACLE_LIMIT"
 # largest vertex count a graph file may declare; checked before any allocation
 MAX_VERTICES = 10**6
 
@@ -207,22 +205,9 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _oracle_limits(force: bool) -> tuple[int, int]:
-    if force:
-        return sys.maxsize, sys.maxsize
-    max_n = DEFAULT_MAX_N
-    env = os.environ.get(ORACLE_LIMIT_ENV)
-    if env is not None:
-        try:
-            max_n = int(env)
-        except ValueError:
-            raise ValueError(f"{ORACLE_LIMIT_ENV} must be an integer, got {env!r}") from None
-    return max_n, DEFAULT_MAX_M if max_n <= DEFAULT_MAX_N else max_n * (max_n - 1) // 2
-
-
 def _cmd_oracle(args) -> int:
     g = parse_graph(_read(args.file))
-    max_n, max_m = _oracle_limits(args.force)
+    max_n, max_m = (sys.maxsize, sys.maxsize) if args.force else (DEFAULT_MAX_N, DEFAULT_MAX_M)
     fn = oracle_some_ur if args.property == "some" else oracle_every_ur
     print(str(fn(g, max_n=max_n, max_m=max_m)).lower())
     return 0

@@ -5,7 +5,8 @@ matching and one Edmonds labelling: it is the set of even vertices of the
 alternating forest grown from all free vertices.  The contracted graph ``gb``
 keeps the neighbors of ``d_set`` on one side and one vertex per component of
 the induced subgraph on ``d_set`` on the other; edges inside ``a_set`` and
-all of ``c_set`` are dropped.
+all of ``c_set`` are dropped from it.  The components of g[c_set] are kept
+beside it, split once here for the deciders and the verifier.
 """
 
 from __future__ import annotations
@@ -26,39 +27,44 @@ from .ur_core import build_matching_digraph
 class GallaiEdmonds:
     """The three vertex classes plus the contracted bipartite graph.
 
+    ``d_components`` and ``c_components`` are the connected components of
+    g[d_set] and g[c_set], each ordered by its lowest original vertex id;
+    the deciders test every C component for a unique perfect matching.
     ``contraction_map[i]`` explains gb vertex i: ``("a", v)`` for an original
     vertex v of ``a_set``, ``("d", k)`` for index k into ``d_components``.
-    Component-side ids are assigned after all a-side ids, ordered by the
-    lowest original vertex id in each component.
+    Component-side ids are assigned after all a-side ids, in the order of
+    ``d_components``.
     """
 
     d_set: frozenset[int]
     a_set: frozenset[int]
     c_set: frozenset[int]
     d_components: tuple[frozenset[int], ...]
+    c_components: tuple[frozenset[int], ...]
     gb: Graph
     gb_sides: tuple[frozenset[int], frozenset[int]]
     contraction_map: tuple[tuple[str, int], ...]
 
 
+def _components(g: Graph, vertices: frozenset[int]) -> tuple[frozenset[int], ...]:
+    """Components of g[vertices] in g's ids, ordered by smallest member."""
+    sub, back = induced_subgraph(g, vertices)
+    return tuple(frozenset(back[x] for x in comp) for comp in connected_components(sub))
+
+
 def _contract(g: Graph, d_set: frozenset[int]):
     """Everything of the decomposition that follows from ``d_set``.
 
-    Returns ``(a_set, c_set, d_components, gb, gb_sides, contraction_map)``:
-    A is the outside neighborhood of D, C the rest, and gb joins each
-    A-vertex to every D component it touches.
+    Returns ``(a_set, c_set, d_components, c_components, gb, gb_sides,
+    contraction_map)``: A is the outside neighborhood of D, C the rest, and
+    gb joins each A-vertex to every D component it touches.
     """
     a_set = frozenset(
         v for v in range(g.n)
         if v not in d_set and any(w in d_set for w in g.adj[v])
     )
     c_set = frozenset(range(g.n)) - d_set - a_set
-
-    d_sub, d_map = induced_subgraph(g, d_set)
-    d_components = tuple(
-        frozenset(d_map[x] for x in comp)
-        for comp in connected_components(d_sub)
-    )
+    d_components = _components(g, d_set)
 
     a_list = sorted(a_set)
     a_pos = {v: i for i, v in enumerate(a_list)}
@@ -74,7 +80,7 @@ def _contract(g: Graph, d_set: frozenset[int]):
     contraction_map = tuple(("a", v) for v in a_list) + tuple(
         ("d", i) for i in range(len(d_components))
     )
-    return a_set, c_set, d_components, gb, gb_sides, contraction_map
+    return a_set, c_set, d_components, _components(g, c_set), gb, gb_sides, contraction_map
 
 
 def gallai_edmonds(g: Graph) -> GallaiEdmonds:
@@ -85,8 +91,8 @@ def gallai_edmonds(g: Graph) -> GallaiEdmonds:
 def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
     """Independent certificate check of a claimed decomposition.
 
-    Verifies the partition and that A, C, the components and gb are the ones
-    that ``d_set`` induces, then the classical structure-theorem
+    Verifies the partition and that A, C, both component lists and gb are
+    the ones that ``d_set`` induces, then the classical structure-theorem
     consequences: factor-critical components on the deficient side, perfectly
     matchable components on the untouched side, the deficiency identity
     2 nu(g) = n - (#components - |a_set|), nu(gb) = |a_set|, and positive
@@ -101,7 +107,8 @@ def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
         return False
     if ge.d_set & ge.a_set or ge.d_set & ge.c_set or ge.a_set & ge.c_set:
         return False
-    claimed = (ge.a_set, ge.c_set, ge.d_components, ge.gb, ge.gb_sides, ge.contraction_map)
+    claimed = (ge.a_set, ge.c_set, ge.d_components, ge.c_components, ge.gb, ge.gb_sides,
+               ge.contraction_map)
     if claimed != _contract(g, ge.d_set):
         return False
 
@@ -109,9 +116,8 @@ def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
         sub, _ = induced_subgraph(g, comp)
         if not is_factor_critical(sub):
             return False
-    c_sub, _ = induced_subgraph(g, ge.c_set)
-    for comp in connected_components(c_sub):
-        sub, _ = induced_subgraph(c_sub, comp)
+    for comp in ge.c_components:
+        sub, _ = induced_subgraph(g, comp)
         if 2 * len(maximum_matching(sub).edges) != sub.n:
             return False
 

@@ -51,11 +51,3 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
         if rng.random() < p
     ]
     return Graph.from_edges(n, edges)
-
-
-def random_graph_nm(n: int, m: int, rng: random.Random) -> Graph:
-    """Uniform random graph with exactly m edges."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if m > len(pairs):
-        raise ValueError("too many edges requested")
-    return Graph.from_edges(n, rng.sample(pairs, m))

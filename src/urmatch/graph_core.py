@@ -24,7 +24,10 @@ class Graph:
 
     ``edges`` holds normalized pairs ``(u, v)`` with ``u < v``; ``adj`` is an
     ascending-sorted adjacency tuple.  Instances are immutable and hashable.
-    Use :meth:`from_edges` to construct one.
+    Use :meth:`from_edges` to construct one from outside data; library code
+    that already holds normalized data (pairs in range with ``u < v`` and
+    ascending adjacency that lists exactly those pairs) may call the
+    constructor directly, as :func:`induced_subgraph` does.
     """
 
     n: int
@@ -75,9 +78,11 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
             raise ValueError(f"vertex {v} out of range")
     pos = {v: i for i, v in enumerate(keep)}
     # walk only the kept vertices' adjacency: callers often keep a handful
-    # of vertices of a large host graph
-    edges = [(pos[u], pos[w]) for u in keep for w in g.adj[u] if w > u and w in pos]
-    return Graph.from_edges(len(keep), edges), tuple(keep)
+    # of vertices of a large host graph; pos preserves order, so each list
+    # stays ascending and the result needs no renormalizing
+    adj = tuple(tuple(pos[w] for w in g.adj[u] if w in pos) for u in keep)
+    edges = frozenset((i, j) for i, nbrs in enumerate(adj) for j in nbrs if i < j)
+    return Graph(len(keep), edges, adj), tuple(keep)
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:

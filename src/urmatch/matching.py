@@ -322,10 +322,6 @@ def unique_perfect_matching(g: Graph) -> Matching | None:
     return _matching_from_array(g, match)
 
 
-def has_unique_perfect_matching(g: Graph) -> bool:
-    return unique_perfect_matching(g) is not None
-
-
 def is_factor_critical(g: Graph) -> bool:
     """True iff deleting any one vertex leaves a perfectly matchable graph."""
     if g.n == 0:

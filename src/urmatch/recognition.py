@@ -19,7 +19,6 @@ from .graph_core import (
     Graph,
     bipartition,
     blocks_are_odd_cycles,
-    connected_components,
     edge_key,
     induced_subgraph,
     is_forest,
@@ -80,20 +79,17 @@ class RecognitionReport:
     failures: tuple[str, ...] = ()
 
 
-def _gb_edge_parts(ge: GallaiEdmonds, e: tuple[int, int]) -> tuple[int, frozenset[int]]:
-    """Original a-vertex and component vertex set for one gb edge."""
-    x, y = e
-    ia, ih = (x, y) if x in ge.gb_sides[0] else (y, x)
-    kind, a = ge.contraction_map[ia]
-    comp_kind, ci = ge.contraction_map[ih]
-    if kind != "a" or comp_kind != "d":
-        raise InternalCheckError(f"gb edge {e} does not join an a-vertex to a component")
-    return a, ge.d_components[ci]
-
-
-def _unique_component_neighbor(g: Graph, a: int, comp: frozenset[int]) -> int | None:
-    nbrs = [w for w in g.adj[a] if w in comp]
-    return nbrs[0] if len(nbrs) == 1 else None
+def _attachments(g: Graph, ge: GallaiEdmonds) -> dict[tuple[int, int], list[int]]:
+    """One pass over the adjacency of A: the neighbors of A-vertex a inside D
+    component ``ge.d_components[ci]``, keyed by (a, ci), for every pair that
+    touches.  These pairs are exactly the edges of gb."""
+    comp_of = {v: ci for ci, comp in enumerate(ge.d_components) for v in comp}
+    out: dict[tuple[int, int], list[int]] = {}
+    for a in sorted(ge.a_set):
+        for w in g.adj[a]:
+            if w in comp_of:
+                out.setdefault((a, comp_of[w]), []).append(w)
+    return out
 
 
 def _near_perfect_upm(g: Graph, comp: frozenset[int], h: int, upms: dict) -> list | None:
@@ -104,6 +100,8 @@ def _near_perfect_upm(g: Graph, comp: frozenset[int], h: int, upms: dict) -> lis
     ``some_ur`` ask about the same component minus h.  ``some_ur`` starts
     its dict from ``AllowedEdgeSet.near_perfect``.
     """
+    if len(comp) == 1:  # comp - h is empty, and so is its perfect matching
+        return []
     if h not in upms:
         sub, back = induced_subgraph(g, comp - {h})
         upm = unique_perfect_matching(sub)
@@ -112,21 +110,13 @@ def _near_perfect_upm(g: Graph, comp: frozenset[int], h: int, upms: dict) -> lis
 
 
 def allowed_edges(g: Graph, ge: GallaiEdmonds) -> AllowedEdgeSet:
+    gb_id = {entry: i for i, entry in enumerate(ge.contraction_map)}
     out = set()
     upms: dict[int, list | None] = {}
-    for e in ge.gb.sorted_edges():
-        a, comp = _gb_edge_parts(ge, e)
-        h = _unique_component_neighbor(g, a, comp)
-        if h is not None and _near_perfect_upm(g, comp, h, upms) is not None:
-            out.add(e)
+    for (a, ci), nbrs in _attachments(g, ge).items():
+        if len(nbrs) == 1 and _near_perfect_upm(g, ge.d_components[ci], nbrs[0], upms) is not None:
+            out.add(edge_key(gb_id[("a", a)], gb_id[("d", ci)]))
     return AllowedEdgeSet(frozenset(out), upms)
-
-
-def _c_component_subgraphs(g: Graph, ge: GallaiEdmonds):
-    c_sub, c_map = induced_subgraph(g, ge.c_set)
-    for comp in connected_components(c_sub):
-        sub, sub_map = induced_subgraph(c_sub, comp)
-        yield sub, tuple(c_map[x] for x in sub_map)
 
 
 def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = False) -> RecognitionReport:
@@ -142,7 +132,8 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
 
     # condition 1: every untouched component has a unique perfect matching
     c_matchings: list[tuple[Matching, tuple[int, ...]]] = []
-    for sub, back in _c_component_subgraphs(g, ge):
+    for comp in ge.c_components:
+        sub, back = induced_subgraph(g, comp)
         upm = unique_perfect_matching(sub)
         if upm is None:
             failures.append(C_COMPONENT_PM_NOT_UNIQUE)
@@ -190,15 +181,15 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     for upm, back in c_matchings:
         for u, v in upm.edges:
             witness_edges.add(edge_key(back[u], back[v]))
-    k = len(ge.a_set)
+    attachments = _attachments(g, ge)
     for e in sorted(ordering.induced_matching.edges):
-        a, comp = _gb_edge_parts(ge, e)
-        h = _unique_component_neighbor(g, a, comp)
-        if h is None:  # the ordering only uses eligible edges
+        ends = dict(ge.contraction_map[x] for x in e)  # {"a": a, "d": ci}
+        a, ci = ends.get("a"), ends.get("d")
+        nbrs = attachments.get((a, ci), ())
+        if len(nbrs) != 1:  # the ordering only uses eligible edges
             raise InternalCheckError(f"ordering edge {e} has no unique component neighbor")
-        witness_edges.add(edge_key(a, h))
-        ia, ih = (e[0], e[1]) if e[0] in ge.gb_sides[0] else (e[1], e[0])
-        chosen_h[ih - k] = h
+        witness_edges.add(edge_key(a, nbrs[0]))
+        chosen_h[ci] = nbrs[0]
     for ci, comp in enumerate(ge.d_components):
         h = chosen_h[ci]
         upm_edges = _near_perfect_upm(g, comp, h, upms)
@@ -277,8 +268,8 @@ def every_ur_general(
         ge = gallai_edmonds(g)
     failures: list[str] = []
 
-    for sub, _back in _c_component_subgraphs(g, ge):
-        if unique_perfect_matching(sub) is None:
+    for comp in ge.c_components:
+        if unique_perfect_matching(induced_subgraph(g, comp)[0]) is None:
             failures.append(C_COMPONENT_PM_NOT_UNIQUE)
             if not all_failures:
                 return RecognitionReport("every_ur", False, None, failures[0], tuple(failures))
@@ -298,14 +289,10 @@ def every_ur_general(
         if not all_failures:
             return RecognitionReport("every_ur", False, None, failures[0], tuple(failures))
 
-    comp_of = {v: ci for ci, comp in enumerate(ge.d_components) for v in comp}
-    for a in sorted(ge.a_set):
-        touched = [comp_of[w] for w in g.adj[a] if w in comp_of]
-        if len(touched) != len(set(touched)):
-            failures.append(GB_EDGE_MULTIPLE_NEIGHBORS)
-            if not all_failures:
-                return RecognitionReport("every_ur", False, None, failures[0], tuple(failures))
-            break
+    if any(len(nbrs) > 1 for nbrs in _attachments(g, ge).values()):
+        failures.append(GB_EDGE_MULTIPLE_NEIGHBORS)
+        if not all_failures:
+            return RecognitionReport("every_ur", False, None, failures[0], tuple(failures))
 
     if failures:
         return RecognitionReport("every_ur", False, None, failures[0], tuple(failures))

@@ -3,9 +3,10 @@
 For a bipartite graph with sides (A, B) and a matching M, the digraph D(M)
 orients every non-matching edge from A to B and every matching edge from B to
 A.  Directed cycles of D(M) are exactly the M-alternating cycles, so M is
-uniquely restricted iff D(M) is acyclic.  The general-graph test below does
-not rely on that: it reuses the unique-perfect-matching device on the induced
-subgraph, and the digraph route is kept as an independently testable path.
+uniquely restricted iff D(M) is acyclic; the bipartite every-decider and
+the verifier's surplus check read D(M) and its reachability closures.  The
+general-graph UR test below does not use the digraph: M is uniquely
+restricted iff it is the unique perfect matching of g[V(M)].
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graph_core import Graph, induced_subgraph, validate_bipartition
-from .matching import Matching, has_unique_perfect_matching
+from .matching import Matching, unique_perfect_matching
 
 
 @dataclass(frozen=True)
@@ -111,4 +112,4 @@ def is_uniquely_restricted(g: Graph, m: Matching) -> bool:
     if not m.edges:
         return True
     sub, _ = induced_subgraph(g, m.covered)
-    return has_unique_perfect_matching(sub)
+    return unique_perfect_matching(sub) is not None

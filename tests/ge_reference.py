@@ -11,7 +11,8 @@ The gb-edge condition of the general every-decider, as the characterization
 states it: every gb edge that lies in some maximum matching of gb joins an
 A-vertex to a component in which it has exactly one neighbor.  It asks
 ``edge_in_some_maximum_matching`` once per gb edge; the library's one pass
-over the adjacency of A replaces it.
+over the adjacency of A replaces it.  Each gb edge is decoded here through
+``contraction_map``, with no helper shared with the library.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from urmatch.decomposition import GallaiEdmonds
 from urmatch.graph_core import Graph, induced_subgraph
 from urmatch.matching import edge_in_some_maximum_matching, maximum_matching
-from urmatch.recognition import _gb_edge_parts, _unique_component_neighbor
 
 
 def _nu_without(g: Graph, v: int) -> int:
@@ -55,7 +55,8 @@ def gb_edge_condition_by_edges(g: Graph, ge: GallaiEdmonds) -> bool:
     for e in ge.gb.sorted_edges():
         if not edge_in_some_maximum_matching(ge.gb, e):
             continue
-        a, comp = _gb_edge_parts(ge, e)
-        if _unique_component_neighbor(g, a, comp) is None:
+        ends = dict(ge.contraction_map[x] for x in e)
+        comp = ge.d_components[ends["d"]]
+        if len([w for w in g.adj[ends["a"]] if w in comp]) != 1:
             return False
     return True

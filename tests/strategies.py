@@ -41,3 +41,11 @@ def seeded_random_graphs(count, n_range, p_values, seed):
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         out.append(Graph.from_edges(n, edges))
     return out
+
+
+def random_graph_nm(n, m, rng):
+    """Uniform random graph with exactly m edges."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if m > len(pairs):
+        raise ValueError("too many edges requested")
+    return Graph.from_edges(n, rng.sample(pairs, m))

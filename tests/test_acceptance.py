@@ -22,7 +22,7 @@ from lemma_helpers import (
     is_accessibility_ordering,
     konig_maximality_check,
 )
-from strategies import seeded_random_graphs
+from strategies import random_graph_nm, seeded_random_graphs
 from urmatch.accessibility import find_e_good_ordering
 from urmatch.cli import render_graph
 from urmatch.families import (
@@ -30,15 +30,14 @@ from urmatch.families import (
     complete_graph,
     cycle_graph,
     path_graph,
-    random_graph_nm,
 )
 from urmatch.graph_core import Graph, bipartition, blocks_are_odd_cycles
 from urmatch.matching import (
     Matching,
-    has_unique_perfect_matching,
     is_factor_critical,
     max_independent_set_bipartite,
     maximum_matching,
+    unique_perfect_matching,
 )
 from urmatch.oracle import (
     enumerate_labeled_graphs,
@@ -297,7 +296,7 @@ def _lemma_blocks(rng):
     for g in samples:
         by_blocks = blocks_are_odd_cycles(g)
         by_definition = all(
-            has_unique_perfect_matching(delete_vertex(g, v)[0])
+            unique_perfect_matching(delete_vertex(g, v)[0]) is not None
             for v in range(g.n)
         )
         assert by_blocks == by_definition

@@ -186,15 +186,11 @@ def test_decompose_json(tmp_path, capsys):
     assert payload["contraction_map"][0] == ["a", 0]
 
 
-def test_oracle_guard_and_env(tmp_path, capsys, monkeypatch):
+def test_oracle_guard_and_force(tmp_path, capsys):
     g = cycle_graph(18)
     path = _write(tmp_path, "c18.g", render_graph(g))
     assert main(["oracle", path, "--property", "some"]) == 3
     capsys.readouterr()
-    monkeypatch.setenv(cli.ORACLE_LIMIT_ENV, "18")
-    assert main(["oracle", path, "--property", "some"]) == 0
-    assert capsys.readouterr().out == "false\n"
-    monkeypatch.delenv(cli.ORACLE_LIMIT_ENV)
     assert main(["oracle", path, "--property", "some", "--force"]) == 0
     assert capsys.readouterr().out == "false\n"
 

@@ -114,6 +114,15 @@ def test_verifier_catches_corruption():
     assert not verify_gallai_edmonds(g, bad2)
     bad3 = replace(ge, gb=Graph.from_edges(ge.gb.n, []))
     assert not verify_gallai_edmonds(g, bad3)
+    # every gb id claimed as a component, so no edge joins A to a component
+    swapped = replace(ge, contraction_map=tuple(("d", i) for i in range(ge.gb.n)))
+    assert not verify_gallai_edmonds(g, swapped)
+    # C4 is all C: one component, not two halves and not none
+    c4 = cycle_graph(4)
+    ge4 = gallai_edmonds(c4)
+    assert ge4.c_components == (frozenset(range(4)),)
+    for wrong in ((frozenset({0, 1}), frozenset({2, 3})), ()):
+        assert not verify_gallai_edmonds(c4, replace(ge4, c_components=wrong))
 
 
 def test_random_sweep_verifies():

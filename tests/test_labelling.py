@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 
 from ge_reference import reference_classes
-from strategies import graphs
+from strategies import graphs, random_graph_nm
 from urmatch.decomposition import gallai_edmonds
-from urmatch.families import cycle_graph, path_graph, random_graph_nm
+from urmatch.families import cycle_graph, path_graph
 from urmatch.graph_core import Graph
 from urmatch.matching import (
     InternalCheckError,

@@ -5,21 +5,19 @@ from hypothesis import given, settings
 
 from ge_reference import missable_vertex
 from lemma_helpers import delete_vertex
-from strategies import bipartite_graphs, graphs, seeded_random_graphs
+from strategies import bipartite_graphs, graphs, random_graph_nm, seeded_random_graphs
 from urmatch.families import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
     path_graph,
     petersen_graph,
-    random_graph_nm,
     star_graph,
 )
 from urmatch.graph_core import Graph, bipartition
 from urmatch.matching import (
     Matching,
     edge_in_some_maximum_matching,
-    has_unique_perfect_matching,
     is_factor_critical,
     max_independent_set_bipartite,
     maximum_matching,
@@ -81,7 +79,7 @@ def test_unique_perfect_matching_cases():
     assert unique_perfect_matching(path_graph(3)) is None  # no PM
     empty = Graph.from_edges(0, [])
     assert unique_perfect_matching(empty).edges == frozenset()
-    assert has_unique_perfect_matching(path_graph(2))
+    assert unique_perfect_matching(path_graph(2)) is not None
 
 
 @settings(deadline=None, max_examples=200)

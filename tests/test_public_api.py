@@ -1,0 +1,56 @@
+"""The public API is pinned: adding or removing a name shows up as a diff here."""
+
+import urmatch
+
+PUBLIC = [
+    "AccessibilityOrdering",
+    "AllowedEdgeSet",
+    "GallaiEdmonds",
+    "Graph",
+    "GuardLimitError",
+    "InternalCheckError",
+    "Matching",
+    "MatchingDigraph",
+    "MatchingEnumeration",
+    "RecognitionReport",
+    "__version__",
+    "allowed_edges",
+    "biconnected_blocks",
+    "bipartition",
+    "blocks_are_odd_cycles",
+    "build_matching_digraph",
+    "connected_components",
+    "edge_in_some_maximum_matching",
+    "edge_key",
+    "enumerate_labeled_graphs",
+    "enumerate_matchings",
+    "every_ur",
+    "every_ur_bipartite",
+    "every_ur_general",
+    "find_e_good_ordering",
+    "gallai_edmonds",
+    "induced_subgraph",
+    "is_acyclic",
+    "is_factor_critical",
+    "is_forest",
+    "is_uniquely_restricted",
+    "max_independent_set_bipartite",
+    "maximum_matching",
+    "maximum_matching_bipartite",
+    "missable_vertices",
+    "oracle_every_ur",
+    "oracle_is_ur",
+    "oracle_some_ur",
+    "some_ur",
+    "unique_perfect_matching",
+    "verify_gallai_edmonds",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(urmatch.__all__) == PUBLIC
+
+
+def test_every_public_name_resolves():
+    for name in urmatch.__all__:
+        assert getattr(urmatch, name) is not None

@@ -1,7 +1,5 @@
 import random
-from dataclasses import replace
 
-import pytest
 from hypothesis import given, settings
 
 from ge_reference import gb_edge_condition_by_edges
@@ -13,8 +11,15 @@ from urmatch.families import (
     cycle_graph,
     path_graph,
     petersen_graph,
+    star_graph,
 )
-from urmatch.graph_core import Graph, bipartition, blocks_are_odd_cycles, induced_subgraph
+from urmatch.graph_core import (
+    Graph,
+    bipartition,
+    blocks_are_odd_cycles,
+    connected_components,
+    induced_subgraph,
+)
 from urmatch import recognition
 from urmatch.matching import edge_in_some_maximum_matching, maximum_matching, unique_perfect_matching
 from urmatch.oracle import (
@@ -25,9 +30,7 @@ from urmatch.oracle import (
 from urmatch.recognition import (
     FAILURE_TAGS,
     GB_EDGE_MULTIPLE_NEIGHBORS,
-    InternalCheckError,
     _component_all_near_perfect_unique,
-    _gb_edge_parts,
     allowed_edges,
     every_ur,
     every_ur_bipartite,
@@ -127,6 +130,10 @@ def test_some_ur_tests_each_component_minus_h_once(monkeypatch):
     monkeypatch.setattr(recognition, "unique_perfect_matching", counting)
     r = some_ur(g, ge=ge)
     assert r.answer and calls == [4, 4]
+    # K_{1,3}: three single-vertex components, each minus its h is empty
+    calls.clear()
+    assert some_ur(star_graph(3)).answer
+    assert 0 not in calls
 
 
 def test_allowed_edges_drops_multi_neighbor_attachments():
@@ -166,6 +173,9 @@ def test_family_grid():
 
 def _check_instance(g):
     ge = gallai_edmonds(g)
+    c_sub, c_map = induced_subgraph(g, ge.c_set)
+    assert ge.c_components == tuple(
+        frozenset(c_map[x] for x in comp) for comp in connected_components(c_sub))
     rs = some_ur(g, ge=ge)
     assert rs.answer == oracle_some_ur(g, max_n=12, max_m=66)
     if rs.answer:
@@ -263,16 +273,6 @@ def test_all_failures_collects_every_tag_stage():
     assert r.failures and all(t in FAILURE_TAGS for t in r.failures)
     r2 = every_ur(complete_graph(6), all_failures=True)
     assert not r2.answer and r2.failures
-
-
-def test_gb_edge_parts_rejects_corrupted_contraction_map():
-    g = Graph.from_edges(3, [(0, 1), (0, 2)])  # star: a = {0}, D = {1}, {2}
-    ge = gallai_edmonds(g)
-    e = min(ge.gb.edges)
-    assert _gb_edge_parts(ge, e) == (0, frozenset({1}))
-    swapped = replace(ge, contraction_map=tuple(("d", i) for i in range(ge.gb.n)))
-    with pytest.raises(InternalCheckError):
-        _gb_edge_parts(swapped, e)
 
 
 def test_all_failures_on_cyclic_gb_with_double_attachment():
