@@ -32,7 +32,6 @@ from .oracle import (
     oracle_some_ur,
 )
 from .recognition import (
-    AllowedEdgeSet,
     InternalCheckError,
     RecognitionReport,
     allowed_edges,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccessibilityOrdering",
-    "AllowedEdgeSet",
     "GallaiEdmonds",
     "Graph",
     "GuardLimitError",

@@ -6,12 +6,13 @@ alternating forest grown from all free vertices.  The contracted graph ``gb``
 keeps the neighbors of ``d_set`` on one side and one vertex per component of
 the induced subgraph on ``d_set`` on the other; edges inside ``a_set`` and
 all of ``c_set`` are dropped from it.  The components of g[c_set] are kept
-beside it, split once here for the deciders and the verifier.
+beside it, split once here for the deciders and the verifier.  Both splits
+are breadth-first searches over g's own adjacency; no induced graph is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph_core import Graph, connected_components, induced_subgraph
 from .matching import (
@@ -34,6 +35,12 @@ class GallaiEdmonds:
     vertex v of ``a_set``, ``("d", k)`` for index k into ``d_components``.
     Component-side ids are assigned after all a-side ids, in the order of
     ``d_components``.
+
+    ``upms`` is the deciders' private memo: it maps a vertex set to the edges,
+    in g's ids, of the unique perfect matching of g[set], or to None, so that
+    deciders sharing one decomposition test each set once.  It takes no part
+    in equality, hashing or repr, and ``dataclasses.replace`` starts it empty.
+    A decomposition, and so its memo, belongs to the one g it was built from.
     """
 
     d_set: frozenset[int]
@@ -44,12 +51,7 @@ class GallaiEdmonds:
     gb: Graph
     gb_sides: tuple[frozenset[int], frozenset[int]]
     contraction_map: tuple[tuple[str, int], ...]
-
-
-def _components(g: Graph, vertices: frozenset[int]) -> tuple[frozenset[int], ...]:
-    """Components of g[vertices] in g's ids, ordered by smallest member."""
-    sub, back = induced_subgraph(g, vertices)
-    return tuple(frozenset(back[x] for x in comp) for comp in connected_components(sub))
+    upms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def _contract(g: Graph, d_set: frozenset[int]):
@@ -64,7 +66,8 @@ def _contract(g: Graph, d_set: frozenset[int]):
         if v not in d_set and any(w in d_set for w in g.adj[v])
     )
     c_set = frozenset(range(g.n)) - d_set - a_set
-    d_components = _components(g, d_set)
+    d_components = tuple(connected_components(g, d_set))
+    c_components = tuple(connected_components(g, c_set))
 
     a_list = sorted(a_set)
     a_pos = {v: i for i, v in enumerate(a_list)}
@@ -80,7 +83,7 @@ def _contract(g: Graph, d_set: frozenset[int]):
     contraction_map = tuple(("a", v) for v in a_list) + tuple(
         ("d", i) for i in range(len(d_components))
     )
-    return a_set, c_set, d_components, _components(g, c_set), gb, gb_sides, contraction_map
+    return a_set, c_set, d_components, c_components, gb, gb_sides, contraction_map
 
 
 def gallai_edmonds(g: Graph) -> GallaiEdmonds:

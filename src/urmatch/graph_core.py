@@ -85,21 +85,34 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return Graph(len(keep), edges, adj), tuple(keep)
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Vertex sets of the connected components, ordered by smallest member."""
-    seen = [False] * g.n
+def connected_components(g: Graph, vertices: Iterable[int] | None = None) -> list[frozenset[int]]:
+    """Vertex sets of the connected components of g[vertices], in g's ids,
+    ordered by smallest member; all of g when ``vertices`` is None.
+
+    One breadth-first search over g's own adjacency: no subgraph is built.
+    """
+    if vertices is None:
+        order: Iterable[int] = range(g.n)
+        todo = [True] * g.n
+    else:
+        order = sorted(set(vertices))
+        todo = [False] * g.n
+        for v in order:
+            if not 0 <= v < g.n:
+                raise ValueError(f"vertex {v} out of range")
+            todo[v] = True
     out: list[frozenset[int]] = []
-    for start in range(g.n):
-        if seen[start]:
+    for start in order:
+        if not todo[start]:
             continue
-        seen[start] = True
+        todo[start] = False
         comp = [start]
         queue = deque([start])
         while queue:
             v = queue.popleft()
             for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
+                if todo[w]:
+                    todo[w] = False
                     comp.append(w)
                     queue.append(w)
         out.append(frozenset(comp))

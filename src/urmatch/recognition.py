@@ -11,7 +11,7 @@ violated condition, and all violated conditions when diagnostics are requested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .accessibility import find_e_good_ordering
 from .decomposition import GallaiEdmonds, gallai_edmonds
@@ -56,21 +56,6 @@ FAILURE_TAGS = frozenset({
 
 
 @dataclass(frozen=True)
-class AllowedEdgeSet:
-    """Edges of gb eligible to carry a uniquely restricted matching.
-
-    A gb edge between a-side vertex (for original vertex a) and a component H
-    qualifies iff a has exactly one neighbor h inside H and H - h has a unique
-    perfect matching.  ``near_perfect`` maps each such h that was tested to
-    the edges (original ids) of that matching, or to None; ``some_ur`` reuses
-    it for condition 3 and the witness.
-    """
-
-    edges: frozenset[tuple[int, int]]
-    near_perfect: dict[int, list | None] = field(default_factory=dict, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
 class RecognitionReport:
     property: str  # "some_ur" | "every_ur"
     answer: bool
@@ -92,31 +77,36 @@ def _attachments(g: Graph, ge: GallaiEdmonds) -> dict[tuple[int, int], list[int]
     return out
 
 
-def _near_perfect_upm(g: Graph, comp: frozenset[int], h: int, upms: dict) -> list | None:
-    """Edges of the unique perfect matching of g[comp - h], in g's ids, or None.
+def _upm(g: Graph, ge: GallaiEdmonds, vertices: frozenset[int]) -> list | None:
+    """Edges of the unique perfect matching of g[vertices], in g's ids, or None.
 
-    ``upms`` holds the answers of one decision, keyed by h (which names its
-    component): ``allowed_edges``, condition 3 and witness assembly of
-    ``some_ur`` ask about the same component minus h.  ``some_ur`` starts
-    its dict from ``AllowedEdgeSet.near_perfect``.
+    The one uniqueness test of the deciders, memoised in ``ge.upms``: the C
+    components (condition 1 of both deciders) and each D component minus h
+    (``allowed_edges``, condition 3 and the witness of ``some_ur``) are each
+    tested once per decomposition.  The empty set needs no graph.
     """
-    if len(comp) == 1:  # comp - h is empty, and so is its perfect matching
+    if not vertices:
         return []
-    if h not in upms:
-        sub, back = induced_subgraph(g, comp - {h})
+    if vertices not in ge.upms:
+        sub, back = induced_subgraph(g, vertices)
         upm = unique_perfect_matching(sub)
-        upms[h] = None if upm is None else [edge_key(back[u], back[v]) for u, v in upm.edges]
-    return upms[h]
+        ge.upms[vertices] = None if upm is None else [edge_key(back[u], back[v]) for u, v in upm.edges]
+    return ge.upms[vertices]
 
 
-def allowed_edges(g: Graph, ge: GallaiEdmonds) -> AllowedEdgeSet:
+def allowed_edges(g: Graph, ge: GallaiEdmonds) -> frozenset[tuple[int, int]]:
+    """Edges of gb eligible to carry a uniquely restricted matching.
+
+    A gb edge between a-side vertex (for original vertex a) and a component H
+    qualifies iff a has exactly one neighbor h inside H and H - h has a unique
+    perfect matching.
+    """
     gb_id = {entry: i for i, entry in enumerate(ge.contraction_map)}
     out = set()
-    upms: dict[int, list | None] = {}
     for (a, ci), nbrs in _attachments(g, ge).items():
-        if len(nbrs) == 1 and _near_perfect_upm(g, ge.d_components[ci], nbrs[0], upms) is not None:
+        if len(nbrs) == 1 and _upm(g, ge, ge.d_components[ci] - {nbrs[0]}) is not None:
             out.add(edge_key(gb_id[("a", a)], gb_id[("d", ci)]))
-    return AllowedEdgeSet(frozenset(out), upms)
+    return frozenset(out)
 
 
 def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = False) -> RecognitionReport:
@@ -131,23 +121,18 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     failures: list[str] = []
 
     # condition 1: every untouched component has a unique perfect matching
-    c_matchings: list[tuple[Matching, tuple[int, ...]]] = []
     for comp in ge.c_components:
-        sub, back = induced_subgraph(g, comp)
-        upm = unique_perfect_matching(sub)
-        if upm is None:
+        if _upm(g, ge, comp) is None:
             failures.append(C_COMPONENT_PM_NOT_UNIQUE)
             if not all_failures:
                 return RecognitionReport("some_ur", False, None, failures[0], tuple(failures))
             break
-        c_matchings.append((upm, back))
 
     # condition 2: gb has a maximum uniquely restricted matching inside the
     # eligible edges; equivalent to an ordering of a maximum independent set
     eligible = allowed_edges(g, ge)
-    upms = dict(eligible.near_perfect)
     i_max = max_independent_set_bipartite(ge.gb, ge.gb_sides)
-    ordering = find_e_good_ordering(ge.gb, ge.gb_sides, i_max, eligible.edges)
+    ordering = find_e_good_ordering(ge.gb, ge.gb_sides, i_max, eligible)
     if ordering is None:
         failures.append(GB_NO_UR_MATCHING_WITHIN_E)
         if not all_failures:
@@ -160,7 +145,7 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     for ci, comp in enumerate(ge.d_components):
         found = None
         for h in sorted(comp):
-            if _near_perfect_upm(g, comp, h, upms) is not None:
+            if _upm(g, ge, comp - {h}) is not None:
                 found = h
                 break
         if found is None:
@@ -178,9 +163,6 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
 
     # assemble the witness
     witness_edges: set[tuple[int, int]] = set()
-    for upm, back in c_matchings:
-        for u, v in upm.edges:
-            witness_edges.add(edge_key(back[u], back[v]))
     attachments = _attachments(g, ge)
     for e in sorted(ordering.induced_matching.edges):
         ends = dict(ge.contraction_map[x] for x in e)  # {"a": a, "d": ci}
@@ -190,11 +172,11 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
             raise InternalCheckError(f"ordering edge {e} has no unique component neighbor")
         witness_edges.add(edge_key(a, nbrs[0]))
         chosen_h[ci] = nbrs[0]
-    for ci, comp in enumerate(ge.d_components):
-        h = chosen_h[ci]
-        upm_edges = _near_perfect_upm(g, comp, h, upms)
+    d_pieces = (comp - {chosen_h[ci]} for ci, comp in enumerate(ge.d_components))
+    for piece in (*ge.c_components, *d_pieces):
+        upm_edges = _upm(g, ge, piece)
         if upm_edges is None:
-            raise InternalCheckError(f"component {sorted(comp)} minus {h} has no unique perfect matching")
+            raise InternalCheckError(f"{sorted(piece)} has no unique perfect matching")
         witness_edges.update(upm_edges)
     witness = Matching.from_edges(g, sorted(witness_edges))
     return RecognitionReport("some_ur", True, witness, None, ())
@@ -269,15 +251,15 @@ def every_ur_general(
     failures: list[str] = []
 
     for comp in ge.c_components:
-        if unique_perfect_matching(induced_subgraph(g, comp)[0]) is None:
+        if _upm(g, ge, comp) is None:
             failures.append(C_COMPONENT_PM_NOT_UNIQUE)
             if not all_failures:
                 return RecognitionReport("every_ur", False, None, failures[0], tuple(failures))
             break
 
     for comp in ge.d_components:
-        sub, _ = induced_subgraph(g, comp)
-        if not blocks_are_odd_cycles(sub):
+        # a single vertex has no blocks
+        if len(comp) > 1 and not blocks_are_odd_cycles(induced_subgraph(g, comp)[0]):
             failures.append(D_COMPONENT_BLOCKS_NOT_ODD_CYCLES)
             if not all_failures:
                 return RecognitionReport("every_ur", False, None, failures[0], tuple(failures))

@@ -91,6 +91,27 @@ def test_connected_components_order():
     assert comps == [frozenset({0}), frozenset({1, 2}), frozenset({3}), frozenset({4, 5})]
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_connected_components_of_vertex_set_matches_induced_route(data):
+    # the old route: build g[vertices], split it, map the ids back
+    g = data.draw(graphs(max_n=12))
+    vertices = data.draw(st.frozensets(st.integers(0, max(g.n - 1, 0)))) if g.n else frozenset()
+    sub, back = induced_subgraph(g, vertices)
+    expected = [frozenset(back[x] for x in comp) for comp in connected_components(sub)]
+    assert connected_components(g, vertices) == expected
+    assert connected_components(g, range(g.n)) == connected_components(g)
+
+
+def test_connected_components_of_vertex_set_rejects_out_of_range():
+    g = path_graph(4)
+    assert connected_components(g, {0, 2, 3}) == [frozenset({0}), frozenset({2, 3})]
+    assert connected_components(g, ()) == []
+    for bad in (4, -1):
+        with pytest.raises(ValueError):
+            connected_components(g, {0, bad})
+
+
 def test_is_forest_families():
     assert is_forest(path_graph(7))
     assert is_forest(star_graph(5))

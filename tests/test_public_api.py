@@ -4,7 +4,6 @@ import urmatch
 
 PUBLIC = [
     "AccessibilityOrdering",
-    "AllowedEdgeSet",
     "GallaiEdmonds",
     "Graph",
     "GuardLimitError",

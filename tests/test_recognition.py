@@ -1,10 +1,11 @@
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings
 
 from ge_reference import gb_edge_condition_by_edges
 from strategies import bipartite_graphs, seeded_random_graphs
-from urmatch.decomposition import gallai_edmonds
+from urmatch.decomposition import gallai_edmonds, verify_gallai_edmonds
 from urmatch.families import (
     complete_bipartite,
     complete_graph,
@@ -106,8 +107,7 @@ def test_apex_two_c5_instance():
     ge = gallai_edmonds(g)
     assert sorted(ge.a_set) == [0]
     assert len(ge.d_components) == 2
-    al = allowed_edges(g, ge)
-    assert sorted(al.edges) == [(0, 1), (0, 2)]  # gb coordinates
+    assert sorted(allowed_edges(g, ge)) == [(0, 1), (0, 2)]  # gb coordinates
     r = some_ur(g)
     assert r.answer
     assert sorted(r.witness.edges) == [(0, 1), (2, 3), (4, 5), (7, 8), (9, 10)]
@@ -120,7 +120,8 @@ def test_some_ur_tests_each_component_minus_h_once(monkeypatch):
     # allowed_edges, condition 3 and the witness all need C5 - 1 and C5 - 6
     g = _two_c5_apex()
     ge = gallai_edmonds(g)
-    assert sorted(allowed_edges(g, ge).near_perfect) == [1, 6]
+    allowed_edges(g, ge)
+    assert set(ge.upms) == {frozenset({2, 3, 4, 5}), frozenset({7, 8, 9, 10})}
     calls = []
 
     def counting(sub):
@@ -128,8 +129,10 @@ def test_some_ur_tests_each_component_minus_h_once(monkeypatch):
         return unique_perfect_matching(sub)
 
     monkeypatch.setattr(recognition, "unique_perfect_matching", counting)
+    ge = gallai_edmonds(g)
     r = some_ur(g, ge=ge)
     assert r.answer and calls == [4, 4]
+    assert set(ge.upms) == {frozenset({2, 3, 4, 5}), frozenset({7, 8, 9, 10})}
     # K_{1,3}: three single-vertex components, each minus its h is empty
     calls.clear()
     assert some_ur(star_graph(3)).answer
@@ -144,12 +147,51 @@ def test_allowed_edges_drops_multi_neighbor_attachments():
     assert ge.a_set == {0}
     al = allowed_edges(g, ge)
     # the triangle's gb edge is dropped: the apex has two neighbors in it
-    assert sorted(al.edges) == [(0, 2), (0, 3)]
-    for a_id, comp_id in al.edges:
+    assert sorted(al) == [(0, 2), (0, 3)]
+    for a_id, comp_id in al:
         orig = ge.contraction_map[a_id][1]
         comp = ge.d_components[ge.contraction_map[comp_id][1]]
         assert len([v for v in g.adj[orig] if v in comp]) == 1
     assert every_ur(g).failure == "gb_edge_multiple_neighbors"
+
+
+def test_deciders_share_the_c_component_tests(monkeypatch):
+    # triangle {0, 1, 2} (D), and the C components {3, 4} and {5, 6, 7, 8}
+    g = Graph.from_edges(9, [(0, 1), (1, 2), (0, 2), (3, 4), (5, 6), (6, 7), (7, 8)])
+    ge = gallai_edmonds(g)
+    assert bipartition(g) is None and len(ge.c_components) == 2
+    calls = []
+
+    def counting(sub):
+        calls.append(sub.n)
+        return unique_perfect_matching(sub)
+
+    monkeypatch.setattr(recognition, "unique_perfect_matching", counting)
+    assert some_ur(g, ge=ge).answer
+    calls.clear()
+    assert every_ur(g, ge=ge).answer
+    assert calls == []
+    # the memo is invisible to equality, hashing, repr and the verifier
+    fresh = gallai_edmonds(g)
+    assert ge.upms and not fresh.upms
+    assert (ge, hash(ge), repr(ge)) == (fresh, hash(fresh), repr(fresh))
+    assert verify_gallai_edmonds(g, ge)
+    assert replace(ge, gb=ge.gb).upms == {}
+
+
+def test_every_ur_general_skips_blocks_of_single_vertices(monkeypatch):
+    calls = []
+
+    def counting(sub):
+        calls.append(sub.n)
+        return blocks_are_odd_cycles(sub)
+
+    monkeypatch.setattr(recognition, "blocks_are_odd_cycles", counting)
+    # K_{1,3}: the three leaves are single-vertex D components
+    assert every_ur_general(star_graph(3)).answer
+    assert calls == []
+    assert not every_ur_general(complete_graph(5)).answer
+    assert calls == [5]
 
 
 def test_family_grid():
