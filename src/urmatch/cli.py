@@ -7,6 +7,7 @@ Exit codes: 0 answer computed, 2 input/parse error, 3 oracle guard exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -20,6 +21,7 @@ from .oracle import (
     DEFAULT_MAX_M,
     DEFAULT_MAX_N,
     GuardLimitError,
+    count_perfect_matchings,
     enumerate_labeled_graphs,
     oracle_every_ur,
     oracle_some_ur,
@@ -27,7 +29,9 @@ from .oracle import (
 from .recognition import (
     InternalCheckError,
     RecognitionReport,
+    _c_upm,
     _component_all_near_perfect_unique,
+    _unique_minus,
     every_ur,
     every_ur_general,
     some_ur,
@@ -233,6 +237,15 @@ def _selftest_instance(g: Graph, max_n: int, max_m: int) -> list[str]:
         if by_blocks != _component_all_near_perfect_unique(g, comp):
             problems.append(f"block test (blocks_are_odd_cycles = {by_blocks}) disagrees with "
                             f"the per-vertex test on component {sorted(comp)}")
+    # the deciders' uniqueness tests, on every set they may ask about
+    tested = [(comp, _c_upm(g, ge, ci) is not None) for ci, comp in enumerate(ge.c_components)]
+    tested += [(comp - {h}, _unique_minus(g, ge, ci, h))
+               for ci, comp in enumerate(ge.d_components) for h in sorted(comp)]
+    for piece, unique in tested:
+        sub = induced_subgraph(g, piece)[0]
+        if unique != (count_perfect_matchings(sub, max_n=max_n, max_m=max_m) == 1):
+            problems.append(f"uniqueness test (unique = {unique}) disagrees with the oracle "
+                            f"on {sorted(piece)}")
     if rs.answer:
         w = rs.witness
         if w is None or len(w.edges) != len(maximum_matching(g).edges) \
@@ -274,7 +287,9 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="urmatch",
         description="Decide whether some / every maximum matching of a graph is uniquely restricted.",

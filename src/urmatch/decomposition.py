@@ -2,12 +2,13 @@
 
 ``d_set`` (the vertices v with nu(g - v) == nu(g)) comes from one maximum
 matching and one Edmonds labelling: it is the set of even vertices of the
-alternating forest grown from all free vertices.  The contracted graph ``gb``
-keeps the neighbors of ``d_set`` on one side and one vertex per component of
-the induced subgraph on ``d_set`` on the other; edges inside ``a_set`` and
-all of ``c_set`` are dropped from it.  The components of g[c_set] are kept
-beside it, split once here for the deciders and the verifier.  Both splits
-are breadth-first searches over g's own adjacency; no induced graph is built.
+alternating forest grown from all free vertices, and the matching is kept.
+The contracted graph ``gb`` keeps the neighbors of ``d_set`` on one side and
+one vertex per component of the induced subgraph on ``d_set`` on the other;
+edges inside ``a_set`` and all of ``c_set`` are dropped from it.  The
+components of g[c_set] are kept beside it, split once here for the deciders
+and the verifier.  Both splits are breadth-first searches over g's own
+adjacency; no induced graph is built.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from dataclasses import dataclass, field
 
 from .graph_core import Graph, connected_components, induced_subgraph
 from .matching import (
+    _missable_and_match,
     is_factor_critical,
     maximum_matching,
     maximum_matching_bipartite,
-    missable_vertices,
 )
 from .ur_core import build_matching_digraph
 
@@ -36,11 +37,23 @@ class GallaiEdmonds:
     Component-side ids are assigned after all a-side ids, in the order of
     ``d_components``.
 
-    ``upms`` is the deciders' private memo: it maps a vertex set to the edges,
-    in g's ids, of the unique perfect matching of g[set], or to None, so that
-    deciders sharing one decomposition test each set once.  It takes no part
-    in equality, hashing or repr, and ``dataclasses.replace`` starts it empty.
-    A decomposition, and so its memo, belongs to the one g it was built from.
+    ``match`` is the maximum matching of g that the decomposition was found
+    from, as a mate array (-1 for a free vertex).  By the Gallai-Edmonds
+    theorem it is perfect on every C component and near-perfect on every D
+    component, so the deciders' uniqueness tests start from it and need no
+    matcher of their own.  A decomposition built by hand may leave it None.
+
+    ``upms`` is the deciders' private memo, so that deciders sharing one
+    decomposition test each set once.  ``("c", ci)`` maps to the edges, in
+    g's ids, of the unique perfect matching of C component ``ci``, or to
+    None; ``(ci, h)`` to whether D component ``ci`` minus its vertex h has a
+    unique perfect matching; ``("d", ci)`` holds what those tests share: D
+    component ``ci`` in local ids, its near-perfect matching and the path
+    pointers of the alternating tree grown from its one free vertex.
+
+    Neither field takes part in equality, hashing or repr.
+    ``dataclasses.replace`` keeps ``match`` and starts ``upms`` empty.  A
+    decomposition, and so its memo, belongs to the one g it was built from.
     """
 
     d_set: frozenset[int]
@@ -51,6 +64,7 @@ class GallaiEdmonds:
     gb: Graph
     gb_sides: tuple[frozenset[int], frozenset[int]]
     contraction_map: tuple[tuple[str, int], ...]
+    match: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
     upms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
@@ -87,8 +101,8 @@ def _contract(g: Graph, d_set: frozenset[int]):
 
 
 def gallai_edmonds(g: Graph) -> GallaiEdmonds:
-    d_set = missable_vertices(g)
-    return GallaiEdmonds(d_set, *_contract(g, d_set))
+    d_set, match = _missable_and_match(g)
+    return GallaiEdmonds(d_set, *_contract(g, d_set), match=tuple(match))
 
 
 def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:

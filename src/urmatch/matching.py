@@ -1,11 +1,12 @@
 """Maximum matchings (general and bipartite) and matching-theoretic predicates.
 
 One alternating-forest search with union-find blossoms (Edmonds) serves the
-general matcher, the Gallai-Edmonds labelling and the deletion tests of
-unique perfect matchings and of edges in some maximum matching; bipartite
-graphs use Hopcroft-Karp.  All searches iterate vertices and neighbors in
-ascending id order, so the "canonical" maximum matching returned for a given
-graph is reproducible.
+general matcher, the Gallai-Edmonds labelling and the deletion test of edges
+in some maximum matching; bipartite graphs use Hopcroft-Karp.  Uniqueness of
+a given perfect matching is a Kotzig peel (``_peels_to_empty``): a pendant
+queue plus, when it stalls, one bridge search, with no matcher of its own.
+All searches iterate vertices and neighbors in ascending id order, so the
+"canonical" maximum matching returned for a given graph is reproducible.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def _search(adj, match, roots):
     If the forest reaches a free vertex outside ``roots``, or an even-even
     edge joins two trees, the augmenting path is applied to ``match`` in
     place and None is returned.  Otherwise ``match`` is untouched and the
-    labels are returned.
+    labels and path pointers are returned as ``(label, parent)``.
     """
     n = len(adj)
     label = [_UNLABELLED] * n
@@ -177,7 +178,7 @@ def _search(adj, match, roots):
             match[v] = w
             match[w] = v
             return None
-    return label
+    return label, parent
 
 
 def _max_match_array(g: Graph) -> list[int]:
@@ -283,10 +284,17 @@ def _edmonds_labels(adj, match):
     By the Gallai-Edmonds theorem the even vertices are D, the odd ones A and
     the unlabelled ones C.  A matching that is not maximum raises.
     """
-    label = _search(adj, match, [v for v in range(len(adj)) if match[v] == -1])
-    if label is None:
+    forest = _search(adj, match, [v for v in range(len(adj)) if match[v] == -1])
+    if forest is None:
         raise InternalCheckError("an augmenting path exists: the matching is not maximum")
-    return label
+    return forest[0]
+
+
+def _missable_and_match(g: Graph) -> tuple[frozenset[int], list[int]]:
+    """``missable_vertices(g)`` and the maximum matching it was found from."""
+    match = _max_match_array(g)
+    label = _edmonds_labels(g.adj, match)
+    return frozenset(v for v in range(g.n) if label[v] == _EVEN), match
 
 
 def missable_vertices(g: Graph) -> frozenset[int]:
@@ -295,30 +303,112 @@ def missable_vertices(g: Graph) -> frozenset[int]:
     One maximum matching and one Edmonds labelling: D is the set of even
     vertices of the alternating forest grown from all free vertices.
     """
-    label = _edmonds_labels(g.adj, _max_match_array(g))
-    return frozenset(v for v in range(g.n) if label[v] == _EVEN)
+    return _missable_and_match(g)[0]
+
+
+def _matched_bridges(adj, match, alive):
+    """The matched edges that are bridges of the subgraph of ``adj`` induced
+    by the vertices marked in ``alive``, each given by one endpoint.
+
+    One iterative lowlink DFS: the tree edge p-v is a bridge iff no back edge
+    from v's subtree reaches p or above, i.e. low[v] > disc[p].
+    """
+    n = len(adj)
+    disc = [0] * n  # discovery times from 1; 0 means unvisited
+    low = [0] * n
+    clock = 0
+    out = []
+    for root in range(n):
+        if not alive[root] or disc[root]:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, p, it = stack[-1]
+            for w in it:
+                if w == p or not alive[w]:
+                    continue
+                if disc[w]:
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    stack.append((w, v, iter(adj[w])))
+                    break
+            else:
+                stack.pop()
+                if p != -1:
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    elif low[v] > disc[p] and match[v] == p:
+                        out.append(v)
+    return out
+
+
+def _peels_to_empty(adj, match, alive):
+    """True iff ``match`` is the only perfect matching of the subgraph of
+    ``adj`` induced by the vertices marked in ``alive``; ``match`` must be
+    perfect on them.  ``alive`` is left untouched.
+
+    Every perfect matching holds the edge at a degree-1 vertex, and every
+    matched bridge (the two sides of a matched bridge are odd, so each
+    perfect matching crosses the cut once, by the bridge).  Deleting the two
+    ends of such an edge keeps the count of perfect matchings, so the peel
+    deletes them: from a queue of degree-1 vertices first, and when the
+    queue stalls, all matched bridges of the rest at once.  By Kotzig's
+    theorem (1959) a graph whose perfect matching is unique has a bridge in
+    it, so a non-empty rest with no matched bridge has a second one.
+    """
+    alive = list(alive)
+    deg = [len(nbrs) for nbrs in adj]
+    for v, nbrs in enumerate(adj):
+        if not alive[v]:
+            for w in nbrs:
+                deg[w] -= 1
+    pendant = [v for v, d in enumerate(deg) if d == 1 and alive[v]]
+    left = sum(alive)
+
+    def delete(x):
+        for a in (x, match[x]):
+            alive[a] = False
+        for a in (x, match[x]):
+            for w in adj[a]:
+                if alive[w]:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        pendant.append(w)
+
+    while True:
+        while pendant:
+            x = pendant.pop()
+            # an alive x still has degree 1, as its mate is alive too, and
+            # that one neighbor is the mate
+            if alive[x]:
+                delete(x)
+                left -= 2
+        if not left:
+            return True
+        bridges = _matched_bridges(adj, match, alive)
+        if not bridges:
+            return False
+        for x in bridges:
+            delete(x)
+        left -= 2 * len(bridges)
 
 
 def unique_perfect_matching(g: Graph) -> Matching | None:
     """The unique perfect matching of g, or None if g has zero or several.
 
-    Uses the deletion device: a perfect matching M is unique iff g - e has no
-    perfect matching for every e in M.  The empty graph has the empty one.
+    One maximum matching, then the Kotzig peel of ``_peels_to_empty`` on it.
+    The empty graph has the empty one.
     """
     if g.n % 2:
         return None
     match = _max_match_array(g)
-    if any(x == -1 for x in match):
+    if -1 in match or not _peels_to_empty(g.adj, match, [True] * g.n):
         return None
-    adj = list(g.adj)
-    for u, v in sorted(e for e in g.edges if match[e[0]] == e[1]):
-        match[u] = match[v] = -1
-        # g - uv: v is free outside the roots, so only u would scan the edge
-        adj[u] = tuple(x for x in g.adj[u] if x != v)
-        if _search(adj, match, [u]) is None:
-            return None
-        match[u], match[v] = v, u
-        adj[u] = g.adj[u]
     return _matching_from_array(g, match)
 
 

@@ -11,7 +11,7 @@ violated condition, and all violated conditions when diagnostics are requested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .accessibility import find_e_good_ordering
 from .decomposition import GallaiEdmonds, gallai_edmonds
@@ -26,6 +26,10 @@ from .graph_core import (
 from .matching import (
     InternalCheckError,
     Matching,
+    _EVEN,
+    _max_match_array,
+    _peels_to_empty,
+    _search,
     max_independent_set_bipartite,
     maximum_matching_bipartite,
     unique_perfect_matching,
@@ -77,21 +81,90 @@ def _attachments(g: Graph, ge: GallaiEdmonds) -> dict[tuple[int, int], list[int]
     return out
 
 
-def _upm(g: Graph, ge: GallaiEdmonds, vertices: frozenset[int]) -> list | None:
-    """Edges of the unique perfect matching of g[vertices], in g's ids, or None.
+def _decomposed(g: Graph, ge: GallaiEdmonds | None) -> GallaiEdmonds:
+    """``ge``, or g's decomposition when it is None.  One built by hand
+    without a matching gets g's maximum matching, which the uniqueness tests
+    start from."""
+    if ge is None:
+        return gallai_edmonds(g)
+    if ge.match is None:
+        return replace(ge, match=tuple(_max_match_array(g)))
+    return ge
 
-    The one uniqueness test of the deciders, memoised in ``ge.upms``: the C
-    components (condition 1 of both deciders) and each D component minus h
-    (``allowed_edges``, condition 3 and the witness of ``some_ur``) are each
-    tested once per decomposition.  The empty set needs no graph.
-    """
-    if not vertices:
-        return []
-    if vertices not in ge.upms:
-        sub, back = induced_subgraph(g, vertices)
-        upm = unique_perfect_matching(sub)
-        ge.upms[vertices] = None if upm is None else [edge_key(back[u], back[v]) for u, v in upm.edges]
-    return ge.upms[vertices]
+
+def _local(g: Graph, ge: GallaiEdmonds, comp: frozenset[int]):
+    """g[comp] in local ids 0..|comp|-1, ascending with g's ids: ``(verts,
+    pos, adj, match)``, where ``verts`` maps back, ``pos`` forth, and
+    ``match`` is ``ge.match`` inside comp (-1 where it leaves comp)."""
+    verts = sorted(comp)
+    pos = {v: i for i, v in enumerate(verts)}
+    adj = tuple(tuple(pos[w] for w in g.adj[v] if w in pos) for v in verts)
+    match = [pos.get(ge.match[v], -1) for v in verts]
+    return verts, pos, adj, match
+
+
+def _edges(verts, match) -> list[tuple[int, int]]:
+    return [edge_key(verts[x], verts[y]) for x, y in enumerate(match) if y > x]
+
+
+def _c_upm(g: Graph, ge: GallaiEdmonds, ci: int) -> list | None:
+    """Edges of the unique perfect matching of C component ``ci``, in g's
+    ids, or None: the Kotzig peel on ``ge.match``, memoised in ``ge.upms``."""
+    key = ("c", ci)
+    if key not in ge.upms:
+        verts, _, adj, match = _local(g, ge, ge.c_components[ci])
+        if -1 in match:
+            raise InternalCheckError(f"the matching is not perfect on C component {verts}")
+        unique = _peels_to_empty(adj, match, [True] * len(verts))
+        ge.upms[key] = _edges(verts, match) if unique else None
+    return ge.upms[key]
+
+
+def _d_local(g: Graph, ge: GallaiEdmonds, ci: int):
+    """``_local`` of D component ``ci`` plus the path pointers of the
+    alternating tree grown from the one vertex that ``ge.match`` leaves
+    unmatched inside it, memoised in ``ge.upms``.  The component is
+    factor-critical, so the tree spans it with every vertex even."""
+    key = ("d", ci)
+    if key not in ge.upms:
+        verts, pos, adj, match = _local(g, ge, ge.d_components[ci])
+        free = [x for x, y in enumerate(match) if y == -1]
+        forest = _search(adj, match, free) if len(free) == 1 else None
+        if forest is None or set(forest[0]) != {_EVEN}:
+            raise InternalCheckError(f"D component {verts} is not factor-critical under the matching")
+        ge.upms[key] = verts, pos, adj, match, forest[1]
+    return ge.upms[key]
+
+
+def _perfect_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int):
+    """A perfect matching of D component ``ci`` minus h: ``(verts, adj, x,
+    match)`` in local ids, x being h's.  The path pointers give an even
+    alternating path from h to the free vertex; flipping it frees h."""
+    verts, pos, adj, near, parent = _d_local(g, ge, ci)
+    x = pos[h]
+    match = list(near)
+    m, match[x] = match[x], -1
+    while m != -1:
+        p = parent[m]
+        nxt = match[p]
+        match[m] = p
+        match[p] = m
+        m = nxt
+    return verts, adj, x, match
+
+
+def _unique_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int) -> bool:
+    """Whether D component ``ci`` minus its vertex h has a unique perfect
+    matching: one path flip and the Kotzig peel, memoised in ``ge.upms``."""
+    if len(ge.d_components[ci]) == 1:
+        return True  # the empty graph has the empty one
+    key = (ci, h)
+    if key not in ge.upms:
+        _, adj, x, match = _perfect_minus(g, ge, ci, h)
+        alive = [True] * len(match)
+        alive[x] = False
+        ge.upms[key] = _peels_to_empty(adj, match, alive)
+    return ge.upms[key]
 
 
 def allowed_edges(g: Graph, ge: GallaiEdmonds) -> frozenset[tuple[int, int]]:
@@ -104,7 +177,7 @@ def allowed_edges(g: Graph, ge: GallaiEdmonds) -> frozenset[tuple[int, int]]:
     gb_id = {entry: i for i, entry in enumerate(ge.contraction_map)}
     out = set()
     for (a, ci), nbrs in _attachments(g, ge).items():
-        if len(nbrs) == 1 and _upm(g, ge, ge.d_components[ci] - {nbrs[0]}) is not None:
+        if len(nbrs) == 1 and _unique_minus(g, ge, ci, nbrs[0]):
             out.add(edge_key(gb_id[("a", a)], gb_id[("d", ci)]))
     return frozenset(out)
 
@@ -116,13 +189,12 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     untouched components, one graph edge per matched contracted edge, and a
     near-perfect matching inside every deficient component.
     """
-    if ge is None:
-        ge = gallai_edmonds(g)
+    ge = _decomposed(g, ge)
     failures: list[str] = []
 
     # condition 1: every untouched component has a unique perfect matching
-    for comp in ge.c_components:
-        if _upm(g, ge, comp) is None:
+    for ci in range(len(ge.c_components)):
+        if _c_upm(g, ge, ci) is None:
             failures.append(C_COMPONENT_PM_NOT_UNIQUE)
             if not all_failures:
                 return RecognitionReport("some_ur", False, None, failures[0], tuple(failures))
@@ -145,7 +217,7 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     for ci, comp in enumerate(ge.d_components):
         found = None
         for h in sorted(comp):
-            if _upm(g, ge, comp - {h}) is not None:
+            if _unique_minus(g, ge, ci, h):
                 found = h
                 break
         if found is None:
@@ -172,12 +244,14 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
             raise InternalCheckError(f"ordering edge {e} has no unique component neighbor")
         witness_edges.add(edge_key(a, nbrs[0]))
         chosen_h[ci] = nbrs[0]
-    d_pieces = (comp - {chosen_h[ci]} for ci, comp in enumerate(ge.d_components))
-    for piece in (*ge.c_components, *d_pieces):
-        upm_edges = _upm(g, ge, piece)
-        if upm_edges is None:
-            raise InternalCheckError(f"{sorted(piece)} has no unique perfect matching")
-        witness_edges.update(upm_edges)
+    for ci in range(len(ge.c_components)):
+        witness_edges.update(_c_upm(g, ge, ci))
+    for ci, h in chosen_h.items():
+        if not _unique_minus(g, ge, ci, h):
+            raise InternalCheckError(f"D component {ci} minus {h} has no unique perfect matching")
+        if len(ge.d_components[ci]) > 1:  # a single vertex leaves no edge
+            verts, _, _, match = _perfect_minus(g, ge, ci, h)
+            witness_edges.update(_edges(verts, match))
     witness = Matching.from_edges(g, sorted(witness_edges))
     return RecognitionReport("some_ur", True, witness, None, ())
 
@@ -246,12 +320,11 @@ def every_ur_general(
     The gb-edge condition is therefore one pass over the adjacency of A: no
     A-vertex may have two neighbors in the same D component.
     """
-    if ge is None:
-        ge = gallai_edmonds(g)
+    ge = _decomposed(g, ge)
     failures: list[str] = []
 
-    for comp in ge.c_components:
-        if _upm(g, ge, comp) is None:
+    for ci in range(len(ge.c_components)):
+        if _c_upm(g, ge, ci) is None:
             failures.append(C_COMPONENT_PM_NOT_UNIQUE)
             if not all_failures:
                 return RecognitionReport("every_ur", False, None, failures[0], tuple(failures))

@@ -13,13 +13,25 @@ A-vertex to a component in which it has exactly one neighbor.  It asks
 ``edge_in_some_maximum_matching`` once per gb edge; the library's one pass
 over the adjacency of A replaces it.  Each gb edge is decoded here through
 ``contraction_map``, with no helper shared with the library.
+
+Uniqueness of a perfect matching by the deletion device: a perfect matching
+M is unique iff g - e has no perfect matching for every e in M.  It runs one
+augmenting search per matched edge, which is quadratic on paths and cycles;
+the library's Kotzig peel replaces it.
 """
 
 from __future__ import annotations
 
 from urmatch.decomposition import GallaiEdmonds
 from urmatch.graph_core import Graph, induced_subgraph
-from urmatch.matching import edge_in_some_maximum_matching, maximum_matching
+from urmatch.matching import (
+    Matching,
+    _matching_from_array,
+    _max_match_array,
+    _search,
+    edge_in_some_maximum_matching,
+    maximum_matching,
+)
 
 
 def _nu_without(g: Graph, v: int) -> int:
@@ -60,3 +72,22 @@ def gb_edge_condition_by_edges(g: Graph, ge: GallaiEdmonds) -> bool:
         if len([w for w in g.adj[ends["a"]] if w in comp]) != 1:
             return False
     return True
+
+
+def unique_perfect_matching_by_deletion(g: Graph) -> Matching | None:
+    """The unique perfect matching of g, or None if g has zero or several."""
+    if g.n % 2:
+        return None
+    match = _max_match_array(g)
+    if any(x == -1 for x in match):
+        return None
+    adj = list(g.adj)
+    for u, v in sorted(e for e in g.edges if match[e[0]] == e[1]):
+        match[u] = match[v] = -1
+        # g - uv: v is free outside the roots, so only u would scan the edge
+        adj[u] = tuple(x for x in g.adj[u] if x != v)
+        if _search(adj, match, [u]) is None:
+            return None
+        match[u], match[v] = v, u
+        adj[u] = g.adj[u]
+    return _matching_from_array(g, match)

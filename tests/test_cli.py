@@ -235,6 +235,24 @@ def test_selftest_counts_block_test_disagreement(capsys, monkeypatch):
     assert "0 disagreements" not in captured.out
 
 
+def test_selftest_counts_uniqueness_disagreement(capsys, monkeypatch):
+    # K4 = K5 minus a vertex has three perfect matchings
+    monkeypatch.setattr(cli, "_unique_minus", lambda g, ge, ci, h: True)
+    assert main(["selftest", "--nmax", "5", "--random", "0"]) == 4
+    captured = capsys.readouterr()
+    assert "uniqueness test (unique = True) disagrees with the oracle on [1, 2, 3, 4]" in captured.err
+    assert ", 0 disagreements" not in captured.out
+
+
+def test_parser_is_built_once(tmp_path, capsys):
+    path = _write(tmp_path, "p3.g", P3_TEXT)
+    assert main(["check", path, "--property", "some"]) == 0
+    parser = cli._build_parser()
+    assert main(["check", path, "--property", "every"]) == 0
+    assert cli._build_parser() is parser
+    capsys.readouterr()
+
+
 def test_selftest_counts_decomposition_rejection(capsys, monkeypatch):
     # reject the decomposition of each of the 8 graphs on 3 vertices
     monkeypatch.setattr(cli, "verify_gallai_edmonds", lambda g, ge: g.n != 3)

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from ge_reference import missable_vertex
+from ge_reference import missable_vertex, unique_perfect_matching_by_deletion
 from lemma_helpers import delete_vertex
 from strategies import bipartite_graphs, graphs, random_graph_nm, seeded_random_graphs
 from urmatch.families import (
@@ -14,9 +14,11 @@ from urmatch.families import (
     petersen_graph,
     star_graph,
 )
+from urmatch import matching
 from urmatch.graph_core import Graph, bipartition
 from urmatch.matching import (
     Matching,
+    _peels_to_empty,
     edge_in_some_maximum_matching,
     is_factor_critical,
     max_independent_set_bipartite,
@@ -88,6 +90,7 @@ def test_unique_perfect_matching_matches_count(g):
     from urmatch.oracle import count_perfect_matchings
 
     pm = unique_perfect_matching(g)
+    assert pm == unique_perfect_matching_by_deletion(g)
     cnt = count_perfect_matchings(g, max_n=8, max_m=28)
     if cnt == 1:
         assert pm is not None and len(pm) * 2 == g.n
@@ -214,6 +217,90 @@ def test_exhaustive_n6_matcher_size():
         assert len(maximum_matching(g)) == enumerate_matchings(g).maximum_size
 
 
+def test_peel_agrees_with_deletion_device_exhaustive():
+    from urmatch.oracle import enumerate_labeled_graphs
+
+    seen = set()
+    for n in range(7):
+        for g in enumerate_labeled_graphs(n):
+            upm = unique_perfect_matching(g)
+            assert upm == unique_perfect_matching_by_deletion(g)
+            seen.add(upm is None)
+    assert seen == {True, False}
+
+
+def _count_bridge_rounds(monkeypatch):
+    rounds = []
+    real = matching._matched_bridges
+
+    def counting(adj, match, alive):
+        out = real(adj, match, alive)
+        rounds.append(len(out))
+        return out
+
+    monkeypatch.setattr(matching, "_matched_bridges", counting)
+    return rounds
+
+
+def _triangle_strip(k):
+    """Triangles (2i, 2i+1, 2i+2), i < k, sharing vertices, plus a pendant
+    at 2k: only the pendant edge is a bridge, and deleting each matched edge
+    exposes the next one."""
+    edges = [(2 * k, 2 * k + 1)]
+    for i in range(k):
+        a = 2 * i
+        edges += [(a, a + 1), (a + 1, a + 2), (a, a + 2)]
+    return Graph.from_edges(2 * k + 2, edges)
+
+
+def _bridged_triangles(k):
+    """Triangles (3i, 3i+1, 3i+2) chained by the bridges (3i+2, 3i+3): no
+    vertex has degree 1, and the bridge after triangle i is matched iff i is
+    even (3(i+1) vertices lie before it)."""
+    edges = []
+    for i in range(k):
+        a = 3 * i
+        edges += [(a, a + 1), (a + 1, a + 2), (a, a + 2)]
+        if i + 1 < k:
+            edges.append((a + 2, a + 3))
+    return Graph.from_edges(3 * k, edges)
+
+
+def test_peel_worst_cases_by_bridge_rounds(monkeypatch):
+    rounds = _count_bridge_rounds(monkeypatch)
+    # the pendant queue alone empties strips and paths: no bridge search
+    strip = unique_perfect_matching(_triangle_strip(2000))
+    assert strip is not None and (2 * 2000, 2 * 2000 + 1) in strip.edges
+    assert unique_perfect_matching(path_graph(20000)) is not None
+    assert rounds == []
+    # one bridge search deletes every matched bridge, then the queue empties
+    # what is left
+    assert unique_perfect_matching(_bridged_triangles(2000)) is not None
+    assert rounds == [1000]
+    # a 4-cycle at the end leaves a rest with no matched bridge
+    rounds.clear()
+    g = _bridged_triangles(4)
+    g = Graph.from_edges(16, [*g.edges, (11, 12), (12, 13), (13, 14), (14, 15), (15, 12)])
+    assert unique_perfect_matching(g) is None
+    assert unique_perfect_matching_by_deletion(g) is None
+    assert rounds == [2, 0]
+    rounds.clear()
+    assert unique_perfect_matching(cycle_graph(6)) is None
+    assert rounds == [0]
+
+
+def test_peel_leaves_its_arguments_alone():
+    g = path_graph(6)
+    match = [1, 0, 3, 2, 5, 4]
+    alive = [True] * 6
+    assert _peels_to_empty(g.adj, match, alive)
+    assert match == [1, 0, 3, 2, 5, 4] and alive == [True] * 6
+    # masked vertices are not there: 1-2-3-4 with 0 and 5 deleted
+    alive[0] = alive[5] = False
+    assert _peels_to_empty(g.adj, [-1, 2, 1, 4, 3, -1], alive)
+    assert not _peels_to_empty(cycle_graph(6).adj, match, [True] * 6)
+
+
 # networkx is a test-only reference, independent of the library's search,
 # at sizes the enumeration oracle cannot reach
 
@@ -257,6 +344,7 @@ def test_unique_perfect_matching_vs_networkx():
             # unique iff deleting any edge of one perfect matching destroys all
             unique = all(_nx_nu(n, g.edges - {e}) < n // 2 for e in pm.edges)
             upm = unique_perfect_matching(g)
+            assert upm == unique_perfect_matching_by_deletion(g)
             assert (upm is not None) == unique
             if unique:
                 assert upm.edges == pm.edges

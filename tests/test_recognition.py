@@ -3,8 +3,8 @@ from dataclasses import replace
 
 from hypothesis import given, settings
 
-from ge_reference import gb_edge_condition_by_edges
-from strategies import bipartite_graphs, seeded_random_graphs
+from ge_reference import gb_edge_condition_by_edges, unique_perfect_matching_by_deletion
+from strategies import bipartite_graphs, graphs, random_graph_nm, seeded_random_graphs
 from urmatch.decomposition import gallai_edmonds, verify_gallai_edmonds
 from urmatch.families import (
     complete_bipartite,
@@ -19,10 +19,11 @@ from urmatch.graph_core import (
     bipartition,
     blocks_are_odd_cycles,
     connected_components,
+    edge_key,
     induced_subgraph,
 )
-from urmatch import recognition
-from urmatch.matching import edge_in_some_maximum_matching, maximum_matching, unique_perfect_matching
+from urmatch import matching, recognition
+from urmatch.matching import _peels_to_empty, edge_in_some_maximum_matching, maximum_matching
 from urmatch.oracle import (
     enumerate_labeled_graphs,
     oracle_every_ur,
@@ -31,7 +32,10 @@ from urmatch.oracle import (
 from urmatch.recognition import (
     FAILURE_TAGS,
     GB_EDGE_MULTIPLE_NEIGHBORS,
+    _c_upm,
     _component_all_near_perfect_unique,
+    _perfect_minus,
+    _unique_minus,
     allowed_edges,
     every_ur,
     every_ur_bipartite,
@@ -116,27 +120,59 @@ def test_apex_two_c5_instance():
     assert every_ur(g).answer
 
 
+def _counting_peels(monkeypatch):
+    calls = []
+
+    def counting(adj, match, alive):
+        calls.append(sum(alive))
+        return _peels_to_empty(adj, match, alive)
+
+    monkeypatch.setattr(recognition, "_peels_to_empty", counting)
+    return calls
+
+
+def _tested_sets(ge):
+    """The vertex sets whose uniqueness answers ``ge.upms`` holds."""
+    out = set()
+    for key in ge.upms:
+        if key[0] == "c":
+            out.add(ge.c_components[key[1]])
+        elif key[0] != "d":
+            ci, h = key
+            out.add(ge.d_components[ci] - {h})
+    return out
+
+
 def test_some_ur_tests_each_component_minus_h_once(monkeypatch):
     # allowed_edges, condition 3 and the witness all need C5 - 1 and C5 - 6
     g = _two_c5_apex()
     ge = gallai_edmonds(g)
     allowed_edges(g, ge)
-    assert set(ge.upms) == {frozenset({2, 3, 4, 5}), frozenset({7, 8, 9, 10})}
-    calls = []
-
-    def counting(sub):
-        calls.append(sub.n)
-        return unique_perfect_matching(sub)
-
-    monkeypatch.setattr(recognition, "unique_perfect_matching", counting)
+    assert _tested_sets(ge) == {frozenset({2, 3, 4, 5}), frozenset({7, 8, 9, 10})}
+    calls = _counting_peels(monkeypatch)
     ge = gallai_edmonds(g)
     r = some_ur(g, ge=ge)
     assert r.answer and calls == [4, 4]
-    assert set(ge.upms) == {frozenset({2, 3, 4, 5}), frozenset({7, 8, 9, 10})}
+    assert _tested_sets(ge) == {frozenset({2, 3, 4, 5}), frozenset({7, 8, 9, 10})}
+    assert set(ge.upms) == {("d", 0), ("d", 1), (0, 1), (1, 6)}
     # K_{1,3}: three single-vertex components, each minus its h is empty
     calls.clear()
     assert some_ur(star_graph(3)).answer
-    assert 0 not in calls
+    assert calls == []
+
+
+def test_memo_keys_are_components_not_vertex_sets():
+    # the giant of a sparse random graph has large D components
+    g = random_graph_nm(400, 600, random.Random(3))
+    ge = gallai_edmonds(g)
+    some_ur(g, ge=ge, all_failures=True)
+    every_ur(g, ge=ge)
+    assert any(key[0] not in ("c", "d") for key in ge.upms)
+    assert not any(isinstance(key, frozenset) for key in ge.upms)
+    for key in ge.upms:
+        assert isinstance(key, tuple) and len(key) == 2
+        if key[0] not in ("c", "d"):
+            assert key[1] in ge.d_components[key[0]] and isinstance(ge.upms[key], bool)
 
 
 def test_allowed_edges_drops_multi_neighbor_attachments():
@@ -160,23 +196,76 @@ def test_deciders_share_the_c_component_tests(monkeypatch):
     g = Graph.from_edges(9, [(0, 1), (1, 2), (0, 2), (3, 4), (5, 6), (6, 7), (7, 8)])
     ge = gallai_edmonds(g)
     assert bipartition(g) is None and len(ge.c_components) == 2
-    calls = []
-
-    def counting(sub):
-        calls.append(sub.n)
-        return unique_perfect_matching(sub)
-
-    monkeypatch.setattr(recognition, "unique_perfect_matching", counting)
+    calls = _counting_peels(monkeypatch)
     assert some_ur(g, ge=ge).answer
+    assert sorted(calls) == [2, 2, 4]
     calls.clear()
     assert every_ur(g, ge=ge).answer
     assert calls == []
-    # the memo is invisible to equality, hashing, repr and the verifier
+    # the memo and the matching are invisible to equality, hashing, repr and
+    # the verifier
     fresh = gallai_edmonds(g)
     assert ge.upms and not fresh.upms
     assert (ge, hash(ge), repr(ge)) == (fresh, hash(fresh), repr(fresh))
+    assert replace(ge, match=None) == ge
     assert verify_gallai_edmonds(g, ge)
     assert replace(ge, gb=ge.gb).upms == {}
+    assert replace(ge, gb=ge.gb).match == ge.match
+
+
+def _check_uniqueness_tests(g):
+    """Every C component and every D component minus each of its vertices,
+    against the deletion device on the induced graph; returns the answers."""
+    ge = gallai_edmonds(g)
+    seen = set()
+    for ci, comp in enumerate(ge.c_components):
+        sub, back = induced_subgraph(g, comp)
+        ref = unique_perfect_matching_by_deletion(sub)
+        upm = _c_upm(g, ge, ci)
+        assert upm is None if ref is None else set(upm) == {(back[a], back[b]) for a, b in ref.edges}
+    for ci, comp in enumerate(ge.d_components):
+        for h in comp:
+            ref = unique_perfect_matching_by_deletion(induced_subgraph(g, comp - {h})[0])
+            assert _unique_minus(g, ge, ci, h) == (ref is not None)
+            seen.add(ref is not None)
+    _check_perfect_minus(g, ge)
+    return seen
+
+
+def test_uniqueness_tests_match_the_deletion_device():
+    rng = random.Random(11)
+    instances = [random_graph_nm(n, 3 * n // 2, rng) for n in (50, 100, 150, 200)]
+    instances += [_triangle_tree(n_tree, 0.25, rng) for n_tree in (60, 120)]
+    assert set().union(*map(_check_uniqueness_tests, instances)) == {True, False}
+
+
+@settings(deadline=None, max_examples=150)
+@given(graphs(max_n=11))
+def test_uniqueness_tests_on_hypothesis_graphs(g):
+    _check_uniqueness_tests(g)
+
+
+def test_odd_cycle_minus_h_peels_without_bridge_search(monkeypatch):
+    rounds = []
+    real = matching._matched_bridges
+    monkeypatch.setattr(matching, "_matched_bridges",
+                        lambda *args: rounds.append(1) or real(*args))
+    g = cycle_graph(20001)
+    ge = gallai_edmonds(g)
+    assert ge.d_components == (frozenset(range(20001)),)
+    for h in (0, 1, 10000, 20000):
+        assert _unique_minus(g, ge, 0, h)
+    r = some_ur(g, ge=ge)
+    assert r.answer and len(r.witness) == 10000
+    assert rounds == []
+
+
+def test_decomposition_without_matching_is_completed():
+    g = _two_c5_apex()
+    bare = replace(gallai_edmonds(g), match=None)
+    assert some_ur(g, ge=bare).witness == some_ur(g).witness
+    assert every_ur_general(g, ge=bare).answer
+    assert bare.upms == {}
 
 
 def test_every_ur_general_skips_blocks_of_single_vertices(monkeypatch):
@@ -237,7 +326,19 @@ def _check_instance(g):
     for comp in ge.d_components:
         by_blocks = blocks_are_odd_cycles(induced_subgraph(g, comp)[0])
         assert by_blocks == _component_all_near_perfect_unique(g, comp)
+    _check_perfect_minus(g, ge)
     _check_gb_edge_condition(g, ge)
+
+
+def _check_perfect_minus(g, ge):
+    # the flipped path leaves a perfect matching of every D component minus h
+    for ci, comp in enumerate(ge.d_components):
+        for h in comp:
+            verts, _, x, match = _perfect_minus(g, ge, ci, h)
+            assert verts == sorted(comp) and match[x] == -1
+            for a, b in enumerate(match):
+                if a != x:
+                    assert match[b] == a and edge_key(verts[a], verts[b]) in g.edges
 
 
 def _check_gb_edge_condition(g, ge):
