@@ -41,7 +41,8 @@ class GallaiEdmonds:
     from, as a mate array (-1 for a free vertex).  By the Gallai-Edmonds
     theorem it is perfect on every C component and near-perfect on every D
     component, so the deciders' uniqueness tests start from it and need no
-    matcher of their own.  A decomposition built by hand may leave it None.
+    matcher of their own.  A decomposition built by hand may leave it None
+    for the verifier, which does not read it; the deciders refuse it.
 
     ``upms`` is the deciders' private memo, so that deciders sharing one
     decomposition test each set once.  ``("c", ci)`` maps to the edges, in

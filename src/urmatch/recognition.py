@@ -11,7 +11,7 @@ violated condition, and all violated conditions when diagnostics are requested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .accessibility import find_e_good_ordering
 from .decomposition import GallaiEdmonds, gallai_edmonds
@@ -27,7 +27,6 @@ from .matching import (
     InternalCheckError,
     Matching,
     _EVEN,
-    _max_match_array,
     _peels_to_empty,
     _search,
     max_independent_set_bipartite,
@@ -82,13 +81,12 @@ def _attachments(g: Graph, ge: GallaiEdmonds) -> dict[tuple[int, int], list[int]
 
 
 def _decomposed(g: Graph, ge: GallaiEdmonds | None) -> GallaiEdmonds:
-    """``ge``, or g's decomposition when it is None.  One built by hand
-    without a matching gets g's maximum matching, which the uniqueness tests
-    start from."""
+    """``ge``, or g's decomposition when it is None.  The uniqueness tests
+    start from ``ge.match``, so a decomposition without one is refused."""
     if ge is None:
         return gallai_edmonds(g)
     if ge.match is None:
-        return replace(ge, match=tuple(_max_match_array(g)))
+        raise ValueError("the decomposition carries no matching; build it with gallai_edmonds(g)")
     return ge
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from strategies import graphs
-from urmatch import cli
+from urmatch import cli, selftest
 from urmatch.cli import GraphParseError, main, parse_graph, render_graph
 from urmatch.families import cycle_graph, path_graph
 
@@ -209,7 +209,7 @@ def test_selftest_clean(capsys):
 
 def test_selftest_detects_disagreement(capsys, monkeypatch):
     # sabotage the oracle so the deciders no longer agree with it
-    monkeypatch.setattr(cli, "oracle_some_ur", lambda g, **kw: False)
+    monkeypatch.setattr(selftest, "oracle_some_ur", lambda g, **kw: False)
     assert main(["selftest", "--nmax", "2", "--random", "0"]) == 4
     capsys.readouterr()
 
@@ -228,7 +228,7 @@ def test_selftest_rejects_negative_counts(argv, capsys):
 
 def test_selftest_counts_block_test_disagreement(capsys, monkeypatch):
     # K5 is factor-critical but its one block is not an odd cycle
-    monkeypatch.setattr(cli, "blocks_are_odd_cycles", lambda g: True)
+    monkeypatch.setattr(selftest, "blocks_are_odd_cycles", lambda g: True)
     assert main(["selftest", "--nmax", "5", "--random", "0"]) == 4
     captured = capsys.readouterr()
     assert "blocks_are_odd_cycles" in captured.err
@@ -237,7 +237,7 @@ def test_selftest_counts_block_test_disagreement(capsys, monkeypatch):
 
 def test_selftest_counts_uniqueness_disagreement(capsys, monkeypatch):
     # K4 = K5 minus a vertex has three perfect matchings
-    monkeypatch.setattr(cli, "_unique_minus", lambda g, ge, ci, h: True)
+    monkeypatch.setattr(selftest, "_unique_minus", lambda g, ge, ci, h: True)
     assert main(["selftest", "--nmax", "5", "--random", "0"]) == 4
     captured = capsys.readouterr()
     assert "uniqueness test (unique = True) disagrees with the oracle on [1, 2, 3, 4]" in captured.err
@@ -255,7 +255,7 @@ def test_parser_is_built_once(tmp_path, capsys):
 
 def test_selftest_counts_decomposition_rejection(capsys, monkeypatch):
     # reject the decomposition of each of the 8 graphs on 3 vertices
-    monkeypatch.setattr(cli, "verify_gallai_edmonds", lambda g, ge: g.n != 3)
+    monkeypatch.setattr(selftest, "verify_gallai_edmonds", lambda g, ge: g.n != 3)
     assert main(["selftest", "--nmax", "3", "--random", "0"]) == 4
     captured = capsys.readouterr()
     assert "gallai_edmonds" in captured.err

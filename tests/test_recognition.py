@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 
 from ge_reference import gb_edge_condition_by_edges, unique_perfect_matching_by_deletion
@@ -260,12 +261,12 @@ def test_odd_cycle_minus_h_peels_without_bridge_search(monkeypatch):
     assert rounds == []
 
 
-def test_decomposition_without_matching_is_completed():
+def test_decomposition_without_matching_is_refused():
     g = _two_c5_apex()
     bare = replace(gallai_edmonds(g), match=None)
-    assert some_ur(g, ge=bare).witness == some_ur(g).witness
-    assert every_ur_general(g, ge=bare).answer
-    assert bare.upms == {}
+    for decide in (some_ur, every_ur_general):
+        with pytest.raises(ValueError, match="no matching"):
+            decide(g, ge=bare)
 
 
 def test_every_ur_general_skips_blocks_of_single_vertices(monkeypatch):
