@@ -7,15 +7,17 @@ The contracted graph ``gb`` keeps the neighbors of ``d_set`` on one side and
 one vertex per component of the induced subgraph on ``d_set`` on the other;
 edges inside ``a_set`` and all of ``c_set`` are dropped from it.  The
 components of g[c_set] are kept beside it, split once here for the deciders
-and the verifier.  Both splits are breadth-first searches over g's own
-adjacency; no induced graph is built.
+and the verifier.  Everything after the labelling is linear: one pass over
+D's adjacency finds A, one breadth-first search over g's own adjacency that
+stays inside the class of its start splits D and C, and gb's adjacency is
+read off A's; no induced graph is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph_core import Graph, connected_components, induced_subgraph
+from .graph_core import Graph, induced_subgraph
 from .matching import (
     _missable_and_match,
     is_factor_critical,
@@ -74,31 +76,61 @@ def _contract(g: Graph, d_set: frozenset[int]):
 
     Returns ``(a_set, c_set, d_components, c_components, gb, gb_sides,
     contraction_map)``: A is the outside neighborhood of D, C the rest, and
-    gb joins each A-vertex to every D component it touches.
+    gb joins each A-vertex to every D component it touches.  One pass over
+    D's adjacency finds A; one breadth-first search that stays inside the
+    class of its start numbers the D and the C components in a shared
+    array; one pass over A's adjacency reads off gb's.
     """
-    a_set = frozenset(
-        v for v in range(g.n)
-        if v not in d_set and any(w in d_set for w in g.adj[v])
-    )
-    c_set = frozenset(range(g.n)) - d_set - a_set
-    d_components = tuple(connected_components(g, d_set))
-    c_components = tuple(connected_components(g, c_set))
+    n, adj = g.n, g.adj
+    # unvisited D is -2, unvisited C -3, A -1; then D component ci is ci
+    # and C component ci is -4 - ci
+    comp = [-3] * n
+    for v in d_set:
+        comp[v] = -2
+    a_list = []
+    for v in d_set:
+        for w in adj[v]:
+            if comp[w] == -3:
+                comp[w] = -1
+                a_list.append(w)
+    a_list.sort()
+    d_comps: list[frozenset[int]] = []
+    c_comps: list[frozenset[int]] = []
+    for s in range(n):  # ascending, so each list is ordered by lowest vertex
+        cls = comp[s]
+        if cls == -2:
+            comps, ci = d_comps, len(d_comps)
+        elif cls == -3:
+            comps, ci = c_comps, -4 - len(c_comps)
+        else:
+            continue  # A, or visited
+        comp[s] = ci
+        members = [s]
+        for v in members:  # the loop also visits vertices appended while it runs
+            for w in adj[v]:
+                if comp[w] == cls:
+                    comp[w] = ci
+                    members.append(w)
+        comps.append(frozenset(members))
 
-    a_list = sorted(a_set)
-    a_pos = {v: i for i, v in enumerate(a_list)}
     k = len(a_list)
-    gb_edges = set()
-    for ci, comp in enumerate(d_components):
-        for v in comp:
-            for w in g.adj[v]:
-                if w in a_set:
-                    gb_edges.add((a_pos[w], k + ci))
-    gb = Graph.from_edges(k + len(d_components), gb_edges)
+    gb_adj = [
+        tuple([k + ci for ci in sorted(set(map(comp.__getitem__, adj[a]))) if ci >= 0])
+        for a in a_list
+    ]
+    comp_side: list[list[int]] = [[] for _ in d_comps]
+    for i, row in enumerate(gb_adj):
+        for j in row:
+            comp_side[j - k].append(i)  # ascending, as i is
+    gb_edges = frozenset([(i, j) for i, row in enumerate(gb_adj) for j in row])
+    gb_adj.extend(map(tuple, comp_side))
+    gb = Graph(k + len(d_comps), gb_edges, tuple(gb_adj))
     gb_sides = (frozenset(range(k)), frozenset(range(k, gb.n)))
     contraction_map = tuple(("a", v) for v in a_list) + tuple(
-        ("d", i) for i in range(len(d_components))
+        ("d", i) for i in range(len(d_comps))
     )
-    return a_set, c_set, d_components, c_components, gb, gb_sides, contraction_map
+    c_set = frozenset(v for v in range(n) if comp[v] <= -4)
+    return frozenset(a_list), c_set, tuple(d_comps), tuple(c_comps), gb, gb_sides, contraction_map
 
 
 def gallai_edmonds(g: Graph) -> GallaiEdmonds:

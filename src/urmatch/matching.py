@@ -2,11 +2,15 @@
 
 One alternating-forest search with union-find blossoms (Edmonds) serves the
 general matcher, the Gallai-Edmonds labelling and the deletion test of edges
-in some maximum matching; bipartite graphs use Hopcroft-Karp.  Uniqueness of
-a given perfect matching is a Kotzig peel (``_peels_to_empty``): a pendant
-queue plus, when it stalls, one bridge search, with no matcher of its own.
-All searches iterate vertices and neighbors in ascending id order, so the
-"canonical" maximum matching returned for a given graph is reproducible.
+in some maximum matching; bipartite graphs use Hopcroft-Karp.  The general
+matcher seeds with the degree-1 rule of Karp & Sipser, then searches from
+each vertex left free, lowest first, on arrays allocated once: a search that
+augments resets only what it labelled, and the Hungarian tree of one that
+fails stays out of every later search.  Uniqueness of a given perfect
+matching is a Kotzig peel (``_peel``): a pendant queue plus, when it stalls,
+one bridge search, with no matcher of its own.  All searches iterate
+vertices and neighbors in ascending id order, so the "canonical" maximum
+matching returned for a given graph is reproducible.
 """
 
 from __future__ import annotations
@@ -73,22 +77,55 @@ def _matching_from_array(g: Graph, arr: list[int]) -> Matching:
 
 
 def _greedy_seed(adj: tuple[tuple[int, ...], ...]) -> list[int]:
+    """A maximal matching by the degree-1 rule of Karp & Sipser (1981).
+
+    A free vertex with one free neighbor is matched to it, which some
+    maximum matching does too; matching two vertices lowers the free degree
+    of their free neighbors, and the rule repeats on the new pendants.  When
+    none is left, the lowest free vertex with a free neighbor is matched to
+    its lowest free neighbor and the rule resumes.  On a forest the rule
+    alone matches maximally, so the greedy step never runs there.
+    """
     n = len(adj)
     match = [-1] * n
-    for v in range(n):
-        if match[v] == -1:
-            for w in adj[v]:
+    deg = [len(nbrs) for nbrs in adj]  # free neighbors of each free vertex
+    pendant = [v for v in range(n - 1, -1, -1) if deg[v] == 1]
+    v = 0
+    while True:
+        while pendant:
+            x = pendant.pop()
+            if match[x] != -1 or deg[x] != 1:
+                continue  # matched meanwhile, or its last neighbor went
+            for w in adj[x]:
                 if match[w] == -1:
-                    match[v] = w
-                    match[w] = v
                     break
-    return match
+            match[x] = w
+            match[w] = x
+            for y in adj[w]:  # x has no other free neighbor
+                if match[y] == -1:
+                    deg[y] -= 1
+                    if deg[y] == 1:
+                        pendant.append(y)
+        while v < n and (match[v] != -1 or not deg[v]):
+            v += 1
+        if v == n:
+            return match
+        for w in adj[v]:
+            if match[w] == -1:
+                break
+        match[v] = w
+        match[w] = v
+        for y in adj[v] + adj[w]:
+            if match[y] == -1:
+                deg[y] -= 1
+                if deg[y] == 1:
+                    pendant.append(y)
 
 
-_UNLABELLED, _EVEN, _ODD = 0, 1, 2
+_UNLABELLED, _EVEN, _ODD, _DEAD = 0, 1, 2, 3
 
 
-def _search(adj, match, roots):
+def _search(adj, match, roots, state=None):
     """Grow Edmonds' alternating forest from the free vertices ``roots``.
 
     BFS: an unlabelled neighbor of an even vertex becomes odd and its mate
@@ -103,11 +140,21 @@ def _search(adj, match, roots):
     edge joins two trees, the augmenting path is applied to ``match`` in
     place and None is returned.  Otherwise ``match`` is untouched and the
     labels and path pointers are returned as ``(label, parent)``.
+
+    ``state`` is ``(label, parent, blossom)``, allocated once and shared by
+    the one-root searches of a matcher (None: fresh arrays for this call).
+    A search that augments resets only the vertices it labelled.  One that
+    fails has grown a Hungarian tree, which no later augmenting path enters
+    (Edmonds 1965), so its vertices are labelled dead and every later
+    search sharing the state skips them.
     """
-    n = len(adj)
-    label = [_UNLABELLED] * n
-    parent = [-1] * n
-    blossom = list(range(n))
+    if state is None:
+        n = len(adj)
+        label = [_UNLABELLED] * n
+        parent = [-1] * n
+        blossom = list(range(n))
+    else:
+        label, parent, blossom = state
 
     def find(x):
         while blossom[x] != x:
@@ -116,6 +163,7 @@ def _search(adj, match, roots):
         return x
 
     queue = list(roots)
+    odds = []
     for r in queue:
         label[r] = _EVEN
     for v in queue:  # the loop also visits vertices appended while it runs
@@ -126,11 +174,12 @@ def _search(adj, match, roots):
                 if m != -1:
                     label[w] = _ODD
                     parent[w] = v
+                    odds.append(w)
                     label[m] = _EVEN
                     queue.append(m)
                     continue
-            elif lw == _ODD:
-                continue
+            elif lw != _EVEN:
+                continue  # odd, or dead
             else:
                 x, y = find(v), find(w)
                 if x == y:
@@ -177,20 +226,33 @@ def _search(adj, match, roots):
                     m = nxt
             match[v] = w
             match[w] = v
+            if state is not None:
+                for x in queue + odds:
+                    label[x] = _UNLABELLED
+                    parent[x] = -1
+                    blossom[x] = x
             return None
+    if state is not None:
+        for x in queue + odds:
+            label[x] = _DEAD
     return label, parent
 
 
 def _max_match_array(g: Graph) -> list[int]:
+    """The Karp-Sipser seed, then one search from each vertex it left free,
+    lowest first, all sharing one state."""
     match = _greedy_seed(g.adj)
+    state = ([_UNLABELLED] * g.n, [-1] * g.n, list(range(g.n)))
     for v in range(g.n):
         if match[v] == -1:
-            _search(g.adj, match, [v])
+            _search(g.adj, match, [v], state)
     return match
 
 
 def maximum_matching(g: Graph) -> Matching:
-    """A maximum matching of g (deterministic: lowest free vertex first)."""
+    """A maximum matching of g.  Deterministic: the Karp-Sipser seed of
+    ``_greedy_seed``, then one search from each vertex it left free, lowest
+    first."""
     return _matching_from_array(g, _max_match_array(g))
 
 
@@ -347,10 +409,10 @@ def _matched_bridges(adj, match, alive):
     return out
 
 
-def _peels_to_empty(adj, match, alive):
-    """True iff ``match`` is the only perfect matching of the subgraph of
-    ``adj`` induced by the vertices marked in ``alive``; ``match`` must be
-    perfect on them.  ``alive`` is left untouched.
+def _peel(adj, match, alive):
+    """The vertices, ascending, that the Kotzig peel of the subgraph of
+    ``adj`` induced by the vertices marked in ``alive`` leaves when it
+    stalls; ``match`` must be perfect on them.  ``alive`` is left untouched.
 
     Every perfect matching holds the edge at a degree-1 vertex, and every
     matched bridge (the two sides of a matched bridge are odd, so each
@@ -359,7 +421,9 @@ def _peels_to_empty(adj, match, alive):
     deletes them: from a queue of degree-1 vertices first, and when the
     queue stalls, all matched bridges of the rest at once.  By Kotzig's
     theorem (1959) a graph whose perfect matching is unique has a bridge in
-    it, so a non-empty rest with no matched bridge has a second one.
+    it, so a non-empty rest with no matched bridge has a second one.  The
+    peel acts on each connected component on its own: a component's
+    perfect matching is unique iff none of its vertices is left.
     """
     alive = list(alive)
     deg = [len(nbrs) for nbrs in adj]
@@ -389,13 +453,20 @@ def _peels_to_empty(adj, match, alive):
                 delete(x)
                 left -= 2
         if not left:
-            return True
+            return []
         bridges = _matched_bridges(adj, match, alive)
         if not bridges:
-            return False
+            return [v for v, live in enumerate(alive) if live]
         for x in bridges:
             delete(x)
         left -= 2 * len(bridges)
+
+
+def _peels_to_empty(adj, match, alive):
+    """True iff ``match`` is the only perfect matching of the subgraph of
+    ``adj`` induced by the vertices marked in ``alive``: ``_peel`` leaves
+    nothing."""
+    return not _peel(adj, match, alive)
 
 
 def unique_perfect_matching(g: Graph) -> Matching | None:

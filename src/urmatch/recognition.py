@@ -27,7 +27,7 @@ from .matching import (
     InternalCheckError,
     Matching,
     _EVEN,
-    _peels_to_empty,
+    _peel,
     _search,
     max_independent_set_bipartite,
     maximum_matching_bipartite,
@@ -90,42 +90,48 @@ def _decomposed(g: Graph, ge: GallaiEdmonds | None) -> GallaiEdmonds:
     return ge
 
 
-def _local(g: Graph, ge: GallaiEdmonds, comp: frozenset[int]):
-    """g[comp] in local ids 0..|comp|-1, ascending with g's ids: ``(verts,
-    pos, adj, match)``, where ``verts`` maps back, ``pos`` forth, and
-    ``match`` is ``ge.match`` inside comp (-1 where it leaves comp)."""
-    verts = sorted(comp)
-    pos = {v: i for i, v in enumerate(verts)}
-    adj = tuple(tuple(pos[w] for w in g.adj[v] if w in pos) for v in verts)
-    match = [pos.get(ge.match[v], -1) for v in verts]
-    return verts, pos, adj, match
-
-
 def _edges(verts, match) -> list[tuple[int, int]]:
     return [edge_key(verts[x], verts[y]) for x, y in enumerate(match) if y > x]
 
 
 def _c_upm(g: Graph, ge: GallaiEdmonds, ci: int) -> list | None:
     """Edges of the unique perfect matching of C component ``ci``, in g's
-    ids, or None: the Kotzig peel on ``ge.match``, memoised in ``ge.upms``."""
+    ids, or None, memoised in ``ge.upms``.  The first call answers every C
+    component with one Kotzig peel of g[C] on g's adjacency and
+    ``ge.match``: the peel acts on each component on its own, so component
+    ci has a unique perfect matching iff none of its vertices is left when
+    the peel stalls."""
     key = ("c", ci)
     if key not in ge.upms:
-        verts, _, adj, match = _local(g, ge, ge.c_components[ci])
-        if -1 in match:
-            raise InternalCheckError(f"the matching is not perfect on C component {verts}")
-        unique = _peels_to_empty(adj, match, [True] * len(verts))
-        ge.upms[key] = _edges(verts, match) if unique else None
+        match = ge.match
+        alive = [False] * g.n
+        for v in ge.c_set:
+            alive[v] = True
+        for v in ge.c_set:
+            if match[v] == -1 or not alive[match[v]]:
+                raise InternalCheckError(f"the matching is not perfect on C at vertex {v}")
+        rest = set(_peel(g.adj, match, alive))
+        for cj, comp in enumerate(ge.c_components):
+            ge.upms[("c", cj)] = None if not rest.isdisjoint(comp) else [
+                (v, match[v]) for v in sorted(comp) if match[v] > v
+            ]
     return ge.upms[key]
 
 
 def _d_local(g: Graph, ge: GallaiEdmonds, ci: int):
-    """``_local`` of D component ``ci`` plus the path pointers of the
-    alternating tree grown from the one vertex that ``ge.match`` leaves
-    unmatched inside it, memoised in ``ge.upms``.  The component is
-    factor-critical, so the tree spans it with every vertex even."""
+    """D component ``ci`` in local ids 0..|H|-1, ascending with g's ids:
+    ``(verts, pos, adj, match, parent)``, where ``verts`` maps back, ``pos``
+    forth, ``match`` is ``ge.match`` inside the component (-1 at the one
+    vertex it leaves unmatched there), and ``parent`` holds the path
+    pointers of the alternating tree grown from that vertex; memoised in
+    ``ge.upms``.  The component is factor-critical, so the tree spans it
+    with every vertex even."""
     key = ("d", ci)
     if key not in ge.upms:
-        verts, pos, adj, match = _local(g, ge, ge.d_components[ci])
+        verts = sorted(ge.d_components[ci])
+        pos = {v: i for i, v in enumerate(verts)}
+        adj = tuple(tuple(pos[w] for w in g.adj[v] if w in pos) for v in verts)
+        match = [pos.get(ge.match[v], -1) for v in verts]
         free = [x for x, y in enumerate(match) if y == -1]
         forest = _search(adj, match, free) if len(free) == 1 else None
         if forest is None or set(forest[0]) != {_EVEN}:
@@ -161,7 +167,7 @@ def _unique_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int) -> bool:
         _, adj, x, match = _perfect_minus(g, ge, ci, h)
         alive = [True] * len(match)
         alive[x] = False
-        ge.upms[key] = _peels_to_empty(adj, match, alive)
+        ge.upms[key] = not _peel(adj, match, alive)
     return ge.upms[key]
 
 

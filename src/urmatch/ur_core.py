@@ -15,8 +15,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph_core import Graph, induced_subgraph, validate_bipartition
-from .matching import Matching, unique_perfect_matching
+from .graph_core import Graph, validate_bipartition
+from .matching import Matching, _match_array, _peels_to_empty
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,13 @@ def is_uniquely_restricted(g: Graph, m: Matching) -> bool:
     """True iff no other matching of g covers exactly the vertices of m.
 
     Equivalent formulation used here: m is the unique perfect matching of the
-    subgraph induced by its covered vertices.  The empty matching qualifies.
+    subgraph induced by its covered vertices, which the Kotzig peel decides
+    on m itself.  The empty matching qualifies.
     """
     _validate_matching_of(g, m)
     if not m.edges:
         return True
-    sub, _ = induced_subgraph(g, m.covered)
-    return unique_perfect_matching(sub) is not None
+    alive = [False] * g.n
+    for v in m.covered:
+        alive[v] = True
+    return _peels_to_empty(g.adj, _match_array(g, m), alive)

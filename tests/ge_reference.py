@@ -14,6 +14,11 @@ A-vertex to a component in which it has exactly one neighbor.  It asks
 over the adjacency of A replaces it.  Each gb edge is decoded here through
 ``contraction_map``, with no helper shared with the library.
 
+The contraction as the decomposition first built it: A by testing every
+vertex's neighbors, the components of g[D] and of g[C] by the library's
+general component search, and gb through ``Graph.from_edges``.  The
+library's one-pass ``_contract`` must return the same fields.
+
 Uniqueness of a perfect matching by the deletion device: a perfect matching
 M is unique iff g - e has no perfect matching for every e in M.  It runs one
 augmenting search per matched edge, which is quadratic on paths and cycles;
@@ -23,7 +28,7 @@ the library's Kotzig peel replaces it.
 from __future__ import annotations
 
 from urmatch.decomposition import GallaiEdmonds
-from urmatch.graph_core import Graph, induced_subgraph
+from urmatch.graph_core import Graph, connected_components, induced_subgraph
 from urmatch.matching import (
     Matching,
     _matching_from_array,
@@ -59,6 +64,27 @@ def reference_classes(g: Graph) -> tuple[frozenset[int], frozenset[int], frozens
         v for v in range(g.n) if v not in d_set and any(w in d_set for w in g.adj[v])
     )
     return d_set, a_set, frozenset(range(g.n)) - d_set - a_set
+
+
+def contract_by_sets(g: Graph, d_set: frozenset[int]):
+    """``decomposition._contract(g, d_set)`` by the direct route."""
+    a_set = frozenset(
+        v for v in range(g.n) if v not in d_set and any(w in d_set for w in g.adj[v])
+    )
+    c_set = frozenset(range(g.n)) - d_set - a_set
+    d_components = tuple(connected_components(g, d_set))
+    c_components = tuple(connected_components(g, c_set))
+    a_list = sorted(a_set)
+    a_pos = {v: i for i, v in enumerate(a_list)}
+    k = len(a_list)
+    gb_edges = {(a_pos[w], k + ci) for ci, comp in enumerate(d_components)
+                for v in comp for w in g.adj[v] if w in a_set}
+    gb = Graph.from_edges(k + len(d_components), gb_edges)
+    gb_sides = (frozenset(range(k)), frozenset(range(k, gb.n)))
+    contraction_map = tuple(("a", v) for v in a_list) + tuple(
+        ("d", i) for i in range(len(d_components))
+    )
+    return a_set, c_set, d_components, c_components, gb, gb_sides, contraction_map
 
 
 def gb_edge_condition_by_edges(g: Graph, ge: GallaiEdmonds) -> bool:

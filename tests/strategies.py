@@ -7,7 +7,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from urmatch.graph_core import Graph
+from urmatch.graph_core import Graph, connected_components, induced_subgraph
 
 
 @st.composite
@@ -49,3 +49,43 @@ def random_graph_nm(n, m, rng):
     if m > len(pairs):
         raise ValueError("too many edges requested")
     return Graph.from_edges(n, rng.sample(pairs, m))
+
+
+def sparse_graph_nm(n, m, rng):
+    """Uniform random graph with exactly m edges, by rejection sampling:
+    expected O(n + m) while m is at most a quarter of all pairs, where
+    ``random_graph_nm`` lists all of them."""
+    if 4 * m > n * (n - 1) // 2:
+        raise ValueError("sparse_graph_nm takes at most a quarter of all pairs")
+    chosen = set()
+    while len(chosen) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            chosen.add((u, v) if u < v else (v, u))
+    return Graph.from_edges(n, chosen)
+
+
+def giant(g):
+    """The largest connected component of g, relabelled in ascending order."""
+    return induced_subgraph(g, max(connected_components(g), key=len))[0]
+
+
+def random_tree_edges(n, rng):
+    """A random recursive tree: vertex v > 0 hangs below a uniform earlier one."""
+    return [(rng.randrange(v), v) for v in range(1, n)]
+
+
+def corona(g):
+    """g with one pendant vertex ``g.n + v`` attached to every vertex v."""
+    return Graph.from_edges(2 * g.n, [*g.edges, *((v, g.n + v) for v in range(g.n))])
+
+
+def linear_triangle_tree(n_tree, frac, rng):
+    """A random recursive tree with a pendant triangle v, x, y on
+    ``round(frac * n_tree)`` of its vertices, in O(n)."""
+    edges = random_tree_edges(n_tree, rng)
+    n = n_tree
+    for v in sorted(rng.sample(range(n_tree), round(frac * n_tree))):
+        edges += [(v, n), (v, n + 1), (n, n + 1)]
+        n += 2
+    return Graph.from_edges(n, edges)

@@ -1,10 +1,13 @@
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
 
+from ge_reference import contract_by_sets
 from lemma_helpers import delete_vertex
-from strategies import graphs, seeded_random_graphs
+from strategies import giant, graphs, linear_triangle_tree, seeded_random_graphs, sparse_graph_nm
 from urmatch.decomposition import GallaiEdmonds, _contract, gallai_edmonds, verify_gallai_edmonds
 from urmatch.families import (
     bowtie_graph,
@@ -149,3 +152,40 @@ def test_verifier_accepts_only_the_true_d_set():
                 if verify_gallai_edmonds(g, _claim(g, d))
             ]
             assert accepted == [true_d]
+
+
+@settings(deadline=None, max_examples=200)
+@given(graphs(max_n=10))
+def test_contraction_matches_the_direct_route(g):
+    d_set = gallai_edmonds(g).d_set
+    assert _contract(g, d_set) == contract_by_sets(g, d_set)
+    # any vertex set will do as D for the construction itself
+    assert _contract(g, frozenset(range(0, g.n, 2))) == contract_by_sets(g, frozenset(range(0, g.n, 2)))
+
+
+def test_contraction_matches_the_direct_route_on_sparse_graphs():
+    rng = random.Random(12)
+    for n in (100, 400, 1600):
+        for g in (giant(sparse_graph_nm(n, 3 * n // 2, rng)), linear_triangle_tree(n, 0.25, rng)):
+            d_set = gallai_edmonds(g).d_set
+            assert _contract(g, d_set) == contract_by_sets(g, d_set)
+
+
+def test_verifier_accepts_the_giant_at_2000():
+    g = giant(sparse_graph_nm(2000, 3000, random.Random(2000)))
+    ge = gallai_edmonds(g)
+    assert len(ge.d_components) > 1 and ge.a_set and ge.c_components
+    assert verify_gallai_edmonds(g, ge)
+
+
+def test_decomposition_scale_guard():
+    # a near-linear matcher and contraction decompose each in about 0.3 s;
+    # one O(n) allocation per augmenting search took 5 to 15 s
+    rng = random.Random(40000)
+    for g in (giant(sparse_graph_nm(40000, 60000, rng)), linear_triangle_tree(26667, 0.25, rng)):
+        assert g.n > 35000
+        start = time.perf_counter()
+        ge = gallai_edmonds(g)
+        assert time.perf_counter() - start < 5
+        nu = sum(1 for x in ge.match if x != -1) // 2
+        assert 2 * nu == g.n - (len(ge.d_components) - len(ge.a_set))

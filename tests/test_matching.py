@@ -5,7 +5,15 @@ from hypothesis import given, settings
 
 from ge_reference import missable_vertex, unique_perfect_matching_by_deletion
 from lemma_helpers import delete_vertex
-from strategies import bipartite_graphs, graphs, random_graph_nm, seeded_random_graphs
+from strategies import (
+    bipartite_graphs,
+    corona,
+    graphs,
+    random_graph_nm,
+    random_tree_edges,
+    seeded_random_graphs,
+    sparse_graph_nm,
+)
 from urmatch.families import (
     complete_bipartite,
     complete_graph,
@@ -18,6 +26,9 @@ from urmatch import matching
 from urmatch.graph_core import Graph, bipartition
 from urmatch.matching import (
     Matching,
+    _greedy_seed,
+    _max_match_array,
+    _peel,
     _peels_to_empty,
     edge_in_some_maximum_matching,
     is_factor_critical,
@@ -301,6 +312,20 @@ def test_peel_leaves_its_arguments_alone():
     assert not _peels_to_empty(cycle_graph(6).adj, match, [True] * 6)
 
 
+def test_peel_remainder_is_per_component():
+    # C6 on 0..5 (two perfect matchings), P4 on 6..9, and C4 on 10..13 with
+    # pendants 14 at 10 and 15 at 11 (one perfect matching): the peel
+    # leaves exactly the component whose perfect matching is not unique
+    edges = [(i, (i + 1) % 6) for i in range(6)] + [(6, 7), (7, 8), (8, 9)]
+    edges += [(10, 11), (11, 12), (12, 13), (10, 13), (10, 14), (11, 15)]
+    g = Graph.from_edges(16, edges)
+    match = [1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 14, 15, 13, 12, 10, 11]
+    assert _peel(g.adj, match, [True] * 16) == [0, 1, 2, 3, 4, 5]
+    # without the C6 everything peels; with only it, all of it is left
+    assert _peel(g.adj, match, [v >= 6 for v in range(16)]) == []
+    assert _peel(g.adj, match, [v < 6 for v in range(16)]) == list(range(6))
+
+
 # networkx is a test-only reference, independent of the library's search,
 # at sizes the enumeration oracle cannot reach
 
@@ -364,3 +389,44 @@ def test_edge_in_some_maximum_matching_vs_networkx():
             assert edge_in_some_maximum_matching(g, (u, v)) == expected
             seen.add(expected)
     assert seen == {True, False}
+
+
+def _check_mates(g, match):
+    for v, w in enumerate(match):
+        assert w == -1 or (match[w] == v and g.has_edge(v, w))
+
+
+def test_karp_sipser_seed_is_maximum_on_forests():
+    # the degree-1 rule alone is exact on a forest
+    rng = random.Random(8)
+    forests = [path_graph(n) for n in range(1, 41)]
+    for n in (2, 11, 50, 120, 200):
+        tree = Graph.from_edges(n, random_tree_edges(n, rng))
+        forests += [tree, corona(tree)]
+    for g in forests:
+        seed = _greedy_seed(g.adj)
+        _check_mates(g, seed)
+        assert sum(1 for w in seed if w != -1) // 2 == _nx_nu(g.n, g.edges)
+
+
+def test_matcher_on_deficient_sparse_graphs_vs_networkx(monkeypatch):
+    # positive deficiency: searches from vertices the seed left free fail,
+    # and the vertices of their trees stay out of later searches
+    failed = []
+    real = matching._search
+
+    def counting(adj, match, roots, state=None):
+        out = real(adj, match, roots, state)
+        if state is not None and out is not None:
+            failed.append(sum(1 for x in state[0] if x == matching._DEAD))
+        return out
+
+    monkeypatch.setattr(matching, "_search", counting)
+    rng = random.Random(9)
+    for n in range(40, 401, 40):
+        for m in (n // 2, n, 3 * n // 2):
+            g = sparse_graph_nm(n, m, rng)
+            match = _max_match_array(g)
+            _check_mates(g, match)
+            assert sum(1 for w in match if w != -1) // 2 == _nx_nu(n, g.edges)
+    assert len(failed) > 100 and max(failed) > 50
