@@ -45,10 +45,8 @@ def find_e_good_ordering(
     """Accessibility ordering of a maximum independent set whose induced matching
     stays inside ``allowed``, or None if no such ordering exists.
 
-    Greedy: repeatedly place any unplaced vertex that brings at most one new
-    neighbor, with that neighbor joined by an allowed edge.  Lowest id breaks
-    ties unless ``rng`` is given (used to show the tie-break does not matter).
-    Any greedy choice is safe: a placeable vertex never has to be withheld.
+    Validates its input (a bipartition, an independent set as large as g
+    allows, allowed edges of g), then runs ``_e_good_ordering``.
     """
     validate_bipartition(g, sides)
     i_set = frozenset(i_set)
@@ -62,7 +60,19 @@ def find_e_good_ordering(
         if e not in g.edges:
             raise ValueError(f"allowed edge {e} not in graph")
         allowed_set.add(e)
+    return _e_good_ordering(g, i_set, allowed_set, rng)
 
+
+def _e_good_ordering(g: Graph, i_set: frozenset[int], allowed_set, rng=None):
+    """``find_e_good_ordering`` on input known to be valid: ``i_set`` a
+    maximum independent set of bipartite g, ``allowed_set`` normalized
+    edges of g.
+
+    Greedy: repeatedly place any unplaced vertex that brings at most one new
+    neighbor, with that neighbor joined by an allowed edge.  Lowest id breaks
+    ties unless ``rng`` is given (used to show the tie-break does not matter).
+    Any greedy choice is safe: a placeable vertex never has to be withheld.
+    """
     remaining = sorted(i_set)
     placed: list[int] = []
     seen_nbrs: set[int] = set()

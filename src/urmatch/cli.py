@@ -14,7 +14,7 @@ import sys
 import time
 
 from .decomposition import gallai_edmonds
-from .graph_core import Graph
+from .graph_core import Graph, _adjacency
 from .matching import Matching
 from .oracle import DEFAULT_MAX_M, DEFAULT_MAX_N, GuardLimitError, oracle_every_ur, oracle_some_ur
 from .recognition import InternalCheckError, RecognitionReport, every_ur, some_ur
@@ -38,7 +38,6 @@ def parse_graph(text: str) -> Graph:
     unordered pairs; repeating a pair in either orientation is an error.
     """
     n = None
-    edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -66,10 +65,10 @@ def parse_graph(text: str) -> Graph:
         if key in seen:
             raise GraphParseError(f"duplicate edge ({key[0]}, {key[1]})", line_no)
         seen.add(key)
-        edges.append(key)
     if n is None:
         raise GraphParseError("missing header 'n <count>'", 1)
-    return Graph.from_edges(n, edges)
+    # the pairs are in range, normalized and distinct: no second pass
+    return Graph(n, frozenset(seen), _adjacency(n, seen))
 
 
 def render_graph(g: Graph) -> str:

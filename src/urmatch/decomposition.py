@@ -52,7 +52,13 @@ class GallaiEdmonds:
     None; ``(ci, h)`` to whether D component ``ci`` minus its vertex h has a
     unique perfect matching; ``("d", ci)`` holds what those tests share: D
     component ``ci`` in local ids, its near-perfect matching and the path
-    pointers of the alternating tree grown from its one free vertex.
+    pointers of the alternating tree grown from its one free vertex.  The
+    memo holds entries no caller asked for: the first C component test
+    answers all of them, and a "no" for one h of a D component writes a
+    "no" for every h' that the same alternating cycle rules out.
+    ``"attachments"`` holds the neighbors of each A-vertex in each D
+    component it touches, which the allowed edges, witness assembly and the
+    every route all read.
 
     Neither field takes part in equality, hashing or repr.
     ``dataclasses.replace`` keeps ``match`` and starts ``upms`` empty.  A

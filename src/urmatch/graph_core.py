@@ -27,7 +27,8 @@ class Graph:
     Use :meth:`from_edges` to construct one from outside data; library code
     that already holds normalized data (pairs in range with ``u < v`` and
     ascending adjacency that lists exactly those pairs) may call the
-    constructor directly, as :func:`induced_subgraph` does.
+    constructor directly, as :func:`induced_subgraph` does; the graph-file
+    parser builds its adjacency with :func:`_adjacency`.
     """
 
     n: int
@@ -45,12 +46,7 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             normalized.add(edge_key(u, v))
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in normalized:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        adj = tuple(tuple(sorted(s)) for s in nbrs)
-        return cls(n, frozenset(normalized), adj)
+        return cls(n, frozenset(normalized), _adjacency(n, normalized))
 
     @property
     def m(self) -> int:
@@ -64,6 +60,18 @@ class Graph:
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
+
+
+def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """The ascending adjacency of n vertices joined by ``edges``, which must
+    be distinct pairs ``(u, v)`` with ``0 <= u < v < n``: no check is made."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    for s in nbrs:
+        s.sort()
+    return tuple(map(tuple, nbrs))
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -8,9 +8,11 @@ each vertex left free, lowest first, on arrays allocated once: a search that
 augments resets only what it labelled, and the Hungarian tree of one that
 fails stays out of every later search.  Uniqueness of a given perfect
 matching is a Kotzig peel (``_peel``): a pendant queue plus, when it stalls,
-one bridge search, with no matcher of its own.  All searches iterate
-vertices and neighbors in ascending id order, so the "canonical" maximum
-matching returned for a given graph is reproducible.
+one bridge search, with no matcher of its own; when it stalls short of
+empty, ``_alternating_cycle`` finds an alternating cycle in what is left,
+one search per edge tried.  All searches iterate vertices and neighbors in
+ascending id order, so the "canonical" maximum matching returned for a given
+graph is reproducible.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ def _greedy_seed(adj: tuple[tuple[int, ...], ...]) -> list[int]:
 _UNLABELLED, _EVEN, _ODD, _DEAD = 0, 1, 2, 3
 
 
-def _search(adj, match, roots, state=None):
+def _search(adj, match, roots, state=None, dead=()):
     """Grow Edmonds' alternating forest from the free vertices ``roots``.
 
     BFS: an unlabelled neighbor of an even vertex becomes odd and its mate
@@ -146,11 +148,15 @@ def _search(adj, match, roots, state=None):
     A search that augments resets only the vertices it labelled.  One that
     fails has grown a Hungarian tree, which no later augmenting path enters
     (Edmonds 1965), so its vertices are labelled dead and every later
-    search sharing the state skips them.
+    search sharing the state skips them.  With fresh arrays, the vertices
+    in ``dead`` start dead: the search runs in the graph without them, and
+    the mate of a live vertex must be live.
     """
     if state is None:
         n = len(adj)
         label = [_UNLABELLED] * n
+        for x in dead:
+            label[x] = _DEAD
         parent = [-1] * n
         blossom = list(range(n))
     else:
@@ -462,6 +468,76 @@ def _peel(adj, match, alive):
         left -= 2 * len(bridges)
 
 
+def _alternating_cycle(adj, match, rest):
+    """An even cycle inside ``rest`` that alternates under ``match``, as a
+    vertex list whose edges alternate between in and out of ``match``,
+    starting in, so that its closing edge is out.
+
+    ``rest`` is what ``_peel`` left: ``match`` is perfect on it and no
+    matched edge of it is a bridge, so by Kotzig's theorem it has a second
+    perfect matching, and the symmetric difference of the two holds such a
+    cycle.  A non-matching edge uv of ``rest`` lies on one iff, with u and
+    v deleted and their mates freed, an augmenting path inside ``rest``
+    joins match[u] to match[v]; the path plus v, u closes the cycle.  The
+    edges are tried in ascending order, each with one search from match[u],
+    and the first cycle found is cut short by ``_shortcut``.
+    """
+    n = len(adj)
+    inside = [False] * n
+    for x in rest:
+        inside[x] = True
+    outside = [x for x in range(n) if not inside[x]]
+    for u in rest:
+        mu = match[u]
+        for v in adj[u]:
+            if v <= u or v == mu or not inside[v]:
+                continue
+            mv = match[v]
+            trial = list(match)
+            trial[u] = trial[v] = trial[mu] = trial[mv] = -1
+            if _search(adj, trial, [mu], dead=outside + [u, v]) is not None:
+                continue
+            # the only free vertex the search can reach is mv: walk the
+            # path from mu, out by the new matching and on by the old
+            cycle = [u, mu]
+            x = mu
+            while True:
+                y = trial[x]
+                cycle.append(y)
+                if y == mv:
+                    break
+                x = match[y]
+                cycle.append(x)
+            cycle.append(v)
+            return _shortcut(adj, cycle)
+    raise InternalCheckError("the peel's remainder holds no alternating cycle")
+
+
+def _shortcut(adj, cycle):
+    """Shorten an alternating cycle, in the list form of
+    ``_alternating_cycle``, along its chords until no chord closes a
+    shorter one.
+
+    A chord from c[i], i even, to c[j], j odd, closes the alternating cycle
+    c[i], c[i + 1], ..., c[j] (indices mod the length): both ends keep
+    their matched cycle edge.  Each pass takes the chord that closes the
+    shortest such cycle.  A short cycle leaves more of the graph outside it.
+    """
+    while True:
+        n = len(cycle)
+        pos = {c: i for i, c in enumerate(cycle)}
+        best, cut = n, None
+        for i in range(0, n, 2):
+            for y in adj[cycle[i]]:
+                j = pos.get(y, i)
+                if j % 2 and 2 < (j - i) % n + 1 < best:
+                    best, cut = (j - i) % n + 1, (i, j)
+        if cut is None:
+            return cycle
+        i, j = cut
+        cycle = cycle[i:j + 1] if i < j else cycle[i:] + cycle[:j + 1]
+
+
 def _peels_to_empty(adj, match, alive):
     """True iff ``match`` is the only perfect matching of the subgraph of
     ``adj`` induced by the vertices marked in ``alive``: ``_peel`` leaves
@@ -496,10 +572,11 @@ def is_factor_critical(g: Graph) -> bool:
     return all(x == _EVEN for x in _edmonds_labels(g.adj, match))
 
 
-def max_independent_set_bipartite(g: Graph, sides) -> frozenset[int]:
-    """A maximum independent set of a bipartite graph (complement of a Koenig cover)."""
-    side_a, side_b = validate_bipartition(g, sides)
-    m = maximum_matching_bipartite(g, sides)
+def _koenig_independent(g: Graph, sides, m: Matching) -> frozenset[int]:
+    """The maximum independent set of bipartite g that complements the
+    Koenig vertex cover built from its maximum matching m; ``sides`` must
+    be valid frozensets."""
+    side_a, side_b = sides
     # alternating reachability from the unmatched left vertices
     reach_a = set(sorted(side_a - m.covered))
     reach_b: set[int] = set()
@@ -515,3 +592,9 @@ def max_independent_set_bipartite(g: Graph, sides) -> frozenset[int]:
                     queue.append(a2)
     # minimum vertex cover = (A \ reach) | (B & reach); independent set = complement
     return frozenset((side_a & reach_a) | (side_b - reach_b))
+
+
+def max_independent_set_bipartite(g: Graph, sides) -> frozenset[int]:
+    """A maximum independent set of a bipartite graph (complement of a Koenig cover)."""
+    sides = validate_bipartition(g, sides)
+    return _koenig_independent(g, sides, maximum_matching_bipartite(g, sides))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .accessibility import find_e_good_ordering
+from .accessibility import _e_good_ordering
 from .decomposition import GallaiEdmonds, gallai_edmonds
 from .graph_core import (
     Graph,
@@ -27,9 +27,10 @@ from .matching import (
     InternalCheckError,
     Matching,
     _EVEN,
+    _alternating_cycle,
+    _koenig_independent,
     _peel,
     _search,
-    max_independent_set_bipartite,
     maximum_matching_bipartite,
     unique_perfect_matching,
 )
@@ -58,6 +59,10 @@ FAILURE_TAGS = frozenset({
 })
 
 
+# the key of ``_attachments`` in ``GallaiEdmonds.upms``
+_ATTACHMENTS = "attachments"
+
+
 @dataclass(frozen=True)
 class RecognitionReport:
     property: str  # "some_ur" | "every_ur"
@@ -70,14 +75,17 @@ class RecognitionReport:
 def _attachments(g: Graph, ge: GallaiEdmonds) -> dict[tuple[int, int], list[int]]:
     """One pass over the adjacency of A: the neighbors of A-vertex a inside D
     component ``ge.d_components[ci]``, keyed by (a, ci), for every pair that
-    touches.  These pairs are exactly the edges of gb."""
-    comp_of = {v: ci for ci, comp in enumerate(ge.d_components) for v in comp}
-    out: dict[tuple[int, int], list[int]] = {}
-    for a in sorted(ge.a_set):
-        for w in g.adj[a]:
-            if w in comp_of:
-                out.setdefault((a, comp_of[w]), []).append(w)
-    return out
+    touches; memoised in ``ge.upms``.  These pairs are exactly the edges of
+    gb."""
+    if _ATTACHMENTS not in ge.upms:
+        comp_of = {v: ci for ci, comp in enumerate(ge.d_components) for v in comp}
+        out: dict[tuple[int, int], list[int]] = {}
+        for a in sorted(ge.a_set):
+            for w in g.adj[a]:
+                if w in comp_of:
+                    out.setdefault((a, comp_of[w]), []).append(w)
+        ge.upms[_ATTACHMENTS] = out
+    return ge.upms[_ATTACHMENTS]
 
 
 def _decomposed(g: Graph, ge: GallaiEdmonds | None) -> GallaiEdmonds:
@@ -159,15 +167,32 @@ def _perfect_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int):
 
 def _unique_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int) -> bool:
     """Whether D component ``ci`` minus its vertex h has a unique perfect
-    matching: one path flip and the Kotzig peel, memoised in ``ge.upms``."""
+    matching: one path flip and the Kotzig peel, memoised in ``ge.upms``.
+
+    A "no" rejects more vertices of the component with it.  The peel's
+    remainder holds an even cycle C that alternates under the perfect
+    matching M of H - h.  For any h' outside C such that H - V(C) - h' has
+    a perfect matching, that matching plus either half of C gives two of
+    H - h'.  M misses only h in H - V(C), so those h' are the even vertices
+    of one search from h with C dead, and each is memoised as a "no".
+    """
     if len(ge.d_components[ci]) == 1:
         return True  # the empty graph has the empty one
     key = (ci, h)
     if key not in ge.upms:
-        _, adj, x, match = _perfect_minus(g, ge, ci, h)
+        verts, adj, x, match = _perfect_minus(g, ge, ci, h)
         alive = [True] * len(match)
         alive[x] = False
-        ge.upms[key] = not _peel(adj, match, alive)
+        rest = _peel(adj, match, alive)
+        ge.upms[key] = not rest
+        if rest:
+            forest = _search(adj, match, [x], dead=_alternating_cycle(adj, match, rest))
+            if forest is None:
+                raise InternalCheckError(f"D component {ci} minus {h} has no perfect matching")
+            for y, lab in enumerate(forest[0]):
+                if lab == _EVEN and ge.upms.setdefault((ci, verts[y]), False):
+                    raise InternalCheckError(
+                        f"D component {ci} minus {verts[y]}: the memo and the alternating cycle disagree")
     return ge.upms[key]
 
 
@@ -207,8 +232,8 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     # condition 2: gb has a maximum uniquely restricted matching inside the
     # eligible edges; equivalent to an ordering of a maximum independent set
     eligible = allowed_edges(g, ge)
-    i_max = max_independent_set_bipartite(ge.gb, ge.gb_sides)
-    ordering = find_e_good_ordering(ge.gb, ge.gb_sides, i_max, eligible)
+    i_max = _koenig_independent(ge.gb, ge.gb_sides, maximum_matching_bipartite(ge.gb, ge.gb_sides))
+    ordering = _e_good_ordering(ge.gb, i_max, eligible)
     if ordering is None:
         failures.append(GB_NO_UR_MATCHING_WITHIN_E)
         if not all_failures:

@@ -1,8 +1,9 @@
 """Helpers that only the lemma suites use.
 
 None of the deciders needs them: they state the lemmas the deciders rest on
-(accessibility orderings, Koenig maximality, single edge exchanges) and the
-deletion operations the definitional checks are written with.
+(accessibility orderings, Koenig maximality, single edge exchanges,
+alternating cycles) and the deletion operations the definitional checks are
+written with.
 """
 
 from __future__ import annotations
@@ -89,3 +90,17 @@ def edge_exchanges(g: Graph, sides, m: Matching) -> list[Matching]:
                 edges = (m.edges - {edge_key(z, y)}) | {edge_key(x, y)}
                 out.append(Matching.from_edges(g, edges))
     return out
+
+
+def is_alternating_cycle(adj, match, cycle) -> bool:
+    """Whether ``cycle`` lists the vertices of a simple even cycle of ``adj``
+    whose edges alternate under the mate array ``match``, the first edge
+    matched and the closing edge not."""
+    k = len(cycle)
+    if k < 4 or k % 2 or len(set(cycle)) != k:
+        return False
+    for i in range(0, k, 2):
+        x, y, z = cycle[i], cycle[i + 1], cycle[(i + 2) % k]
+        if match[x] != y or z not in adj[y]:
+            return False
+    return True

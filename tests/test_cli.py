@@ -35,6 +35,10 @@ def test_parse_graph_round_trip():
 def test_render_parse_identity(g):
     h = parse_graph(render_graph(g))
     assert h.n == g.n and h.edges == g.edges
+    # the parser builds the adjacency itself: it must equal from_edges'
+    # whatever the order and orientation of the lines
+    lines = [f"{v} {u}" for u, v in sorted(g.edges, reverse=True)]
+    assert parse_graph("\n".join([f"n {g.n}", *lines])) == g
 
 
 def test_parse_graph_tolerates_comments_and_crlf():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from ge_reference import missable_vertex, unique_perfect_matching_by_deletion
-from lemma_helpers import delete_vertex
+from lemma_helpers import delete_vertex, is_alternating_cycle
 from strategies import (
     bipartite_graphs,
     corona,
@@ -25,7 +25,9 @@ from urmatch.families import (
 from urmatch import matching
 from urmatch.graph_core import Graph, bipartition
 from urmatch.matching import (
+    InternalCheckError,
     Matching,
+    _alternating_cycle,
     _greedy_seed,
     _max_match_array,
     _peel,
@@ -324,6 +326,40 @@ def test_peel_remainder_is_per_component():
     # without the C6 everything peels; with only it, all of it is left
     assert _peel(g.adj, match, [v >= 6 for v in range(16)]) == []
     assert _peel(g.adj, match, [v < 6 for v in range(16)]) == list(range(6))
+
+
+def test_alternating_cycle_of_a_stalled_peel():
+    # the C6 is what the peel leaves of the graph above; its one non-matching
+    # edge at 0 closes the whole cycle
+    edges = [(i, (i + 1) % 6) for i in range(6)] + [(6, 7), (7, 8), (8, 9)]
+    g = Graph.from_edges(10, edges)
+    match = [1, 0, 3, 2, 5, 4, 7, 6, 9, 8]
+    rest = _peel(g.adj, match, [True] * 10)
+    assert _alternating_cycle(g.adj, match, rest) == [0, 1, 2, 3, 4, 5]
+    # the square of C_21 minus 0 stalls at once: the first edge tried, 1-2,
+    # closes a cycle through all 20 vertices, and its chords cut it to four
+    n = 21
+    sq = Graph.from_edges(n, [(i, (i + d) % n) for i in range(n) for d in (1, 2)])
+    match = [-1, 20, *[i + 1 if i % 2 == 0 else i - 1 for i in range(2, 20)], 1]
+    rest = _peel(sq.adj, match, [v != 0 for v in range(n)])
+    assert rest == list(range(1, n))
+    cycle = _alternating_cycle(sq.adj, match, rest)
+    assert len(cycle) == 4 and is_alternating_cycle(sq.adj, match, cycle)
+    # a remainder that breaks the precondition is refused
+    with pytest.raises(InternalCheckError, match="no alternating cycle"):
+        _alternating_cycle(path_graph(2).adj, [1, 0], [0, 1])
+
+
+@settings(deadline=None, max_examples=200)
+@given(graphs(max_n=12))
+def test_alternating_cycle_lies_in_the_remainder(g):
+    # the maximum matching is perfect on the vertices it covers
+    match = _max_match_array(g)
+    rest = _peel(g.adj, match, [x != -1 for x in match])
+    if rest:
+        cycle = _alternating_cycle(g.adj, match, rest)
+        assert is_alternating_cycle(g.adj, match, cycle)
+        assert set(cycle) <= set(rest)
 
 
 # networkx is a test-only reference, independent of the library's search,

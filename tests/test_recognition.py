@@ -1,11 +1,20 @@
 import random
+import time
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 
 from ge_reference import gb_edge_condition_by_edges, unique_perfect_matching_by_deletion
-from strategies import bipartite_graphs, graphs, random_graph_nm, seeded_random_graphs
+from lemma_helpers import is_alternating_cycle
+from strategies import (
+    bipartite_graphs,
+    giant,
+    graphs,
+    random_graph_nm,
+    seeded_random_graphs,
+    sparse_graph_nm,
+)
 from urmatch.decomposition import gallai_edmonds, verify_gallai_edmonds
 from urmatch.families import (
     complete_bipartite,
@@ -24,15 +33,22 @@ from urmatch.graph_core import (
     induced_subgraph,
 )
 from urmatch import matching, recognition
-from urmatch.matching import _peel, edge_in_some_maximum_matching, maximum_matching
+from urmatch.matching import (
+    _alternating_cycle,
+    _peel,
+    edge_in_some_maximum_matching,
+    maximum_matching,
+)
 from urmatch.oracle import (
     enumerate_labeled_graphs,
     oracle_every_ur,
     oracle_some_ur,
 )
 from urmatch.recognition import (
+    D_COMPONENT_NO_UNIQUE_PM_VERTEX,
     FAILURE_TAGS,
     GB_EDGE_MULTIPLE_NEIGHBORS,
+    _ATTACHMENTS,
     _c_upm,
     _component_all_near_perfect_unique,
     _perfect_minus,
@@ -137,6 +153,8 @@ def _tested_sets(ge):
     """The vertex sets whose uniqueness answers ``ge.upms`` holds."""
     out = set()
     for key in ge.upms:
+        if key == _ATTACHMENTS:
+            continue
         if key[0] == "c":
             out.add(ge.c_components[key[1]])
         elif key[0] != "d":
@@ -156,7 +174,7 @@ def test_some_ur_tests_each_component_minus_h_once(monkeypatch):
     r = some_ur(g, ge=ge)
     assert r.answer and calls == [4, 4]
     assert _tested_sets(ge) == {frozenset({2, 3, 4, 5}), frozenset({7, 8, 9, 10})}
-    assert set(ge.upms) == {("d", 0), ("d", 1), (0, 1), (1, 6)}
+    assert set(ge.upms) == {("d", 0), ("d", 1), (0, 1), (1, 6), _ATTACHMENTS}
     # K_{1,3}: three single-vertex components, each minus its h is empty
     calls.clear()
     assert some_ur(star_graph(3)).answer
@@ -169,9 +187,10 @@ def test_memo_keys_are_components_not_vertex_sets():
     ge = gallai_edmonds(g)
     some_ur(g, ge=ge, all_failures=True)
     every_ur(g, ge=ge)
-    assert any(key[0] not in ("c", "d") for key in ge.upms)
-    assert not any(isinstance(key, frozenset) for key in ge.upms)
-    for key in ge.upms:
+    keys = set(ge.upms) - {_ATTACHMENTS}
+    assert any(key[0] not in ("c", "d") for key in keys)
+    assert not any(isinstance(key, frozenset) for key in keys)
+    for key in keys:
         assert isinstance(key, tuple) and len(key) == 2
         if key[0] not in ("c", "d"):
             assert key[1] in ge.d_components[key[0]] and isinstance(ge.upms[key], bool)
@@ -261,6 +280,67 @@ def test_odd_cycle_minus_h_peels_without_bridge_search(monkeypatch):
     r = some_ur(g, ge=ge)
     assert r.answer and len(r.witness) == 10000
     assert rounds == []
+
+
+def _check_memo_against_direct_peels(g):
+    """Every D - h answer that ``some_ur`` leaves in the memo, asked for or
+    written by a bulk rejection, against a path flip and a peel on a fresh
+    decomposition; each "no" also yields a cycle that alternates under the
+    perfect matching of D - h.  Returns the memoised answers."""
+    ge, fresh = gallai_edmonds(g), gallai_edmonds(g)
+    some_ur(g, ge=ge, all_failures=True)
+    answers = {key: value for key, value in ge.upms.items()
+               if key != _ATTACHMENTS and key[0] not in ("c", "d")}
+    for (ci, h), answer in answers.items():
+        _, adj, x, match = _perfect_minus(g, fresh, ci, h)
+        alive = [True] * len(match)
+        alive[x] = False
+        rest = _peel(adj, match, alive)
+        assert answer is (not rest)
+        if rest:
+            cycle = _alternating_cycle(adj, match, rest)
+            assert is_alternating_cycle(adj, match, cycle) and set(cycle) <= set(rest)
+    return answers
+
+
+@settings(deadline=None, max_examples=150)
+@given(graphs(max_n=12))
+def test_memo_equals_direct_peels_on_hypothesis_graphs(g):
+    _check_memo_against_direct_peels(g)
+
+
+def test_memo_equals_direct_peels_on_giants(monkeypatch):
+    calls = _counting_peels(monkeypatch)
+    answers = {}
+    for n in (250, 500, 1000, 2000):
+        for seed in range(3):
+            g = giant(sparse_graph_nm(n, 3 * n // 2, random.Random(seed)))
+            answers.update({(n, seed, key): v for key, v in
+                            _check_memo_against_direct_peels(g).items()})
+    # far more "no" answers than peels: most were written in bulk
+    assert set(answers.values()) == {True, False}
+    assert sum(not v for v in answers.values()) > 5 * len(calls)
+
+
+def test_large_d_component_without_good_h_is_fast(monkeypatch):
+    # the square of C_2001 is factor-critical and every H - h holds an
+    # alternating 4-cycle; the giant of a seeded G(8000, 12000) has a D
+    # component of 2855 vertices with no good h
+    n = 2001
+    square = Graph.from_edges(n, [(i, (i + d) % n) for i in range(n) for d in (1, 2)])
+    calls = _counting_peels(monkeypatch)
+    for g in (square, giant(sparse_graph_nm(8000, 12000, random.Random(3)))):
+        ge = gallai_edmonds(g)
+        ci = max(range(len(ge.d_components)), key=lambda i: len(ge.d_components[i]))
+        comp = sorted(ge.d_components[ci])
+        assert len(comp) >= 2000
+        calls.clear()
+        t0 = time.perf_counter()
+        assert not any(_unique_minus(g, ge, ci, h) for h in comp)
+        assert time.perf_counter() - t0 < 2.0
+        assert len(calls) <= 5
+    report = some_ur(square, all_failures=True)
+    assert report.failures == (D_COMPONENT_NO_UNIQUE_PM_VERTEX,)
 
 
 def test_decomposition_without_matching_is_refused():
