@@ -6,13 +6,15 @@ neighborhood vertex y to the earliest ordered vertex adjacent to it yields an
 edge set M; the ordering is an accessibility ordering exactly when M is a
 matching.  ``find_e_good_ordering`` greedily builds an ordering whose induced
 matching stays inside a prescribed edge set; any extendable choice is safe, so
-the greedy search is complete.
+the greedy search is complete.  The greedy is driven by counters: each vertex
+of the set keeps the number of its neighbors not yet seen, and the lowest
+vertex that can be placed comes off a heap, so no step rescans the set.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from .graph_core import Graph, edge_key, validate_bipartition
 from .matching import Matching, maximum_matching_bipartite
@@ -40,7 +42,6 @@ def find_e_good_ordering(
     sides,
     i_set,
     allowed,
-    rng: random.Random | None = None,
 ) -> AccessibilityOrdering | None:
     """Accessibility ordering of a maximum independent set whose induced matching
     stays inside ``allowed``, or None if no such ordering exists.
@@ -60,41 +61,52 @@ def find_e_good_ordering(
         if e not in g.edges:
             raise ValueError(f"allowed edge {e} not in graph")
         allowed_set.add(e)
-    return _e_good_ordering(g, i_set, allowed_set, rng)
+    return _e_good_ordering(g, i_set, allowed_set)
 
 
-def _e_good_ordering(g: Graph, i_set: frozenset[int], allowed_set, rng=None):
+def _e_good_ordering(g: Graph, i_set: frozenset[int], allowed_set):
     """``find_e_good_ordering`` on input known to be valid: ``i_set`` a
     maximum independent set of bipartite g, ``allowed_set`` normalized
     edges of g.
 
-    Greedy: repeatedly place any unplaced vertex that brings at most one new
-    neighbor, with that neighbor joined by an allowed edge.  Lowest id breaks
-    ties unless ``rng`` is given (used to show the tie-break does not matter).
-    Any greedy choice is safe: a placeable vertex never has to be withheld.
+    Greedy: place the lowest unplaced vertex that brings at most one new
+    neighbor, with that neighbor joined by an allowed edge.  Any greedy
+    choice is safe: a placeable vertex never has to be withheld.  Each
+    unplaced vertex of ``i_set`` counts its unseen neighbors; seeing a
+    vertex lowers the count of each neighbor that is such a vertex, and of
+    no other, as no other vertex is ever placed.  A vertex whose count
+    reaches 0, or 1 across an allowed edge, joins a min-heap.  Placeability
+    only grows, so popping the heap, skipping entries already placed, gives
+    the lowest placeable vertex at each step in O(m log n).
     """
-    remaining = sorted(i_set)
+    adj = g.adj
+    unseen = {x: len(adj[x]) for x in i_set}  # unplaced x -> unseen neighbors
+    heap = [x for x, c in unseen.items()
+            if c == 0 or c == 1 and edge_key(x, adj[x][0]) in allowed_set]
+    heapify(heap)
+    seen: set[int] = set()
     placed: list[int] = []
-    seen_nbrs: set[int] = set()
     p_map: dict[int, int] = {}
-    while remaining:
-        options: list[tuple[int, int | None]] = []
-        for x in remaining:
-            new = [y for y in g.adj[x] if y not in seen_nbrs]
-            if len(new) == 0:
-                options.append((x, None))
-            elif len(new) == 1 and edge_key(x, new[0]) in allowed_set:
-                options.append((x, new[0]))
-            if options and rng is None:
-                break  # ascending scan: first valid candidate is the lowest id
-        if not options:
-            return None
-        x, y = options[0] if rng is None else rng.choice(options)
-        placed.append(x)
-        remaining.remove(x)
-        if y is not None:
-            seen_nbrs.add(y)
+    while heap:
+        x = heappop(heap)
+        if x not in unseen:
+            continue  # pushed twice, at count 1 and at 0
+        if unseen.pop(x):
+            for y in adj[x]:
+                if y not in seen:
+                    break
+            seen.add(y)
             p_map[y] = x
+            for z in adj[y]:
+                c = unseen.get(z)
+                if c:  # z is an unplaced vertex of i_set
+                    unseen[z] = c = c - 1
+                    if c == 0 or c == 1 and edge_key(
+                            z, next(w for w in adj[z] if w not in seen)) in allowed_set:
+                        heappush(heap, z)
+        placed.append(x)
+    if unseen:
+        return None
     edges = [edge_key(y, x) for y, x in p_map.items()]
     return AccessibilityOrdering(
         independent_set=i_set,

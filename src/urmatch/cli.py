@@ -45,18 +45,22 @@ def parse_graph(text: str) -> Graph:
             continue
         parts = line.split()
         if n is None:
-            if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
+            if len(parts) != 2 or parts[0] != "n" or not (line.isascii() and parts[1].isdigit()):
                 raise GraphParseError("malformed header, expected 'n <count>'", line_no)
-            n = int(parts[1])
+            try:
+                n = int(parts[1])
+            except ValueError:  # more digits than int() converts
+                raise GraphParseError("vertex count has too many digits", line_no) from None
             if n > MAX_VERTICES:
                 raise GraphParseError(f"vertex count {n} exceeds the limit {MAX_VERTICES}", line_no)
             continue
-        if len(parts) != 2:
+        # ASCII decimal digits only: int() would also take "1_0", "+3" and "²"
+        if len(parts) != 2 or not (line.isascii() and parts[0].isdigit() and parts[1].isdigit()):
             raise GraphParseError(f"malformed edge line {line!r}", line_no)
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphParseError(f"malformed edge line {line!r}", line_no) from None
+            raise GraphParseError(f"vertex with too many digits in edge line {line!r}", line_no) from None
         if u == v:
             raise GraphParseError(f"loop at vertex {u}", line_no)
         if not (0 <= u < n and 0 <= v < n):

@@ -538,23 +538,17 @@ def _shortcut(adj, cycle):
         cycle = cycle[i:j + 1] if i < j else cycle[i:] + cycle[:j + 1]
 
 
-def _peels_to_empty(adj, match, alive):
-    """True iff ``match`` is the only perfect matching of the subgraph of
-    ``adj`` induced by the vertices marked in ``alive``: ``_peel`` leaves
-    nothing."""
-    return not _peel(adj, match, alive)
-
-
 def unique_perfect_matching(g: Graph) -> Matching | None:
     """The unique perfect matching of g, or None if g has zero or several.
 
-    One maximum matching, then the Kotzig peel of ``_peels_to_empty`` on it.
+    One maximum matching, then the Kotzig peel ``_peel``, which must leave
+    nothing of it.
     The empty graph has the empty one.
     """
     if g.n % 2:
         return None
     match = _max_match_array(g)
-    if -1 in match or not _peels_to_empty(g.adj, match, [True] * g.n):
+    if -1 in match or _peel(g.adj, match, [True] * g.n):
         return None
     return _matching_from_array(g, match)
 

@@ -32,7 +32,7 @@ from .matching import (
     _peel,
     _search,
     maximum_matching_bipartite,
-    unique_perfect_matching,
+    unique_perfect_matching,  # noqa: F401  read as recognition.unique_perfect_matching by perfbench
 )
 from .ur_core import build_matching_digraph, is_acyclic
 
@@ -310,17 +310,6 @@ def every_ur_bipartite(g: Graph, sides, *, all_failures: bool = False) -> Recogn
     if failures:
         return RecognitionReport("every_ur", False, None, failures[0], tuple(failures))
     return RecognitionReport("every_ur", True, None, None, ())
-
-
-def _component_all_near_perfect_unique(g: Graph, comp: frozenset[int]) -> bool:
-    """Definitional form of the deficient-component condition: deleting any one
-    vertex must leave a unique perfect matching.  The self-test compares it
-    with the block test of ``every_ur_general``."""
-    for h in sorted(comp):
-        sub, _ = induced_subgraph(g, comp - {h})
-        if unique_perfect_matching(sub) is None:
-            return False
-    return True
 
 
 def every_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = False) -> RecognitionReport:

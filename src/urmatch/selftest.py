@@ -13,7 +13,7 @@ import sys
 from .decomposition import gallai_edmonds, verify_gallai_edmonds
 from .families import random_graph
 from .graph_core import Graph, bipartition, blocks_are_odd_cycles, induced_subgraph
-from .matching import maximum_matching
+from .matching import maximum_matching, unique_perfect_matching
 from .oracle import (
     DEFAULT_MAX_M,
     DEFAULT_MAX_N,
@@ -24,13 +24,23 @@ from .oracle import (
 )
 from .recognition import (
     _c_upm,
-    _component_all_near_perfect_unique,
     _unique_minus,
     every_ur,
     every_ur_general,
     some_ur,
 )
 from .ur_core import is_uniquely_restricted
+
+
+def _component_all_near_perfect_unique(g: Graph, comp: frozenset[int]) -> bool:
+    """Definitional form of the deficient-component condition: deleting any one
+    vertex must leave a unique perfect matching.  The self-test compares it
+    with the block test of ``every_ur_general``."""
+    for h in sorted(comp):
+        sub, _ = induced_subgraph(g, comp - {h})
+        if unique_perfect_matching(sub) is None:
+            return False
+    return True
 
 
 def _instance(g: Graph, max_n: int, max_m: int) -> list[str]:

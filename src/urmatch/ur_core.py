@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graph_core import Graph, validate_bipartition
-from .matching import Matching, _match_array, _peels_to_empty
+from .matching import Matching, _match_array, _peel
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,8 @@ def is_uniquely_restricted(g: Graph, m: Matching) -> bool:
     """True iff no other matching of g covers exactly the vertices of m.
 
     Equivalent formulation used here: m is the unique perfect matching of the
-    subgraph induced by its covered vertices, which the Kotzig peel decides
-    on m itself.  The empty matching qualifies.
+    subgraph induced by its covered vertices, which holds iff the Kotzig peel
+    ``_peel`` of m leaves nothing.  The empty matching qualifies.
     """
     _validate_matching_of(g, m)
     if not m.edges:
@@ -115,4 +115,4 @@ def is_uniquely_restricted(g: Graph, m: Matching) -> bool:
     alive = [False] * g.n
     for v in m.covered:
         alive[v] = True
-    return _peels_to_empty(g.adj, _match_array(g, m), alive)
+    return not _peel(g.adj, _match_array(g, m), alive)

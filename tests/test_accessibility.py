@@ -5,11 +5,19 @@ import pytest
 from hypothesis import given, settings
 
 from lemma_helpers import induced_matching_edges, is_accessibility_ordering
-from strategies import bipartite_graphs
-from urmatch.accessibility import find_e_good_ordering
+from ordering_reference import rescanning_ordering
+from strategies import bipartite_graphs, giant, linear_triangle_tree, sparse_graph_nm
+from urmatch.accessibility import _e_good_ordering, find_e_good_ordering
+from urmatch.decomposition import gallai_edmonds
 from urmatch.families import cycle_graph, path_graph, star_graph
-from urmatch.graph_core import bipartition, edge_key
-from urmatch.matching import max_independent_set_bipartite, maximum_matching
+from urmatch.graph_core import Graph, bipartition, edge_key
+from urmatch.matching import (
+    _koenig_independent,
+    max_independent_set_bipartite,
+    maximum_matching,
+    maximum_matching_bipartite,
+)
+from urmatch.recognition import allowed_edges
 
 
 def _is_matching(edges):
@@ -124,7 +132,8 @@ def test_no_ordering_on_even_cycles():
 
 
 def test_rng_tie_break_agreement():
-    # existence must not depend on which safe vertex the greedy picks
+    # existence must not depend on which safe vertex the greedy picks; the
+    # library picks the lowest, the reference a random one
     g = path_graph(8)
     sides = bipartition(g)
     i_set = frozenset({0, 2, 4, 6})
@@ -132,7 +141,7 @@ def test_rng_tie_break_agreement():
     base = find_e_good_ordering(g, sides, i_set, allowed)
     assert base is not None
     for seed in range(10):
-        got = find_e_good_ordering(g, sides, i_set, allowed, rng=random.Random(seed))
+        got = rescanning_ordering(g, i_set, allowed, rng=random.Random(seed))
         assert got is not None
         assert got.induced_matching.edges <= allowed
 
@@ -192,6 +201,55 @@ def test_success_independent_of_independent_set_choice(gs):
             for i_set in sets_
         }
         assert len(answers) == 1
+
+
+def _same_ordering(got, want):
+    if want is None:
+        return got is None
+    return got is not None and (got.sequence, got.p_map, got.induced_matching) == (
+        want.sequence, want.p_map, want.induced_matching)
+
+
+@settings(deadline=None, max_examples=80)
+@given(bipartite_graphs(max_side=4))
+def test_counter_core_equals_rescanning_reference(gs):
+    # every maximum independent set, so sets with vertices on both sides too:
+    # a neighbor of a newly seen vertex may then lie outside the set
+    g, _sides = gs
+    rng = random.Random(g.n)
+    edge_list = sorted(g.edges)
+    subsets = [set(edge_list), set(), {e for e in edge_list if rng.random() < 0.6}]
+    for i_set in _all_maximum_independent_sets(g):
+        for allowed in subsets:
+            want = rescanning_ordering(g, i_set, allowed)
+            assert _same_ordering(_e_good_ordering(g, i_set, allowed), want)
+
+
+def test_mixed_side_set_counts_only_its_own_vertices():
+    # I = {1, 2, 3} holds 3 from the far side; seeing 4 must not make the
+    # cover vertex 0 placeable
+    g = Graph.from_edges(5, [(0, 3), (0, 4), (1, 4)])
+    got = _e_good_ordering(g, frozenset({1, 2, 3}), set(g.edges))
+    assert got is not None and got.sequence == (1, 2, 3)
+    assert _same_ordering(got, rescanning_ordering(g, {1, 2, 3}, g.edges))
+
+
+def test_counter_core_equals_reference_on_gb_of_sparse_graphs():
+    # the orderings some_ur asks for, on giants of G(n, 1.5n) and on trees
+    # with pendant triangles; the giant at 4000 with seed 0 has none
+    graphs = [giant(sparse_graph_nm(n, 3 * n // 2, random.Random(seed)))
+              for n, seed in ((2000, 0), (4000, 0), (4000, 3), (8000, 0))]
+    graphs += [linear_triangle_tree(n, 0.25, random.Random(n)) for n in (1334, 2667, 5334)]
+    answers = []
+    for g in graphs:
+        ge = gallai_edmonds(g)
+        eligible = allowed_edges(g, ge)
+        i_max = _koenig_independent(ge.gb, ge.gb_sides,
+                                    maximum_matching_bipartite(ge.gb, ge.gb_sides))
+        want = rescanning_ordering(ge.gb, i_max, eligible)
+        assert _same_ordering(_e_good_ordering(ge.gb, i_max, eligible), want)
+        answers.append(want is None)
+    assert answers[1] and answers.count(True) < len(answers)
 
 
 def test_validation_rejects_bad_inputs():

@@ -16,7 +16,7 @@ from urmatch.families import cycle_graph, path_graph
 
 def _write(tmp_path, name, text):
     p = tmp_path / name
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8")
     return str(p)
 
 
@@ -55,6 +55,19 @@ def test_parse_graph_tolerates_comments_and_crlf():
         ("n 3\n0 1\n1 0\n", 3, "duplicate"),
         ("n 3\n1 1\n", 2, "loop"),
         ("n 3\n0 1 2\n", 2, "malformed edge"),
+        # ASCII decimal digits only, in the header and in edge lines alike
+        ("n 1_2\n", 1, "header"),
+        ("n +3\n", 1, "header"),
+        ("n \u00b2\n", 1, "header"),
+        ("n \uff13\n", 1, "header"),
+        ("n 12\n1_0 11\n", 2, "malformed edge"),
+        ("n 12\n+3 4\n", 2, "malformed edge"),
+        ("n 12\n3 -4\n", 2, "malformed edge"),
+        ("n 12\n\u0661 2\n", 2, "malformed edge"),
+        ("n 12\n0 \u00b2\n", 2, "malformed edge"),
+        # more digits than int() converts (or out of range where it converts any)
+        ("n " + "1" * 5000 + "\n", 1, ""),
+        ("n 3\n" + "1" * 5000 + " 1\n", 2, ""),
         ("", 1, "missing header"),
     ],
 )
@@ -142,6 +155,10 @@ def test_parse_error_exit_code(tmp_path, capsys):
     path = _write(tmp_path, "bad.g", "n 3\n0 9\n")
     assert main(["check", path, "--property", "some"]) == 2
     assert "line 2" in capsys.readouterr().err
+    for text, line_no in (("n \u00b2\n", 1), ("n 12\n1_0 11\n", 2), ("n 12\n+3 4\n", 2)):
+        path = _write(tmp_path, "digits.g", text)
+        assert main(["check", path, "--property", "some"]) == 2
+        assert f"line {line_no}" in capsys.readouterr().err
     assert main(["check", str(tmp_path / "missing.g"), "--property", "some"]) == 2
     capsys.readouterr()
 

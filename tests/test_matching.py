@@ -31,7 +31,6 @@ from urmatch.matching import (
     _greedy_seed,
     _max_match_array,
     _peel,
-    _peels_to_empty,
     edge_in_some_maximum_matching,
     is_factor_critical,
     max_independent_set_bipartite,
@@ -306,12 +305,12 @@ def test_peel_leaves_its_arguments_alone():
     g = path_graph(6)
     match = [1, 0, 3, 2, 5, 4]
     alive = [True] * 6
-    assert _peels_to_empty(g.adj, match, alive)
+    assert _peel(g.adj, match, alive) == []
     assert match == [1, 0, 3, 2, 5, 4] and alive == [True] * 6
     # masked vertices are not there: 1-2-3-4 with 0 and 5 deleted
     alive[0] = alive[5] = False
-    assert _peels_to_empty(g.adj, [-1, 2, 1, 4, 3, -1], alive)
-    assert not _peels_to_empty(cycle_graph(6).adj, match, [True] * 6)
+    assert _peel(g.adj, [-1, 2, 1, 4, 3, -1], alive) == []
+    assert _peel(cycle_graph(6).adj, match, [True] * 6) == list(range(6))
 
 
 def test_peel_remainder_is_per_component():

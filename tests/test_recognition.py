@@ -11,7 +11,9 @@ from strategies import (
     bipartite_graphs,
     giant,
     graphs,
+    linear_triangle_tree,
     random_graph_nm,
+    random_tree_edges,
     seeded_random_graphs,
     sparse_graph_nm,
 )
@@ -50,7 +52,6 @@ from urmatch.recognition import (
     GB_EDGE_MULTIPLE_NEIGHBORS,
     _ATTACHMENTS,
     _c_upm,
-    _component_all_near_perfect_unique,
     _perfect_minus,
     _unique_minus,
     allowed_edges,
@@ -59,6 +60,7 @@ from urmatch.recognition import (
     every_ur_general,
     some_ur,
 )
+from urmatch.selftest import _component_all_near_perfect_unique
 from urmatch.ur_core import is_uniquely_restricted
 
 
@@ -341,6 +343,19 @@ def test_large_d_component_without_good_h_is_fast(monkeypatch):
         assert len(calls) <= 5
     report = some_ur(square, all_failures=True)
     assert report.failures == (D_COMPONENT_NO_UNIQUE_PM_VERTEX,)
+
+
+def test_some_ur_scale_guard():
+    # the counter-driven ordering decides each in about 1 s; rescanning the
+    # unplaced vertices after each placement took 12 to 28 s
+    tree = Graph.from_edges(64000, random_tree_edges(64000, random.Random(64000)))
+    for g in (tree, linear_triangle_tree(42667, 0.25, random.Random(42667))):
+        assert g.n >= 64000
+        start = time.perf_counter()
+        report = some_ur(g)
+        assert time.perf_counter() - start < 5
+        assert report.answer
+        assert is_uniquely_restricted(g, report.witness)
 
 
 def test_decomposition_without_matching_is_refused():
