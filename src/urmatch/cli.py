@@ -14,7 +14,7 @@ import sys
 import time
 
 from .decomposition import gallai_edmonds
-from .graph_core import Graph, _adjacency
+from .graph_core import Graph
 from .matching import Matching
 from .oracle import DEFAULT_MAX_M, DEFAULT_MAX_N, GuardLimitError, oracle_every_ur, oracle_some_ur
 from .recognition import InternalCheckError, RecognitionReport, every_ur, some_ur
@@ -39,6 +39,7 @@ def parse_graph(text: str) -> Graph:
     """
     n = None
     seen: set[tuple[int, int]] = set()
+    nbrs: list[list[int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -53,6 +54,7 @@ def parse_graph(text: str) -> Graph:
                 raise GraphParseError("vertex count has too many digits", line_no) from None
             if n > MAX_VERTICES:
                 raise GraphParseError(f"vertex count {n} exceeds the limit {MAX_VERTICES}", line_no)
+            nbrs = [[] for _ in range(n)]
             continue
         # ASCII decimal digits only: int() would also take "1_0", "+3" and "²"
         if len(parts) != 2 or not (line.isascii() and parts[0].isdigit() and parts[1].isdigit()):
@@ -69,10 +71,14 @@ def parse_graph(text: str) -> Graph:
         if key in seen:
             raise GraphParseError(f"duplicate edge ({key[0]}, {key[1]})", line_no)
         seen.add(key)
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     if n is None:
         raise GraphParseError("missing header 'n <count>'", 1)
-    # the pairs are in range, normalized and distinct: no second pass
-    return Graph(n, frozenset(seen), _adjacency(n, seen))
+    # the pairs are in range, normalized and distinct: only the lists' order is left
+    for row in nbrs:
+        row.sort()
+    return Graph(n, frozenset(seen), tuple(map(tuple, nbrs)))
 
 
 def render_graph(g: Graph) -> str:
@@ -86,12 +92,13 @@ def _parse_matching_arg(g: Graph, text: str) -> Matching:
     text = text.strip()
     if text:
         for part in text.split(","):
-            bits = part.strip().split("-")
-            if len(bits) != 2:
+            bits = [b.strip() for b in part.strip().split("-")]
+            # ASCII decimal digits only, as in graph files
+            if len(bits) != 2 or not all(b.isascii() and b.isdigit() for b in bits):
                 raise ValueError(f"malformed matching edge {part.strip()!r}")
             try:
-                edges.append((int(bits[0].strip()), int(bits[1].strip())))
-            except ValueError:
+                edges.append((int(bits[0]), int(bits[1])))
+            except ValueError:  # more digits than int() converts
                 raise ValueError(f"malformed matching edge {part.strip()!r}") from None
     return Matching.from_edges(g, edges)
 

@@ -3,7 +3,10 @@
 Vertices are dense integer ids ``0..n-1``.  Every operation iterates vertices
 and neighbors in ascending id order, so outputs are deterministic for a fixed
 input.  Induced subgraphs are new values that carry a map back to the
-original vertex ids.
+original vertex ids.  The forest, two-coloring and block tests run on an
+adjacency and a vertex mask (``_is_forest``, ``_side_a``,
+``_odd_cycle_blocks``), so callers can test part of a graph without
+building it; the public functions are their whole-graph wrappers.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ class Graph:
     Use :meth:`from_edges` to construct one from outside data; library code
     that already holds normalized data (pairs in range with ``u < v`` and
     ascending adjacency that lists exactly those pairs) may call the
-    constructor directly, as :func:`induced_subgraph` does; the graph-file
-    parser builds its adjacency with :func:`_adjacency`.
+    constructor directly, as :func:`induced_subgraph` and the graph-file
+    parser do.
     """
 
     n: int
@@ -127,27 +130,52 @@ def connected_components(g: Graph, vertices: Iterable[int] | None = None) -> lis
     return out
 
 
+def _is_forest(adj, keep) -> bool:
+    """Whether the subgraph of ``adj`` induced by the vertices marked in
+    ``keep`` has no cycle: one search per component, which is a tree iff it
+    has one edge fewer than vertices."""
+    todo = list(keep)
+    for start in range(len(adj)):
+        if not todo[start]:
+            continue
+        todo[start] = False
+        comp = [start]
+        ends = 0
+        for v in comp:  # the loop also visits vertices appended while it runs
+            for w in adj[v]:
+                if keep[w]:
+                    ends += 1
+                    if todo[w]:
+                        todo[w] = False
+                        comp.append(w)
+        if ends != 2 * len(comp) - 2:
+            return False
+    return True
+
+
 def is_forest(g: Graph) -> bool:
     """True iff the graph contains no cycle."""
-    seen = [False] * g.n
-    for start in range(g.n):
-        if seen[start]:
+    return _is_forest(g.adj, [True] * g.n)
+
+
+def _side_a(adj) -> list[bool] | None:
+    """The side-A mask of the 2-coloring of ``bipartition``, or None if the
+    graph has an odd cycle."""
+    color: list[bool | None] = [None] * len(adj)
+    for start in range(len(adj)):
+        if color[start] is not None:
             continue
-        seen[start] = True
-        # BFS; meeting an already-seen vertex other than the parent closes a cycle
-        queue = deque([(start, -1)])
-        while queue:
-            v, parent = queue.popleft()
-            for w in g.adj[v]:
-                if w == parent:
-                    # simple graph: at most one edge back to the parent
-                    parent = -1
-                    continue
-                if seen[w]:
-                    return False
-                seen[w] = True
-                queue.append((w, v))
-    return True
+        color[start] = True
+        queue = [start]
+        for v in queue:  # the loop also visits vertices appended while it runs
+            c = not color[v]
+            for w in adj[v]:
+                if color[w] is None:
+                    color[w] = c
+                    queue.append(w)
+                elif color[w] != c:
+                    return None
+    return color
 
 
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -156,23 +184,11 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
     In each connected component the lowest-id vertex goes to side A; isolated
     vertices therefore all end up in A.
     """
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.adj[v]:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    side_a = frozenset(v for v in range(g.n) if color[v] == 0)
-    side_b = frozenset(v for v in range(g.n) if color[v] == 1)
-    return side_a, side_b
+    in_a = _side_a(g.adj)
+    if in_a is None:
+        return None
+    return (frozenset(v for v in range(g.n) if in_a[v]),
+            frozenset(v for v in range(g.n) if not in_a[v]))
 
 
 def validate_bipartition(g: Graph, sides: tuple[Iterable[int], Iterable[int]]) -> tuple[frozenset[int], frozenset[int]]:
@@ -188,53 +204,68 @@ def validate_bipartition(g: Graph, sides: tuple[Iterable[int], Iterable[int]]) -
     return side_a, side_b
 
 
+def _blocks(adj, keep):
+    """The blocks of the subgraph of ``adj`` induced by the vertices marked
+    in ``keep``, one edge list each, as an iterative Hopcroft-Tarjan search
+    with an edge stack finishes them.  A bridge is a one-edge block."""
+    n = len(adj)
+    disc = [0] * n  # discovery times from 1; 0 means unvisited
+    low = [0] * n
+    clock = 0
+    edges: list[tuple[int, int]] = []
+    for root in range(n):
+        if not keep[root] or disc[root]:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, p, it = stack[-1]
+            for w in it:
+                if w == p or not keep[w]:
+                    continue
+                if disc[w]:
+                    if disc[w] < disc[v]:  # a back edge, met from its lower end
+                        edges.append((v, w))
+                        if disc[w] < low[v]:
+                            low[v] = disc[w]
+                else:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    edges.append((v, w))
+                    stack.append((w, v, iter(adj[w])))
+                    break
+            else:
+                stack.pop()
+                if p == -1:
+                    continue
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:  # p separates the block of edge pv: pop it
+                    i = len(edges) - 1
+                    while edges[i] != (p, v):
+                        i -= 1
+                    yield edges[i:]
+                    del edges[i:]
+
+
 def biconnected_blocks(g: Graph) -> list[frozenset[tuple[int, int]]]:
     """Edge sets of the biconnected blocks (bridges are single-edge blocks).
 
     The blocks partition the edge set; isolated vertices contribute none.
-    Iterative Hopcroft-Tarjan DFS with an edge stack.
     """
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    blocks: list[frozenset[tuple[int, int]]] = []
-    edge_stack: list[tuple[int, int]] = []
-    clock = 0
-    for root in range(n):
-        if disc[root] != -1 or g.degree(root) == 0:
-            continue
-        disc[root] = low[root] = clock
-        clock += 1
-        frames: list[tuple[int, int, Iterable[int]]] = [(root, -1, iter(g.adj[root]))]
-        while frames:
-            v, parent, it = frames[-1]
-            w = next(it, None)  # type: ignore[arg-type]
-            if w is None:
-                frames.pop()
-                if parent != -1:
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                    if low[v] >= disc[parent]:
-                        # parent is an articulation point (or the root): pop one block
-                        block = []
-                        while True:
-                            e = edge_stack.pop()
-                            block.append(edge_key(*e))
-                            if e == (parent, v):
-                                break
-                        blocks.append(frozenset(block))
-                continue
-            if disc[w] == -1:
-                edge_stack.append((v, w))
-                disc[w] = low[w] = clock
-                clock += 1
-                frames.append((w, v, iter(g.adj[w])))
-            elif w != parent and disc[w] < disc[v]:
-                # back edge to a proper ancestor
-                edge_stack.append((v, w))
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-    return blocks
+    return [frozenset(edge_key(*e) for e in block) for block in _blocks(g.adj, [True] * g.n)]
+
+
+def _odd_cycle_blocks(adj, keep) -> bool:
+    """Whether every block of the subgraph of ``adj`` induced by the
+    vertices marked in ``keep`` is an odd cycle: a block is a cycle iff it
+    has as many edges as vertices, and a bridge never is.  The search stops
+    at the first block that fails."""
+    for block in _blocks(adj, keep):
+        if len(block) % 2 == 0 or len(block) != len({x for e in block for x in e}):
+            return False
+    return True
 
 
 def blocks_are_odd_cycles(g: Graph) -> bool:
@@ -245,12 +276,4 @@ def blocks_are_odd_cycles(g: Graph) -> bool:
     """
     if len(connected_components(g)) != 1:
         raise ValueError("blocks_are_odd_cycles requires a connected graph")
-    for block in biconnected_blocks(g):
-        verts = set()
-        for u, v in block:
-            verts.add(u)
-            verts.add(v)
-        # a 2-connected block is a cycle iff |E| == |V|; a bridge never is
-        if len(block) != len(verts) or len(block) % 2 == 0:
-            return False
-    return True
+    return _odd_cycle_blocks(g.adj, [True] * g.n)

@@ -2,7 +2,9 @@
 
 One alternating-forest search with union-find blossoms (Edmonds) serves the
 general matcher, the Gallai-Edmonds labelling and the deletion test of edges
-in some maximum matching; bipartite graphs use Hopcroft-Karp.  The general
+in some maximum matching; bipartite graphs use Hopcroft-Karp
+(``_hopcroft_karp``), whose mate array also gives the Koenig independent
+set (``_koenig_independent``).  The general
 matcher seeds with the degree-1 rule of Karp & Sipser, then searches from
 each vertex left free, lowest first, on arrays allocated once: a search that
 augments resets only what it labelled, and the Hungarian tree of one that
@@ -262,13 +264,14 @@ def maximum_matching(g: Graph) -> Matching:
     return _matching_from_array(g, _max_match_array(g))
 
 
-def maximum_matching_bipartite(g: Graph, sides) -> Matching:
-    """Maximum matching of a bipartite graph via Hopcroft-Karp on ``sides``."""
-    side_a, _ = validate_bipartition(g, sides)
-    a_list = sorted(side_a)
-    mate = [-1] * g.n
-    inf = g.n + 1
-    dist = [inf] * g.n
+def _hopcroft_karp(adj, a_list) -> list[int]:
+    """The mate array (-1 for a free vertex) of a maximum matching of the
+    bipartite graph ``adj`` whose side A is ``a_list``, ascending: phases of
+    one BFS layering from the free A vertices and one DFS from each."""
+    n = len(adj)
+    mate = [-1] * n
+    inf = n + 1
+    dist = [inf] * n
 
     def bfs() -> bool:
         queue = deque()
@@ -282,7 +285,7 @@ def maximum_matching_bipartite(g: Graph, sides) -> Matching:
         while queue:
             a = queue.popleft()
             if dist[a] < found:
-                for b in g.adj[a]:
+                for b in adj[a]:
                     nxt = mate[b]
                     if nxt == -1:
                         found = dist[a] + 1
@@ -292,7 +295,7 @@ def maximum_matching_bipartite(g: Graph, sides) -> Matching:
         return found != inf
 
     def try_augment(root: int) -> bool:
-        frames = [(root, iter(g.adj[root]))]
+        frames = [(root, iter(adj[root]))]
         pending: list[tuple[int, int]] = []
         while frames:
             a, it = frames[-1]
@@ -308,7 +311,7 @@ def maximum_matching_bipartite(g: Graph, sides) -> Matching:
                     return True
                 if dist[nxt] == dist[a] + 1:
                     pending.append((a, b))
-                    frames.append((nxt, iter(g.adj[nxt])))
+                    frames.append((nxt, iter(adj[nxt])))
                     moved = True
                     break
             if moved:
@@ -323,7 +326,13 @@ def maximum_matching_bipartite(g: Graph, sides) -> Matching:
         for a in a_list:
             if mate[a] == -1:
                 try_augment(a)
-    return _matching_from_array(g, mate)
+    return mate
+
+
+def maximum_matching_bipartite(g: Graph, sides) -> Matching:
+    """Maximum matching of a bipartite graph via Hopcroft-Karp on ``sides``."""
+    side_a, _ = validate_bipartition(g, sides)
+    return _matching_from_array(g, _hopcroft_karp(g.adj, sorted(side_a)))
 
 
 def edge_in_some_maximum_matching(g: Graph, e: tuple[int, int]) -> bool:
@@ -566,29 +575,29 @@ def is_factor_critical(g: Graph) -> bool:
     return all(x == _EVEN for x in _edmonds_labels(g.adj, match))
 
 
-def _koenig_independent(g: Graph, sides, m: Matching) -> frozenset[int]:
-    """The maximum independent set of bipartite g that complements the
-    Koenig vertex cover built from its maximum matching m; ``sides`` must
-    be valid frozensets."""
-    side_a, side_b = sides
-    # alternating reachability from the unmatched left vertices
-    reach_a = set(sorted(side_a - m.covered))
-    reach_b: set[int] = set()
-    queue = deque(sorted(reach_a))
-    while queue:
-        a = queue.popleft()
-        for b in g.adj[a]:
-            if b not in reach_b and m.mate.get(a) != b:
-                reach_b.add(b)
-                a2 = m.mate.get(b)
-                if a2 is not None and a2 not in reach_a:
-                    reach_a.add(a2)
+def _koenig_independent(adj, in_a, mate) -> frozenset[int]:
+    """The maximum independent set of a bipartite graph, side A marked in
+    ``in_a``, that complements the Koenig cover of its maximum matching
+    ``mate``: the cover is the A-vertices that the alternating search from
+    the free A-vertices misses and the B-vertices it reaches, so v is in the
+    set iff ``reach[v] == in_a[v]``, isolated vertices of both sides too."""
+    reach = [False] * len(adj)
+    queue = [a for a, inside in enumerate(in_a) if inside and mate[a] == -1]
+    for a in queue:
+        reach[a] = True
+    for a in queue:  # the loop also visits vertices appended while it runs
+        for b in adj[a]:
+            if not reach[b]:  # b is not a's mate, which reached a
+                reach[b] = True
+                a2 = mate[b]
+                if a2 != -1:
+                    reach[a2] = True
                     queue.append(a2)
-    # minimum vertex cover = (A \ reach) | (B & reach); independent set = complement
-    return frozenset((side_a & reach_a) | (side_b - reach_b))
+    return frozenset(v for v, r in enumerate(reach) if r == in_a[v])
 
 
 def max_independent_set_bipartite(g: Graph, sides) -> frozenset[int]:
     """A maximum independent set of a bipartite graph (complement of a Koenig cover)."""
-    sides = validate_bipartition(g, sides)
-    return _koenig_independent(g, sides, maximum_matching_bipartite(g, sides))
+    side_a, _ = validate_bipartition(g, sides)
+    in_a = [v in side_a for v in range(g.n)]
+    return _koenig_independent(g.adj, in_a, _hopcroft_karp(g.adj, sorted(side_a)))

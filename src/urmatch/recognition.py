@@ -3,7 +3,11 @@
 ``some_ur``: does some maximum matching of g admit no second matching on the
 same vertex set?  ``every_ur``: do all of them?  Both reduce to structural
 conditions on the Gallai-Edmonds decomposition; yes-instances of ``some_ur``
-come with an explicit witness matching that callers can re-verify.
+come with an explicit witness matching that callers can re-verify.  The
+``every_ur`` route works on arrays and masks over g's and gb's adjacency:
+one two-coloring, one Hopcroft-Karp mate array, D(M)'s acyclicity and the
+forest tests of its closures, and one block search kept inside D; only the
+public entry points validate what they are given.
 
 Failure tags form a closed set of stable strings; a report names the first
 violated condition, and all violated conditions when diagnostics are requested.
@@ -15,26 +19,19 @@ from dataclasses import dataclass
 
 from .accessibility import _e_good_ordering
 from .decomposition import GallaiEdmonds, gallai_edmonds
-from .graph_core import (
-    Graph,
-    bipartition,
-    blocks_are_odd_cycles,
-    edge_key,
-    induced_subgraph,
-    is_forest,
-)
+from .graph_core import Graph, _is_forest, _odd_cycle_blocks, _side_a, edge_key, validate_bipartition
 from .matching import (
     InternalCheckError,
     Matching,
     _EVEN,
     _alternating_cycle,
+    _hopcroft_karp,
     _koenig_independent,
     _peel,
     _search,
-    maximum_matching_bipartite,
     unique_perfect_matching,  # noqa: F401  read as recognition.unique_perfect_matching by perfbench
 )
-from .ur_core import build_matching_digraph, is_acyclic
+from .ur_core import _arcs, _reach, is_acyclic
 
 C_COMPONENT_PM_NOT_UNIQUE = "c_component_pm_not_unique"
 GB_NO_UR_MATCHING_WITHIN_E = "gb_no_ur_matching_within_E"
@@ -86,6 +83,13 @@ def _attachments(g: Graph, ge: GallaiEdmonds) -> dict[tuple[int, int], list[int]
                     out.setdefault((a, comp_of[w]), []).append(w)
         ge.upms[_ATTACHMENTS] = out
     return ge.upms[_ATTACHMENTS]
+
+
+def _gb_matching(ge: GallaiEdmonds) -> tuple[list[bool], list[int]]:
+    """gb's side-A mask and the mate array of Hopcroft-Karp on gb.
+    ``_contract`` built gb and its sides, so they are not validated again."""
+    side_a = ge.gb_sides[0]
+    return [v in side_a for v in range(ge.gb.n)], _hopcroft_karp(ge.gb.adj, sorted(side_a))
 
 
 def _decomposed(g: Graph, ge: GallaiEdmonds | None) -> GallaiEdmonds:
@@ -232,7 +236,7 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     # condition 2: gb has a maximum uniquely restricted matching inside the
     # eligible edges; equivalent to an ordering of a maximum independent set
     eligible = allowed_edges(g, ge)
-    i_max = _koenig_independent(ge.gb, ge.gb_sides, maximum_matching_bipartite(ge.gb, ge.gb_sides))
+    i_max = _koenig_independent(ge.gb.adj, *_gb_matching(ge))
     ordering = _e_good_ordering(ge.gb, i_max, eligible)
     if ordering is None:
         failures.append(GB_NO_UR_MATCHING_WITHIN_E)
@@ -285,31 +289,40 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     return RecognitionReport("some_ur", True, witness, None, ())
 
 
-def every_ur_bipartite(g: Graph, sides, *, all_failures: bool = False) -> RecognitionReport:
-    """Bipartite decider: every maximum matching is uniquely restricted iff the
-    orientation of one maximum matching is acyclic and both reachability
-    closures induce forests.  The closures do not depend on which maximum
-    matching is chosen."""
-    m = maximum_matching_bipartite(g, sides)
-    md = build_matching_digraph(g, sides, m)
-    failures: list[str] = []
-    if not is_acyclic(md.succ):
+def _every_bipartite(adj, in_a, mate, all_failures: bool) -> list[str]:
+    """The failure tags of the bipartite every-test, side A marked in
+    ``in_a`` and a maximum matching M in ``mate``: every maximum matching
+    is uniquely restricted iff D(M) is acyclic and its closures V+ and V-
+    induce forests, whichever maximum matching M is.  Without
+    ``all_failures`` the list stops at the first tag."""
+    failures = []
+    if not is_acyclic(_arcs(adj, in_a, mate, True)):
         failures.append(GB_DIGRAPH_CYCLIC)
         if not all_failures:
-            return RecognitionReport("every_ur", False, None, failures[0], tuple(failures))
-    plus_sub, _ = induced_subgraph(g, md.v_plus)
-    if not is_forest(plus_sub):
+            return failures
+    if not _is_forest(adj, _reach(adj, in_a, mate, True)):
         failures.append(V_PLUS_NOT_FOREST)
         if not all_failures:
-            return RecognitionReport("every_ur", False, None, failures[0], tuple(failures))
-    minus_sub, _ = induced_subgraph(g, md.v_minus)
-    if not is_forest(minus_sub):
+            return failures
+    if not _is_forest(adj, _reach(adj, in_a, mate, False)):
         failures.append(V_MINUS_NOT_FOREST)
-        if not all_failures:
-            return RecognitionReport("every_ur", False, None, failures[0], tuple(failures))
+    return failures
+
+
+def _every_report(failures: list[str]) -> RecognitionReport:
     if failures:
         return RecognitionReport("every_ur", False, None, failures[0], tuple(failures))
     return RecognitionReport("every_ur", True, None, None, ())
+
+
+def every_ur_bipartite(g: Graph, sides, *, all_failures: bool = False) -> RecognitionReport:
+    """Bipartite decider: every maximum matching is uniquely restricted iff the
+    orientation of one maximum matching is acyclic and both reachability
+    closures induce forests."""
+    side_a, _ = validate_bipartition(g, sides)
+    in_a = [v in side_a for v in range(g.n)]
+    mate = _hopcroft_karp(g.adj, sorted(side_a))
+    return _every_report(_every_bipartite(g.adj, in_a, mate, all_failures))
 
 
 def every_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = False) -> RecognitionReport:
@@ -318,9 +331,10 @@ def every_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = 
     Bipartite inputs take the direct bipartite decider, all others the
     general route through the decomposition.
     """
-    parts = bipartition(g)
-    if parts is not None:
-        return every_ur_bipartite(g, parts, all_failures=all_failures)
+    in_a = _side_a(g.adj)
+    if in_a is not None:
+        a_list = [v for v in range(g.n) if in_a[v]]
+        return _every_report(_every_bipartite(g.adj, in_a, _hopcroft_karp(g.adj, a_list), all_failures))
     return every_ur_general(g, ge=ge, all_failures=all_failures)
 
 
@@ -345,28 +359,23 @@ def every_ur_general(
         if _c_upm(g, ge, ci) is None:
             failures.append(C_COMPONENT_PM_NOT_UNIQUE)
             if not all_failures:
-                return RecognitionReport("every_ur", False, None, failures[0], tuple(failures))
+                return _every_report(failures)
             break
 
-    for comp in ge.d_components:
-        # a single vertex has no blocks
-        if len(comp) > 1 and not blocks_are_odd_cycles(induced_subgraph(g, comp)[0]):
-            failures.append(D_COMPONENT_BLOCKS_NOT_ODD_CYCLES)
-            if not all_failures:
-                return RecognitionReport("every_ur", False, None, failures[0], tuple(failures))
-            break
+    # one block search over g's adjacency, kept inside D
+    if not _odd_cycle_blocks(g.adj, [v in ge.d_set for v in range(g.n)]):
+        failures.append(D_COMPONENT_BLOCKS_NOT_ODD_CYCLES)
+        if not all_failures:
+            return _every_report(failures)
 
-    gb_report = every_ur_bipartite(ge.gb, ge.gb_sides, all_failures=all_failures)
-    if not gb_report.answer:
+    if _every_bipartite(ge.gb.adj, *_gb_matching(ge), all_failures=False):
         failures.append(GB_EVERY_MAX_MATCHING_NOT_UR)
         if not all_failures:
-            return RecognitionReport("every_ur", False, None, failures[0], tuple(failures))
+            return _every_report(failures)
 
     if any(len(nbrs) > 1 for nbrs in _attachments(g, ge).values()):
         failures.append(GB_EDGE_MULTIPLE_NEIGHBORS)
         if not all_failures:
-            return RecognitionReport("every_ur", False, None, failures[0], tuple(failures))
+            return _every_report(failures)
 
-    if failures:
-        return RecognitionReport("every_ur", False, None, failures[0], tuple(failures))
-    return RecognitionReport("every_ur", True, None, None, ())
+    return _every_report(failures)

@@ -12,7 +12,7 @@ import sys
 
 from .decomposition import gallai_edmonds, verify_gallai_edmonds
 from .families import random_graph
-from .graph_core import Graph, bipartition, blocks_are_odd_cycles, induced_subgraph
+from .graph_core import Graph, _odd_cycle_blocks, bipartition, induced_subgraph
 from .matching import maximum_matching, unique_perfect_matching
 from .oracle import (
     DEFAULT_MAX_M,
@@ -35,7 +35,8 @@ from .ur_core import is_uniquely_restricted
 def _component_all_near_perfect_unique(g: Graph, comp: frozenset[int]) -> bool:
     """Definitional form of the deficient-component condition: deleting any one
     vertex must leave a unique perfect matching.  The self-test compares it
-    with the block test of ``every_ur_general``."""
+    with the block search that ``every_ur_general`` runs on D, kept inside
+    the one component."""
     for h in sorted(comp):
         sub, _ = induced_subgraph(g, comp - {h})
         if unique_perfect_matching(sub) is None:
@@ -60,9 +61,9 @@ def _instance(g: Graph, max_n: int, max_m: int) -> list[str]:
         if every_ur_general(g, ge=ge).answer != re.answer:
             problems.append("bipartite and general every_ur routes disagree")
     for comp in ge.d_components:
-        by_blocks = blocks_are_odd_cycles(induced_subgraph(g, comp)[0])
+        by_blocks = _odd_cycle_blocks(g.adj, [v in comp for v in range(g.n)])
         if by_blocks != _component_all_near_perfect_unique(g, comp):
-            problems.append(f"block test (blocks_are_odd_cycles = {by_blocks}) disagrees with "
+            problems.append(f"block test (_odd_cycle_blocks = {by_blocks}) disagrees with "
                             f"the per-vertex test on component {sorted(comp)}")
     # the deciders' uniqueness tests, on every set they may ask about
     tested = [(comp, _c_upm(g, ge, ci) is not None) for ci, comp in enumerate(ge.c_components)]

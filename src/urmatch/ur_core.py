@@ -3,8 +3,10 @@
 For a bipartite graph with sides (A, B) and a matching M, the digraph D(M)
 orients every non-matching edge from A to B and every matching edge from B to
 A.  Directed cycles of D(M) are exactly the M-alternating cycles, so M is
-uniquely restricted iff D(M) is acyclic; the bipartite every-decider and
-the verifier's surplus check read D(M) and its reachability closures.  The
+uniquely restricted iff D(M) is acyclic.  ``_arcs`` and ``_reach`` give
+D(M)'s lists and the masks of its reachability closures from a side mask
+and a mate array; the bipartite every-test runs on them directly, and
+``build_matching_digraph`` wraps them for a given ``Matching``.  The
 general-graph UR test below does not use the digraph: M is uniquely
 restricted iff it is the unique perfect matching of g[V(M)].
 """
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
 from .graph_core import Graph, validate_bipartition
 from .matching import Matching, _match_array, _peel
@@ -45,41 +46,46 @@ def _validate_matching_of(g: Graph, m: Matching) -> None:
     # Matching.from_edges already guarantees disjointness and the mate map
 
 
-def _closure(n: int, adj: list[tuple[int, ...]], sources: Iterable[int]) -> frozenset[int]:
-    seen = [False] * n
-    queue = deque()
-    for s in sorted(sources):
-        if not seen[s]:
-            seen[s] = True
-            queue.append(s)
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
+def _arcs(adj, in_a, mate, forward: bool) -> list[list[int]]:
+    """D(M)'s successor lists when ``forward``, else its predecessor lists,
+    for side A marked in ``in_a`` and M in ``mate`` (-1 for free).  u -> w
+    iff u lies on side A xor uw is the matching edge at u: an A-vertex
+    points along its non-matching edges, a B-vertex along its matching one."""
+    out = []
+    for u, nbrs in enumerate(adj):
+        m = mate[u]
+        if in_a[u] == forward:
+            out.append([w for w in nbrs if w != m])
+        else:
+            out.append([m] if m != -1 else [])
+    return out
+
+
+def _reach(adj, in_a, mate, forward: bool) -> list[bool]:
+    """The mask of V+ (all that D(M) reaches from the free A-vertices, these
+    included) when ``forward``, else of V- (all that reaches a free
+    B-vertex): a search along the arcs of ``_arcs``, without their lists."""
+    seen = [m == -1 and side == forward for side, m in zip(in_a, mate)]
+    queue = [v for v, s in enumerate(seen) if s]
+    for u in queue:  # the loop also visits vertices appended while it runs
+        m = mate[u]
+        for w in adj[u] if in_a[u] == forward else ((m,) if m != -1 else ()):
             if not seen[w]:
                 seen[w] = True
                 queue.append(w)
-    return frozenset(v for v in range(n) if seen[v])
+    return seen
 
 
 def build_matching_digraph(g: Graph, sides, m: Matching) -> MatchingDigraph:
     side_a, side_b = validate_bipartition(g, sides)
     _validate_matching_of(g, m)
-    succ: list[tuple[int, ...]] = []
-    pred: list[tuple[int, ...]] = []
-    for u in range(g.n):
-        # u -> w iff u lies on side A xor uw is the matching edge at u
-        forward = u in side_a
-        mate = m.mate.get(u)
-        out, inn = [], []
-        for w in g.adj[u]:
-            (out if forward != (w == mate) else inn).append(w)
-        succ.append(tuple(out))
-        pred.append(tuple(inn))
-    a0 = side_a - m.covered
-    b0 = side_b - m.covered
-    v_plus = _closure(g.n, succ, a0)
-    v_minus = _closure(g.n, pred, b0)
-    return MatchingDigraph(tuple(succ), tuple(pred), a0, b0, v_plus, v_minus)
+    in_a = [v in side_a for v in range(g.n)]
+    mate = _match_array(g, m)
+    succ = tuple(map(tuple, _arcs(g.adj, in_a, mate, True)))
+    pred = tuple(map(tuple, _arcs(g.adj, in_a, mate, False)))
+    v_plus, v_minus = (frozenset(v for v, r in enumerate(_reach(g.adj, in_a, mate, f)) if r)
+                       for f in (True, False))
+    return MatchingDigraph(succ, pred, side_a - m.covered, side_b - m.covered, v_plus, v_minus)
 
 
 def is_acyclic(succ: tuple[tuple[int, ...], ...]) -> bool:

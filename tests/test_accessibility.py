@@ -15,9 +15,8 @@ from urmatch.matching import (
     _koenig_independent,
     max_independent_set_bipartite,
     maximum_matching,
-    maximum_matching_bipartite,
 )
-from urmatch.recognition import allowed_edges
+from urmatch.recognition import _gb_matching, allowed_edges
 
 
 def _is_matching(edges):
@@ -244,8 +243,7 @@ def test_counter_core_equals_reference_on_gb_of_sparse_graphs():
     for g in graphs:
         ge = gallai_edmonds(g)
         eligible = allowed_edges(g, ge)
-        i_max = _koenig_independent(ge.gb, ge.gb_sides,
-                                    maximum_matching_bipartite(ge.gb, ge.gb_sides))
+        i_max = _koenig_independent(ge.gb.adj, *_gb_matching(ge))
         want = rescanning_ordering(ge.gb, i_max, eligible)
         assert _same_ordering(_e_good_ordering(ge.gb, i_max, eligible), want)
         answers.append(want is None)

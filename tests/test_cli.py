@@ -196,6 +196,16 @@ def test_is_ur_subcommand(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ["1_0-1", "+0-1", "\u0661-0", "0-\u00b2", "0-1-2", "0-", "9" * 5000 + "-0"])
+def test_is_ur_rejects_malformed_matching_edges(tmp_path, capsys, text):
+    # int() would read these as (10, 1), (0, 1) and (1, 0): all edges here
+    path = _write(tmp_path, "g.g", "n 11\n0 1\n1 10\n")
+    assert main(["is-ur", path, "--matching", text]) == 2
+    assert "malformed matching edge" in capsys.readouterr().err
+    assert main(["is-ur", path, "--matching", " 1 - 10 "]) == 0
+    assert capsys.readouterr().out == "true\n"
+
+
 def test_decompose_json(tmp_path, capsys):
     path = _write(tmp_path, "s.g", "n 4\n0 1\n0 2\n0 3\n")
     assert main(["decompose", path, "--json"]) == 0
@@ -249,10 +259,11 @@ def test_selftest_rejects_negative_counts(argv, capsys):
 
 def test_selftest_counts_block_test_disagreement(capsys, monkeypatch):
     # K5 is factor-critical but its one block is not an odd cycle
-    monkeypatch.setattr(selftest, "blocks_are_odd_cycles", lambda g: True)
+    monkeypatch.setattr(selftest, "_odd_cycle_blocks", lambda adj, keep: True)
     assert main(["selftest", "--nmax", "5", "--random", "0"]) == 4
     captured = capsys.readouterr()
-    assert "blocks_are_odd_cycles" in captured.err
+    assert "block test (_odd_cycle_blocks = True) disagrees" in captured.err
+    assert "component [0, 1, 2, 3, 4]" in captured.err
     assert "0 disagreements" not in captured.out
 
 

@@ -1,0 +1,135 @@
+"""The array cores of the every route against the object routes they replace
+(``every_reference``): the bipartite test on gb, and the block search on D."""
+
+import random
+
+from hypothesis import given, settings
+
+from every_reference import blocks_odd_by_networkx, closure, every_bipartite_by_objects
+from strategies import bipartite_graphs, giant, graphs, linear_triangle_tree, seeded_random_graphs, sparse_graph_nm
+from urmatch.decomposition import gallai_edmonds
+from urmatch.families import bowtie_graph, complete_graph, cycle_graph, path_graph
+from urmatch.graph_core import Graph, _odd_cycle_blocks, blocks_are_odd_cycles, induced_subgraph
+from urmatch.matching import _hopcroft_karp, maximum_matching_bipartite
+from urmatch.oracle import enumerate_labeled_graphs
+from urmatch.recognition import (
+    D_COMPONENT_BLOCKS_NOT_ODD_CYCLES,
+    _every_bipartite,
+    _gb_matching,
+    every_ur_general,
+)
+from urmatch.ur_core import _reach, build_matching_digraph
+
+
+def _array_route(g, sides, all_failures):
+    in_a = [v in sides[0] for v in range(g.n)]
+    return _every_bipartite(g.adj, in_a, _hopcroft_karp(g.adj, sorted(sides[0])), all_failures)
+
+
+@settings(deadline=None, max_examples=200)
+@given(bipartite_graphs(max_side=6))
+def test_every_bipartite_equals_object_route(gs):
+    g, sides = gs
+    for s in (sides, sides[::-1]):
+        for all_failures in (False, True):
+            assert _array_route(g, s, all_failures) == every_bipartite_by_objects(g, s, all_failures)
+
+
+@settings(deadline=None, max_examples=100)
+@given(bipartite_graphs(max_side=6))
+def test_reach_masks_equal_closures_of_the_digraph(gs):
+    g, sides = gs
+    md = build_matching_digraph(g, sides, maximum_matching_bipartite(g, sides))
+    in_a = [v in sides[0] for v in range(g.n)]
+    mate = _hopcroft_karp(g.adj, sorted(sides[0]))
+    for forward, lists, sources, want in ((True, md.succ, md.a0, md.v_plus),
+                                          (False, md.pred, md.b0, md.v_minus)):
+        mask = _reach(g.adj, in_a, mate, forward)
+        assert frozenset(v for v in range(g.n) if mask[v]) == closure(lists, sources) == want
+
+
+def test_every_bipartite_on_gb_of_sparse_graphs():
+    # the gb of giants of G(n, 1.5n) and of trees with pendant triangles
+    graphs_ = [giant(sparse_graph_nm(n, 3 * n // 2, random.Random(seed)))
+               for n, seed in ((2000, 0), (4000, 3), (8000, 0))]
+    graphs_ += [linear_triangle_tree(n, 0.25, random.Random(n)) for n in (1334, 2667, 5334)]
+    answers = []
+    for g in graphs_:
+        ge = gallai_edmonds(g)
+        for all_failures in (False, True):
+            got = _every_bipartite(ge.gb.adj, *_gb_matching(ge), all_failures)
+            assert got == every_bipartite_by_objects(ge.gb, ge.gb_sides, all_failures)
+        answers.append(got == [])
+    assert True in answers and False in answers
+
+
+def _mask(n, verts):
+    keep = [False] * n
+    for v in verts:
+        keep[v] = True
+    return keep
+
+
+def _check_blocks(g):
+    """The block search on each D component's mask, and on all of D,
+    against the induced-graph and networkx routes."""
+    ge = gallai_edmonds(g)
+    per_comp = []
+    for comp in ge.d_components:
+        got = _odd_cycle_blocks(g.adj, _mask(g.n, comp))
+        assert got == blocks_are_odd_cycles(induced_subgraph(g, comp)[0]) == blocks_odd_by_networkx(g, comp)
+        per_comp.append(got)
+    assert _odd_cycle_blocks(g.adj, _mask(g.n, ge.d_set)) == all(per_comp)
+    tags = every_ur_general(g, ge=ge, all_failures=True).failures
+    assert (D_COMPONENT_BLOCKS_NOT_ODD_CYCLES in tags) == (not all(per_comp))
+    return per_comp
+
+
+def _union(*parts):
+    edges, n = [], 0
+    for h in parts:
+        edges += [(u + n, v + n) for u, v in h.edges]
+        n += h.n
+    return Graph.from_edges(n, edges)
+
+
+def test_block_search_on_named_graphs():
+    assert _check_blocks(Graph.from_edges(1, [])) == [True]
+    assert _check_blocks(bowtie_graph()) == [True]
+    assert _check_blocks(complete_graph(5)) == [False]
+    # only the later D component fails: a triangle, then K5
+    assert _check_blocks(_union(cycle_graph(3), complete_graph(5))) == [True, False]
+    # the same joined through one A-vertex, which the search must not enter
+    joined = Graph.from_edges(9, [*((u + 1, v + 1) for u, v in cycle_graph(3).edges),
+                                  *((u + 4, v + 4) for u, v in complete_graph(5).edges),
+                                  (0, 1), (0, 4)])
+    assert _check_blocks(joined) == [True, False]
+    # P_3: its ends are single-vertex D components
+    assert _check_blocks(path_graph(3)) == [True, True]
+
+
+def test_block_search_on_cactus_graphs():
+    # two 4-cycles sharing a vertex, and a 4-cycle and a triangle sharing one
+    even = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)])
+    mixed = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 0)])
+    odd = Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 6), (6, 0)])
+    for g, want in ((even, False), (mixed, False), (odd, True)):
+        every = _mask(g.n, range(g.n))
+        assert _odd_cycle_blocks(g.adj, every) == want == blocks_odd_by_networkx(g, range(g.n))
+        _check_blocks(g)
+
+
+def test_block_search_exhaustive_and_random():
+    for n in range(6):
+        for g in enumerate_labeled_graphs(n):
+            _check_blocks(g)
+    for g in seeded_random_graphs(300, (7, 12), [0.15, 0.3, 0.5], seed=5):
+        _check_blocks(g)
+
+
+@settings(deadline=None, max_examples=150)
+@given(graphs(max_n=12, max_density=0.4))
+def test_block_search_on_any_mask(g):
+    # the subgraphs induced by the prefixes of the vertices, connected or not
+    for k in range(g.n + 1):
+        assert _odd_cycle_blocks(g.adj, _mask(g.n, range(k))) == blocks_odd_by_networkx(g, range(k))

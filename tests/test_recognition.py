@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from dataclasses import replace
 
@@ -33,9 +34,11 @@ from urmatch.graph_core import (
     connected_components,
     edge_key,
     induced_subgraph,
+    validate_bipartition,
 )
 from urmatch import matching, recognition
 from urmatch.matching import (
+    Matching,
     _alternating_cycle,
     _peel,
     edge_in_some_maximum_matching,
@@ -61,7 +64,7 @@ from urmatch.recognition import (
     some_ur,
 )
 from urmatch.selftest import _component_all_near_perfect_unique
-from urmatch.ur_core import is_uniquely_restricted
+from urmatch.ur_core import build_matching_digraph, is_uniquely_restricted
 
 
 def test_failure_tag_inventory():
@@ -366,19 +369,29 @@ def test_decomposition_without_matching_is_refused():
             decide(g, ge=bare)
 
 
-def test_every_ur_general_skips_blocks_of_single_vertices(monkeypatch):
-    calls = []
+def test_every_route_builds_no_graph_matching_or_digraph():
+    # the every route works on arrays and masks over g's and gb's adjacency:
+    # the bipartite route (P_2000) and the general one (a triangle tree,
+    # with D components, A and gb) build no induced graph, validate no sides
+    # they made themselves, and build no Matching or MatchingDigraph
+    banned = {f.__code__: f.__qualname__ for f in (
+        induced_subgraph, validate_bipartition, Matching.from_edges.__func__, build_matching_digraph)}
+    hits = []
 
-    def counting(sub):
-        calls.append(sub.n)
-        return blocks_are_odd_cycles(sub)
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code in banned:
+            hits.append(banned[frame.f_code])
 
-    monkeypatch.setattr(recognition, "blocks_are_odd_cycles", counting)
-    # K_{1,3}: the three leaves are single-vertex D components
-    assert every_ur_general(star_graph(3)).answer
-    assert calls == []
-    assert not every_ur_general(complete_graph(5)).answer
-    assert calls == [5]
+    tree = linear_triangle_tree(1000, 0.25, random.Random(1))
+    for g in (path_graph(2000), tree):
+        for all_failures in (False, True):
+            sys.setprofile(watch)
+            try:
+                every_ur(g, all_failures=all_failures)
+            finally:
+                sys.setprofile(None)
+    assert hits == []
+    assert bipartition(tree) is None and gallai_edmonds(tree).d_components
 
 
 def test_family_grid():
