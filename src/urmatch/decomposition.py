@@ -1,16 +1,18 @@
 """Gallai-Edmonds decomposition and the bipartite contraction it induces.
 
-``d_set`` (the vertices v with nu(g - v) == nu(g)) comes from one maximum
-matching and one Edmonds labelling: it is the set of even vertices of the
-alternating forest grown from all free vertices, and the matching is kept.
-The contracted graph ``gb`` keeps the neighbors of ``d_set`` on one side and
-one vertex per component of the induced subgraph on ``d_set`` on the other;
-edges inside ``a_set`` and all of ``c_set`` are dropped from it.  The
-components of g[c_set] are kept beside it, split once here for the deciders
-and the verifier.  Everything after the labelling is linear: one pass over
-D's adjacency finds A, one breadth-first search over g's own adjacency that
-stays inside the class of its start splits D and C, and gb's adjacency is
-read off A's; no induced graph is built.
+``d_set`` (the vertices v with nu(g - v) == nu(g)) comes from the matcher
+alone: it is the set of dead-even vertices of the Edmonds forest that the
+matcher's failed searches leave behind, and the matching and the forest's
+path pointers are kept.  The contracted graph ``gb`` keeps the neighbors of
+``d_set`` on one side and one vertex per component of the induced subgraph
+on ``d_set`` on the other; edges inside ``a_set`` and all of ``c_set`` are
+dropped from it.  The components of g[c_set] are kept beside it, split once
+here for the deciders and the verifier.  Everything after the matcher is
+linear: one pass over D's adjacency finds A, one breadth-first search over
+g's own adjacency that stays inside the class of its start splits D and C
+into one component array, which is kept, and gb's adjacency is read off
+A's; no induced graph is built.  The Tutte-Berge count on A then checks
+that the matching is maximum.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field
 
 from .graph_core import Graph, induced_subgraph
 from .matching import (
+    InternalCheckError,
     _missable_and_match,
     is_factor_critical,
     maximum_matching,
@@ -39,12 +42,18 @@ class GallaiEdmonds:
     Component-side ids are assigned after all a-side ids, in the order of
     ``d_components``.
 
-    ``match`` is the maximum matching of g that the decomposition was found
-    from, as a mate array (-1 for a free vertex).  By the Gallai-Edmonds
-    theorem it is perfect on every C component and near-perfect on every D
-    component, so the deciders' uniqueness tests start from it and need no
-    matcher of their own.  A decomposition built by hand may leave it None
-    for the verifier, which does not read it; the deciders refuse it.
+    ``comp`` names each vertex's class and component: D component ci is
+    ci, C component ci is -4 - ci, and A is -1.  ``match`` is the maximum
+    matching of g that the decomposition was found from, as a mate array
+    (-1 for a free vertex).  By the Gallai-Edmonds theorem it is perfect on
+    every C component and near-perfect on every D component, so the
+    deciders' uniqueness tests start from it and need no matcher of their
+    own.  ``parent`` holds the path pointers of the matcher's Edmonds
+    forest: the walk v, match[v], parent[match[v]], ... from a D vertex v
+    stays inside v's D component up to the vertex that ``match`` leaves
+    unmatched there, so flipping it frees v.  A decomposition built by hand
+    may leave these three None for the verifier, which reads none of them;
+    the deciders refuse it.
 
     ``upms`` is the deciders' private memo, so that deciders sharing one
     decomposition test each set once.  ``("c", ci)`` maps to the edges, in
@@ -60,9 +69,10 @@ class GallaiEdmonds:
     component it touches, which the allowed edges, witness assembly and the
     every route all read.
 
-    Neither field takes part in equality, hashing or repr.
-    ``dataclasses.replace`` keeps ``match`` and starts ``upms`` empty.  A
-    decomposition, and so its memo, belongs to the one g it was built from.
+    None of the last four fields takes part in equality, hashing or repr.
+    ``dataclasses.replace`` keeps ``comp``, ``match`` and ``parent`` and
+    starts ``upms`` empty.  A decomposition, and so its memo, belongs to the
+    one g it was built from.
     """
 
     d_set: frozenset[int]
@@ -73,7 +83,9 @@ class GallaiEdmonds:
     gb: Graph
     gb_sides: tuple[frozenset[int], frozenset[int]]
     contraction_map: tuple[tuple[str, int], ...]
+    comp: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
     match: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    parent: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
     upms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
@@ -81,11 +93,12 @@ def _contract(g: Graph, d_set: frozenset[int]):
     """Everything of the decomposition that follows from ``d_set``.
 
     Returns ``(a_set, c_set, d_components, c_components, gb, gb_sides,
-    contraction_map)``: A is the outside neighborhood of D, C the rest, and
-    gb joins each A-vertex to every D component it touches.  One pass over
-    D's adjacency finds A; one breadth-first search that stays inside the
-    class of its start numbers the D and the C components in a shared
-    array; one pass over A's adjacency reads off gb's.
+    contraction_map, comp)``: A is the outside neighborhood of D, C the
+    rest, and gb joins each A-vertex to every D component it touches.  One
+    pass over D's adjacency finds A; one breadth-first search that stays
+    inside the class of its start numbers the D and the C components in the
+    shared array ``comp`` (see ``GallaiEdmonds``); one pass over A's
+    adjacency reads off gb's.
     """
     n, adj = g.n, g.adj
     # unvisited D is -2, unvisited C -3, A -1; then D component ci is ci
@@ -136,12 +149,19 @@ def _contract(g: Graph, d_set: frozenset[int]):
         ("d", i) for i in range(len(d_comps))
     )
     c_set = frozenset(v for v in range(n) if comp[v] <= -4)
-    return frozenset(a_list), c_set, tuple(d_comps), tuple(c_comps), gb, gb_sides, contraction_map
+    return (frozenset(a_list), c_set, tuple(d_comps), tuple(c_comps), gb, gb_sides,
+            contraction_map, tuple(comp))
 
 
 def gallai_edmonds(g: Graph) -> GallaiEdmonds:
-    d_set, match = _missable_and_match(g)
-    return GallaiEdmonds(d_set, *_contract(g, d_set), match=tuple(match))
+    d_set, match, parent = _missable_and_match(g)
+    ge = GallaiEdmonds(d_set, *_contract(g, d_set), match=tuple(match), parent=tuple(parent))
+    # Tutte-Berge on S = A: every matching leaves odd - |A| vertices free or
+    # more, odd being the number of odd components of g - A
+    odd = sum(len(c) % 2 for c in ge.d_components + ge.c_components)
+    if match.count(-1) != odd - len(ge.a_set):
+        raise InternalCheckError("the Tutte-Berge count on A fails: the matching is not maximum")
+    return ge
 
 
 def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
@@ -165,7 +185,7 @@ def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
         return False
     claimed = (ge.a_set, ge.c_set, ge.d_components, ge.c_components, ge.gb, ge.gb_sides,
                ge.contraction_map)
-    if claimed != _contract(g, ge.d_set):
+    if claimed != _contract(g, ge.d_set)[:-1]:
         return False
 
     for comp in ge.d_components:

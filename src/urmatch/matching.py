@@ -1,20 +1,23 @@
 """Maximum matchings (general and bipartite) and matching-theoretic predicates.
 
 One alternating-forest search with union-find blossoms (Edmonds) serves the
-general matcher, the Gallai-Edmonds labelling and the deletion test of edges
-in some maximum matching; bipartite graphs use Hopcroft-Karp
-(``_hopcroft_karp``), whose mate array also gives the Koenig independent
-set (``_koenig_independent``).  The general
-matcher seeds with the degree-1 rule of Karp & Sipser, then searches from
-each vertex left free, lowest first, on arrays allocated once: a search that
-augments resets only what it labelled, and the Hungarian tree of one that
-fails stays out of every later search.  Uniqueness of a given perfect
-matching is a Kotzig peel (``_peel``): a pendant queue plus, when it stalls,
-one bridge search, with no matcher of its own; when it stalls short of
-empty, ``_alternating_cycle`` finds an alternating cycle in what is left,
-one search per edge tried.  All searches iterate vertices and neighbors in
-ascending id order, so the "canonical" maximum matching returned for a given
-graph is reproducible.
+general matcher and the deletion test of edges in some maximum matching;
+bipartite graphs use Hopcroft-Karp (``_hopcroft_karp``), whose mate array
+also gives the Koenig independent set (``_koenig_independent``).  The general
+matcher (``_matcher``) seeds with the degree-1 rule of Karp & Sipser, then
+searches from each vertex left free, lowest first, on arrays allocated once:
+a search that augments resets only what it labelled, and the Hungarian tree
+of one that fails stays out of every later search, its even vertices marked
+dead-even and its odd ones dead-odd.  The trees left at the end form the
+Edmonds forest of the final matching, so its labels are the Gallai-Edmonds
+labelling (dead-even is D, dead-odd A, unlabelled C) and its path pointers
+lead from every D vertex to the free vertex of its tree.  Uniqueness of a
+given perfect matching is a Kotzig peel (``_peel``): a pendant queue plus,
+when it stalls, one bridge search, with no matcher of its own; when it
+stalls short of empty, ``_alternating_cycle`` finds an alternating cycle in
+what is left, one search per edge tried.  All searches iterate vertices and
+neighbors in ascending id order, so the "canonical" maximum matching
+returned for a given graph is reproducible.
 """
 
 from __future__ import annotations
@@ -126,7 +129,7 @@ def _greedy_seed(adj: tuple[tuple[int, ...], ...]) -> list[int]:
                     pendant.append(y)
 
 
-_UNLABELLED, _EVEN, _ODD, _DEAD = 0, 1, 2, 3
+_UNLABELLED, _EVEN, _ODD, _DEAD_EVEN, _DEAD_ODD = 0, 1, 2, 3, 4
 
 
 def _search(adj, match, roots, state=None, dead=()):
@@ -149,16 +152,17 @@ def _search(adj, match, roots, state=None, dead=()):
     the one-root searches of a matcher (None: fresh arrays for this call).
     A search that augments resets only the vertices it labelled.  One that
     fails has grown a Hungarian tree, which no later augmenting path enters
-    (Edmonds 1965), so its vertices are labelled dead and every later
-    search sharing the state skips them.  With fresh arrays, the vertices
-    in ``dead`` start dead: the search runs in the graph without them, and
-    the mate of a live vertex must be live.
+    (Edmonds 1965), so its even vertices are labelled dead-even and its odd
+    ones dead-odd, and every later search sharing the state skips them and
+    keeps their path pointers.  With fresh arrays, the vertices in ``dead``
+    start dead: the search runs in the graph without them, and the mate of
+    a live vertex must be live.
     """
     if state is None:
         n = len(adj)
         label = [_UNLABELLED] * n
         for x in dead:
-            label[x] = _DEAD
+            label[x] = _DEAD_ODD
         parent = [-1] * n
         blossom = list(range(n))
     else:
@@ -241,20 +245,36 @@ def _search(adj, match, roots, state=None, dead=()):
                     blossom[x] = x
             return None
     if state is not None:
-        for x in queue + odds:
-            label[x] = _DEAD
+        for x in odds:
+            label[x] = _DEAD_ODD
+        for x in queue:  # all even, odd ones that a blossom turned too
+            label[x] = _DEAD_EVEN
     return label, parent
 
 
-def _max_match_array(g: Graph) -> list[int]:
-    """The Karp-Sipser seed, then one search from each vertex it left free,
-    lowest first, all sharing one state."""
+def _matcher(g: Graph):
+    """``(match, label, parent)``: the Karp-Sipser seed, then one search
+    from each vertex it left free, lowest first, all sharing one state.
+
+    The failed searches' Hungarian trees make up the Edmonds forest of the
+    maximum matching ``match`` grown from all its free vertices, so by the
+    Gallai-Edmonds theorem ``label`` is ``_DEAD_EVEN`` on D, ``_DEAD_ODD`` on
+    A and ``_UNLABELLED`` on C.  ``parent`` holds the forest's path pointers
+    (see ``_search``): each outermost blossom, a lone even vertex too, is a
+    component of g[D], and the walk from any of its vertices stays inside
+    it up to its base.
+    """
     match = _greedy_seed(g.adj)
-    state = ([_UNLABELLED] * g.n, [-1] * g.n, list(range(g.n)))
+    label, parent = [_UNLABELLED] * g.n, [-1] * g.n
+    state = (label, parent, list(range(g.n)))
     for v in range(g.n):
         if match[v] == -1:
             _search(g.adj, match, [v], state)
-    return match
+    return match, label, parent
+
+
+def _max_match_array(g: Graph) -> list[int]:
+    return _matcher(g)[0]
 
 
 def maximum_matching(g: Graph) -> Matching:
@@ -355,30 +375,17 @@ def edge_in_some_maximum_matching(g: Graph, e: tuple[int, int]) -> bool:
     return _search(adj, match, [mu]) is None or _search(adj, match, [mv]) is None
 
 
-def _edmonds_labels(adj, match):
-    """Labels of the forest grown from every free vertex of a maximum ``match``.
-
-    By the Gallai-Edmonds theorem the even vertices are D, the odd ones A and
-    the unlabelled ones C.  A matching that is not maximum raises.
-    """
-    forest = _search(adj, match, [v for v in range(len(adj)) if match[v] == -1])
-    if forest is None:
-        raise InternalCheckError("an augmenting path exists: the matching is not maximum")
-    return forest[0]
-
-
-def _missable_and_match(g: Graph) -> tuple[frozenset[int], list[int]]:
-    """``missable_vertices(g)`` and the maximum matching it was found from."""
-    match = _max_match_array(g)
-    label = _edmonds_labels(g.adj, match)
-    return frozenset(v for v in range(g.n) if label[v] == _EVEN), match
+def _missable_and_match(g: Graph) -> tuple[frozenset[int], list[int], list[int]]:
+    """``missable_vertices(g)``, and the maximum matching and path pointers
+    of the matcher that labelled it."""
+    match, label, parent = _matcher(g)
+    return frozenset(v for v in range(g.n) if label[v] == _DEAD_EVEN), match, parent
 
 
 def missable_vertices(g: Graph) -> frozenset[int]:
     """All vertices missed by some maximum matching: the Gallai-Edmonds D set.
 
-    One maximum matching and one Edmonds labelling: D is the set of even
-    vertices of the alternating forest grown from all free vertices.
+    The dead-even vertices of the matcher's final forest (``_matcher``).
     """
     return _missable_and_match(g)[0]
 
@@ -568,11 +575,10 @@ def is_factor_critical(g: Graph) -> bool:
         return True
     if g.n % 2 == 0:
         return False
-    match = _max_match_array(g)
-    nu = sum(1 for x in match if x != -1) // 2
-    if 2 * nu != g.n - 1:
+    match, label, _ = _matcher(g)
+    if match.count(-1) != 1:
         return False
-    return all(x == _EVEN for x in _edmonds_labels(g.adj, match))
+    return all(x == _DEAD_EVEN for x in label)
 
 
 def _koenig_independent(adj, in_a, mate) -> frozenset[int]:

@@ -70,35 +70,38 @@ class RecognitionReport:
 
 
 def _attachments(g: Graph, ge: GallaiEdmonds) -> dict[tuple[int, int], list[int]]:
-    """One pass over the adjacency of A: the neighbors of A-vertex a inside D
-    component ``ge.d_components[ci]``, keyed by (a, ci), for every pair that
-    touches; memoised in ``ge.upms``.  These pairs are exactly the edges of
-    gb."""
+    """One pass over the adjacency of A: the neighbors of the i-th A-vertex
+    inside D component ``ge.d_components[ci]``, keyed by (i, ci), for every
+    pair that touches; memoised in ``ge.upms``.  These pairs are exactly the
+    edges of gb: (i, k + ci) for k A-vertices."""
     if _ATTACHMENTS not in ge.upms:
-        comp_of = {v: ci for ci, comp in enumerate(ge.d_components) for v in comp}
+        comp = ge.comp
         out: dict[tuple[int, int], list[int]] = {}
-        for a in sorted(ge.a_set):
+        for i, a in enumerate(sorted(ge.a_set)):
             for w in g.adj[a]:
-                if w in comp_of:
-                    out.setdefault((a, comp_of[w]), []).append(w)
+                if comp[w] >= 0:
+                    out.setdefault((i, comp[w]), []).append(w)
         ge.upms[_ATTACHMENTS] = out
     return ge.upms[_ATTACHMENTS]
 
 
 def _gb_matching(ge: GallaiEdmonds) -> tuple[list[bool], list[int]]:
     """gb's side-A mask and the mate array of Hopcroft-Karp on gb.
-    ``_contract`` built gb and its sides, so they are not validated again."""
-    side_a = ge.gb_sides[0]
-    return [v in side_a for v in range(ge.gb.n)], _hopcroft_karp(ge.gb.adj, sorted(side_a))
+    ``_contract`` numbered gb's k A-vertices 0..k-1, so its sides are not
+    validated again."""
+    k = len(ge.a_set)
+    return [True] * k + [False] * (ge.gb.n - k), _hopcroft_karp(ge.gb.adj, range(k))
 
 
 def _decomposed(g: Graph, ge: GallaiEdmonds | None) -> GallaiEdmonds:
     """``ge``, or g's decomposition when it is None.  The uniqueness tests
-    start from ``ge.match``, so a decomposition without one is refused."""
+    start from ``ge.match``, ``ge.comp`` and ``ge.parent``, so a
+    decomposition without them is refused."""
     if ge is None:
         return gallai_edmonds(g)
-    if ge.match is None:
-        raise ValueError("the decomposition carries no matching; build it with gallai_edmonds(g)")
+    if ge.match is None or ge.comp is None or ge.parent is None:
+        raise ValueError("the decomposition carries no matching, component array or path "
+                         "pointers; build it with gallai_edmonds(g)")
     return ge
 
 
@@ -115,18 +118,19 @@ def _c_upm(g: Graph, ge: GallaiEdmonds, ci: int) -> list | None:
     the peel stalls."""
     key = ("c", ci)
     if key not in ge.upms:
-        match = ge.match
-        alive = [False] * g.n
-        for v in ge.c_set:
-            alive[v] = True
-        for v in ge.c_set:
-            if match[v] == -1 or not alive[match[v]]:
-                raise InternalCheckError(f"the matching is not perfect on C at vertex {v}")
-        rest = set(_peel(g.adj, match, alive))
-        for cj, comp in enumerate(ge.c_components):
-            ge.upms[("c", cj)] = None if not rest.isdisjoint(comp) else [
-                (v, match[v]) for v in sorted(comp) if match[v] > v
-            ]
+        match, comp = ge.match, ge.comp
+        alive = [c <= -4 for c in comp]
+        edges = [[] for _ in ge.c_components]
+        for v, c in enumerate(comp):
+            if c <= -4:
+                if match[v] == -1 or comp[match[v]] != c:
+                    raise InternalCheckError(f"the matching is not perfect on C at vertex {v}")
+                if match[v] > v:
+                    edges[-4 - c].append((v, match[v]))
+        for v in _peel(g.adj, match, alive):
+            edges[-4 - comp[v]] = None
+        for cj, upm in enumerate(edges):
+            ge.upms[("c", cj)] = upm
     return ge.upms[key]
 
 
@@ -134,39 +138,40 @@ def _d_local(g: Graph, ge: GallaiEdmonds, ci: int):
     """D component ``ci`` in local ids 0..|H|-1, ascending with g's ids:
     ``(verts, pos, adj, match, parent)``, where ``verts`` maps back, ``pos``
     forth, ``match`` is ``ge.match`` inside the component (-1 at the one
-    vertex it leaves unmatched there), and ``parent`` holds the path
-    pointers of the alternating tree grown from that vertex; memoised in
-    ``ge.upms``.  The component is factor-critical, so the tree spans it
-    with every vertex even."""
+    vertex it leaves unmatched there), and ``parent`` is ``ge.parent``
+    inside it (-1 where a pointer leaves it); memoised in ``ge.upms``."""
     key = ("d", ci)
     if key not in ge.upms:
         verts = sorted(ge.d_components[ci])
         pos = {v: i for i, v in enumerate(verts)}
         adj = tuple(tuple(pos[w] for w in g.adj[v] if w in pos) for v in verts)
         match = [pos.get(ge.match[v], -1) for v in verts]
-        free = [x for x, y in enumerate(match) if y == -1]
-        forest = _search(adj, match, free) if len(free) == 1 else None
-        if forest is None or set(forest[0]) != {_EVEN}:
-            raise InternalCheckError(f"D component {verts} is not factor-critical under the matching")
-        ge.upms[key] = verts, pos, adj, match, forest[1]
+        parent = [pos.get(ge.parent[v], -1) for v in verts]
+        ge.upms[key] = verts, pos, adj, match, parent
     return ge.upms[key]
 
 
 def _perfect_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int):
     """A perfect matching of D component ``ci`` minus h: ``(verts, adj, x,
     match)`` in local ids, x being h's.  The path pointers give an even
-    alternating path from h to the free vertex; flipping it frees h."""
+    alternating path from h to the component's one free vertex; flipping it
+    frees h.  A walk that leaves the component, ends elsewhere or runs
+    longer than the component raises."""
     verts, pos, adj, near, parent = _d_local(g, ge, ci)
     x = pos[h]
     match = list(near)
     m, match[x] = match[x], -1
-    while m != -1:
+    for _ in verts:
+        if m == -1:
+            return verts, adj, x, match
         p = parent[m]
+        if p == -1 or p == x:
+            break
         nxt = match[p]
         match[m] = p
         match[p] = m
         m = nxt
-    return verts, adj, x, match
+    raise InternalCheckError(f"D component {ci}: the path pointers from {h} miss its free vertex")
 
 
 def _unique_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int) -> bool:
@@ -207,12 +212,11 @@ def allowed_edges(g: Graph, ge: GallaiEdmonds) -> frozenset[tuple[int, int]]:
     qualifies iff a has exactly one neighbor h inside H and H - h has a unique
     perfect matching.
     """
-    gb_id = {entry: i for i, entry in enumerate(ge.contraction_map)}
-    out = set()
-    for (a, ci), nbrs in _attachments(g, ge).items():
-        if len(nbrs) == 1 and _unique_minus(g, ge, ci, nbrs[0]):
-            out.add(edge_key(gb_id[("a", a)], gb_id[("d", ci)]))
-    return frozenset(out)
+    k = len(ge.a_set)
+    return frozenset([
+        (i, k + ci) for (i, ci), nbrs in _attachments(g, ge).items()
+        if len(nbrs) == 1 and _unique_minus(g, ge, ci, nbrs[0])
+    ])
 
 
 def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = False) -> RecognitionReport:
@@ -268,15 +272,13 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
 
     # assemble the witness
     witness_edges: set[tuple[int, int]] = set()
-    attachments = _attachments(g, ge)
-    for e in sorted(ordering.induced_matching.edges):
-        ends = dict(ge.contraction_map[x] for x in e)  # {"a": a, "d": ci}
-        a, ci = ends.get("a"), ends.get("d")
-        nbrs = attachments.get((a, ci), ())
+    attachments, k = _attachments(g, ge), len(ge.a_set)
+    for i, j in sorted(ordering.induced_matching.edges):  # i < k <= j
+        nbrs = attachments.get((i, j - k), ())
         if len(nbrs) != 1:  # the ordering only uses eligible edges
-            raise InternalCheckError(f"ordering edge {e} has no unique component neighbor")
-        witness_edges.add(edge_key(a, nbrs[0]))
-        chosen_h[ci] = nbrs[0]
+            raise InternalCheckError(f"ordering edge {(i, j)} has no unique component neighbor")
+        witness_edges.add(edge_key(ge.contraction_map[i][1], nbrs[0]))
+        chosen_h[j - k] = nbrs[0]
     for ci in range(len(ge.c_components)):
         witness_edges.update(_c_upm(g, ge, ci))
     for ci, h in chosen_h.items():
@@ -363,7 +365,7 @@ def every_ur_general(
             break
 
     # one block search over g's adjacency, kept inside D
-    if not _odd_cycle_blocks(g.adj, [v in ge.d_set for v in range(g.n)]):
+    if not _odd_cycle_blocks(g.adj, [c >= 0 for c in ge.comp]):
         failures.append(D_COMPONENT_BLOCKS_NOT_ODD_CYCLES)
         if not all_failures:
             return _every_report(failures)

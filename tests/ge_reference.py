@@ -2,8 +2,8 @@
 
 The classes: v belongs to D iff nu(g - v) == nu(g), where nu(g - v) is the
 size of a maximum matching of the subgraph induced by V - v; this is the
-route that the library's single Edmonds labelling replaces, and it shares no
-search with the labelling beyond the matcher itself.  A is the outside
+route that the labelling read off the library's matcher replaces, and it
+shares nothing with that labelling beyond the matcher itself.  A is the outside
 neighborhood of D and C the rest.  It costs one maximum matching per vertex,
 so tests use it only on small and medium graphs.
 
@@ -16,8 +16,13 @@ over the adjacency of A replaces it.  Each gb edge is decoded here through
 
 The contraction as the decomposition first built it: A by testing every
 vertex's neighbors, the components of g[D] and of g[C] by the library's
-general component search, and gb through ``Graph.from_edges``.  The
-library's one-pass ``_contract`` must return the same fields.
+general component search, gb through ``Graph.from_edges``, and the
+component array from the component lists.  The library's one-pass
+``_contract`` must return the same fields.
+
+The Edmonds labelling as the decomposition first found it: one more search
+from every free vertex of the matcher's maximum matching, on fresh arrays.
+The library reads the same labels off the matcher's own failed searches.
 
 Uniqueness of a perfect matching by the deletion device: a perfect matching
 M is unique iff g - e has no perfect matching for every e in M.  It runs one
@@ -30,6 +35,7 @@ from __future__ import annotations
 from urmatch.decomposition import GallaiEdmonds
 from urmatch.graph_core import Graph, connected_components, induced_subgraph
 from urmatch.matching import (
+    InternalCheckError,
     Matching,
     _matching_from_array,
     _max_match_array,
@@ -84,7 +90,26 @@ def contract_by_sets(g: Graph, d_set: frozenset[int]):
     contraction_map = tuple(("a", v) for v in a_list) + tuple(
         ("d", i) for i in range(len(d_components))
     )
-    return a_set, c_set, d_components, c_components, gb, gb_sides, contraction_map
+    comp = [-1] * g.n
+    for ci, members in enumerate(d_components):
+        for v in members:
+            comp[v] = ci
+    for ci, members in enumerate(c_components):
+        for v in members:
+            comp[v] = -4 - ci
+    return a_set, c_set, d_components, c_components, gb, gb_sides, contraction_map, tuple(comp)
+
+
+def edmonds_labels(adj, match):
+    """Labels of the forest grown from every free vertex of a maximum ``match``.
+
+    By the Gallai-Edmonds theorem the even vertices are D, the odd ones A and
+    the unlabelled ones C.  A matching that is not maximum raises.
+    """
+    forest = _search(adj, match, [v for v in range(len(adj)) if match[v] == -1])
+    if forest is None:
+        raise InternalCheckError("an augmenting path exists: the matching is not maximum")
+    return forest[0]
 
 
 def gb_edge_condition_by_edges(g: Graph, ge: GallaiEdmonds) -> bool:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from ge_reference import contract_by_sets
 from lemma_helpers import delete_vertex
 from strategies import giant, graphs, linear_triangle_tree, seeded_random_graphs, sparse_graph_nm
+from urmatch import decomposition
 from urmatch.decomposition import GallaiEdmonds, _contract, gallai_edmonds, verify_gallai_edmonds
 from urmatch.families import (
     bowtie_graph,
@@ -18,7 +19,7 @@ from urmatch.families import (
     star_graph,
 )
 from urmatch.graph_core import Graph, induced_subgraph
-from urmatch.matching import is_factor_critical, maximum_matching, missable_vertices
+from urmatch.matching import InternalCheckError, is_factor_critical, maximum_matching, missable_vertices
 from urmatch.oracle import enumerate_labeled_graphs
 
 
@@ -189,3 +190,23 @@ def test_decomposition_scale_guard():
         assert time.perf_counter() - start < 5
         nu = sum(1 for x in ge.match if x != -1) // 2
         assert 2 * nu == g.n - (len(ge.d_components) - len(ge.a_set))
+
+
+@pytest.mark.parametrize("g, d_set, match", [
+    # P_4 matched in the middle: all of it is C, one even component, and
+    # 0-1=2-3 augments
+    (path_graph(4), frozenset(), [-1, 2, 1, -1]),
+    # a triangle left unmatched: one D component, two vertices too many free
+    (cycle_graph(3), frozenset({0, 1, 2}), [-1, -1, -1]),
+    # the star K_{1,3} with its center free: A = {0} and three D components
+    (star_graph(3), frozenset({1, 2, 3}), [-1, -1, -1, -1]),
+])
+def test_non_maximum_matching_fails_the_tutte_berge_count(monkeypatch, g, d_set, match):
+    monkeypatch.setattr(decomposition, "_missable_and_match", lambda g: (d_set, match, [-1] * g.n))
+    with pytest.raises(InternalCheckError, match="Tutte-Berge"):
+        gallai_edmonds(g)
+    # the count holds with a maximum matching of g in its place
+    top = maximum_matching(g).mate
+    best = [top.get(v, -1) for v in range(g.n)]
+    monkeypatch.setattr(decomposition, "_missable_and_match", lambda g: (d_set, best, [-1] * g.n))
+    assert gallai_edmonds(g).d_set == d_set

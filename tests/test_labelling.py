@@ -1,23 +1,26 @@
-"""The single Edmonds labelling against the per-vertex reference, and known
-answers at sizes the per-vertex route cannot reach in the fast suite."""
+"""The matcher's labelling against the per-vertex reference and against the
+labelling search it replaces, and known answers at sizes the per-vertex
+route cannot reach in the fast suite."""
 
 import random
 
 import pytest
 from hypothesis import given, settings
 
-from ge_reference import reference_classes
-from strategies import graphs, random_graph_nm
+from ge_reference import edmonds_labels, reference_classes
+from strategies import giant, graphs, linear_triangle_tree, random_graph_nm, sparse_graph_nm
 from urmatch.decomposition import gallai_edmonds
 from urmatch.families import cycle_graph, path_graph
 from urmatch.graph_core import Graph
 from urmatch.matching import (
     InternalCheckError,
     Matching,
+    _DEAD_EVEN,
+    _DEAD_ODD,
     _EVEN,
     _ODD,
     _UNLABELLED,
-    _edmonds_labels,
+    _matcher,
     _max_match_array,
     _search,
 )
@@ -25,17 +28,19 @@ from urmatch.oracle import enumerate_labeled_graphs, enumerate_matchings
 
 
 def _label_classes(g, match=None):
-    """(even, odd, unlabelled) of the labelling grown from ``match``."""
-    label = _edmonds_labels(g.adj, _max_match_array(g) if match is None else match)
-    return tuple(
-        frozenset(v for v in range(g.n) if label[v] == kind)
-        for kind in (_EVEN, _ODD, _UNLABELLED)
-    )
+    """(even, odd, unlabelled) of the reference labelling grown from
+    ``match``, or the matcher's own (dead-even, dead-odd, unlabelled)."""
+    if match is None:
+        label, kinds = _matcher(g)[1], (_DEAD_EVEN, _DEAD_ODD, _UNLABELLED)
+    else:
+        label, kinds = edmonds_labels(g.adj, match), (_EVEN, _ODD, _UNLABELLED)
+    return tuple(frozenset(v for v in range(g.n) if label[v] == kind) for kind in kinds)
 
 
 def _check_against_reference(g):
     expected = reference_classes(g)
     assert _label_classes(g) == expected
+    assert _label_classes(g, _max_match_array(g)) == expected
     ge = gallai_edmonds(g)
     assert (ge.d_set, ge.a_set, ge.c_set) == expected
 
@@ -76,12 +81,37 @@ def test_classes_match_reference_sparse_random():
 
 
 def test_non_maximum_matching_raises():
-    # both ends of the edge are free: an augmenting path between two trees
+    # the reference labelling: both ends of the edge are free, an augmenting
+    # path between two trees
     with pytest.raises(InternalCheckError):
-        _edmonds_labels(path_graph(2).adj, [-1, -1])
+        edmonds_labels(path_graph(2).adj, [-1, -1])
     # P_4 matched in the middle: 0-1=2-3 augments
     with pytest.raises(InternalCheckError):
-        _edmonds_labels(path_graph(4).adj, [-1, 2, 1, -1])
+        edmonds_labels(path_graph(4).adj, [-1, 2, 1, -1])
+
+
+_LIVE = {_DEAD_EVEN: _EVEN, _DEAD_ODD: _ODD, _UNLABELLED: _UNLABELLED}
+
+
+def _check_matcher_labels(g):
+    # the failed searches' trees label every vertex as one more search from
+    # all free vertices of the final matching does
+    match, label, _ = _matcher(g)
+    assert [_LIVE[x] for x in label] == edmonds_labels(g.adj, match)
+
+
+@settings(deadline=None, max_examples=300)
+@given(graphs(max_n=12))
+def test_matcher_labels_equal_the_reference_labelling_hypothesis(g):
+    _check_matcher_labels(g)
+
+
+def test_matcher_labels_equal_the_reference_labelling_at_scale():
+    for n in (2000, 4000, 8000):
+        rng = random.Random(n)
+        for g in (giant(sparse_graph_nm(n, 3 * n // 2, rng)), linear_triangle_tree(2 * n // 3, 0.25, rng)):
+            assert g.n >= 1500
+            _check_matcher_labels(g)
 
 
 def _assert_classes(g, d_set, a_set, c_set):

@@ -234,10 +234,12 @@ def test_deciders_share_the_c_component_tests(monkeypatch):
     fresh = gallai_edmonds(g)
     assert ge.upms and not fresh.upms
     assert (ge, hash(ge), repr(ge)) == (fresh, hash(fresh), repr(fresh))
-    assert replace(ge, match=None) == ge
+    assert replace(ge, match=None) == replace(ge, comp=None, parent=None) == ge
     assert verify_gallai_edmonds(g, ge)
-    assert replace(ge, gb=ge.gb).upms == {}
-    assert replace(ge, gb=ge.gb).match == ge.match
+    kept = replace(ge, gb=ge.gb)
+    assert kept.upms == {}
+    assert (kept.comp, kept.match, kept.parent) == (ge.comp, ge.match, ge.parent)
+    assert None not in (ge.comp, ge.match, ge.parent)
 
 
 def _check_uniqueness_tests(g):
@@ -363,10 +365,65 @@ def test_some_ur_scale_guard():
 
 def test_decomposition_without_matching_is_refused():
     g = _two_c5_apex()
-    bare = replace(gallai_edmonds(g), match=None)
-    for decide in (some_ur, every_ur_general):
-        with pytest.raises(ValueError, match="no matching"):
-            decide(g, ge=bare)
+    for name in ("match", "comp", "parent"):
+        bare = replace(gallai_edmonds(g), **{name: None})
+        for decide in (some_ur, every_ur_general):
+            with pytest.raises(ValueError, match="no matching"):
+                decide(g, ge=bare)
+
+
+def test_path_flips_from_the_matchers_pointers_at_scale():
+    # every h of every D component flips to a perfect matching of H - h
+    for n in (2000, 4000, 8000):
+        rng = random.Random(n)
+        for g in (giant(sparse_graph_nm(n, 3 * n // 2, rng)),
+                  linear_triangle_tree(2 * n // 3, 0.25, rng)):
+            ge = gallai_edmonds(g)
+            assert any(len(comp) > 2 for comp in ge.d_components)
+            _check_perfect_minus(g, ge)
+
+
+def test_corrupt_path_pointers_raise():
+    # C_7 has one D component with one free vertex f and three matched
+    # pairs; pointers that leave the component, or loop among the pairs
+    # without reaching f, raise instead of returning or hanging
+    g = cycle_graph(7)
+    ge = gallai_edmonds(g)
+    match = ge.match
+    (f,) = [v for v in range(7) if match[v] == -1]
+    x, p0, p1 = sorted(v for v in range(7) if v != f and match[v] > v)
+    m0, q0, q1 = match[x], match[p0], match[p1]
+    loop = list(ge.parent)
+    loop[m0], loop[q0], loop[q1], loop[p0] = p0, p1, m0, p1
+    for parent in ((-1,) * 7, tuple(loop)):
+        with pytest.raises(recognition.InternalCheckError, match="free vertex"):
+            _perfect_minus(g, replace(ge, parent=parent), 0, x)
+
+
+def test_one_alternating_forest_per_graph():
+    # outside the matcher, only the alternating cycle and the rejection
+    # search of a failed D - h test grow a forest; no labelling search, no
+    # search per D component
+    code = matching._search.__code__
+    callers = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            callers.append(frame.f_back.f_code.co_name)
+
+    n = 2001
+    square = Graph.from_edges(n, [(i, (i + d) % n) for i in range(n) for d in (1, 2)])
+    instances = [_two_c5_apex(), square, linear_triangle_tree(400, 0.25, random.Random(5)),
+               giant(sparse_graph_nm(600, 900, random.Random(6)))]
+    for g in instances:
+        assert bipartition(g) is None
+        for decide in (some_ur, every_ur):
+            sys.setprofile(watch)
+            try:
+                decide(g, all_failures=True)
+            finally:
+                sys.setprofile(None)
+    assert set(callers) == {"_matcher", "_alternating_cycle", "_unique_minus"}
 
 
 def test_every_route_builds_no_graph_matching_or_digraph():
