@@ -375,11 +375,11 @@ def edge_in_some_maximum_matching(g: Graph, e: tuple[int, int]) -> bool:
     return _search(adj, match, [mu]) is None or _search(adj, match, [mv]) is None
 
 
-def _missable_and_match(g: Graph) -> tuple[frozenset[int], list[int], list[int]]:
-    """``missable_vertices(g)``, and the maximum matching and path pointers
-    of the matcher that labelled it."""
+def _missable_and_match(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """``missable_vertices(g)`` as an ascending list, and the maximum
+    matching and path pointers of the matcher that labelled it."""
     match, label, parent = _matcher(g)
-    return frozenset(v for v in range(g.n) if label[v] == _DEAD_EVEN), match, parent
+    return [v for v in range(g.n) if label[v] == _DEAD_EVEN], match, parent
 
 
 def missable_vertices(g: Graph) -> frozenset[int]:
@@ -387,7 +387,7 @@ def missable_vertices(g: Graph) -> frozenset[int]:
 
     The dead-even vertices of the matcher's final forest (``_matcher``).
     """
-    return _missable_and_match(g)[0]
+    return frozenset(_missable_and_match(g)[0])
 
 
 def _matched_bridges(adj, match, alive):

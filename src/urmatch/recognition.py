@@ -3,11 +3,14 @@
 ``some_ur``: does some maximum matching of g admit no second matching on the
 same vertex set?  ``every_ur``: do all of them?  Both reduce to structural
 conditions on the Gallai-Edmonds decomposition; yes-instances of ``some_ur``
-come with an explicit witness matching that callers can re-verify.  The
-``every_ur`` route works on arrays and masks over g's and gb's adjacency:
-one two-coloring, one Hopcroft-Karp mate array, D(M)'s acyclicity and the
-forest tests of its closures, and one block search kept inside D; only the
-public entry points validate what they are given.
+come with an explicit witness matching that callers can re-verify.  Both
+read only the decomposition's arrays (``comp``, ``match``, ``parent``,
+``a_list`` and the member lists) and its memo, and gb once they reach a gb
+condition, so a run that stops at a C or D component test builds none of its
+views.  The ``every_ur`` route works on arrays and masks over g's and gb's
+adjacency: one two-coloring, one Hopcroft-Karp mate array, D(M)'s
+acyclicity and the forest tests of its closures, and one block search kept
+inside D; only the public entry points validate what they are given.
 
 Failure tags form a closed set of stable strings; a report names the first
 violated condition, and all violated conditions when diagnostics are requested.
@@ -71,13 +74,13 @@ class RecognitionReport:
 
 def _attachments(g: Graph, ge: GallaiEdmonds) -> dict[tuple[int, int], list[int]]:
     """One pass over the adjacency of A: the neighbors of the i-th A-vertex
-    inside D component ``ge.d_components[ci]``, keyed by (i, ci), for every
-    pair that touches; memoised in ``ge.upms``.  These pairs are exactly the
-    edges of gb: (i, k + ci) for k A-vertices."""
+    inside D component ci, keyed by (i, ci), for every pair that touches;
+    memoised in ``ge.upms``.  These pairs are exactly the edges of gb:
+    (i, k + ci) for k A-vertices."""
     if _ATTACHMENTS not in ge.upms:
         comp = ge.comp
         out: dict[tuple[int, int], list[int]] = {}
-        for i, a in enumerate(sorted(ge.a_set)):
+        for i, a in enumerate(ge.a_list):
             for w in g.adj[a]:
                 if comp[w] >= 0:
                     out.setdefault((i, comp[w]), []).append(w)
@@ -87,16 +90,17 @@ def _attachments(g: Graph, ge: GallaiEdmonds) -> dict[tuple[int, int], list[int]
 
 def _gb_matching(ge: GallaiEdmonds) -> tuple[list[bool], list[int]]:
     """gb's side-A mask and the mate array of Hopcroft-Karp on gb.
-    ``_contract`` numbered gb's k A-vertices 0..k-1, so its sides are not
+    ``_gb_views`` numbered gb's k A-vertices 0..k-1, so its sides are not
     validated again."""
-    k = len(ge.a_set)
+    k = len(ge.a_list)
     return [True] * k + [False] * (ge.gb.n - k), _hopcroft_karp(ge.gb.adj, range(k))
 
 
 def _decomposed(g: Graph, ge: GallaiEdmonds | None) -> GallaiEdmonds:
     """``ge``, or g's decomposition when it is None.  The uniqueness tests
     start from ``ge.match``, ``ge.comp`` and ``ge.parent``, so a
-    decomposition without them is refused."""
+    decomposition without them is refused; with ``comp`` come the arrays
+    read off it (``ge.a_list``, ``ge.d_members``, ``ge.c_members``)."""
     if ge is None:
         return gallai_edmonds(g)
     if ge.match is None or ge.comp is None or ge.parent is None:
@@ -120,7 +124,7 @@ def _c_upm(g: Graph, ge: GallaiEdmonds, ci: int) -> list | None:
     if key not in ge.upms:
         match, comp = ge.match, ge.comp
         alive = [c <= -4 for c in comp]
-        edges = [[] for _ in ge.c_components]
+        edges = [[] for _ in ge.c_members]
         for v, c in enumerate(comp):
             if c <= -4:
                 if match[v] == -1 or comp[match[v]] != c:
@@ -142,7 +146,7 @@ def _d_local(g: Graph, ge: GallaiEdmonds, ci: int):
     inside it (-1 where a pointer leaves it); memoised in ``ge.upms``."""
     key = ("d", ci)
     if key not in ge.upms:
-        verts = sorted(ge.d_components[ci])
+        verts = sorted(ge.d_members[ci])
         pos = {v: i for i, v in enumerate(verts)}
         adj = tuple(tuple(pos[w] for w in g.adj[v] if w in pos) for v in verts)
         match = [pos.get(ge.match[v], -1) for v in verts]
@@ -185,7 +189,7 @@ def _unique_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int) -> bool:
     H - h'.  M misses only h in H - V(C), so those h' are the even vertices
     of one search from h with C dead, and each is memoised as a "no".
     """
-    if len(ge.d_components[ci]) == 1:
+    if len(ge.d_members[ci]) == 1:
         return True  # the empty graph has the empty one
     key = (ci, h)
     if key not in ge.upms:
@@ -210,9 +214,11 @@ def allowed_edges(g: Graph, ge: GallaiEdmonds) -> frozenset[tuple[int, int]]:
 
     A gb edge between a-side vertex (for original vertex a) and a component H
     qualifies iff a has exactly one neighbor h inside H and H - h has a unique
-    perfect matching.
+    perfect matching.  Like the deciders, it refuses a decomposition without
+    its arrays.
     """
-    k = len(ge.a_set)
+    ge = _decomposed(g, ge)
+    k = len(ge.a_list)
     return frozenset([
         (i, k + ci) for (i, ci), nbrs in _attachments(g, ge).items()
         if len(nbrs) == 1 and _unique_minus(g, ge, ci, nbrs[0])
@@ -230,7 +236,7 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     failures: list[str] = []
 
     # condition 1: every untouched component has a unique perfect matching
-    for ci in range(len(ge.c_components)):
+    for ci in range(len(ge.c_members)):
         if _c_upm(g, ge, ci) is None:
             failures.append(C_COMPONENT_PM_NOT_UNIQUE)
             if not all_failures:
@@ -251,9 +257,9 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     # leaves a unique perfect matching
     chosen_h: dict[int, int] = {}
     cond3_ok = True
-    for ci, comp in enumerate(ge.d_components):
+    for ci, members in enumerate(ge.d_members):
         found = None
-        for h in sorted(comp):
+        for h in sorted(members):
             if _unique_minus(g, ge, ci, h):
                 found = h
                 break
@@ -272,19 +278,19 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
 
     # assemble the witness
     witness_edges: set[tuple[int, int]] = set()
-    attachments, k = _attachments(g, ge), len(ge.a_set)
+    attachments, k = _attachments(g, ge), len(ge.a_list)
     for i, j in sorted(ordering.induced_matching.edges):  # i < k <= j
         nbrs = attachments.get((i, j - k), ())
         if len(nbrs) != 1:  # the ordering only uses eligible edges
             raise InternalCheckError(f"ordering edge {(i, j)} has no unique component neighbor")
-        witness_edges.add(edge_key(ge.contraction_map[i][1], nbrs[0]))
+        witness_edges.add(edge_key(ge.a_list[i], nbrs[0]))
         chosen_h[j - k] = nbrs[0]
-    for ci in range(len(ge.c_components)):
+    for ci in range(len(ge.c_members)):
         witness_edges.update(_c_upm(g, ge, ci))
     for ci, h in chosen_h.items():
         if not _unique_minus(g, ge, ci, h):
             raise InternalCheckError(f"D component {ci} minus {h} has no unique perfect matching")
-        if len(ge.d_components[ci]) > 1:  # a single vertex leaves no edge
+        if len(ge.d_members[ci]) > 1:  # a single vertex leaves no edge
             verts, _, _, match = _perfect_minus(g, ge, ci, h)
             witness_edges.update(_edges(verts, match))
     witness = Matching.from_edges(g, sorted(witness_edges))
@@ -357,7 +363,7 @@ def every_ur_general(
     ge = _decomposed(g, ge)
     failures: list[str] = []
 
-    for ci in range(len(ge.c_components)):
+    for ci in range(len(ge.c_members)):
         if _c_upm(g, ge, ci) is None:
             failures.append(C_COMPONENT_PM_NOT_UNIQUE)
             if not all_failures:

@@ -1,6 +1,9 @@
+import copy
 import itertools
+import pickle
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,15 @@ from ge_reference import contract_by_sets
 from lemma_helpers import delete_vertex
 from strategies import giant, graphs, linear_triangle_tree, seeded_random_graphs, sparse_graph_nm
 from urmatch import decomposition
-from urmatch.decomposition import GallaiEdmonds, _contract, gallai_edmonds, verify_gallai_edmonds
+from urmatch.decomposition import (
+    _CLASS_VIEWS,
+    _GB_VIEWS,
+    _VIEWS,
+    GallaiEdmonds,
+    _contract,
+    gallai_edmonds,
+    verify_gallai_edmonds,
+)
 from urmatch.families import (
     bowtie_graph,
     complete_graph,
@@ -19,6 +30,7 @@ from urmatch.families import (
     star_graph,
 )
 from urmatch.graph_core import Graph, induced_subgraph
+from urmatch.recognition import every_ur_general, some_ur
 from urmatch.matching import InternalCheckError, is_factor_critical, maximum_matching, missable_vertices
 from urmatch.oracle import enumerate_labeled_graphs
 
@@ -210,3 +222,57 @@ def test_non_maximum_matching_fails_the_tutte_berge_count(monkeypatch, g, d_set,
     best = [top.get(v, -1) for v in range(g.n)]
     monkeypatch.setattr(decomposition, "_missable_and_match", lambda g: (d_set, best, [-1] * g.n))
     assert gallai_edmonds(g).d_set == d_set
+
+
+def _check_lazy_views(g):
+    """``gallai_edmonds`` builds its views on first read; they equal the
+    views built eagerly from its ``d_set``, and so do its copies."""
+    ge = gallai_edmonds(g)
+    assert not set(_VIEWS) & set(vars(ge))
+    assert ge.d_set == frozenset(v for v in range(g.n) if ge.comp[v] >= 0)
+    assert set(_VIEWS) & set(vars(ge)) == set(_CLASS_VIEWS)  # reading d_set builds no gb
+    other = gallai_edmonds(g)
+    assert other.gb == _contract(g, ge.d_set)[4]
+    assert set(_VIEWS) & set(vars(other)) == set(_GB_VIEWS)
+    eager = GallaiEdmonds(ge.d_set, *_contract(g, ge.d_set)[:-1])
+    assert set(_VIEWS) <= set(vars(eager))
+    assert (ge, hash(ge), repr(ge)) == (eager, hash(eager), repr(eager))
+    assert verify_gallai_edmonds(g, ge)
+    assert ge.comp == _contract(g, ge.d_set)[-1]
+    # pickling and copying a decomposition whose views are not built yet
+    for fresh in (pickle.loads(pickle.dumps(gallai_edmonds(g))),
+                  copy.copy(gallai_edmonds(g)), copy.deepcopy(gallai_edmonds(g))):
+        assert (fresh, hash(fresh), repr(fresh)) == (eager, hash(eager), repr(eager))
+        assert (fresh.comp, fresh.match, fresh.parent) == (ge.comp, ge.match, ge.parent)
+    ge = gallai_edmonds(g)
+    ge.upms["x"] = 1
+    kept = replace(ge)
+    assert kept == eager and kept.upms == {}
+    assert (kept.comp, kept.match, kept.parent) == (ge.comp, ge.match, ge.parent)
+    assert (kept.a_list, kept.d_members) == (ge.a_list, [sorted(c) for c in ge.d_members])
+    assert [sorted(c) for c in kept.c_members] == [sorted(c) for c in ge.c_members]
+    # the deciders give the same reports on it, read off its component array
+    for decide in (some_ur, every_ur_general):
+        assert decide(g, ge=kept, all_failures=True) == decide(g, all_failures=True)
+
+
+@settings(deadline=None, max_examples=200)
+@given(graphs(max_n=11))
+def test_lazy_views_equal_eager_ones(g):
+    _check_lazy_views(g)
+
+
+def test_lazy_views_equal_eager_ones_at_scale():
+    for n in (2000, 4000, 8000):
+        rng = random.Random(n)
+        for g in (giant(sparse_graph_nm(n, 3 * n // 2, rng)), linear_triangle_tree(2 * n // 3, 0.25, rng)):
+            assert g.n >= 1500
+            _check_lazy_views(g)
+
+
+def test_lazy_views_are_built_for_their_names_only():
+    ge = gallai_edmonds(path_graph(4))
+    for name in ("a_lst", "__setstate__", "__getnewargs__"):
+        with pytest.raises(AttributeError):
+            getattr(ge, name)
+    assert not set(_VIEWS) & set(vars(ge))

@@ -18,7 +18,7 @@ from strategies import (
     seeded_random_graphs,
     sparse_graph_nm,
 )
-from urmatch.decomposition import gallai_edmonds, verify_gallai_edmonds
+from urmatch.decomposition import _VIEWS, gallai_edmonds, verify_gallai_edmonds
 from urmatch.families import (
     complete_bipartite,
     complete_graph,
@@ -50,6 +50,8 @@ from urmatch.oracle import (
     oracle_some_ur,
 )
 from urmatch.recognition import (
+    C_COMPONENT_PM_NOT_UNIQUE,
+    D_COMPONENT_BLOCKS_NOT_ODD_CYCLES,
     D_COMPONENT_NO_UNIQUE_PM_VERTEX,
     FAILURE_TAGS,
     GB_EDGE_MULTIPLE_NEIGHBORS,
@@ -370,6 +372,23 @@ def test_decomposition_without_matching_is_refused():
         for decide in (some_ur, every_ur_general):
             with pytest.raises(ValueError, match="no matching"):
                 decide(g, ge=bare)
+        with pytest.raises(ValueError, match="no matching"):
+            allowed_edges(g, bare)
+
+
+def test_early_stops_build_no_views():
+    # C4 plus a disjoint triangle fails condition 1; K5 fails only the
+    # D-block test
+    c4_triangle = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6)])
+    k5 = complete_graph(5)
+    runs = [(c4_triangle, every_ur, C_COMPONENT_PM_NOT_UNIQUE),
+            (c4_triangle, some_ur, C_COMPONENT_PM_NOT_UNIQUE),
+            (k5, every_ur, D_COMPONENT_BLOCKS_NOT_ODD_CYCLES)]
+    for g, decide, tag in runs:
+        ge = gallai_edmonds(g)
+        assert decide(g, ge=ge).failure == tag
+        assert not set(_VIEWS) & set(vars(ge))
+    assert every_ur(k5, all_failures=True).failures == (D_COMPONENT_BLOCKS_NOT_ODD_CYCLES,)
 
 
 def test_path_flips_from_the_matchers_pointers_at_scale():
