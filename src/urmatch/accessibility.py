@@ -61,13 +61,20 @@ def find_e_good_ordering(
         if e not in g.edges:
             raise ValueError(f"allowed edge {e} not in graph")
         allowed_set.add(e)
-    return _e_good_ordering(g, i_set, allowed_set)
+    found = _e_good_ordering(g.adj, i_set, allowed_set)
+    if found is None:
+        return None
+    sequence, p_map = found
+    edges = [edge_key(y, x) for y, x in p_map.items()]
+    return AccessibilityOrdering(i_set, sequence, p_map, Matching.from_edges(g, edges))
 
 
-def _e_good_ordering(g: Graph, i_set: frozenset[int], allowed_set):
+def _e_good_ordering(adj, i_set, allowed_set):
     """``find_e_good_ordering`` on input known to be valid: ``i_set`` a
-    maximum independent set of bipartite g, ``allowed_set`` normalized
-    edges of g.
+    maximum independent set of the bipartite graph of adjacency ``adj``,
+    ``allowed_set`` normalized edges of it.  Returns ``(sequence, p_map)``,
+    ``p_map`` mapping each neighbor of the set to the earliest placed vertex
+    adjacent to it, or None.
 
     Greedy: place the lowest unplaced vertex that brings at most one new
     neighbor, with that neighbor joined by an allowed edge.  Any greedy
@@ -79,7 +86,6 @@ def _e_good_ordering(g: Graph, i_set: frozenset[int], allowed_set):
     only grows, so popping the heap, skipping entries already placed, gives
     the lowest placeable vertex at each step in O(m log n).
     """
-    adj = g.adj
     unseen = {x: len(adj[x]) for x in i_set}  # unplaced x -> unseen neighbors
     heap = [x for x, c in unseen.items()
             if c == 0 or c == 1 and edge_key(x, adj[x][0]) in allowed_set]
@@ -107,10 +113,4 @@ def _e_good_ordering(g: Graph, i_set: frozenset[int], allowed_set):
         placed.append(x)
     if unseen:
         return None
-    edges = [edge_key(y, x) for y, x in p_map.items()]
-    return AccessibilityOrdering(
-        independent_set=i_set,
-        sequence=tuple(placed),
-        p_map=p_map,
-        induced_matching=Matching.from_edges(g, edges),
-    )
+    return tuple(placed), p_map

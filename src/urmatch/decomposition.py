@@ -3,24 +3,21 @@
 ``d_set`` (the vertices v with nu(g - v) == nu(g)) comes from the matcher
 alone: it is the set of dead-even vertices of the Edmonds forest that the
 matcher's failed searches leave behind, and the matching and the forest's
-path pointers are kept.  The contracted graph ``gb`` keeps the neighbors of
-``d_set`` on one side and one vertex per component of the induced subgraph
-on ``d_set`` on the other; edges inside ``a_set`` and all of ``c_set`` are
-dropped from it.  The components of g[c_set] are kept beside it for the
-deciders and the verifier.  Everything after the matcher is linear and comes
-in two halves.  ``_classes`` numbers the classes: one pass over D's
-adjacency finds A, and one breadth-first search over g's own adjacency that
-stays inside the class of its start splits D and C into one component
-array.  ``_class_views`` builds the sets and the component tuples, and
-``_gb_views`` gb, whose adjacency is read off A's; no induced graph is
-built.  ``gallai_edmonds`` runs only the first half and the Tutte-Berge
-count on A, which checks that the matching is maximum; the views are built
-when first read.
+path pointers are kept.  By the structure theorem D fixes the rest: A is the
+outside neighborhood of D, C the remaining vertices, and the contracted
+graph ``gb`` keeps A on one side and one vertex per component of g[D] on the
+other.  ``_decompose`` is the one builder: ``_classes`` numbers the classes
+in linear time (one pass over D's adjacency finds A, and one breadth-first
+search over g's own adjacency that stays inside the class of its start
+splits D and C into one component array), and every view is built from those
+arrays on first read; no induced graph is built.  ``gallai_edmonds`` adds the
+Tutte-Berge count on A, which checks that the matching is maximum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 from .graph_core import Graph, induced_subgraph
@@ -33,129 +30,105 @@ from .matching import (
 )
 from .ur_core import build_matching_digraph
 
-# the public views in field order, as ``_class_views`` and ``_gb_views``
-# build them; ``gallai_edmonds`` leaves them to ``GallaiEdmonds.__getattr__``
-_CLASS_VIEWS = ("d_set", "a_set", "c_set", "d_components", "c_components")
-_GB_VIEWS = ("gb", "gb_sides", "contraction_map")
-_VIEWS = _CLASS_VIEWS + _GB_VIEWS
-
 
 @dataclass(frozen=True)
 class GallaiEdmonds:
-    """The three vertex classes plus the contracted bipartite graph.
+    """The three vertex classes, their components and the contracted graph.
 
-    ``d_components`` and ``c_components`` are the connected components of
-    g[d_set] and g[c_set], each ordered by its lowest original vertex id;
-    the deciders test every C component for a unique perfect matching.
-    ``contraction_map[i]`` explains gb vertex i: ``("a", v)`` for an original
-    vertex v of ``a_set``, ``("d", k)`` for index k into ``d_components``.
-    Component-side ids are assigned after all a-side ids, in the order of
-    ``d_components``.
+    Fields: ``comp`` names each vertex's class and component: D component
+    ci is ci, C component ci is -4 - ci, and A is -1; it alone takes part
+    in equality and hashing.  ``a_list`` holds the A-vertices ascending (gb
+    vertex i < |A| is ``a_list[i]``); ``d_members`` and ``c_members`` the
+    vertex lists of the D and the C components in ``comp``'s numbering,
+    each component ordered by its lowest vertex; ``adj`` is g's adjacency.
+    ``match`` is the maximum matching of g the decomposition was found
+    from, as a mate array (-1 for a free vertex), perfect on every C
+    component and near-perfect on every D component; ``parent`` holds the
+    path pointers of the matcher's Edmonds forest: the walk v, match[v],
+    parent[match[v]], ... from a D vertex v stays inside v's D component up
+    to the vertex that ``match`` leaves unmatched there.  A decomposition
+    built without them serves the verifier only; the deciders refuse it.
+    ``upms`` is the deciders' memo (see ``recognition``); ``replace``
+    starts it empty.
 
-    These eight fields are views.  ``gallai_edmonds`` builds none of them: it
-    keeps a reference to g's adjacency, and ``__getattr__`` builds them on
-    first read, in two groups: the class sets and component tuples
-    (``_class_views``), and gb with its sides and ``contraction_map``
-    (``_gb_views``).  Equality, hashing, repr, ``dataclasses.replace``,
-    copying and pickling read the views and so build them.  A decomposition
-    constructed with its views, by hand or through ``replace``, holds them
-    all from the start.
-
-    ``comp`` names each vertex's class and component: D component ci is
-    ci, C component ci is -4 - ci, and A is -1.  ``match`` is the maximum
-    matching of g that the decomposition was found from, as a mate array
-    (-1 for a free vertex).  By the Gallai-Edmonds theorem it is perfect on
-    every C component and near-perfect on every D component, so the
-    deciders' uniqueness tests start from it and need no matcher of their
-    own.  ``parent`` holds the path pointers of the matcher's Edmonds
-    forest: the walk v, match[v], parent[match[v]], ... from a D vertex v
-    stays inside v's D component up to the vertex that ``match`` leaves
-    unmatched there, so flipping it frees v.  A decomposition built by hand
-    may leave these three None for the verifier, which reads none of them;
-    the deciders refuse it.
-
-    Beside ``comp`` the deciders read three arrays that are not fields:
-    ``a_list``, the A-vertices ascending (gb vertex i < |A| is
-    ``a_list[i]``), and ``d_members`` and ``c_members``, the vertex lists of
-    the D and the C components in ``comp``'s numbering.  ``gallai_edmonds``
-    keeps them from its component search; a decomposition constructed with
-    ``comp`` reads them off it, and one without ``comp`` has none.
-
-    ``upms`` is the deciders' private memo, so that deciders sharing one
-    decomposition test each set once.  ``("c", ci)`` maps to the edges, in
-    g's ids, of the unique perfect matching of C component ``ci``, or to
-    None; ``(ci, h)`` to whether D component ``ci`` minus its vertex h has a
-    unique perfect matching; ``("d", ci)`` holds what those tests share: D
-    component ``ci`` in local ids, which also gives its members ascending,
-    its near-perfect matching and the path pointers of the alternating tree
-    grown from its one free vertex.  The memo holds entries no caller asked
-    for: the first C component test answers all of them, and a "no" for one
-    h of a D component writes a "no" for every h' that the same alternating
-    cycle rules out.  ``"attachments"`` holds the neighbors of each A-vertex
-    in each D component it touches, which the allowed edges, witness
-    assembly and the every route all read.
-
-    None of the last four fields takes part in equality, hashing or repr.
-    ``dataclasses.replace`` keeps ``comp``, ``match`` and ``parent`` and
-    starts ``upms`` empty.  A decomposition, and so its memo, belongs to the
-    one g it was built from.
+    Views, each built on first read: ``d_set``, ``a_set``, ``c_set``;
+    ``d_components`` and ``c_components``, the components of g[d_set] and
+    g[c_set]; ``attachments``, the neighbors of the i-th A-vertex inside D
+    component ci, keyed ``(i, ci)``, one key per gb edge; ``gb``, with
+    ``gb_sides`` and ``contraction_map``: gb vertex i is ``("a", v)`` for an
+    A-vertex v and ``("d", ci)`` for D component ci, the components after
+    all of A.
     """
 
-    d_set: frozenset[int]
-    a_set: frozenset[int]
-    c_set: frozenset[int]
-    d_components: tuple[frozenset[int], ...]
-    c_components: tuple[frozenset[int], ...]
-    gb: Graph
-    gb_sides: tuple[frozenset[int], frozenset[int]]
-    contraction_map: tuple[tuple[str, int], ...]
-    comp: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    comp: tuple[int, ...]
+    a_list: list[int] = field(compare=False, repr=False)
+    d_members: list[list[int]] = field(compare=False, repr=False)
+    c_members: list[list[int]] = field(compare=False, repr=False)
+    adj: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     match: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
     parent: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
     upms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.comp is not None:
-            self.__dict__.update(zip(("a_list", "d_members", "c_members"), _members(self.comp)))
+    @cached_property
+    def d_set(self) -> frozenset[int]:
+        return frozenset([v for v, c in enumerate(self.comp) if c >= 0])
 
-    def __getattr__(self, name: str):
-        # reached only for a missing attribute: a view left out by
-        # gallai_edmonds, which kept g's adjacency in ``_adj`` to build it
-        state = self.__dict__
-        if name not in _VIEWS or "_adj" not in state:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        if name in _GB_VIEWS:
-            views = _GB_VIEWS, _gb_views(state["_adj"], self.a_list, self.comp, len(self.d_members))
-        else:
-            views = _CLASS_VIEWS, _class_views(self.a_list, self.comp, self.d_members, self.c_members)
-        state.update(zip(*views))
-        return state[name]
+    @cached_property
+    def a_set(self) -> frozenset[int]:
+        return frozenset(self.a_list)
 
+    @cached_property
+    def c_set(self) -> frozenset[int]:
+        return frozenset([v for v, c in enumerate(self.comp) if c <= -4])
 
-def _members(comp) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """``(a_list, d_members, c_members)`` read off a component array, each
-    list ascending."""
-    a_list: list[int] = []
-    d_members: list[list[int]] = [[] for _ in range(max(comp, default=-1) + 1)]
-    c_members: list[list[int]] = [[] for _ in range(max(-3 - min(comp, default=0), 0))]
-    for v, c in enumerate(comp):
-        if c >= 0:
-            d_members[c].append(v)
-        elif c == -1:
-            a_list.append(v)
-        else:
-            c_members[-4 - c].append(v)
-    return a_list, d_members, c_members
+    @cached_property
+    def d_components(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(frozenset, self.d_members))
+
+    @cached_property
+    def c_components(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(frozenset, self.c_members))
+
+    @cached_property
+    def attachments(self) -> dict[tuple[int, int], list[int]]:
+        comp, adj = self.comp, self.adj
+        out: dict[tuple[int, int], list[int]] = {}
+        for i, a in enumerate(self.a_list):
+            for w in adj[a]:
+                if comp[w] >= 0:
+                    out.setdefault((i, comp[w]), []).append(w)
+        return out
+
+    @cached_property
+    def gb(self) -> Graph:
+        k = len(self.a_list)
+        rows: list[list[int]] = [[] for _ in range(k + len(self.d_members))]
+        for i, ci in self.attachments:  # i ascending
+            rows[i].append(k + ci)
+            rows[k + ci].append(i)
+        for row in rows[:k]:
+            row.sort()
+        edges = frozenset([(i, k + ci) for i, ci in self.attachments])
+        return Graph(len(rows), edges, tuple(map(tuple, rows)))
+
+    @cached_property
+    def gb_sides(self) -> tuple[frozenset[int], frozenset[int]]:
+        k = len(self.a_list)
+        return frozenset(range(k)), frozenset(range(k, k + len(self.d_members)))
+
+    @cached_property
+    def contraction_map(self) -> tuple[tuple[str, int], ...]:
+        return tuple(("a", v) for v in self.a_list) + tuple(("d", i) for i in range(len(self.d_members)))
 
 
 def _classes(adj, d_verts):
-    """The first half of ``_contract``: ``(a_list, comp, d_members,
-    c_members)`` for the D vertices ``d_verts``.  A is the outside
-    neighborhood of D, ascending in ``a_list``, and C the rest.  One pass
-    over D's adjacency finds A; one breadth-first search that stays inside
-    the class of its start numbers the D and the C components in the shared
-    array ``comp`` (see ``GallaiEdmonds``) and lists their members in search
-    order, each list ordered by its lowest vertex."""
+    """``(a_list, comp, d_members, c_members)`` for the D vertices
+    ``d_verts``.  A is the outside neighborhood of D, ascending in
+    ``a_list``, and C the rest.  One pass over D's adjacency finds A; one
+    breadth-first search that stays inside the class of its start numbers
+    the D and the C components in the shared array ``comp`` (see
+    ``GallaiEdmonds``) and lists their members in search order, each list
+    ordered by its lowest vertex."""
     n = len(adj)
     # unvisited D is -2, unvisited C -3, A -1; then D component ci is ci
     # and C component ci is -4 - ci
@@ -190,66 +163,30 @@ def _classes(adj, d_verts):
     return a_list, comp, d_members, c_members
 
 
-def _class_views(a_list, comp, d_members, c_members):
-    """``(d_set, a_set, c_set, d_components, c_components)`` from the output
-    of ``_classes``; the class sets are filled in ascending order."""
-    return (frozenset([v for v, c in enumerate(comp) if c >= 0]), frozenset(a_list),
-            frozenset([v for v, c in enumerate(comp) if c <= -4]),
-            tuple(map(frozenset, d_members)), tuple(map(frozenset, c_members)))
-
-
-def _gb_views(adj, a_list, comp, n_d):
-    """``(gb, gb_sides, contraction_map)`` from the output of ``_classes``,
-    ``n_d`` being the number of D components.  gb joins each A-vertex to
-    every D component it touches; one pass over A's adjacency reads off
-    gb's."""
-    k = len(a_list)
-    gb_adj = [
-        tuple([k + ci for ci in sorted(set(map(comp.__getitem__, adj[a]))) if ci >= 0])
-        for a in a_list
-    ]
-    comp_side: list[list[int]] = [[] for _ in range(n_d)]
-    for i, row in enumerate(gb_adj):
-        for j in row:
-            comp_side[j - k].append(i)  # ascending, as i is
-    gb_edges = frozenset([(i, j) for i, row in enumerate(gb_adj) for j in row])
-    gb_adj.extend(map(tuple, comp_side))
-    gb = Graph(k + n_d, gb_edges, tuple(gb_adj))
-    gb_sides = (frozenset(range(k)), frozenset(range(k, gb.n)))
-    contraction_map = tuple(("a", v) for v in a_list) + tuple(("d", i) for i in range(n_d))
-    return gb, gb_sides, contraction_map
-
-
-def _contract(g: Graph, d_set: frozenset[int]):
-    """Everything of the decomposition that follows from ``d_set``:
-    ``(a_set, c_set, d_components, c_components, gb, gb_sides,
-    contraction_map, comp)``.  ``_classes`` is its first half, and the two
-    view builders its second."""
-    a_list, comp, d_members, c_members = _classes(g.adj, d_set)
-    return (*_class_views(a_list, comp, d_members, c_members)[1:],
-            *_gb_views(g.adj, a_list, comp, len(d_members)), tuple(comp))
+def _decompose(adj, d_verts, match=None, parent=None) -> GallaiEdmonds:
+    """The decomposition that the D vertices ``d_verts`` induce on the graph
+    of adjacency ``adj``, with the matching and path pointers given."""
+    a_list, comp, d_members, c_members = _classes(adj, d_verts)
+    return GallaiEdmonds(tuple(comp), a_list, d_members, c_members, adj, match, parent)
 
 
 def gallai_edmonds(g: Graph) -> GallaiEdmonds:
-    """The decomposition of g with its arrays; its views are built when
-    first read (see ``GallaiEdmonds``)."""
+    """The decomposition of g with its matching and path pointers; its views
+    are built when first read (see ``GallaiEdmonds``)."""
     d_verts, match, parent = _missable_and_match(g)
-    a_list, comp, d_members, c_members = _classes(g.adj, d_verts)
+    ge = _decompose(g.adj, d_verts, tuple(match), tuple(parent))
     # Tutte-Berge on S = A: every matching leaves odd - |A| vertices free or
     # more, odd being the number of odd components of g - A
-    odd = sum(len(c) % 2 for c in chain(d_members, c_members))
-    if match.count(-1) != odd - len(a_list):
+    odd = sum(len(c) % 2 for c in chain(ge.d_members, ge.c_members))
+    if match.count(-1) != odd - len(ge.a_list):
         raise InternalCheckError("the Tutte-Berge count on A fails: the matching is not maximum")
-    ge = object.__new__(GallaiEdmonds)
-    ge.__dict__.update(comp=tuple(comp), match=tuple(match), parent=tuple(parent), upms={},
-                       a_list=a_list, d_members=d_members, c_members=c_members, _adj=g.adj)
     return ge
 
 
 def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
     """Independent certificate check of a claimed decomposition.
 
-    Verifies the partition and that A, C, both component lists and gb are
+    Verifies that ``ge`` was built on g's adjacency and that its arrays are
     the ones that ``d_set`` induces, then the classical structure-theorem
     consequences: factor-critical components on the deficient side, perfectly
     matchable components on the untouched side, the deficiency identity
@@ -260,22 +197,18 @@ def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
     matching M of gb (one reachability pass).  Without it a wrong ``d_set``
     can pass every other test: ``{0}`` on the path 0-1.
     """
-    verts = frozenset(range(g.n))
-    if ge.d_set | ge.a_set | ge.c_set != verts:
+    if ge.adj != g.adj or len(ge.comp) != g.n:
         return False
-    if ge.d_set & ge.a_set or ge.d_set & ge.c_set or ge.a_set & ge.c_set:
-        return False
-    claimed = (ge.a_set, ge.c_set, ge.d_components, ge.c_components, ge.gb, ge.gb_sides,
-               ge.contraction_map)
-    if claimed != _contract(g, ge.d_set)[:-1]:
+    a_list, comp, d_members, c_members = _classes(g.adj, sorted(ge.d_set))
+    if (ge.a_list, ge.comp, ge.d_members, ge.c_members) != (a_list, tuple(comp), d_members, c_members):
         return False
 
-    for comp in ge.d_components:
-        sub, _ = induced_subgraph(g, comp)
+    for members in ge.d_components:
+        sub, _ = induced_subgraph(g, members)
         if not is_factor_critical(sub):
             return False
-    for comp in ge.c_components:
-        sub, _ = induced_subgraph(g, comp)
+    for members in ge.c_components:
+        sub, _ = induced_subgraph(g, members)
         if 2 * len(maximum_matching(sub).edges) != sub.n:
             return False
 

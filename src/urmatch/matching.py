@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .graph_core import Graph, edge_key, validate_bipartition
+from .graph_core import Graph, _blocks, edge_key, validate_bipartition
 
 
 class InternalCheckError(RuntimeError):
@@ -392,43 +392,9 @@ def missable_vertices(g: Graph) -> frozenset[int]:
 
 def _matched_bridges(adj, match, alive):
     """The matched edges that are bridges of the subgraph of ``adj`` induced
-    by the vertices marked in ``alive``, each given by one endpoint.
-
-    One iterative lowlink DFS: the tree edge p-v is a bridge iff no back edge
-    from v's subtree reaches p or above, i.e. low[v] > disc[p].
-    """
-    n = len(adj)
-    disc = [0] * n  # discovery times from 1; 0 means unvisited
-    low = [0] * n
-    clock = 0
-    out = []
-    for root in range(n):
-        if not alive[root] or disc[root]:
-            continue
-        clock += 1
-        disc[root] = low[root] = clock
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, p, it = stack[-1]
-            for w in it:
-                if w == p or not alive[w]:
-                    continue
-                if disc[w]:
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-                else:
-                    clock += 1
-                    disc[w] = low[w] = clock
-                    stack.append((w, v, iter(adj[w])))
-                    break
-            else:
-                stack.pop()
-                if p != -1:
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    elif low[v] > disc[p] and match[v] == p:
-                        out.append(v)
-    return out
+    by the vertices marked in ``alive``, each given by one endpoint: a
+    bridge is a one-edge block."""
+    return [v for b in _blocks(adj, alive) if len(b) == 1 for p, v in b if match[v] == p]
 
 
 def _peel(adj, match, alive):

@@ -5,12 +5,13 @@ same vertex set?  ``every_ur``: do all of them?  Both reduce to structural
 conditions on the Gallai-Edmonds decomposition; yes-instances of ``some_ur``
 come with an explicit witness matching that callers can re-verify.  Both
 read only the decomposition's arrays (``comp``, ``match``, ``parent``,
-``a_list`` and the member lists) and its memo, and gb once they reach a gb
-condition, so a run that stops at a C or D component test builds none of its
-views.  The ``every_ur`` route works on arrays and masks over g's and gb's
-adjacency: one two-coloring, one Hopcroft-Karp mate array, D(M)'s
-acyclicity and the forest tests of its closures, and one block search kept
-inside D; only the public entry points validate what they are given.
+``a_list`` and the member lists) and its memo, and gb and the attachments
+once they reach a gb condition, so a run that stops at a C or D component
+test builds none of its views.  The ``every_ur`` route works on arrays and
+masks over g's and gb's adjacency: one two-coloring, one Hopcroft-Karp mate
+array, D(M)'s acyclicity and the forest tests of its closures, and one block
+search kept inside D; only the public entry points validate what they are
+given.
 
 Failure tags form a closed set of stable strings; a report names the first
 violated condition, and all violated conditions when diagnostics are requested.
@@ -59,8 +60,14 @@ FAILURE_TAGS = frozenset({
 })
 
 
-# the key of ``_attachments`` in ``GallaiEdmonds.upms``
-_ATTACHMENTS = "attachments"
+# ``GallaiEdmonds.upms``, the deciders' memo, so that deciders sharing one
+# decomposition test each set once: ``("c", ci)`` maps to the edges, in g's
+# ids, of the unique perfect matching of C component ``ci``, or to None;
+# ``(ci, h)`` to whether D component ``ci`` minus its vertex h has a unique
+# perfect matching; ``("d", ci)`` holds what those tests share (``_d_local``).
+# The memo holds entries no caller asked for: the first C component test
+# answers all of them, and a "no" for one h of a D component writes a "no"
+# for every h' that the same alternating cycle rules out.
 
 
 @dataclass(frozen=True)
@@ -72,40 +79,24 @@ class RecognitionReport:
     failures: tuple[str, ...] = ()
 
 
-def _attachments(g: Graph, ge: GallaiEdmonds) -> dict[tuple[int, int], list[int]]:
-    """One pass over the adjacency of A: the neighbors of the i-th A-vertex
-    inside D component ci, keyed by (i, ci), for every pair that touches;
-    memoised in ``ge.upms``.  These pairs are exactly the edges of gb:
-    (i, k + ci) for k A-vertices."""
-    if _ATTACHMENTS not in ge.upms:
-        comp = ge.comp
-        out: dict[tuple[int, int], list[int]] = {}
-        for i, a in enumerate(ge.a_list):
-            for w in g.adj[a]:
-                if comp[w] >= 0:
-                    out.setdefault((i, comp[w]), []).append(w)
-        ge.upms[_ATTACHMENTS] = out
-    return ge.upms[_ATTACHMENTS]
-
-
 def _gb_matching(ge: GallaiEdmonds) -> tuple[list[bool], list[int]]:
-    """gb's side-A mask and the mate array of Hopcroft-Karp on gb.
-    ``_gb_views`` numbered gb's k A-vertices 0..k-1, so its sides are not
-    validated again."""
+    """gb's side-A mask and the mate array of Hopcroft-Karp on gb.  gb's k
+    A-vertices are 0..k-1, so its sides are not validated again."""
     k = len(ge.a_list)
-    return [True] * k + [False] * (ge.gb.n - k), _hopcroft_karp(ge.gb.adj, range(k))
+    return [True] * k + [False] * len(ge.d_members), _hopcroft_karp(ge.gb.adj, range(k))
 
 
 def _decomposed(g: Graph, ge: GallaiEdmonds | None) -> GallaiEdmonds:
-    """``ge``, or g's decomposition when it is None.  The uniqueness tests
-    start from ``ge.match``, ``ge.comp`` and ``ge.parent``, so a
-    decomposition without them is refused; with ``comp`` come the arrays
-    read off it (``ge.a_list``, ``ge.d_members``, ``ge.c_members``)."""
+    """``ge``, or g's decomposition when it is None.  A decomposition built
+    on another graph's adjacency is refused, and so is one without
+    ``match`` or ``parent``, from which the uniqueness tests start."""
     if ge is None:
         return gallai_edmonds(g)
-    if ge.match is None or ge.comp is None or ge.parent is None:
-        raise ValueError("the decomposition carries no matching, component array or path "
-                         "pointers; build it with gallai_edmonds(g)")
+    if ge.adj is not g.adj and ge.adj != g.adj:
+        raise ValueError("the decomposition belongs to another graph; build it with gallai_edmonds(g)")
+    if ge.match is None or ge.parent is None:
+        raise ValueError("the decomposition carries no matching or path pointers; "
+                         "build it with gallai_edmonds(g)")
     return ge
 
 
@@ -220,7 +211,7 @@ def allowed_edges(g: Graph, ge: GallaiEdmonds) -> frozenset[tuple[int, int]]:
     ge = _decomposed(g, ge)
     k = len(ge.a_list)
     return frozenset([
-        (i, k + ci) for (i, ci), nbrs in _attachments(g, ge).items()
+        (i, k + ci) for (i, ci), nbrs in ge.attachments.items()
         if len(nbrs) == 1 and _unique_minus(g, ge, ci, nbrs[0])
     ])
 
@@ -247,7 +238,7 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     # eligible edges; equivalent to an ordering of a maximum independent set
     eligible = allowed_edges(g, ge)
     i_max = _koenig_independent(ge.gb.adj, *_gb_matching(ge))
-    ordering = _e_good_ordering(ge.gb, i_max, eligible)
+    ordering = _e_good_ordering(ge.gb.adj, i_max, eligible)
     if ordering is None:
         failures.append(GB_NO_UR_MATCHING_WITHIN_E)
         if not all_failures:
@@ -278,9 +269,9 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
 
     # assemble the witness
     witness_edges: set[tuple[int, int]] = set()
-    attachments, k = _attachments(g, ge), len(ge.a_list)
-    for i, j in sorted(ordering.induced_matching.edges):  # i < k <= j
-        nbrs = attachments.get((i, j - k), ())
+    k, (_, p_map) = len(ge.a_list), ordering
+    for i, j in sorted(edge_key(y, x) for y, x in p_map.items()):  # i < k <= j
+        nbrs = ge.attachments.get((i, j - k), ())
         if len(nbrs) != 1:  # the ordering only uses eligible edges
             raise InternalCheckError(f"ordering edge {(i, j)} has no unique component neighbor")
         witness_edges.add(edge_key(ge.a_list[i], nbrs[0]))
@@ -381,7 +372,7 @@ def every_ur_general(
         if not all_failures:
             return _every_report(failures)
 
-    if any(len(nbrs) > 1 for nbrs in _attachments(g, ge).values()):
+    if any(len(nbrs) > 1 for nbrs in ge.attachments.values()):
         failures.append(GB_EDGE_MULTIPLE_NEIGHBORS)
         if not all_failures:
             return _every_report(failures)

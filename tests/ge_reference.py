@@ -16,9 +16,10 @@ over the adjacency of A replaces it.  Each gb edge is decoded here through
 
 The contraction as the decomposition first built it: A by testing every
 vertex's neighbors, the components of g[D] and of g[C] by the library's
-general component search, gb through ``Graph.from_edges``, and the
-component array from the component lists.  The library's one-pass
-``_contract`` must return the same fields.
+general component search, the attachments by scanning each component's
+neighbors, gb through ``Graph.from_edges``, and the component array from
+the component lists.  Every view of the library's ``GallaiEdmonds`` must
+equal the one of the same name here.
 
 The Edmonds labelling as the decomposition first found it: one more search
 from every free vertex of the matcher's maximum matching, on fresh arrays.
@@ -32,6 +33,8 @@ the library's Kotzig peel replaces it.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from urmatch.decomposition import GallaiEdmonds
 from urmatch.graph_core import Graph, connected_components, induced_subgraph
 from urmatch.matching import (
@@ -43,6 +46,10 @@ from urmatch.matching import (
     edge_in_some_maximum_matching,
     maximum_matching,
 )
+
+
+# the views of a decomposition: every cached property of its class
+VIEWS = tuple(name for name, attr in vars(GallaiEdmonds).items() if isinstance(attr, cached_property))
 
 
 def _nu_without(g: Graph, v: int) -> int:
@@ -72,8 +79,9 @@ def reference_classes(g: Graph) -> tuple[frozenset[int], frozenset[int], frozens
     return d_set, a_set, frozenset(range(g.n)) - d_set - a_set
 
 
-def contract_by_sets(g: Graph, d_set: frozenset[int]):
-    """``decomposition._contract(g, d_set)`` by the direct route."""
+def contract_by_sets(g: Graph, d_set: frozenset[int]) -> dict:
+    """Every view of ``decomposition._decompose(g.adj, d_set)``, and its
+    ``comp``, by the direct route, keyed by name."""
     a_set = frozenset(
         v for v in range(g.n) if v not in d_set and any(w in d_set for w in g.adj[v])
     )
@@ -83,13 +91,13 @@ def contract_by_sets(g: Graph, d_set: frozenset[int]):
     a_list = sorted(a_set)
     a_pos = {v: i for i, v in enumerate(a_list)}
     k = len(a_list)
-    gb_edges = {(a_pos[w], k + ci) for ci, comp in enumerate(d_components)
-                for v in comp for w in g.adj[v] if w in a_set}
-    gb = Graph.from_edges(k + len(d_components), gb_edges)
-    gb_sides = (frozenset(range(k)), frozenset(range(k, gb.n)))
-    contraction_map = tuple(("a", v) for v in a_list) + tuple(
-        ("d", i) for i in range(len(d_components))
-    )
+    attachments: dict[tuple[int, int], list[int]] = {}
+    for ci, members in enumerate(d_components):
+        for v in sorted(members):
+            for w in g.adj[v]:
+                if w in a_set:
+                    attachments.setdefault((a_pos[w], ci), []).append(v)
+    gb = Graph.from_edges(k + len(d_components), [(i, k + ci) for i, ci in attachments])
     comp = [-1] * g.n
     for ci, members in enumerate(d_components):
         for v in members:
@@ -97,7 +105,19 @@ def contract_by_sets(g: Graph, d_set: frozenset[int]):
     for ci, members in enumerate(c_components):
         for v in members:
             comp[v] = -4 - ci
-    return a_set, c_set, d_components, c_components, gb, gb_sides, contraction_map, tuple(comp)
+    return {
+        "d_set": frozenset(d_set),
+        "a_set": a_set,
+        "c_set": c_set,
+        "d_components": d_components,
+        "c_components": c_components,
+        "attachments": attachments,
+        "gb": gb,
+        "gb_sides": (frozenset(range(k)), frozenset(range(k, gb.n))),
+        "contraction_map": tuple(("a", v) for v in a_list)
+        + tuple(("d", i) for i in range(len(d_components))),
+        "comp": tuple(comp),
+    }
 
 
 def edmonds_labels(adj, match):

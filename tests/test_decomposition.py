@@ -8,16 +8,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 
-from ge_reference import contract_by_sets
+from ge_reference import VIEWS, contract_by_sets
 from lemma_helpers import delete_vertex
 from strategies import giant, graphs, linear_triangle_tree, seeded_random_graphs, sparse_graph_nm
 from urmatch import decomposition
 from urmatch.decomposition import (
-    _CLASS_VIEWS,
-    _GB_VIEWS,
-    _VIEWS,
     GallaiEdmonds,
-    _contract,
+    _decompose,
     gallai_edmonds,
     verify_gallai_edmonds,
 )
@@ -36,8 +33,13 @@ from urmatch.oracle import enumerate_labeled_graphs
 
 
 def _claim(g, d_set):
-    d_set = frozenset(d_set)
-    return GallaiEdmonds(d_set, *_contract(g, d_set))
+    return _decompose(g.adj, sorted(d_set))
+
+
+def _views(ge):
+    """Every view of ``ge`` and its ``comp``, keyed by name, as
+    ``contract_by_sets`` returns them."""
+    return {name: getattr(ge, name) for name in VIEWS + ("comp",)}
 
 
 def test_star_decomposition():
@@ -121,24 +123,38 @@ def test_c_set_invariant_under_a_deletion(g):
 def test_verifier_catches_corruption():
     g = star_graph(3)
     ge = gallai_edmonds(g)
-    from dataclasses import replace
-
     assert verify_gallai_edmonds(g, ge)
-    bad = replace(ge, d_set=frozenset({0, 1, 2, 3}), a_set=frozenset(), c_set=frozenset())
-    assert not verify_gallai_edmonds(g, bad)
-    bad2 = replace(ge, a_set=ge.c_set, c_set=ge.a_set)
-    assert not verify_gallai_edmonds(g, bad2)
-    bad3 = replace(ge, gb=Graph.from_edges(ge.gb.n, []))
-    assert not verify_gallai_edmonds(g, bad3)
-    # every gb id claimed as a component, so no edge joins A to a component
-    swapped = replace(ge, contraction_map=tuple(("d", i) for i in range(ge.gb.n)))
-    assert not verify_gallai_edmonds(g, swapped)
-    # C4 is all C: one component, not two halves and not none
+    # the decomposition that a wrong D induces
+    assert not verify_gallai_edmonds(g, _claim(g, {0, 1, 2, 3}))
+    # arrays that disagree with comp, or with g: A = {0} and three single
+    # D components
+    assert (ge.comp, ge.a_list, ge.d_members, ge.c_members) == ((-1, 0, 1, 2), [0], [[1], [2], [3]], [])
+    for wrong in (
+        GallaiEdmonds(ge.comp, [], ge.d_members, ge.c_members, g.adj),
+        GallaiEdmonds(ge.comp, ge.a_list, [[1, 2], [3]], ge.c_members, g.adj),
+        GallaiEdmonds(ge.comp, ge.a_list, ge.d_members, [[0]], g.adj),
+        GallaiEdmonds((-4, 0, 1, 2), ge.a_list, ge.d_members, ge.c_members, g.adj),
+        GallaiEdmonds(ge.comp, ge.a_list, ge.d_members, ge.c_members, star_graph(4).adj[:4]),
+    ):
+        assert not verify_gallai_edmonds(g, wrong)
+    assert verify_gallai_edmonds(g, GallaiEdmonds(ge.comp, [0], [[1], [2], [3]], [], g.adj))
+    # C4 is all C: one component, not two halves
     c4 = cycle_graph(4)
     ge4 = gallai_edmonds(c4)
     assert ge4.c_components == (frozenset(range(4)),)
-    for wrong in ((frozenset({0, 1}), frozenset({2, 3})), ()):
-        assert not verify_gallai_edmonds(c4, replace(ge4, c_components=wrong))
+    halves = GallaiEdmonds((-4, -4, -5, -5), [], [], [[0, 1], [2, 3]], c4.adj)
+    assert not verify_gallai_edmonds(c4, halves)
+
+
+def test_verifier_rejects_a_decomposition_of_another_graph():
+    g, other = cycle_graph(7), path_graph(3)
+    assert not verify_gallai_edmonds(g, gallai_edmonds(other))
+    # the same number of vertices, and the same classes, but other edges
+    c5 = cycle_graph(5)
+    k5 = complete_graph(5)
+    assert gallai_edmonds(c5) == gallai_edmonds(k5)
+    assert not verify_gallai_edmonds(c5, gallai_edmonds(k5))
+    assert verify_gallai_edmonds(c5, pickle.loads(pickle.dumps(gallai_edmonds(c5))))
 
 
 def test_random_sweep_verifies():
@@ -171,9 +187,10 @@ def test_verifier_accepts_only_the_true_d_set():
 @given(graphs(max_n=10))
 def test_contraction_matches_the_direct_route(g):
     d_set = gallai_edmonds(g).d_set
-    assert _contract(g, d_set) == contract_by_sets(g, d_set)
+    assert _views(_claim(g, d_set)) == contract_by_sets(g, d_set)
     # any vertex set will do as D for the construction itself
-    assert _contract(g, frozenset(range(0, g.n, 2))) == contract_by_sets(g, frozenset(range(0, g.n, 2)))
+    evens = frozenset(range(0, g.n, 2))
+    assert _views(_claim(g, evens)) == contract_by_sets(g, evens)
 
 
 def test_contraction_matches_the_direct_route_on_sparse_graphs():
@@ -181,7 +198,7 @@ def test_contraction_matches_the_direct_route_on_sparse_graphs():
     for n in (100, 400, 1600):
         for g in (giant(sparse_graph_nm(n, 3 * n // 2, rng)), linear_triangle_tree(n, 0.25, rng)):
             d_set = gallai_edmonds(g).d_set
-            assert _contract(g, d_set) == contract_by_sets(g, d_set)
+            assert _views(_claim(g, d_set)) == contract_by_sets(g, d_set)
 
 
 def test_verifier_accepts_the_giant_at_2000():
@@ -225,33 +242,30 @@ def test_non_maximum_matching_fails_the_tutte_berge_count(monkeypatch, g, d_set,
 
 
 def _check_lazy_views(g):
-    """``gallai_edmonds`` builds its views on first read; they equal the
-    views built eagerly from its ``d_set``, and so do its copies."""
+    """``gallai_edmonds`` builds no view up front; each view equals the
+    direct route's, and reading it builds no other (gb reads the
+    attachments it is made of).  Copies keep the arrays, and ``replace``
+    keeps them and starts the memo empty."""
     ge = gallai_edmonds(g)
-    assert not set(_VIEWS) & set(vars(ge))
-    assert ge.d_set == frozenset(v for v in range(g.n) if ge.comp[v] >= 0)
-    assert set(_VIEWS) & set(vars(ge)) == set(_CLASS_VIEWS)  # reading d_set builds no gb
-    other = gallai_edmonds(g)
-    assert other.gb == _contract(g, ge.d_set)[4]
-    assert set(_VIEWS) & set(vars(other)) == set(_GB_VIEWS)
-    eager = GallaiEdmonds(ge.d_set, *_contract(g, ge.d_set)[:-1])
-    assert set(_VIEWS) <= set(vars(eager))
-    assert (ge, hash(ge), repr(ge)) == (eager, hash(eager), repr(eager))
-    assert verify_gallai_edmonds(g, ge)
-    assert ge.comp == _contract(g, ge.d_set)[-1]
-    # pickling and copying a decomposition whose views are not built yet
-    for fresh in (pickle.loads(pickle.dumps(gallai_edmonds(g))),
-                  copy.copy(gallai_edmonds(g)), copy.deepcopy(gallai_edmonds(g))):
-        assert (fresh, hash(fresh), repr(fresh)) == (eager, hash(eager), repr(eager))
-        assert (fresh.comp, fresh.match, fresh.parent) == (ge.comp, ge.match, ge.parent)
-    ge = gallai_edmonds(g)
+    assert not set(VIEWS) & set(vars(ge))
+    want = contract_by_sets(g, frozenset(v for v in range(g.n) if ge.comp[v] >= 0))
+    assert ge.comp == want["comp"]
+    for name in VIEWS:
+        fresh = gallai_edmonds(g)
+        assert getattr(fresh, name) == want[name]
+        built = set(VIEWS) & set(vars(fresh))
+        assert built == ({name, "attachments"} if name == "gb" else {name})
+    arrays = (ge.comp, ge.a_list, ge.d_members, ge.c_members, ge.adj, ge.match, ge.parent)
     ge.upms["x"] = 1
+    for other in (pickle.loads(pickle.dumps(ge)), copy.copy(ge), copy.deepcopy(ge), replace(ge)):
+        assert (other, hash(other), repr(other)) == (ge, hash(ge), repr(ge))
+        assert (other.comp, other.a_list, other.d_members, other.c_members, other.adj,
+                other.match, other.parent) == arrays
+        assert _views(other) == want
     kept = replace(ge)
-    assert kept == eager and kept.upms == {}
-    assert (kept.comp, kept.match, kept.parent) == (ge.comp, ge.match, ge.parent)
-    assert (kept.a_list, kept.d_members) == (ge.a_list, [sorted(c) for c in ge.d_members])
-    assert [sorted(c) for c in kept.c_members] == [sorted(c) for c in ge.c_members]
-    # the deciders give the same reports on it, read off its component array
+    assert kept.upms == {} and not set(VIEWS) & set(vars(kept))
+    assert verify_gallai_edmonds(g, kept)
+    # the deciders give the same reports on it
     for decide in (some_ur, every_ur_general):
         assert decide(g, ge=kept, all_failures=True) == decide(g, all_failures=True)
 
@@ -275,4 +289,4 @@ def test_lazy_views_are_built_for_their_names_only():
     for name in ("a_lst", "__setstate__", "__getnewargs__"):
         with pytest.raises(AttributeError):
             getattr(ge, name)
-    assert not set(_VIEWS) & set(vars(ge))
+    assert not set(VIEWS) & set(vars(ge))

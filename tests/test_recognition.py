@@ -1,3 +1,4 @@
+import pickle
 import random
 import sys
 import time
@@ -6,7 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 
-from ge_reference import gb_edge_condition_by_edges, unique_perfect_matching_by_deletion
+from ge_reference import VIEWS, gb_edge_condition_by_edges, unique_perfect_matching_by_deletion
 from lemma_helpers import is_alternating_cycle
 from strategies import (
     bipartite_graphs,
@@ -18,7 +19,7 @@ from strategies import (
     seeded_random_graphs,
     sparse_graph_nm,
 )
-from urmatch.decomposition import _VIEWS, gallai_edmonds, verify_gallai_edmonds
+from urmatch.decomposition import gallai_edmonds, verify_gallai_edmonds
 from urmatch.families import (
     complete_bipartite,
     complete_graph,
@@ -55,7 +56,6 @@ from urmatch.recognition import (
     D_COMPONENT_NO_UNIQUE_PM_VERTEX,
     FAILURE_TAGS,
     GB_EDGE_MULTIPLE_NEIGHBORS,
-    _ATTACHMENTS,
     _c_upm,
     _perfect_minus,
     _unique_minus,
@@ -160,8 +160,6 @@ def _tested_sets(ge):
     """The vertex sets whose uniqueness answers ``ge.upms`` holds."""
     out = set()
     for key in ge.upms:
-        if key == _ATTACHMENTS:
-            continue
         if key[0] == "c":
             out.add(ge.c_components[key[1]])
         elif key[0] != "d":
@@ -181,7 +179,7 @@ def test_some_ur_tests_each_component_minus_h_once(monkeypatch):
     r = some_ur(g, ge=ge)
     assert r.answer and calls == [4, 4]
     assert _tested_sets(ge) == {frozenset({2, 3, 4, 5}), frozenset({7, 8, 9, 10})}
-    assert set(ge.upms) == {("d", 0), ("d", 1), (0, 1), (1, 6), _ATTACHMENTS}
+    assert set(ge.upms) == {("d", 0), ("d", 1), (0, 1), (1, 6)}
     # K_{1,3}: three single-vertex components, each minus its h is empty
     calls.clear()
     assert some_ur(star_graph(3)).answer
@@ -194,7 +192,7 @@ def test_memo_keys_are_components_not_vertex_sets():
     ge = gallai_edmonds(g)
     some_ur(g, ge=ge, all_failures=True)
     every_ur(g, ge=ge)
-    keys = set(ge.upms) - {_ATTACHMENTS}
+    keys = set(ge.upms)
     assert any(key[0] not in ("c", "d") for key in keys)
     assert not any(isinstance(key, frozenset) for key in keys)
     for key in keys:
@@ -236,9 +234,9 @@ def test_deciders_share_the_c_component_tests(monkeypatch):
     fresh = gallai_edmonds(g)
     assert ge.upms and not fresh.upms
     assert (ge, hash(ge), repr(ge)) == (fresh, hash(fresh), repr(fresh))
-    assert replace(ge, match=None) == replace(ge, comp=None, parent=None) == ge
+    assert replace(ge, match=None) == replace(ge, parent=None) == ge
     assert verify_gallai_edmonds(g, ge)
-    kept = replace(ge, gb=ge.gb)
+    kept = replace(ge)
     assert kept.upms == {}
     assert (kept.comp, kept.match, kept.parent) == (ge.comp, ge.match, ge.parent)
     assert None not in (ge.comp, ge.match, ge.parent)
@@ -299,7 +297,7 @@ def _check_memo_against_direct_peels(g):
     ge, fresh = gallai_edmonds(g), gallai_edmonds(g)
     some_ur(g, ge=ge, all_failures=True)
     answers = {key: value for key, value in ge.upms.items()
-               if key != _ATTACHMENTS and key[0] not in ("c", "d")}
+               if key[0] not in ("c", "d")}
     for (ci, h), answer in answers.items():
         _, adj, x, match = _perfect_minus(g, fresh, ci, h)
         alive = [True] * len(match)
@@ -367,13 +365,33 @@ def test_some_ur_scale_guard():
 
 def test_decomposition_without_matching_is_refused():
     g = _two_c5_apex()
-    for name in ("match", "comp", "parent"):
+    for name in ("match", "parent"):
         bare = replace(gallai_edmonds(g), **{name: None})
         for decide in (some_ur, every_ur_general):
             with pytest.raises(ValueError, match="no matching"):
                 decide(g, ge=bare)
         with pytest.raises(ValueError, match="no matching"):
             allowed_edges(g, bare)
+
+
+def test_decomposition_of_another_graph_is_refused():
+    # a path's decomposition on a cycle once gave some_ur's answer for the
+    # path, with the witness {(0, 1)}
+    g, other = cycle_graph(7), gallai_edmonds(path_graph(3))
+    k5 = gallai_edmonds(complete_graph(5))  # all D, as C5: equal, not the same graph
+    assert k5 == gallai_edmonds(cycle_graph(5))
+    for h, ge in ((g, other), (cycle_graph(5), k5)):
+        for decide in (some_ur, every_ur_general):
+            with pytest.raises(ValueError, match="another graph"):
+                decide(h, ge=ge)
+        with pytest.raises(ValueError, match="another graph"):
+            allowed_edges(h, ge)
+        assert not verify_gallai_edmonds(h, ge)
+    # an equal adjacency will do: a pickled decomposition holds a copy
+    copied = pickle.loads(pickle.dumps(gallai_edmonds(g)))
+    assert copied.adj is not g.adj
+    assert some_ur(g, ge=copied) == some_ur(g)
+    assert every_ur_general(g, ge=copied) == every_ur_general(g)
 
 
 def test_early_stops_build_no_views():
@@ -387,7 +405,7 @@ def test_early_stops_build_no_views():
     for g, decide, tag in runs:
         ge = gallai_edmonds(g)
         assert decide(g, ge=ge).failure == tag
-        assert not set(_VIEWS) & set(vars(ge))
+        assert not set(VIEWS) & set(vars(ge))
     assert every_ur(k5, all_failures=True).failures == (D_COMPONENT_BLOCKS_NOT_ODD_CYCLES,)
 
 
