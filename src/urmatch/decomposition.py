@@ -9,16 +9,17 @@ graph ``gb`` keeps A on one side and one vertex per component of g[D] on the
 other.  ``_decompose`` is the one builder: ``_classes`` numbers the classes
 in linear time (one pass over D's adjacency finds A, and one breadth-first
 search over g's own adjacency that stays inside the class of its start
-splits D and C into one component array), and every view is built from those
-arrays on first read; no induced graph is built.  ``gallai_edmonds`` adds the
-Tutte-Berge count on A, which checks that the matching is maximum.
+splits D and C into one component array), and every view, the member lists
+among them, is read off that array on first read; no induced graph is
+built.  ``gallai_edmonds`` adds the Tutte-Berge count on A, which checks
+that the matching is maximum.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 from .graph_core import Graph, induced_subgraph
 from .matching import (
@@ -36,22 +37,22 @@ class GallaiEdmonds:
     """The three vertex classes, their components and the contracted graph.
 
     Fields: ``comp`` names each vertex's class and component: D component
-    ci is ci, C component ci is -4 - ci, and A is -1; it alone takes part
-    in equality and hashing.  ``a_list`` holds the A-vertices ascending (gb
-    vertex i < |A| is ``a_list[i]``); ``d_members`` and ``c_members`` the
-    vertex lists of the D and the C components in ``comp``'s numbering,
-    each component ordered by its lowest vertex; ``adj`` is g's adjacency.
-    ``match`` is the maximum matching of g the decomposition was found
-    from, as a mate array (-1 for a free vertex), perfect on every C
-    component and near-perfect on every D component; ``parent`` holds the
-    path pointers of the matcher's Edmonds forest: the walk v, match[v],
-    parent[match[v]], ... from a D vertex v stays inside v's D component up
-    to the vertex that ``match`` leaves unmatched there.  A decomposition
-    built without them serves the verifier only; the deciders refuse it.
-    ``upms`` is the deciders' memo (see ``recognition``); ``replace``
-    starts it empty.
+    ci is ci, C component ci is -4 - ci, and A is -1, the components
+    numbered by their lowest vertex; it alone takes part in equality and
+    hashing.  ``adj`` is g's adjacency.  ``match`` is the maximum matching
+    of g the decomposition was found from, as a mate array (-1 for a free
+    vertex), perfect on every C component and near-perfect on every D
+    component; ``parent`` holds the path pointers of the matcher's Edmonds
+    forest: the walk v, match[v], parent[match[v]], ... from a D vertex v
+    stays inside v's D component up to the vertex that ``match`` leaves
+    unmatched there.  A decomposition built without them serves the
+    verifier only; the deciders refuse it.  ``upms`` is the deciders' memo
+    (see ``recognition``); ``replace`` starts it empty.
 
-    Views, each built on first read: ``d_set``, ``a_set``, ``c_set``;
+    Views, each read off ``comp`` on first read: ``a_list``, the A-vertices
+    ascending (gb vertex i < |A| is ``a_list[i]``); ``d_members`` and
+    ``c_members``, the ascending vertex lists of the D and the C components
+    in ``comp``'s numbering; ``d_set``, ``a_set``, ``c_set``;
     ``d_components`` and ``c_components``, the components of g[d_set] and
     g[c_set]; ``attachments``, the neighbors of the i-th A-vertex inside D
     component ci, keyed ``(i, ci)``, one key per gb edge; ``gb``, with
@@ -61,13 +62,31 @@ class GallaiEdmonds:
     """
 
     comp: tuple[int, ...]
-    a_list: list[int] = field(compare=False, repr=False)
-    d_members: list[list[int]] = field(compare=False, repr=False)
-    c_members: list[list[int]] = field(compare=False, repr=False)
     adj: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     match: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
     parent: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
     upms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @cached_property
+    def a_list(self) -> list[int]:
+        return [v for v, c in enumerate(self.comp) if c == -1]
+
+    @cached_property
+    def d_members(self) -> list[list[int]]:
+        lists: list[list[int]] = [[] for _ in range(max(self.comp, default=-1) + 1)]
+        for v, c in enumerate(self.comp):
+            if c >= 0:
+                lists[c].append(v)
+        return lists
+
+    @cached_property
+    def c_members(self) -> list[list[int]]:
+        # C component ci is -4 - ci; a lowest entry above -4 leaves no list
+        lists: list[list[int]] = [[] for _ in range(-3 - min(self.comp, default=-3))]
+        for v, c in enumerate(self.comp):
+            if c <= -4:
+                lists[-4 - c].append(v)
+        return lists
 
     @cached_property
     def d_set(self) -> frozenset[int]:
@@ -121,53 +140,45 @@ class GallaiEdmonds:
         return tuple(("a", v) for v in self.a_list) + tuple(("d", i) for i in range(len(self.d_members)))
 
 
-def _classes(adj, d_verts):
-    """``(a_list, comp, d_members, c_members)`` for the D vertices
-    ``d_verts``.  A is the outside neighborhood of D, ascending in
-    ``a_list``, and C the rest.  One pass over D's adjacency finds A; one
-    breadth-first search that stays inside the class of its start numbers
-    the D and the C components in the shared array ``comp`` (see
-    ``GallaiEdmonds``) and lists their members in search order, each list
-    ordered by its lowest vertex."""
+def _classes(adj, d_verts) -> list[int]:
+    """The component array (see ``GallaiEdmonds``) that the D vertices
+    ``d_verts`` induce: A is the outside neighborhood of D, and C the rest.
+    One pass over D's adjacency finds A; one breadth-first search that
+    stays inside the class of its start numbers the D and the C
+    components."""
     n = len(adj)
     # unvisited D is -2, unvisited C -3, A -1; then D component ci is ci
     # and C component ci is -4 - ci
     comp = [-3] * n
     for v in d_verts:
         comp[v] = -2
-    a_list = []
     for v in d_verts:
         for w in adj[v]:
             if comp[w] == -3:
                 comp[w] = -1
-                a_list.append(w)
-    a_list.sort()
-    d_members: list[list[int]] = []
-    c_members: list[list[int]] = []
-    for s in range(n):  # ascending, so each list is ordered by lowest vertex
+    n_d = n_c = 0
+    for s in range(n):  # ascending, so each component is numbered by its lowest vertex
         cls = comp[s]
         if cls == -2:
-            lists, ci = d_members, len(d_members)
+            ci, n_d = n_d, n_d + 1
         elif cls == -3:
-            lists, ci = c_members, -4 - len(c_members)
+            ci, n_c = -4 - n_c, n_c + 1
         else:
             continue  # A, or visited
         comp[s] = ci
-        members = [s]
-        for v in members:  # the loop also visits vertices appended while it runs
+        queue = [s]
+        for v in queue:  # the loop also visits vertices appended while it runs
             for w in adj[v]:
                 if comp[w] == cls:
                     comp[w] = ci
-                    members.append(w)
-        lists.append(members)
-    return a_list, comp, d_members, c_members
+                    queue.append(w)
+    return comp
 
 
 def _decompose(adj, d_verts, match=None, parent=None) -> GallaiEdmonds:
     """The decomposition that the D vertices ``d_verts`` induce on the graph
     of adjacency ``adj``, with the matching and path pointers given."""
-    a_list, comp, d_members, c_members = _classes(adj, d_verts)
-    return GallaiEdmonds(tuple(comp), a_list, d_members, c_members, adj, match, parent)
+    return GallaiEdmonds(tuple(_classes(adj, d_verts)), adj, match, parent)
 
 
 def gallai_edmonds(g: Graph) -> GallaiEdmonds:
@@ -177,8 +188,9 @@ def gallai_edmonds(g: Graph) -> GallaiEdmonds:
     ge = _decompose(g.adj, d_verts, tuple(match), tuple(parent))
     # Tutte-Berge on S = A: every matching leaves odd - |A| vertices free or
     # more, odd being the number of odd components of g - A
-    odd = sum(len(c) % 2 for c in chain(ge.d_members, ge.c_members))
-    if match.count(-1) != odd - len(ge.a_list):
+    sizes = Counter(ge.comp)
+    odd = sum(size % 2 for c, size in sizes.items() if c != -1)
+    if match.count(-1) != odd - sizes[-1]:
         raise InternalCheckError("the Tutte-Berge count on A fails: the matching is not maximum")
     return ge
 
@@ -186,8 +198,8 @@ def gallai_edmonds(g: Graph) -> GallaiEdmonds:
 def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
     """Independent certificate check of a claimed decomposition.
 
-    Verifies that ``ge`` was built on g's adjacency and that its arrays are
-    the ones that ``d_set`` induces, then the classical structure-theorem
+    Verifies that ``ge`` was built on g's adjacency and that its component
+    array is the one that ``d_set`` induces, then the classical structure-theorem
     consequences: factor-critical components on the deficient side, perfectly
     matchable components on the untouched side, the deficiency identity
     2 nu(g) = n - (#components - |a_set|), nu(gb) = |a_set|, and positive
@@ -197,10 +209,9 @@ def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
     matching M of gb (one reachability pass).  Without it a wrong ``d_set``
     can pass every other test: ``{0}`` on the path 0-1.
     """
-    if ge.adj != g.adj or len(ge.comp) != g.n:
+    if ge.adj != g.adj or ge.comp is None or len(ge.comp) != g.n:
         return False
-    a_list, comp, d_members, c_members = _classes(g.adj, sorted(ge.d_set))
-    if (ge.a_list, ge.comp, ge.d_members, ge.c_members) != (a_list, tuple(comp), d_members, c_members):
+    if ge.comp != tuple(_classes(g.adj, ge.d_set)):
         return False
 
     for members in ge.d_components:

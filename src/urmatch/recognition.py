@@ -4,10 +4,10 @@
 same vertex set?  ``every_ur``: do all of them?  Both reduce to structural
 conditions on the Gallai-Edmonds decomposition; yes-instances of ``some_ur``
 come with an explicit witness matching that callers can re-verify.  Both
-read only the decomposition's arrays (``comp``, ``match``, ``parent``,
-``a_list`` and the member lists) and its memo, and gb and the attachments
-once they reach a gb condition, so a run that stops at a C or D component
-test builds none of its views.  The ``every_ur`` route works on arrays and
+read only the decomposition's arrays (``comp``, ``match`` and ``parent``),
+the A list and the member lists read off ``comp``, and its memo, and gb
+and the attachments once they reach a gb condition, so a run that stops at
+a C or D component test builds none of the other views.  The ``every_ur`` route works on arrays and
 masks over g's and gb's adjacency: one two-coloring, one Hopcroft-Karp mate
 array, D(M)'s acyclicity and the forest tests of its closures, and one block
 search kept inside D; only the public entry points validate what they are
@@ -89,14 +89,15 @@ def _gb_matching(ge: GallaiEdmonds) -> tuple[list[bool], list[int]]:
 def _decomposed(g: Graph, ge: GallaiEdmonds | None) -> GallaiEdmonds:
     """``ge``, or g's decomposition when it is None.  A decomposition built
     on another graph's adjacency is refused, and so is one without
-    ``match`` or ``parent``, from which the uniqueness tests start."""
+    ``match``, ``comp`` or ``parent``, from which the uniqueness tests
+    start."""
     if ge is None:
         return gallai_edmonds(g)
     if ge.adj is not g.adj and ge.adj != g.adj:
         raise ValueError("the decomposition belongs to another graph; build it with gallai_edmonds(g)")
-    if ge.match is None or ge.parent is None:
-        raise ValueError("the decomposition carries no matching or path pointers; "
-                         "build it with gallai_edmonds(g)")
+    if ge.match is None or ge.comp is None or ge.parent is None:
+        raise ValueError("the decomposition carries no matching, component array or path "
+                         "pointers; build it with gallai_edmonds(g)")
     return ge
 
 
@@ -137,7 +138,7 @@ def _d_local(g: Graph, ge: GallaiEdmonds, ci: int):
     inside it (-1 where a pointer leaves it); memoised in ``ge.upms``."""
     key = ("d", ci)
     if key not in ge.upms:
-        verts = sorted(ge.d_members[ci])
+        verts = ge.d_members[ci]
         pos = {v: i for i, v in enumerate(verts)}
         adj = tuple(tuple(pos[w] for w in g.adj[v] if w in pos) for v in verts)
         match = [pos.get(ge.match[v], -1) for v in verts]
@@ -205,8 +206,8 @@ def allowed_edges(g: Graph, ge: GallaiEdmonds) -> frozenset[tuple[int, int]]:
 
     A gb edge between a-side vertex (for original vertex a) and a component H
     qualifies iff a has exactly one neighbor h inside H and H - h has a unique
-    perfect matching.  Like the deciders, it refuses a decomposition without
-    its arrays.
+    perfect matching.  Like the deciders, it refuses a decomposition of
+    another graph or without its arrays.
     """
     ge = _decomposed(g, ge)
     k = len(ge.a_list)
@@ -250,7 +251,7 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     cond3_ok = True
     for ci, members in enumerate(ge.d_members):
         found = None
-        for h in sorted(members):
+        for h in members:  # ascending
             if _unique_minus(g, ge, ci, h):
                 found = h
                 break
@@ -328,8 +329,11 @@ def every_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = 
     """Decide whether every maximum matching of g is uniquely restricted.
 
     Bipartite inputs take the direct bipartite decider, all others the
-    general route through the decomposition.
+    general route through the decomposition.  A ``ge`` is checked as the
+    general route checks it, whichever route runs.
     """
+    if ge is not None:
+        _decomposed(g, ge)
     in_a = _side_a(g.adj)
     if in_a is not None:
         a_list = [v for v in range(g.n) if in_a[v]]

@@ -106,6 +106,9 @@ def contract_by_sets(g: Graph, d_set: frozenset[int]) -> dict:
         for v in members:
             comp[v] = -4 - ci
     return {
+        "a_list": a_list,
+        "d_members": [sorted(c) for c in d_components],
+        "c_members": [sorted(c) for c in c_components],
         "d_set": frozenset(d_set),
         "a_set": a_set,
         "c_set": c_set,

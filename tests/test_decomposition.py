@@ -126,24 +126,28 @@ def test_verifier_catches_corruption():
     assert verify_gallai_edmonds(g, ge)
     # the decomposition that a wrong D induces
     assert not verify_gallai_edmonds(g, _claim(g, {0, 1, 2, 3}))
-    # arrays that disagree with comp, or with g: A = {0} and three single
-    # D components
+    # a component array that disagrees with the one D induces, or an
+    # adjacency that is not g's: A = {0} and three single D components
     assert (ge.comp, ge.a_list, ge.d_members, ge.c_members) == ((-1, 0, 1, 2), [0], [[1], [2], [3]], [])
     for wrong in (
-        GallaiEdmonds(ge.comp, [], ge.d_members, ge.c_members, g.adj),
-        GallaiEdmonds(ge.comp, ge.a_list, [[1, 2], [3]], ge.c_members, g.adj),
-        GallaiEdmonds(ge.comp, ge.a_list, ge.d_members, [[0]], g.adj),
-        GallaiEdmonds((-4, 0, 1, 2), ge.a_list, ge.d_members, ge.c_members, g.adj),
-        GallaiEdmonds(ge.comp, ge.a_list, ge.d_members, ge.c_members, star_graph(4).adj[:4]),
+        GallaiEdmonds((-4, 0, 1, 2), g.adj),  # A marked as C
+        GallaiEdmonds((-1, 0, 0, 1), g.adj),  # two components merged
+        GallaiEdmonds((-1, 1, 0, 2), g.adj),  # not numbered by lowest vertex
+        GallaiEdmonds((-1, 0, 1), g.adj),
+        GallaiEdmonds(ge.comp, star_graph(4).adj[:4]),
+        replace(ge, comp=None),
     ):
         assert not verify_gallai_edmonds(g, wrong)
-    assert verify_gallai_edmonds(g, GallaiEdmonds(ge.comp, [0], [[1], [2], [3]], [], g.adj))
+    assert verify_gallai_edmonds(g, GallaiEdmonds((-1, 0, 1, 2), g.adj))
+    # C5 is one D component, whatever order a caller lists it in
+    c5 = cycle_graph(5)
+    assert verify_gallai_edmonds(c5, GallaiEdmonds((0,) * 5, c5.adj))
+    assert gallai_edmonds(c5).d_members == [[0, 1, 2, 3, 4]]
     # C4 is all C: one component, not two halves
     c4 = cycle_graph(4)
     ge4 = gallai_edmonds(c4)
     assert ge4.c_components == (frozenset(range(4)),)
-    halves = GallaiEdmonds((-4, -4, -5, -5), [], [], [[0, 1], [2, 3]], c4.adj)
-    assert not verify_gallai_edmonds(c4, halves)
+    assert not verify_gallai_edmonds(c4, GallaiEdmonds((-4, -4, -5, -5), c4.adj))
 
 
 def test_verifier_rejects_a_decomposition_of_another_graph():
@@ -241,11 +245,23 @@ def test_non_maximum_matching_fails_the_tutte_berge_count(monkeypatch, g, d_set,
     assert gallai_edmonds(g).d_set == d_set
 
 
+# the views that each view is read off, besides the fields
+_READS = {
+    "a_set": {"a_list"},
+    "d_components": {"d_members"},
+    "c_components": {"c_members"},
+    "attachments": {"a_list"},
+    "gb": {"attachments", "a_list", "d_members"},
+    "gb_sides": {"a_list", "d_members"},
+    "contraction_map": {"a_list", "d_members"},
+}
+
+
 def _check_lazy_views(g):
     """``gallai_edmonds`` builds no view up front; each view equals the
-    direct route's, and reading it builds no other (gb reads the
-    attachments it is made of).  Copies keep the arrays, and ``replace``
-    keeps them and starts the memo empty."""
+    direct route's, and reading it builds only the views it is read off.
+    Copies keep the fields, and ``replace`` keeps them and starts the memo
+    empty."""
     ge = gallai_edmonds(g)
     assert not set(VIEWS) & set(vars(ge))
     want = contract_by_sets(g, frozenset(v for v in range(g.n) if ge.comp[v] >= 0))
@@ -254,13 +270,12 @@ def _check_lazy_views(g):
         fresh = gallai_edmonds(g)
         assert getattr(fresh, name) == want[name]
         built = set(VIEWS) & set(vars(fresh))
-        assert built == ({name, "attachments"} if name == "gb" else {name})
-    arrays = (ge.comp, ge.a_list, ge.d_members, ge.c_members, ge.adj, ge.match, ge.parent)
+        assert built == {name} | _READS.get(name, set())
+    fields = (ge.comp, ge.adj, ge.match, ge.parent)
     ge.upms["x"] = 1
     for other in (pickle.loads(pickle.dumps(ge)), copy.copy(ge), copy.deepcopy(ge), replace(ge)):
         assert (other, hash(other), repr(other)) == (ge, hash(ge), repr(ge))
-        assert (other.comp, other.a_list, other.d_members, other.c_members, other.adj,
-                other.match, other.parent) == arrays
+        assert (other.comp, other.adj, other.match, other.parent) == fields
         assert _views(other) == want
     kept = replace(ge)
     assert kept.upms == {} and not set(VIEWS) & set(vars(kept))

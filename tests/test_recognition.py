@@ -365,7 +365,7 @@ def test_some_ur_scale_guard():
 
 def test_decomposition_without_matching_is_refused():
     g = _two_c5_apex()
-    for name in ("match", "parent"):
+    for name in ("match", "comp", "parent"):
         bare = replace(gallai_edmonds(g), **{name: None})
         for decide in (some_ur, every_ur_general):
             with pytest.raises(ValueError, match="no matching"):
@@ -387,6 +387,9 @@ def test_decomposition_of_another_graph_is_refused():
         with pytest.raises(ValueError, match="another graph"):
             allowed_edges(h, ge)
         assert not verify_gallai_edmonds(h, ge)
+    # every_ur checks it on the bipartite route too, where it reads no ge
+    with pytest.raises(ValueError, match="another graph"):
+        every_ur(path_graph(4), ge=gallai_edmonds(cycle_graph(5)))
     # an equal adjacency will do: a pickled decomposition holds a copy
     copied = pickle.loads(pickle.dumps(gallai_edmonds(g)))
     assert copied.adj is not g.adj
@@ -396,7 +399,8 @@ def test_decomposition_of_another_graph_is_refused():
 
 def test_early_stops_build_no_views():
     # C4 plus a disjoint triangle fails condition 1; K5 fails only the
-    # D-block test
+    # D-block test.  Each run reads the C members, to loop over the C
+    # components, and no other view
     c4_triangle = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6)])
     k5 = complete_graph(5)
     runs = [(c4_triangle, every_ur, C_COMPONENT_PM_NOT_UNIQUE),
@@ -405,7 +409,7 @@ def test_early_stops_build_no_views():
     for g, decide, tag in runs:
         ge = gallai_edmonds(g)
         assert decide(g, ge=ge).failure == tag
-        assert not set(VIEWS) & set(vars(ge))
+        assert set(VIEWS) & set(vars(ge)) == {"c_members"}
     assert every_ur(k5, all_failures=True).failures == (D_COMPONENT_BLOCKS_NOT_ODD_CYCLES,)
 
 
