@@ -32,9 +32,10 @@ def _check_independent(g: Graph, i_set: frozenset[int]) -> None:
     for v in i_set:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    for u, v in g.edges:
-        if u in i_set and v in i_set:
-            raise ValueError(f"set is not independent: contains edge ({u}, {v})")
+    for u in sorted(i_set):
+        for v in g.adj[u]:
+            if v in i_set:
+                raise ValueError(f"set is not independent: contains edge {edge_key(u, v)}")
 
 
 def find_e_good_ordering(
@@ -58,7 +59,7 @@ def find_e_good_ordering(
     allowed_set = set()
     for u, v in allowed:
         e = edge_key(u, v)
-        if e not in g.edges:
+        if not g.has_edge(*e):
             raise ValueError(f"allowed edge {e} not in graph")
         allowed_set.add(e)
     found = _e_good_ordering(g.adj, i_set, allowed_set)

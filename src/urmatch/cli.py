@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
+import re
 import sys
 import time
 
@@ -30,17 +32,61 @@ class GraphParseError(ValueError):
         self.line_no = line_no
 
 
+# the text ``render_graph`` writes, edge lines in any order: read with one
+# split, and handed to the line scanner on any error for it to report
+_CANONICAL = re.compile(r"n ([0-9]{1,7})\n((?:[0-9]{1,7} [0-9]{1,7}\n)*)")
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the graph file format.
 
     Header ``n <N>`` followed by one ``<u> <v>`` edge per line; ``#`` starts a
     comment, blank lines are ignored, CRLF is tolerated.  Edges are stored as
     unordered pairs; repeating a pair in either orientation is an error.
+    Canonical text takes a bulk path; ``_scan_graph`` is the spec, and it
+    reports every error.
     """
+    found = _CANONICAL.fullmatch(text)
+    if found is not None:
+        n = int(found[1])
+        ids = list(map(int, found[2].split()))
+        if n <= MAX_VERTICES and (not ids or max(ids) < n):
+            nbrs: list[list[int]] = [[] for _ in range(n)]
+            it = iter(ids)
+            for u, v in zip(it, it):
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+            adj = _simple_rows(nbrs)
+            if adj is not None:
+                return Graph(n, adj)
+    return _scan_graph(text)
+
+
+def _simple_rows(nbrs: list[list[int]]) -> tuple[tuple[int, ...], ...] | None:
+    """The neighbour lists ``nbrs`` sorted, as an adjacency, or None if a
+    row lists a vertex twice: a repeated pair, or a loop, whose vertex is
+    listed twice in its own row."""
+    for row in nbrs:
+        row.sort()
+    adj = tuple(map(tuple, nbrs))
+    # a sorted row holds a repeat next to itself, and its set drops it
+    if sum(map(len, map(set, adj))) != sum(map(len, adj)):
+        return None
+    return adj
+
+
+def _scan_graph(text: str) -> Graph:
+    """``parse_graph`` line by line, raising at the first faulty line."""
     n = None
-    seen: set[tuple[int, int]] = set()
     nbrs: list[list[int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+
+    def fault(message: str, line_no: int) -> GraphParseError:
+        # a repeated pair is found only once all rows are sorted; one on an
+        # earlier line is the first fault
+        return _first_repeat(text, line_no) or GraphParseError(message, line_no)
+
+    lines = text.splitlines()
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -58,27 +104,44 @@ def parse_graph(text: str) -> Graph:
             continue
         # ASCII decimal digits only: int() would also take "1_0", "+3" and "²"
         if len(parts) != 2 or not (line.isascii() and parts[0].isdigit() and parts[1].isdigit()):
-            raise GraphParseError(f"malformed edge line {line!r}", line_no)
+            raise fault(f"malformed edge line {line!r}", line_no)
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphParseError(f"vertex with too many digits in edge line {line!r}", line_no) from None
+            raise fault(f"vertex with too many digits in edge line {line!r}", line_no) from None
         if u == v:
-            raise GraphParseError(f"loop at vertex {u}", line_no)
+            raise fault(f"loop at vertex {u}", line_no)
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(f"vertex out of range in edge ({u}, {v})", line_no)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphParseError(f"duplicate edge ({key[0]}, {key[1]})", line_no)
-        seen.add(key)
+            raise fault(f"vertex out of range in edge ({u}, {v})", line_no)
         nbrs[u].append(v)
         nbrs[v].append(u)
     if n is None:
         raise GraphParseError("missing header 'n <count>'", 1)
-    # the pairs are in range, normalized and distinct: only the lists' order is left
-    for row in nbrs:
-        row.sort()
-    return Graph(n, frozenset(seen), tuple(map(tuple, nbrs)))
+    adj = _simple_rows(nbrs)
+    if adj is None:  # loops and ids out of range raised above: a pair repeats
+        raise _first_repeat(text, len(lines) + 1)
+    return Graph(n, adj)
+
+
+def _first_repeat(text: str, stop: int) -> GraphParseError | None:
+    """The error for the first edge line before line ``stop`` that repeats
+    the pair of an earlier one, or None.  The lines before ``stop`` are
+    known to hold the header and well-formed edges."""
+    seen: set[tuple[int, int]] = set()
+    header = True
+    for line_no, raw in enumerate(text.splitlines()[:stop - 1], start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if header:
+            header = False
+            continue
+        u, v = int(parts[0]), int(parts[1])
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            return GraphParseError(f"duplicate edge ({key[0]}, {key[1]})", line_no)
+        seen.add(key)
+    return None
 
 
 def render_graph(g: Graph) -> str:
@@ -131,6 +194,19 @@ def _format_witness(report: RecognitionReport) -> str:
 
 
 def _cmd_check(args) -> int:
+    # a check leaves next to no cyclic garbage, so the collector's passes
+    # over the graph's many rows are pure cost: pause it, and give it back
+    # as found
+    paused = gc.isenabled()
+    gc.disable()
+    try:
+        return _check(args)
+    finally:
+        if paused:
+            gc.enable()
+
+
+def _check(args) -> int:
     props = ["some", "every"] if args.property == "both" else [args.property]
     prefix_path = len(args.files) > 1
     for path in args.files:

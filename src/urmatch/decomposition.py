@@ -49,7 +49,8 @@ class GallaiEdmonds:
     verifier only; the deciders refuse it.  ``upms`` is the deciders' memo
     (see ``recognition``); ``replace`` starts it empty.
 
-    Views, each read off ``comp`` on first read: ``a_list``, the A-vertices
+    Views, each read off ``comp`` on first read: ``counts``, the numbers of
+    D and of C components; ``a_list``, the A-vertices
     ascending (gb vertex i < |A| is ``a_list[i]``); ``d_members`` and
     ``c_members``, the ascending vertex lists of the D and the C components
     in ``comp``'s numbering; ``d_set``, ``a_set``, ``c_set``;
@@ -72,8 +73,14 @@ class GallaiEdmonds:
         return [v for v, c in enumerate(self.comp) if c == -1]
 
     @cached_property
+    def counts(self) -> tuple[int, int]:
+        # D component ci is ci and C component ci is -4 - ci: the highest
+        # and the lowest entry count them, an entry on the wrong side none
+        return max(max(self.comp, default=-1) + 1, 0), max(-3 - min(self.comp, default=-3), 0)
+
+    @cached_property
     def d_members(self) -> list[list[int]]:
-        lists: list[list[int]] = [[] for _ in range(max(self.comp, default=-1) + 1)]
+        lists: list[list[int]] = [[] for _ in range(self.counts[0])]
         for v, c in enumerate(self.comp):
             if c >= 0:
                 lists[c].append(v)
@@ -81,8 +88,7 @@ class GallaiEdmonds:
 
     @cached_property
     def c_members(self) -> list[list[int]]:
-        # C component ci is -4 - ci; a lowest entry above -4 leaves no list
-        lists: list[list[int]] = [[] for _ in range(-3 - min(self.comp, default=-3))]
+        lists: list[list[int]] = [[] for _ in range(self.counts[1])]
         for v, c in enumerate(self.comp):
             if c <= -4:
                 lists[-4 - c].append(v)
@@ -121,23 +127,22 @@ class GallaiEdmonds:
     @cached_property
     def gb(self) -> Graph:
         k = len(self.a_list)
-        rows: list[list[int]] = [[] for _ in range(k + len(self.d_members))]
+        rows: list[list[int]] = [[] for _ in range(k + self.counts[0])]
         for i, ci in self.attachments:  # i ascending
             rows[i].append(k + ci)
             rows[k + ci].append(i)
         for row in rows[:k]:
             row.sort()
-        edges = frozenset([(i, k + ci) for i, ci in self.attachments])
-        return Graph(len(rows), edges, tuple(map(tuple, rows)))
+        return Graph(len(rows), tuple(map(tuple, rows)))
 
     @cached_property
     def gb_sides(self) -> tuple[frozenset[int], frozenset[int]]:
         k = len(self.a_list)
-        return frozenset(range(k)), frozenset(range(k, k + len(self.d_members)))
+        return frozenset(range(k)), frozenset(range(k, k + self.counts[0]))
 
     @cached_property
     def contraction_map(self) -> tuple[tuple[str, int], ...]:
-        return tuple(("a", v) for v in self.a_list) + tuple(("d", i) for i in range(len(self.d_members)))
+        return tuple(("a", v) for v in self.a_list) + tuple(("d", i) for i in range(self.counts[0]))
 
 
 def _classes(adj, d_verts) -> list[int]:

@@ -11,8 +11,10 @@ building it; the public functions are their whole-graph wrappers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 
@@ -25,56 +27,62 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Simple undirected graph: no loops, no parallel edges.
 
-    ``edges`` holds normalized pairs ``(u, v)`` with ``u < v``; ``adj`` is an
-    ascending-sorted adjacency tuple.  Instances are immutable and hashable.
-    Use :meth:`from_edges` to construct one from outside data; library code
-    that already holds normalized data (pairs in range with ``u < v`` and
-    ascending adjacency that lists exactly those pairs) may call the
-    constructor directly, as :func:`induced_subgraph` and the graph-file
-    parser do.
+    The fields are ``n`` and ``adj``, an ascending-sorted adjacency tuple;
+    equality and hashing come from them.  ``edges`` (normalized pairs
+    ``(u, v)`` with ``u < v``) and ``m`` are views read off ``adj`` on first
+    read; no decider builds ``edges``.  Instances are immutable.  Use
+    :meth:`from_edges` to construct one from outside data; library code
+    that already holds an adjacency (rows of distinct in-range ids,
+    ascending, each edge listed at both ends) calls ``Graph(n, adj)``
+    directly, as :func:`induced_subgraph` and the graph-file parser do.
     """
 
     n: int
-    edges: frozenset[tuple[int, int]]
     adj: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] = ()) -> "Graph":
+        """The graph of n vertices and ``edges``; a pair repeated in either
+        orientation is kept once."""
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        normalized: set[tuple[int, int]] = set()
+        nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            normalized.add(edge_key(u, v))
-        return cls(n, frozenset(normalized), _adjacency(n, normalized))
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        for row in nbrs:
+            row.sort()
+            # a repeated pair sits next to itself once the row is sorted
+            for i in range(len(row) - 1, 0, -1):
+                if row[i] == row[i - 1]:
+                    del row[i]
+        return cls(n, tuple(map(tuple, nbrs)))
 
-    @property
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.sorted_edges())
+
+    @cached_property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adj)) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self.edges
+        n = self.n
+        if not (0 <= u < n and 0 <= v < n):  # adj[-1] would wrap
+            return False
+        row = self.adj[u]
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
-
-def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
-    """The ascending adjacency of n vertices joined by ``edges``, which must
-    be distinct pairs ``(u, v)`` with ``0 <= u < v < n``: no check is made."""
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    for s in nbrs:
-        s.sort()
-    return tuple(map(tuple, nbrs))
+        return [(u, v) for u, row in enumerate(self.adj) for v in row if u < v]
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -92,8 +100,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     # of vertices of a large host graph; pos preserves order, so each list
     # stays ascending and the result needs no renormalizing
     adj = tuple(tuple(pos[w] for w in g.adj[u] if w in pos) for u in keep)
-    edges = frozenset((i, j) for i, nbrs in enumerate(adj) for j in nbrs if i < j)
-    return Graph(len(keep), edges, adj), tuple(keep)
+    return Graph(len(keep), adj), tuple(keep)
 
 
 def connected_components(g: Graph, vertices: Iterable[int] | None = None) -> list[frozenset[int]]:
@@ -198,9 +205,10 @@ def validate_bipartition(g: Graph, sides: tuple[Iterable[int], Iterable[int]]) -
         raise ValueError("bipartition sides overlap")
     if side_a | side_b != frozenset(range(g.n)):
         raise ValueError("bipartition does not cover all vertices")
-    for u, v in g.edges:
-        if (u in side_a) == (v in side_a):
-            raise ValueError(f"edge ({u}, {v}) lies within one side")
+    for u, row in enumerate(g.adj):
+        for v in row:
+            if u < v and (u in side_a) == (v in side_a):
+                raise ValueError(f"edge ({u}, {v}) lies within one side")
     return side_a, side_b
 
 

@@ -48,14 +48,17 @@ class Matching:
 
     @classmethod
     def from_edges(cls, g: Graph, edges: Iterable[tuple[int, int]]) -> "Matching":
+        n, adj = g.n, g.adj
         norm: set[tuple[int, int]] = set()
         mate: dict[int, int] = {}
         for u, v in edges:
-            e = edge_key(u, v)
-            if e not in g.edges:
-                raise ValueError(f"edge {e} not in graph")
+            e = (u, v) if u < v else (v, u)
             if e in norm:
                 continue
+            # scanning the row costs O(deg u) once per vertex: a vertex met
+            # twice raises below
+            if not (0 <= e[0] and e[1] < n and e[1] in adj[e[0]]):
+                raise ValueError(f"edge {e} not in graph")
             if e[0] in mate or e[1] in mate:
                 raise ValueError(f"edges share a vertex at {e}")
             norm.add(e)
@@ -358,7 +361,7 @@ def maximum_matching_bipartite(g: Graph, sides) -> Matching:
 def edge_in_some_maximum_matching(g: Graph, e: tuple[int, int]) -> bool:
     """True iff nu(g - u - v) == nu(g) - 1 for e = uv."""
     u, v = edge_key(*e)
-    if (u, v) not in g.edges:
+    if not g.has_edge(u, v):
         raise ValueError(f"edge {(u, v)} not in graph")
     match = _max_match_array(g)
     if match[u] == v:

@@ -90,7 +90,7 @@ def _covered_set(edges: frozenset[tuple[int, int]]) -> frozenset[int]:
 def oracle_is_ur(g: Graph, m: Matching, *, max_n: int = DEFAULT_MAX_N, max_m: int = DEFAULT_MAX_M) -> bool:
     """True iff m is the only perfect matching of the subgraph induced by its vertices."""
     for e in m.edges:
-        if e not in g.edges:
+        if not g.has_edge(*e):
             raise ValueError(f"edge {e} not in graph")
     sub, _ = induced_subgraph(g, m.covered)
     return count_perfect_matchings(sub, max_n=max_n, max_m=max_m) == 1

@@ -5,9 +5,10 @@ same vertex set?  ``every_ur``: do all of them?  Both reduce to structural
 conditions on the Gallai-Edmonds decomposition; yes-instances of ``some_ur``
 come with an explicit witness matching that callers can re-verify.  Both
 read only the decomposition's arrays (``comp``, ``match`` and ``parent``),
-the A list and the member lists read off ``comp``, and its memo, and gb
-and the attachments once they reach a gb condition, so a run that stops at
-a C or D component test builds none of the other views.  The ``every_ur`` route works on arrays and
+the component counts and the A list read off ``comp``, and its memo, and
+gb and the attachments once they reach a gb condition; only ``some_ur``'s
+D component tests read a member list.  A run that stops at a C or D
+component test builds none of the other views.  The ``every_ur`` route works on arrays and
 masks over g's and gb's adjacency: one two-coloring, one Hopcroft-Karp mate
 array, D(M)'s acyclicity and the forest tests of its closures, and one block
 search kept inside D; only the public entry points validate what they are
@@ -83,7 +84,7 @@ def _gb_matching(ge: GallaiEdmonds) -> tuple[list[bool], list[int]]:
     """gb's side-A mask and the mate array of Hopcroft-Karp on gb.  gb's k
     A-vertices are 0..k-1, so its sides are not validated again."""
     k = len(ge.a_list)
-    return [True] * k + [False] * len(ge.d_members), _hopcroft_karp(ge.gb.adj, range(k))
+    return [True] * k + [False] * ge.counts[0], _hopcroft_karp(ge.gb.adj, range(k))
 
 
 def _decomposed(g: Graph, ge: GallaiEdmonds | None) -> GallaiEdmonds:
@@ -116,7 +117,7 @@ def _c_upm(g: Graph, ge: GallaiEdmonds, ci: int) -> list | None:
     if key not in ge.upms:
         match, comp = ge.match, ge.comp
         alive = [c <= -4 for c in comp]
-        edges = [[] for _ in ge.c_members]
+        edges = [[] for _ in range(ge.counts[1])]
         for v, c in enumerate(comp):
             if c <= -4:
                 if match[v] == -1 or comp[match[v]] != c:
@@ -228,7 +229,7 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     failures: list[str] = []
 
     # condition 1: every untouched component has a unique perfect matching
-    for ci in range(len(ge.c_members)):
+    for ci in range(ge.counts[1]):
         if _c_upm(g, ge, ci) is None:
             failures.append(C_COMPONENT_PM_NOT_UNIQUE)
             if not all_failures:
@@ -277,7 +278,7 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
             raise InternalCheckError(f"ordering edge {(i, j)} has no unique component neighbor")
         witness_edges.add(edge_key(ge.a_list[i], nbrs[0]))
         chosen_h[j - k] = nbrs[0]
-    for ci in range(len(ge.c_members)):
+    for ci in range(ge.counts[1]):
         witness_edges.update(_c_upm(g, ge, ci))
     for ci, h in chosen_h.items():
         if not _unique_minus(g, ge, ci, h):
@@ -358,7 +359,7 @@ def every_ur_general(
     ge = _decomposed(g, ge)
     failures: list[str] = []
 
-    for ci in range(len(ge.c_members)):
+    for ci in range(ge.counts[1]):
         if _c_upm(g, ge, ci) is None:
             failures.append(C_COMPONENT_PM_NOT_UNIQUE)
             if not all_failures:

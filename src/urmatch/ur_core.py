@@ -41,7 +41,7 @@ class MatchingDigraph:
 
 def _validate_matching_of(g: Graph, m: Matching) -> None:
     for e in m.edges:
-        if e not in g.edges:
+        if not g.has_edge(*e):
             raise ValueError(f"matching edge {e} not in graph")
     # Matching.from_edges already guarantees disjointness and the mate map
 

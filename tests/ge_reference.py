@@ -106,6 +106,7 @@ def contract_by_sets(g: Graph, d_set: frozenset[int]) -> dict:
         for v in members:
             comp[v] = -4 - ci
     return {
+        "counts": (len(d_components), len(c_components)),
         "a_list": a_list,
         "d_members": [sorted(c) for c in d_components],
         "c_members": [sorted(c) for c in c_components],

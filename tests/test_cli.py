@@ -1,12 +1,15 @@
 import ast
+import gc
 import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strategies import graphs
 from urmatch import cli, selftest
@@ -76,6 +79,93 @@ def test_parse_graph_errors(text, line_no, frag):
         parse_graph(text)
     assert exc.value.line_no == line_no
     assert frag in str(exc.value)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphParseError as exc:
+        return str(exc), exc.line_no
+
+
+@st.composite
+def canonical_texts(draw):
+    """Texts in the format ``render_graph`` writes, edge lines in any order,
+    some with a repeated pair, a loop, an out-of-range id or a padded id."""
+    n = draw(st.one_of(st.integers(0, 8), st.just(cli.MAX_VERTICES + 1)))
+    ids = st.integers(0, min(n, 8) + 1)
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=12))
+    if pairs and draw(st.booleans()):
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from(pairs))[::-1])
+    width = draw(st.sampled_from([1, 3]))
+    return f"n {n}\n" + "".join(f"{u:0{width}} {v:0{width}}\n" for u, v in pairs)
+
+
+@settings(deadline=None, max_examples=300)
+@given(canonical_texts())
+def test_bulk_path_agrees_with_the_line_scanner(text):
+    assert cli._CANONICAL.fullmatch(text)
+    assert _parse_outcome(parse_graph, text) == _parse_outcome(cli._scan_graph, text)
+
+
+@settings(deadline=None, max_examples=50)
+@given(graphs(max_n=10))
+def test_rendered_text_takes_the_bulk_path(g):
+    assert cli._CANONICAL.fullmatch(render_graph(g))
+
+
+@pytest.mark.parametrize(
+    "text,line_no,frag",
+    [
+        # a repeated pair is found once the rows are sorted; it is still
+        # reported before a fault on a later line
+        ("n 3\n0 1\n1 0\n0 5\n", 3, "duplicate edge (0, 1)"),
+        ("n 3\n0 1\n# c\n\n1 0\n2 2\n", 5, "duplicate edge (0, 1)"),
+        ("n 4\n0 1\n2 3\n3 2\n0 1\n", 4, "duplicate edge (2, 3)"),
+        ("n 4\n0 1\n2 3\n1 x\n0 1\n", 4, "malformed edge"),
+    ],
+)
+def test_first_fault_is_reported(text, line_no, frag):
+    test_parse_graph_errors(text, line_no, frag)
+
+
+def test_parse_graph_holds_no_edge_set():
+    # P_10^5 as an adjacency holds about 11.4 MiB; an edge set beside it, 20.8
+    text = render_graph(path_graph(10**5))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = parse_graph(text)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert g.n == 10**5 and g.m == 10**5 - 1
+    assert held < 14 * 2**20
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_gives_the_collector_back(enabled, tmp_path, capsys, monkeypatch):
+    good = _write(tmp_path, "p3.g", P3_TEXT)
+    bad = _write(tmp_path, "bad.g", "n 3\n0 9\n")
+    states = []
+    parse, run = cli.parse_graph, selftest.run
+    monkeypatch.setattr(cli, "parse_graph", lambda text: states.append(gc.isenabled()) or parse(text))
+    monkeypatch.setattr(selftest, "run", lambda *a: states.append(gc.isenabled()) or run(*a))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in (
+            (["check", good, "--property", "both"], 0),
+            (["check", bad, "--property", "some"], 2),
+            (["selftest", "--nmax", "3", "--random", "0"], 0),
+        ):
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    # check runs with the collector paused, selftest in the caller's state
+    assert states == [False, False, enabled]
+    capsys.readouterr()
 
 
 def test_check_text_output(tmp_path, capsys):

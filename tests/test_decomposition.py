@@ -247,13 +247,15 @@ def test_non_maximum_matching_fails_the_tutte_berge_count(monkeypatch, g, d_set,
 
 # the views that each view is read off, besides the fields
 _READS = {
+    "d_members": {"counts"},
+    "c_members": {"counts"},
     "a_set": {"a_list"},
-    "d_components": {"d_members"},
-    "c_components": {"c_members"},
+    "d_components": {"d_members", "counts"},
+    "c_components": {"c_members", "counts"},
     "attachments": {"a_list"},
-    "gb": {"attachments", "a_list", "d_members"},
-    "gb_sides": {"a_list", "d_members"},
-    "contraction_map": {"a_list", "d_members"},
+    "gb": {"attachments", "a_list", "counts"},
+    "gb_sides": {"a_list", "counts"},
+    "contraction_map": {"a_list", "counts"},
 }
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -46,6 +48,46 @@ def test_edges_normalized():
     assert not g.has_edge(0, 1)
     assert g.degree(2) == 2
     assert edge_key(2, 0) == (0, 2)
+
+
+def test_from_edges_keeps_a_repeated_pair_once():
+    g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
+    assert g == Graph.from_edges(3, [(0, 1)])
+    assert g.adj == ((1,), (0,), ()) and g.m == 1
+    assert hash(g) == hash(Graph.from_edges(3, [(1, 0)]))
+
+
+def test_graph_is_its_adjacency():
+    g = Graph.from_edges(4, [(3, 0), (1, 2), (0, 1)])
+    assert [f.name for f in dataclasses.fields(Graph)] == ["n", "adj"]
+    assert g == Graph(4, ((1, 3), (0, 2), (1,), (0,)))
+    assert "edges" not in vars(g)
+    assert g.sorted_edges() == [(0, 1), (0, 3), (1, 2)] and g.m == 3
+    assert "edges" not in vars(g)
+    assert g.edges == frozenset(g.sorted_edges())
+
+
+def test_has_edge_outside_the_vertex_range():
+    g = path_graph(4)
+    for u in (-1, g.n, g.n + 5):
+        for v in range(g.n):
+            assert not g.has_edge(u, v) and not g.has_edge(v, u)
+    # adj[-1] is vertex 3's row, which lists 2
+    assert not g.has_edge(-1, 2)
+    assert [g.has_edge(0, v) for v in range(4)] == [False, True, False, False]
+
+
+def test_from_edges_holds_no_edge_set():
+    # P_10^5 as an adjacency holds about 12 MiB; an edge set beside it, 21.6
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = path_graph(10**5)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert g.m == 10**5 - 1
+    assert held < 15 * 2**20
 
 
 def test_induced_subgraph_relabels_in_order():

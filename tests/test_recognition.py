@@ -399,8 +399,8 @@ def test_decomposition_of_another_graph_is_refused():
 
 def test_early_stops_build_no_views():
     # C4 plus a disjoint triangle fails condition 1; K5 fails only the
-    # D-block test.  Each run reads the C members, to loop over the C
-    # components, and no other view
+    # D-block test.  Each run reads the component counts, to loop over the
+    # C components, and no other view: no member list
     c4_triangle = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6)])
     k5 = complete_graph(5)
     runs = [(c4_triangle, every_ur, C_COMPONENT_PM_NOT_UNIQUE),
@@ -409,8 +409,18 @@ def test_early_stops_build_no_views():
     for g, decide, tag in runs:
         ge = gallai_edmonds(g)
         assert decide(g, ge=ge).failure == tag
-        assert set(VIEWS) & set(vars(ge)) == {"c_members"}
+        assert set(VIEWS) & set(vars(ge)) == {"counts"}
     assert every_ur(k5, all_failures=True).failures == (D_COMPONENT_BLOCKS_NOT_ODD_CYCLES,)
+
+
+@settings(deadline=None, max_examples=150)
+@given(graphs(max_n=11))
+def test_every_builds_no_member_lists(g):
+    # the C and D loops count the components off the component array
+    ge = gallai_edmonds(g)
+    every_ur_general(g, ge=ge, all_failures=True)
+    every_ur(g, ge=ge, all_failures=True)
+    assert not {"c_members", "d_members", "c_components", "d_components"} & set(vars(ge))
 
 
 def test_path_flips_from_the_matchers_pointers_at_scale():
