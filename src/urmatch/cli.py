@@ -16,7 +16,7 @@ import sys
 import time
 
 from .decomposition import gallai_edmonds
-from .graph_core import Graph
+from .graph_core import Graph, _rows
 from .matching import Matching
 from .oracle import DEFAULT_MAX_M, DEFAULT_MAX_N, GuardLimitError, oracle_every_ur, oracle_some_ur
 from .recognition import InternalCheckError, RecognitionReport, every_ur, some_ur
@@ -56,37 +56,18 @@ def parse_graph(text: str) -> Graph:
             for u, v in zip(it, it):
                 nbrs[u].append(v)
                 nbrs[v].append(u)
-            adj = _simple_rows(nbrs)
+            adj = _rows(nbrs)
             if adj is not None:
                 return Graph(n, adj)
     return _scan_graph(text)
 
 
-def _simple_rows(nbrs: list[list[int]]) -> tuple[tuple[int, ...], ...] | None:
-    """The neighbour lists ``nbrs`` sorted, as an adjacency, or None if a
-    row lists a vertex twice: a repeated pair, or a loop, whose vertex is
-    listed twice in its own row."""
-    for row in nbrs:
-        row.sort()
-    adj = tuple(map(tuple, nbrs))
-    # a sorted row holds a repeat next to itself, and its set drops it
-    if sum(map(len, map(set, adj))) != sum(map(len, adj)):
-        return None
-    return adj
-
-
 def _scan_graph(text: str) -> Graph:
     """``parse_graph`` line by line, raising at the first faulty line."""
     n = None
+    seen: set[tuple[int, int]] = set()
     nbrs: list[list[int]] = []
-
-    def fault(message: str, line_no: int) -> GraphParseError:
-        # a repeated pair is found only once all rows are sorted; one on an
-        # earlier line is the first fault
-        return _first_repeat(text, line_no) or GraphParseError(message, line_no)
-
-    lines = text.splitlines()
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -104,44 +85,27 @@ def _scan_graph(text: str) -> Graph:
             continue
         # ASCII decimal digits only: int() would also take "1_0", "+3" and "²"
         if len(parts) != 2 or not (line.isascii() and parts[0].isdigit() and parts[1].isdigit()):
-            raise fault(f"malformed edge line {line!r}", line_no)
+            raise GraphParseError(f"malformed edge line {line!r}", line_no)
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise fault(f"vertex with too many digits in edge line {line!r}", line_no) from None
+            raise GraphParseError(f"vertex with too many digits in edge line {line!r}", line_no) from None
         if u == v:
-            raise fault(f"loop at vertex {u}", line_no)
+            raise GraphParseError(f"loop at vertex {u}", line_no)
         if not (0 <= u < n and 0 <= v < n):
-            raise fault(f"vertex out of range in edge ({u}, {v})", line_no)
+            raise GraphParseError(f"vertex out of range in edge ({u}, {v})", line_no)
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise GraphParseError(f"duplicate edge ({key[0]}, {key[1]})", line_no)
+        seen.add(key)
         nbrs[u].append(v)
         nbrs[v].append(u)
     if n is None:
         raise GraphParseError("missing header 'n <count>'", 1)
-    adj = _simple_rows(nbrs)
-    if adj is None:  # loops and ids out of range raised above: a pair repeats
-        raise _first_repeat(text, len(lines) + 1)
-    return Graph(n, adj)
-
-
-def _first_repeat(text: str, stop: int) -> GraphParseError | None:
-    """The error for the first edge line before line ``stop`` that repeats
-    the pair of an earlier one, or None.  The lines before ``stop`` are
-    known to hold the header and well-formed edges."""
-    seen: set[tuple[int, int]] = set()
-    header = True
-    for line_no, raw in enumerate(text.splitlines()[:stop - 1], start=1):
-        parts = raw.split("#", 1)[0].split()
-        if not parts:
-            continue
-        if header:
-            header = False
-            continue
-        u, v = int(parts[0]), int(parts[1])
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            return GraphParseError(f"duplicate edge ({key[0]}, {key[1]})", line_no)
-        seen.add(key)
-    return None
+    # the pairs are in range, normalized and distinct: only the lists' order is left
+    for row in nbrs:
+        row.sort()
+    return Graph(n, tuple(map(tuple, nbrs)))
 
 
 def render_graph(g: Graph) -> str:

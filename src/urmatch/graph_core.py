@@ -54,13 +54,10 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             nbrs[u].append(v)
             nbrs[v].append(u)
-        for row in nbrs:
-            row.sort()
-            # a repeated pair sits next to itself once the row is sorted
-            for i in range(len(row) - 1, 0, -1):
-                if row[i] == row[i - 1]:
-                    del row[i]
-        return cls(n, tuple(map(tuple, nbrs)))
+        adj = _rows(nbrs)
+        if adj is None:
+            adj = tuple(tuple(sorted(set(row))) for row in nbrs)
+        return cls(n, adj)
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -83,6 +80,18 @@ class Graph:
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u, row in enumerate(self.adj) for v in row if u < v]
+
+
+def _rows(nbrs: list[list[int]]) -> tuple[tuple[int, ...], ...] | None:
+    """The neighbour lists ``nbrs``, sorted in place, as an adjacency; None
+    if a row lists a vertex twice (a repeated pair, or a loop, whose vertex
+    its own row lists twice)."""
+    for row in nbrs:
+        row.sort()
+    adj = tuple(map(tuple, nbrs))
+    if any(len(row) != len(set(row)) for row in adj):
+        return None
+    return adj
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

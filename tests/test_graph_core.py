@@ -57,6 +57,16 @@ def test_from_edges_keeps_a_repeated_pair_once():
     assert hash(g) == hash(Graph.from_edges(3, [(1, 0)]))
 
 
+def test_from_edges_star_given_in_both_orientations():
+    # every pair twice, all in the centre's row: one linear pass per row
+    k = 10**5
+    edges = [(0, v) for v in range(1, k + 1)] + [(v, 0) for v in range(k, 0, -1)]
+    g = Graph.from_edges(k + 1, edges)
+    assert g.adj[0] == tuple(range(1, k + 1))
+    assert all(g.adj[v] == (0,) for v in range(1, k + 1))
+    assert g.m == k
+
+
 def test_graph_is_its_adjacency():
     g = Graph.from_edges(4, [(3, 0), (1, 2), (0, 1)])
     assert [f.name for f in dataclasses.fields(Graph)] == ["n", "adj"]
