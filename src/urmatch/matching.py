@@ -3,8 +3,8 @@
 One alternating-forest search with union-find blossoms (Edmonds) serves the
 general matcher and the deletion test of edges in some maximum matching;
 bipartite graphs use Hopcroft-Karp (``_hopcroft_karp``), whose mate array
-also gives the Koenig independent set (``_koenig_independent``).  The general
-matcher (``_matcher``) seeds with the degree-1 rule of Karp & Sipser, then
+also gives the Koenig independent set (``max_independent_set_bipartite``).
+The general matcher (``_matcher``) seeds with the degree-1 rule of Karp & Sipser, then
 searches from each vertex left free, lowest first, on arrays allocated once:
 a search that augments resets only what it labelled, and the Hungarian tree
 of one that fails stays out of every later search, its even vertices marked
@@ -550,29 +550,25 @@ def is_factor_critical(g: Graph) -> bool:
     return all(x == _DEAD_EVEN for x in label)
 
 
-def _koenig_independent(adj, in_a, mate) -> frozenset[int]:
-    """The maximum independent set of a bipartite graph, side A marked in
-    ``in_a``, that complements the Koenig cover of its maximum matching
-    ``mate``: the cover is the A-vertices that the alternating search from
-    the free A-vertices misses and the B-vertices it reaches, so v is in the
-    set iff ``reach[v] == in_a[v]``, isolated vertices of both sides too."""
-    reach = [False] * len(adj)
-    queue = [a for a, inside in enumerate(in_a) if inside and mate[a] == -1]
+def max_independent_set_bipartite(g: Graph, sides) -> frozenset[int]:
+    """A maximum independent set of a bipartite graph: the complement of
+    the Koenig cover of its Hopcroft-Karp matching.  The cover is the
+    A-vertices that the alternating search from the free A-vertices misses
+    and the B-vertices it reaches, so v is in the set iff ``reach[v]`` equals
+    whether v is on side A, isolated vertices of both sides too."""
+    side_a, _ = validate_bipartition(g, sides)
+    a_list = sorted(side_a)
+    mate = _hopcroft_karp(g.adj, a_list)
+    reach = [False] * g.n
+    queue = [a for a in a_list if mate[a] == -1]
     for a in queue:
         reach[a] = True
     for a in queue:  # the loop also visits vertices appended while it runs
-        for b in adj[a]:
+        for b in g.adj[a]:
             if not reach[b]:  # b is not a's mate, which reached a
                 reach[b] = True
                 a2 = mate[b]
                 if a2 != -1:
                     reach[a2] = True
                     queue.append(a2)
-    return frozenset(v for v, r in enumerate(reach) if r == in_a[v])
-
-
-def max_independent_set_bipartite(g: Graph, sides) -> frozenset[int]:
-    """A maximum independent set of a bipartite graph (complement of a Koenig cover)."""
-    side_a, _ = validate_bipartition(g, sides)
-    in_a = [v in side_a for v in range(g.n)]
-    return _koenig_independent(g.adj, in_a, _hopcroft_karp(g.adj, sorted(side_a)))
+    return frozenset(v for v, r in enumerate(reach) if r == (v in side_a))

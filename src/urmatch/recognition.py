@@ -8,11 +8,12 @@ read only the decomposition's arrays (``comp``, ``match`` and ``parent``),
 the component counts and the A list read off ``comp``, and its memo, and
 gb and the attachments once they reach a gb condition; only ``some_ur``'s
 D component tests read a member list.  A run that stops at a C or D
-component test builds none of the other views.  The ``every_ur`` route works on arrays and
-masks over g's and gb's adjacency: one two-coloring, one Hopcroft-Karp mate
-array, D(M)'s acyclicity and the forest tests of its closures, and one block
-search kept inside D; only the public entry points validate what they are
-given.
+component test builds none of the other views.  No decider matches gb
+(see ``some_ur`` and ``every_ur_general``).  The bipartite ``every_ur``
+route works on arrays and masks over g's adjacency: one two-coloring, one
+Hopcroft-Karp mate array, D(M)'s acyclicity and the forest tests of its
+closures; the general one runs one block search kept inside D.  Only the
+public entry points validate what they are given.
 
 Failure tags form a closed set of stable strings; a report names the first
 violated condition, and all violated conditions when diagnostics are requested.
@@ -24,14 +25,13 @@ from dataclasses import dataclass
 
 from .accessibility import _e_good_ordering
 from .decomposition import GallaiEdmonds, gallai_edmonds
-from .graph_core import Graph, _is_forest, _odd_cycle_blocks, _side_a, edge_key, validate_bipartition
+from .graph_core import Graph, _is_forest, _odd_cycle_blocks, _side_a, edge_key, is_forest, validate_bipartition
 from .matching import (
     InternalCheckError,
     Matching,
     _EVEN,
     _alternating_cycle,
     _hopcroft_karp,
-    _koenig_independent,
     _peel,
     _search,
     unique_perfect_matching,  # noqa: F401  read as recognition.unique_perfect_matching by perfbench
@@ -62,13 +62,13 @@ FAILURE_TAGS = frozenset({
 
 
 # ``GallaiEdmonds.upms``, the deciders' memo, so that deciders sharing one
-# decomposition test each set once: ``("c", ci)`` maps to the edges, in g's
-# ids, of the unique perfect matching of C component ``ci``, or to None;
+# decomposition test each set once: ``"c"`` maps to the indices of the C
+# components whose perfect matching is not unique (``_c_left``);
 # ``(ci, h)`` to whether D component ``ci`` minus its vertex h has a unique
 # perfect matching; ``("d", ci)`` holds what those tests share (``_d_local``).
-# The memo holds entries no caller asked for: the first C component test
-# answers all of them, and a "no" for one h of a D component writes a "no"
-# for every h' that the same alternating cycle rules out.
+# The memo holds entries no caller asked for: a "no" for one h of a D
+# component writes a "no" for every h' that the same alternating cycle rules
+# out.
 
 
 @dataclass(frozen=True)
@@ -78,13 +78,6 @@ class RecognitionReport:
     witness: Matching | None = None
     failure: str | None = None
     failures: tuple[str, ...] = ()
-
-
-def _gb_matching(ge: GallaiEdmonds) -> tuple[list[bool], list[int]]:
-    """gb's side-A mask and the mate array of Hopcroft-Karp on gb.  gb's k
-    A-vertices are 0..k-1, so its sides are not validated again."""
-    k = len(ge.a_list)
-    return [True] * k + [False] * ge.counts[0], _hopcroft_karp(ge.gb.adj, range(k))
 
 
 def _decomposed(g: Graph, ge: GallaiEdmonds | None) -> GallaiEdmonds:
@@ -106,29 +99,21 @@ def _edges(verts, match) -> list[tuple[int, int]]:
     return [edge_key(verts[x], verts[y]) for x, y in enumerate(match) if y > x]
 
 
-def _c_upm(g: Graph, ge: GallaiEdmonds, ci: int) -> list | None:
-    """Edges of the unique perfect matching of C component ``ci``, in g's
-    ids, or None, memoised in ``ge.upms``.  The first call answers every C
-    component with one Kotzig peel of g[C] on g's adjacency and
-    ``ge.match``: the peel acts on each component on its own, so component
-    ci has a unique perfect matching iff none of its vertices is left when
-    the peel stalls."""
-    key = ("c", ci)
-    if key not in ge.upms:
+def _c_left(g: Graph, ge: GallaiEdmonds) -> frozenset[int]:
+    """The indices of the C components whose perfect matching is not unique,
+    memoised in ``ge.upms`` once C is not empty.  ``ge.match`` is perfect on
+    C, so one Kotzig peel of g[C] on g's adjacency answers every component:
+    the peel acts on each component on its own, so component ci has a
+    unique perfect matching, ``ge.match`` on it, iff none of its vertices is
+    left when the peel stalls."""
+    if ge.counts[1] and "c" not in ge.upms:
         match, comp = ge.match, ge.comp
         alive = [c <= -4 for c in comp]
-        edges = [[] for _ in range(ge.counts[1])]
-        for v, c in enumerate(comp):
-            if c <= -4:
-                if match[v] == -1 or comp[match[v]] != c:
-                    raise InternalCheckError(f"the matching is not perfect on C at vertex {v}")
-                if match[v] > v:
-                    edges[-4 - c].append((v, match[v]))
-        for v in _peel(g.adj, match, alive):
-            edges[-4 - comp[v]] = None
-        for cj, upm in enumerate(edges):
-            ge.upms[("c", cj)] = upm
-    return ge.upms[key]
+        for v, live in enumerate(alive):
+            if live and (match[v] == -1 or comp[match[v]] != comp[v]):
+                raise InternalCheckError(f"the matching is not perfect on C at vertex {v}")
+        ge.upms["c"] = frozenset([-4 - comp[v] for v in _peel(g.adj, match, alive)])
+    return ge.upms.get("c", frozenset())
 
 
 def _d_local(g: Graph, ge: GallaiEdmonds, ci: int):
@@ -221,26 +206,30 @@ def allowed_edges(g: Graph, ge: GallaiEdmonds) -> frozenset[tuple[int, int]]:
 def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = False) -> RecognitionReport:
     """Decide whether some maximum matching of g is uniquely restricted.
 
-    Yes-answers carry a witness built from the unique perfect matchings of the
-    untouched components, one graph edge per matched contracted edge, and a
-    near-perfect matching inside every deficient component.
+    Condition 2 orders a maximum independent set of gb, and gb's component
+    side is one, found with no matching of gb: by the structure theorem gb
+    has positive surplus seen from A, so a maximum matching of gb leaves no
+    A-vertex free, the alternating search from the free A-vertices reaches
+    nothing, and the Koenig cover is A.
+
+    Yes-answers carry a witness: ``ge.match`` on C, one graph edge per
+    matched contracted edge, and a near-perfect matching inside every
+    deficient component.
     """
     ge = _decomposed(g, ge)
     failures: list[str] = []
 
     # condition 1: every untouched component has a unique perfect matching
-    for ci in range(ge.counts[1]):
-        if _c_upm(g, ge, ci) is None:
-            failures.append(C_COMPONENT_PM_NOT_UNIQUE)
-            if not all_failures:
-                return RecognitionReport("some_ur", False, None, failures[0], tuple(failures))
-            break
+    if _c_left(g, ge):
+        failures.append(C_COMPONENT_PM_NOT_UNIQUE)
+        if not all_failures:
+            return RecognitionReport("some_ur", False, None, failures[0], tuple(failures))
 
     # condition 2: gb has a maximum uniquely restricted matching inside the
     # eligible edges; equivalent to an ordering of a maximum independent set
     eligible = allowed_edges(g, ge)
-    i_max = _koenig_independent(ge.gb.adj, *_gb_matching(ge))
-    ordering = _e_good_ordering(ge.gb.adj, i_max, eligible)
+    k = len(ge.a_list)
+    ordering = _e_good_ordering(ge.gb.adj, range(k, ge.gb.n), eligible)
     if ordering is None:
         failures.append(GB_NO_UR_MATCHING_WITHIN_E)
         if not all_failures:
@@ -270,24 +259,21 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
         raise InternalCheckError("some_ur reached witness assembly with a failed condition")
 
     # assemble the witness
-    witness_edges: set[tuple[int, int]] = set()
-    k, (_, p_map) = len(ge.a_list), ordering
-    for i, j in sorted(edge_key(y, x) for y, x in p_map.items()):  # i < k <= j
+    mate, (_, p_map) = ge.match, ordering
+    witness_edges = [(v, mate[v]) for v, c in enumerate(ge.comp) if c <= -4 and mate[v] > v]
+    for i, j in p_map.items():  # i < k <= j: the ordered set is the component side
         nbrs = ge.attachments.get((i, j - k), ())
         if len(nbrs) != 1:  # the ordering only uses eligible edges
             raise InternalCheckError(f"ordering edge {(i, j)} has no unique component neighbor")
-        witness_edges.add(edge_key(ge.a_list[i], nbrs[0]))
+        witness_edges.append(edge_key(ge.a_list[i], nbrs[0]))
         chosen_h[j - k] = nbrs[0]
-    for ci in range(ge.counts[1]):
-        witness_edges.update(_c_upm(g, ge, ci))
     for ci, h in chosen_h.items():
         if not _unique_minus(g, ge, ci, h):
             raise InternalCheckError(f"D component {ci} minus {h} has no unique perfect matching")
         if len(ge.d_members[ci]) > 1:  # a single vertex leaves no edge
             verts, _, _, match = _perfect_minus(g, ge, ci, h)
-            witness_edges.update(_edges(verts, match))
-    witness = Matching.from_edges(g, sorted(witness_edges))
-    return RecognitionReport("some_ur", True, witness, None, ())
+            witness_edges += _edges(verts, match)
+    return RecognitionReport("some_ur", True, Matching.from_edges(g, witness_edges), None, ())
 
 
 def _every_bipartite(adj, in_a, mate, all_failures: bool) -> list[str]:
@@ -348,23 +334,31 @@ def every_ur_general(
     """The every-decider through the Gallai-Edmonds decomposition; valid on
     any graph, and the route ``every_ur`` takes on non-bipartite ones.
 
+    By the Gallai-Edmonds structure theorem gb has positive surplus seen
+    from A: every nonempty S of A-vertices has more than |S| component
+    neighbors (``verify_gallai_edmonds`` checks it).  Two consequences need
+    no matching of gb.
+
+    Every maximum matching of gb is uniquely restricted iff gb is a forest.
+    A maximum matching M of gb matches all of A, so no A-vertex is free and
+    V+ is empty.  By surplus every A-vertex reaches an unmatched component in
+    D(M), and every matched component reaches one through its mate, so V-
+    is all of gb.  "D(M) acyclic and V+, V- induce forests" is then "gb is
+    a forest": a cycle of D(M) is a cycle of gb.
+
     The characterization constrains only gb edges that lie in some maximum
-    matching of gb.  By the Gallai-Edmonds structure theorem gb has positive
-    surplus seen from A (every nonempty S of A-vertices has more than |S|
-    component neighbors; ``verify_gallai_edmonds`` checks it), so every gb edge
-    lies in one: gb - a - H still matches all of A - a by Hall's condition.
-    The gb-edge condition is therefore one pass over the adjacency of A: no
-    A-vertex may have two neighbors in the same D component.
+    matching of gb, and every gb edge lies in one: gb - a - H still matches
+    all of A - a by Hall's condition.  The gb-edge condition is therefore
+    one pass over the adjacency of A: no A-vertex may have two neighbors in
+    the same D component.
     """
     ge = _decomposed(g, ge)
     failures: list[str] = []
 
-    for ci in range(ge.counts[1]):
-        if _c_upm(g, ge, ci) is None:
-            failures.append(C_COMPONENT_PM_NOT_UNIQUE)
-            if not all_failures:
-                return _every_report(failures)
-            break
+    if _c_left(g, ge):
+        failures.append(C_COMPONENT_PM_NOT_UNIQUE)
+        if not all_failures:
+            return _every_report(failures)
 
     # one block search over g's adjacency, kept inside D
     if not _odd_cycle_blocks(g.adj, [c >= 0 for c in ge.comp]):
@@ -372,7 +366,7 @@ def every_ur_general(
         if not all_failures:
             return _every_report(failures)
 
-    if _every_bipartite(ge.gb.adj, *_gb_matching(ge), all_failures=False):
+    if not is_forest(ge.gb):
         failures.append(GB_EVERY_MAX_MATCHING_NOT_UR)
         if not all_failures:
             return _every_report(failures)

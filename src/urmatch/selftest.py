@@ -23,7 +23,7 @@ from .oracle import (
     oracle_some_ur,
 )
 from .recognition import (
-    _c_upm,
+    _c_left,
     _unique_minus,
     every_ur,
     every_ur_general,
@@ -66,7 +66,7 @@ def _instance(g: Graph, max_n: int, max_m: int) -> list[str]:
             problems.append(f"block test (_odd_cycle_blocks = {by_blocks}) disagrees with "
                             f"the per-vertex test on component {sorted(comp)}")
     # the deciders' uniqueness tests, on every set they may ask about
-    tested = [(comp, _c_upm(g, ge, ci) is not None) for ci, comp in enumerate(ge.c_components)]
+    tested = [(comp, ci not in _c_left(g, ge)) for ci, comp in enumerate(ge.c_components)]
     tested += [(comp - {h}, _unique_minus(g, ge, ci, h))
                for ci, comp in enumerate(ge.d_components) for h in sorted(comp)]
     for piece, unique in tested:

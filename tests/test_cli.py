@@ -396,6 +396,34 @@ def test_no_assert_in_library():
     assert found == []
 
 
+def _unused_imports(tree):
+    """The names a module imports and never reads; ``__all__`` entries count
+    as read."""
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(elt.value for elt in node.value.elts)
+    return imported - used
+
+
+def test_no_unused_import_in_library():
+    # the benchmark's tracer test reads recognition.unique_perfect_matching
+    allowed = {"recognition.py:unique_perfect_matching"}
+    src = Path(cli.__file__).parent
+    found = [
+        f"{path.name}:{name}"
+        for path in sorted(src.glob("*.py"))
+        for name in _unused_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert sorted(set(found) - allowed) == []
+
+
 def test_selftest_under_optimized_python():
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "urmatch.cli", "selftest",

@@ -1,5 +1,7 @@
 """The array cores of the every route against the object routes they replace
-(``every_reference``): the bipartite test on gb, and the block search on D."""
+(``every_reference``): the bipartite test on gb, and the block search on D;
+and the two structure-theorem facts that spare the general route a matching
+of gb, against the public bipartite routes."""
 
 import random
 
@@ -9,13 +11,13 @@ from every_reference import blocks_odd_by_networkx, closure, every_bipartite_by_
 from strategies import bipartite_graphs, giant, graphs, linear_triangle_tree, seeded_random_graphs, sparse_graph_nm
 from urmatch.decomposition import gallai_edmonds
 from urmatch.families import bowtie_graph, complete_graph, cycle_graph, path_graph
-from urmatch.graph_core import Graph, _odd_cycle_blocks, blocks_are_odd_cycles, induced_subgraph
-from urmatch.matching import _hopcroft_karp, maximum_matching_bipartite
+from urmatch.graph_core import Graph, _odd_cycle_blocks, blocks_are_odd_cycles, induced_subgraph, is_forest
+from urmatch.matching import _hopcroft_karp, max_independent_set_bipartite, maximum_matching_bipartite
 from urmatch.oracle import enumerate_labeled_graphs
 from urmatch.recognition import (
     D_COMPONENT_BLOCKS_NOT_ODD_CYCLES,
     _every_bipartite,
-    _gb_matching,
+    every_ur_bipartite,
     every_ur_general,
 )
 from urmatch.ur_core import _reach, build_matching_digraph
@@ -48,6 +50,22 @@ def test_reach_masks_equal_closures_of_the_digraph(gs):
         assert frozenset(v for v in range(g.n) if mask[v]) == closure(lists, sources) == want
 
 
+def _gb_facts(ge):
+    """Whether gb is a forest, after checking the two facts that the general
+    route reads off the structure theorem instead of matching gb: every
+    maximum matching of gb is uniquely restricted iff gb is a forest, and
+    the component side is the Koenig independent set of gb."""
+    forest = is_forest(ge.gb)
+    assert every_ur_bipartite(ge.gb, ge.gb_sides).answer == forest
+    assert max_independent_set_bipartite(ge.gb, ge.gb_sides) == frozenset(range(len(ge.a_list), ge.gb.n))
+    return forest
+
+
+def test_gb_facts_exhaustive():
+    forests = {_gb_facts(gallai_edmonds(g)) for n in range(7) for g in enumerate_labeled_graphs(n)}
+    assert forests == {True, False}  # K_{2,3} is its own gb
+
+
 def test_every_bipartite_on_gb_of_sparse_graphs():
     # the gb of giants of G(n, 1.5n) and of trees with pendant triangles
     graphs_ = [giant(sparse_graph_nm(n, 3 * n // 2, random.Random(seed)))
@@ -57,9 +75,10 @@ def test_every_bipartite_on_gb_of_sparse_graphs():
     for g in graphs_:
         ge = gallai_edmonds(g)
         for all_failures in (False, True):
-            got = _every_bipartite(ge.gb.adj, *_gb_matching(ge), all_failures)
+            got = _array_route(ge.gb, ge.gb_sides, all_failures)
             assert got == every_bipartite_by_objects(ge.gb, ge.gb_sides, all_failures)
-        answers.append(got == [])
+        answers.append(_gb_facts(ge))
+        assert answers[-1] == (got == [])
     assert True in answers and False in answers
 
 

@@ -56,7 +56,7 @@ from urmatch.recognition import (
     D_COMPONENT_NO_UNIQUE_PM_VERTEX,
     FAILURE_TAGS,
     GB_EDGE_MULTIPLE_NEIGHBORS,
-    _c_upm,
+    _c_left,
     _perfect_minus,
     _unique_minus,
     allowed_edges,
@@ -160,8 +160,8 @@ def _tested_sets(ge):
     """The vertex sets whose uniqueness answers ``ge.upms`` holds."""
     out = set()
     for key in ge.upms:
-        if key[0] == "c":
-            out.add(ge.c_components[key[1]])
+        if key == "c":
+            out.update(ge.c_components)
         elif key[0] != "d":
             ci, h = key
             out.add(ge.d_components[ci] - {h})
@@ -192,12 +192,13 @@ def test_memo_keys_are_components_not_vertex_sets():
     ge = gallai_edmonds(g)
     some_ur(g, ge=ge, all_failures=True)
     every_ur(g, ge=ge)
-    keys = set(ge.upms)
-    assert any(key[0] not in ("c", "d") for key in keys)
+    keys = set(ge.upms) - {"c"}
+    assert ge.c_components and ge.upms["c"] <= set(range(len(ge.c_components)))
+    assert any(key[0] != "d" for key in keys)
     assert not any(isinstance(key, frozenset) for key in keys)
     for key in keys:
         assert isinstance(key, tuple) and len(key) == 2
-        if key[0] not in ("c", "d"):
+        if key[0] != "d":
             assert key[1] in ge.d_components[key[0]] and isinstance(ge.upms[key], bool)
 
 
@@ -242,6 +243,29 @@ def test_deciders_share_the_c_component_tests(monkeypatch):
     assert None not in (ge.comp, ge.match, ge.parent)
 
 
+def test_general_route_shares_the_one_matching(monkeypatch):
+    # once g is decomposed, neither decider matches anything again: gb's
+    # answers follow from the structure theorem, not from a matching of gb
+    instances = [linear_triangle_tree(400, 0.25, random.Random(5)),
+                 giant(sparse_graph_nm(400, 600, random.Random(3))), _two_c5_apex()]
+    decomposed = [(g, gallai_edmonds(g)) for g in instances]
+
+    def refuse(*args):
+        raise AssertionError("a decider matched again")
+
+    for module, name in ((recognition, "_hopcroft_karp"), (matching, "_hopcroft_karp"),
+                         (matching, "_matcher")):
+        monkeypatch.setattr(module, name, refuse)
+    answers = set()
+    for g, ge in decomposed:
+        assert bipartition(g) is None
+        for all_failures in (False, True):
+            some = some_ur(g, ge=ge, all_failures=all_failures)
+            every = every_ur_general(g, ge=ge, all_failures=all_failures)
+            answers.add((some.answer, every.answer))
+    assert len(answers) > 1
+
+
 def _check_uniqueness_tests(g):
     """Every C component and every D component minus each of its vertices,
     against the deletion device on the induced graph; returns the answers."""
@@ -250,8 +274,9 @@ def _check_uniqueness_tests(g):
     for ci, comp in enumerate(ge.c_components):
         sub, back = induced_subgraph(g, comp)
         ref = unique_perfect_matching_by_deletion(sub)
-        upm = _c_upm(g, ge, ci)
-        assert upm is None if ref is None else set(upm) == {(back[a], back[b]) for a, b in ref.edges}
+        assert (ci in _c_left(g, ge)) == (ref is None)
+        if ref is not None:  # the unique one is ge.match on the component
+            assert {(back[a], back[b]) for a, b in ref.edges} == {(v, ge.match[v]) for v in comp if ge.match[v] > v}
     for ci, comp in enumerate(ge.d_components):
         for h in comp:
             ref = unique_perfect_matching_by_deletion(induced_subgraph(g, comp - {h})[0])
