@@ -62,7 +62,7 @@ def find_e_good_ordering(
         if not g.has_edge(*e):
             raise ValueError(f"allowed edge {e} not in graph")
         allowed_set.add(e)
-    found = _e_good_ordering(g.adj, i_set, allowed_set)
+    found = _e_good_ordering(g.adj, i_set, lambda y, x: edge_key(y, x) in allowed_set)
     if found is None:
         return None
     sequence, p_map = found
@@ -70,10 +70,11 @@ def find_e_good_ordering(
     return AccessibilityOrdering(i_set, sequence, p_map, Matching.from_edges(g, edges))
 
 
-def _e_good_ordering(adj, i_set, allowed_set):
+def _e_good_ordering(adj, i_set, allowed):
     """``find_e_good_ordering`` on input known to be valid: ``i_set`` a
     maximum independent set of the bipartite graph of adjacency ``adj``,
-    ``allowed_set`` normalized edges of it.  Returns ``(sequence, p_map)``,
+    ``allowed(y, x)`` whether the edge between x of the set and its
+    neighbor y may enter the ordering.  Returns ``(sequence, p_map)``,
     ``p_map`` mapping each neighbor of the set to the earliest placed vertex
     adjacent to it, or None.
 
@@ -83,13 +84,15 @@ def _e_good_ordering(adj, i_set, allowed_set):
     unplaced vertex of ``i_set`` counts its unseen neighbors; seeing a
     vertex lowers the count of each neighbor that is such a vertex, and of
     no other, as no other vertex is ever placed.  A vertex whose count
-    reaches 0, or 1 across an allowed edge, joins a min-heap.  Placeability
-    only grows, so popping the heap, skipping entries already placed, gives
-    the lowest placeable vertex at each step in O(m log n).
+    reaches 0, or 1 across an allowed edge, joins a min-heap.  ``allowed``
+    is asked only when a count reaches 1, with y the one unseen neighbor
+    left, so at most once per vertex of the set.  Placeability only grows,
+    so popping the heap, skipping entries already placed, gives the lowest
+    placeable vertex at each step, in O(m log n) plus at most one call of
+    ``allowed`` per vertex of the set.
     """
     unseen = {x: len(adj[x]) for x in i_set}  # unplaced x -> unseen neighbors
-    heap = [x for x, c in unseen.items()
-            if c == 0 or c == 1 and edge_key(x, adj[x][0]) in allowed_set]
+    heap = [x for x, c in unseen.items() if c == 0 or c == 1 and allowed(adj[x][0], x)]
     heapify(heap)
     seen: set[int] = set()
     placed: list[int] = []
@@ -108,8 +111,7 @@ def _e_good_ordering(adj, i_set, allowed_set):
                 c = unseen.get(z)
                 if c:  # z is an unplaced vertex of i_set
                     unseen[z] = c = c - 1
-                    if c == 0 or c == 1 and edge_key(
-                            z, next(w for w in adj[z] if w not in seen)) in allowed_set:
+                    if c == 0 or c == 1 and allowed(next(w for w in adj[z] if w not in seen), z):
                         heappush(heap, z)
         placed.append(x)
     if unseen:

@@ -187,20 +187,28 @@ def _unique_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int) -> bool:
     return ge.upms[key]
 
 
+def _eligible(g: Graph, ge: GallaiEdmonds, i: int, ci: int) -> bool:
+    """Whether the gb edge between A-vertex ``i`` and D component ``ci`` may
+    carry a uniquely restricted matching: ``ge.a_list[i]`` has exactly one
+    neighbor h in the component, and the component minus h has a unique
+    perfect matching."""
+    nbrs = ge.attachments[(i, ci)]
+    return len(nbrs) == 1 and _unique_minus(g, ge, ci, nbrs[0])
+
+
 def allowed_edges(g: Graph, ge: GallaiEdmonds) -> frozenset[tuple[int, int]]:
     """Edges of gb eligible to carry a uniquely restricted matching.
 
     A gb edge between a-side vertex (for original vertex a) and a component H
     qualifies iff a has exactly one neighbor h inside H and H - h has a unique
-    perfect matching.  Like the deciders, it refuses a decomposition of
+    perfect matching.  This tests H - h for every single attachment;
+    ``some_ur`` asks the same question edge by edge, only where its ordering
+    reads the answer.  Like the deciders, it refuses a decomposition of
     another graph or without its arrays.
     """
     ge = _decomposed(g, ge)
     k = len(ge.a_list)
-    return frozenset([
-        (i, k + ci) for (i, ci), nbrs in ge.attachments.items()
-        if len(nbrs) == 1 and _unique_minus(g, ge, ci, nbrs[0])
-    ])
+    return frozenset([(i, k + ci) for i, ci in ge.attachments if _eligible(g, ge, i, ci)])
 
 
 def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = False) -> RecognitionReport:
@@ -211,6 +219,13 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     has positive surplus seen from A, so a maximum matching of gb leaves no
     A-vertex free, the alternating search from the free A-vertices reaches
     nothing, and the Koenig cover is A.
+
+    A component minus a vertex is tested only where a condition reads the
+    answer.  The ordering asks whether a gb edge is eligible (see
+    ``allowed_edges``) only when it could use that edge, and each
+    component it matches has a good vertex already, the one its edge
+    attaches to; condition 3 scans only the components left unmatched, or
+    all of them when the ordering failed.
 
     Yes-answers carry a witness: ``ge.match`` on C, one graph edge per
     matched contracted edge, and a near-perfect matching inside every
@@ -227,26 +242,23 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
 
     # condition 2: gb has a maximum uniquely restricted matching inside the
     # eligible edges; equivalent to an ordering of a maximum independent set
-    eligible = allowed_edges(g, ge)
     k = len(ge.a_list)
-    ordering = _e_good_ordering(ge.gb.adj, range(k, ge.gb.n), eligible)
+    ordering = _e_good_ordering(ge.gb.adj, range(k, ge.gb.n), lambda i, j: _eligible(g, ge, i, j - k))
     if ordering is None:
         failures.append(GB_NO_UR_MATCHING_WITHIN_E)
         if not all_failures:
             return RecognitionReport("some_ur", False, None, failures[0], tuple(failures))
 
     # condition 3: every deficient component has a vertex whose deletion
-    # leaves a unique perfect matching
+    # leaves a unique perfect matching; in a component the ordering matched,
+    # the vertex its edge attaches to is one
+    matched = set() if ordering is None else {j - k for j in ordering[1].values()}
     chosen_h: dict[int, int] = {}
-    cond3_ok = True
     for ci, members in enumerate(ge.d_members):
-        found = None
-        for h in members:  # ascending
-            if _unique_minus(g, ge, ci, h):
-                found = h
-                break
+        if ci in matched:
+            continue
+        found = next((h for h in members if _unique_minus(g, ge, ci, h)), None)  # ascending
         if found is None:
-            cond3_ok = False
             failures.append(D_COMPONENT_NO_UNIQUE_PM_VERTEX)
             if not all_failures:
                 return RecognitionReport("some_ur", False, None, failures[0], tuple(failures))
@@ -255,8 +267,6 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
 
     if failures:
         return RecognitionReport("some_ur", False, None, failures[0], tuple(failures))
-    if ordering is None or not cond3_ok:
-        raise InternalCheckError("some_ur reached witness assembly with a failed condition")
 
     # assemble the witness
     mate, (_, p_map) = ge.match, ordering

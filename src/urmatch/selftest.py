@@ -25,6 +25,7 @@ from .oracle import (
 from .recognition import (
     _c_left,
     _unique_minus,
+    allowed_edges,
     every_ur,
     every_ur_general,
     some_ur,
@@ -79,6 +80,13 @@ def _instance(g: Graph, max_n: int, max_m: int) -> list[str]:
         if w is None or len(w.edges) != len(maximum_matching(g).edges) \
                 or not is_uniquely_restricted(g, w):
             problems.append("some_ur witness is not a maximum uniquely restricted matching")
+        # each witness edge from A into D lies on a gb edge of allowed_edges
+        eligible, k = allowed_edges(g, ge), len(ge.a_list)
+        a_index = {a: i for i, a in enumerate(ge.a_list)}
+        for e in w.edges if w is not None else ():
+            for a, d in (e, e[::-1]):
+                if a in a_index and ge.comp[d] >= 0 and (a_index[a], k + ge.comp[d]) not in eligible:
+                    problems.append(f"some_ur witness edge {e} is not on a gb edge of allowed_edges")
     return problems
 
 

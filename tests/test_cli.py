@@ -366,6 +366,15 @@ def test_selftest_counts_uniqueness_disagreement(capsys, monkeypatch):
     assert ", 0 disagreements" not in captured.out
 
 
+def test_selftest_counts_witness_edge_outside_allowed_edges(capsys, monkeypatch):
+    # in the path 0 - 1 - 2, A = {1} and the witness matches 1 into D at 0
+    monkeypatch.setattr(selftest, "allowed_edges", lambda g, ge: frozenset())
+    assert main(["selftest", "--nmax", "3", "--random", "0"]) == 4
+    captured = capsys.readouterr()
+    assert "some_ur witness edge (0, 1) is not on a gb edge of allowed_edges" in captured.err
+    assert ", 0 disagreements" not in captured.out
+
+
 def test_parser_is_built_once(tmp_path, capsys):
     path = _write(tmp_path, "p3.g", P3_TEXT)
     assert main(["check", path, "--property", "some"]) == 0

@@ -1,0 +1,107 @@
+"""The on-demand some-decider against the eager route it replaces
+(``some_reference``), and the D - h tests it no longer makes."""
+
+import random
+
+from hypothesis import given, settings
+
+from some_reference import some_ur_eager
+from strategies import giant, graphs, linear_triangle_tree, sparse_graph_nm
+from urmatch.accessibility import _e_good_ordering
+from urmatch.decomposition import gallai_edmonds
+from urmatch.graph_core import Graph, edge_key
+from urmatch.recognition import (
+    D_COMPONENT_NO_UNIQUE_PM_VERTEX,
+    GB_NO_UR_MATCHING_WITHIN_E,
+    allowed_edges,
+    some_ur,
+)
+
+
+def _report(r):
+    return r.answer, r.failure, r.failures, None if r.witness is None else r.witness.edges
+
+
+def _check_against_eager(g):
+    """Reports with and without ``all_failures``, each route on a fresh
+    decomposition and both on one shared in either order; returns the
+    failure tuples."""
+    seen = set()
+    for all_failures in (False, True):
+        want = _report(some_ur_eager(g, all_failures=all_failures))
+        assert _report(some_ur(g, all_failures=all_failures)) == want
+        ge = gallai_edmonds(g)
+        assert _report(some_ur(g, ge=ge, all_failures=all_failures)) == want
+        assert _report(some_ur_eager(g, ge, all_failures)) == want
+        ge = gallai_edmonds(g)
+        assert _report(some_ur_eager(g, ge, all_failures)) == want
+        assert _report(some_ur(g, ge=ge, all_failures=all_failures)) == want
+        seen.add(want[2])
+    return seen
+
+
+@settings(deadline=None, max_examples=300)
+@given(graphs(max_n=11))
+def test_on_demand_equals_eager_on_hypothesis_graphs(g):
+    _check_against_eager(g)
+
+
+def test_on_demand_equals_eager_on_a_graph_failing_conditions_2_and_3():
+    g = Graph.from_edges(9, [(0, 1), (0, 2), (0, 6), (0, 8), (1, 2), (1, 3), (1, 6), (1, 8), (2, 3),
+                             (2, 6), (2, 8), (3, 6), (3, 8), (4, 7), (4, 8), (5, 7), (5, 8), (6, 7), (6, 8)])
+    assert _check_against_eager(g) == {(GB_NO_UR_MATCHING_WITHIN_E,),
+                                       (GB_NO_UR_MATCHING_WITHIN_E, D_COMPONENT_NO_UNIQUE_PM_VERTEX)}
+
+
+def _sparse_instances():
+    # the giants and triangle trees that tests/test_every_cores.py decides,
+    # and the giant at 4000 with seed 0, which fails conditions 2 and 3
+    out = [giant(sparse_graph_nm(n, 3 * n // 2, random.Random(seed)))
+           for n, seed in ((2000, 0), (4000, 3), (8000, 0), (4000, 0))]
+    return out + [linear_triangle_tree(n, 0.25, random.Random(n)) for n in (1334, 2667, 5334)]
+
+
+def test_on_demand_equals_eager_on_sparse_graphs():
+    seen = set().union(*map(_check_against_eager, _sparse_instances()))
+    # yes-answers, and condition 3 scanned after the ordering failed
+    assert () in seen and (GB_NO_UR_MATCHING_WITHIN_E, D_COMPONENT_NO_UNIQUE_PM_VERTEX) in seen
+
+
+def _tested(ge):
+    """The ``(ci, h)`` keys of the D - h answers in the memo."""
+    return {key for key in ge.upms if key != "c" and key[0] != "d"}
+
+
+def test_condition_3_skips_components_the_ordering_matched():
+    # D = {0, 3, 4} (a triangle) and {1}, A = {2}: the ordering matches the
+    # triangle through vertex 4, so no other vertex of it is tested.  Then D
+    # = {0}, {1, 2, 3}, {5}, A = {4, 6}: only the triangle's attachment to
+    # 6, vertex 2, is tested
+    cases = [(5, [(0, 3), (0, 4), (1, 2), (2, 4), (3, 4)], {(0, 4)}, {(0, 3), (2, 4)}),
+             (7, [(0, 4), (1, 2), (1, 3), (2, 3), (2, 6), (3, 4), (5, 6)], {(1, 2)},
+              {(0, 4), (1, 3), (2, 6)})]
+    for n, edges, tested, witness in cases:
+        g = Graph.from_edges(n, edges)
+        ge = gallai_edmonds(g)
+        r = some_ur(g, ge=ge)
+        assert r.answer and r.witness.edges == witness
+        assert _tested(ge) == tested
+        # the eager route tests more, and agrees
+        ge = gallai_edmonds(g)
+        assert some_ur_eager(g, ge) == r and _tested(ge) > tested
+
+
+def test_ordering_asks_once_per_vertex_of_the_set():
+    for g in _sparse_instances()[:4]:
+        ge = gallai_edmonds(g)
+        eligible = allowed_edges(g, ge)
+        k = len(ge.a_list)
+        asked = []
+
+        def allowed(y, x):
+            asked.append(x)
+            return edge_key(y, x) in eligible
+
+        _e_good_ordering(ge.gb.adj, range(k, ge.gb.n), allowed)
+        assert len(asked) == len(set(asked)) and set(asked) <= set(range(k, ge.gb.n))
+        assert asked and len(asked) < len(ge.attachments)
