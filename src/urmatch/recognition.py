@@ -7,13 +7,16 @@ come with an explicit witness matching that callers can re-verify.  Both
 read only the decomposition's arrays (``comp``, ``match`` and ``parent``),
 the component counts and the A list read off ``comp``, and its memo, and
 gb and the attachments once they reach a gb condition; only ``some_ur``'s
-D component tests read a member list.  A run that stops at a C or D
-component test builds none of the other views.  No decider matches gb
-(see ``some_ur`` and ``every_ur_general``).  The bipartite ``every_ur``
-route works on arrays and masks over g's adjacency: one two-coloring, one
-Hopcroft-Karp mate array, D(M)'s acyclicity and the forest tests of its
-closures; the general one runs one block search kept inside D.  Only the
-public entry points validate what they are given.
+D component tests and its witness read a member list.  A run that stops
+at a C or D component test builds none of the other views.  ``some_ur``
+answers a D component minus a vertex by the component's edge count when
+the component is an odd cycle, and by a path flip and a Kotzig peel on a
+relabelled copy otherwise; its witness reads each flip off g's arrays.  No
+decider matches gb (see ``some_ur`` and ``every_ur_general``).  The
+bipartite ``every_ur`` route works on arrays and masks over g's adjacency:
+one two-coloring, one Hopcroft-Karp mate array, D(M)'s acyclicity and the
+forest tests of its closures; the general one runs one block search kept
+inside D.  Only the public entry points validate what they are given.
 
 Failure tags form a closed set of stable strings; a report names the first
 violated condition, and all violated conditions when diagnostics are requested.
@@ -64,11 +67,13 @@ FAILURE_TAGS = frozenset({
 # ``GallaiEdmonds.upms``, the deciders' memo, so that deciders sharing one
 # decomposition test each set once: ``"c"`` maps to the indices of the C
 # components whose perfect matching is not unique (``_c_left``);
+# ``("cycle", ci)`` to whether D component ``ci``, of more than three
+# vertices, is an odd cycle (``_odd_cycle``), whose every h needs no test;
 # ``(ci, h)`` to whether D component ``ci`` minus its vertex h has a unique
-# perfect matching; ``("d", ci)`` holds what those tests share (``_d_local``).
-# The memo holds entries no caller asked for: a "no" for one h of a D
-# component writes a "no" for every h' that the same alternating cycle rules
-# out.
+# perfect matching, for the components that are not; ``("d", ci)`` holds
+# what those tests share (``_d_local``).  The memo holds entries no caller
+# asked for: a "no" for one h of a D component writes a "no" for every h'
+# that the same alternating cycle rules out.
 
 
 @dataclass(frozen=True)
@@ -93,10 +98,6 @@ def _decomposed(g: Graph, ge: GallaiEdmonds | None) -> GallaiEdmonds:
         raise ValueError("the decomposition carries no matching, component array or path "
                          "pointers; build it with gallai_edmonds(g)")
     return ge
-
-
-def _edges(verts, match) -> list[tuple[int, int]]:
-    return [edge_key(verts[x], verts[y]) for x, y in enumerate(match) if y > x]
 
 
 def _c_left(g: Graph, ge: GallaiEdmonds) -> frozenset[int]:
@@ -156,9 +157,30 @@ def _perfect_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int):
     raise InternalCheckError(f"D component {ci}: the path pointers from {h} miss its free vertex")
 
 
+def _odd_cycle(g: Graph, ge: GallaiEdmonds, ci: int) -> bool:
+    """Whether D component ``ci`` is an odd cycle, memoised in ``ge.upms``.
+    A factor-critical graph on three or more vertices has no vertex of
+    degree below 2 (its one neighbor u would leave it alone in H - u), so
+    it has as many edges as vertices iff each of its vertices has exactly
+    two neighbors in it; the count stops at the first that has not."""
+    key = ("cycle", ci)
+    if key not in ge.upms:
+        comp, adj = ge.comp, g.adj
+        ge.upms[key] = all([comp[w] for w in adj[v]].count(ci) == 2 for v in ge.d_members[ci])
+    return ge.upms[key]
+
+
 def _unique_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int) -> bool:
     """Whether D component ``ci`` minus its vertex h has a unique perfect
-    matching: one path flip and the Kotzig peel, memoised in ``ge.upms``.
+    matching.
+
+    A D component H is factor-critical, so it has an odd ear decomposition,
+    with m - n + 1 ears (Lovasz 1972).  When H has as many edges as
+    vertices it is one odd cycle, and every H - h is an even path, whose
+    perfect matching is unique.  A single vertex leaves the empty graph, the
+    triangle is the only factor-critical graph on three vertices, and a
+    larger H has its edges counted once (``_odd_cycle``).  Every other H - h
+    takes one path flip and the Kotzig peel, memoised in ``ge.upms``.
 
     A "no" rejects more vertices of the component with it.  The peel's
     remainder holds an even cycle C that alternates under the perfect
@@ -167,10 +189,12 @@ def _unique_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int) -> bool:
     H - h'.  M misses only h in H - V(C), so those h' are the even vertices
     of one search from h with C dead, and each is memoised as a "no".
     """
-    if len(ge.d_members[ci]) == 1:
-        return True  # the empty graph has the empty one
+    if len(ge.d_members[ci]) <= 3:
+        return True
     key = (ci, h)
     if key not in ge.upms:
+        if _odd_cycle(g, ge, ci):
+            return True
         verts, adj, x, match = _perfect_minus(g, ge, ci, h)
         alive = [True] * len(match)
         alive[x] = False
@@ -185,6 +209,28 @@ def _unique_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int) -> bool:
                     raise InternalCheckError(
                         f"D component {ci} minus {verts[y]}: the memo and the alternating cycle disagree")
     return ge.upms[key]
+
+
+def _edges_minus(ge: GallaiEdmonds, ci: int, h: int) -> list[tuple[int, int]]:
+    """The edges, in g's ids, of the perfect matching of D component ``ci``
+    minus h that ``_perfect_minus`` finds, read off ``ge.match``,
+    ``ge.parent`` and ``ge.comp``: the walk h, match[h], parent[match[h]],
+    ... pairs each vertex a pointer reaches with the one before it, down to
+    the component's free vertex, and every other vertex keeps its mate.  A
+    walk that leaves the component, comes back to a vertex it met or runs
+    longer than the component raises."""
+    match, parent, comp = ge.match, ge.parent, ge.comp
+    members = ge.d_members[ci]
+    flip = {h: -1}
+    m = match[h]
+    for _ in members:
+        if m == -1 or comp[m] != ci:
+            return [(v, w) for v in members if (w := flip.get(v, match[v])) > v]
+        p = parent[m]
+        if p == -1 or comp[p] != ci or p in flip:
+            break
+        flip[m], flip[p], m = p, m, match[p]
+    raise InternalCheckError(f"D component {ci}: the path pointers from {h} miss its free vertex")
 
 
 def _eligible(g: Graph, ge: GallaiEdmonds, i: int, ci: int) -> bool:
@@ -280,9 +326,7 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     for ci, h in chosen_h.items():
         if not _unique_minus(g, ge, ci, h):
             raise InternalCheckError(f"D component {ci} minus {h} has no unique perfect matching")
-        if len(ge.d_members[ci]) > 1:  # a single vertex leaves no edge
-            verts, _, _, match = _perfect_minus(g, ge, ci, h)
-            witness_edges += _edges(verts, match)
+        witness_edges += _edges_minus(ge, ci, h)
     return RecognitionReport("some_ur", True, Matching.from_edges(g, witness_edges), None, ())
 
 

@@ -4,9 +4,12 @@
 through ``allowed_edges``, before its ordering read any of the answers, and
 then ran condition 3 over every D component, those the ordering had matched
 included.  The library now tests H - h only where condition 2 or 3 reads
-the answer (``recognition.some_ur``).  The eager route lives on here, so
-that tests can hold the on-demand one to it: its reports must be equal,
-witness included.
+the answer (``recognition.some_ur``), answers it by the edge count when H
+is an odd cycle, and reads the witness's flips off g's arrays.  The eager
+route lives on here, so that tests can hold the on-demand one to it: its
+reports must be equal, witness included.  It answers every H - h, odd
+cycles included, with its own path flip on H's relabelled copy and a
+Kotzig peel, and builds its witness from the same flips.
 """
 
 from __future__ import annotations
@@ -14,25 +17,45 @@ from __future__ import annotations
 from urmatch.accessibility import _e_good_ordering
 from urmatch.decomposition import GallaiEdmonds, gallai_edmonds
 from urmatch.graph_core import Graph, edge_key
-from urmatch.matching import Matching
+from urmatch.matching import Matching, _peel
 from urmatch.recognition import (
     C_COMPONENT_PM_NOT_UNIQUE,
     D_COMPONENT_NO_UNIQUE_PM_VERTEX,
     GB_NO_UR_MATCHING_WITHIN_E,
     RecognitionReport,
     _c_left,
-    _edges,
     _perfect_minus,
-    _unique_minus,
-    allowed_edges,
 )
 
 
-def some_ur_eager(g: Graph, ge: GallaiEdmonds | None = None, all_failures: bool = False) -> RecognitionReport:
-    """``some_ur`` by the eager route: all of ``allowed_edges``, then the
-    ordering over that set, then condition 3 over every D component."""
+def _edges(verts, match) -> list[tuple[int, int]]:
+    """The edges of a local mate array, in the ids ``verts`` maps back to."""
+    return [edge_key(verts[x], verts[y]) for x, y in enumerate(match) if y > x]
+
+
+def unique_minus_by_peel(g: Graph, ge: GallaiEdmonds, ci: int, h: int) -> bool:
+    """Whether D component ``ci`` minus h has a unique perfect matching: the
+    path flip of ``_perfect_minus`` and one Kotzig peel, with no memo and no
+    shortcut for odd cycles."""
+    _, adj, x, match = _perfect_minus(g, ge, ci, h)
+    alive = [True] * len(match)
+    alive[x] = False
+    return not _peel(adj, match, alive)
+
+
+def some_ur_eager(g: Graph, ge: GallaiEdmonds | None = None, all_failures: bool = False,
+                  tested: dict | None = None) -> RecognitionReport:
+    """``some_ur`` by the eager route: every eligible gb edge, then the
+    ordering over that set, then condition 3 over every D component.  Each
+    H - h answer is written to ``tested`` under ``(ci, h)``, when given."""
     ge = gallai_edmonds(g) if ge is None else ge
     failures: list[str] = []
+    tested = {} if tested is None else tested
+
+    def unique_minus(ci, h):
+        if (ci, h) not in tested:
+            tested[ci, h] = unique_minus_by_peel(g, ge, ci, h)
+        return tested[ci, h]
 
     def no() -> RecognitionReport:
         return RecognitionReport("some_ur", False, None, failures[0], tuple(failures))
@@ -42,8 +65,9 @@ def some_ur_eager(g: Graph, ge: GallaiEdmonds | None = None, all_failures: bool 
         if not all_failures:
             return no()
 
-    eligible = allowed_edges(g, ge)
     k = len(ge.a_list)
+    eligible = {(i, k + ci) for (i, ci), nbrs in ge.attachments.items()
+                if len(nbrs) == 1 and unique_minus(ci, nbrs[0])}
     ordering = _e_good_ordering(ge.gb.adj, range(k, ge.gb.n), lambda y, x: edge_key(y, x) in eligible)
     if ordering is None:
         failures.append(GB_NO_UR_MATCHING_WITHIN_E)
@@ -52,7 +76,7 @@ def some_ur_eager(g: Graph, ge: GallaiEdmonds | None = None, all_failures: bool 
 
     chosen_h: dict[int, int] = {}
     for ci, members in enumerate(ge.d_members):
-        good = next((h for h in members if _unique_minus(g, ge, ci, h)), None)
+        good = next((h for h in members if unique_minus(ci, h)), None)
         if good is None:
             failures.append(D_COMPONENT_NO_UNIQUE_PM_VERTEX)
             if not all_failures:

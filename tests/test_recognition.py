@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from ge_reference import VIEWS, gb_edge_condition_by_edges, unique_perfect_matching_by_deletion
 from lemma_helpers import is_alternating_cycle
+from some_reference import _edges
 from strategies import (
     bipartite_graphs,
     giant,
@@ -57,6 +58,8 @@ from urmatch.recognition import (
     FAILURE_TAGS,
     GB_EDGE_MULTIPLE_NEIGHBORS,
     _c_left,
+    _edges_minus,
+    _odd_cycle,
     _perfect_minus,
     _unique_minus,
     allowed_edges,
@@ -162,15 +165,22 @@ def _tested_sets(ge):
     for key in ge.upms:
         if key == "c":
             out.update(ge.c_components)
-        elif key[0] != "d":
+        elif isinstance(key[0], int):
             ci, h = key
             out.add(ge.d_components[ci] - {h})
     return out
 
 
-def test_some_ur_tests_each_component_minus_h_once(monkeypatch):
-    # allowed_edges, condition 3 and the witness all need C5 - 1 and C5 - 6
+def _two_chorded_c5_apex():
+    # _two_c5_apex with the chords 1-3 and 6-8: each component is a triangle
+    # and a 4-cycle sharing an edge, factor-critical and no odd cycle
     g = _two_c5_apex()
+    return Graph.from_edges(11, [*g.edges, (1, 3), (6, 8)])
+
+
+def test_some_ur_tests_each_component_minus_h_once(monkeypatch):
+    # allowed_edges, condition 3 and the witness all need H - 1 and H - 6
+    g = _two_chorded_c5_apex()
     ge = gallai_edmonds(g)
     allowed_edges(g, ge)
     assert _tested_sets(ge) == {frozenset({2, 3, 4, 5}), frozenset({7, 8, 9, 10})}
@@ -179,10 +189,11 @@ def test_some_ur_tests_each_component_minus_h_once(monkeypatch):
     r = some_ur(g, ge=ge)
     assert r.answer and calls == [4, 4]
     assert _tested_sets(ge) == {frozenset({2, 3, 4, 5}), frozenset({7, 8, 9, 10})}
-    assert set(ge.upms) == {("d", 0), ("d", 1), (0, 1), (1, 6)}
-    # K_{1,3}: three single-vertex components, each minus its h is empty
+    assert set(ge.upms) == {("cycle", 0), ("cycle", 1), ("d", 0), ("d", 1), (0, 1), (1, 6)}
+    # the two 5-cycles themselves, and K_{1,3}'s three single-vertex
+    # components, each minus its h, need no peel
     calls.clear()
-    assert some_ur(star_graph(3)).answer
+    assert some_ur(_two_c5_apex()).answer and some_ur(star_graph(3)).answer
     assert calls == []
 
 
@@ -194,11 +205,13 @@ def test_memo_keys_are_components_not_vertex_sets():
     every_ur(g, ge=ge)
     keys = set(ge.upms) - {"c"}
     assert ge.c_components and ge.upms["c"] <= set(range(len(ge.c_components)))
-    assert any(key[0] != "d" for key in keys)
+    assert any(isinstance(key[0], int) for key in keys)
     assert not any(isinstance(key, frozenset) for key in keys)
     for key in keys:
         assert isinstance(key, tuple) and len(key) == 2
-        if key[0] != "d":
+        if key[0] == "cycle":
+            assert ge.upms[key] is False and len(ge.d_components[key[1]]) > 3
+        elif key[0] != "d":
             assert key[1] in ge.d_components[key[0]] and isinstance(ge.upms[key], bool)
 
 
@@ -219,16 +232,18 @@ def test_allowed_edges_drops_multi_neighbor_attachments():
 
 
 def test_deciders_share_the_c_component_tests(monkeypatch):
-    # triangle {0, 1, 2} (D), and the C components {3, 4} and {5, 6, 7, 8}
-    g = Graph.from_edges(9, [(0, 1), (1, 2), (0, 2), (3, 4), (5, 6), (6, 7), (7, 8)])
+    # the 5-cycle 0-1-2-3-4 with the chord 0-2 (D), and the C components
+    # {5, 6} and {7, 8, 9, 10}
+    g = Graph.from_edges(11, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (5, 6), (7, 8), (8, 9), (9, 10)])
     ge = gallai_edmonds(g)
     assert bipartition(g) is None and len(ge.c_components) == 2
     calls = _counting_peels(monkeypatch)
     assert some_ur(g, ge=ge).answer
-    # one peel of all six C vertices, and one of the triangle minus h
-    assert sorted(calls) == [2, 6]
+    # one peel of all six C vertices, and one of the D component minus h
+    assert sorted(calls) == [4, 6]
     calls.clear()
-    assert every_ur(g, ge=ge).answer
+    # every reads the C answer from the memo; the chord fails its block test
+    assert every_ur(g, ge=ge).failure == D_COMPONENT_BLOCKS_NOT_ODD_CYCLES
     assert calls == []
     # the memo and the matching are invisible to equality, hashing, repr and
     # the verifier
@@ -299,16 +314,20 @@ def test_uniqueness_tests_on_hypothesis_graphs(g):
     _check_uniqueness_tests(g)
 
 
-def test_odd_cycle_minus_h_peels_without_bridge_search(monkeypatch):
+def test_chorded_odd_cycle_minus_h_peels_without_bridge_search(monkeypatch):
+    # C_20001 with the chord 0-2: a triangle and an odd ear, so no odd
+    # cycle; H - h for these h is a tree of paths off the triangle
     rounds = []
     real = matching._matched_bridges
     monkeypatch.setattr(matching, "_matched_bridges",
                         lambda *args: rounds.append(1) or real(*args))
-    g = cycle_graph(20001)
+    n = 20001
+    g = Graph.from_edges(n, [*cycle_graph(n).edges, (0, 2)])
     ge = gallai_edmonds(g)
-    assert ge.d_components == (frozenset(range(20001)),)
-    for h in (0, 1, 10000, 20000):
+    assert ge.d_components == (frozenset(range(n)),)
+    for h in (0, 2, 10000, 20000):
         assert _unique_minus(g, ge, 0, h)
+    assert ge.upms[("cycle", 0)] is False and ("d", 0) in ge.upms
     r = some_ur(g, ge=ge)
     assert r.answer and len(r.witness) == 10000
     assert rounds == []
@@ -321,8 +340,7 @@ def _check_memo_against_direct_peels(g):
     perfect matching of D - h.  Returns the memoised answers."""
     ge, fresh = gallai_edmonds(g), gallai_edmonds(g)
     some_ur(g, ge=ge, all_failures=True)
-    answers = {key: value for key, value in ge.upms.items()
-               if key[0] not in ("c", "d")}
+    answers = {key: value for key, value in ge.upms.items() if isinstance(key[0], int)}
     for (ci, h), answer in answers.items():
         _, adj, x, match = _perfect_minus(g, fresh, ci, h)
         alive = [True] * len(match)
@@ -474,6 +492,95 @@ def test_corrupt_path_pointers_raise():
     for parent in ((-1,) * 7, tuple(loop)):
         with pytest.raises(recognition.InternalCheckError, match="free vertex"):
             _perfect_minus(g, replace(ge, parent=parent), 0, x)
+        with pytest.raises(recognition.InternalCheckError, match="free vertex"):
+            _edges_minus(replace(ge, parent=parent), 0, x)
+
+
+def test_witness_walk_raises_on_a_pointer_out_of_the_component():
+    # in the two 5-cycles under an apex, a pointer from the first cycle to
+    # the apex (A) or into the second cycle leaves the component
+    g = _two_c5_apex()
+    ge = gallai_edmonds(g)
+    h = next(v for v in ge.d_members[0] if ge.comp[ge.match[v]] == 0)
+    for out in (0, 6):
+        parent = list(ge.parent)
+        parent[ge.match[h]] = out
+        bad = replace(ge, parent=tuple(parent))
+        with pytest.raises(recognition.InternalCheckError, match="free vertex"):
+            _edges_minus(bad, 0, h)
+        with pytest.raises(recognition.InternalCheckError, match="free vertex"):
+            _perfect_minus(g, bad, 0, h)
+
+
+def test_witness_walk_equals_the_local_flip_on_sparse_graphs():
+    # the giants and triangle trees that tests/test_every_cores.py decides
+    instances = [giant(sparse_graph_nm(n, 3 * n // 2, random.Random(seed)))
+                 for n, seed in ((2000, 0), (4000, 3), (8000, 0))]
+    instances += [linear_triangle_tree(n, 0.25, random.Random(n)) for n in (1334, 2667, 5334)]
+    sizes = set()
+    for g in instances:
+        ge = gallai_edmonds(g)
+        sizes.update(map(len, ge.d_members))
+        _check_perfect_minus(g, ge)
+    assert {1, 3} < sizes and max(sizes) > 1000
+
+
+def _check_odd_cycle_rule(g, sample=None):
+    """For every D component that its induced edge count makes an odd
+    cycle, and every h in it (or in ``sample(members)``): the route the
+    rule bypasses, the peel of ``_perfect_minus``, leaves nothing, and
+    ``_unique_minus`` says yes without a relabelled copy.  ``_odd_cycle``
+    agrees with the count on every component above three vertices.
+    Returns the cycles' sizes."""
+    ge, fresh = gallai_edmonds(g), gallai_edmonds(g)
+    sizes = []
+    for ci, members in enumerate(ge.d_members):
+        cycle = induced_subgraph(g, members)[0].m == len(members)
+        if len(members) > 3:
+            assert _odd_cycle(g, ge, ci) == cycle
+        if not cycle:
+            continue
+        sizes.append(len(members))
+        for h in members if sample is None else sample(members):
+            assert _unique_minus(g, ge, ci, h)
+            _, adj, x, match = _perfect_minus(g, fresh, ci, h)
+            alive = [True] * len(match)
+            alive[x] = False
+            assert not _peel(adj, match, alive)
+        assert ("d", ci) not in ge.upms
+    return sizes
+
+
+@settings(deadline=None, max_examples=200)
+@given(graphs(max_n=11))
+def test_odd_cycle_rule_equals_the_peel_on_hypothesis_graphs(g):
+    _check_odd_cycle_rule(g)
+
+
+def test_odd_cycle_rule_equals_the_peel_on_cycles_and_triangle_trees():
+    sizes = []
+    for k in range(1, 101):
+        sizes += _check_odd_cycle_rule(cycle_graph(2 * k + 1))
+    rng = random.Random(20001)
+    sizes += _check_odd_cycle_rule(cycle_graph(20001), lambda members: [0, 1, 10000, 20000, *rng.sample(members, 4)])
+    sizes += _check_odd_cycle_rule(_two_c5_apex())
+    for n in (400, 1334):
+        sizes += _check_odd_cycle_rule(linear_triangle_tree(n, 0.25, random.Random(n)))
+    assert sizes.count(3) > 100 and sizes.count(5) == 3 and max(sizes) == 20001
+
+
+def test_odd_cycle_components_take_no_peel(monkeypatch):
+    # on a triangle tree and on C_20001 some_ur peels C once, if C is not
+    # empty, and no D component: each is an odd cycle
+    calls = _counting_peels(monkeypatch)
+    for g in (linear_triangle_tree(2000, 0.25, random.Random(7)), cycle_graph(20001)):
+        ge = gallai_edmonds(g)
+        r = some_ur(g, ge=ge)
+        assert r.answer and is_uniquely_restricted(g, r.witness)
+        assert max(map(len, ge.d_members)) >= 3
+        assert calls == ([len(ge.c_set)] if ge.counts[1] else [])
+        assert not any(key[0] == "d" for key in ge.upms if key != "c")
+        calls.clear()
 
 
 def test_one_alternating_forest_per_graph():
@@ -575,7 +682,8 @@ def _check_instance(g):
 
 
 def _check_perfect_minus(g, ge):
-    # the flipped path leaves a perfect matching of every D component minus h
+    # the flipped path leaves a perfect matching of every D component minus
+    # h, and the witness walk on g's arrays finds the same one
     for ci, comp in enumerate(ge.d_components):
         for h in comp:
             verts, _, x, match = _perfect_minus(g, ge, ci, h)
@@ -583,6 +691,7 @@ def _check_perfect_minus(g, ge):
             for a, b in enumerate(match):
                 if a != x:
                     assert match[b] == a and edge_key(verts[a], verts[b]) in g.edges
+            assert _edges_minus(ge, ci, h) == _edges(verts, match)
 
 
 def _check_gb_edge_condition(g, ge):

@@ -25,16 +25,17 @@ def _report(r):
 def _check_against_eager(g):
     """Reports with and without ``all_failures``, each route on a fresh
     decomposition and both on one shared in either order; returns the
-    failure tuples."""
-    seen = set()
+    failure tuples.  The eager route's H - h answers depend on g alone, so
+    its calls share them."""
+    seen, tested = set(), {}
     for all_failures in (False, True):
-        want = _report(some_ur_eager(g, all_failures=all_failures))
+        want = _report(some_ur_eager(g, None, all_failures, tested))
         assert _report(some_ur(g, all_failures=all_failures)) == want
         ge = gallai_edmonds(g)
         assert _report(some_ur(g, ge=ge, all_failures=all_failures)) == want
-        assert _report(some_ur_eager(g, ge, all_failures)) == want
+        assert _report(some_ur_eager(g, ge, all_failures, tested)) == want
         ge = gallai_edmonds(g)
-        assert _report(some_ur_eager(g, ge, all_failures)) == want
+        assert _report(some_ur_eager(g, ge, all_failures, tested)) == want
         assert _report(some_ur(g, ge=ge, all_failures=all_failures)) == want
         seen.add(want[2])
     return seen
@@ -69,17 +70,20 @@ def test_on_demand_equals_eager_on_sparse_graphs():
 
 def _tested(ge):
     """The ``(ci, h)`` keys of the D - h answers in the memo."""
-    return {key for key in ge.upms if key != "c" and key[0] != "d"}
+    return {key for key in ge.upms if isinstance(key[0], int)}
 
 
 def test_condition_3_skips_components_the_ordering_matched():
-    # D = {0, 3, 4} (a triangle) and {1}, A = {2}: the ordering matches the
-    # triangle through vertex 4, so no other vertex of it is tested.  Then D
-    # = {0}, {1, 2, 3}, {5}, A = {4, 6}: only the triangle's attachment to
-    # 6, vertex 2, is tested
-    cases = [(5, [(0, 3), (0, 4), (1, 2), (2, 4), (3, 4)], {(0, 4)}, {(0, 3), (2, 4)}),
-             (7, [(0, 4), (1, 2), (1, 3), (2, 3), (2, 6), (3, 4), (5, 6)], {(1, 2)},
-              {(0, 4), (1, 3), (2, 6)})]
+    # D = {1} and H = {0, 3, 4, 5, 6}, the 5-cycle 4-0-3-5-6 with the chord
+    # 3-4, A = {2}: the ordering matches H through vertex 4, so no other
+    # vertex of it is tested.  Then D = {0}, H = {1, 2, 3, 7, 8} (the
+    # 5-cycle 2-7-3-1-8 with the chord 2-3) and {5}, A = {4, 6}: only H's
+    # attachment to 6, vertex 2, is tested.  A chord keeps H from being an
+    # odd cycle, whose vertices need no test at all
+    cases = [(7, [(0, 3), (0, 4), (1, 2), (2, 4), (3, 4), (3, 5), (4, 6), (5, 6)], {(0, 4)},
+              {(0, 3), (2, 4), (5, 6)}),
+             (9, [(0, 4), (1, 3), (1, 8), (2, 3), (2, 6), (2, 7), (2, 8), (3, 4), (3, 7), (5, 6)], {(1, 2)},
+              {(0, 4), (1, 8), (2, 6), (3, 7)})]
     for n, edges, tested, witness in cases:
         g = Graph.from_edges(n, edges)
         ge = gallai_edmonds(g)
@@ -87,8 +91,8 @@ def test_condition_3_skips_components_the_ordering_matched():
         assert r.answer and r.witness.edges == witness
         assert _tested(ge) == tested
         # the eager route tests more, and agrees
-        ge = gallai_edmonds(g)
-        assert some_ur_eager(g, ge) == r and _tested(ge) > tested
+        eager = {}
+        assert some_ur_eager(g, gallai_edmonds(g), tested=eager) == r and set(eager) > tested
 
 
 def test_ordering_asks_once_per_vertex_of_the_set():
