@@ -10,21 +10,25 @@ gb and the attachments once they reach a gb condition; only ``some_ur``'s
 D component tests and its witness read a member list.  A run that stops
 at a C or D component test builds none of the other views.  ``some_ur``
 answers a D component minus a vertex by the component's edge count when
-the component is an odd cycle, and by a path flip and a Kotzig peel on a
-relabelled copy otherwise; its witness reads each flip off g's arrays.  No
-decider matches gb (see ``some_ur`` and ``every_ur_general``).  The
-bipartite ``every_ur`` route works on arrays and masks over g's adjacency:
-one two-coloring, one Hopcroft-Karp mate array, D(M)'s acyclicity and the
-forest tests of its closures; the general one runs one block search kept
-inside D.  Only the public entry points validate what they are given.
+the component is an odd cycle, and otherwise by one walk of the path
+pointers on g's arrays (``_flip``), whose flip a Kotzig peel tests on a
+relabelled copy and the witness reads.  No decider matches gb (see
+``some_ur`` and ``every_ur_general``).  The bipartite ``every_ur`` route
+works on arrays and masks over g's adjacency: one two-coloring, one
+Hopcroft-Karp mate array, D(M)'s acyclicity and the forest tests of its
+closures; the general one runs one block search kept inside D.  Only the
+public entry points validate what they are given.
 
-Failure tags form a closed set of stable strings; a report names the first
-violated condition, and all violated conditions when diagnostics are requested.
+Failure tags form a closed set of stable strings.  Each decider's
+conditions yield the tags of those that fail, in order; a report names the
+first, and all of them when diagnostics are requested (``_report``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 from .accessibility import _e_good_ordering
 from .decomposition import GallaiEdmonds, gallai_edmonds
@@ -71,9 +75,9 @@ FAILURE_TAGS = frozenset({
 # vertices, is an odd cycle (``_odd_cycle``), whose every h needs no test;
 # ``(ci, h)`` to whether D component ``ci`` minus its vertex h has a unique
 # perfect matching, for the components that are not; ``("d", ci)`` holds
-# what those tests share (``_d_local``).  The memo holds entries no caller
-# asked for: a "no" for one h of a D component writes a "no" for every h'
-# that the same alternating cycle rules out.
+# only H's relabelled adjacency, which those tests share (``_d_local``).  The
+# memo holds entries no caller asked for: a "no" for one h of a D component
+# writes a "no" for every h' that the same alternating cycle rules out.
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,18 @@ class RecognitionReport:
     witness: Matching | None = None
     failure: str | None = None
     failures: tuple[str, ...] = ()
+
+
+_YES = {prop: RecognitionReport(prop, True) for prop in ("some_ur", "every_ur")}
+
+
+def _report(prop: str, tags: Iterator[str], all_failures: bool) -> RecognitionReport:
+    """The report of a decider whose conditions yield the tags of those that
+    fail, in order: all of them under ``all_failures``, else the first, so
+    that no condition after the first failing one runs.  A yes carries only
+    its property, so one frozen report per property serves every call."""
+    failures = tuple(tags) if all_failures else tuple(islice(tags, 1))
+    return RecognitionReport(prop, False, None, failures[0], failures) if failures else _YES[prop]
 
 
 def _decomposed(g: Graph, ge: GallaiEdmonds | None) -> GallaiEdmonds:
@@ -119,41 +135,34 @@ def _c_left(g: Graph, ge: GallaiEdmonds) -> frozenset[int]:
 
 def _d_local(g: Graph, ge: GallaiEdmonds, ci: int):
     """D component ``ci`` in local ids 0..|H|-1, ascending with g's ids:
-    ``(verts, pos, adj, match, parent)``, where ``verts`` maps back, ``pos``
-    forth, ``match`` is ``ge.match`` inside the component (-1 at the one
-    vertex it leaves unmatched there), and ``parent`` is ``ge.parent``
-    inside it (-1 where a pointer leaves it); memoised in ``ge.upms``."""
+    ``(verts, pos, adj)``, where ``verts`` maps back and ``pos`` forth;
+    memoised in ``ge.upms``."""
     key = ("d", ci)
     if key not in ge.upms:
         verts = ge.d_members[ci]
         pos = {v: i for i, v in enumerate(verts)}
-        adj = tuple(tuple(pos[w] for w in g.adj[v] if w in pos) for v in verts)
-        match = [pos.get(ge.match[v], -1) for v in verts]
-        parent = [pos.get(ge.parent[v], -1) for v in verts]
-        ge.upms[key] = verts, pos, adj, match, parent
+        ge.upms[key] = verts, pos, tuple(tuple(pos[w] for w in g.adj[v] if w in pos) for v in verts)
     return ge.upms[key]
 
 
-def _perfect_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int):
-    """A perfect matching of D component ``ci`` minus h: ``(verts, adj, x,
-    match)`` in local ids, x being h's.  The path pointers give an even
-    alternating path from h to the component's one free vertex; flipping it
-    frees h.  A walk that leaves the component, ends elsewhere or runs
-    longer than the component raises."""
-    verts, pos, adj, near, parent = _d_local(g, ge, ci)
-    x = pos[h]
-    match = list(near)
-    m, match[x] = match[x], -1
-    for _ in verts:
-        if m == -1:
-            return verts, adj, x, match
+def _flip(ge: GallaiEdmonds, ci: int, h: int) -> dict[int, int]:
+    """The mates that change, in g's ids, when D component ``ci`` gives up
+    its vertex h (mapped to -1); the others keep theirs in ``ge.match``.
+    The walk h, match[h], parent[match[h]], ... follows the even alternating
+    path of the pointers to the component's free vertex, pairing each vertex
+    a pointer reaches with the one before it.  A pointer that is -1, leaves
+    the component or meets a vertex twice, or a walk longer than the
+    component, raises."""
+    match, parent, comp = ge.match, ge.parent, ge.comp
+    flip = {h: -1}
+    m = match[h]
+    for _ in ge.d_members[ci]:
+        if m == -1 or comp[m] != ci:
+            return flip
         p = parent[m]
-        if p == -1 or p == x:
+        if p == -1 or comp[p] != ci or p in flip:
             break
-        nxt = match[p]
-        match[m] = p
-        match[p] = m
-        m = nxt
+        flip[m], flip[p], m = p, m, match[p]
     raise InternalCheckError(f"D component {ci}: the path pointers from {h} miss its free vertex")
 
 
@@ -180,7 +189,8 @@ def _unique_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int) -> bool:
     perfect matching is unique.  A single vertex leaves the empty graph, the
     triangle is the only factor-critical graph on three vertices, and a
     larger H has its edges counted once (``_odd_cycle``).  Every other H - h
-    takes one path flip and the Kotzig peel, memoised in ``ge.upms``.
+    takes one path flip (``_flip``) and the Kotzig peel on H's relabelled
+    copy, memoised in ``ge.upms``.
 
     A "no" rejects more vertices of the component with it.  The peel's
     remainder holds an even cycle C that alternates under the perfect
@@ -195,7 +205,9 @@ def _unique_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int) -> bool:
     if key not in ge.upms:
         if _odd_cycle(g, ge, ci):
             return True
-        verts, adj, x, match = _perfect_minus(g, ge, ci, h)
+        verts, pos, adj = _d_local(g, ge, ci)
+        flip, mate, x = _flip(ge, ci, h), ge.match, pos[h]
+        match = [pos.get(flip.get(v, mate[v]), -1) for v in verts]
         alive = [True] * len(match)
         alive[x] = False
         rest = _peel(adj, match, alive)
@@ -209,28 +221,6 @@ def _unique_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int) -> bool:
                     raise InternalCheckError(
                         f"D component {ci} minus {verts[y]}: the memo and the alternating cycle disagree")
     return ge.upms[key]
-
-
-def _edges_minus(ge: GallaiEdmonds, ci: int, h: int) -> list[tuple[int, int]]:
-    """The edges, in g's ids, of the perfect matching of D component ``ci``
-    minus h that ``_perfect_minus`` finds, read off ``ge.match``,
-    ``ge.parent`` and ``ge.comp``: the walk h, match[h], parent[match[h]],
-    ... pairs each vertex a pointer reaches with the one before it, down to
-    the component's free vertex, and every other vertex keeps its mate.  A
-    walk that leaves the component, comes back to a vertex it met or runs
-    longer than the component raises."""
-    match, parent, comp = ge.match, ge.parent, ge.comp
-    members = ge.d_members[ci]
-    flip = {h: -1}
-    m = match[h]
-    for _ in members:
-        if m == -1 or comp[m] != ci:
-            return [(v, w) for v in members if (w := flip.get(v, match[v])) > v]
-        p = parent[m]
-        if p == -1 or comp[p] != ci or p in flip:
-            break
-        flip[m], flip[p], m = p, m, match[p]
-    raise InternalCheckError(f"D component {ci}: the path pointers from {h} miss its free vertex")
 
 
 def _eligible(g: Graph, ge: GallaiEdmonds, i: int, ci: int) -> bool:
@@ -257,6 +247,40 @@ def allowed_edges(g: Graph, ge: GallaiEdmonds) -> frozenset[tuple[int, int]]:
     return frozenset([(i, k + ci) for i, ci in ge.attachments if _eligible(g, ge, i, ci)])
 
 
+def _some_failures(g: Graph, ge: GallaiEdmonds, chosen: dict[int, tuple[int, int]]) -> Iterator[str]:
+    """The tags of ``some_ur``'s three conditions that fail, in order.  Once
+    none has, ``chosen`` maps each D component to ``(a, h)``: a vertex h
+    whose deletion leaves a unique perfect matching, and the A-vertex a that
+    the ordering matched to h, or -1."""
+    # condition 1: every untouched component has a unique perfect matching
+    if _c_left(g, ge):
+        yield C_COMPONENT_PM_NOT_UNIQUE
+
+    # condition 2: gb has a maximum uniquely restricted matching inside the
+    # eligible edges; equivalent to an ordering of a maximum independent set
+    k = len(ge.a_list)
+    ordering = _e_good_ordering(ge.gb.adj, range(k, ge.gb.n), lambda i, j: _eligible(g, ge, i, j - k))
+    if ordering is None:
+        yield GB_NO_UR_MATCHING_WITHIN_E
+    else:
+        for i, j in ordering[1].items():  # i < k <= j: the ordered set is the component side
+            nbrs = ge.attachments.get((i, j - k), ())
+            if len(nbrs) != 1:  # the ordering only uses eligible edges
+                raise InternalCheckError(f"ordering edge {(i, j)} has no unique component neighbor")
+            chosen[j - k] = ge.a_list[i], nbrs[0]
+
+    # condition 3: every deficient component has a vertex whose deletion
+    # leaves a unique perfect matching; in a component the ordering matched,
+    # the vertex its edge attaches to is one
+    for ci, members in enumerate(ge.d_members):
+        if ci not in chosen:
+            h = next((h for h in members if _unique_minus(g, ge, ci, h)), None)  # ascending
+            if h is None:
+                yield D_COMPONENT_NO_UNIQUE_PM_VERTEX
+                return
+            chosen[ci] = -1, h
+
+
 def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = False) -> RecognitionReport:
     """Decide whether some maximum matching of g is uniquely restricted.
 
@@ -278,82 +302,34 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     deficient component.
     """
     ge = _decomposed(g, ge)
-    failures: list[str] = []
-
-    # condition 1: every untouched component has a unique perfect matching
-    if _c_left(g, ge):
-        failures.append(C_COMPONENT_PM_NOT_UNIQUE)
-        if not all_failures:
-            return RecognitionReport("some_ur", False, None, failures[0], tuple(failures))
-
-    # condition 2: gb has a maximum uniquely restricted matching inside the
-    # eligible edges; equivalent to an ordering of a maximum independent set
-    k = len(ge.a_list)
-    ordering = _e_good_ordering(ge.gb.adj, range(k, ge.gb.n), lambda i, j: _eligible(g, ge, i, j - k))
-    if ordering is None:
-        failures.append(GB_NO_UR_MATCHING_WITHIN_E)
-        if not all_failures:
-            return RecognitionReport("some_ur", False, None, failures[0], tuple(failures))
-
-    # condition 3: every deficient component has a vertex whose deletion
-    # leaves a unique perfect matching; in a component the ordering matched,
-    # the vertex its edge attaches to is one
-    matched = set() if ordering is None else {j - k for j in ordering[1].values()}
-    chosen_h: dict[int, int] = {}
-    for ci, members in enumerate(ge.d_members):
-        if ci in matched:
-            continue
-        found = next((h for h in members if _unique_minus(g, ge, ci, h)), None)  # ascending
-        if found is None:
-            failures.append(D_COMPONENT_NO_UNIQUE_PM_VERTEX)
-            if not all_failures:
-                return RecognitionReport("some_ur", False, None, failures[0], tuple(failures))
-            break
-        chosen_h[ci] = found
-
-    if failures:
-        return RecognitionReport("some_ur", False, None, failures[0], tuple(failures))
-
-    # assemble the witness
-    mate, (_, p_map) = ge.match, ordering
+    chosen: dict[int, tuple[int, int]] = {}
+    report = _report("some_ur", _some_failures(g, ge, chosen), all_failures)
+    if not report.answer:
+        return report
+    mate = ge.match
     witness_edges = [(v, mate[v]) for v, c in enumerate(ge.comp) if c <= -4 and mate[v] > v]
-    for i, j in p_map.items():  # i < k <= j: the ordered set is the component side
-        nbrs = ge.attachments.get((i, j - k), ())
-        if len(nbrs) != 1:  # the ordering only uses eligible edges
-            raise InternalCheckError(f"ordering edge {(i, j)} has no unique component neighbor")
-        witness_edges.append(edge_key(ge.a_list[i], nbrs[0]))
-        chosen_h[j - k] = nbrs[0]
-    for ci, h in chosen_h.items():
+    for ci, (a, h) in chosen.items():
+        if a != -1:
+            witness_edges.append(edge_key(a, h))
         if not _unique_minus(g, ge, ci, h):
             raise InternalCheckError(f"D component {ci} minus {h} has no unique perfect matching")
-        witness_edges += _edges_minus(ge, ci, h)
+        flip = _flip(ge, ci, h)
+        witness_edges += [(v, w) for v in ge.d_members[ci] if (w := flip.get(v, mate[v])) > v]
     return RecognitionReport("some_ur", True, Matching.from_edges(g, witness_edges), None, ())
 
 
-def _every_bipartite(adj, in_a, mate, all_failures: bool) -> list[str]:
+def _every_bipartite(adj, in_a) -> Iterator[str]:
     """The failure tags of the bipartite every-test, side A marked in
-    ``in_a`` and a maximum matching M in ``mate``: every maximum matching
-    is uniquely restricted iff D(M) is acyclic and its closures V+ and V-
-    induce forests, whichever maximum matching M is.  Without
-    ``all_failures`` the list stops at the first tag."""
-    failures = []
+    ``in_a``, in order: every maximum matching is uniquely restricted iff
+    D(M) is acyclic and its closures V+ and V- induce forests, whichever
+    maximum matching M is; M is Hopcroft-Karp's from A in ascending order."""
+    mate = _hopcroft_karp(adj, [v for v, side in enumerate(in_a) if side])
     if not is_acyclic(_arcs(adj, in_a, mate, True)):
-        failures.append(GB_DIGRAPH_CYCLIC)
-        if not all_failures:
-            return failures
+        yield GB_DIGRAPH_CYCLIC
     if not _is_forest(adj, _reach(adj, in_a, mate, True)):
-        failures.append(V_PLUS_NOT_FOREST)
-        if not all_failures:
-            return failures
+        yield V_PLUS_NOT_FOREST
     if not _is_forest(adj, _reach(adj, in_a, mate, False)):
-        failures.append(V_MINUS_NOT_FOREST)
-    return failures
-
-
-def _every_report(failures: list[str]) -> RecognitionReport:
-    if failures:
-        return RecognitionReport("every_ur", False, None, failures[0], tuple(failures))
-    return RecognitionReport("every_ur", True, None, None, ())
+        yield V_MINUS_NOT_FOREST
 
 
 def every_ur_bipartite(g: Graph, sides, *, all_failures: bool = False) -> RecognitionReport:
@@ -362,8 +338,7 @@ def every_ur_bipartite(g: Graph, sides, *, all_failures: bool = False) -> Recogn
     closures induce forests."""
     side_a, _ = validate_bipartition(g, sides)
     in_a = [v in side_a for v in range(g.n)]
-    mate = _hopcroft_karp(g.adj, sorted(side_a))
-    return _every_report(_every_bipartite(g.adj, in_a, mate, all_failures))
+    return _report("every_ur", _every_bipartite(g.adj, in_a), all_failures)
 
 
 def every_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = False) -> RecognitionReport:
@@ -377,9 +352,22 @@ def every_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = 
         _decomposed(g, ge)
     in_a = _side_a(g.adj)
     if in_a is not None:
-        a_list = [v for v in range(g.n) if in_a[v]]
-        return _every_report(_every_bipartite(g.adj, in_a, _hopcroft_karp(g.adj, a_list), all_failures))
+        return _report("every_ur", _every_bipartite(g.adj, in_a), all_failures)
     return every_ur_general(g, ge=ge, all_failures=all_failures)
+
+
+def _every_failures(g: Graph, ge: GallaiEdmonds) -> Iterator[str]:
+    """The tags of ``every_ur_general``'s four conditions that fail, in
+    order."""
+    if _c_left(g, ge):
+        yield C_COMPONENT_PM_NOT_UNIQUE
+    # one block search over g's adjacency, kept inside D
+    if not _odd_cycle_blocks(g.adj, [c >= 0 for c in ge.comp]):
+        yield D_COMPONENT_BLOCKS_NOT_ODD_CYCLES
+    if not is_forest(ge.gb):
+        yield GB_EVERY_MAX_MATCHING_NOT_UR
+    if any(len(nbrs) > 1 for nbrs in ge.attachments.values()):
+        yield GB_EDGE_MULTIPLE_NEIGHBORS
 
 
 def every_ur_general(
@@ -406,28 +394,4 @@ def every_ur_general(
     one pass over the adjacency of A: no A-vertex may have two neighbors in
     the same D component.
     """
-    ge = _decomposed(g, ge)
-    failures: list[str] = []
-
-    if _c_left(g, ge):
-        failures.append(C_COMPONENT_PM_NOT_UNIQUE)
-        if not all_failures:
-            return _every_report(failures)
-
-    # one block search over g's adjacency, kept inside D
-    if not _odd_cycle_blocks(g.adj, [c >= 0 for c in ge.comp]):
-        failures.append(D_COMPONENT_BLOCKS_NOT_ODD_CYCLES)
-        if not all_failures:
-            return _every_report(failures)
-
-    if not is_forest(ge.gb):
-        failures.append(GB_EVERY_MAX_MATCHING_NOT_UR)
-        if not all_failures:
-            return _every_report(failures)
-
-    if any(len(nbrs) > 1 for nbrs in ge.attachments.values()):
-        failures.append(GB_EDGE_MULTIPLE_NEIGHBORS)
-        if not all_failures:
-            return _every_report(failures)
-
-    return _every_report(failures)
+    return _report("every_ur", _every_failures(g, _decomposed(g, ge)), all_failures)

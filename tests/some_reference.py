@@ -10,6 +10,10 @@ route lives on here, so that tests can hold the on-demand one to it: its
 reports must be equal, witness included.  It answers every H - h, odd
 cycles included, with its own path flip on H's relabelled copy and a
 Kotzig peel, and builds its witness from the same flips.
+
+That flip walks the matcher's path pointers in local ids
+(``_perfect_minus``), as the library did before one walk on g's own arrays
+(``recognition._flip``) served both the peel and the witness.
 """
 
 from __future__ import annotations
@@ -17,20 +21,45 @@ from __future__ import annotations
 from urmatch.accessibility import _e_good_ordering
 from urmatch.decomposition import GallaiEdmonds, gallai_edmonds
 from urmatch.graph_core import Graph, edge_key
-from urmatch.matching import Matching, _peel
+from urmatch.matching import InternalCheckError, Matching, _peel
 from urmatch.recognition import (
     C_COMPONENT_PM_NOT_UNIQUE,
     D_COMPONENT_NO_UNIQUE_PM_VERTEX,
     GB_NO_UR_MATCHING_WITHIN_E,
     RecognitionReport,
     _c_left,
-    _perfect_minus,
+    _d_local,
 )
 
 
 def _edges(verts, match) -> list[tuple[int, int]]:
     """The edges of a local mate array, in the ids ``verts`` maps back to."""
     return [edge_key(verts[x], verts[y]) for x, y in enumerate(match) if y > x]
+
+
+def _perfect_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int):
+    """A perfect matching of D component ``ci`` minus h: ``(verts, adj, x,
+    match)`` in local ids, x being h's.  The path pointers, relabelled into
+    the component (-1 where one leaves it), give an even alternating path
+    from h to the component's one free vertex; flipping it frees h.  A walk
+    that leaves the component, ends elsewhere or runs longer than the
+    component raises."""
+    verts, pos, adj = _d_local(g, ge, ci)
+    parent = [pos.get(ge.parent[v], -1) for v in verts]
+    match = [pos.get(ge.match[v], -1) for v in verts]
+    x = pos[h]
+    m, match[x] = match[x], -1
+    for _ in verts:
+        if m == -1:
+            return verts, adj, x, match
+        p = parent[m]
+        if p == -1 or p == x:
+            break
+        nxt = match[p]
+        match[m] = p
+        match[p] = m
+        m = nxt
+    raise InternalCheckError(f"D component {ci}: the path pointers from {h} miss its free vertex")
 
 
 def unique_minus_by_peel(g: Graph, ge: GallaiEdmonds, ci: int, h: int) -> bool:

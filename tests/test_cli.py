@@ -433,6 +433,26 @@ def test_no_unused_import_in_library():
     assert sorted(set(found) - allowed) == []
 
 
+def test_no_library_helper_only_tests_call():
+    # a private function or class at module level is read by library code
+    # outside its own definition: one that only the tests call belongs in
+    # the test-side references
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(Path(cli.__file__).parent.glob("*.py"))}
+    defined, read = set(), set()
+    for name, tree in trees.items():
+        for stmt in tree.body:
+            own = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and own.startswith("_") and not own.startswith("__"):
+                defined.add((name, own))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id != own:
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    read.add(node.attr)
+    assert sorted(f"{name}:{own}" for name, own in defined if own not in read) == []
+
+
 def test_selftest_under_optimized_python():
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "urmatch.cli", "selftest",

@@ -17,6 +17,7 @@ from urmatch.oracle import enumerate_labeled_graphs
 from urmatch.recognition import (
     D_COMPONENT_BLOCKS_NOT_ODD_CYCLES,
     _every_bipartite,
+    _report,
     every_ur_bipartite,
     every_ur_general,
 )
@@ -25,7 +26,7 @@ from urmatch.ur_core import _reach, build_matching_digraph
 
 def _array_route(g, sides, all_failures):
     in_a = [v in sides[0] for v in range(g.n)]
-    return _every_bipartite(g.adj, in_a, _hopcroft_karp(g.adj, sorted(sides[0])), all_failures)
+    return list(_report("every_ur", _every_bipartite(g.adj, in_a), all_failures).failures)
 
 
 @settings(deadline=None, max_examples=200)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from ge_reference import VIEWS, gb_edge_condition_by_edges, unique_perfect_matching_by_deletion
 from lemma_helpers import is_alternating_cycle
-from some_reference import _edges
+from some_reference import _edges, _perfect_minus
 from strategies import (
     bipartite_graphs,
     giant,
@@ -58,9 +58,9 @@ from urmatch.recognition import (
     FAILURE_TAGS,
     GB_EDGE_MULTIPLE_NEIGHBORS,
     _c_left,
-    _edges_minus,
+    _d_local,
+    _flip,
     _odd_cycle,
-    _perfect_minus,
     _unique_minus,
     allowed_edges,
     every_ur,
@@ -456,6 +456,24 @@ def test_early_stops_build_no_views():
     assert every_ur(k5, all_failures=True).failures == (D_COMPONENT_BLOCKS_NOT_ODD_CYCLES,)
 
 
+def test_reports_stop_at_the_first_failing_condition(monkeypatch):
+    # C4's two perfect matchings fail the first condition of each decider;
+    # without all_failures no later condition runs, with it every one does
+    c4 = cycle_graph(4)
+    c4_triangle = Graph.from_edges(7, [*c4.edges, (4, 5), (5, 6), (4, 6)])
+    cases = (("_e_good_ordering", some_ur, c4_triangle, C_COMPONENT_PM_NOT_UNIQUE),
+             ("_reach", every_ur, c4, "gb_digraph_cyclic"),
+             ("_odd_cycle_blocks", every_ur_general, c4_triangle, C_COMPONENT_PM_NOT_UNIQUE))
+    for name, decide, g, first in cases:
+        calls = []
+        real = getattr(recognition, name)
+        monkeypatch.setattr(recognition, name, lambda *args, real=real: calls.append(1) or real(*args))
+        r = decide(g)
+        assert (r.failure, r.failures, calls) == (first, (first,), [])
+        r = decide(g, all_failures=True)
+        assert r.failures[0] == first and calls
+
+
 @settings(deadline=None, max_examples=150)
 @given(graphs(max_n=11))
 def test_every_builds_no_member_lists(g):
@@ -491,9 +509,9 @@ def test_corrupt_path_pointers_raise():
     loop[m0], loop[q0], loop[q1], loop[p0] = p0, p1, m0, p1
     for parent in ((-1,) * 7, tuple(loop)):
         with pytest.raises(recognition.InternalCheckError, match="free vertex"):
-            _perfect_minus(g, replace(ge, parent=parent), 0, x)
+            _flip(replace(ge, parent=parent), 0, x)
         with pytest.raises(recognition.InternalCheckError, match="free vertex"):
-            _edges_minus(replace(ge, parent=parent), 0, x)
+            _perfect_minus(g, replace(ge, parent=parent), 0, x)
 
 
 def test_witness_walk_raises_on_a_pointer_out_of_the_component():
@@ -507,13 +525,15 @@ def test_witness_walk_raises_on_a_pointer_out_of_the_component():
         parent[ge.match[h]] = out
         bad = replace(ge, parent=tuple(parent))
         with pytest.raises(recognition.InternalCheckError, match="free vertex"):
-            _edges_minus(bad, 0, h)
+            _flip(bad, 0, h)
         with pytest.raises(recognition.InternalCheckError, match="free vertex"):
             _perfect_minus(g, bad, 0, h)
 
 
 def test_witness_walk_equals_the_local_flip_on_sparse_graphs():
-    # the giants and triangle trees that tests/test_every_cores.py decides
+    # the one walk on g's arrays, read as the peel's input and as witness
+    # edges, against the local-id walk, on the giants and triangle trees
+    # that tests/test_every_cores.py decides
     instances = [giant(sparse_graph_nm(n, 3 * n // 2, random.Random(seed)))
                  for n, seed in ((2000, 0), (4000, 3), (8000, 0))]
     instances += [linear_triangle_tree(n, 0.25, random.Random(n)) for n in (1334, 2667, 5334)]
@@ -683,15 +703,20 @@ def _check_instance(g):
 
 def _check_perfect_minus(g, ge):
     # the flipped path leaves a perfect matching of every D component minus
-    # h, and the witness walk on g's arrays finds the same one
+    # h; the one walk on g's arrays gives the local walk's peel input, as
+    # _unique_minus builds it, and its edges, as the witness reads them
+    mate = ge.match
     for ci, comp in enumerate(ge.d_components):
+        _, pos, _ = _d_local(g, ge, ci)
         for h in comp:
             verts, _, x, match = _perfect_minus(g, ge, ci, h)
             assert verts == sorted(comp) and match[x] == -1
             for a, b in enumerate(match):
                 if a != x:
                     assert match[b] == a and edge_key(verts[a], verts[b]) in g.edges
-            assert _edges_minus(ge, ci, h) == _edges(verts, match)
+            flip = _flip(ge, ci, h)
+            assert [pos.get(flip.get(v, mate[v]), -1) for v in verts] == match
+            assert [(v, w) for v in verts if (w := flip.get(v, mate[v])) > v] == _edges(verts, match)
 
 
 def _check_gb_edge_condition(g, ge):
