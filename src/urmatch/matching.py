@@ -1,10 +1,10 @@
 """Maximum matchings (general and bipartite) and matching-theoretic predicates.
 
 One alternating-forest search with union-find blossoms (Edmonds) serves the
-general matcher and the deletion test of edges in some maximum matching;
-bipartite graphs use Hopcroft-Karp (``_hopcroft_karp``), whose mate array
-also gives the Koenig independent set (``max_independent_set_bipartite``).
-The general matcher (``_matcher``) seeds with the degree-1 rule of Karp & Sipser, then
+one matcher and the deletion test of edges in some maximum matching; on a
+bipartite graph the matcher's mate array also gives the Koenig independent
+set (``max_independent_set_bipartite``).
+The matcher (``_matcher``) seeds with the degree-1 rule of Karp & Sipser, then
 searches from each vertex left free, lowest first, on arrays allocated once:
 a search that augments resets only what it labelled, and the Hungarian tree
 of one that fails stays out of every later search, its even vertices marked
@@ -22,7 +22,6 @@ returned for a given graph is reproducible.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -287,75 +286,11 @@ def maximum_matching(g: Graph) -> Matching:
     return _matching_from_array(g, _max_match_array(g))
 
 
-def _hopcroft_karp(adj, a_list) -> list[int]:
-    """The mate array (-1 for a free vertex) of a maximum matching of the
-    bipartite graph ``adj`` whose side A is ``a_list``, ascending: phases of
-    one BFS layering from the free A vertices and one DFS from each."""
-    n = len(adj)
-    mate = [-1] * n
-    inf = n + 1
-    dist = [inf] * n
-
-    def bfs() -> bool:
-        queue = deque()
-        for a in a_list:
-            if mate[a] == -1:
-                dist[a] = 0
-                queue.append(a)
-            else:
-                dist[a] = inf
-        found = inf
-        while queue:
-            a = queue.popleft()
-            if dist[a] < found:
-                for b in adj[a]:
-                    nxt = mate[b]
-                    if nxt == -1:
-                        found = dist[a] + 1
-                    elif dist[nxt] == inf:
-                        dist[nxt] = dist[a] + 1
-                        queue.append(nxt)
-        return found != inf
-
-    def try_augment(root: int) -> bool:
-        frames = [(root, iter(adj[root]))]
-        pending: list[tuple[int, int]] = []
-        while frames:
-            a, it = frames[-1]
-            moved = False
-            for b in it:
-                nxt = mate[b]
-                if nxt == -1:
-                    mate[a] = b
-                    mate[b] = a
-                    for pa, pb in pending:
-                        mate[pa] = pb
-                        mate[pb] = pa
-                    return True
-                if dist[nxt] == dist[a] + 1:
-                    pending.append((a, b))
-                    frames.append((nxt, iter(adj[nxt])))
-                    moved = True
-                    break
-            if moved:
-                continue
-            dist[a] = inf
-            frames.pop()
-            if frames:
-                pending.pop()
-        return False
-
-    while bfs():
-        for a in a_list:
-            if mate[a] == -1:
-                try_augment(a)
-    return mate
-
-
 def maximum_matching_bipartite(g: Graph, sides) -> Matching:
-    """Maximum matching of a bipartite graph via Hopcroft-Karp on ``sides``."""
-    side_a, _ = validate_bipartition(g, sides)
-    return _matching_from_array(g, _hopcroft_karp(g.adj, sorted(side_a)))
+    """A maximum matching of a bipartite graph, once ``sides`` is checked to
+    be a bipartition of it: the matcher's, as ``maximum_matching`` gives."""
+    validate_bipartition(g, sides)
+    return _matching_from_array(g, _max_match_array(g))
 
 
 def edge_in_some_maximum_matching(g: Graph, e: tuple[int, int]) -> bool:
@@ -552,15 +487,15 @@ def is_factor_critical(g: Graph) -> bool:
 
 def max_independent_set_bipartite(g: Graph, sides) -> frozenset[int]:
     """A maximum independent set of a bipartite graph: the complement of
-    the Koenig cover of its Hopcroft-Karp matching.  The cover is the
-    A-vertices that the alternating search from the free A-vertices misses
-    and the B-vertices it reaches, so v is in the set iff ``reach[v]`` equals
-    whether v is on side A, isolated vertices of both sides too."""
+    the Koenig cover of the matcher's maximum matching, which any maximum
+    matching gives.  The cover is the A-vertices that the alternating search
+    from the free A-vertices misses and the B-vertices it reaches, so v is
+    in the set iff ``reach[v]`` equals whether v is on side A, isolated
+    vertices of both sides too."""
     side_a, _ = validate_bipartition(g, sides)
-    a_list = sorted(side_a)
-    mate = _hopcroft_karp(g.adj, a_list)
+    mate = _max_match_array(g)
     reach = [False] * g.n
-    queue = [a for a in a_list if mate[a] == -1]
+    queue = [a for a in side_a if mate[a] == -1]
     for a in queue:
         reach[a] = True
     for a in queue:  # the loop also visits vertices appended while it runs

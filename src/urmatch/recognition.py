@@ -14,10 +14,11 @@ the component is an odd cycle, and otherwise by one walk of the path
 pointers on g's arrays (``_flip``), whose flip a Kotzig peel tests on a
 relabelled copy and the witness reads.  No decider matches gb (see
 ``some_ur`` and ``every_ur_general``).  The bipartite ``every_ur`` route
-works on arrays and masks over g's adjacency: one two-coloring, one
-Hopcroft-Karp mate array, D(M)'s acyclicity and the forest tests of its
-closures; the general one runs one block search kept inside D.  Only the
-public entry points validate what they are given.
+works on arrays and masks over g's adjacency: one two-coloring, the
+matcher's mate array (the decomposition's when one is given), D(M)'s
+acyclicity and the forest tests of its closures; the general one runs one
+block search kept inside D.  Only the public entry points validate what
+they are given.
 
 Failure tags form a closed set of stable strings.  Each decider's
 conditions yield the tags of those that fail, in order; a report names the
@@ -38,7 +39,7 @@ from .matching import (
     Matching,
     _EVEN,
     _alternating_cycle,
-    _hopcroft_karp,
+    _max_match_array,
     _peel,
     _search,
     unique_perfect_matching,  # noqa: F401  read as recognition.unique_perfect_matching by perfbench
@@ -318,12 +319,12 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     return RecognitionReport("some_ur", True, Matching.from_edges(g, witness_edges), None, ())
 
 
-def _every_bipartite(adj, in_a) -> Iterator[str]:
+def _every_bipartite(adj, in_a, mate) -> Iterator[str]:
     """The failure tags of the bipartite every-test, side A marked in
     ``in_a``, in order: every maximum matching is uniquely restricted iff
     D(M) is acyclic and its closures V+ and V- induce forests, whichever
-    maximum matching M is; M is Hopcroft-Karp's from A in ascending order."""
-    mate = _hopcroft_karp(adj, [v for v, side in enumerate(in_a) if side])
+    maximum matching M is; M is the one in ``mate`` (-1 for free).  The
+    answer does not depend on M, but which condition fails first can."""
     if not is_acyclic(_arcs(adj, in_a, mate, True)):
         yield GB_DIGRAPH_CYCLIC
     if not _is_forest(adj, _reach(adj, in_a, mate, True)):
@@ -338,7 +339,7 @@ def every_ur_bipartite(g: Graph, sides, *, all_failures: bool = False) -> Recogn
     closures induce forests."""
     side_a, _ = validate_bipartition(g, sides)
     in_a = [v in side_a for v in range(g.n)]
-    return _report("every_ur", _every_bipartite(g.adj, in_a), all_failures)
+    return _report("every_ur", _every_bipartite(g.adj, in_a, _max_match_array(g)), all_failures)
 
 
 def every_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = False) -> RecognitionReport:
@@ -346,13 +347,16 @@ def every_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = 
 
     Bipartite inputs take the direct bipartite decider, all others the
     general route through the decomposition.  A ``ge`` is checked as the
-    general route checks it, whichever route runs.
+    general route checks it, whichever route runs, and its maximum matching
+    serves the bipartite route too, so that g is matched once; without one,
+    the bipartite route runs the matcher, which gives the same matching.
     """
     if ge is not None:
         _decomposed(g, ge)
     in_a = _side_a(g.adj)
     if in_a is not None:
-        return _report("every_ur", _every_bipartite(g.adj, in_a), all_failures)
+        mate = _max_match_array(g) if ge is None else ge.match
+        return _report("every_ur", _every_bipartite(g.adj, in_a, mate), all_failures)
     return every_ur_general(g, ge=ge, all_failures=all_failures)
 
 

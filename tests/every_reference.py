@@ -1,18 +1,27 @@
-"""The object routes of the every-decider's bipartite and D-block tests.
+"""The object routes of the every-decider's bipartite and D-block tests,
+and the bipartite matcher the library once ran.
 
-The bipartite test once ran on objects: a ``Matching`` from Hopcroft-Karp,
-the digraph D(M) of ``build_matching_digraph``, ``is_acyclic`` on it, and
-one induced ``Graph`` per reachability closure for ``is_forest``.  The
-D-block test built one induced graph per D component and read its blocks.
-The library now runs both on arrays and masks over the host graph's own
-adjacency (``recognition._every_bipartite``, ``graph_core._odd_cycle_blocks``).
-The object routes live on here, so that tests can hold the array cores to
+The bipartite test once ran on objects: a ``Matching`` of
+``maximum_matching_bipartite``, the digraph D(M) of
+``build_matching_digraph``, ``is_acyclic`` on it, and one induced ``Graph``
+per reachability closure for ``is_forest``.  The D-block test built one
+induced graph per D component and read its blocks.  The library now runs
+both on arrays and masks over the host graph's own adjacency
+(``recognition._every_bipartite``, ``graph_core._odd_cycle_blocks``).  The
+object routes live on here, so that tests can hold the array cores to
 them.  The closures are grown here by a search of their own over D(M)'s
 lists, and the blocks are read off networkx, so neither reference shares
 that step with the cores it checks.
+
+The bipartite every-test once took its M from Hopcroft-Karp (Hopcroft &
+Karp 1973, ``_hopcroft_karp``), and now takes the library's one matcher's.
+The characterization holds whichever maximum matching M is, so a test
+runs the bipartite test on both and compares the answers.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import networkx as nx
 
@@ -64,3 +73,68 @@ def blocks_odd_by_networkx(g: Graph, comp) -> bool:
         if len(edges) != len(verts) or len(edges) % 2 == 0:
             return False
     return True
+
+
+def _hopcroft_karp(adj, a_list) -> list[int]:
+    """The mate array (-1 for a free vertex) of a maximum matching of the
+    bipartite graph ``adj`` whose side A is ``a_list``, ascending: phases of
+    one BFS layering from the free A vertices and one DFS from each."""
+    n = len(adj)
+    mate = [-1] * n
+    inf = n + 1
+    dist = [inf] * n
+
+    def bfs() -> bool:
+        queue = deque()
+        for a in a_list:
+            if mate[a] == -1:
+                dist[a] = 0
+                queue.append(a)
+            else:
+                dist[a] = inf
+        found = inf
+        while queue:
+            a = queue.popleft()
+            if dist[a] < found:
+                for b in adj[a]:
+                    nxt = mate[b]
+                    if nxt == -1:
+                        found = dist[a] + 1
+                    elif dist[nxt] == inf:
+                        dist[nxt] = dist[a] + 1
+                        queue.append(nxt)
+        return found != inf
+
+    def try_augment(root: int) -> bool:
+        frames = [(root, iter(adj[root]))]
+        pending: list[tuple[int, int]] = []
+        while frames:
+            a, it = frames[-1]
+            moved = False
+            for b in it:
+                nxt = mate[b]
+                if nxt == -1:
+                    mate[a] = b
+                    mate[b] = a
+                    for pa, pb in pending:
+                        mate[pa] = pb
+                        mate[pb] = pa
+                    return True
+                if dist[nxt] == dist[a] + 1:
+                    pending.append((a, b))
+                    frames.append((nxt, iter(adj[nxt])))
+                    moved = True
+                    break
+            if moved:
+                continue
+            dist[a] = inf
+            frames.pop()
+            if frames:
+                pending.pop()
+        return False
+
+    while bfs():
+        for a in a_list:
+            if mate[a] == -1:
+                try_augment(a)
+    return mate

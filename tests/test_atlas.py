@@ -8,8 +8,15 @@ one seeded relabelling of each extension, since the deciders break ties by
 vertex id.  One enumeration of the maximum matchings answers both
 properties; ``max_m`` is raised to 28, as the default guard refuses graphs
 with 25 to 28 edges.
+
+The full gate takes all 1044 atlas graphs, so it meets every graph on 8
+vertices, the bipartite ones too, in some labelling.  It takes minutes and
+runs only when the environment sets ``URMATCH_FULL_GATE=1``:
+
+    URMATCH_FULL_GATE=1 PYTHONPATH=src python -m pytest -q tests/test_atlas.py
 """
 
+import os
 import random
 
 import networkx as nx
@@ -41,8 +48,7 @@ def test_the_atlas_has_every_seven_vertex_graph():
     assert len(SEVEN) == 1044 and len(set(PICKS)) == 16
 
 
-@pytest.mark.parametrize("index", PICKS)
-def test_deciders_equal_the_oracle_on_one_vertex_extensions(index):
+def _check_extensions(index):
     for g in _extensions(index):
         some_want, every_want = _maximum_ur_profile(g, N, MAX_M)
         some = some_ur(g)
@@ -53,3 +59,15 @@ def test_deciders_equal_the_oracle_on_one_vertex_extensions(index):
             h = nx.Graph(list(g.edges))
             assert len(some.witness) == len(nx.max_weight_matching(h, maxcardinality=True))
             assert oracle_is_ur(g, some.witness, max_n=N, max_m=MAX_M)
+
+
+@pytest.mark.parametrize("index", PICKS)
+def test_deciders_equal_the_oracle_on_one_vertex_extensions(index):
+    _check_extensions(index)
+
+
+@pytest.mark.skipif(os.environ.get("URMATCH_FULL_GATE") != "1",
+                    reason="the full 8-vertex gate takes minutes; set URMATCH_FULL_GATE=1")
+def test_deciders_equal_the_oracle_on_every_graph_on_eight_vertices():
+    for index in range(len(SEVEN)):
+        _check_extensions(index)

@@ -1,18 +1,19 @@
 """The array cores of the every route against the object routes they replace
 (``every_reference``): the bipartite test on gb, and the block search on D;
-and the two structure-theorem facts that spare the general route a matching
-of gb, against the public bipartite routes."""
+the bipartite test's answer on two different maximum matchings; and the two
+structure-theorem facts that spare the general route a matching of gb,
+against the public bipartite routes."""
 
 import random
 
 from hypothesis import given, settings
 
-from every_reference import blocks_odd_by_networkx, closure, every_bipartite_by_objects
+from every_reference import _hopcroft_karp, blocks_odd_by_networkx, closure, every_bipartite_by_objects
 from strategies import bipartite_graphs, giant, graphs, linear_triangle_tree, seeded_random_graphs, sparse_graph_nm
 from urmatch.decomposition import gallai_edmonds
 from urmatch.families import bowtie_graph, complete_graph, cycle_graph, path_graph
-from urmatch.graph_core import Graph, _odd_cycle_blocks, blocks_are_odd_cycles, induced_subgraph, is_forest
-from urmatch.matching import _hopcroft_karp, max_independent_set_bipartite, maximum_matching_bipartite
+from urmatch.graph_core import Graph, _odd_cycle_blocks, bipartition, blocks_are_odd_cycles, induced_subgraph, is_forest
+from urmatch.matching import _max_match_array, max_independent_set_bipartite, maximum_matching_bipartite
 from urmatch.oracle import enumerate_labeled_graphs
 from urmatch.recognition import (
     D_COMPONENT_BLOCKS_NOT_ODD_CYCLES,
@@ -26,7 +27,7 @@ from urmatch.ur_core import _reach, build_matching_digraph
 
 def _array_route(g, sides, all_failures):
     in_a = [v in sides[0] for v in range(g.n)]
-    return list(_report("every_ur", _every_bipartite(g.adj, in_a), all_failures).failures)
+    return list(_report("every_ur", _every_bipartite(g.adj, in_a, _max_match_array(g)), all_failures).failures)
 
 
 @settings(deadline=None, max_examples=200)
@@ -44,11 +45,42 @@ def test_reach_masks_equal_closures_of_the_digraph(gs):
     g, sides = gs
     md = build_matching_digraph(g, sides, maximum_matching_bipartite(g, sides))
     in_a = [v in sides[0] for v in range(g.n)]
-    mate = _hopcroft_karp(g.adj, sorted(sides[0]))
+    mate = _max_match_array(g)
     for forward, lists, sources, want in ((True, md.succ, md.a0, md.v_plus),
                                           (False, md.pred, md.b0, md.v_minus)):
         mask = _reach(g.adj, in_a, mate, forward)
         assert frozenset(v for v in range(g.n) if mask[v]) == closure(lists, sources) == want
+
+
+def _first_tags(g, sides):
+    """The first failing condition of the bipartite every-test, or None, on
+    Hopcroft-Karp's maximum matching from each side and on the matcher's,
+    after checking that all three have the size of
+    ``maximum_matching_bipartite``'s.  The answer must not depend on M."""
+    size = len(maximum_matching_bipartite(g, sides))
+    tags = []
+    for side in sides:
+        in_a = [v in side for v in range(g.n)]
+        for mate in (_hopcroft_karp(g.adj, sorted(side)), _max_match_array(g)):
+            assert sum(m != -1 for m in mate) == 2 * size
+            tags.append(next(_every_bipartite(g.adj, in_a, mate), None))
+    assert len({tag is None for tag in tags}) == 1, tags
+    return tags
+
+
+@settings(deadline=None, max_examples=200)
+@given(bipartite_graphs(max_side=6))
+def test_every_bipartite_answer_is_independent_of_the_matching(gs):
+    _first_tags(*gs)
+
+
+def test_every_bipartite_answer_is_independent_of_the_matching_exhaustive():
+    # every bipartite labelled graph on at most 6 vertices; which condition
+    # fails first depends on M, and on some of them it differs
+    tags = [_first_tags(g, sides) for n in range(7) for g in enumerate_labeled_graphs(n)
+            if (sides := bipartition(g)) is not None]
+    assert {t[0] is None for t in tags} == {True, False}
+    assert any(len(set(t)) > 1 for t in tags)
 
 
 def _gb_facts(ge):

@@ -7,11 +7,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 
+from every_reference import _hopcroft_karp
 from ge_reference import VIEWS, gb_edge_condition_by_edges, unique_perfect_matching_by_deletion
 from lemma_helpers import is_alternating_cycle
 from some_reference import _edges, _perfect_minus
 from strategies import (
     bipartite_graphs,
+    corona,
     giant,
     graphs,
     linear_triangle_tree,
@@ -59,6 +61,7 @@ from urmatch.recognition import (
     GB_EDGE_MULTIPLE_NEIGHBORS,
     _c_left,
     _d_local,
+    _every_bipartite,
     _flip,
     _odd_cycle,
     _unique_minus,
@@ -268,7 +271,7 @@ def test_general_route_shares_the_one_matching(monkeypatch):
     def refuse(*args):
         raise AssertionError("a decider matched again")
 
-    for module, name in ((recognition, "_hopcroft_karp"), (matching, "_hopcroft_karp"),
+    for module, name in ((recognition, "_max_match_array"), (matching, "_max_match_array"),
                          (matching, "_matcher")):
         monkeypatch.setattr(module, name, refuse)
     answers = set()
@@ -279,6 +282,32 @@ def test_general_route_shares_the_one_matching(monkeypatch):
             every = every_ur_general(g, ge=ge, all_failures=all_failures)
             answers.add((some.answer, every.answer))
     assert len(answers) > 1
+
+
+def test_bipartite_route_shares_the_one_matching(monkeypatch):
+    # given a decomposition, the bipartite every route reads its matching and
+    # matches nothing; it is the matcher's, so the reports equal those of a
+    # call without one
+    rng = random.Random(11)
+    instances = [path_graph(401), corona(Graph.from_edges(200, random_tree_edges(200, rng))),
+                 Graph.from_edges(400, {(rng.randrange(200), 200 + rng.randrange(200)) for _ in range(600)})]
+    runs = [(g, gallai_edmonds(g), {af: every_ur(g, all_failures=af) for af in (False, True)})
+            for g in instances]
+
+    def refuse(*args):
+        raise AssertionError("a decider matched again")
+
+    for module, name in ((recognition, "_max_match_array"), (matching, "_max_match_array"),
+                         (matching, "_matcher")):
+        monkeypatch.setattr(module, name, refuse)
+    answers = set()
+    for g, ge, want in runs:
+        assert bipartition(g) is not None
+        for all_failures in (False, True):
+            every = every_ur(g, ge=ge, all_failures=all_failures)
+            assert every == want[all_failures]
+            answers.add(every.answer)
+    assert answers == {True, False}
 
 
 def _check_uniqueness_tests(g):
@@ -803,7 +832,13 @@ def test_all_failures_on_cyclic_gb_with_double_attachment():
                              (2, 3), (2, 4), (3, 4)])
     ge = gallai_edmonds(g)
     assert (ge.a_set, len(ge.d_components)) == ({0, 1}, 3)
-    assert every_ur_bipartite(ge.gb, ge.gb_sides).failure == "gb_digraph_cyclic"
+    # which condition of the bipartite test fails first depends on M: under
+    # the matcher's M (0-3, 1-4 in gb's ids) D(M) is acyclic but V- is all of
+    # gb, while Hopcroft-Karp's from A (0-2, 1-3) closes the cycle 0-2-1-3
+    assert every_ur_bipartite(ge.gb, ge.gb_sides, all_failures=True).failures == ("v_minus_not_forest",)
+    in_a = [v in ge.gb_sides[0] for v in range(ge.gb.n)]
+    hk = _hopcroft_karp(ge.gb.adj, sorted(ge.gb_sides[0]))
+    assert list(_every_bipartite(ge.gb.adj, in_a, hk)) == ["gb_digraph_cyclic", "v_minus_not_forest"]
     r = every_ur_general(g, ge=ge, all_failures=True)
     assert r.failures == ("gb_every_max_matching_not_ur", "gb_edge_multiple_neighbors")
     assert r.failure == "gb_every_max_matching_not_ur"
