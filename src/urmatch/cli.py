@@ -213,31 +213,37 @@ def _cmd_is_ur(args) -> int:
 def _cmd_decompose(args) -> int:
     g = parse_graph(_read(args.file))
     ge = gallai_edmonds(g)
+    d_verts: list[int] = []
+    a_verts: list[int] = []
+    c_verts: list[int] = []
+    for v, c in enumerate(ge.comp):
+        (d_verts if c >= 0 else a_verts if c == -1 else c_verts).append(v)
+    gb, k = ge.gb, len(a_verts)
     if args.json:
         payload = {
             "input": args.file,
             "n": g.n,
             "m": g.m,
-            "d_set": sorted(ge.d_set),
-            "a_set": sorted(ge.a_set),
-            "c_set": sorted(ge.c_set),
-            "d_components": [sorted(c) for c in ge.d_components],
+            "d_set": d_verts,
+            "a_set": a_verts,
+            "c_set": c_verts,
+            "d_components": ge.d_members,
             "gb": {
-                "n": ge.gb.n,
-                "edges": [list(e) for e in ge.gb.sorted_edges()],
-                "a_side": sorted(ge.gb_sides[0]),
-                "component_side": sorted(ge.gb_sides[1]),
+                "n": gb.n,
+                "edges": [list(e) for e in gb.sorted_edges()],
+                "a_side": list(range(k)),
+                "component_side": list(range(k, gb.n)),
             },
-            "contraction_map": [list(entry) for entry in ge.contraction_map],
+            "contraction_map": [["a", v] for v in a_verts] + [["d", i] for i in range(ge.counts[0])],
         }
         print(json.dumps(payload))
     else:
-        print("d_set", " ".join(map(str, sorted(ge.d_set))))
-        print("a_set", " ".join(map(str, sorted(ge.a_set))))
-        print("c_set", " ".join(map(str, sorted(ge.c_set))))
-        for i, comp in enumerate(ge.d_components):
-            print(f"d_component {i}:", " ".join(map(str, sorted(comp))))
-        print(f"gb n={ge.gb.n} edges", " ".join(f"{u}-{v}" for u, v in ge.gb.sorted_edges()))
+        print("d_set", " ".join(map(str, d_verts)))
+        print("a_set", " ".join(map(str, a_verts)))
+        print("c_set", " ".join(map(str, c_verts)))
+        for i, comp in enumerate(ge.d_members):
+            print(f"d_component {i}:", " ".join(map(str, comp)))
+        print(f"gb n={gb.n} edges", " ".join(f"{u}-{v}" for u, v in gb.sorted_edges()))
     return 0
 
 

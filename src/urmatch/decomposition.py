@@ -1,18 +1,18 @@
 """Gallai-Edmonds decomposition and the bipartite contraction it induces.
 
-``d_set`` (the vertices v with nu(g - v) == nu(g)) comes from the matcher
+D (the vertices v with nu(g - v) == nu(g)) comes from the matcher
 alone: it is the set of dead-even vertices of the Edmonds forest that the
 matcher's failed searches leave behind, and the matching and the forest's
 path pointers are kept.  By the structure theorem D fixes the rest: A is the
 outside neighborhood of D, C the remaining vertices, and the contracted
 graph ``gb`` keeps A on one side and one vertex per component of g[D] on the
-other.  ``_decompose`` is the one builder: ``_classes`` numbers the classes
-in linear time (one pass over D's adjacency finds A, and one breadth-first
-search over g's own adjacency that stays inside the class of its start
-splits D and C into one component array), and every view, the member lists
-among them, is read off that array on first read; no induced graph is
-built.  ``gallai_edmonds`` adds the Tutte-Berge count on A, which checks
-that the matching is maximum.
+other.  The decomposition is one component array: ``_classes`` numbers the
+classes in linear time (one pass over D's adjacency finds A, and one
+breadth-first search over g's own adjacency that stays inside the class of
+its start splits D and C into that array), and every view, the member lists
+among them, is read off it on first read; no induced graph is built.
+``gallai_edmonds`` adds the Tutte-Berge count on A, which checks that the
+matching is maximum.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ from functools import cached_property
 from .graph_core import Graph, induced_subgraph
 from .matching import (
     InternalCheckError,
+    _max_match_array,
     _missable_and_match,
     is_factor_critical,
     maximum_matching,
-    maximum_matching_bipartite,
 )
-from .ur_core import build_matching_digraph
+from .ur_core import _reach
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,10 @@ class GallaiEdmonds:
     D and of C components; ``a_list``, the A-vertices
     ascending (gb vertex i < |A| is ``a_list[i]``); ``d_members`` and
     ``c_members``, the ascending vertex lists of the D and the C components
-    in ``comp``'s numbering; ``d_set``, ``a_set``, ``c_set``;
-    ``d_components`` and ``c_components``, the components of g[d_set] and
-    g[c_set]; ``attachments``, the neighbors of the i-th A-vertex inside D
-    component ci, keyed ``(i, ci)``, one key per gb edge; ``gb``, with
-    ``gb_sides`` and ``contraction_map``: gb vertex i is ``("a", v)`` for an
-    A-vertex v and ``("d", ci)`` for D component ci, the components after
-    all of A.
+    in ``comp``'s numbering; ``attachments``, the neighbors of the i-th
+    A-vertex inside D component ci, keyed ``(i, ci)``, one key per gb edge;
+    ``gb``: vertex i < |A| is the A-vertex ``a_list[i]`` and vertex
+    |A| + ci is D component ci.
     """
 
     comp: tuple[int, ...]
@@ -95,26 +92,6 @@ class GallaiEdmonds:
         return lists
 
     @cached_property
-    def d_set(self) -> frozenset[int]:
-        return frozenset([v for v, c in enumerate(self.comp) if c >= 0])
-
-    @cached_property
-    def a_set(self) -> frozenset[int]:
-        return frozenset(self.a_list)
-
-    @cached_property
-    def c_set(self) -> frozenset[int]:
-        return frozenset([v for v, c in enumerate(self.comp) if c <= -4])
-
-    @cached_property
-    def d_components(self) -> tuple[frozenset[int], ...]:
-        return tuple(map(frozenset, self.d_members))
-
-    @cached_property
-    def c_components(self) -> tuple[frozenset[int], ...]:
-        return tuple(map(frozenset, self.c_members))
-
-    @cached_property
     def attachments(self) -> dict[tuple[int, int], list[int]]:
         comp, adj = self.comp, self.adj
         out: dict[tuple[int, int], list[int]] = {}
@@ -134,15 +111,6 @@ class GallaiEdmonds:
         for row in rows[:k]:
             row.sort()
         return Graph(len(rows), tuple(map(tuple, rows)))
-
-    @cached_property
-    def gb_sides(self) -> tuple[frozenset[int], frozenset[int]]:
-        k = len(self.a_list)
-        return frozenset(range(k)), frozenset(range(k, k + self.counts[0]))
-
-    @cached_property
-    def contraction_map(self) -> tuple[tuple[str, int], ...]:
-        return tuple(("a", v) for v in self.a_list) + tuple(("d", i) for i in range(self.counts[0]))
 
 
 def _classes(adj, d_verts) -> list[int]:
@@ -180,17 +148,11 @@ def _classes(adj, d_verts) -> list[int]:
     return comp
 
 
-def _decompose(adj, d_verts, match=None, parent=None) -> GallaiEdmonds:
-    """The decomposition that the D vertices ``d_verts`` induce on the graph
-    of adjacency ``adj``, with the matching and path pointers given."""
-    return GallaiEdmonds(tuple(_classes(adj, d_verts)), adj, match, parent)
-
-
 def gallai_edmonds(g: Graph) -> GallaiEdmonds:
     """The decomposition of g with its matching and path pointers; its views
     are built when first read (see ``GallaiEdmonds``)."""
     d_verts, match, parent = _missable_and_match(g)
-    ge = _decompose(g.adj, d_verts, tuple(match), tuple(parent))
+    ge = GallaiEdmonds(tuple(_classes(g.adj, d_verts)), g.adj, tuple(match), tuple(parent))
     # Tutte-Berge on S = A: every matching leaves odd - |A| vertices free or
     # more, odd being the number of odd components of g - A
     sizes = Counter(ge.comp)
@@ -201,37 +163,41 @@ def gallai_edmonds(g: Graph) -> GallaiEdmonds:
 
 
 def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
-    """Independent certificate check of a claimed decomposition.
+    """Structure-theorem check of a claimed decomposition.
 
     Verifies that ``ge`` was built on g's adjacency and that its component
-    array is the one that ``d_set`` induces, then the classical structure-theorem
-    consequences: factor-critical components on the deficient side, perfectly
-    matchable components on the untouched side, the deficiency identity
-    2 nu(g) = n - (#components - |a_set|), nu(gb) = |a_set|, and positive
-    surplus of gb seen from A: every nonempty S of A-vertices has more than
-    |S| component neighbors.  Given nu(gb) = |a_set|, that holds iff every
-    A-vertex reaches an unmatched component vertex in D(M) of a maximum
-    matching M of gb (one reachability pass).  Without it a wrong ``d_set``
-    can pass every other test: ``{0}`` on the path 0-1.
+    array is the one that its D vertices induce, then the classical
+    structure-theorem consequences: factor-critical components on the
+    deficient side, perfectly matchable components on the untouched side,
+    the deficiency identity 2 nu(g) = n - (#D components - |A|),
+    nu(gb) = |A|, and positive surplus of gb seen from A: every nonempty S
+    of A-vertices has more than |S| component neighbors.  Given
+    nu(gb) = |A|, that holds iff every A-vertex reaches an unmatched
+    component vertex in D(M) of a maximum matching M of gb (one reachability
+    pass).  Without it a wrong D can pass every other test: ``{0}`` on the
+    path 0-1.  The matchings come from the library's own matcher.
     """
     if ge.adj != g.adj or ge.comp is None or len(ge.comp) != g.n:
         return False
-    if ge.comp != tuple(_classes(g.adj, ge.d_set)):
+    if ge.comp != tuple(_classes(g.adj, [v for v, c in enumerate(ge.comp) if c >= 0])):
         return False
 
-    for members in ge.d_components:
+    for members in ge.d_members:
         sub, _ = induced_subgraph(g, members)
         if not is_factor_critical(sub):
             return False
-    for members in ge.c_components:
+    for members in ge.c_members:
         sub, _ = induced_subgraph(g, members)
         if 2 * len(maximum_matching(sub).edges) != sub.n:
             return False
 
     nu = len(maximum_matching(g).edges)
-    if 2 * nu != g.n - (len(ge.d_components) - len(ge.a_set)):
+    k = len(ge.a_list)
+    if 2 * nu != g.n - (ge.counts[0] - k):
         return False
-    gb_m = maximum_matching_bipartite(ge.gb, ge.gb_sides)
-    if len(gb_m.edges) != len(ge.a_set):
+    gb = ge.gb
+    mate = _max_match_array(gb)
+    if gb.n - mate.count(-1) != 2 * k:
         return False
-    return ge.gb_sides[0] <= build_matching_digraph(ge.gb, ge.gb_sides, gb_m).v_minus
+    # gb vertices below k are A's: each must reach a free component vertex
+    return all(_reach(gb.adj, [v < k for v in range(gb.n)], mate, False)[:k])

@@ -33,13 +33,13 @@ from .recognition import (
 from .ur_core import is_uniquely_restricted
 
 
-def _component_all_near_perfect_unique(g: Graph, comp: frozenset[int]) -> bool:
+def _component_all_near_perfect_unique(g: Graph, comp: list[int]) -> bool:
     """Definitional form of the deficient-component condition: deleting any one
-    vertex must leave a unique perfect matching.  The self-test compares it
-    with the block search that ``every_ur_general`` runs on D, kept inside
-    the one component."""
-    for h in sorted(comp):
-        sub, _ = induced_subgraph(g, comp - {h})
+    vertex of ``comp`` must leave a unique perfect matching.  The self-test
+    compares it with the block search that ``every_ur_general`` runs on D,
+    kept inside the one component."""
+    for h in comp:
+        sub, _ = induced_subgraph(g, [v for v in comp if v != h])
         if unique_perfect_matching(sub) is None:
             return False
     return True
@@ -61,20 +61,20 @@ def _instance(g: Graph, max_n: int, max_m: int) -> list[str]:
         # every_ur took the bipartite route; the general one must agree
         if every_ur_general(g, ge=ge).answer != re.answer:
             problems.append("bipartite and general every_ur routes disagree")
-    for comp in ge.d_components:
-        by_blocks = _odd_cycle_blocks(g.adj, [v in comp for v in range(g.n)])
+    for ci, comp in enumerate(ge.d_members):
+        by_blocks = _odd_cycle_blocks(g.adj, [c == ci for c in ge.comp])
         if by_blocks != _component_all_near_perfect_unique(g, comp):
             problems.append(f"block test (_odd_cycle_blocks = {by_blocks}) disagrees with "
-                            f"the per-vertex test on component {sorted(comp)}")
+                            f"the per-vertex test on component {comp}")
     # the deciders' uniqueness tests, on every set they may ask about
-    tested = [(comp, ci not in _c_left(g, ge)) for ci, comp in enumerate(ge.c_components)]
-    tested += [(comp - {h}, _unique_minus(g, ge, ci, h))
-               for ci, comp in enumerate(ge.d_components) for h in sorted(comp)]
+    tested = [(comp, ci not in _c_left(g, ge)) for ci, comp in enumerate(ge.c_members)]
+    tested += [([v for v in comp if v != h], _unique_minus(g, ge, ci, h))
+               for ci, comp in enumerate(ge.d_members) for h in comp]
     for piece, unique in tested:
         sub = induced_subgraph(g, piece)[0]
         if unique != (count_perfect_matchings(sub, max_n=max_n, max_m=max_m) == 1):
             problems.append(f"uniqueness test (unique = {unique}) disagrees with the oracle "
-                            f"on {sorted(piece)}")
+                            f"on {piece}")
     if rs.answer:
         w = rs.witness
         if w is None or len(w.edges) != len(maximum_matching(g).edges) \

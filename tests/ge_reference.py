@@ -11,15 +11,18 @@ The gb-edge condition of the general every-decider, as the characterization
 states it: every gb edge that lies in some maximum matching of gb joins an
 A-vertex to a component in which it has exactly one neighbor.  It asks
 ``edge_in_some_maximum_matching`` once per gb edge; the library's one pass
-over the adjacency of A replaces it.  Each gb edge is decoded here through
-``contraction_map``, with no helper shared with the library.
+over the adjacency of A replaces it.  Each gb edge is decoded here by its
+ends' ids: vertex i < |A| is the i-th A-vertex, vertex |A| + ci is D
+component ci.
 
 The contraction as the decomposition first built it: A by testing every
 vertex's neighbors, the components of g[D] and of g[C] by the library's
 general component search, the attachments by scanning each component's
 neighbors, gb through ``Graph.from_edges``, and the component array from
 the component lists.  Every view of the library's ``GallaiEdmonds`` must
-equal the one of the same name here.
+equal the one of the same name here.  ``class_sets`` reads the classes as
+sets off a decomposition's component array, and ``gb_sides`` gb's two
+sides, for tests that compare sets or need a bipartition of gb.
 
 The Edmonds labelling as the decomposition first found it: one more search
 from every free vertex of the matcher's maximum matching, on fresh arrays.
@@ -79,8 +82,22 @@ def reference_classes(g: Graph) -> tuple[frozenset[int], frozenset[int], frozens
     return d_set, a_set, frozenset(range(g.n)) - d_set - a_set
 
 
+def class_sets(ge: GallaiEdmonds) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+    """(D, A, C) of ``ge``, read off its component array."""
+    comp = ge.comp
+    return (frozenset(v for v, c in enumerate(comp) if c >= 0),
+            frozenset(v for v, c in enumerate(comp) if c == -1),
+            frozenset(v for v, c in enumerate(comp) if c <= -4))
+
+
+def gb_sides(ge: GallaiEdmonds) -> tuple[range, range]:
+    """gb's A side and component side: the first |A| vertex ids, then the rest."""
+    k = len(ge.a_list)
+    return range(k), range(k, ge.gb.n)
+
+
 def contract_by_sets(g: Graph, d_set: frozenset[int]) -> dict:
-    """Every view of ``decomposition._decompose(g.adj, d_set)``, and its
+    """Every view of the decomposition that ``d_set`` induces on g, and its
     ``comp``, by the direct route, keyed by name."""
     a_set = frozenset(
         v for v in range(g.n) if v not in d_set and any(w in d_set for w in g.adj[v])
@@ -110,16 +127,8 @@ def contract_by_sets(g: Graph, d_set: frozenset[int]) -> dict:
         "a_list": a_list,
         "d_members": [sorted(c) for c in d_components],
         "c_members": [sorted(c) for c in c_components],
-        "d_set": frozenset(d_set),
-        "a_set": a_set,
-        "c_set": c_set,
-        "d_components": d_components,
-        "c_components": c_components,
         "attachments": attachments,
         "gb": gb,
-        "gb_sides": (frozenset(range(k)), frozenset(range(k, gb.n))),
-        "contraction_map": tuple(("a", v) for v in a_list)
-        + tuple(("d", i) for i in range(len(d_components))),
         "comp": tuple(comp),
     }
 
@@ -139,12 +148,12 @@ def edmonds_labels(adj, match):
 def gb_edge_condition_by_edges(g: Graph, ge: GallaiEdmonds) -> bool:
     """True iff no gb edge in some maximum matching of gb joins an A-vertex to
     a component in which it has two or more neighbors."""
-    for e in ge.gb.sorted_edges():
-        if not edge_in_some_maximum_matching(ge.gb, e):
+    k = len(ge.a_list)
+    for i, x in ge.gb.sorted_edges():  # i < k <= x
+        if not edge_in_some_maximum_matching(ge.gb, (i, x)):
             continue
-        ends = dict(ge.contraction_map[x] for x in e)
-        comp = ge.d_components[ends["d"]]
-        if len([w for w in g.adj[ends["a"]] if w in comp]) != 1:
+        comp = set(ge.d_members[x - k])
+        if len([w for w in g.adj[ge.a_list[i]] if w in comp]) != 1:
             return False
     return True
 

@@ -80,6 +80,16 @@ def corona(g):
     return Graph.from_edges(2 * g.n, [*g.edges, *((v, g.n + v) for v in range(g.n))])
 
 
+def two_c5_apex():
+    """Apex 0 attached to one vertex of each of two 5-cycles; the cycles are
+    the deficient components, the apex is the separator."""
+    edges = [(0, 1), (0, 6)]
+    for base in (1, 6):
+        ring = list(range(base, base + 5))
+        edges += [(ring[i], ring[(i + 1) % 5]) for i in range(5)]
+    return Graph.from_edges(11, edges)
+
+
 def linear_triangle_tree(n_tree, frac, rng):
     """A random recursive tree with a pendant triangle v, x, y on
     ``round(frac * n_tree)`` of its vertices, in O(n)."""

@@ -1,8 +1,12 @@
 import ast
+import contextlib
 import gc
+import io
 import json
+import random
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -11,10 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import graphs
+from ge_reference import contract_by_sets, edmonds_labels
+from strategies import giant, graphs, sparse_graph_nm, two_c5_apex
 from urmatch import cli, selftest
 from urmatch.cli import GraphParseError, main, parse_graph, render_graph
-from urmatch.families import cycle_graph, path_graph
+from urmatch.decomposition import gallai_edmonds
+from urmatch.families import bowtie_graph, cycle_graph, path_graph, petersen_graph, star_graph
+from urmatch.graph_core import Graph
+from urmatch.matching import _EVEN, _max_match_array
 
 
 def _write(tmp_path, name, text):
@@ -307,6 +315,64 @@ def test_decompose_json(tmp_path, capsys):
     assert payload["contraction_map"][0] == ["a", 0]
 
 
+def _decompose_outputs(g, path):
+    """The JSON and the text ``urmatch decompose`` should print for g, read
+    off ``contract_by_sets`` on the D of the reference labelling."""
+    label = edmonds_labels(g.adj, _max_match_array(g))
+    ref = contract_by_sets(g, frozenset(v for v in range(g.n) if label[v] == _EVEN))
+    d_set = sorted(v for members in ref["d_members"] for v in members)
+    c_set = sorted(v for members in ref["c_members"] for v in members)
+    a_list, gb, k = ref["a_list"], ref["gb"], len(ref["a_list"])
+    payload = {
+        "input": path,
+        "n": g.n,
+        "m": g.m,
+        "d_set": d_set,
+        "a_set": a_list,
+        "c_set": c_set,
+        "d_components": ref["d_members"],
+        "gb": {
+            "n": gb.n,
+            "edges": [list(e) for e in gb.sorted_edges()],
+            "a_side": list(range(k)),
+            "component_side": list(range(k, gb.n)),
+        },
+        "contraction_map": [["a", v] for v in a_list] + [["d", i] for i in range(ref["counts"][0])],
+    }
+    lines = [f"{name} {' '.join(map(str, verts))}"
+             for name, verts in (("d_set", d_set), ("a_set", a_list), ("c_set", c_set))]
+    lines += [f"d_component {i}: {' '.join(map(str, members))}" for i, members in enumerate(ref["d_members"])]
+    lines.append(f"gb n={gb.n} edges {' '.join(f'{u}-{v}' for u, v in gb.sorted_edges())}")
+    return json.dumps(payload) + "\n", "\n".join(lines) + "\n"
+
+
+def _check_decompose_outputs(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "g.g")
+        Path(path).write_text(render_graph(g), encoding="utf-8")
+        got = []
+        for flags in (["--json"], []):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["decompose", path, *flags]) == 0
+            got.append(out.getvalue())
+        assert tuple(got) == _decompose_outputs(g, path)
+
+
+def test_decompose_outputs_equal_the_contraction_by_sets():
+    rng = random.Random(2000)
+    for g in (star_graph(4), bowtie_graph(), petersen_graph(), cycle_graph(7), two_c5_apex(),
+              Graph.from_edges(0, []), Graph.from_edges(7, [(1, 2), (2, 3), (5, 6)]),
+              giant(sparse_graph_nm(2000, 3000, rng))):
+        _check_decompose_outputs(g)
+
+
+@settings(deadline=None, max_examples=100)
+@given(graphs(max_n=10))
+def test_decompose_outputs_equal_the_contraction_by_sets_on_small_graphs(g):
+    _check_decompose_outputs(g)
+
+
 def test_oracle_guard_and_force(tmp_path, capsys):
     g = cycle_graph(18)
     path = _write(tmp_path, "c18.g", render_graph(g))
@@ -355,6 +421,16 @@ def test_selftest_counts_block_test_disagreement(capsys, monkeypatch):
     assert "block test (_odd_cycle_blocks = True) disagrees" in captured.err
     assert "component [0, 1, 2, 3, 4]" in captured.err
     assert "0 disagreements" not in captured.out
+
+
+def test_selftest_block_test_masks_one_component():
+    # apex 0 on the triangle 1-2-3 and on the 5-cycle 4..8 with the chord
+    # 4-6: two D components, the triangle an odd cycle and the other one
+    # block that is not, so a mask of all of D would report the triangle
+    g = Graph.from_edges(9, [(0, 1), (0, 4), (1, 2), (2, 3), (1, 3),
+                             (4, 5), (5, 6), (6, 7), (7, 8), (4, 8), (4, 6)])
+    assert gallai_edmonds(g).d_members == [[1, 2, 3], [4, 5, 6, 7, 8]]
+    assert selftest._instance(g, 12, 64) == []
 
 
 def test_selftest_counts_uniqueness_disagreement(capsys, monkeypatch):

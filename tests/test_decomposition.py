@@ -8,13 +8,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 
-from ge_reference import VIEWS, contract_by_sets
+from ge_reference import VIEWS, class_sets, contract_by_sets
 from lemma_helpers import delete_vertex
 from strategies import giant, graphs, linear_triangle_tree, seeded_random_graphs, sparse_graph_nm
-from urmatch import decomposition
+from urmatch import decomposition, matching, ur_core
 from urmatch.decomposition import (
     GallaiEdmonds,
-    _decompose,
+    _classes,
     gallai_edmonds,
     verify_gallai_edmonds,
 )
@@ -33,7 +33,7 @@ from urmatch.oracle import enumerate_labeled_graphs
 
 
 def _claim(g, d_set):
-    return _decompose(g.adj, sorted(d_set))
+    return GallaiEdmonds(tuple(_classes(g.adj, sorted(d_set))), g.adj)
 
 
 def _views(ge):
@@ -46,10 +46,8 @@ def test_star_decomposition():
     # leaves are missable, the center is their neighborhood
     g = star_graph(4)
     ge = gallai_edmonds(g)
-    assert ge.d_set == frozenset({1, 2, 3, 4})
-    assert ge.a_set == frozenset({0})
-    assert ge.c_set == frozenset()
-    assert len(ge.d_components) == 4
+    assert class_sets(ge) == (frozenset({1, 2, 3, 4}), frozenset({0}), frozenset())
+    assert len(ge.d_members) == 4
     assert ge.gb.n == 5
     assert verify_gallai_edmonds(g, ge)
 
@@ -57,17 +55,15 @@ def test_star_decomposition():
 def test_odd_cycle_decomposition():
     g = cycle_graph(7)
     ge = gallai_edmonds(g)
-    assert ge.d_set == frozenset(range(7))
-    assert ge.a_set == frozenset() and ge.c_set == frozenset()
-    assert len(ge.d_components) == 1
+    assert class_sets(ge) == (frozenset(range(7)), frozenset(), frozenset())
+    assert len(ge.d_members) == 1
     assert verify_gallai_edmonds(g, ge)
 
 
 def test_perfectly_matchable_graph_is_all_c():
     for g in (path_graph(6), cycle_graph(8), complete_graph(4), petersen_graph()):
         ge = gallai_edmonds(g)
-        assert ge.d_set == frozenset() and ge.a_set == frozenset()
-        assert ge.c_set == frozenset(range(g.n))
+        assert class_sets(ge) == (frozenset(), frozenset(), frozenset(range(g.n)))
         assert ge.gb.n == 0
         assert verify_gallai_edmonds(g, ge)
 
@@ -75,20 +71,19 @@ def test_perfectly_matchable_graph_is_all_c():
 def test_bowtie_decomposition():
     g = bowtie_graph()
     ge = gallai_edmonds(g)
-    assert ge.d_set == frozenset(range(5))
-    assert ge.a_set == frozenset()
-    assert len(ge.d_components) == 1
+    assert class_sets(ge)[:2] == (frozenset(range(5)), frozenset())
+    assert len(ge.d_members) == 1
     assert verify_gallai_edmonds(g, ge)
 
 
 def test_contraction_map_layout():
     g = star_graph(2)  # center 0, leaves 1 and 2
     ge = gallai_edmonds(g)
-    assert ge.contraction_map[0] == ("a", 0)
-    assert set(ge.contraction_map[1:]) == {("d", 0), ("d", 1)}
-    # gb is a-side ids first, then component ids ordered by lowest member
-    assert ge.gb_sides[0] == frozenset({0})
-    assert ge.gb_sides[1] == frozenset({1, 2})
+    # gb is a-side ids first, then component ids ordered by lowest member:
+    # gb vertex 0 is A-vertex 0, and 1 and 2 are the components {1} and {2}
+    assert ge.a_list == [0]
+    assert ge.d_members == [[1], [2]]
+    assert ge.gb.n == len(ge.a_list) + ge.counts[0] == 3
     assert ge.gb.edges == frozenset({(0, 1), (0, 2)})
 
 
@@ -97,14 +92,14 @@ def test_contraction_map_layout():
 def test_structure_theorem_invariants(g):
     ge = gallai_edmonds(g)
     assert verify_gallai_edmonds(g, ge)
-    assert ge.d_set == missable_vertices(g)
-    for comp in ge.d_components:
+    assert class_sets(ge)[0] == missable_vertices(g)
+    for comp in ge.d_members:
         sub, _ = induced_subgraph(g, comp)
         assert is_factor_critical(sub)
     nu = len(maximum_matching(g))
     deficiency = g.n - 2 * nu
-    assert deficiency == len(ge.d_components) - len(ge.a_set)
-    assert len(maximum_matching(ge.gb)) == len(ge.a_set)
+    assert deficiency == len(ge.d_members) - len(ge.a_list)
+    assert len(maximum_matching(ge.gb)) == len(ge.a_list)
 
 
 @settings(deadline=None, max_examples=100)
@@ -112,32 +107,40 @@ def test_structure_theorem_invariants(g):
 def test_c_set_invariant_under_a_deletion(g):
     # deleting one a-vertex leaves every former D-vertex missable
     ge = gallai_edmonds(g)
-    for a in ge.a_set:
+    for a in ge.a_list:
         h, id_map = delete_vertex(g, a)
         back = {orig: new for new, orig in enumerate(id_map)}
         miss = missable_vertices(h)
-        for v in ge.d_set:
+        for v in class_sets(ge)[0]:
             assert back[v] in miss
 
 
-def test_verifier_catches_corruption():
-    g = star_graph(3)
+def _corrupt_claims():
+    """(graph, claim) pairs the verifier must reject.  On K_{1,3}: the
+    decomposition that a wrong D induces; a component array that disagrees
+    with the one D induces, or an adjacency that is not g's (the true one
+    has A = {0} and three single D components).  On C4: two halves of its
+    one C component."""
+    g, c4 = star_graph(3), cycle_graph(4)
     ge = gallai_edmonds(g)
-    assert verify_gallai_edmonds(g, ge)
-    # the decomposition that a wrong D induces
-    assert not verify_gallai_edmonds(g, _claim(g, {0, 1, 2, 3}))
-    # a component array that disagrees with the one D induces, or an
-    # adjacency that is not g's: A = {0} and three single D components
-    assert (ge.comp, ge.a_list, ge.d_members, ge.c_members) == ((-1, 0, 1, 2), [0], [[1], [2], [3]], [])
-    for wrong in (
+    return [(g, wrong) for wrong in (
+        _claim(g, {0, 1, 2, 3}),
         GallaiEdmonds((-4, 0, 1, 2), g.adj),  # A marked as C
         GallaiEdmonds((-1, 0, 0, 1), g.adj),  # two components merged
         GallaiEdmonds((-1, 1, 0, 2), g.adj),  # not numbered by lowest vertex
         GallaiEdmonds((-1, 0, 1), g.adj),
         GallaiEdmonds(ge.comp, star_graph(4).adj[:4]),
         replace(ge, comp=None),
-    ):
-        assert not verify_gallai_edmonds(g, wrong)
+    )] + [(c4, GallaiEdmonds((-4, -4, -5, -5), c4.adj))]
+
+
+def test_verifier_catches_corruption():
+    g = star_graph(3)
+    ge = gallai_edmonds(g)
+    assert verify_gallai_edmonds(g, ge)
+    assert (ge.comp, ge.a_list, ge.d_members, ge.c_members) == ((-1, 0, 1, 2), [0], [[1], [2], [3]], [])
+    for host, wrong in _corrupt_claims():
+        assert not verify_gallai_edmonds(host, wrong)
     assert verify_gallai_edmonds(g, GallaiEdmonds((-1, 0, 1, 2), g.adj))
     # C5 is one D component, whatever order a caller lists it in
     c5 = cycle_graph(5)
@@ -145,9 +148,26 @@ def test_verifier_catches_corruption():
     assert gallai_edmonds(c5).d_members == [[0, 1, 2, 3, 4]]
     # C4 is all C: one component, not two halves
     c4 = cycle_graph(4)
-    ge4 = gallai_edmonds(c4)
-    assert ge4.c_components == (frozenset(range(4)),)
-    assert not verify_gallai_edmonds(c4, GallaiEdmonds((-4, -4, -5, -5), c4.adj))
+    assert gallai_edmonds(c4).c_members == [[0, 1, 2, 3]]
+
+
+def test_verifier_checks_gb_on_the_matchers_arrays(monkeypatch):
+    # nu(gb) and the surplus of gb come from the matcher's mate array and
+    # one reachability mask: no Matching or MatchingDigraph of gb is built
+    assert not {"maximum_matching_bipartite", "build_matching_digraph"} & set(vars(decomposition))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verifier built a matching object of gb")
+
+    monkeypatch.setattr(matching, "maximum_matching_bipartite", refuse)
+    monkeypatch.setattr(ur_core, "build_matching_digraph", refuse)
+    monkeypatch.setattr(ur_core, "_arcs", refuse)
+    for g in (star_graph(3), cycle_graph(5), giant(sparse_graph_nm(2000, 3000, random.Random(2000)))):
+        assert verify_gallai_edmonds(g, gallai_edmonds(g))
+    p2 = path_graph(2)  # {0} has zero surplus: only the mask rejects it
+    assert not verify_gallai_edmonds(p2, _claim(p2, {0}))
+    for host, wrong in _corrupt_claims():
+        assert not verify_gallai_edmonds(host, wrong)
 
 
 def test_verifier_rejects_a_decomposition_of_another_graph():
@@ -177,7 +197,7 @@ def test_verifier_rejects_zero_surplus_on_p2():
 def test_verifier_accepts_only_the_true_d_set():
     for n in range(6):
         for g in enumerate_labeled_graphs(n):
-            true_d = gallai_edmonds(g).d_set
+            true_d = class_sets(gallai_edmonds(g))[0]
             accepted = [
                 frozenset(d)
                 for r in range(n + 1)
@@ -190,7 +210,7 @@ def test_verifier_accepts_only_the_true_d_set():
 @settings(deadline=None, max_examples=200)
 @given(graphs(max_n=10))
 def test_contraction_matches_the_direct_route(g):
-    d_set = gallai_edmonds(g).d_set
+    d_set = class_sets(gallai_edmonds(g))[0]
     assert _views(_claim(g, d_set)) == contract_by_sets(g, d_set)
     # any vertex set will do as D for the construction itself
     evens = frozenset(range(0, g.n, 2))
@@ -201,14 +221,14 @@ def test_contraction_matches_the_direct_route_on_sparse_graphs():
     rng = random.Random(12)
     for n in (100, 400, 1600):
         for g in (giant(sparse_graph_nm(n, 3 * n // 2, rng)), linear_triangle_tree(n, 0.25, rng)):
-            d_set = gallai_edmonds(g).d_set
+            d_set = class_sets(gallai_edmonds(g))[0]
             assert _views(_claim(g, d_set)) == contract_by_sets(g, d_set)
 
 
 def test_verifier_accepts_the_giant_at_2000():
     g = giant(sparse_graph_nm(2000, 3000, random.Random(2000)))
     ge = gallai_edmonds(g)
-    assert len(ge.d_components) > 1 and ge.a_set and ge.c_components
+    assert len(ge.d_members) > 1 and ge.a_list and ge.c_members
     assert verify_gallai_edmonds(g, ge)
 
 
@@ -222,7 +242,7 @@ def test_decomposition_scale_guard():
         ge = gallai_edmonds(g)
         assert time.perf_counter() - start < 5
         nu = sum(1 for x in ge.match if x != -1) // 2
-        assert 2 * nu == g.n - (len(ge.d_components) - len(ge.a_set))
+        assert 2 * nu == g.n - (ge.counts[0] - len(ge.a_list))
 
 
 @pytest.mark.parametrize("g, d_set, match", [
@@ -242,20 +262,15 @@ def test_non_maximum_matching_fails_the_tutte_berge_count(monkeypatch, g, d_set,
     top = maximum_matching(g).mate
     best = [top.get(v, -1) for v in range(g.n)]
     monkeypatch.setattr(decomposition, "_missable_and_match", lambda g: (d_set, best, [-1] * g.n))
-    assert gallai_edmonds(g).d_set == d_set
+    assert class_sets(gallai_edmonds(g))[0] == d_set
 
 
 # the views that each view is read off, besides the fields
 _READS = {
     "d_members": {"counts"},
     "c_members": {"counts"},
-    "a_set": {"a_list"},
-    "d_components": {"d_members", "counts"},
-    "c_components": {"c_members", "counts"},
     "attachments": {"a_list"},
     "gb": {"attachments", "a_list", "counts"},
-    "gb_sides": {"a_list", "counts"},
-    "contraction_map": {"a_list", "counts"},
 }
 
 

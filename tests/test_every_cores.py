@@ -9,6 +9,7 @@ import random
 from hypothesis import given, settings
 
 from every_reference import _hopcroft_karp, blocks_odd_by_networkx, closure, every_bipartite_by_objects
+from ge_reference import class_sets, gb_sides
 from strategies import bipartite_graphs, giant, graphs, linear_triangle_tree, seeded_random_graphs, sparse_graph_nm
 from urmatch.decomposition import gallai_edmonds
 from urmatch.families import bowtie_graph, complete_graph, cycle_graph, path_graph
@@ -89,8 +90,8 @@ def _gb_facts(ge):
     maximum matching of gb is uniquely restricted iff gb is a forest, and
     the component side is the Koenig independent set of gb."""
     forest = is_forest(ge.gb)
-    assert every_ur_bipartite(ge.gb, ge.gb_sides).answer == forest
-    assert max_independent_set_bipartite(ge.gb, ge.gb_sides) == frozenset(range(len(ge.a_list), ge.gb.n))
+    assert every_ur_bipartite(ge.gb, gb_sides(ge)).answer == forest
+    assert max_independent_set_bipartite(ge.gb, gb_sides(ge)) == frozenset(range(len(ge.a_list), ge.gb.n))
     return forest
 
 
@@ -108,8 +109,8 @@ def test_every_bipartite_on_gb_of_sparse_graphs():
     for g in graphs_:
         ge = gallai_edmonds(g)
         for all_failures in (False, True):
-            got = _array_route(ge.gb, ge.gb_sides, all_failures)
-            assert got == every_bipartite_by_objects(ge.gb, ge.gb_sides, all_failures)
+            got = _array_route(ge.gb, gb_sides(ge), all_failures)
+            assert got == every_bipartite_by_objects(ge.gb, gb_sides(ge), all_failures)
         answers.append(_gb_facts(ge))
         assert answers[-1] == (got == [])
     assert True in answers and False in answers
@@ -127,11 +128,11 @@ def _check_blocks(g):
     against the induced-graph and networkx routes."""
     ge = gallai_edmonds(g)
     per_comp = []
-    for comp in ge.d_components:
+    for comp in ge.d_members:
         got = _odd_cycle_blocks(g.adj, _mask(g.n, comp))
         assert got == blocks_are_odd_cycles(induced_subgraph(g, comp)[0]) == blocks_odd_by_networkx(g, comp)
         per_comp.append(got)
-    assert _odd_cycle_blocks(g.adj, _mask(g.n, ge.d_set)) == all(per_comp)
+    assert _odd_cycle_blocks(g.adj, _mask(g.n, class_sets(ge)[0])) == all(per_comp)
     tags = every_ur_general(g, ge=ge, all_failures=True).failures
     assert (D_COMPONENT_BLOCKS_NOT_ODD_CYCLES in tags) == (not all(per_comp))
     return per_comp

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from ge_reference import edmonds_labels, reference_classes
+from ge_reference import class_sets, edmonds_labels, reference_classes
 from strategies import giant, graphs, linear_triangle_tree, random_graph_nm, sparse_graph_nm
 from urmatch.decomposition import gallai_edmonds
 from urmatch.families import cycle_graph, path_graph
@@ -42,7 +42,7 @@ def _check_against_reference(g):
     assert _label_classes(g) == expected
     assert _label_classes(g, _max_match_array(g)) == expected
     ge = gallai_edmonds(g)
-    assert (ge.d_set, ge.a_set, ge.c_set) == expected
+    assert class_sets(ge) == expected
 
 
 def _match_array(n, pairs):
@@ -117,7 +117,7 @@ def test_matcher_labels_equal_the_reference_labelling_at_scale():
 def _assert_classes(g, d_set, a_set, c_set):
     assert _label_classes(g) == (d_set, a_set, c_set)
     ge = gallai_edmonds(g)  # D through missable_vertices
-    assert (ge.d_set, ge.a_set, ge.c_set) == (d_set, a_set, c_set)
+    assert class_sets(ge) == (d_set, a_set, c_set)
 
 
 def test_long_odd_cycle_is_all_d():

@@ -1,6 +1,10 @@
 """The public API is pinned: adding or removing a name shows up as a diff here."""
 
+from dataclasses import fields
+from functools import cached_property
+
 import urmatch
+from urmatch.decomposition import GallaiEdmonds
 
 PUBLIC = [
     "AccessibilityOrdering",
@@ -53,3 +57,11 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in urmatch.__all__:
         assert getattr(urmatch, name) is not None
+
+
+def test_decomposition_fields_and_views_are_pinned():
+    # the component array and what the deciders need beside it, and the
+    # views the deciders read, each built on first read
+    assert [f.name for f in fields(GallaiEdmonds)] == ["comp", "adj", "match", "parent", "upms"]
+    views = {name for name, attr in vars(GallaiEdmonds).items() if isinstance(attr, cached_property)}
+    assert views == {"a_list", "counts", "d_members", "c_members", "attachments", "gb"}

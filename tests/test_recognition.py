@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from every_reference import _hopcroft_karp
-from ge_reference import VIEWS, gb_edge_condition_by_edges, unique_perfect_matching_by_deletion
+from ge_reference import VIEWS, class_sets, gb_edge_condition_by_edges, gb_sides, unique_perfect_matching_by_deletion
 from lemma_helpers import is_alternating_cycle
 from some_reference import _edges, _perfect_minus
 from strategies import (
@@ -21,6 +21,7 @@ from strategies import (
     random_tree_edges,
     seeded_random_graphs,
     sparse_graph_nm,
+    two_c5_apex,
 )
 from urmatch.decomposition import gallai_edmonds, verify_gallai_edmonds
 from urmatch.families import (
@@ -126,21 +127,11 @@ def test_report_shape():
     assert set(r2.failures) <= FAILURE_TAGS
 
 
-def _two_c5_apex():
-    # apex 0 attached to one vertex of each of two 5-cycles; the cycles are
-    # the deficient components, the apex is the separator
-    edges = [(0, 1), (0, 6)]
-    for base in (1, 6):
-        ring = list(range(base, base + 5))
-        edges += [(ring[i], ring[(i + 1) % 5]) for i in range(5)]
-    return Graph.from_edges(11, edges)
-
-
 def test_apex_two_c5_instance():
-    g = _two_c5_apex()
+    g = two_c5_apex()
     ge = gallai_edmonds(g)
-    assert sorted(ge.a_set) == [0]
-    assert len(ge.d_components) == 2
+    assert ge.a_list == [0]
+    assert len(ge.d_members) == 2
     assert sorted(allowed_edges(g, ge)) == [(0, 1), (0, 2)]  # gb coordinates
     r = some_ur(g)
     assert r.answer
@@ -167,17 +158,17 @@ def _tested_sets(ge):
     out = set()
     for key in ge.upms:
         if key == "c":
-            out.update(ge.c_components)
+            out.update(map(frozenset, ge.c_members))
         elif isinstance(key[0], int):
             ci, h = key
-            out.add(ge.d_components[ci] - {h})
+            out.add(frozenset(ge.d_members[ci]) - {h})
     return out
 
 
 def _two_chorded_c5_apex():
-    # _two_c5_apex with the chords 1-3 and 6-8: each component is a triangle
+    # two_c5_apex with the chords 1-3 and 6-8: each component is a triangle
     # and a 4-cycle sharing an edge, factor-critical and no odd cycle
-    g = _two_c5_apex()
+    g = two_c5_apex()
     return Graph.from_edges(11, [*g.edges, (1, 3), (6, 8)])
 
 
@@ -196,7 +187,7 @@ def test_some_ur_tests_each_component_minus_h_once(monkeypatch):
     # the two 5-cycles themselves, and K_{1,3}'s three single-vertex
     # components, each minus its h, need no peel
     calls.clear()
-    assert some_ur(_two_c5_apex()).answer and some_ur(star_graph(3)).answer
+    assert some_ur(two_c5_apex()).answer and some_ur(star_graph(3)).answer
     assert calls == []
 
 
@@ -207,15 +198,15 @@ def test_memo_keys_are_components_not_vertex_sets():
     some_ur(g, ge=ge, all_failures=True)
     every_ur(g, ge=ge)
     keys = set(ge.upms) - {"c"}
-    assert ge.c_components and ge.upms["c"] <= set(range(len(ge.c_components)))
+    assert ge.c_members and ge.upms["c"] <= set(range(len(ge.c_members)))
     assert any(isinstance(key[0], int) for key in keys)
     assert not any(isinstance(key, frozenset) for key in keys)
     for key in keys:
         assert isinstance(key, tuple) and len(key) == 2
         if key[0] == "cycle":
-            assert ge.upms[key] is False and len(ge.d_components[key[1]]) > 3
+            assert ge.upms[key] is False and len(ge.d_members[key[1]]) > 3
         elif key[0] != "d":
-            assert key[1] in ge.d_components[key[0]] and isinstance(ge.upms[key], bool)
+            assert key[1] in ge.d_members[key[0]] and isinstance(ge.upms[key], bool)
 
 
 def test_allowed_edges_drops_multi_neighbor_attachments():
@@ -223,13 +214,13 @@ def test_allowed_edges_drops_multi_neighbor_attachments():
     # pendants 4 and 5: A = {0}, gb edges (0, 1), (0, 2), (0, 3)
     g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 4), (0, 5)])
     ge = gallai_edmonds(g)
-    assert ge.a_set == {0}
+    assert ge.a_list == [0]
     al = allowed_edges(g, ge)
     # the triangle's gb edge is dropped: the apex has two neighbors in it
     assert sorted(al) == [(0, 2), (0, 3)]
     for a_id, comp_id in al:
-        orig = ge.contraction_map[a_id][1]
-        comp = ge.d_components[ge.contraction_map[comp_id][1]]
+        orig = ge.a_list[a_id]
+        comp = ge.d_members[comp_id - len(ge.a_list)]
         assert len([v for v in g.adj[orig] if v in comp]) == 1
     assert every_ur(g).failure == "gb_edge_multiple_neighbors"
 
@@ -239,7 +230,7 @@ def test_deciders_share_the_c_component_tests(monkeypatch):
     # {5, 6} and {7, 8, 9, 10}
     g = Graph.from_edges(11, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (5, 6), (7, 8), (8, 9), (9, 10)])
     ge = gallai_edmonds(g)
-    assert bipartition(g) is None and len(ge.c_components) == 2
+    assert bipartition(g) is None and len(ge.c_members) == 2
     calls = _counting_peels(monkeypatch)
     assert some_ur(g, ge=ge).answer
     # one peel of all six C vertices, and one of the D component minus h
@@ -265,7 +256,7 @@ def test_general_route_shares_the_one_matching(monkeypatch):
     # once g is decomposed, neither decider matches anything again: gb's
     # answers follow from the structure theorem, not from a matching of gb
     instances = [linear_triangle_tree(400, 0.25, random.Random(5)),
-                 giant(sparse_graph_nm(400, 600, random.Random(3))), _two_c5_apex()]
+                 giant(sparse_graph_nm(400, 600, random.Random(3))), two_c5_apex()]
     decomposed = [(g, gallai_edmonds(g)) for g in instances]
 
     def refuse(*args):
@@ -315,15 +306,15 @@ def _check_uniqueness_tests(g):
     against the deletion device on the induced graph; returns the answers."""
     ge = gallai_edmonds(g)
     seen = set()
-    for ci, comp in enumerate(ge.c_components):
+    for ci, comp in enumerate(ge.c_members):
         sub, back = induced_subgraph(g, comp)
         ref = unique_perfect_matching_by_deletion(sub)
         assert (ci in _c_left(g, ge)) == (ref is None)
         if ref is not None:  # the unique one is ge.match on the component
             assert {(back[a], back[b]) for a, b in ref.edges} == {(v, ge.match[v]) for v in comp if ge.match[v] > v}
-    for ci, comp in enumerate(ge.d_components):
+    for ci, comp in enumerate(ge.d_members):
         for h in comp:
-            ref = unique_perfect_matching_by_deletion(induced_subgraph(g, comp - {h})[0])
+            ref = unique_perfect_matching_by_deletion(induced_subgraph(g, set(comp) - {h})[0])
             assert _unique_minus(g, ge, ci, h) == (ref is not None)
             seen.add(ref is not None)
     _check_perfect_minus(g, ge)
@@ -353,7 +344,7 @@ def test_chorded_odd_cycle_minus_h_peels_without_bridge_search(monkeypatch):
     n = 20001
     g = Graph.from_edges(n, [*cycle_graph(n).edges, (0, 2)])
     ge = gallai_edmonds(g)
-    assert ge.d_components == (frozenset(range(n)),)
+    assert ge.d_members == [list(range(n))]
     for h in (0, 2, 10000, 20000):
         assert _unique_minus(g, ge, 0, h)
     assert ge.upms[("cycle", 0)] is False and ("d", 0) in ge.upms
@@ -410,8 +401,8 @@ def test_large_d_component_without_good_h_is_fast(monkeypatch):
     calls = _counting_peels(monkeypatch)
     for g in (square, giant(sparse_graph_nm(8000, 12000, random.Random(3)))):
         ge = gallai_edmonds(g)
-        ci = max(range(len(ge.d_components)), key=lambda i: len(ge.d_components[i]))
-        comp = sorted(ge.d_components[ci])
+        ci = max(range(len(ge.d_members)), key=lambda i: len(ge.d_members[i]))
+        comp = ge.d_members[ci]
         assert len(comp) >= 2000
         calls.clear()
         t0 = time.perf_counter()
@@ -436,7 +427,7 @@ def test_some_ur_scale_guard():
 
 
 def test_decomposition_without_matching_is_refused():
-    g = _two_c5_apex()
+    g = two_c5_apex()
     for name in ("match", "comp", "parent"):
         bare = replace(gallai_edmonds(g), **{name: None})
         for decide in (some_ur, every_ur_general):
@@ -510,7 +501,7 @@ def test_every_builds_no_member_lists(g):
     ge = gallai_edmonds(g)
     every_ur_general(g, ge=ge, all_failures=True)
     every_ur(g, ge=ge, all_failures=True)
-    assert not {"c_members", "d_members", "c_components", "d_components"} & set(vars(ge))
+    assert not {"c_members", "d_members"} & set(vars(ge))
 
 
 def test_path_flips_from_the_matchers_pointers_at_scale():
@@ -520,7 +511,7 @@ def test_path_flips_from_the_matchers_pointers_at_scale():
         for g in (giant(sparse_graph_nm(n, 3 * n // 2, rng)),
                   linear_triangle_tree(2 * n // 3, 0.25, rng)):
             ge = gallai_edmonds(g)
-            assert any(len(comp) > 2 for comp in ge.d_components)
+            assert any(len(comp) > 2 for comp in ge.d_members)
             _check_perfect_minus(g, ge)
 
 
@@ -546,7 +537,7 @@ def test_corrupt_path_pointers_raise():
 def test_witness_walk_raises_on_a_pointer_out_of_the_component():
     # in the two 5-cycles under an apex, a pointer from the first cycle to
     # the apex (A) or into the second cycle leaves the component
-    g = _two_c5_apex()
+    g = two_c5_apex()
     ge = gallai_edmonds(g)
     h = next(v for v in ge.d_members[0] if ge.comp[ge.match[v]] == 0)
     for out in (0, 6):
@@ -612,7 +603,7 @@ def test_odd_cycle_rule_equals_the_peel_on_cycles_and_triangle_trees():
         sizes += _check_odd_cycle_rule(cycle_graph(2 * k + 1))
     rng = random.Random(20001)
     sizes += _check_odd_cycle_rule(cycle_graph(20001), lambda members: [0, 1, 10000, 20000, *rng.sample(members, 4)])
-    sizes += _check_odd_cycle_rule(_two_c5_apex())
+    sizes += _check_odd_cycle_rule(two_c5_apex())
     for n in (400, 1334):
         sizes += _check_odd_cycle_rule(linear_triangle_tree(n, 0.25, random.Random(n)))
     assert sizes.count(3) > 100 and sizes.count(5) == 3 and max(sizes) == 20001
@@ -627,7 +618,7 @@ def test_odd_cycle_components_take_no_peel(monkeypatch):
         r = some_ur(g, ge=ge)
         assert r.answer and is_uniquely_restricted(g, r.witness)
         assert max(map(len, ge.d_members)) >= 3
-        assert calls == ([len(ge.c_set)] if ge.counts[1] else [])
+        assert calls == ([len(class_sets(ge)[2])] if ge.counts[1] else [])
         assert not any(key[0] == "d" for key in ge.upms if key != "c")
         calls.clear()
 
@@ -645,7 +636,7 @@ def test_one_alternating_forest_per_graph():
 
     n = 2001
     square = Graph.from_edges(n, [(i, (i + d) % n) for i in range(n) for d in (1, 2)])
-    instances = [_two_c5_apex(), square, linear_triangle_tree(400, 0.25, random.Random(5)),
+    instances = [two_c5_apex(), square, linear_triangle_tree(400, 0.25, random.Random(5)),
                giant(sparse_graph_nm(600, 900, random.Random(6)))]
     for g in instances:
         assert bipartition(g) is None
@@ -680,7 +671,7 @@ def test_every_route_builds_no_graph_matching_or_digraph():
             finally:
                 sys.setprofile(None)
     assert hits == []
-    assert bipartition(tree) is None and gallai_edmonds(tree).d_components
+    assert bipartition(tree) is None and gallai_edmonds(tree).d_members
 
 
 def test_family_grid():
@@ -704,9 +695,8 @@ def test_family_grid():
 
 def _check_instance(g):
     ge = gallai_edmonds(g)
-    c_sub, c_map = induced_subgraph(g, ge.c_set)
-    assert ge.c_components == tuple(
-        frozenset(c_map[x] for x in comp) for comp in connected_components(c_sub))
+    c_sub, c_map = induced_subgraph(g, class_sets(ge)[2])
+    assert ge.c_members == [sorted(c_map[x] for x in comp) for comp in connected_components(c_sub)]
     rs = some_ur(g, ge=ge)
     assert rs.answer == oracle_some_ur(g, max_n=12, max_m=66)
     if rs.answer:
@@ -723,7 +713,7 @@ def _check_instance(g):
         assert rs.answer  # every maximum matching restricted-unique forces some
     if bipartition(g) is not None:
         assert every_ur_general(g, ge=ge).answer == re_.answer
-    for comp in ge.d_components:
+    for comp in ge.d_members:
         by_blocks = blocks_are_odd_cycles(induced_subgraph(g, comp)[0])
         assert by_blocks == _component_all_near_perfect_unique(g, comp)
     _check_perfect_minus(g, ge)
@@ -735,11 +725,11 @@ def _check_perfect_minus(g, ge):
     # h; the one walk on g's arrays gives the local walk's peel input, as
     # _unique_minus builds it, and its edges, as the witness reads them
     mate = ge.match
-    for ci, comp in enumerate(ge.d_components):
+    for ci, comp in enumerate(ge.d_members):
         _, pos, _ = _d_local(g, ge, ci)
         for h in comp:
             verts, _, x, match = _perfect_minus(g, ge, ci, h)
-            assert verts == sorted(comp) and match[x] == -1
+            assert verts == comp and match[x] == -1
             for a, b in enumerate(match):
                 if a != x:
                     assert match[b] == a and edge_key(verts[a], verts[b]) in g.edges
@@ -810,7 +800,7 @@ def test_bipartite_every_direct(gs):
 
 
 def test_ge_argument_reuse():
-    g = _two_c5_apex()
+    g = two_c5_apex()
     ge = gallai_edmonds(g)
     assert some_ur(g, ge=ge).answer == some_ur(g).answer
     assert every_ur(g, ge=ge).answer == every_ur(g).answer
@@ -831,13 +821,14 @@ def test_all_failures_on_cyclic_gb_with_double_attachment():
     g = Graph.from_edges(7, [(0, 2), (0, 3), (0, 5), (1, 2), (1, 5), (1, 6),
                              (2, 3), (2, 4), (3, 4)])
     ge = gallai_edmonds(g)
-    assert (ge.a_set, len(ge.d_components)) == ({0, 1}, 3)
+    assert (ge.a_list, len(ge.d_members)) == ([0, 1], 3)
     # which condition of the bipartite test fails first depends on M: under
     # the matcher's M (0-3, 1-4 in gb's ids) D(M) is acyclic but V- is all of
     # gb, while Hopcroft-Karp's from A (0-2, 1-3) closes the cycle 0-2-1-3
-    assert every_ur_bipartite(ge.gb, ge.gb_sides, all_failures=True).failures == ("v_minus_not_forest",)
-    in_a = [v in ge.gb_sides[0] for v in range(ge.gb.n)]
-    hk = _hopcroft_karp(ge.gb.adj, sorted(ge.gb_sides[0]))
+    a_side, _ = gb_sides(ge)
+    assert every_ur_bipartite(ge.gb, gb_sides(ge), all_failures=True).failures == ("v_minus_not_forest",)
+    in_a = [v in a_side for v in range(ge.gb.n)]
+    hk = _hopcroft_karp(ge.gb.adj, list(a_side))
     assert list(_every_bipartite(ge.gb.adj, in_a, hk)) == ["gb_digraph_cyclic", "v_minus_not_forest"]
     r = every_ur_general(g, ge=ge, all_failures=True)
     assert r.failures == ("gb_every_max_matching_not_ur", "gb_edge_multiple_neighbors")
