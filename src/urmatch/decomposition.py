@@ -1,31 +1,29 @@
 """Gallai-Edmonds decomposition and the bipartite contraction it induces.
 
-D (the vertices v with nu(g - v) == nu(g)) comes from the matcher
-alone: it is the set of dead-even vertices of the Edmonds forest that the
-matcher's failed searches leave behind, and the matching and the forest's
-path pointers are kept.  By the structure theorem D fixes the rest: A is the
-outside neighborhood of D, C the remaining vertices, and the contracted
-graph ``gb`` keeps A on one side and one vertex per component of g[D] on the
-other.  The decomposition is one component array: ``_classes`` numbers the
-classes in linear time (one pass over D's adjacency finds A, and one
-breadth-first search over g's own adjacency that stays inside the class of
-its start splits D and C into that array), and every view, the member lists
-among them, is read off it on first read; no induced graph is built.
-``gallai_edmonds`` adds the Tutte-Berge count on A, which checks that the
-matching is maximum.
+The classes come from the matcher alone: the Edmonds forest that its failed
+searches leave behind labels D (the vertices v with nu(g - v) == nu(g))
+dead-even, A dead-odd and C not at all, and the matching and the forest's
+path pointers are kept.  The contracted graph ``gb`` keeps A on one side and
+one vertex per component of g[D] on the other.  The decomposition is one
+component array: ``_classes`` numbers the components of D and of C in it,
+and every view is read off it on first read; no induced graph is built.
+``gallai_edmonds`` adds the Tutte-Berge count on A, from the component
+sizes, which checks that the matching is maximum.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .graph_core import Graph, induced_subgraph
 from .matching import (
+    _DEAD_EVEN,
+    _DEAD_ODD,
+    _UNLABELLED,
     InternalCheckError,
+    _matcher,
     _max_match_array,
-    _missable_and_match,
     is_factor_critical,
     maximum_matching,
 )
@@ -113,24 +111,17 @@ class GallaiEdmonds:
         return Graph(len(rows), tuple(map(tuple, rows)))
 
 
-def _classes(adj, d_verts) -> list[int]:
-    """The component array (see ``GallaiEdmonds``) that the D vertices
-    ``d_verts`` induce: A is the outside neighborhood of D, and C the rest.
-    One pass over D's adjacency finds A; one breadth-first search that
-    stays inside the class of its start numbers the D and the C
-    components."""
-    n = len(adj)
-    # unvisited D is -2, unvisited C -3, A -1; then D component ci is ci
-    # and C component ci is -4 - ci
-    comp = [-3] * n
-    for v in d_verts:
-        comp[v] = -2
-    for v in d_verts:
-        for w in adj[v]:
-            if comp[w] == -3:
-                comp[w] = -1
-    n_d = n_c = 0
-    for s in range(n):  # ascending, so each component is numbered by its lowest vertex
+# the class of each label the matcher leaves: C, D and A (see ``_classes``)
+_CLASS = {_UNLABELLED: -3, _DEAD_EVEN: -2, _DEAD_ODD: -1}
+
+
+def _classes(adj, comp) -> int:
+    """Number the components of the class array ``comp`` in place, D -2, A
+    -1 and C -3 on entry, into the component array of ``GallaiEdmonds``,
+    and return how many of them are odd: one breadth-first search that
+    stays inside the class of its start numbers each."""
+    n_d = n_c = odd = 0
+    for s in range(len(adj)):  # ascending, so each component is numbered by its lowest vertex
         cls = comp[s]
         if cls == -2:
             ci, n_d = n_d, n_d + 1
@@ -145,21 +136,21 @@ def _classes(adj, d_verts) -> list[int]:
                 if comp[w] == cls:
                     comp[w] = ci
                     queue.append(w)
-    return comp
+        odd += len(queue) & 1
+    return odd
 
 
 def gallai_edmonds(g: Graph) -> GallaiEdmonds:
-    """The decomposition of g with its matching and path pointers; its views
-    are built when first read (see ``GallaiEdmonds``)."""
-    d_verts, match, parent = _missable_and_match(g)
-    ge = GallaiEdmonds(tuple(_classes(g.adj, d_verts)), g.adj, tuple(match), tuple(parent))
+    """The decomposition of g with its matching and path pointers, its
+    classes read off the matcher's labels; its views are built when first
+    read (see ``GallaiEdmonds``)."""
+    match, label, parent = _matcher(g)
+    comp = list(map(_CLASS.__getitem__, label))
     # Tutte-Berge on S = A: every matching leaves odd - |A| vertices free or
     # more, odd being the number of odd components of g - A
-    sizes = Counter(ge.comp)
-    odd = sum(size % 2 for c, size in sizes.items() if c != -1)
-    if match.count(-1) != odd - sizes[-1]:
+    if match.count(-1) != _classes(g.adj, comp) - label.count(_DEAD_ODD):
         raise InternalCheckError("the Tutte-Berge count on A fails: the matching is not maximum")
-    return ge
+    return GallaiEdmonds(tuple(comp), g.adj, tuple(match), tuple(parent))
 
 
 def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
@@ -179,7 +170,11 @@ def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
     """
     if ge.adj != g.adj or ge.comp is None or len(ge.comp) != g.n:
         return False
-    if ge.comp != tuple(_classes(g.adj, [v for v, c in enumerate(ge.comp) if c >= 0])):
+    # the classes that the claimed D induces: A is its outside neighborhood
+    d_nbrs = {w for v, c in enumerate(ge.comp) if c >= 0 for w in g.adj[v]}
+    comp = [-2 if c >= 0 else -1 if v in d_nbrs else -3 for v, c in enumerate(ge.comp)]
+    _classes(g.adj, comp)
+    if ge.comp != tuple(comp):
         return False
 
     for members in ge.d_members:

@@ -3,10 +3,11 @@
 Vertices are dense integer ids ``0..n-1``.  Every operation iterates vertices
 and neighbors in ascending id order, so outputs are deterministic for a fixed
 input.  Induced subgraphs are new values that carry a map back to the
-original vertex ids.  The forest, two-coloring and block tests run on an
-adjacency and a vertex mask (``_is_forest``, ``_side_a``,
-``_odd_cycle_blocks``), so callers can test part of a graph without
-building it; the public functions are their whole-graph wrappers.
+original vertex ids.  The forest, two-coloring and odd-cycle block tests
+run on an adjacency and a vertex mask (``_is_forest``, ``_side_a``,
+``_odd_cycle_blocks``, the last one depth-first search with no block
+lists), so callers can test part of a graph without building it; the
+public functions are their whole-graph wrappers.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def _rows(nbrs: list[list[int]]) -> tuple[tuple[int, ...], ...] | None:
     for row in nbrs:
         row.sort()
     adj = tuple(map(tuple, nbrs))
-    if any(len(row) != len(set(row)) for row in adj):
+    if sum(map(len, adj)) != sum(map(len, map(set, adj))):
         return None
     return adj
 
@@ -276,12 +277,40 @@ def biconnected_blocks(g: Graph) -> list[frozenset[tuple[int, int]]]:
 
 def _odd_cycle_blocks(adj, keep) -> bool:
     """Whether every block of the subgraph of ``adj`` induced by the
-    vertices marked in ``keep`` is an odd cycle: a block is a cycle iff it
-    has as many edges as vertices, and a bridge never is.  The search stops
-    at the first block that fails."""
-    for block in _blocks(adj, keep):
-        if len(block) % 2 == 0 or len(block) != len({x for e in block for x in e}):
-            return False
+    vertices marked in ``keep`` is an odd cycle: one depth-first search
+    (Tarjan 1972) checks that each tree edge pv lies under exactly one back
+    edge (``cover[v]``, counted when the search leaves v) and each back edge
+    closes an odd cycle, and stops at the first edge that fails."""
+    n = len(adj)
+    depth = [-1] * n
+    cover = [0] * n
+    for root in range(n):
+        if not keep[root] or depth[root] != -1:
+            continue
+        depth[root] = 0
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, p, it = stack[-1]
+            for w in it:
+                if w == p or not keep[w]:
+                    continue
+                d = depth[w]
+                if d == -1:
+                    depth[w] = depth[v] + 1
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if d > depth[v]:  # the back edge from the descendant w ends here
+                    cover[v] -= 1
+                elif (depth[v] - d) % 2:  # it closes depth[v] - d + 1 edges
+                    return False
+                else:
+                    cover[v] += 1
+            else:
+                stack.pop()
+                if p != -1:
+                    if cover[v] != 1:
+                        return False
+                    cover[p] += 1  # v's one back edge, unless it ends at p
     return True
 
 

@@ -11,9 +11,10 @@ of one that fails stays out of every later search, its even vertices marked
 dead-even and its odd ones dead-odd.  The trees left at the end form the
 Edmonds forest of the final matching, so its labels are the Gallai-Edmonds
 labelling (dead-even is D, dead-odd A, unlabelled C) and its path pointers
-lead from every D vertex to the free vertex of its tree.  Uniqueness of a
-given perfect matching is a Kotzig peel (``_peel``): a pendant queue plus,
-when it stalls, one bridge search, with no matcher of its own; when it
+lead from every D vertex to the free vertex of its tree; an isolated free
+vertex is labelled without a search.  Uniqueness of a given perfect matching
+is a Kotzig peel (``_peel``): a pendant queue plus, when it stalls, one
+low-link search for matched bridges, with no matcher of its own; when it
 stalls short of empty, ``_alternating_cycle`` finds an alternating cycle in
 what is left, one search per edge tried.  All searches iterate vertices and
 neighbors in ascending id order, so the "canonical" maximum matching
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .graph_core import Graph, _blocks, edge_key, validate_bipartition
+from .graph_core import Graph, edge_key, validate_bipartition
 
 
 class InternalCheckError(RuntimeError):
@@ -266,12 +267,16 @@ def _matcher(g: Graph):
     component of g[D], and the walk from any of its vertices stays inside
     it up to its base.
     """
-    match = _greedy_seed(g.adj)
+    adj = g.adj
+    match = _greedy_seed(adj)
     label, parent = [_UNLABELLED] * g.n, [-1] * g.n
     state = (label, parent, list(range(g.n)))
     for v in range(g.n):
         if match[v] == -1:
-            _search(g.adj, match, [v], state)
+            if adj[v]:
+                _search(adj, match, [v], state)
+            else:  # the search would label it alone
+                label[v] = _DEAD_EVEN
     return match, label, parent
 
 
@@ -313,26 +318,51 @@ def edge_in_some_maximum_matching(g: Graph, e: tuple[int, int]) -> bool:
     return _search(adj, match, [mu]) is None or _search(adj, match, [mv]) is None
 
 
-def _missable_and_match(g: Graph) -> tuple[list[int], list[int], list[int]]:
-    """``missable_vertices(g)`` as an ascending list, and the maximum
-    matching and path pointers of the matcher that labelled it."""
-    match, label, parent = _matcher(g)
-    return [v for v in range(g.n) if label[v] == _DEAD_EVEN], match, parent
-
-
 def missable_vertices(g: Graph) -> frozenset[int]:
     """All vertices missed by some maximum matching: the Gallai-Edmonds D set.
 
     The dead-even vertices of the matcher's final forest (``_matcher``).
     """
-    return frozenset(_missable_and_match(g)[0])
+    return frozenset([v for v, x in enumerate(_matcher(g)[1]) if x == _DEAD_EVEN])
 
 
 def _matched_bridges(adj, match, alive):
     """The matched edges that are bridges of the subgraph of ``adj`` induced
-    by the vertices marked in ``alive``, each given by one endpoint: a
-    bridge is a one-edge block."""
-    return [v for b in _blocks(adj, alive) if len(b) == 1 for p, v in b if match[v] == p]
+    by the vertices marked in ``alive``, each as its child end v in one
+    low-link depth-first search (Tarjan 1972): tree edge pv is a bridge iff
+    no back edge from v's subtree reaches p or above."""
+    n = len(adj)
+    disc = [0] * n  # discovery times from 1; 0 means unvisited
+    low = [0] * n
+    clock = 0
+    out = []
+    for root in range(n):
+        if not alive[root] or disc[root]:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, p, it = stack[-1]
+            for w in it:
+                if w == p or not alive[w]:
+                    continue
+                if disc[w]:
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    stack.append((w, v, iter(adj[w])))
+                    break
+            else:
+                stack.pop()
+                if p != -1:
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    elif low[v] > disc[p] and match[v] == p:
+                        out.append(v)
+    return out
 
 
 def _peel(adj, match, alive):
@@ -341,15 +371,13 @@ def _peel(adj, match, alive):
     stalls; ``match`` must be perfect on them.  ``alive`` is left untouched.
 
     Every perfect matching holds the edge at a degree-1 vertex, and every
-    matched bridge (the two sides of a matched bridge are odd, so each
-    perfect matching crosses the cut once, by the bridge).  Deleting the two
-    ends of such an edge keeps the count of perfect matchings, so the peel
-    deletes them: from a queue of degree-1 vertices first, and when the
-    queue stalls, all matched bridges of the rest at once.  By Kotzig's
-    theorem (1959) a graph whose perfect matching is unique has a bridge in
-    it, so a non-empty rest with no matched bridge has a second one.  The
-    peel acts on each connected component on its own: a component's
-    perfect matching is unique iff none of its vertices is left.
+    matched bridge (its two sides are odd).  Deleting the ends of such an
+    edge keeps the count of perfect matchings, so the peel deletes them:
+    from a queue of degree-1 vertices first, and when the queue stalls, all
+    matched bridges of the rest at once.  By Kotzig's theorem (1959) a graph
+    whose perfect matching is unique has a bridge in it, so a non-empty
+    rest with no matched bridge has a second one.  A component's perfect
+    matching is unique iff none of its vertices is left.
     """
     alive = list(alive)
     deg = [len(nbrs) for nbrs in adj]

@@ -2,23 +2,13 @@
 
 ``some_ur``: does some maximum matching of g admit no second matching on the
 same vertex set?  ``every_ur``: do all of them?  Both reduce to structural
-conditions on the Gallai-Edmonds decomposition; yes-instances of ``some_ur``
-come with an explicit witness matching that callers can re-verify.  Both
-read only the decomposition's arrays (``comp``, ``match`` and ``parent``),
-the component counts and the A list read off ``comp``, and its memo, and
-gb and the attachments once they reach a gb condition; only ``some_ur``'s
-D component tests and its witness read a member list.  A run that stops
-at a C or D component test builds none of the other views.  ``some_ur``
-answers a D component minus a vertex by the component's edge count when
-the component is an odd cycle, and otherwise by one walk of the path
-pointers on g's arrays (``_flip``), whose flip a Kotzig peel tests on a
-relabelled copy and the witness reads.  No decider matches gb (see
-``some_ur`` and ``every_ur_general``).  The bipartite ``every_ur`` route
-works on arrays and masks over g's adjacency: one two-coloring, the
-matcher's mate array (the decomposition's when one is given), D(M)'s
-acyclicity and the forest tests of its closures; the general one runs one
-block search kept inside D.  Only the public entry points validate what
-they are given.
+conditions on the Gallai-Edmonds decomposition and read its arrays
+(``comp``, ``match`` and ``parent``), the views read off them and its memo;
+no decider matches gb, and only ``some_ur`` reads gb and member lists.  A
+run that stops at a C or D component test builds no other view.
+Yes-instances of ``some_ur`` come with a witness matching that callers can
+re-verify.  The bipartite ``every_ur`` route runs on arrays and masks over
+g's adjacency.  Only the public entry points validate what they are given.
 
 Failure tags form a closed set of stable strings.  Each decider's
 conditions yield the tags of those that fail, in order; a report names the
@@ -33,7 +23,7 @@ from itertools import islice
 
 from .accessibility import _e_good_ordering
 from .decomposition import GallaiEdmonds, gallai_edmonds
-from .graph_core import Graph, _is_forest, _odd_cycle_blocks, _side_a, edge_key, is_forest, validate_bipartition
+from .graph_core import Graph, _is_forest, _odd_cycle_blocks, _side_a, edge_key, validate_bipartition
 from .matching import (
     InternalCheckError,
     Matching,
@@ -76,9 +66,10 @@ FAILURE_TAGS = frozenset({
 # vertices, is an odd cycle (``_odd_cycle``), whose every h needs no test;
 # ``(ci, h)`` to whether D component ``ci`` minus its vertex h has a unique
 # perfect matching, for the components that are not; ``("d", ci)`` holds
-# only H's relabelled adjacency, which those tests share (``_d_local``).  The
-# memo holds entries no caller asked for: a "no" for one h of a D component
-# writes a "no" for every h' that the same alternating cycle rules out.
+# H's relabelled adjacency and mate array, which those tests share
+# (``_d_local``).  The memo holds entries no caller asked for: a "no" for
+# one h of a D component writes a "no" for every h' that the same
+# alternating cycle rules out.
 
 
 @dataclass(frozen=True)
@@ -136,13 +127,15 @@ def _c_left(g: Graph, ge: GallaiEdmonds) -> frozenset[int]:
 
 def _d_local(g: Graph, ge: GallaiEdmonds, ci: int):
     """D component ``ci`` in local ids 0..|H|-1, ascending with g's ids:
-    ``(verts, pos, adj)``, where ``verts`` maps back and ``pos`` forth;
-    memoised in ``ge.upms``."""
+    ``(verts, pos, adj, base)``, where ``verts`` maps back and ``pos``
+    forth, and ``base`` is ``ge.match`` inside H (-1 at the vertex it
+    leaves free in H); memoised in ``ge.upms``."""
     key = ("d", ci)
     if key not in ge.upms:
-        verts = ge.d_members[ci]
+        verts, comp, mate = ge.d_members[ci], ge.comp, ge.match
         pos = {v: i for i, v in enumerate(verts)}
-        ge.upms[key] = verts, pos, tuple(tuple(pos[w] for w in g.adj[v] if w in pos) for v in verts)
+        adj = [[pos[w] for w in g.adj[v] if comp[w] == ci] for v in verts]
+        ge.upms[key] = verts, pos, adj, [pos.get(mate[v], -1) for v in verts]
     return ge.upms[key]
 
 
@@ -206,9 +199,10 @@ def _unique_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int) -> bool:
     if key not in ge.upms:
         if _odd_cycle(g, ge, ci):
             return True
-        verts, pos, adj = _d_local(g, ge, ci)
-        flip, mate, x = _flip(ge, ci, h), ge.match, pos[h]
-        match = [pos.get(flip.get(v, mate[v]), -1) for v in verts]
+        verts, pos, adj, match = _d_local(g, ge, ci)
+        match, x = match[:], pos[h]
+        for v, w in _flip(ge, ci, h).items():
+            match[pos[v]] = pos.get(w, -1)
         alive = [True] * len(match)
         alive[x] = False
         rest = _peel(adj, match, alive)
@@ -368,9 +362,23 @@ def _every_failures(g: Graph, ge: GallaiEdmonds) -> Iterator[str]:
     # one block search over g's adjacency, kept inside D
     if not _odd_cycle_blocks(g.adj, [c >= 0 for c in ge.comp]):
         yield D_COMPONENT_BLOCKS_NOT_ODD_CYCLES
-    if not is_forest(ge.gb):
+    # gb's two conditions in one pass over the attachments, one per gb
+    # edge, that joins gb's ends in a union-find (path halving)
+    k = len(ge.a_list)
+    root = list(range(k + ge.counts[0]))
+    cyclic = multiple = False
+    for (x, y), nbrs in ge.attachments.items():
+        multiple = multiple or len(nbrs) > 1
+        y += k
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        while root[y] != y:
+            root[y] = y = root[root[y]]
+        cyclic = cyclic or x == y
+        root[x] = y
+    if cyclic:
         yield GB_EVERY_MAX_MATCHING_NOT_UR
-    if any(len(nbrs) > 1 for nbrs in ge.attachments.values()):
+    if multiple:
         yield GB_EDGE_MULTIPLE_NEIGHBORS
 
 
@@ -395,7 +403,7 @@ def every_ur_general(
     The characterization constrains only gb edges that lie in some maximum
     matching of gb, and every gb edge lies in one: gb - a - H still matches
     all of A - a by Hall's condition.  The gb-edge condition is therefore
-    one pass over the adjacency of A: no A-vertex may have two neighbors in
-    the same D component.
+    that no A-vertex has two neighbors in one D component.  Both gb
+    conditions are read off the attachments; gb is not built.
     """
     return _report("every_ur", _every_failures(g, _decomposed(g, ge)), all_failures)

@@ -13,6 +13,13 @@ them.  The closures are grown here by a search of their own over D(M)'s
 lists, and the blocks are read off networkx, so neither reference shares
 that step with the cores it checks.
 
+The D-block test and the Kotzig peel's bridge step once read the block
+lists of an edge-stack search (``graph_core._blocks``): every block an odd
+cycle iff it has as many edges as vertices and an odd number of them, and
+a matched bridge is a one-edge block whose edge is matched.  The library
+now runs one depth-first search for each (``graph_core._odd_cycle_blocks``,
+``matching._matched_bridges``); the block-list forms live on here.
+
 The bipartite every-test once took its M from Hopcroft-Karp (Hopcroft &
 Karp 1973, ``_hopcroft_karp``), and now takes the library's one matcher's.
 The characterization holds whichever maximum matching M is, so a test
@@ -25,7 +32,7 @@ from collections import deque
 
 import networkx as nx
 
-from urmatch.graph_core import Graph, induced_subgraph, is_forest
+from urmatch.graph_core import Graph, _blocks, induced_subgraph, is_forest
 from urmatch.matching import maximum_matching_bipartite
 from urmatch.recognition import GB_DIGRAPH_CYCLIC, V_MINUS_NOT_FOREST, V_PLUS_NOT_FOREST
 from urmatch.ur_core import build_matching_digraph, is_acyclic
@@ -73,6 +80,23 @@ def blocks_odd_by_networkx(g: Graph, comp) -> bool:
         if len(edges) != len(verts) or len(edges) % 2 == 0:
             return False
     return True
+
+
+def odd_cycle_blocks_by_blocks(adj, keep) -> bool:
+    """Whether every block of the subgraph of ``adj`` induced by ``keep``
+    is an odd cycle, read off its block lists: a block is a cycle iff it
+    has as many edges as vertices, and a bridge never is."""
+    for block in _blocks(adj, keep):
+        if len(block) % 2 == 0 or len(block) != len({x for e in block for x in e}):
+            return False
+    return True
+
+
+def matched_bridges_by_blocks(adj, match, alive) -> list[int]:
+    """The matched one-edge blocks of the subgraph of ``adj`` induced by
+    ``alive``, each given by the end the search reached last, in the order
+    the search finishes them."""
+    return [v for b in _blocks(adj, alive) if len(b) == 1 for p, v in b if match[v] == p]
 
 
 def _hopcroft_karp(adj, a_list) -> list[int]:

@@ -28,6 +28,14 @@ The Edmonds labelling as the decomposition first found it: one more search
 from every free vertex of the matcher's maximum matching, on fresh arrays.
 The library reads the same labels off the matcher's own failed searches.
 
+The classes as the decomposition first read them off the matcher: its
+dead-even vertices as D, then A by one pass over D's adjacency
+(``classes_by_a_pass``, which also builds the decomposition a claimed D
+induces), and the matcher's searches run from every vertex its seed left
+free, isolated ones too (``matcher_searching_all``).  The library reads A
+off the dead-odd labels and labels an isolated free vertex without a
+search.
+
 Uniqueness of a perfect matching by the deletion device: a perfect matching
 M is unique iff g - e has no perfect matching for every e in M.  It runs one
 augmenting search per matched edge, which is quadratic on paths and cycles;
@@ -38,11 +46,13 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from urmatch.decomposition import GallaiEdmonds
+from urmatch.decomposition import GallaiEdmonds, _classes
 from urmatch.graph_core import Graph, connected_components, induced_subgraph
 from urmatch.matching import (
     InternalCheckError,
     Matching,
+    _UNLABELLED,
+    _greedy_seed,
     _matching_from_array,
     _max_match_array,
     _search,
@@ -131,6 +141,31 @@ def contract_by_sets(g: Graph, d_set: frozenset[int]) -> dict:
         "gb": gb,
         "comp": tuple(comp),
     }
+
+
+def matcher_searching_all(g: Graph):
+    """``(match, label, parent)`` of the matcher with one search from every
+    vertex the seed left free, isolated ones too."""
+    match = _greedy_seed(g.adj)
+    label, parent = [_UNLABELLED] * g.n, [-1] * g.n
+    state = (label, parent, list(range(g.n)))
+    for v in range(g.n):
+        if match[v] == -1:
+            _search(g.adj, match, [v], state)
+    return match, label, parent
+
+
+def classes_by_a_pass(g: Graph, d_set) -> list[int]:
+    """The component array (see ``GallaiEdmonds``) that ``d_set`` as D
+    induces: one pass over D's adjacency finds A, C is the rest, and
+    ``_classes`` numbers the components."""
+    comp = [-2 if v in d_set else -3 for v in range(g.n)]
+    for v in d_set:
+        for w in g.adj[v]:
+            if comp[w] == -3:
+                comp[w] = -1
+    _classes(g.adj, comp)
+    return comp
 
 
 def edmonds_labels(adj, match):

@@ -44,7 +44,7 @@ def _perfect_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int):
     from h to the component's one free vertex; flipping it frees h.  A walk
     that leaves the component, ends elsewhere or runs longer than the
     component raises."""
-    verts, pos, adj = _d_local(g, ge, ci)
+    verts, pos, adj, _ = _d_local(g, ge, ci)
     parent = [pos.get(ge.parent[v], -1) for v in verts]
     match = [pos.get(ge.match[v], -1) for v in verts]
     x = pos[h]

@@ -8,16 +8,11 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 
-from ge_reference import VIEWS, class_sets, contract_by_sets
+from ge_reference import VIEWS, class_sets, classes_by_a_pass, contract_by_sets
 from lemma_helpers import delete_vertex
 from strategies import giant, graphs, linear_triangle_tree, seeded_random_graphs, sparse_graph_nm
 from urmatch import decomposition, matching, ur_core
-from urmatch.decomposition import (
-    GallaiEdmonds,
-    _classes,
-    gallai_edmonds,
-    verify_gallai_edmonds,
-)
+from urmatch.decomposition import GallaiEdmonds, gallai_edmonds, verify_gallai_edmonds
 from urmatch.families import (
     bowtie_graph,
     complete_graph,
@@ -33,7 +28,15 @@ from urmatch.oracle import enumerate_labeled_graphs
 
 
 def _claim(g, d_set):
-    return GallaiEdmonds(tuple(_classes(g.adj, sorted(d_set))), g.adj)
+    return GallaiEdmonds(tuple(classes_by_a_pass(g, d_set)), g.adj)
+
+
+def _labels(g, d_set):
+    """The matcher's labels that ``d_set`` as D induces: A is its outside
+    neighborhood, C the rest."""
+    a_set = {w for v in d_set for w in g.adj[v]} - set(d_set)
+    return [matching._DEAD_EVEN if v in d_set else matching._DEAD_ODD if v in a_set else matching._UNLABELLED
+            for v in range(g.n)]
 
 
 def _views(ge):
@@ -255,13 +258,13 @@ def test_decomposition_scale_guard():
     (star_graph(3), frozenset({1, 2, 3}), [-1, -1, -1, -1]),
 ])
 def test_non_maximum_matching_fails_the_tutte_berge_count(monkeypatch, g, d_set, match):
-    monkeypatch.setattr(decomposition, "_missable_and_match", lambda g: (d_set, match, [-1] * g.n))
+    monkeypatch.setattr(decomposition, "_matcher", lambda g: (match, _labels(g, d_set), [-1] * g.n))
     with pytest.raises(InternalCheckError, match="Tutte-Berge"):
         gallai_edmonds(g)
     # the count holds with a maximum matching of g in its place
     top = maximum_matching(g).mate
     best = [top.get(v, -1) for v in range(g.n)]
-    monkeypatch.setattr(decomposition, "_missable_and_match", lambda g: (d_set, best, [-1] * g.n))
+    monkeypatch.setattr(decomposition, "_matcher", lambda g: (best, _labels(g, d_set), [-1] * g.n))
     assert class_sets(gallai_edmonds(g))[0] == d_set
 
 

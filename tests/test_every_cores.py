@@ -1,5 +1,7 @@
 """The array cores of the every route against the object routes they replace
 (``every_reference``): the bipartite test on gb, and the block search on D;
+the one-pass block and bridge searches against the block lists they
+replace, and gb's union-find flags against gb itself;
 the bipartite test's answer on two different maximum matchings; and the two
 structure-theorem facts that spare the general route a matching of gb,
 against the public bipartite routes."""
@@ -7,17 +9,33 @@ against the public bipartite routes."""
 import random
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from every_reference import _hopcroft_karp, blocks_odd_by_networkx, closure, every_bipartite_by_objects
+from every_reference import (
+    _hopcroft_karp,
+    blocks_odd_by_networkx,
+    closure,
+    every_bipartite_by_objects,
+    matched_bridges_by_blocks,
+    odd_cycle_blocks_by_blocks,
+)
 from ge_reference import class_sets, gb_sides
 from strategies import bipartite_graphs, giant, graphs, linear_triangle_tree, seeded_random_graphs, sparse_graph_nm
 from urmatch.decomposition import gallai_edmonds
 from urmatch.families import bowtie_graph, complete_graph, cycle_graph, path_graph
 from urmatch.graph_core import Graph, _odd_cycle_blocks, bipartition, blocks_are_odd_cycles, induced_subgraph, is_forest
-from urmatch.matching import _max_match_array, max_independent_set_bipartite, maximum_matching_bipartite
+from urmatch.matching import (
+    _matched_bridges,
+    _max_match_array,
+    _peel,
+    max_independent_set_bipartite,
+    maximum_matching_bipartite,
+)
 from urmatch.oracle import enumerate_labeled_graphs
 from urmatch.recognition import (
     D_COMPONENT_BLOCKS_NOT_ODD_CYCLES,
+    GB_EDGE_MULTIPLE_NEIGHBORS,
+    GB_EVERY_MAX_MATCHING_NOT_UR,
     _every_bipartite,
     _report,
     every_ur_bipartite,
@@ -186,3 +204,62 @@ def test_block_search_on_any_mask(g):
     # the subgraphs induced by the prefixes of the vertices, connected or not
     for k in range(g.n + 1):
         assert _odd_cycle_blocks(g.adj, _mask(g.n, range(k))) == blocks_odd_by_networkx(g, range(k))
+
+
+def _check_kernels(g, keep, rng):
+    """The one-pass block and bridge searches on the mask ``keep`` against
+    the block-list forms, with the matcher's mate array and with one that
+    names a random neighbor of each vertex, so that many bridges count as
+    matched."""
+    assert _odd_cycle_blocks(g.adj, keep) == odd_cycle_blocks_by_blocks(g.adj, keep)
+    for match in (_max_match_array(g), [rng.choice(row) if row else -1 for row in g.adj]):
+        assert _matched_bridges(g.adj, match, keep) == matched_bridges_by_blocks(g.adj, match, keep)
+
+
+def test_one_pass_kernels_equal_block_lists_exhaustive():
+    # every labelled graph on at most 6 vertices, on all of it and on two
+    # random masks
+    rng = random.Random(6)
+    for n in range(7):
+        for g in enumerate_labeled_graphs(n):
+            for keep in ([True] * n, [rng.random() < 0.7 for _ in range(n)], [rng.random() < 0.5 for _ in range(n)]):
+                _check_kernels(g, keep, rng)
+
+
+@settings(deadline=None, max_examples=300)
+@given(graphs(max_n=12, max_density=0.5), st.randoms(use_true_random=False), st.floats(0.3, 1.0))
+def test_one_pass_kernels_equal_block_lists(g, rng, density):
+    _check_kernels(g, [rng.random() < density for _ in range(g.n)], rng)
+
+
+def test_one_pass_kernels_equal_block_lists_at_scale():
+    # the masks the deciders pass: D, and C as the peel first sees it
+    for n in (2000, 4000, 8000):
+        rng = random.Random(n)
+        for g in (giant(sparse_graph_nm(n, 3 * n // 2, rng)), linear_triangle_tree(2 * n // 3, 0.25, rng)):
+            ge = gallai_edmonds(g)
+            in_c = [c <= -4 for c in ge.comp]
+            _check_kernels(g, [c >= 0 for c in ge.comp], rng)
+            _check_kernels(g, in_c, rng)
+            rest = set(_peel(g.adj, ge.match, in_c))
+            _check_kernels(g, [v in rest for v in range(g.n)], rng)
+
+
+def _check_gb_flags(g):
+    # the union-find pass over the attachments against gb itself
+    ge = gallai_edmonds(g)
+    tags = every_ur_general(g, ge=ge, all_failures=True).failures
+    cyclic, multiple = GB_EVERY_MAX_MATCHING_NOT_UR in tags, GB_EDGE_MULTIPLE_NEIGHBORS in tags
+    assert cyclic == (not is_forest(ge.gb))
+    assert multiple == any(len(nbrs) > 1 for nbrs in ge.attachments.values())
+    return cyclic, multiple
+
+
+def test_gb_flags_equal_gb_itself():
+    flags = {_check_gb_flags(g) for n in range(7) for g in enumerate_labeled_graphs(n)}
+    flags |= {_check_gb_flags(g) for g in seeded_random_graphs(300, (7, 12), [0.15, 0.3], seed=7)}
+    for n in (2000, 4000, 8000):
+        rng = random.Random(n)
+        for g in (giant(sparse_graph_nm(n, 3 * n // 2, rng)), linear_triangle_tree(2 * n // 3, 0.25, rng)):
+            flags.add(_check_gb_flags(g))
+    assert flags == {(False, False), (False, True), (True, False), (True, True)}

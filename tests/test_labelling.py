@@ -7,8 +7,9 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from ge_reference import class_sets, edmonds_labels, reference_classes
+from ge_reference import class_sets, classes_by_a_pass, edmonds_labels, matcher_searching_all, reference_classes
 from strategies import giant, graphs, linear_triangle_tree, random_graph_nm, sparse_graph_nm
+from urmatch import matching
 from urmatch.decomposition import gallai_edmonds
 from urmatch.families import cycle_graph, path_graph
 from urmatch.graph_core import Graph
@@ -225,3 +226,40 @@ def test_long_chain_of_pentagons():
             edges += [(base + 2, mid), (mid, base + 6)]
     g = Graph.from_edges(6 * k - 1, edges)
     _assert_classes(g, frozenset(range(g.n)) - middles, frozenset(middles), frozenset())
+
+
+def _check_label_route(g):
+    # the classes read off the labels, and the matcher that labels isolated
+    # vertices without a search, against the A pass and the searches from
+    # every free vertex
+    match, label, parent = matcher_searching_all(g)
+    assert _matcher(g) == (match, label, parent)
+    ge = gallai_edmonds(g)
+    assert ge.comp == tuple(classes_by_a_pass(g, {v for v, x in enumerate(label) if x == _DEAD_EVEN}))
+    assert (ge.match, ge.parent) == (tuple(match), tuple(parent))
+
+
+@settings(deadline=None, max_examples=200)
+@given(graphs(max_n=11, max_density=0.4))
+def test_classes_from_labels_equal_the_a_pass_route(g):
+    _check_label_route(g)
+
+
+def test_classes_from_labels_equal_the_a_pass_route_at_scale():
+    for n in (2000, 4000, 8000):
+        rng = random.Random(n)
+        for g in (giant(sparse_graph_nm(n, 3 * n // 2, rng)), linear_triangle_tree(2 * n // 3, 0.25, rng)):
+            _check_label_route(g)
+
+
+def test_isolated_vertices_take_no_search(monkeypatch):
+    # 0 and 4 are isolated; the triangle 1, 2, 3 leaves one vertex free,
+    # which is searched from
+    g = Graph.from_edges(7, [(1, 2), (2, 3), (1, 3), (5, 6)])
+    roots = []
+    real = matching._search
+    monkeypatch.setattr(matching, "_search", lambda adj, match, r, *rest: roots.extend(r) or real(adj, match, r, *rest))
+    match, label, _ = _matcher(g)
+    assert roots == [3]
+    assert label[0] == label[4] == _DEAD_EVEN and match[0] == match[4] == -1
+    assert class_sets(gallai_edmonds(g)) == (frozenset({0, 1, 2, 3, 4}), frozenset(), frozenset({5, 6}))

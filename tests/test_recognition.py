@@ -1,3 +1,4 @@
+import json
 import pickle
 import random
 import sys
@@ -32,8 +33,10 @@ from urmatch.families import (
     petersen_graph,
     star_graph,
 )
+from urmatch.cli import main, render_graph
 from urmatch.graph_core import (
     Graph,
+    biconnected_blocks,
     bipartition,
     blocks_are_odd_cycles,
     connected_components,
@@ -41,7 +44,7 @@ from urmatch.graph_core import (
     induced_subgraph,
     validate_bipartition,
 )
-from urmatch import matching, recognition
+from urmatch import graph_core, matching, recognition
 from urmatch.matching import (
     Matching,
     _alternating_cycle,
@@ -500,8 +503,34 @@ def test_every_builds_no_member_lists(g):
     # the C and D loops count the components off the component array
     ge = gallai_edmonds(g)
     every_ur_general(g, ge=ge, all_failures=True)
+    # and gb's two conditions read the attachments, not gb
+    assert not {"c_members", "d_members", "gb"} & set(vars(ge))
     every_ur(g, ge=ge, all_failures=True)
-    assert not {"c_members", "d_members"} & set(vars(ge))
+    assert not {"c_members", "d_members", "gb"} & set(vars(ge))
+
+
+def test_deciders_build_no_block_lists(monkeypatch, tmp_path, capsys):
+    # the peel's bridge step and the D-block test each run one search of
+    # their own; only biconnected_blocks reads block lists
+    rng = random.Random(5)
+    instances = [linear_triangle_tree(40, 0.25, rng), giant(sparse_graph_nm(120, 180, rng)),
+                 cycle_graph(9), complete_graph(5)]
+    want = [(some_ur(g, all_failures=True), every_ur(g, all_failures=True)) for g in instances]
+
+    def refuse(adj, keep):
+        raise AssertionError("block lists built")
+        yield
+
+    monkeypatch.setattr(graph_core, "_blocks", refuse)
+    with pytest.raises(AssertionError):
+        biconnected_blocks(instances[0])
+    assert [(some_ur(g, all_failures=True), every_ur(g, all_failures=True)) for g in instances] == want
+    path = tmp_path / "g.txt"
+    for g, (some, every) in zip(instances, want):
+        path.write_text(render_graph(g), encoding="utf-8")
+        assert main(["check", str(path), "--property", "both", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [p["answer"] for p in payload] == [some.answer, every.answer]
 
 
 def test_path_flips_from_the_matchers_pointers_at_scale():
@@ -726,7 +755,8 @@ def _check_perfect_minus(g, ge):
     # _unique_minus builds it, and its edges, as the witness reads them
     mate = ge.match
     for ci, comp in enumerate(ge.d_members):
-        _, pos, _ = _d_local(g, ge, ci)
+        _, pos, _, base = _d_local(g, ge, ci)
+        assert base == [pos.get(mate[v], -1) for v in comp]
         for h in comp:
             verts, _, x, match = _perfect_minus(g, ge, ci, h)
             assert verts == comp and match[x] == -1
@@ -735,6 +765,10 @@ def _check_perfect_minus(g, ge):
                     assert match[b] == a and edge_key(verts[a], verts[b]) in g.edges
             flip = _flip(ge, ci, h)
             assert [pos.get(flip.get(v, mate[v]), -1) for v in verts] == match
+            patched = base[:]
+            for v, w in flip.items():
+                patched[pos[v]] = pos.get(w, -1)
+            assert patched == match
             assert [(v, w) for v in verts if (w := flip.get(v, mate[v])) > v] == _edges(verts, match)
 
 
