@@ -2,11 +2,12 @@
 
 The classes come from the matcher alone: the Edmonds forest that its failed
 searches leave behind labels D (the vertices v with nu(g - v) == nu(g))
-dead-even, A dead-odd and C not at all, and the matching and the forest's
-path pointers are kept.  The contracted graph ``gb`` keeps A on one side and
-one vertex per component of g[D] on the other.  The decomposition is one
-component array: ``_classes`` numbers the components of D and of C in it,
-and every view is read off it on first read; no induced graph is built.
+dead-even, A dead-odd and C not at all, and the matching, the forest's
+path pointers and the seed's forced pairs are kept.  The contracted graph
+``gb`` keeps A on one side and one vertex per component of g[D] on the
+other.  The decomposition is one component array: ``_classes`` numbers
+the components of D and of C in it, and every view is read off it on
+first read; no induced graph is built.
 ``gallai_edmonds`` adds the Tutte-Berge count on A, from the component
 sizes, which checks that the matching is maximum.
 """
@@ -43,9 +44,12 @@ class GallaiEdmonds:
     component; ``parent`` holds the path pointers of the matcher's Edmonds
     forest: the walk v, match[v], parent[match[v]], ... from a D vertex v
     stays inside v's D component up to the vertex that ``match`` leaves
-    unmatched there.  A decomposition built without them serves the
-    verifier only; the deciders refuse it.  ``upms`` is the deciders' memo
-    (see ``recognition``); ``replace`` starts it empty.
+    unmatched there; ``forced`` holds the seed's forced pairs as a mate
+    array (``matching._greedy_seed``), which every perfect matching of g[C]
+    holds inside C (``recognition._c_left``).  A decomposition built
+    without them serves the verifier only; the deciders refuse it.  ``upms``
+    is the deciders' memo (see ``recognition``); ``replace`` starts it
+    empty.
 
     Views, each read off ``comp`` on first read: ``counts``, the numbers of
     D and of C components; ``a_list``, the A-vertices
@@ -61,6 +65,7 @@ class GallaiEdmonds:
     adj: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     match: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
     parent: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    forced: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
     upms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
@@ -141,16 +146,16 @@ def _classes(adj, comp) -> int:
 
 
 def gallai_edmonds(g: Graph) -> GallaiEdmonds:
-    """The decomposition of g with its matching and path pointers, its
-    classes read off the matcher's labels; its views are built when first
-    read (see ``GallaiEdmonds``)."""
-    match, label, parent = _matcher(g)
+    """The decomposition of g with its matching, path pointers and forced
+    pairs, its classes read off the matcher's labels; its views are built
+    when first read (see ``GallaiEdmonds``)."""
+    match, label, parent, forced = _matcher(g)
     comp = list(map(_CLASS.__getitem__, label))
     # Tutte-Berge on S = A: every matching leaves odd - |A| vertices free or
     # more, odd being the number of odd components of g - A
     if match.count(-1) != _classes(g.adj, comp) - label.count(_DEAD_ODD):
         raise InternalCheckError("the Tutte-Berge count on A fails: the matching is not maximum")
-    return GallaiEdmonds(tuple(comp), g.adj, tuple(match), tuple(parent))
+    return GallaiEdmonds(tuple(comp), g.adj, tuple(match), tuple(parent), tuple(forced))
 
 
 def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
@@ -166,7 +171,8 @@ def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
     nu(gb) = |A|, that holds iff every A-vertex reaches an unmatched
     component vertex in D(M) of a maximum matching M of gb (one reachability
     pass).  Without it a wrong D can pass every other test: ``{0}`` on the
-    path 0-1.  The matchings come from the library's own matcher.
+    path 0-1.  The matchings come from the library's own matcher, whose
+    seed's forced pairs a given ``forced`` must be: the C test skips them.
     """
     if ge.adj != g.adj or ge.comp is None or len(ge.comp) != g.n:
         return False
@@ -186,7 +192,10 @@ def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
         if 2 * len(maximum_matching(sub).edges) != sub.n:
             return False
 
-    nu = len(maximum_matching(g).edges)
+    match, _, _, forced = _matcher(g)
+    if ge.forced is not None and ge.forced != tuple(forced):
+        return False
+    nu = (g.n - match.count(-1)) // 2
     k = len(ge.a_list)
     if 2 * nu != g.n - (ge.counts[0] - k):
         return False

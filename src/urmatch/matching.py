@@ -12,9 +12,12 @@ dead-even and its odd ones dead-odd.  The trees left at the end form the
 Edmonds forest of the final matching, so its labels are the Gallai-Edmonds
 labelling (dead-even is D, dead-odd A, unlabelled C) and its path pointers
 lead from every D vertex to the free vertex of its tree; an isolated free
-vertex is labelled without a search.  Uniqueness of a given perfect matching
-is a Kotzig peel (``_peel``): a pendant queue plus, when it stalls, one
-low-link search for matched bridges, with no matcher of its own; when it
+vertex is labelled without a search.  The seed's matches before its first
+greedy step, its forced pairs, are kept too: no search undoes them.  A
+search's walks are bounded by the vertex count, so mates that are no
+involution raise.  Uniqueness of a given perfect matching is a Kotzig peel
+(``_peel``): a pendant queue plus, when it stalls, one low-link search for
+matched bridges, with no matcher of its own; when it
 stalls short of empty, ``_alternating_cycle`` finds an alternating cycle in
 what is left, one search per edge tried.  All searches iterate vertices and
 neighbors in ascending id order, so the "canonical" maximum matching
@@ -82,12 +85,21 @@ def _match_array(g: Graph, m: Matching) -> list[int]:
     return arr
 
 
-def _matching_from_array(g: Graph, arr: list[int]) -> Matching:
-    return Matching.from_edges(g, ((v, arr[v]) for v in range(g.n) if arr[v] > v))
+def _matching_from_array(g: Graph, arr) -> Matching:
+    """The matching whose mate array is ``arr`` (-1 for a free vertex).
+    Raises ValueError unless ``arr`` is an involution whose pairs are edges
+    of g: each pair v < w must map back, and the pairs must cover every
+    vertex that names a mate."""
+    mate = {v: w for v, w in enumerate(arr) if w != -1}
+    edges = [(v, w) for v, w in mate.items() if v < w]
+    if 2 * len(edges) != len(mate) or not all(arr[w] == v and w in g.adj[v] for v, w in edges):
+        raise ValueError("the mate array is not a matching of the graph")
+    return Matching(frozenset(edges), frozenset(mate), mate)
 
 
-def _greedy_seed(adj: tuple[tuple[int, ...], ...]) -> list[int]:
-    """A maximal matching by the degree-1 rule of Karp & Sipser (1981).
+def _greedy_seed(adj: tuple[tuple[int, ...], ...]) -> tuple[list[int], list[int]]:
+    """A maximal matching by the degree-1 rule of Karp & Sipser (1981), and
+    its forced pairs.
 
     A free vertex with one free neighbor is matched to it, which some
     maximum matching does too; matching two vertices lowers the free degree
@@ -95,9 +107,13 @@ def _greedy_seed(adj: tuple[tuple[int, ...], ...]) -> list[int]:
     none is left, the lowest free vertex with a free neighbor is matched to
     its lowest free neighbor and the rule resumes.  On a forest the rule
     alone matches maximally, so the greedy step never runs there.
+
+    Returns ``(match, forced)``, ``forced`` being ``match`` as it stood at
+    the first greedy step (at the end if none runs): the forced pairs.
     """
     n = len(adj)
     match = [-1] * n
+    forced = None
     deg = [len(nbrs) for nbrs in adj]  # free neighbors of each free vertex
     pendant = [v for v in range(n - 1, -1, -1) if deg[v] == 1]
     v = 0
@@ -118,8 +134,10 @@ def _greedy_seed(adj: tuple[tuple[int, ...], ...]) -> list[int]:
                         pendant.append(y)
         while v < n and (match[v] != -1 or not deg[v]):
             v += 1
+        if forced is None:
+            forced = match[:]
         if v == n:
-            return match
+            return match, forced
         for w in adj[v]:
             if match[w] == -1:
                 break
@@ -215,7 +233,9 @@ def _search(adj, match, roots, state=None, dead=()):
                     # base x, so an early merge would end it inside a blossom
                     bases, odd = [], []
                     for a, child in ((v, w), (w, v)):
-                        while find(a) != x:
+                        for _ in adj:  # a longer walk repeats a base
+                            if find(a) == x:
+                                break
                             m = match[a]
                             bases.append(find(a))
                             if label[m] == _ODD:
@@ -223,6 +243,8 @@ def _search(adj, match, roots, state=None, dead=()):
                             parent[a] = child
                             child = m
                             a = parent[m]
+                        else:
+                            raise InternalCheckError(f"the blossom walk from {v} misses its base: no involution")
                     for b in bases:
                         blossom[b] = x
                     for m in odd:
@@ -233,12 +255,16 @@ def _search(adj, match, roots, state=None, dead=()):
             # w is free outside the forest, or in another tree: augment
             for a in (v, w):
                 m = match[a]
-                while m != -1:
+                for _ in adj:  # a longer walk repeats a vertex
+                    if m == -1:
+                        break
                     p = parent[m]
                     nxt = match[p]
                     match[m] = p
                     match[p] = m
                     m = nxt
+                else:
+                    raise InternalCheckError(f"the augmenting walk from {a} misses its root: no involution")
             match[v] = w
             match[w] = v
             if state is not None:
@@ -256,8 +282,9 @@ def _search(adj, match, roots, state=None, dead=()):
 
 
 def _matcher(g: Graph):
-    """``(match, label, parent)``: the Karp-Sipser seed, then one search
-    from each vertex it left free, lowest first, all sharing one state.
+    """``(match, label, parent, forced)``: the Karp-Sipser seed, then one
+    search from each vertex it left free, lowest first, all sharing one
+    state; ``forced`` is the seed's forced pairs (``_greedy_seed``).
 
     The failed searches' Hungarian trees make up the Edmonds forest of the
     maximum matching ``match`` grown from all its free vertices, so by the
@@ -268,7 +295,7 @@ def _matcher(g: Graph):
     it up to its base.
     """
     adj = g.adj
-    match = _greedy_seed(adj)
+    match, forced = _greedy_seed(adj)
     label, parent = [_UNLABELLED] * g.n, [-1] * g.n
     state = (label, parent, list(range(g.n)))
     for v in range(g.n):
@@ -277,7 +304,7 @@ def _matcher(g: Graph):
                 _search(adj, match, [v], state)
             else:  # the search would label it alone
                 label[v] = _DEAD_EVEN
-    return match, label, parent
+    return match, label, parent, forced
 
 
 def _max_match_array(g: Graph) -> list[int]:
@@ -326,17 +353,18 @@ def missable_vertices(g: Graph) -> frozenset[int]:
     return frozenset([v for v, x in enumerate(_matcher(g)[1]) if x == _DEAD_EVEN])
 
 
-def _matched_bridges(adj, match, alive):
+def _matched_bridges(adj, match, alive, roots):
     """The matched edges that are bridges of the subgraph of ``adj`` induced
     by the vertices marked in ``alive``, each as its child end v in one
-    low-link depth-first search (Tarjan 1972): tree edge pv is a bridge iff
-    no back edge from v's subtree reaches p or above."""
+    low-link depth-first search (Tarjan 1972) from the marked ``roots``:
+    tree edge pv is a bridge iff no back edge from v's subtree reaches p or
+    above."""
     n = len(adj)
     disc = [0] * n  # discovery times from 1; 0 means unvisited
     low = [0] * n
     clock = 0
     out = []
-    for root in range(n):
+    for root in roots:
         if not alive[root] or disc[root]:
             continue
         clock += 1
@@ -365,10 +393,13 @@ def _matched_bridges(adj, match, alive):
     return out
 
 
-def _peel(adj, match, alive):
+def _peel(adj, match, alive, live=None):
     """The vertices, ascending, that the Kotzig peel of the subgraph of
     ``adj`` induced by the vertices marked in ``alive`` leaves when it
     stalls; ``match`` must be perfect on them.  ``alive`` is left untouched.
+    ``live``, when given, lists the marked vertices ascending, and the peel
+    visits no other; without it, the set-up counts every row and takes the
+    dead rows off, which costs less when few vertices are dead.
 
     Every perfect matching holds the edge at a degree-1 vertex, and every
     matched bridge (its two sides are odd).  Deleting the ends of such an
@@ -380,12 +411,18 @@ def _peel(adj, match, alive):
     matching is unique iff none of its vertices is left.
     """
     alive = list(alive)
-    deg = [len(nbrs) for nbrs in adj]
-    for v, nbrs in enumerate(adj):
-        if not alive[v]:
-            for w in nbrs:
-                deg[w] -= 1
-    pendant = [v for v, d in enumerate(deg) if d == 1 and alive[v]]
+    if live is None:
+        deg = [len(nbrs) for nbrs in adj]
+        for v, nbrs in enumerate(adj):
+            if not alive[v]:
+                for w in nbrs:
+                    deg[w] -= 1
+        live = range(len(adj))
+    else:
+        deg = [0] * len(adj)
+        for v in live:
+            deg[v] = sum(map(alive.__getitem__, adj[v]))
+    pendant = [v for v in live if deg[v] == 1 and alive[v]]
     left = sum(alive)
 
     def delete(x):
@@ -408,9 +445,9 @@ def _peel(adj, match, alive):
                 left -= 2
         if not left:
             return []
-        bridges = _matched_bridges(adj, match, alive)
+        bridges = _matched_bridges(adj, match, alive, live)
         if not bridges:
-            return [v for v, live in enumerate(alive) if live]
+            return [v for v in live if alive[v]]
         for x in bridges:
             delete(x)
         left -= 2 * len(bridges)
@@ -507,7 +544,7 @@ def is_factor_critical(g: Graph) -> bool:
         return True
     if g.n % 2 == 0:
         return False
-    match, label, _ = _matcher(g)
+    match, label, _, _ = _matcher(g)
     if match.count(-1) != 1:
         return False
     return all(x == _DEAD_EVEN for x in label)

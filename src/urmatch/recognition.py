@@ -3,12 +3,14 @@
 ``some_ur``: does some maximum matching of g admit no second matching on the
 same vertex set?  ``every_ur``: do all of them?  Both reduce to structural
 conditions on the Gallai-Edmonds decomposition and read its arrays
-(``comp``, ``match`` and ``parent``), the views read off them and its memo;
-no decider matches gb, and only ``some_ur`` reads gb and member lists.  A
-run that stops at a C or D component test builds no other view.
-Yes-instances of ``some_ur`` come with a witness matching that callers can
-re-verify.  The bipartite ``every_ur`` route runs on arrays and masks over
-g's adjacency.  Only the public entry points validate what they are given.
+(``comp``, ``match``, ``parent`` and ``forced``), the views read off them
+and its memo; no decider matches gb, and only ``some_ur`` reads gb and
+member lists.  A run that stops at a C or D component test builds no other
+view.  The C test peels only what the seed's forced pairs leave of C.
+Yes-instances of ``some_ur`` come with a witness matching, built as one
+mate array, that callers can re-verify.  The bipartite ``every_ur`` route
+runs on arrays and masks over g's adjacency.  Only the public entry points
+validate what they are given.
 
 Failure tags form a closed set of stable strings.  Each decider's
 conditions yield the tags of those that fail, in order; a report names the
@@ -23,12 +25,13 @@ from itertools import islice
 
 from .accessibility import _e_good_ordering
 from .decomposition import GallaiEdmonds, gallai_edmonds
-from .graph_core import Graph, _is_forest, _odd_cycle_blocks, _side_a, edge_key, validate_bipartition
+from .graph_core import Graph, _is_forest, _odd_cycle_blocks, _side_a, validate_bipartition
 from .matching import (
     InternalCheckError,
     Matching,
     _EVEN,
     _alternating_cycle,
+    _matching_from_array,
     _max_match_array,
     _peel,
     _search,
@@ -96,15 +99,15 @@ def _report(prop: str, tags: Iterator[str], all_failures: bool) -> RecognitionRe
 def _decomposed(g: Graph, ge: GallaiEdmonds | None) -> GallaiEdmonds:
     """``ge``, or g's decomposition when it is None.  A decomposition built
     on another graph's adjacency is refused, and so is one without
-    ``match``, ``comp`` or ``parent``, from which the uniqueness tests
-    start."""
+    ``match``, ``comp``, ``parent`` or ``forced``, from which the
+    uniqueness tests start."""
     if ge is None:
         return gallai_edmonds(g)
     if ge.adj is not g.adj and ge.adj != g.adj:
         raise ValueError("the decomposition belongs to another graph; build it with gallai_edmonds(g)")
-    if ge.match is None or ge.comp is None or ge.parent is None:
-        raise ValueError("the decomposition carries no matching, component array or path "
-                         "pointers; build it with gallai_edmonds(g)")
+    if ge.match is None or ge.comp is None or ge.parent is None or ge.forced is None:
+        raise ValueError("the decomposition carries no matching, component array, path pointers "
+                         "or forced pairs; build it with gallai_edmonds(g)")
     return ge
 
 
@@ -114,14 +117,37 @@ def _c_left(g: Graph, ge: GallaiEdmonds) -> frozenset[int]:
     C, so one Kotzig peel of g[C] on g's adjacency answers every component:
     the peel acts on each component on its own, so component ci has a
     unique perfect matching, ``ge.match`` on it, iff none of its vertices is
-    left when the peel stalls."""
+    left when the peel stalls.  The peel skips the seed's forced pairs
+    (``ge.forced``), and does not run when they cover C.
+
+    Lemma: every perfect matching of g[C] holds each forced pair inside C.
+    Let x_i w_i be the forced pairs in the seed's order.  When x_i was
+    matched, w_i was its one free neighbor, so its other neighbors lay in
+    earlier pairs.  An augmenting path through x_i w_i would leave x_i for
+    an earlier pair and run along it, so by induction on i none meets a
+    forced pair: they stay in ``ge.match``, which keeps C inside C.  In a
+    perfect matching M of g[C], a mate y != w_i of x_i would lie in an
+    earlier pair y z inside C, which M holds by induction, and z != x_i; so
+    M matches x_i to w_i.  Deleting the forced pairs therefore keeps each
+    component's count of perfect matchings, as the peel's deletions do.
+    """
     if ge.counts[1] and "c" not in ge.upms:
-        match, comp = ge.match, ge.comp
-        alive = [c <= -4 for c in comp]
-        for v, live in enumerate(alive):
-            if live and (match[v] == -1 or comp[match[v]] != comp[v]):
-                raise InternalCheckError(f"the matching is not perfect on C at vertex {v}")
-        ge.upms["c"] = frozenset([-4 - comp[v] for v in _peel(g.adj, match, alive)])
+        match, comp, forced = ge.match, ge.comp, ge.forced
+        alive = [False] * len(comp)
+        live = []
+        for v, c in enumerate(comp):
+            if c <= -4:
+                m = match[v]
+                if m == -1 or comp[m] != c:
+                    raise InternalCheckError(f"the matching is not perfect on C at vertex {v}")
+                f = forced[v]
+                if f == -1:
+                    alive[v] = True
+                    live.append(v)
+                elif f != m or forced[m] != v:
+                    raise InternalCheckError(f"the forced pair {v}-{f} in C is not in the matching")
+        left = _peel(g.adj, match, alive, live) if live else ()
+        ge.upms["c"] = frozenset([-4 - comp[v] for v in left])
     return ge.upms.get("c", frozenset())
 
 
@@ -292,25 +318,27 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     attaches to; condition 3 scans only the components left unmatched, or
     all of them when the ordering failed.
 
-    Yes-answers carry a witness: ``ge.match`` on C, one graph edge per
-    matched contracted edge, and a near-perfect matching inside every
-    deficient component.
+    Yes-answers carry a witness, built as one mate array: ``ge.match``
+    with A cleared, each deficient component's flip to its good vertex
+    applied (``_flip``), and each A-vertex paired with the vertex its
+    ordering edge attaches to.
     """
     ge = _decomposed(g, ge)
     chosen: dict[int, tuple[int, int]] = {}
     report = _report("some_ur", _some_failures(g, ge, chosen), all_failures)
     if not report.answer:
         return report
-    mate = ge.match
-    witness_edges = [(v, mate[v]) for v, c in enumerate(ge.comp) if c <= -4 and mate[v] > v]
+    mate = list(ge.match)
+    for a in ge.a_list:
+        mate[a] = -1
     for ci, (a, h) in chosen.items():
-        if a != -1:
-            witness_edges.append(edge_key(a, h))
         if not _unique_minus(g, ge, ci, h):
             raise InternalCheckError(f"D component {ci} minus {h} has no unique perfect matching")
-        flip = _flip(ge, ci, h)
-        witness_edges += [(v, w) for v in ge.d_members[ci] if (w := flip.get(v, mate[v])) > v]
-    return RecognitionReport("some_ur", True, Matching.from_edges(g, witness_edges), None, ())
+        for v, w in _flip(ge, ci, h).items():
+            mate[v] = w
+        if a != -1:
+            mate[a], mate[h] = h, a
+    return RecognitionReport("some_ur", True, _matching_from_array(g, mate), None, ())
 
 
 def _every_bipartite(adj, in_a, mate) -> Iterator[str]:

@@ -144,15 +144,15 @@ def contract_by_sets(g: Graph, d_set: frozenset[int]) -> dict:
 
 
 def matcher_searching_all(g: Graph):
-    """``(match, label, parent)`` of the matcher with one search from every
-    vertex the seed left free, isolated ones too."""
-    match = _greedy_seed(g.adj)
+    """``(match, label, parent, forced)`` of the matcher with one search
+    from every vertex the seed left free, isolated ones too."""
+    match, forced = _greedy_seed(g.adj)
     label, parent = [_UNLABELLED] * g.n, [-1] * g.n
     state = (label, parent, list(range(g.n)))
     for v in range(g.n):
         if match[v] == -1:
             _search(g.adj, match, [v], state)
-    return match, label, parent
+    return match, label, parent, forced
 
 
 def classes_by_a_pass(g: Graph, d_set) -> list[int]:

@@ -22,7 +22,7 @@ from urmatch.families import (
     star_graph,
 )
 from urmatch.graph_core import Graph, induced_subgraph
-from urmatch.recognition import every_ur_general, some_ur
+from urmatch.recognition import _c_left, every_ur_general, some_ur
 from urmatch.matching import InternalCheckError, is_factor_critical, maximum_matching, missable_vertices
 from urmatch.oracle import enumerate_labeled_graphs
 
@@ -123,7 +123,8 @@ def _corrupt_claims():
     decomposition that a wrong D induces; a component array that disagrees
     with the one D induces, or an adjacency that is not g's (the true one
     has A = {0} and three single D components).  On C4: two halves of its
-    one C component."""
+    one C component, and its two matched pairs marked forced, which the
+    seed never forced, as the seed's first step on C4 is a greedy one."""
     g, c4 = star_graph(3), cycle_graph(4)
     ge = gallai_edmonds(g)
     return [(g, wrong) for wrong in (
@@ -134,7 +135,7 @@ def _corrupt_claims():
         GallaiEdmonds((-1, 0, 1), g.adj),
         GallaiEdmonds(ge.comp, star_graph(4).adj[:4]),
         replace(ge, comp=None),
-    )] + [(c4, GallaiEdmonds((-4, -4, -5, -5), c4.adj))]
+    )] + [(c4, GallaiEdmonds((-4, -4, -5, -5), c4.adj)), (c4, replace(gallai_edmonds(c4), forced=(1, 0, 3, 2)))]
 
 
 def test_verifier_catches_corruption():
@@ -152,6 +153,20 @@ def test_verifier_catches_corruption():
     # C4 is all C: one component, not two halves
     c4 = cycle_graph(4)
     assert gallai_edmonds(c4).c_members == [[0, 1, 2, 3]]
+
+
+def test_verifier_rejects_pairs_the_seed_did_not_force():
+    # C4 has two perfect matchings, but a claim that both pairs of the one
+    # it was decomposed with are forced would let the C test skip them all
+    c4 = cycle_graph(4)
+    ge = gallai_edmonds(c4)
+    assert ge.match == (1, 0, 3, 2) and ge.forced == (-1,) * 4
+    assert verify_gallai_edmonds(c4, ge)
+    wrong = replace(ge, forced=ge.match)
+    assert not verify_gallai_edmonds(c4, wrong)
+    assert _c_left(c4, ge) == {0} and _c_left(c4, wrong) == frozenset()
+    # a claim without forced pairs is checked as before
+    assert verify_gallai_edmonds(c4, replace(ge, forced=None))
 
 
 def test_verifier_checks_gb_on_the_matchers_arrays(monkeypatch):
@@ -258,13 +273,13 @@ def test_decomposition_scale_guard():
     (star_graph(3), frozenset({1, 2, 3}), [-1, -1, -1, -1]),
 ])
 def test_non_maximum_matching_fails_the_tutte_berge_count(monkeypatch, g, d_set, match):
-    monkeypatch.setattr(decomposition, "_matcher", lambda g: (match, _labels(g, d_set), [-1] * g.n))
+    monkeypatch.setattr(decomposition, "_matcher", lambda g: (match, _labels(g, d_set), [-1] * g.n, [-1] * g.n))
     with pytest.raises(InternalCheckError, match="Tutte-Berge"):
         gallai_edmonds(g)
     # the count holds with a maximum matching of g in its place
     top = maximum_matching(g).mate
     best = [top.get(v, -1) for v in range(g.n)]
-    monkeypatch.setattr(decomposition, "_matcher", lambda g: (best, _labels(g, d_set), [-1] * g.n))
+    monkeypatch.setattr(decomposition, "_matcher", lambda g: (best, _labels(g, d_set), [-1] * g.n, [-1] * g.n))
     assert class_sets(gallai_edmonds(g))[0] == d_set
 
 

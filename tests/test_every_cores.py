@@ -213,7 +213,10 @@ def _check_kernels(g, keep, rng):
     matched."""
     assert _odd_cycle_blocks(g.adj, keep) == odd_cycle_blocks_by_blocks(g.adj, keep)
     for match in (_max_match_array(g), [rng.choice(row) if row else -1 for row in g.adj]):
-        assert _matched_bridges(g.adj, match, keep) == matched_bridges_by_blocks(g.adj, match, keep)
+        want = matched_bridges_by_blocks(g.adj, match, keep)
+        assert _matched_bridges(g.adj, match, keep, range(g.n)) == want
+        # from the marked vertices alone, as the C peel roots its searches
+        assert set(_matched_bridges(g.adj, match, keep, [v for v in range(g.n) if keep[v]])) == set(want)
 
 
 def test_one_pass_kernels_equal_block_lists_exhaustive():

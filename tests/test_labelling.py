@@ -97,7 +97,7 @@ _LIVE = {_DEAD_EVEN: _EVEN, _DEAD_ODD: _ODD, _UNLABELLED: _UNLABELLED}
 def _check_matcher_labels(g):
     # the failed searches' trees label every vertex as one more search from
     # all free vertices of the final matching does
-    match, label, _ = _matcher(g)
+    match, label, _, _ = _matcher(g)
     assert [_LIVE[x] for x in label] == edmonds_labels(g.adj, match)
 
 
@@ -232,11 +232,11 @@ def _check_label_route(g):
     # the classes read off the labels, and the matcher that labels isolated
     # vertices without a search, against the A pass and the searches from
     # every free vertex
-    match, label, parent = matcher_searching_all(g)
-    assert _matcher(g) == (match, label, parent)
+    match, label, parent, forced = matcher_searching_all(g)
+    assert _matcher(g) == (match, label, parent, forced)
     ge = gallai_edmonds(g)
     assert ge.comp == tuple(classes_by_a_pass(g, {v for v, x in enumerate(label) if x == _DEAD_EVEN}))
-    assert (ge.match, ge.parent) == (tuple(match), tuple(parent))
+    assert (ge.match, ge.parent, ge.forced) == (tuple(match), tuple(parent), tuple(forced))
 
 
 @settings(deadline=None, max_examples=200)
@@ -259,7 +259,7 @@ def test_isolated_vertices_take_no_search(monkeypatch):
     roots = []
     real = matching._search
     monkeypatch.setattr(matching, "_search", lambda adj, match, r, *rest: roots.extend(r) or real(adj, match, r, *rest))
-    match, label, _ = _matcher(g)
+    match, label, _, _ = _matcher(g)
     assert roots == [3]
     assert label[0] == label[4] == _DEAD_EVEN and match[0] == match[4] == -1
     assert class_sets(gallai_edmonds(g)) == (frozenset({0, 1, 2, 3, 4}), frozenset(), frozenset({5, 6}))

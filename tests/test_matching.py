@@ -29,8 +29,10 @@ from urmatch.matching import (
     Matching,
     _alternating_cycle,
     _greedy_seed,
+    _matching_from_array,
     _max_match_array,
     _peel,
+    _search,
     edge_in_some_maximum_matching,
     is_factor_critical,
     max_independent_set_bipartite,
@@ -59,6 +61,31 @@ def test_matching_validation():
     assert m.edges == frozenset({(0, 1)})
     assert m.mate[0] == 1 and m.mate[1] == 0
     assert len(m) == 1
+
+
+def test_matching_from_a_mate_array():
+    g = path_graph(4)
+    assert _matching_from_array(g, [1, 0, -1, -1]) == Matching.from_edges(g, [(0, 1)])
+    m = _matching_from_array(g, [1, 0, 3, 2])
+    assert m == Matching.from_edges(g, [(0, 1), (2, 3)]) and m.mate == {0: 1, 1: 0, 2: 3, 3: 2}
+    for arr in ([1, 2, 1, -1],  # 0 names 1, whose mate is 2
+                [-1, 0, -1, -1],  # 1 names 0, which is free
+                [0, -1, -1, -1],  # 0 is its own mate
+                [2, -1, 0, -1]):  # 0-2 is no edge
+        with pytest.raises(ValueError):
+            _matching_from_array(g, arr)
+
+
+@pytest.mark.parametrize("edges, match, root", [
+    # the blossom walk from the even-even edge 2-1 never reaches its base
+    ([(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], [1, 2, -1, 2], 2),
+    # the augmenting walk from 3 cycles through 2 and 3
+    ([(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 5), (4, 5)], [-1, -1, 3, 2, 5, 2], 0),
+])
+def test_search_raises_on_mates_that_are_no_involution(edges, match, root):
+    g = Graph.from_edges(max(map(max, edges)) + 1, edges)
+    with pytest.raises(InternalCheckError, match="no involution"):
+        _search(g.adj, match, [root])
 
 
 def test_maximum_matching_families():
@@ -245,8 +272,8 @@ def _count_bridge_rounds(monkeypatch):
     rounds = []
     real = matching._matched_bridges
 
-    def counting(adj, match, alive):
-        out = real(adj, match, alive)
+    def counting(adj, match, alive, roots):
+        out = real(adj, match, alive, roots)
         rounds.append(len(out))
         return out
 
@@ -325,6 +352,9 @@ def test_peel_remainder_is_per_component():
     # without the C6 everything peels; with only it, all of it is left
     assert _peel(g.adj, match, [v >= 6 for v in range(16)]) == []
     assert _peel(g.adj, match, [v < 6 for v in range(16)]) == list(range(6))
+    # the same from the list of the marked vertices alone
+    for keep in ([True] * 16, [v >= 6 for v in range(16)], [v < 6 for v in range(16)], [v >= 10 for v in range(16)]):
+        assert _peel(g.adj, match, keep, [v for v in range(16) if keep[v]]) == _peel(g.adj, match, keep)
 
 
 def test_alternating_cycle_of_a_stalled_peel():
@@ -439,8 +469,9 @@ def test_karp_sipser_seed_is_maximum_on_forests():
         tree = Graph.from_edges(n, random_tree_edges(n, rng))
         forests += [tree, corona(tree)]
     for g in forests:
-        seed = _greedy_seed(g.adj)
+        seed, forced = _greedy_seed(g.adj)
         _check_mates(g, seed)
+        assert forced == seed  # no greedy step: every pair is forced
         assert sum(1 for w in seed if w != -1) // 2 == _nx_nu(g.n, g.edges)
 
 

@@ -62,6 +62,6 @@ def test_every_public_name_resolves():
 def test_decomposition_fields_and_views_are_pinned():
     # the component array and what the deciders need beside it, and the
     # views the deciders read, each built on first read
-    assert [f.name for f in fields(GallaiEdmonds)] == ["comp", "adj", "match", "parent", "upms"]
+    assert [f.name for f in fields(GallaiEdmonds)] == ["comp", "adj", "match", "parent", "forced", "upms"]
     views = {name for name, attr in vars(GallaiEdmonds).items() if isinstance(attr, cached_property)}
     assert views == {"a_list", "counts", "d_members", "c_members", "attachments", "gb"}

@@ -148,9 +148,9 @@ def _counting_peels(monkeypatch):
     """The number of vertices each peel of the deciders starts from."""
     calls = []
 
-    def counting(adj, match, alive):
+    def counting(adj, match, alive, *live):
         calls.append(sum(alive))
-        return _peel(adj, match, alive)
+        return _peel(adj, match, alive, *live)
 
     monkeypatch.setattr(recognition, "_peel", counting)
     return calls
@@ -230,13 +230,16 @@ def test_allowed_edges_drops_multi_neighbor_attachments():
 
 def test_deciders_share_the_c_component_tests(monkeypatch):
     # the 5-cycle 0-1-2-3-4 with the chord 0-2 (D), and the C components
-    # {5, 6} and {7, 8, 9, 10}
-    g = Graph.from_edges(11, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (5, 6), (7, 8), (8, 9), (9, 10)])
+    # {5, 6}, a forced pair, and the triangles 7-8-9 and 10-11-12 joined
+    # by the edge 9-10, where the seed forces nothing
+    g = Graph.from_edges(13, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (5, 6),
+                              (7, 8), (8, 9), (7, 9), (9, 10), (10, 11), (11, 12), (10, 12)])
     ge = gallai_edmonds(g)
     assert bipartition(g) is None and len(ge.c_members) == 2
     calls = _counting_peels(monkeypatch)
     assert some_ur(g, ge=ge).answer
-    # one peel of all six C vertices, and one of the D component minus h
+    # one peel of the six C vertices outside the forced pair, and one of
+    # the D component minus h
     assert sorted(calls) == [4, 6]
     calls.clear()
     # every reads the C answer from the memo; the chord fails its block test
@@ -431,7 +434,7 @@ def test_some_ur_scale_guard():
 
 def test_decomposition_without_matching_is_refused():
     g = two_c5_apex()
-    for name in ("match", "comp", "parent"):
+    for name in ("match", "comp", "parent", "forced"):
         bare = replace(gallai_edmonds(g), **{name: None})
         for decide in (some_ur, every_ur_general):
             with pytest.raises(ValueError, match="no matching"):
@@ -639,15 +642,17 @@ def test_odd_cycle_rule_equals_the_peel_on_cycles_and_triangle_trees():
 
 
 def test_odd_cycle_components_take_no_peel(monkeypatch):
-    # on a triangle tree and on C_20001 some_ur peels C once, if C is not
-    # empty, and no D component: each is an odd cycle
+    # on a triangle tree and on C_20001 some_ur peels C once, if the
+    # forced pairs leave some of it, and no D component: each is an odd
+    # cycle
     calls = _counting_peels(monkeypatch)
     for g in (linear_triangle_tree(2000, 0.25, random.Random(7)), cycle_graph(20001)):
         ge = gallai_edmonds(g)
         r = some_ur(g, ge=ge)
         assert r.answer and is_uniquely_restricted(g, r.witness)
         assert max(map(len, ge.d_members)) >= 3
-        assert calls == ([len(class_sets(ge)[2])] if ge.counts[1] else [])
+        unforced = [v for v in class_sets(ge)[2] if ge.forced[v] == -1]
+        assert calls == ([len(unforced)] if unforced else [])
         assert not any(key[0] == "d" for key in ge.upms if key != "c")
         calls.clear()
 
