@@ -37,7 +37,6 @@ from .recognition import (
     allowed_edges,
     every_ur,
     every_ur_bipartite,
-    every_ur_general,
     some_ur,
 )
 from .ur_core import (
@@ -71,7 +70,6 @@ __all__ = [
     "enumerate_matchings",
     "every_ur",
     "every_ur_bipartite",
-    "every_ur_general",
     "find_e_good_ordering",
     "gallai_edmonds",
     "induced_subgraph",

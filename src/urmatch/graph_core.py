@@ -3,11 +3,10 @@
 Vertices are dense integer ids ``0..n-1``.  Every operation iterates vertices
 and neighbors in ascending id order, so outputs are deterministic for a fixed
 input.  Induced subgraphs are new values that carry a map back to the
-original vertex ids.  The forest, two-coloring and odd-cycle block tests
-run on an adjacency and a vertex mask (``_is_forest``, ``_side_a``,
-``_odd_cycle_blocks``, the last one depth-first search with no block
-lists), so callers can test part of a graph without building it; the
-public functions are their whole-graph wrappers.
+original vertex ids.  The block searches run on an adjacency and a vertex
+mask (``_blocks``, and ``_odd_cycle_blocks``, one depth-first search with
+no block lists), so that the every-decider can test g[D] without building
+it; the public functions are their whole-graph wrappers.
 """
 
 from __future__ import annotations
@@ -147,52 +146,26 @@ def connected_components(g: Graph, vertices: Iterable[int] | None = None) -> lis
     return out
 
 
-def _is_forest(adj, keep) -> bool:
-    """Whether the subgraph of ``adj`` induced by the vertices marked in
-    ``keep`` has no cycle: one search per component, which is a tree iff it
-    has one edge fewer than vertices."""
-    todo = list(keep)
-    for start in range(len(adj)):
+def is_forest(g: Graph) -> bool:
+    """True iff the graph contains no cycle: one search per component,
+    which is a tree iff it has one edge fewer than vertices."""
+    adj = g.adj
+    todo = [True] * g.n
+    for start in range(g.n):
         if not todo[start]:
             continue
         todo[start] = False
         comp = [start]
         ends = 0
         for v in comp:  # the loop also visits vertices appended while it runs
+            ends += len(adj[v])
             for w in adj[v]:
-                if keep[w]:
-                    ends += 1
-                    if todo[w]:
-                        todo[w] = False
-                        comp.append(w)
+                if todo[w]:
+                    todo[w] = False
+                    comp.append(w)
         if ends != 2 * len(comp) - 2:
             return False
     return True
-
-
-def is_forest(g: Graph) -> bool:
-    """True iff the graph contains no cycle."""
-    return _is_forest(g.adj, [True] * g.n)
-
-
-def _side_a(adj) -> list[bool] | None:
-    """The side-A mask of the 2-coloring of ``bipartition``, or None if the
-    graph has an odd cycle."""
-    color: list[bool | None] = [None] * len(adj)
-    for start in range(len(adj)):
-        if color[start] is not None:
-            continue
-        color[start] = True
-        queue = [start]
-        for v in queue:  # the loop also visits vertices appended while it runs
-            c = not color[v]
-            for w in adj[v]:
-                if color[w] is None:
-                    color[w] = c
-                    queue.append(w)
-                elif color[w] != c:
-                    return None
-    return color
 
 
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -201,9 +174,21 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
     In each connected component the lowest-id vertex goes to side A; isolated
     vertices therefore all end up in A.
     """
-    in_a = _side_a(g.adj)
-    if in_a is None:
-        return None
+    adj = g.adj
+    in_a: list[bool | None] = [None] * g.n
+    for start in range(g.n):
+        if in_a[start] is not None:
+            continue
+        in_a[start] = True
+        queue = [start]
+        for v in queue:  # the loop also visits vertices appended while it runs
+            c = not in_a[v]
+            for w in adj[v]:
+                if in_a[w] is None:
+                    in_a[w] = c
+                    queue.append(w)
+                elif in_a[w] != c:
+                    return None
     return (frozenset(v for v in range(g.n) if in_a[v]),
             frozenset(v for v in range(g.n) if not in_a[v]))
 

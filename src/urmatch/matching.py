@@ -526,14 +526,22 @@ def _shortcut(adj, cycle):
 def unique_perfect_matching(g: Graph) -> Matching | None:
     """The unique perfect matching of g, or None if g has zero or several.
 
-    One maximum matching, then the Kotzig peel ``_peel``, which must leave
-    nothing of it.
+    One maximum matching, then the Kotzig peel ``_peel`` of the vertices
+    that the seed's forced pairs leave, which must leave nothing of them.
+    Every perfect matching of g holds each forced pair (the lemma of
+    ``recognition._c_left``, with C all of g), so deleting them keeps the
+    count of perfect matchings; on a forest they cover g and no peel runs.
     The empty graph has the empty one.
     """
     if g.n % 2:
         return None
-    match = _max_match_array(g)
-    if -1 in match or _peel(g.adj, match, [True] * g.n):
+    match, _, _, forced = _matcher(g)
+    if -1 in match:
+        return None
+    if any(f != -1 and f != m for f, m in zip(forced, match)):
+        raise InternalCheckError("a forced pair is not in the matching")
+    live = [v for v, f in enumerate(forced) if f == -1]
+    if live and _peel(g.adj, match, [f == -1 for f in forced], live):
         return None
     return _matching_from_array(g, match)
 

@@ -8,9 +8,9 @@ and its memo; no decider matches gb, and only ``some_ur`` reads gb and
 member lists.  A run that stops at a C or D component test builds no other
 view.  The C test peels only what the seed's forced pairs leave of C.
 Yes-instances of ``some_ur`` come with a witness matching, built as one
-mate array, that callers can re-verify.  The bipartite ``every_ur`` route
-runs on arrays and masks over g's adjacency.  Only the public entry points
-validate what they are given.
+mate array, that callers can re-verify.  ``every_ur`` takes the one route
+through the decomposition on every graph, bipartite ones included.  Only
+the public entry points validate what they are given.
 
 Failure tags form a closed set of stable strings.  Each decider's
 conditions yield the tags of those that fail, in order; a report names the
@@ -25,19 +25,17 @@ from itertools import islice
 
 from .accessibility import _e_good_ordering
 from .decomposition import GallaiEdmonds, gallai_edmonds
-from .graph_core import Graph, _is_forest, _odd_cycle_blocks, _side_a, validate_bipartition
+from .graph_core import Graph, _odd_cycle_blocks, validate_bipartition
 from .matching import (
     InternalCheckError,
     Matching,
     _EVEN,
     _alternating_cycle,
     _matching_from_array,
-    _max_match_array,
     _peel,
     _search,
     unique_perfect_matching,  # noqa: F401  read as recognition.unique_perfect_matching by perfbench
 )
-from .ur_core import _arcs, _reach, is_acyclic
 
 C_COMPONENT_PM_NOT_UNIQUE = "c_component_pm_not_unique"
 GB_NO_UR_MATCHING_WITHIN_E = "gb_no_ur_matching_within_E"
@@ -45,9 +43,6 @@ D_COMPONENT_NO_UNIQUE_PM_VERTEX = "d_component_no_unique_pm_vertex"
 D_COMPONENT_BLOCKS_NOT_ODD_CYCLES = "d_component_blocks_not_odd_cycles"
 GB_EVERY_MAX_MATCHING_NOT_UR = "gb_every_max_matching_not_ur"
 GB_EDGE_MULTIPLE_NEIGHBORS = "gb_edge_multiple_neighbors"
-GB_DIGRAPH_CYCLIC = "gb_digraph_cyclic"
-V_PLUS_NOT_FOREST = "v_plus_not_forest"
-V_MINUS_NOT_FOREST = "v_minus_not_forest"
 
 FAILURE_TAGS = frozenset({
     C_COMPONENT_PM_NOT_UNIQUE,
@@ -56,9 +51,6 @@ FAILURE_TAGS = frozenset({
     D_COMPONENT_BLOCKS_NOT_ODD_CYCLES,
     GB_EVERY_MAX_MATCHING_NOT_UR,
     GB_EDGE_MULTIPLE_NEIGHBORS,
-    GB_DIGRAPH_CYCLIC,
-    V_PLUS_NOT_FOREST,
-    V_MINUS_NOT_FOREST,
 })
 
 
@@ -341,50 +333,8 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     return RecognitionReport("some_ur", True, _matching_from_array(g, mate), None, ())
 
 
-def _every_bipartite(adj, in_a, mate) -> Iterator[str]:
-    """The failure tags of the bipartite every-test, side A marked in
-    ``in_a``, in order: every maximum matching is uniquely restricted iff
-    D(M) is acyclic and its closures V+ and V- induce forests, whichever
-    maximum matching M is; M is the one in ``mate`` (-1 for free).  The
-    answer does not depend on M, but which condition fails first can."""
-    if not is_acyclic(_arcs(adj, in_a, mate, True)):
-        yield GB_DIGRAPH_CYCLIC
-    if not _is_forest(adj, _reach(adj, in_a, mate, True)):
-        yield V_PLUS_NOT_FOREST
-    if not _is_forest(adj, _reach(adj, in_a, mate, False)):
-        yield V_MINUS_NOT_FOREST
-
-
-def every_ur_bipartite(g: Graph, sides, *, all_failures: bool = False) -> RecognitionReport:
-    """Bipartite decider: every maximum matching is uniquely restricted iff the
-    orientation of one maximum matching is acyclic and both reachability
-    closures induce forests."""
-    side_a, _ = validate_bipartition(g, sides)
-    in_a = [v in side_a for v in range(g.n)]
-    return _report("every_ur", _every_bipartite(g.adj, in_a, _max_match_array(g)), all_failures)
-
-
-def every_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = False) -> RecognitionReport:
-    """Decide whether every maximum matching of g is uniquely restricted.
-
-    Bipartite inputs take the direct bipartite decider, all others the
-    general route through the decomposition.  A ``ge`` is checked as the
-    general route checks it, whichever route runs, and its maximum matching
-    serves the bipartite route too, so that g is matched once; without one,
-    the bipartite route runs the matcher, which gives the same matching.
-    """
-    if ge is not None:
-        _decomposed(g, ge)
-    in_a = _side_a(g.adj)
-    if in_a is not None:
-        mate = _max_match_array(g) if ge is None else ge.match
-        return _report("every_ur", _every_bipartite(g.adj, in_a, mate), all_failures)
-    return every_ur_general(g, ge=ge, all_failures=all_failures)
-
-
 def _every_failures(g: Graph, ge: GallaiEdmonds) -> Iterator[str]:
-    """The tags of ``every_ur_general``'s four conditions that fail, in
-    order."""
+    """The tags of ``every_ur``'s four conditions that fail, in order."""
     if _c_left(g, ge):
         yield C_COMPONENT_PM_NOT_UNIQUE
     # one block search over g's adjacency, kept inside D
@@ -410,11 +360,9 @@ def _every_failures(g: Graph, ge: GallaiEdmonds) -> Iterator[str]:
         yield GB_EDGE_MULTIPLE_NEIGHBORS
 
 
-def every_ur_general(
-    g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = False
-) -> RecognitionReport:
-    """The every-decider through the Gallai-Edmonds decomposition; valid on
-    any graph, and the route ``every_ur`` takes on non-bipartite ones.
+def every_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = False) -> RecognitionReport:
+    """Decide whether every maximum matching of g is uniquely restricted,
+    through the Gallai-Edmonds decomposition, bipartite g too.
 
     By the Gallai-Edmonds structure theorem gb has positive surplus seen
     from A: every nonempty S of A-vertices has more than |S| component
@@ -432,6 +380,15 @@ def every_ur_general(
     matching of gb, and every gb edge lies in one: gb - a - H still matches
     all of A - a by Hall's condition.  The gb-edge condition is therefore
     that no A-vertex has two neighbors in one D component.  Both gb
-    conditions are read off the attachments; gb is not built.
+    conditions are read off the attachments; gb is not built.  On a
+    bipartite g every D component is a single vertex, so the D-block test
+    passes and the answer rests on C and on gb being a forest.
     """
     return _report("every_ur", _every_failures(g, _decomposed(g, ge)), all_failures)
+
+
+def every_ur_bipartite(g: Graph, sides, *, all_failures: bool = False) -> RecognitionReport:
+    """``every_ur`` on g, once ``sides`` is checked to be a bipartition of
+    it."""
+    validate_bipartition(g, sides)
+    return every_ur(g, all_failures=all_failures)

@@ -12,7 +12,7 @@ import sys
 
 from .decomposition import gallai_edmonds, verify_gallai_edmonds
 from .families import random_graph
-from .graph_core import Graph, _odd_cycle_blocks, bipartition, induced_subgraph
+from .graph_core import Graph, _odd_cycle_blocks, induced_subgraph
 from .matching import maximum_matching, unique_perfect_matching
 from .oracle import (
     DEFAULT_MAX_M,
@@ -27,7 +27,6 @@ from .recognition import (
     _unique_minus,
     allowed_edges,
     every_ur,
-    every_ur_general,
     some_ur,
 )
 from .ur_core import is_uniquely_restricted
@@ -36,7 +35,7 @@ from .ur_core import is_uniquely_restricted
 def _component_all_near_perfect_unique(g: Graph, comp: list[int]) -> bool:
     """Definitional form of the deficient-component condition: deleting any one
     vertex of ``comp`` must leave a unique perfect matching.  The self-test
-    compares it with the block search that ``every_ur_general`` runs on D,
+    compares it with the block search that ``every_ur`` runs on D,
     kept inside the one component."""
     for h in comp:
         sub, _ = induced_subgraph(g, [v for v in comp if v != h])
@@ -57,10 +56,6 @@ def _instance(g: Graph, max_n: int, max_m: int) -> list[str]:
         problems.append("some_ur disagrees with oracle")
     if re.answer != oracle_every_ur(g, max_n=max_n, max_m=max_m):
         problems.append("every_ur disagrees with oracle")
-    if bipartition(g) is not None:
-        # every_ur took the bipartite route; the general one must agree
-        if every_ur_general(g, ge=ge).answer != re.answer:
-            problems.append("bipartite and general every_ur routes disagree")
     for ci, comp in enumerate(ge.d_members):
         by_blocks = _odd_cycle_blocks(g.adj, [c == ci for c in ge.comp])
         if by_blocks != _component_all_near_perfect_unique(g, comp):

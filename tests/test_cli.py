@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from ge_reference import contract_by_sets, edmonds_labels
 from strategies import giant, graphs, sparse_graph_nm, two_c5_apex
-from urmatch import cli, selftest
+from urmatch import cli, recognition, selftest
 from urmatch.cli import GraphParseError, main, parse_graph, render_graph
 from urmatch.decomposition import gallai_edmonds
 from urmatch.families import bowtie_graph, cycle_graph, path_graph, petersen_graph, star_graph
@@ -181,7 +181,7 @@ def test_check_text_output(tmp_path, capsys):
     assert main(["check", path, "--property", "some"]) == 0
     assert capsys.readouterr().out == "false c_component_pm_not_unique\n"
     assert main(["check", path, "--property", "every"]) == 0
-    assert capsys.readouterr().out == "false gb_digraph_cyclic\n"
+    assert capsys.readouterr().out == "false c_component_pm_not_unique\n"
 
 
 def test_check_witness_output(tmp_path, capsys):
@@ -507,6 +507,19 @@ def test_no_unused_import_in_library():
         for name in _unused_imports(ast.parse(path.read_text(), str(path)))
     ]
     assert sorted(set(found) - allowed) == []
+
+
+def test_every_failure_tag_is_yielded():
+    # each constant of FAILURE_TAGS is yielded by some failure generator of
+    # the deciders, so that no tag outlives the condition it names
+    tree = ast.parse(Path(recognition.__file__).read_text())
+    tags = next(node.value.args[0].elts for node in tree.body
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "FAILURE_TAGS")
+    names = {tag.id for tag in tags}
+    assert {getattr(recognition, name) for name in names} == recognition.FAILURE_TAGS
+    yielded = {node.value.id for node in ast.walk(tree)
+               if isinstance(node, ast.Yield) and isinstance(node.value, ast.Name)}
+    assert sorted(names - yielded) == []
 
 
 def test_no_library_helper_only_tests_call():

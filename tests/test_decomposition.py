@@ -22,7 +22,7 @@ from urmatch.families import (
     star_graph,
 )
 from urmatch.graph_core import Graph, induced_subgraph
-from urmatch.recognition import _c_left, every_ur_general, some_ur
+from urmatch.recognition import _c_left, every_ur, some_ur
 from urmatch.matching import InternalCheckError, is_factor_critical, maximum_matching, missable_vertices
 from urmatch.oracle import enumerate_labeled_graphs
 
@@ -316,7 +316,7 @@ def _check_lazy_views(g):
     assert kept.upms == {} and not set(VIEWS) & set(vars(kept))
     assert verify_gallai_edmonds(g, kept)
     # the deciders give the same reports on it
-    for decide in (some_ur, every_ur_general):
+    for decide in (some_ur, every_ur):
         assert decide(g, ge=kept, all_failures=True) == decide(g, all_failures=True)
 
 

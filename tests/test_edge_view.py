@@ -12,7 +12,7 @@ import pytest
 from urmatch import cli
 from urmatch.decomposition import gallai_edmonds
 from urmatch.graph_core import Graph
-from urmatch.recognition import allowed_edges, every_ur, every_ur_general, some_ur
+from urmatch.recognition import allowed_edges, every_ur, some_ur
 
 GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 
@@ -46,7 +46,7 @@ def test_deciders_build_no_edge_view(workload):
     for inst in _sample(workload):
         g = Graph.from_edges(inst.n, inst.edges)
         ge = gallai_edmonds(g)
-        for decide in (some_ur, every_ur, every_ur_general):
+        for decide in (some_ur, every_ur):
             decide(g, ge=ge, all_failures=True)
             _assert_no_edge_view(g, ge)
         allowed_edges(g, ge)

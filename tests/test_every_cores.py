@@ -1,10 +1,9 @@
-"""The array cores of the every route against the object routes they replace
-(``every_reference``): the bipartite test on gb, and the block search on D;
-the one-pass block and bridge searches against the block lists they
-replace, and gb's union-find flags against gb itself;
-the bipartite test's answer on two different maximum matchings; and the two
-structure-theorem facts that spare the general route a matching of gb,
-against the public bipartite routes."""
+"""The every route against the object routes it replaces
+(``every_reference``): the bipartite D(M) test on bipartite graphs and on
+gb, and the block search on D; the one-pass block and bridge searches
+against the block lists they replace, and gb's union-find flags against gb
+itself; and the two structure-theorem facts that spare the every route a
+matching of gb, against the object route and the Koenig set."""
 
 import random
 
@@ -12,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from every_reference import (
-    _hopcroft_karp,
     blocks_odd_by_networkx,
     closure,
     every_bipartite_by_objects,
@@ -36,26 +34,36 @@ from urmatch.recognition import (
     D_COMPONENT_BLOCKS_NOT_ODD_CYCLES,
     GB_EDGE_MULTIPLE_NEIGHBORS,
     GB_EVERY_MAX_MATCHING_NOT_UR,
-    _every_bipartite,
-    _report,
+    every_ur,
     every_ur_bipartite,
-    every_ur_general,
 )
 from urmatch.ur_core import _reach, build_matching_digraph
 
 
-def _array_route(g, sides, all_failures):
-    in_a = [v in sides[0] for v in range(g.n)]
-    return list(_report("every_ur", _every_bipartite(g.adj, in_a, _max_match_array(g)), all_failures).failures)
+def _check_bipartite(g, sides):
+    """``every_ur``'s answer on bipartite g against the object route's,
+    from either side, and ``every_ur_bipartite``'s report against
+    ``every_ur``'s; the answer."""
+    want = not every_bipartite_by_objects(g, sides)
+    assert (not every_bipartite_by_objects(g, sides[::-1])) == want
+    for all_failures in (False, True):
+        report = every_ur(g, all_failures=all_failures)
+        assert report.answer == want
+        assert every_ur_bipartite(g, sides, all_failures=all_failures) == report
+    return want
 
 
 @settings(deadline=None, max_examples=200)
 @given(bipartite_graphs(max_side=6))
-def test_every_bipartite_equals_object_route(gs):
-    g, sides = gs
-    for s in (sides, sides[::-1]):
-        for all_failures in (False, True):
-            assert _array_route(g, s, all_failures) == every_bipartite_by_objects(g, s, all_failures)
+def test_every_ur_on_bipartite_graphs_equals_object_route(gs):
+    _check_bipartite(*gs)
+
+
+def test_every_ur_on_bipartite_graphs_equals_object_route_exhaustive():
+    # every bipartite labelled graph on at most 6 vertices
+    answers = [_check_bipartite(g, sides) for n in range(7) for g in enumerate_labeled_graphs(n)
+               if (sides := bipartition(g)) is not None]
+    assert set(answers) == {True, False}
 
 
 @settings(deadline=None, max_examples=100)
@@ -71,44 +79,14 @@ def test_reach_masks_equal_closures_of_the_digraph(gs):
         assert frozenset(v for v in range(g.n) if mask[v]) == closure(lists, sources) == want
 
 
-def _first_tags(g, sides):
-    """The first failing condition of the bipartite every-test, or None, on
-    Hopcroft-Karp's maximum matching from each side and on the matcher's,
-    after checking that all three have the size of
-    ``maximum_matching_bipartite``'s.  The answer must not depend on M."""
-    size = len(maximum_matching_bipartite(g, sides))
-    tags = []
-    for side in sides:
-        in_a = [v in side for v in range(g.n)]
-        for mate in (_hopcroft_karp(g.adj, sorted(side)), _max_match_array(g)):
-            assert sum(m != -1 for m in mate) == 2 * size
-            tags.append(next(_every_bipartite(g.adj, in_a, mate), None))
-    assert len({tag is None for tag in tags}) == 1, tags
-    return tags
-
-
-@settings(deadline=None, max_examples=200)
-@given(bipartite_graphs(max_side=6))
-def test_every_bipartite_answer_is_independent_of_the_matching(gs):
-    _first_tags(*gs)
-
-
-def test_every_bipartite_answer_is_independent_of_the_matching_exhaustive():
-    # every bipartite labelled graph on at most 6 vertices; which condition
-    # fails first depends on M, and on some of them it differs
-    tags = [_first_tags(g, sides) for n in range(7) for g in enumerate_labeled_graphs(n)
-            if (sides := bipartition(g)) is not None]
-    assert {t[0] is None for t in tags} == {True, False}
-    assert any(len(set(t)) > 1 for t in tags)
-
-
 def _gb_facts(ge):
-    """Whether gb is a forest, after checking the two facts that the general
-    route reads off the structure theorem instead of matching gb: every
-    maximum matching of gb is uniquely restricted iff gb is a forest, and
-    the component side is the Koenig independent set of gb."""
+    """Whether gb is a forest, after checking the two facts that the
+    deciders read off the structure theorem instead of matching gb: every
+    maximum matching of gb is uniquely restricted (by the object route's
+    D(M) test) iff gb is a forest, and the component side is the Koenig
+    independent set of gb."""
     forest = is_forest(ge.gb)
-    assert every_ur_bipartite(ge.gb, gb_sides(ge)).answer == forest
+    assert (every_bipartite_by_objects(ge.gb, gb_sides(ge)) == []) == forest
     assert max_independent_set_bipartite(ge.gb, gb_sides(ge)) == frozenset(range(len(ge.a_list), ge.gb.n))
     return forest
 
@@ -126,11 +104,8 @@ def test_every_bipartite_on_gb_of_sparse_graphs():
     answers = []
     for g in graphs_:
         ge = gallai_edmonds(g)
-        for all_failures in (False, True):
-            got = _array_route(ge.gb, gb_sides(ge), all_failures)
-            assert got == every_bipartite_by_objects(ge.gb, gb_sides(ge), all_failures)
         answers.append(_gb_facts(ge))
-        assert answers[-1] == (got == [])
+        assert _check_bipartite(ge.gb, gb_sides(ge)) == answers[-1]
     assert True in answers and False in answers
 
 
@@ -151,7 +126,7 @@ def _check_blocks(g):
         assert got == blocks_are_odd_cycles(induced_subgraph(g, comp)[0]) == blocks_odd_by_networkx(g, comp)
         per_comp.append(got)
     assert _odd_cycle_blocks(g.adj, _mask(g.n, class_sets(ge)[0])) == all(per_comp)
-    tags = every_ur_general(g, ge=ge, all_failures=True).failures
+    tags = every_ur(g, ge=ge, all_failures=True).failures
     assert (D_COMPONENT_BLOCKS_NOT_ODD_CYCLES in tags) == (not all(per_comp))
     return per_comp
 
@@ -251,7 +226,7 @@ def test_one_pass_kernels_equal_block_lists_at_scale():
 def _check_gb_flags(g):
     # the union-find pass over the attachments against gb itself
     ge = gallai_edmonds(g)
-    tags = every_ur_general(g, ge=ge, all_failures=True).failures
+    tags = every_ur(g, ge=ge, all_failures=True).failures
     cyclic, multiple = GB_EVERY_MAX_MATCHING_NOT_UR in tags, GB_EDGE_MULTIPLE_NEIGHBORS in tags
     assert cyclic == (not is_forest(ge.gb))
     assert multiple == any(len(nbrs) > 1 for nbrs in ge.attachments.values())

@@ -1,10 +1,10 @@
-"""The Karp-Sipser seed's forced pairs and the C-component test built on them.
+"""The Karp-Sipser seed's forced pairs and the uniqueness tests built on them.
 
-``recognition._c_left`` peels only what the forced pairs leave of C.  The
-full peel of g[C] that it replaced lives on here as the reference, and a
-brute force over the perfect matchings of g[C] checks the lemma that makes
-the skip exact: every perfect matching of g[C] holds every forced pair
-inside C.
+``recognition._c_left`` peels only what the forced pairs leave of C, and
+``unique_perfect_matching`` only what they leave of g.  The full peels they
+replaced live on here as the references, and a brute force over the perfect
+matchings of g[C] checks the lemma that makes the skip exact: every perfect
+matching of g[C] holds every forced pair inside C.
 """
 
 import random
@@ -12,12 +12,20 @@ import random
 import networkx as nx
 from hypothesis import given, settings
 
-from strategies import corona, giant, graphs, linear_triangle_tree, random_tree_edges, sparse_graph_nm
-from urmatch import recognition
+from strategies import (
+    corona,
+    giant,
+    graphs,
+    linear_triangle_tree,
+    random_tree_edges,
+    seeded_random_graphs,
+    sparse_graph_nm,
+)
+from urmatch import matching, recognition
 from urmatch.decomposition import gallai_edmonds
 from urmatch.families import path_graph
 from urmatch.graph_core import Graph
-from urmatch.matching import _greedy_seed, _peel
+from urmatch.matching import _greedy_seed, _matching_from_array, _max_match_array, _peel, unique_perfect_matching
 from urmatch.oracle import enumerate_labeled_graphs
 from urmatch.recognition import _c_left, some_ur
 
@@ -28,6 +36,17 @@ def c_left_by_full_peel(g, ge):
     """The C test with no forced pairs: one Kotzig peel of all of g[C]."""
     rest = _peel(g.adj, ge.match, [c <= -4 for c in ge.comp])
     return frozenset(-4 - ge.comp[v] for v in rest)
+
+
+def upm_by_full_peel(g):
+    """``unique_perfect_matching`` with no forced pairs: one Kotzig peel of
+    all of g."""
+    if g.n % 2:
+        return None
+    match = _max_match_array(g)
+    if -1 in match or _peel(g.adj, match, [True] * g.n):
+        return None
+    return _matching_from_array(g, match)
 
 
 def _small_graphs():
@@ -160,3 +179,66 @@ def test_c_test_peels_only_the_unforced_c_vertices(monkeypatch):
     assert 0 < len(unforced) < len(c) // 2
     assert _c_left(g, ge) == frozenset()
     assert calls == [len(unforced)]
+
+
+def _spy_upm_peels(monkeypatch):
+    """The number of vertices each peel of ``unique_perfect_matching``
+    starts from."""
+    calls = []
+
+    def spy(adj, match, alive, *live):
+        calls.append(sum(alive))
+        return _peel(adj, match, alive, *live)
+
+    monkeypatch.setattr(matching, "_peel", spy)
+    return calls
+
+
+def _with_perfect_matching(n, m, rng):
+    """m random edges on n (even) vertices plus a random perfect matching,
+    so that the peel has something to decide."""
+    perm = rng.sample(range(n), n)
+    edges = {(perm[i], perm[i + 1]) for i in range(0, n, 2)}
+    while len(edges) < n // 2 + m:
+        u, v = rng.sample(range(n), 2)
+        if (v, u) not in edges:
+            edges.add((u, v))
+    return Graph.from_edges(n, edges)
+
+
+def test_unique_perfect_matching_equals_the_full_peel():
+    rng = random.Random(65)
+    instances = list(seeded_random_graphs(300, (2, 12), [0.15, 0.3, 0.5], seed=65))
+    instances += [_with_perfect_matching(n, m, rng) for n in (8, 12, 40, 400) for m in (n // 4, n // 2, n)
+                  for _ in range(20)]
+    instances += [path_graph(n) for n in range(12)]
+    instances += [corona(Graph.from_edges(n, random_tree_edges(n, rng))) for n in (1, 2, 5, 50, 500)]
+    unique = several = 0
+    for g in instances:
+        got = unique_perfect_matching(g)
+        assert got == upm_by_full_peel(g), sorted(g.edges)
+        if got is not None:
+            unique += 1
+        elif g.n % 2 == 0 and -1 not in _max_match_array(g):
+            several += 1
+    assert unique > 50 and several > 50
+
+
+@settings(deadline=None, max_examples=200)
+@given(graphs(max_n=12))
+def test_unique_perfect_matching_equals_the_full_peel_on_hypothesis_graphs(g):
+    assert unique_perfect_matching(g) == upm_by_full_peel(g)
+
+
+def test_unique_perfect_matching_peels_only_the_unforced_vertices(monkeypatch):
+    calls = _spy_upm_peels(monkeypatch)
+    tree = Graph.from_edges(5000, random_tree_edges(5000, random.Random(3)))
+    for g in (path_graph(10000), corona(tree)):
+        assert len(unique_perfect_matching(g)) == 5000
+    assert calls == []  # the forced pairs cover every forest
+    g = _with_perfect_matching(2000, 1500, random.Random(2000))
+    forced = _greedy_seed(g.adj)[1]
+    unforced = forced.count(-1)
+    assert 0 < unforced < g.n
+    assert unique_perfect_matching(g) == upm_by_full_peel(g)
+    assert calls == [unforced]

@@ -29,7 +29,6 @@ PUBLIC = [
     "enumerate_matchings",
     "every_ur",
     "every_ur_bipartite",
-    "every_ur_general",
     "find_e_good_ordering",
     "gallai_edmonds",
     "induced_subgraph",

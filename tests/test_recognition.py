@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 
-from every_reference import _hopcroft_karp
+from every_reference import every_bipartite_by_objects
 from ge_reference import VIEWS, class_sets, gb_edge_condition_by_edges, gb_sides, unique_perfect_matching_by_deletion
 from lemma_helpers import is_alternating_cycle
 from some_reference import _edges, _perfect_minus
@@ -65,14 +65,12 @@ from urmatch.recognition import (
     GB_EDGE_MULTIPLE_NEIGHBORS,
     _c_left,
     _d_local,
-    _every_bipartite,
     _flip,
     _odd_cycle,
     _unique_minus,
     allowed_edges,
     every_ur,
     every_ur_bipartite,
-    every_ur_general,
     some_ur,
 )
 from urmatch.selftest import _component_all_near_perfect_unique
@@ -87,9 +85,6 @@ def test_failure_tag_inventory():
         "d_component_blocks_not_odd_cycles",
         "gb_every_max_matching_not_ur",
         "gb_edge_multiple_neighbors",
-        "gb_digraph_cyclic",
-        "v_plus_not_forest",
-        "v_minus_not_forest",
     })
 
 
@@ -111,7 +106,7 @@ def test_every_small_examples():
     assert (r.answer, r.failure) == (False, "d_component_blocks_not_odd_cycles")
     assert every_ur(path_graph(3)).answer
     r = every_ur(cycle_graph(6))
-    assert (r.answer, r.failure) == (False, "gb_digraph_cyclic")
+    assert (r.answer, r.failure) == (False, "c_component_pm_not_unique")
 
 
 def test_petersen():
@@ -268,23 +263,21 @@ def test_general_route_shares_the_one_matching(monkeypatch):
     def refuse(*args):
         raise AssertionError("a decider matched again")
 
-    for module, name in ((recognition, "_max_match_array"), (matching, "_max_match_array"),
-                         (matching, "_matcher")):
-        monkeypatch.setattr(module, name, refuse)
+    for name in ("_max_match_array", "_matcher"):
+        monkeypatch.setattr(matching, name, refuse)
     answers = set()
     for g, ge in decomposed:
         assert bipartition(g) is None
         for all_failures in (False, True):
             some = some_ur(g, ge=ge, all_failures=all_failures)
-            every = every_ur_general(g, ge=ge, all_failures=all_failures)
+            every = every_ur(g, ge=ge, all_failures=all_failures)
             answers.add((some.answer, every.answer))
     assert len(answers) > 1
 
 
 def test_bipartite_route_shares_the_one_matching(monkeypatch):
-    # given a decomposition, the bipartite every route reads its matching and
-    # matches nothing; it is the matcher's, so the reports equal those of a
-    # call without one
+    # given a decomposition, every_ur matches nothing on bipartite g either,
+    # and its reports equal those of a call without one
     rng = random.Random(11)
     instances = [path_graph(401), corona(Graph.from_edges(200, random_tree_edges(200, rng))),
                  Graph.from_edges(400, {(rng.randrange(200), 200 + rng.randrange(200)) for _ in range(600)})]
@@ -294,9 +287,8 @@ def test_bipartite_route_shares_the_one_matching(monkeypatch):
     def refuse(*args):
         raise AssertionError("a decider matched again")
 
-    for module, name in ((recognition, "_max_match_array"), (matching, "_max_match_array"),
-                         (matching, "_matcher")):
-        monkeypatch.setattr(module, name, refuse)
+    for name in ("_max_match_array", "_matcher"):
+        monkeypatch.setattr(matching, name, refuse)
     answers = set()
     for g, ge, want in runs:
         assert bipartition(g) is not None
@@ -436,7 +428,7 @@ def test_decomposition_without_matching_is_refused():
     g = two_c5_apex()
     for name in ("match", "comp", "parent", "forced"):
         bare = replace(gallai_edmonds(g), **{name: None})
-        for decide in (some_ur, every_ur_general):
+        for decide in (some_ur, every_ur):
             with pytest.raises(ValueError, match="no matching"):
                 decide(g, ge=bare)
         with pytest.raises(ValueError, match="no matching"):
@@ -450,20 +442,19 @@ def test_decomposition_of_another_graph_is_refused():
     k5 = gallai_edmonds(complete_graph(5))  # all D, as C5: equal, not the same graph
     assert k5 == gallai_edmonds(cycle_graph(5))
     for h, ge in ((g, other), (cycle_graph(5), k5)):
-        for decide in (some_ur, every_ur_general):
+        for decide in (some_ur, every_ur):
             with pytest.raises(ValueError, match="another graph"):
                 decide(h, ge=ge)
         with pytest.raises(ValueError, match="another graph"):
             allowed_edges(h, ge)
         assert not verify_gallai_edmonds(h, ge)
-    # every_ur checks it on the bipartite route too, where it reads no ge
     with pytest.raises(ValueError, match="another graph"):
         every_ur(path_graph(4), ge=gallai_edmonds(cycle_graph(5)))
     # an equal adjacency will do: a pickled decomposition holds a copy
     copied = pickle.loads(pickle.dumps(gallai_edmonds(g)))
     assert copied.adj is not g.adj
     assert some_ur(g, ge=copied) == some_ur(g)
-    assert every_ur_general(g, ge=copied) == every_ur_general(g)
+    assert every_ur(g, ge=copied) == every_ur(g)
 
 
 def test_early_stops_build_no_views():
@@ -488,8 +479,7 @@ def test_reports_stop_at_the_first_failing_condition(monkeypatch):
     c4 = cycle_graph(4)
     c4_triangle = Graph.from_edges(7, [*c4.edges, (4, 5), (5, 6), (4, 6)])
     cases = (("_e_good_ordering", some_ur, c4_triangle, C_COMPONENT_PM_NOT_UNIQUE),
-             ("_reach", every_ur, c4, "gb_digraph_cyclic"),
-             ("_odd_cycle_blocks", every_ur_general, c4_triangle, C_COMPONENT_PM_NOT_UNIQUE))
+             ("_odd_cycle_blocks", every_ur, c4, C_COMPONENT_PM_NOT_UNIQUE))
     for name, decide, g, first in cases:
         calls = []
         real = getattr(recognition, name)
@@ -505,10 +495,8 @@ def test_reports_stop_at_the_first_failing_condition(monkeypatch):
 def test_every_builds_no_member_lists(g):
     # the C and D loops count the components off the component array
     ge = gallai_edmonds(g)
-    every_ur_general(g, ge=ge, all_failures=True)
-    # and gb's two conditions read the attachments, not gb
-    assert not {"c_members", "d_members", "gb"} & set(vars(ge))
     every_ur(g, ge=ge, all_failures=True)
+    # and gb's two conditions read the attachments, not gb
     assert not {"c_members", "d_members", "gb"} & set(vars(ge))
 
 
@@ -745,8 +733,6 @@ def _check_instance(g):
         assert re_.failure in FAILURE_TAGS
     if re_.answer:
         assert rs.answer  # every maximum matching restricted-unique forces some
-    if bipartition(g) is not None:
-        assert every_ur_general(g, ge=ge).answer == re_.answer
     for comp in ge.d_members:
         by_blocks = blocks_are_odd_cycles(induced_subgraph(g, comp)[0])
         assert by_blocks == _component_all_near_perfect_unique(g, comp)
@@ -782,7 +768,7 @@ def _check_gb_edge_condition(g, ge):
     # the one pass over A agrees with the per-edge definition
     for e in ge.gb.sorted_edges():
         assert edge_in_some_maximum_matching(ge.gb, e)
-    one_pass = GB_EDGE_MULTIPLE_NEIGHBORS not in every_ur_general(g, ge=ge, all_failures=True).failures
+    one_pass = GB_EDGE_MULTIPLE_NEIGHBORS not in every_ur(g, ge=ge, all_failures=True).failures
     assert one_pass == gb_edge_condition_by_edges(g, ge)
 
 
@@ -861,16 +847,11 @@ def test_all_failures_on_cyclic_gb_with_double_attachment():
                              (2, 3), (2, 4), (3, 4)])
     ge = gallai_edmonds(g)
     assert (ge.a_list, len(ge.d_members)) == ([0, 1], 3)
-    # which condition of the bipartite test fails first depends on M: under
-    # the matcher's M (0-3, 1-4 in gb's ids) D(M) is acyclic but V- is all of
-    # gb, while Hopcroft-Karp's from A (0-2, 1-3) closes the cycle 0-2-1-3
-    a_side, _ = gb_sides(ge)
-    assert every_ur_bipartite(ge.gb, gb_sides(ge), all_failures=True).failures == ("v_minus_not_forest",)
-    in_a = [v in a_side for v in range(ge.gb.n)]
-    hk = _hopcroft_karp(ge.gb.adj, list(a_side))
-    assert list(_every_bipartite(ge.gb.adj, in_a, hk)) == ["gb_digraph_cyclic", "v_minus_not_forest"]
-    r = every_ur_general(g, ge=ge, all_failures=True)
+    # gb, a 4-cycle with a pendant, fails the D(M) test: under the matcher's
+    # M (0-3, 1-4 in gb's ids) D(M) is acyclic but V- is all of gb
+    assert every_bipartite_by_objects(ge.gb, gb_sides(ge), all_failures=True) == ["v_minus_not_forest"]
+    r = every_ur(g, ge=ge, all_failures=True)
     assert r.failures == ("gb_every_max_matching_not_ur", "gb_edge_multiple_neighbors")
     assert r.failure == "gb_every_max_matching_not_ur"
-    assert every_ur(g, all_failures=True).failures == r.failures
+    assert every_ur(g, all_failures=True) == r
     assert not r.answer and not oracle_every_ur(g)
