@@ -15,11 +15,13 @@ lead from every D vertex to the free vertex of its tree; an isolated free
 vertex is labelled without a search.  The seed's matches before its first
 greedy step, its forced pairs, are kept too: no search undoes them.  A
 search's walks are bounded by the vertex count, so mates that are no
-involution raise.  Uniqueness of a given perfect matching is a Kotzig peel
-(``_peel``): a pendant queue plus, when it stalls, one low-link search for
-matched bridges, with no matcher of its own; when it
-stalls short of empty, ``_alternating_cycle`` finds an alternating cycle in
-what is left, one search per edge tried.  All searches iterate vertices and
+involution raise.  Uniqueness of a given perfect matching M is one kernel,
+``_m_alternating_cycle``, which returns an M-alternating cycle or None: a
+depth-first search of the digraph with an arc u -> match[w] per edge uw
+out of M finds most short cycles, and otherwise one search per matched edge
+rt tested, from t in the graph without r on state shared by all of them,
+decides, a failed search's tree leaving play but for its blossoms minus
+their bases (the lemma in ``_cycle_or_none``).  All searches iterate vertices and
 neighbors in ascending id order, so the "canonical" maximum matching
 returned for a given graph is reproducible.
 """
@@ -153,12 +155,58 @@ def _greedy_seed(adj: tuple[tuple[int, ...], ...]) -> tuple[list[int], list[int]
 _UNLABELLED, _EVEN, _ODD, _DEAD_EVEN, _DEAD_ODD = 0, 1, 2, 3, 4
 
 
+def _shrink(adj, match, state, find, v, w):
+    """Contract the blossom that the edge vw closes between two even
+    vertices of different blossoms of one tree, and return the odd vertices
+    it turns even; None if v and w lie in two trees.  ``state`` and ``find``
+    are a search's (see ``_search``); a root is a vertex with no mate.
+
+    The nearest common base is found by stepping up from both sides in
+    turn.  No base is merged before both walks end: a walk stops at the
+    common base, so an early merge would end it inside a blossom.  The
+    walks set the path pointers around the blossom, so that the walk from
+    each odd vertex turned even runs through vw to the base.
+    """
+    label, parent, blossom = state
+    x, y = find(v), find(w)
+    seen = set()
+    while True:
+        if x != -1:
+            if x in seen:
+                break
+            seen.add(x)
+            x = -1 if match[x] == -1 else find(parent[match[x]])
+        elif y == -1:
+            return None
+        x, y = y, x
+    bases, odd = [], []
+    for a, child in ((v, w), (w, v)):
+        for _ in adj:  # a longer walk repeats a base
+            if find(a) == x:
+                break
+            m = match[a]
+            bases.append(find(a))
+            if label[m] == _ODD:
+                odd.append(m)
+            parent[a] = child
+            child = m
+            a = parent[m]
+        else:
+            raise InternalCheckError(f"the blossom walk from {v} misses its base: no involution")
+    for b in bases:
+        blossom[b] = x
+    for m in odd:
+        blossom[m] = x
+        label[m] = _EVEN
+    return odd
+
+
 def _search(adj, match, roots, state=None, dead=()):
     """Grow Edmonds' alternating forest from the free vertices ``roots``.
 
     BFS: an unlabelled neighbor of an even vertex becomes odd and its mate
     even, and an edge between two even vertices of one tree closes a blossom
-    whose odd vertices turn even.  Blossom bases live in a union-find (each
+    whose odd vertices turn even (``_shrink``).  Blossom bases live in a union-find (each
     set's representative is its base, path halving), so a contraction
     touches only the blossom's own tree paths.  ``parent`` holds the path
     pointers: from an even vertex v, the walk v, match[v], parent[match[v]],
@@ -213,44 +261,12 @@ def _search(adj, match, roots, state=None, dead=()):
                     continue
             elif lw != _EVEN:
                 continue  # odd, or dead
+            elif find(v) == find(w):
+                continue
             else:
-                x, y = find(v), find(w)
-                if x == y:
-                    continue
-                # nearest common base: step up from both sides in turn
-                seen = set()
-                while True:
-                    if x != -1:
-                        if x in seen:
-                            break
-                        seen.add(x)
-                        x = -1 if match[x] == -1 else find(parent[match[x]])
-                    elif y == -1:
-                        break
-                    x, y = y, x
-                if x != -1:
-                    # merge no base before both walks end: a walk stops at
-                    # base x, so an early merge would end it inside a blossom
-                    bases, odd = [], []
-                    for a, child in ((v, w), (w, v)):
-                        for _ in adj:  # a longer walk repeats a base
-                            if find(a) == x:
-                                break
-                            m = match[a]
-                            bases.append(find(a))
-                            if label[m] == _ODD:
-                                odd.append(m)
-                            parent[a] = child
-                            child = m
-                            a = parent[m]
-                        else:
-                            raise InternalCheckError(f"the blossom walk from {v} misses its base: no involution")
-                    for b in bases:
-                        blossom[b] = x
-                    for m in odd:
-                        blossom[m] = x
-                        label[m] = _EVEN
-                        queue.append(m)
+                odd = _shrink(adj, match, (label, parent, blossom), find, v, w)
+                if odd is not None:
+                    queue += odd
                     continue
             # w is free outside the forest, or in another tree: augment
             for a in (v, w):
@@ -353,185 +369,310 @@ def missable_vertices(g: Graph) -> frozenset[int]:
     return frozenset([v for v, x in enumerate(_matcher(g)[1]) if x == _DEAD_EVEN])
 
 
-def _matched_bridges(adj, match, alive, roots):
-    """The matched edges that are bridges of the subgraph of ``adj`` induced
-    by the vertices marked in ``alive``, each as its child end v in one
-    low-link depth-first search (Tarjan 1972) from the marked ``roots``:
-    tree edge pv is a bridge iff no back edge from v's subtree reaches p or
-    above."""
-    n = len(adj)
-    disc = [0] * n  # discovery times from 1; 0 means unvisited
-    low = [0] * n
-    clock = 0
-    out = []
-    for root in roots:
-        if not alive[root] or disc[root]:
+def _walk(match, parent, x, stop):
+    """The path pointers' walk x, match[x], parent[match[x]], ... up to the
+    even vertex ``stop`` on it, as a list; a walk that misses it within as
+    many steps as there are vertices raises."""
+    out = [x]
+    for _ in match:
+        if x == stop:
+            return out
+        m = match[x]
+        x = parent[m]
+        out += (m, x)
+    raise InternalCheckError(f"the walk from {out[0]} misses {stop}")
+
+
+def _m_alternating_cycle(adj, match, alive, live):
+    """An M-alternating cycle of the subgraph of ``adj`` induced by the
+    vertices marked in ``alive``, or None if it has none.  ``match`` (M)
+    must be perfect on them, so None says that M is their only perfect
+    matching: a second one differs from M on such cycles.  ``live`` lists
+    the marked vertices, and no other is visited; ``alive`` and ``match``
+    are left untouched.  A cycle is a vertex list whose first edge is in M
+    and whose edges alternate, the closing one out of M; it is checked to
+    be one, on vertices of ``live``, before it is returned.  A ``live``
+    that is small against the graph is relabelled first, so that the work
+    is bounded by its own size and not by the graph's.
+
+    See ``_cycle_or_none`` for the search and the lemma behind it.
+    """
+    if len(adj) <= 128 * len(live):
+        cycle = _cycle_or_none(adj, match, alive, live)
+    else:
+        verts = [v for v in live if alive[v]]
+        pos = {v: i for i, v in enumerate(verts)}
+        sub = [[pos[w] for w in adj[v] if w in pos] for v in verts]
+        cycle = _cycle_or_none(sub, [pos.get(match[v], -1) for v in verts], [True] * len(verts),
+                               range(len(verts)))
+        if cycle is not None:
+            cycle = [verts[i] for i in cycle]
+    if cycle is not None:
+        inside = set(live)
+        k = len(cycle)
+        if k < 4 or k % 2 or len(set(cycle)) != k or not all(alive[v] and v in inside for v in cycle) \
+                or not all(match[cycle[i]] == cycle[i + 1] and cycle[(i + 2) % k] in adj[cycle[i + 1]]
+                           for i in range(0, k, 2)):
+            raise InternalCheckError(f"the kernel's cycle {cycle} does not alternate inside the live vertices")
+    return cycle
+
+
+# the longest path segment, in arcs, that a back arc of ``_arc_cycle`` may close
+_SHORT = 6
+
+
+def _arc_cycle(adj, match, label, live):
+    """A short M-alternating cycle found by one depth-first search of the
+    arc digraph, or None, which proves nothing.  The arc digraph has an
+    arc u -> match[w] for each edge uw out of M between vertices in play
+    (those that ``label`` marks unlabelled): a directed cycle is a closed
+    alternating walk, and one that holds no vertex together with its mate
+    is an M-alternating cycle.  The search never extends its path to a
+    vertex whose mate is on it, so each back arc closes such a cycle; it
+    returns the first that has at most ``2 * _SHORT`` vertices.  A short
+    cycle leaves most of a D component outside it, which is what lets the
+    D - h rejection rule (``recognition._unique_minus``) rule out many
+    vertices at once; a long one is left to the Hungarian-tree search.
+    The search enters each vertex once, follows each arc once, and gives
+    up after as many arcs as there are live vertices: where it finds a
+    cycle it mostly finds it early (on the benchmark's sparse random graphs
+    after a median 17 % of the arcs), and the cap bounds what it costs on a
+    graph that has none.  The cap, the vertices it leaves unexplored
+    because of a mate on the path, and the long back arcs are what makes
+    it miss cycles."""
+    state = [0] * len(adj)  # 1 on the path, 2 left
+    budget = len(live)
+    for s in live:
+        if state[s] or label[s] != _UNLABELLED:
             continue
-        clock += 1
-        disc[root] = low[root] = clock
-        stack = [(root, -1, iter(adj[root]))]
+        state[s] = 1
+        stack = [(s, iter(adj[s]))]
         while stack:
-            v, p, it = stack[-1]
+            x, it = stack[-1]
+            mx = match[x]
             for w in it:
-                if w == p or not alive[w]:
+                budget -= 1
+                if budget < 0:
+                    return None
+                if w == mx or label[w] != _UNLABELLED:
                     continue
-                if disc[w]:
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-                else:
-                    clock += 1
-                    disc[w] = low[w] = clock
-                    stack.append((w, v, iter(adj[w])))
+                y = match[w]
+                if state[y] == 1:
+                    path = [v for v, _ in stack[-_SHORT:]]
+                    if y in path:
+                        cycle = []
+                        for v in path[path.index(y):]:
+                            cycle += (match[v], v)
+                        return cycle
+                if not state[y] and state[w] != 1:
+                    state[y] = 1
+                    stack.append((y, iter(adj[y])))
                     break
             else:
+                state[x] = 2
                 stack.pop()
-                if p != -1:
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    elif low[v] > disc[p] and match[v] == p:
-                        out.append(v)
-    return out
+    return None
 
 
-def _peel(adj, match, alive, live=None):
-    """The vertices, ascending, that the Kotzig peel of the subgraph of
-    ``adj`` induced by the vertices marked in ``alive`` leaves when it
-    stalls; ``match`` must be perfect on them.  ``alive`` is left untouched.
-    ``live``, when given, lists the marked vertices ascending, and the peel
-    visits no other; without it, the set-up counts every row and takes the
-    dead rows off, which costs less when few vertices are dead.
+def _cycle_or_none(adj, match, alive, live):
+    """The search behind ``_m_alternating_cycle``.  First one depth-first
+    search of the arc digraph (``_arc_cycle``), which finds a short cycle
+    in most graphs that have one, at less than the cost of one Edmonds
+    search.  If it finds none, the answer comes from one Edmonds search per
+    matched edge tested, on arrays shared by all of them, none of them over
+    a vertex that an earlier one left, unless a blossom holds it.
 
-    Every perfect matching holds the edge at a degree-1 vertex, and every
-    matched bridge (its two sides are odd).  Deleting the ends of such an
-    edge keeps the count of perfect matchings, so the peel deletes them:
-    from a queue of degree-1 vertices first, and when the queue stalls, all
-    matched bridges of the rest at once.  By Kotzig's theorem (1959) a graph
-    whose perfect matching is unique has a bridge in it, so a non-empty
-    rest with no matched bridge has a second one.  A component's perfect
-    matching is unique iff none of its vertices is left.
-    """
-    alive = list(alive)
-    if live is None:
-        deg = [len(nbrs) for nbrs in adj]
-        for v, nbrs in enumerate(adj):
-            if not alive[v]:
-                for w in nbrs:
-                    deg[w] -= 1
-        live = range(len(adj))
-    else:
-        deg = [0] * len(adj)
-        for v in live:
-            deg[v] = sum(map(alive.__getitem__, adj[v]))
-    pendant = [v for v in live if deg[v] == 1 and alive[v]]
-    left = sum(alive)
+    Each vertex r still in play, in the order of ``live``, is tested in
+    turn: r leaves play, and a breadth-first alternating search with
+    union-find blossoms, as in ``_search`` (path halving, ``_shrink``),
+    grows the tree T of its mate t.  The edge rt lies on an M-alternating
+    cycle iff r has a neighbor other than t that T labels even: a cycle
+    through rt, minus r, is an alternating path from t that ends in the
+    matched edge at such a neighbor u, and Edmonds' search labels even
+    every vertex that such a path reaches.  The search stops at the first
+    such u, and the cycle is the walk of the path pointers from u up to t,
+    then r.  If there is none, T and t leave play too, except what the
+    lemma puts back.
 
-    def delete(x):
-        for a in (x, match[x]):
-            alive[a] = False
-        for a in (x, match[x]):
-            for w in adj[a]:
-                if alive[w]:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        pendant.append(w)
+    Lemma: let T have the maximal blossoms B_0, which holds t, and B_1,
+    ..., B_k, and the odd vertices O, whose mates are the bases b_1, ...,
+    b_k of B_1, ..., B_k; let r have no even neighbor in T but t.  Then
+    every perfect matching N of the vertices in play holds rt, joins each
+    B_i (i >= 1) to O by exactly one edge, and matches B_0 - t inside
+    itself.  Proof: a search ends when every neighbor in play of an even
+    vertex is labelled, so no blossom vertex has a neighbor in play
+    outside T, but for t's neighbor r, and no edge joins two blossoms (it
+    would have closed a larger one): a blossom's neighbors outside it lie
+    in O.  Each B_i is odd, so N matches one of its vertices at least
+    outside it, into O; there are k blossoms B_i
+    and k odd vertices, so it is exactly one each and O is used up.  B_0
+    is odd too, and only r is left for it: N holds rt and matches B_0 - t
+    inside.
 
-    while True:
-        while pendant:
-            x = pendant.pop()
-            # an alive x still has degree 1, as its mate is alive too, and
-            # that one neighbor is the mate
-            if alive[x]:
-                delete(x)
-                left -= 2
-        if not left:
-            return []
-        bridges = _matched_bridges(adj, match, alive, live)
-        if not bridges:
-            return [v for v in live if alive[v]]
-        for x in bridges:
-            delete(x)
-        left -= 2 * len(bridges)
+    So an M-alternating cycle C, a component of M + N for such an N, that
+    meets T or r lies in T - t, and crosses the boundary of each B_i
+    either not at all or twice: in by the M-edge from the stem o_i (the
+    mate of b_i) to b_i, out by an N-edge from some vertex of B_i to O.  C
+    thus lies in one blossom minus its base (B_0 - t or B_i - b_i), or it
+    follows a directed cycle of the contracted digraph on the blossoms with
+    an arc B -> B_i for each edge out of M from B to o_i
+    (``_contracted_cycle``).  Each directed cycle lifts back: enter B_i by
+    the edge o_i b_i, walk up from the vertex that leaves B_i to b_i (the
+    path pointers' walk stays in B_i) and take that walk in reverse.  So
+    the kernel searches the contracted digraph, and then puts each blossom
+    minus its base back in play, to be tested before the rest of
+    ``live``, deepest vertex first; every other vertex of T leaves play,
+    and the cycles that remain are those of the vertices still in play.
 
-
-def _alternating_cycle(adj, match, rest):
-    """An even cycle inside ``rest`` that alternates under ``match``, as a
-    vertex list whose edges alternate between in and out of ``match``,
-    starting in, so that its closing edge is out.
-
-    ``rest`` is what ``_peel`` left: ``match`` is perfect on it and no
-    matched edge of it is a bridge, so by Kotzig's theorem it has a second
-    perfect matching, and the symmetric difference of the two holds such a
-    cycle.  A non-matching edge uv of ``rest`` lies on one iff, with u and
-    v deleted and their mates freed, an augmenting path inside ``rest``
-    joins match[u] to match[v]; the path plus v, u closes the cycle.  The
-    edges are tried in ascending order, each with one search from match[u],
-    and the first cycle found is cut short by ``_shortcut``.
+    Cost: the arc digraph search is linear.  Each Edmonds search, and the
+    contracted digraph search after it, scans each edge at its tree a
+    bounded number of times (the union-find aside), and a vertex that
+    leaves play does not return.  A vertex is searched again
+    only from inside a blossom minus its base, which is smaller than the
+    blossom, so the work is linear in the edges per level of blossom
+    nesting; that bound, not a linear one, is what this proof gives.  On
+    the nested blossoms of the family N_k (``tests/strategies.py``), which
+    made the Kotzig peel quadratic, the deepest vertex's tree climbs
+    through the nesting and settles it at the contracted level, and the
+    kernel reads fewer than three adjacency rows per vertex.
     """
     n = len(adj)
-    inside = [False] * n
-    for x in rest:
-        inside[x] = True
-    outside = [x for x in range(n) if not inside[x]]
-    for u in rest:
-        mu = match[u]
-        for v in adj[u]:
-            if v <= u or v == mu or not inside[v]:
-                continue
+    label = [_DEAD_ODD] * n
+    parent = [-1] * n
+    blossom = [0] * n
+    state = (label, parent, blossom)
+    trial = list(match)  # match with t free during t's search, for _shrink
+    for v in live:
+        if alive[v]:
+            label[v] = _UNLABELLED
+            blossom[v] = v
+    for v in live:
+        m = match[v]
+        if label[v] == _UNLABELLED and (m == -1 or label[m] != _UNLABELLED or match[m] != v):
+            raise InternalCheckError(f"the matching is not perfect on the live vertices at {v}")
+
+    cycle = _arc_cycle(adj, match, label, live)
+    if cycle is not None:
+        return cycle
+
+    def find(x):
+        while blossom[x] != x:
+            blossom[x] = blossom[blossom[x]]
+            x = blossom[x]
+        return x
+
+    stack = [iter(live)]
+    while stack:
+        for r in stack[-1]:
+            if label[r] == _UNLABELLED:
+                break
+        else:
+            stack.pop()
+            continue
+        t = match[r]
+        label[r] = _DEAD_ODD
+        label[t] = _EVEN
+        trial[t] = -1
+        queue, odds = [t], []
+        cross = False  # whether an edge out of M that is no tree edge joins an even and an odd vertex
+        for v in queue:  # the loop also visits vertices appended while it runs
             mv = match[v]
-            trial = list(match)
-            trial[u] = trial[v] = trial[mu] = trial[mv] = -1
-            if _search(adj, trial, [mu], dead=outside + [u, v]) is not None:
-                continue
-            # the only free vertex the search can reach is mv: walk the
-            # path from mu, out by the new matching and on by the old
-            cycle = [u, mu]
-            x = mu
-            while True:
-                y = trial[x]
-                cycle.append(y)
-                if y == mv:
+            for w in adj[v]:
+                lw = label[w]
+                if w == r:
+                    if v != t:
+                        return _walk(match, parent, v, t) + [r]
+                elif lw == _ODD:
+                    cross = cross or w != mv
+                elif lw == _UNLABELLED:
+                    m = match[w]
+                    label[w] = _ODD
+                    parent[w] = v
+                    odds.append(w)
+                    label[m] = _EVEN
+                    queue.append(m)
+                elif lw == _EVEN and find(v) != find(w):
+                    odd = _shrink(adj, trial, state, find, v, w)
+                    if odd is None:
+                        raise InternalCheckError(f"the blossom walks from {v} and {w} miss {t}")
+                    queue += odd
+        trial[t] = r
+        members = {}
+        for v in queue:
+            b = blossom[v]
+            members.setdefault(b if blossom[b] == b else find(b), []).append(v)
+        if cross:  # else the contracted digraph's arcs are the tree's, and it has no cycle
+            cycle = _contracted_cycle(adj, match, parent, members, {o for o in odds if label[o] == _ODD})
+            if cycle is not None:
+                return cycle
+        for v in odds:
+            label[v] = _DEAD_ODD
+        for b, vs in members.items():
+            for v in vs:
+                label[v] = _DEAD_ODD
+            if len(vs) > 3:  # a triangle minus its base is one matched edge
+                piece = [v for v in reversed(vs) if v != b]
+                for v in piece:
+                    label[v] = _UNLABELLED
+                    parent[v] = -1
+                    blossom[v] = v
+                stack.append(iter(piece))
+    return None
+
+
+def _contracted_cycle(adj, match, parent, members, stems):
+    """A directed cycle of a failed tree's contracted digraph (see
+    ``_cycle_or_none``), lifted to an M-alternating cycle, or None.
+    ``members`` maps each blossom's base to its vertices, and ``stems``
+    holds the tree's odd vertices; B -> B' for each edge from a vertex of B
+    to the stem of B' that is not in M.  One depth-first search: a back arc
+    closes the cycle of the blossoms on the search path from its head."""
+    def arcs(b):
+        return ((v, w) for v in members[b] for w in adj[v] if w in stems and w != match[v])
+
+    colour = dict.fromkeys(members, 0)
+    for b0 in members:
+        if colour[b0]:
+            continue
+        colour[b0] = 1
+        path, entered, todo = [b0], [None], [arcs(b0)]
+        while todo:
+            for v, w in todo[-1]:
+                c = match[w]
+                if colour[c] == 1:
+                    j = path.index(c)
+                    # blossom path[i] is entered by the stem of entered[i]
+                    # (by w for the first) and left at the vertex of entered[i + 1]
+                    ins = [w] + [e[1] for e in entered[j + 1:]]
+                    outs = [e[0] for e in entered[j + 1:]] + [v]
+                    cycle = []
+                    for o, x in zip(ins, outs):
+                        cycle.append(o)
+                        cycle += reversed(_walk(match, parent, x, match[o]))
+                    return cycle
+                if not colour[c]:
+                    colour[c] = 1
+                    path.append(c)
+                    entered.append((v, w))
+                    todo.append(arcs(c))
                     break
-                x = match[y]
-                cycle.append(x)
-            cycle.append(v)
-            return _shortcut(adj, cycle)
-    raise InternalCheckError("the peel's remainder holds no alternating cycle")
-
-
-def _shortcut(adj, cycle):
-    """Shorten an alternating cycle, in the list form of
-    ``_alternating_cycle``, along its chords until no chord closes a
-    shorter one.
-
-    A chord from c[i], i even, to c[j], j odd, closes the alternating cycle
-    c[i], c[i + 1], ..., c[j] (indices mod the length): both ends keep
-    their matched cycle edge.  Each pass takes the chord that closes the
-    shortest such cycle.  A short cycle leaves more of the graph outside it.
-    """
-    while True:
-        n = len(cycle)
-        pos = {c: i for i, c in enumerate(cycle)}
-        best, cut = n, None
-        for i in range(0, n, 2):
-            for y in adj[cycle[i]]:
-                j = pos.get(y, i)
-                if j % 2 and 2 < (j - i) % n + 1 < best:
-                    best, cut = (j - i) % n + 1, (i, j)
-        if cut is None:
-            return cycle
-        i, j = cut
-        cycle = cycle[i:j + 1] if i < j else cycle[i:] + cycle[:j + 1]
+            else:
+                colour[path.pop()] = 2
+                entered.pop()
+                todo.pop()
+    return None
 
 
 def unique_perfect_matching(g: Graph) -> Matching | None:
     """The unique perfect matching of g, or None if g has zero or several.
 
-    One maximum matching, then the Kotzig peel ``_peel`` of the vertices
-    that the seed's forced pairs leave, which must leave nothing of them.
-    Every perfect matching of g holds each forced pair (the lemma of
-    ``recognition._c_left``, with C all of g), so deleting them keeps the
-    count of perfect matchings; on a forest they cover g and no peel runs.
-    The empty graph has the empty one.
+    One maximum matching, then one call of the alternating-cycle kernel
+    ``_m_alternating_cycle`` on the vertices that the seed's forced pairs
+    leave, which must find no cycle there.  Every perfect matching of g
+    holds each forced pair (the lemma of ``recognition._c_left``, with C
+    all of g), so deleting them keeps the count of perfect matchings; on a
+    forest they cover g and the kernel does not run.  The empty graph has
+    the empty one.
     """
     if g.n % 2:
         return None
@@ -541,7 +682,7 @@ def unique_perfect_matching(g: Graph) -> Matching | None:
     if any(f != -1 and f != m for f, m in zip(forced, match)):
         raise InternalCheckError("a forced pair is not in the matching")
     live = [v for v, f in enumerate(forced) if f == -1]
-    if live and _peel(g.adj, match, [f == -1 for f in forced], live):
+    if live and _m_alternating_cycle(g.adj, match, [f == -1 for f in forced], live) is not None:
         return None
     return _matching_from_array(g, match)
 

@@ -6,7 +6,10 @@ conditions on the Gallai-Edmonds decomposition and read its arrays
 (``comp``, ``match``, ``parent`` and ``forced``), the views read off them
 and its memo; no decider matches gb, and only ``some_ur`` reads gb and
 member lists.  A run that stops at a C or D component test builds no other
-view.  The C test peels only what the seed's forced pairs leave of C.
+view.  Every uniqueness test is one call of the alternating-cycle kernel
+``matching._m_alternating_cycle``: the C test makes one on what the seed's
+forced pairs leave of C (and one more per other component once a
+component fails), and each D - h test one.
 Yes-instances of ``some_ur`` come with a witness matching, built as one
 mate array, that callers can re-verify.  ``every_ur`` takes the one route
 through the decomposition on every graph, bipartite ones included.  Only
@@ -30,9 +33,8 @@ from .matching import (
     InternalCheckError,
     Matching,
     _EVEN,
-    _alternating_cycle,
+    _m_alternating_cycle,
     _matching_from_array,
-    _peel,
     _search,
     unique_perfect_matching,  # noqa: F401  read as recognition.unique_perfect_matching by perfbench
 )
@@ -63,7 +65,7 @@ FAILURE_TAGS = frozenset({
 # perfect matching, for the components that are not; ``("d", ci)`` holds
 # H's relabelled adjacency and mate array, which those tests share
 # (``_d_local``).  The memo holds entries no caller asked for: a "no" for
-# one h of a D component writes a "no" for every h' that the same
+# one h of a D component writes a "no" for every h' that the kernel's
 # alternating cycle rules out.
 
 
@@ -106,11 +108,14 @@ def _decomposed(g: Graph, ge: GallaiEdmonds | None) -> GallaiEdmonds:
 def _c_left(g: Graph, ge: GallaiEdmonds) -> frozenset[int]:
     """The indices of the C components whose perfect matching is not unique,
     memoised in ``ge.upms`` once C is not empty.  ``ge.match`` is perfect on
-    C, so one Kotzig peel of g[C] on g's adjacency answers every component:
-    the peel acts on each component on its own, so component ci has a
-    unique perfect matching, ``ge.match`` on it, iff none of its vertices is
-    left when the peel stalls.  The peel skips the seed's forced pairs
-    (``ge.forced``), and does not run when they cover C.
+    C, so component ci has a unique perfect matching, ``ge.match`` on it,
+    iff the kernel ``_m_alternating_cycle`` finds no alternating cycle in
+    it, on the component's vertices that the seed's forced pairs
+    (``ge.forced``) leave.  One call over all of those, on g's adjacency,
+    answers every component when it finds no cycle, as C's components
+    share no edge.  A cycle names one component that fails, and each other
+    component that the forced pairs leave some of then takes a call of its
+    own.  No call runs when the forced pairs cover C.
 
     Lemma: every perfect matching of g[C] holds each forced pair inside C.
     Let x_i w_i be the forced pairs in the seed's order.  When x_i was
@@ -121,7 +126,7 @@ def _c_left(g: Graph, ge: GallaiEdmonds) -> frozenset[int]:
     perfect matching M of g[C], a mate y != w_i of x_i would lie in an
     earlier pair y z inside C, which M holds by induction, and z != x_i; so
     M matches x_i to w_i.  Deleting the forced pairs therefore keeps each
-    component's count of perfect matchings, as the peel's deletions do.
+    component's count of perfect matchings.
     """
     if ge.counts[1] and "c" not in ge.upms:
         match, comp, forced = ge.match, ge.comp, ge.forced
@@ -138,8 +143,16 @@ def _c_left(g: Graph, ge: GallaiEdmonds) -> frozenset[int]:
                     live.append(v)
                 elif f != m or forced[m] != v:
                     raise InternalCheckError(f"the forced pair {v}-{f} in C is not in the matching")
-        left = _peel(g.adj, match, alive, live) if live else ()
-        ge.upms["c"] = frozenset([-4 - comp[v] for v in left])
+        cycle = _m_alternating_cycle(g.adj, match, alive, live) if live else None
+        left = set()
+        if cycle is not None:
+            left.add(-4 - comp[cycle[0]])
+            lives: dict[int, list[int]] = {}
+            for v in live:
+                lives.setdefault(-4 - comp[v], []).append(v)
+            left.update(ci for ci, vs in lives.items()
+                        if ci not in left and _m_alternating_cycle(g.adj, match, alive, vs) is not None)
+        ge.upms["c"] = frozenset(left)
     return ge.upms.get("c", frozenset())
 
 
@@ -201,15 +214,17 @@ def _unique_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int) -> bool:
     perfect matching is unique.  A single vertex leaves the empty graph, the
     triangle is the only factor-critical graph on three vertices, and a
     larger H has its edges counted once (``_odd_cycle``).  Every other H - h
-    takes one path flip (``_flip``) and the Kotzig peel on H's relabelled
-    copy, memoised in ``ge.upms``.
+    takes one path flip (``_flip``) and one call of the kernel
+    ``_m_alternating_cycle`` on H's relabelled copy, memoised in
+    ``ge.upms``.
 
-    A "no" rejects more vertices of the component with it.  The peel's
-    remainder holds an even cycle C that alternates under the perfect
-    matching M of H - h.  For any h' outside C such that H - V(C) - h' has
-    a perfect matching, that matching plus either half of C gives two of
-    H - h'.  M misses only h in H - V(C), so those h' are the even vertices
-    of one search from h with C dead, and each is memoised as a "no".
+    A "no" rejects more vertices of the component with it.  The kernel's
+    "no" is an even cycle C that alternates under the perfect matching M of
+    H - h.  For any h' outside C such that H - V(C) - h' has a perfect
+    matching, that matching plus either half of C gives two of H - h'.  M
+    misses only h in H - V(C), so those h' are the even vertices of one
+    search from h with C dead, and each is memoised as a "no".  The
+    kernel returns a short C where it can, which leaves more of H outside.
     """
     if len(ge.d_members[ci]) <= 3:
         return True
@@ -223,10 +238,10 @@ def _unique_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int) -> bool:
             match[pos[v]] = pos.get(w, -1)
         alive = [True] * len(match)
         alive[x] = False
-        rest = _peel(adj, match, alive)
-        ge.upms[key] = not rest
-        if rest:
-            forest = _search(adj, match, [x], dead=_alternating_cycle(adj, match, rest))
+        cycle = _m_alternating_cycle(adj, match, alive, [*range(x), *range(x + 1, len(match))])
+        ge.upms[key] = cycle is None
+        if cycle is not None:
+            forest = _search(adj, match, [x], dead=cycle)
             if forest is None:
                 raise InternalCheckError(f"D component {ci} minus {h} has no perfect matching")
             for y, lab in enumerate(forest[0]):

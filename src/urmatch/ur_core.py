@@ -9,7 +9,9 @@ and a mate array: ``build_matching_digraph`` wraps them for a given
 ``Matching``, and ``verify_gallai_edmonds`` checks gb's surplus with one
 ``_reach`` mask.  No decider builds D(M).  The general-graph UR test below
 does not use the digraph: M is uniquely restricted iff it is the unique
-perfect matching of g[V(M)].
+perfect matching of g[V(M)], that is iff g[V(M)] has no M-alternating
+cycle, which the library's one alternating-cycle kernel
+(``matching._m_alternating_cycle``) decides.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graph_core import Graph, validate_bipartition
-from .matching import Matching, _match_array, _peel
+from .matching import Matching, _m_alternating_cycle, _match_array
 
 
 @dataclass(frozen=True)
@@ -113,8 +115,9 @@ def is_uniquely_restricted(g: Graph, m: Matching) -> bool:
     """True iff no other matching of g covers exactly the vertices of m.
 
     Equivalent formulation used here: m is the unique perfect matching of the
-    subgraph induced by its covered vertices, which holds iff the Kotzig peel
-    ``_peel`` of m leaves nothing.  The empty matching qualifies.
+    subgraph induced by its covered vertices, which holds iff the kernel
+    ``_m_alternating_cycle`` finds no m-alternating cycle there, in one
+    call.  The empty matching qualifies.
     """
     _validate_matching_of(g, m)
     if not m.edges:
@@ -122,4 +125,4 @@ def is_uniquely_restricted(g: Graph, m: Matching) -> bool:
     alive = [False] * g.n
     for v in m.covered:
         alive[v] = True
-    return not _peel(g.adj, _match_array(g, m), alive)
+    return _m_alternating_cycle(g.adj, _match_array(g, m), alive, sorted(m.covered)) is None

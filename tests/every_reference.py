@@ -19,9 +19,10 @@ blocks; the blocks are read off networkx here.  It and the Kotzig peel's
 bridge step once read the block lists of an edge-stack search
 (``graph_core._blocks``): every block an odd cycle iff it has as many
 edges as vertices and an odd number of them, and a matched bridge is a
-one-edge block whose edge is matched.  The library now runs one
-depth-first search for each (``graph_core._odd_cycle_blocks``,
-``matching._matched_bridges``); the block-list forms live on here.
+one-edge block whose edge is matched.  One depth-first search does each
+(``graph_core._odd_cycle_blocks`` in the library, and the Kotzig peel's
+``peel_reference._matched_bridges`` on the test side); the block-list
+forms live on here.
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ from __future__ import annotations
 from urmatch.accessibility import _e_good_ordering
 from urmatch.decomposition import GallaiEdmonds, gallai_edmonds
 from urmatch.graph_core import Graph, edge_key
-from urmatch.matching import InternalCheckError, Matching, _peel
+from peel_reference import _peel
+from urmatch.matching import InternalCheckError, Matching
 from urmatch.recognition import (
     C_COMPONENT_PM_NOT_UNIQUE,
     D_COMPONENT_NO_UNIQUE_PM_VERTEX,

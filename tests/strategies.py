@@ -99,3 +99,21 @@ def linear_triangle_tree(n_tree, frac, rng):
         edges += [(v, n), (v, n + 1), (n, n + 1)]
         n += 2
     return Graph.from_edges(n, edges)
+
+
+def nested_bridges(k, seed):
+    """The family N_k of nested matched bridges, 4k + 6 vertices, labels
+    shuffled by ``seed``: a matched edge x0 y0 with a pendant triangle at
+    each end, then k steps, each adding x, y, p and q with the edges x-l,
+    x-r, xy, yp, yq and pq, where l and r are the previous step's x and y.
+    Its one perfect matching holds the edges xy and pq; every vertex has
+    degree 2 or more, and only the last step's xy is a bridge, so the
+    Kotzig peel runs k + 1 bridge searches."""
+    edges = [(0, 1), (0, 2), (0, 3), (2, 3), (1, 4), (1, 5), (4, 5)]
+    left, right, n = 0, 1, 6
+    for _ in range(k):
+        x, y, p, q = n, n + 1, n + 2, n + 3
+        edges += [(x, left), (x, right), (x, y), (y, p), (y, q), (p, q)]
+        left, right, n = x, y, n + 4
+    perm = random.Random(seed).sample(range(n), n)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])

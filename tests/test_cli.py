@@ -509,6 +509,21 @@ def test_no_unused_import_in_library():
     assert sorted(set(found) - allowed) == []
 
 
+def test_one_uniqueness_kernel_in_library():
+    # the alternating-cycle kernel is the library's only uniqueness test:
+    # no module defines or imports the Kotzig peel's names, which live on
+    # in tests/peel_reference.py, so no fallback to the peel creeps back
+    retired = {"_peel", "_matched_bridges", "_alternating_cycle"}
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in retired:
+                found.append(f"{path.name}:{node.lineno}:def {node.name}")
+            elif isinstance(node, ast.ImportFrom):
+                found += [f"{path.name}:{node.lineno}:import {a.name}" for a in node.names if a.name in retired]
+    assert found == []
+
+
 def test_every_failure_tag_is_yielded():
     # each constant of FAILURE_TAGS is yielded by some failure generator of
     # the deciders, so that no tag outlives the condition it names

@@ -18,14 +18,13 @@ from every_reference import (
     odd_cycle_blocks_by_blocks,
 )
 from ge_reference import class_sets, gb_sides
+from peel_reference import _matched_bridges, _peel
 from strategies import bipartite_graphs, giant, graphs, linear_triangle_tree, seeded_random_graphs, sparse_graph_nm
 from urmatch.decomposition import gallai_edmonds
 from urmatch.families import bowtie_graph, complete_graph, cycle_graph, path_graph
 from urmatch.graph_core import Graph, _odd_cycle_blocks, bipartition, blocks_are_odd_cycles, induced_subgraph, is_forest
 from urmatch.matching import (
-    _matched_bridges,
     _max_match_array,
-    _peel,
     max_independent_set_bipartite,
     maximum_matching_bipartite,
 )
@@ -190,7 +189,7 @@ def _check_kernels(g, keep, rng):
     for match in (_max_match_array(g), [rng.choice(row) if row else -1 for row in g.adj]):
         want = matched_bridges_by_blocks(g.adj, match, keep)
         assert _matched_bridges(g.adj, match, keep, range(g.n)) == want
-        # from the marked vertices alone, as the C peel roots its searches
+        # from the marked vertices alone, as the peel roots its searches
         assert set(_matched_bridges(g.adj, match, keep, [v for v in range(g.n) if keep[v]])) == set(want)
 
 
@@ -211,7 +210,8 @@ def test_one_pass_kernels_equal_block_lists(g, rng, density):
 
 
 def test_one_pass_kernels_equal_block_lists_at_scale():
-    # the masks the deciders pass: D, and C as the peel first sees it
+    # the masks the deciders pass: D, and C as the peel first sees it and
+    # as it leaves it
     for n in (2000, 4000, 8000):
         rng = random.Random(n)
         for g in (giant(sparse_graph_nm(n, 3 * n // 2, rng)), linear_triangle_tree(2 * n // 3, 0.25, rng)):

@@ -1,10 +1,11 @@
 """The Karp-Sipser seed's forced pairs and the uniqueness tests built on them.
 
-``recognition._c_left`` peels only what the forced pairs leave of C, and
-``unique_perfect_matching`` only what they leave of g.  The full peels they
-replaced live on here as the references, and a brute force over the perfect
-matchings of g[C] checks the lemma that makes the skip exact: every perfect
-matching of g[C] holds every forced pair inside C.
+``recognition._c_left`` hands the alternating-cycle kernel only what the
+forced pairs leave of C, and ``unique_perfect_matching`` only what they
+leave of g.  One Kotzig peel of all of C, and of all of g, with no forced
+pairs (``peel_reference._peel``), are the references here, and a brute
+force over the perfect matchings of g[C] checks the lemma that makes the
+skip exact: every perfect matching of g[C] holds every forced pair inside C.
 """
 
 import random
@@ -12,6 +13,7 @@ import random
 import networkx as nx
 from hypothesis import given, settings
 
+from peel_reference import _peel
 from strategies import (
     corona,
     giant,
@@ -25,7 +27,7 @@ from urmatch import matching, recognition
 from urmatch.decomposition import gallai_edmonds
 from urmatch.families import path_graph
 from urmatch.graph_core import Graph
-from urmatch.matching import _greedy_seed, _matching_from_array, _max_match_array, _peel, unique_perfect_matching
+from urmatch.matching import _greedy_seed, _matching_from_array, _max_match_array, unique_perfect_matching
 from urmatch.oracle import enumerate_labeled_graphs
 from urmatch.recognition import _c_left, some_ur
 
@@ -146,20 +148,22 @@ def test_forced_pairs_are_the_seeds_and_stay_in_the_matching():
             assert 0 < sum(f != -1 for f in ge.forced) < g.n
 
 
-def _spy_peels(monkeypatch):
-    """The number of vertices each peel of the C test starts from."""
+def _spy_kernel_calls(monkeypatch, module):
+    """The number of live vertices each call of the alternating-cycle
+    kernel from ``module`` starts from."""
     calls = []
+    real = module._m_alternating_cycle
 
-    def spy(adj, match, alive, *live):
-        calls.append(sum(alive))
-        return _peel(adj, match, alive, *live)
+    def spy(adj, match, alive, live):
+        calls.append(len(live))
+        return real(adj, match, alive, live)
 
-    monkeypatch.setattr(recognition, "_peel", spy)
+    monkeypatch.setattr(module, "_m_alternating_cycle", spy)
     return calls
 
 
 def test_c_test_runs_no_peel_when_the_forced_pairs_cover_c(monkeypatch):
-    calls = _spy_peels(monkeypatch)
+    calls = _spy_kernel_calls(monkeypatch, recognition)
     tree = Graph.from_edges(5000, random_tree_edges(5000, random.Random(3)))
     for g in (path_graph(10000), corona(tree)):
         ge = gallai_edmonds(g)
@@ -171,7 +175,7 @@ def test_c_test_runs_no_peel_when_the_forced_pairs_cover_c(monkeypatch):
 
 
 def test_c_test_peels_only_the_unforced_c_vertices(monkeypatch):
-    calls = _spy_peels(monkeypatch)
+    calls = _spy_kernel_calls(monkeypatch, recognition)
     g = linear_triangle_tree(2000, 0.25, random.Random(7))
     ge = gallai_edmonds(g)
     c = [v for v, x in enumerate(ge.comp) if x <= -4]
@@ -181,22 +185,9 @@ def test_c_test_peels_only_the_unforced_c_vertices(monkeypatch):
     assert calls == [len(unforced)]
 
 
-def _spy_upm_peels(monkeypatch):
-    """The number of vertices each peel of ``unique_perfect_matching``
-    starts from."""
-    calls = []
-
-    def spy(adj, match, alive, *live):
-        calls.append(sum(alive))
-        return _peel(adj, match, alive, *live)
-
-    monkeypatch.setattr(matching, "_peel", spy)
-    return calls
-
-
 def _with_perfect_matching(n, m, rng):
     """m random edges on n (even) vertices plus a random perfect matching,
-    so that the peel has something to decide."""
+    so that the uniqueness test has something to decide."""
     perm = rng.sample(range(n), n)
     edges = {(perm[i], perm[i + 1]) for i in range(0, n, 2)}
     while len(edges) < n // 2 + m:
@@ -231,7 +222,7 @@ def test_unique_perfect_matching_equals_the_full_peel_on_hypothesis_graphs(g):
 
 
 def test_unique_perfect_matching_peels_only_the_unforced_vertices(monkeypatch):
-    calls = _spy_upm_peels(monkeypatch)
+    calls = _spy_kernel_calls(monkeypatch, matching)
     tree = Graph.from_edges(5000, random_tree_edges(5000, random.Random(3)))
     for g in (path_graph(10000), corona(tree)):
         assert len(unique_perfect_matching(g)) == 5000

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 
 from ge_reference import missable_vertex, unique_perfect_matching_by_deletion
 from lemma_helpers import delete_vertex, is_alternating_cycle
+import peel_reference
+from peel_reference import _alternating_cycle, _peel
 from strategies import (
     bipartite_graphs,
     corona,
@@ -27,11 +29,9 @@ from urmatch.graph_core import Graph, bipartition
 from urmatch.matching import (
     InternalCheckError,
     Matching,
-    _alternating_cycle,
     _greedy_seed,
     _matching_from_array,
     _max_match_array,
-    _peel,
     _search,
     edge_in_some_maximum_matching,
     is_factor_critical,
@@ -270,15 +270,24 @@ def test_peel_agrees_with_deletion_device_exhaustive():
 
 def _count_bridge_rounds(monkeypatch):
     rounds = []
-    real = matching._matched_bridges
+    real = peel_reference._matched_bridges
 
     def counting(adj, match, alive, roots):
         out = real(adj, match, alive, roots)
         rounds.append(len(out))
         return out
 
-    monkeypatch.setattr(matching, "_matched_bridges", counting)
+    monkeypatch.setattr(peel_reference, "_matched_bridges", counting)
     return rounds
+
+
+def _peel_unique(g):
+    """Whether the reference peel of g from the matcher's matching leaves
+    nothing; the kernel, through ``unique_perfect_matching``, must agree."""
+    match = _max_match_array(g)
+    unique = -1 not in match and not _peel(g.adj, match, [True] * g.n)
+    assert unique == (unique_perfect_matching(g) is not None)
+    return unique
 
 
 def _triangle_strip(k):
@@ -310,21 +319,21 @@ def test_peel_worst_cases_by_bridge_rounds(monkeypatch):
     # the pendant queue alone empties strips and paths: no bridge search
     strip = unique_perfect_matching(_triangle_strip(2000))
     assert strip is not None and (2 * 2000, 2 * 2000 + 1) in strip.edges
-    assert unique_perfect_matching(path_graph(20000)) is not None
+    assert _peel_unique(_triangle_strip(2000)) and _peel_unique(path_graph(20000))
     assert rounds == []
     # one bridge search deletes every matched bridge, then the queue empties
     # what is left
-    assert unique_perfect_matching(_bridged_triangles(2000)) is not None
+    assert _peel_unique(_bridged_triangles(2000))
     assert rounds == [1000]
     # a 4-cycle at the end leaves a rest with no matched bridge
     rounds.clear()
     g = _bridged_triangles(4)
     g = Graph.from_edges(16, [*g.edges, (11, 12), (12, 13), (13, 14), (14, 15), (15, 12)])
-    assert unique_perfect_matching(g) is None
+    assert not _peel_unique(g)
     assert unique_perfect_matching_by_deletion(g) is None
     assert rounds == [2, 0]
     rounds.clear()
-    assert unique_perfect_matching(cycle_graph(6)) is None
+    assert not _peel_unique(cycle_graph(6))
     assert rounds == [0]
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from every_reference import every_bipartite_by_objects
 from ge_reference import VIEWS, class_sets, gb_edge_condition_by_edges, gb_sides, unique_perfect_matching_by_deletion
 from lemma_helpers import is_alternating_cycle
+from peel_reference import _peel
 from some_reference import _edges, _perfect_minus
 from strategies import (
     bipartite_graphs,
@@ -47,8 +48,7 @@ from urmatch.graph_core import (
 from urmatch import graph_core, matching, recognition
 from urmatch.matching import (
     Matching,
-    _alternating_cycle,
-    _peel,
+    _m_alternating_cycle,
     edge_in_some_maximum_matching,
     maximum_matching,
 )
@@ -139,15 +139,16 @@ def test_apex_two_c5_instance():
     assert every_ur(g).answer
 
 
-def _counting_peels(monkeypatch):
-    """The number of vertices each peel of the deciders starts from."""
+def _counting_kernel_calls(monkeypatch):
+    """The number of live vertices each uniqueness test of the deciders
+    (one call of the alternating-cycle kernel) starts from."""
     calls = []
 
-    def counting(adj, match, alive, *live):
-        calls.append(sum(alive))
-        return _peel(adj, match, alive, *live)
+    def counting(adj, match, alive, live):
+        calls.append(len(live))
+        return _m_alternating_cycle(adj, match, alive, live)
 
-    monkeypatch.setattr(recognition, "_peel", counting)
+    monkeypatch.setattr(recognition, "_m_alternating_cycle", counting)
     return calls
 
 
@@ -176,14 +177,14 @@ def test_some_ur_tests_each_component_minus_h_once(monkeypatch):
     ge = gallai_edmonds(g)
     allowed_edges(g, ge)
     assert _tested_sets(ge) == {frozenset({2, 3, 4, 5}), frozenset({7, 8, 9, 10})}
-    calls = _counting_peels(monkeypatch)
+    calls = _counting_kernel_calls(monkeypatch)
     ge = gallai_edmonds(g)
     r = some_ur(g, ge=ge)
     assert r.answer and calls == [4, 4]
     assert _tested_sets(ge) == {frozenset({2, 3, 4, 5}), frozenset({7, 8, 9, 10})}
     assert set(ge.upms) == {("cycle", 0), ("cycle", 1), ("d", 0), ("d", 1), (0, 1), (1, 6)}
     # the two 5-cycles themselves, and K_{1,3}'s three single-vertex
-    # components, each minus its h, need no peel
+    # components, each minus its h, need no test
     calls.clear()
     assert some_ur(two_c5_apex()).answer and some_ur(star_graph(3)).answer
     assert calls == []
@@ -231,9 +232,9 @@ def test_deciders_share_the_c_component_tests(monkeypatch):
                               (7, 8), (8, 9), (7, 9), (9, 10), (10, 11), (11, 12), (10, 12)])
     ge = gallai_edmonds(g)
     assert bipartition(g) is None and len(ge.c_members) == 2
-    calls = _counting_peels(monkeypatch)
+    calls = _counting_kernel_calls(monkeypatch)
     assert some_ur(g, ge=ge).answer
-    # one peel of the six C vertices outside the forced pair, and one of
+    # one test of the six C vertices outside the forced pair, and one of
     # the D component minus h
     assert sorted(calls) == [4, 6]
     calls.clear()
@@ -332,13 +333,11 @@ def test_uniqueness_tests_on_hypothesis_graphs(g):
     _check_uniqueness_tests(g)
 
 
-def test_chorded_odd_cycle_minus_h_peels_without_bridge_search(monkeypatch):
+def test_chorded_odd_cycle_minus_h_takes_one_kernel_call_each(monkeypatch):
     # C_20001 with the chord 0-2: a triangle and an odd ear, so no odd
-    # cycle; H - h for these h is a tree of paths off the triangle
-    rounds = []
-    real = matching._matched_bridges
-    monkeypatch.setattr(matching, "_matched_bridges",
-                        lambda *args: rounds.append(1) or real(*args))
+    # cycle; H - h for these h is a tree of paths off the triangle, which
+    # one kernel call decides
+    calls = _counting_kernel_calls(monkeypatch)
     n = 20001
     g = Graph.from_edges(n, [*cycle_graph(n).edges, (0, 2)])
     ge = gallai_edmonds(g)
@@ -346,16 +345,17 @@ def test_chorded_odd_cycle_minus_h_peels_without_bridge_search(monkeypatch):
     for h in (0, 2, 10000, 20000):
         assert _unique_minus(g, ge, 0, h)
     assert ge.upms[("cycle", 0)] is False and ("d", 0) in ge.upms
+    assert calls == [n - 1] * 4
     r = some_ur(g, ge=ge)
     assert r.answer and len(r.witness) == 10000
-    assert rounds == []
 
 
 def _check_memo_against_direct_peels(g):
     """Every D - h answer that ``some_ur`` leaves in the memo, asked for or
-    written by a bulk rejection, against a path flip and a peel on a fresh
-    decomposition; each "no" also yields a cycle that alternates under the
-    perfect matching of D - h.  Returns the memoised answers."""
+    written by a bulk rejection, against a path flip, the reference peel
+    and one direct kernel call on a fresh decomposition; each "no" of the
+    kernel is a cycle that alternates under the perfect matching of D - h
+    and lies in what the peel leaves.  Returns the memoised answers."""
     ge, fresh = gallai_edmonds(g), gallai_edmonds(g)
     some_ur(g, ge=ge, all_failures=True)
     answers = {key: value for key, value in ge.upms.items() if isinstance(key[0], int)}
@@ -364,9 +364,9 @@ def _check_memo_against_direct_peels(g):
         alive = [True] * len(match)
         alive[x] = False
         rest = _peel(adj, match, alive)
-        assert answer is (not rest)
-        if rest:
-            cycle = _alternating_cycle(adj, match, rest)
+        cycle = _m_alternating_cycle(adj, match, alive, [y for y in range(len(match)) if y != x])
+        assert answer is (not rest) is (cycle is None)
+        if cycle is not None:
             assert is_alternating_cycle(adj, match, cycle) and set(cycle) <= set(rest)
     return answers
 
@@ -378,14 +378,14 @@ def test_memo_equals_direct_peels_on_hypothesis_graphs(g):
 
 
 def test_memo_equals_direct_peels_on_giants(monkeypatch):
-    calls = _counting_peels(monkeypatch)
+    calls = _counting_kernel_calls(monkeypatch)
     answers = {}
     for n in (250, 500, 1000, 2000):
         for seed in range(3):
             g = giant(sparse_graph_nm(n, 3 * n // 2, random.Random(seed)))
             answers.update({(n, seed, key): v for key, v in
                             _check_memo_against_direct_peels(g).items()})
-    # far more "no" answers than peels: most were written in bulk
+    # far more "no" answers than tests: most were written in bulk
     assert set(answers.values()) == {True, False}
     assert sum(not v for v in answers.values()) > 5 * len(calls)
 
@@ -396,7 +396,7 @@ def test_large_d_component_without_good_h_is_fast(monkeypatch):
     # component of 2855 vertices with no good h
     n = 2001
     square = Graph.from_edges(n, [(i, (i + d) % n) for i in range(n) for d in (1, 2)])
-    calls = _counting_peels(monkeypatch)
+    calls = _counting_kernel_calls(monkeypatch)
     for g in (square, giant(sparse_graph_nm(8000, 12000, random.Random(3)))):
         ge = gallai_edmonds(g)
         ci = max(range(len(ge.d_members)), key=lambda i: len(ge.d_members[i]))
@@ -501,8 +501,8 @@ def test_every_builds_no_member_lists(g):
 
 
 def test_deciders_build_no_block_lists(monkeypatch, tmp_path, capsys):
-    # the peel's bridge step and the D-block test each run one search of
-    # their own; only biconnected_blocks reads block lists
+    # the D-block test runs one search of its own, and the uniqueness
+    # tests none; only biconnected_blocks reads block lists
     rng = random.Random(5)
     instances = [linear_triangle_tree(40, 0.25, rng), giant(sparse_graph_nm(120, 180, rng)),
                  cycle_graph(9), complete_graph(5)]
@@ -571,7 +571,7 @@ def test_witness_walk_raises_on_a_pointer_out_of_the_component():
 
 
 def test_witness_walk_equals_the_local_flip_on_sparse_graphs():
-    # the one walk on g's arrays, read as the peel's input and as witness
+    # the one walk on g's arrays, read as the kernel's input and as witness
     # edges, against the local-id walk, on the giants and triangle trees
     # that tests/test_every_cores.py decides
     instances = [giant(sparse_graph_nm(n, 3 * n // 2, random.Random(seed)))
@@ -588,7 +588,8 @@ def test_witness_walk_equals_the_local_flip_on_sparse_graphs():
 def _check_odd_cycle_rule(g, sample=None):
     """For every D component that its induced edge count makes an odd
     cycle, and every h in it (or in ``sample(members)``): the route the
-    rule bypasses, the peel of ``_perfect_minus``, leaves nothing, and
+    rule bypasses, the kernel on ``_perfect_minus``, finds no cycle, the
+    reference peel leaves nothing, and
     ``_unique_minus`` says yes without a relabelled copy.  ``_odd_cycle``
     agrees with the count on every component above three vertices.
     Returns the cycles' sizes."""
@@ -606,6 +607,7 @@ def _check_odd_cycle_rule(g, sample=None):
             _, adj, x, match = _perfect_minus(g, fresh, ci, h)
             alive = [True] * len(match)
             alive[x] = False
+            assert _m_alternating_cycle(adj, match, alive, [y for y in range(len(match)) if y != x]) is None
             assert not _peel(adj, match, alive)
         assert ("d", ci) not in ge.upms
     return sizes
@@ -630,10 +632,10 @@ def test_odd_cycle_rule_equals_the_peel_on_cycles_and_triangle_trees():
 
 
 def test_odd_cycle_components_take_no_peel(monkeypatch):
-    # on a triangle tree and on C_20001 some_ur peels C once, if the
+    # on a triangle tree and on C_20001 some_ur tests C once, if the
     # forced pairs leave some of it, and no D component: each is an odd
     # cycle
-    calls = _counting_peels(monkeypatch)
+    calls = _counting_kernel_calls(monkeypatch)
     for g in (linear_triangle_tree(2000, 0.25, random.Random(7)), cycle_graph(20001)):
         ge = gallai_edmonds(g)
         r = some_ur(g, ge=ge)
@@ -646,9 +648,9 @@ def test_odd_cycle_components_take_no_peel(monkeypatch):
 
 
 def test_one_alternating_forest_per_graph():
-    # outside the matcher, only the alternating cycle and the rejection
-    # search of a failed D - h test grow a forest; no labelling search, no
-    # search per D component
+    # outside the matcher, only the rejection search of a failed D - h
+    # test grows a forest (the alternating-cycle kernel grows its own
+    # trees); no labelling search, no search per D component
     code = matching._search.__code__
     callers = []
 
@@ -668,7 +670,7 @@ def test_one_alternating_forest_per_graph():
                 decide(g, all_failures=True)
             finally:
                 sys.setprofile(None)
-    assert set(callers) == {"_matcher", "_alternating_cycle", "_unique_minus"}
+    assert set(callers) == {"_matcher", "_unique_minus"}
 
 
 def test_every_route_builds_no_graph_matching_or_digraph():
@@ -742,7 +744,7 @@ def _check_instance(g):
 
 def _check_perfect_minus(g, ge):
     # the flipped path leaves a perfect matching of every D component minus
-    # h; the one walk on g's arrays gives the local walk's peel input, as
+    # h; the one walk on g's arrays gives the local walk's kernel input, as
     # _unique_minus builds it, and its edges, as the witness reads them
     mate = ge.match
     for ci, comp in enumerate(ge.d_members):
