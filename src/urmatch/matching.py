@@ -155,11 +155,12 @@ def _greedy_seed(adj: tuple[tuple[int, ...], ...]) -> tuple[list[int], list[int]
 _UNLABELLED, _EVEN, _ODD, _DEAD_EVEN, _DEAD_ODD = 0, 1, 2, 3, 4
 
 
-def _shrink(adj, match, state, find, v, w):
+def _shrink(adj, match, label, parent, blossom, find, v, w, x, y):
     """Contract the blossom that the edge vw closes between two even
     vertices of different blossoms of one tree, and return the odd vertices
-    it turns even; None if v and w lie in two trees.  ``state`` and ``find``
-    are a search's (see ``_search``); a root is a vertex with no mate.
+    it turns even; None if v and w lie in two trees.  The arrays and
+    ``find`` are a search's (see ``_search``), x and y are the bases of v
+    and w, and a root is a vertex with no mate.
 
     The nearest common base is found by stepping up from both sides in
     turn.  No base is merged before both walks end: a walk stops at the
@@ -167,8 +168,6 @@ def _shrink(adj, match, state, find, v, w):
     walks set the path pointers around the blossom, so that the walk from
     each odd vertex turned even runs through vw to the base.
     """
-    label, parent, blossom = state
-    x, y = find(v), find(w)
     seen = set()
     while True:
         if x != -1:
@@ -261,10 +260,11 @@ def _search(adj, match, roots, state=None, dead=()):
                     continue
             elif lw != _EVEN:
                 continue  # odd, or dead
-            elif find(v) == find(w):
-                continue
             else:
-                odd = _shrink(adj, match, (label, parent, blossom), find, v, w)
+                x, y = find(v), find(w)
+                if x == y:
+                    continue
+                odd = _shrink(adj, match, label, parent, blossom, find, v, w, x, y)
                 if odd is not None:
                     queue += odd
                     continue
@@ -540,7 +540,6 @@ def _cycle_or_none(adj, match, alive, live):
     label = [_DEAD_ODD] * n
     parent = [-1] * n
     blossom = [0] * n
-    state = (label, parent, blossom)
     trial = list(match)  # match with t free during t's search, for _shrink
     for v in live:
         if alive[v]:
@@ -591,11 +590,13 @@ def _cycle_or_none(adj, match, alive, live):
                     odds.append(w)
                     label[m] = _EVEN
                     queue.append(m)
-                elif lw == _EVEN and find(v) != find(w):
-                    odd = _shrink(adj, trial, state, find, v, w)
-                    if odd is None:
-                        raise InternalCheckError(f"the blossom walks from {v} and {w} miss {t}")
-                    queue += odd
+                elif lw == _EVEN:
+                    x, y = find(v), find(w)
+                    if x != y:
+                        odd = _shrink(adj, trial, label, parent, blossom, find, v, w, x, y)
+                        if odd is None:
+                            raise InternalCheckError(f"the blossom walks from {v} and {w} miss {t}")
+                        queue += odd
         trial[t] = r
         members = {}
         for v in queue:
