@@ -62,11 +62,10 @@ def test_kernel_equals_the_peel_under_every_perfect_matching_exhaustive():
 
 
 def test_kernel_equals_the_peel_on_random_graphs_and_live_sets():
-    # live sets closed under the matching, from nearly empty (the kernel
-    # then relabels them) to all of the matched vertices
+    # live sets closed under the matching, from nearly empty to all of the
+    # matched vertices
     rng = random.Random(26)
     seen = set()
-    relabelled = 0
     for _ in range(1200):
         n = rng.randrange(2, 61)
         g = random_graph_nm(n, min(rng.choice((n, 3 * n // 2, 2 * n, 3 * n)), n * (n - 1) // 2), rng)
@@ -78,8 +77,28 @@ def test_kernel_equals_the_peel_on_random_graphs_and_live_sets():
                 alive[v] = alive[w] = True
         live = [v for v in range(n) if alive[v]]
         seen.add(_check(g.adj, match, alive, live) is None)
-        relabelled += 0 < 8 * len(live) < n
-    assert seen == {True, False} and relabelled > 50
+    assert seen == {True, False}
+
+
+def test_small_live_sets_of_a_large_graph_are_relabelled():
+    # 500 disjoint copies of a 4-cycle with a pendant edge at each of two
+    # opposite corners, matched by the pendants: a live set of one copy's
+    # cycle is under 1/128 of the graph, so the kernel works on a
+    # relabelled copy of it and maps its cycle back
+    edges, match = [], []
+    for c in range(500):
+        a, b, x, y, p, q = range(6 * c, 6 * c + 6)
+        edges += [(a, b), (b, x), (x, y), (y, a), (a, p), (x, q)]
+        match += [b, a, y, x, -1, -1]
+    g = Graph.from_edges(3000, edges)
+    alive = [v % 6 < 4 for v in range(3000)]
+    for c in (0, 7, 499):
+        live = list(range(6 * c, 6 * c + 4))
+        cycle = _check(g.adj, match, alive, live)
+        assert cycle is not None and sorted(cycle) == live
+    pendants = [v for v in range(12) if v % 6 in (0, 2, 4, 5)]  # a-p and x-q in copies 0 and 1
+    pm = [4, -1, 5, -1, 0, 2, 10, -1, 11, -1, 6, 8] + [-1] * 2988
+    assert _check(g.adj, pm, [v in pendants for v in range(3000)], pendants) is None
 
 
 def test_kernel_equals_acyclic_dm_on_bipartite_graphs():
