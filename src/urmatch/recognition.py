@@ -115,7 +115,9 @@ def _c_left(g: Graph, ge: GallaiEdmonds) -> frozenset[int]:
     answers every component when it finds no cycle, as C's components
     share no edge.  A cycle names one component that fails, and each other
     component that the forced pairs leave some of then takes a call of its
-    own.  No call runs when the forced pairs cover C.
+    own, on a relabelled copy of what they leave of it, so that the calls
+    together cost what the graph's size does.  No call runs when the
+    forced pairs cover C.
 
     Lemma: every perfect matching of g[C] holds each forced pair inside C.
     Let x_i w_i be the forced pairs in the seed's order.  When x_i was
@@ -150,8 +152,14 @@ def _c_left(g: Graph, ge: GallaiEdmonds) -> frozenset[int]:
             lives: dict[int, list[int]] = {}
             for v in live:
                 lives.setdefault(-4 - comp[v], []).append(v)
-            left.update(ci for ci, vs in lives.items()
-                        if ci not in left and _m_alternating_cycle(g.adj, match, alive, vs) is not None)
+            for ci, vs in lives.items():
+                if ci not in left:  # on its own copy, so that the call costs its size
+                    pos = {v: i for i, v in enumerate(vs)}
+                    sub = [[pos[w] for w in g.adj[v] if w in pos] for v in vs]
+                    k = len(vs)
+                    if _m_alternating_cycle(sub, [pos.get(match[v], -1) for v in vs], [True] * k,
+                                            range(k)) is not None:
+                        left.add(ci)
         ge.upms["c"] = frozenset(left)
     return ge.upms.get("c", frozenset())
 

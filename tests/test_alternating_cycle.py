@@ -10,6 +10,7 @@ kernel call per uniqueness test and work linear in its size.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -80,11 +81,10 @@ def test_kernel_equals_the_peel_on_random_graphs_and_live_sets():
     assert seen == {True, False}
 
 
-def test_small_live_sets_of_a_large_graph_are_relabelled():
+def test_small_live_sets_of_a_large_graph():
     # 500 disjoint copies of a 4-cycle with a pendant edge at each of two
-    # opposite corners, matched by the pendants: a live set of one copy's
-    # cycle is under 1/128 of the graph, so the kernel works on a
-    # relabelled copy of it and maps its cycle back
+    # opposite corners, matched by the pendants: the kernel visits only a
+    # live set, here one copy's cycle, under 1/128 of the graph
     edges, match = [], []
     for c in range(500):
         a, b, x, y, p, q = range(6 * c, 6 * c + 6)
@@ -99,6 +99,34 @@ def test_small_live_sets_of_a_large_graph_are_relabelled():
     pendants = [v for v in range(12) if v % 6 in (0, 2, 4, 5)]  # a-p and x-q in copies 0 and 1
     pm = [4, -1, 5, -1, 0, 2, 10, -1, 11, -1, 6, 8] + [-1] * 2988
     assert _check(g.adj, pm, [v in pendants for v in range(3000)], pendants) is None
+
+
+def test_c_test_calls_each_other_component_on_its_own_copy(monkeypatch):
+    # 400 C components, none with a vertex of degree 1, so that the seed
+    # forces no pair: every 50th is a 4-cycle, with two perfect matchings,
+    # and the others paths a-b-x-y with a triangle hung at a and at y,
+    # with one
+    edges, cycles = [], []
+    for c in range(400):
+        a, b, x, y, p, q, r, s = range(8 * c, 8 * c + 8)
+        edges += [(a, b), (b, x), (x, y)]
+        if c % 50 == 3:
+            cycles.append(a)
+            edges.append((y, a))
+        else:
+            edges += [(a, p), (p, q), (q, a), (y, r), (r, s), (s, y)]
+    g = Graph.from_edges(3200, edges)
+    sizes = []
+    real = recognition._m_alternating_cycle
+    monkeypatch.setattr(recognition, "_m_alternating_cycle",
+                        lambda adj, *rest: sizes.append(len(adj)) or real(adj, *rest))
+    ge = gallai_edmonds(g)
+    assert len(ge.c_members) == 400 and ge.forced.count(-1) == g.n
+    left = recognition._c_left(g, ge)
+    assert left == {-4 - ge.comp[a] for a in cycles}
+    assert left == {-4 - ge.comp[v] for v in _peel(g.adj, ge.match, [c <= -4 for c in ge.comp])}
+    # the first call spans the graph, each later one only its component
+    assert sizes[0] == g.n and len(sizes) == 400 and max(sizes[1:]) == 8
 
 
 def test_kernel_equals_acyclic_dm_on_bipartite_graphs():
@@ -199,28 +227,32 @@ def test_nested_bridges_take_one_kernel_call_per_test(monkeypatch):
     assert is_uniquely_restricted(g, r.witness) and calls == ["urmatch.ur_core"]
 
 
-class _CountingRows(list):
-    """An adjacency that counts the rows read from it."""
+def _kernel_lines(g):
+    """The lines of Python that one kernel call runs on g under its unique
+    perfect matching, in every function it calls: the searches, the
+    blossom walks of ``_shrink`` and ``_walk`` and the union-find steps."""
+    match = _max_match_array(g)
+    count = 0
 
-    reads = 0
+    def trace(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return trace
 
-    def __getitem__(self, v):
-        self.reads += 1
-        return super().__getitem__(v)
-
-
-def _kernel_work(g):
-    """The adjacency rows that one kernel call reads on g under its unique
-    perfect matching: each read scans one vertex's neighbors."""
-    adj = _CountingRows(g.adj)
-    assert _m_alternating_cycle(adj, _max_match_array(g), [True] * g.n, range(g.n)) is None
-    return adj.reads
+    before = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        cycle = _m_alternating_cycle(g.adj, match, [True] * g.n, range(g.n))
+    finally:
+        sys.settrace(before)
+    assert cycle is None
+    return count
 
 
 def test_kernel_work_on_nested_bridges_is_linear():
     # the peel ran k + 1 bridge searches over all that was left; the
-    # kernel scans each vertex a bounded number of times
-    for k in (250, 1000, 4000):
-        for seed in (1, 2):
-            g = nested_bridges(k, seed)
-            assert _kernel_work(g) <= 4 * g.n
+    # kernel runs 60 to 170 lines per vertex at each of these sizes, where
+    # a quadratic one would run 16 times as many per vertex at the largest
+    for seed in (1, 2):
+        for k in (250, 1000, 4000):
+            assert _kernel_lines(nested_bridges(k, seed)) < 250 * (4 * k + 6)
