@@ -1,8 +1,9 @@
 """Command-line interface: graph files, JSON reports and the oracle driver;
 the self-test driver is ``urmatch.selftest``.
 
-Exit codes: 0 answer computed, 2 input/parse error, 3 oracle guard exceeded,
-4 internal cross-check disagreement.
+Exit codes: 0 answer computed (or help printed by ``-h``), 2 input/parse
+error or argument usage error, 3 oracle guard exceeded, 4 internal
+cross-check disagreement.
 """
 
 from __future__ import annotations
@@ -268,8 +269,9 @@ def _read(path: str) -> str:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on the first ``main`` call."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The one parser of the process and its command table, each command's
+    name to its subparser, built on the first ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="urmatch",
         description="Decide whether some / every maximum matching of a graph is uniquely restricted.",
@@ -305,12 +307,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--random", type=int, default=200)
     p_self.add_argument("--seed", type=int, default=0)
     p_self.set_defaults(fn=_cmd_selftest)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; ``argv`` defaults to ``sys.argv[1:]``.
+
+    argv is parsed once: when its first word names a command, the rest goes
+    straight to that command's subparser, and otherwise (no word, ``-h``, an
+    unknown word) the top-level parser runs and prints its usage.  Argument
+    usage errors exit with 2 (SystemExit), ``-h`` with 0; the other exit
+    codes are returned, as listed in the module docstring.
+    """
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        args = commands[argv[0]].parse_args(argv[1:])
+    else:
+        args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except GraphParseError as exc:

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import gc
@@ -454,10 +455,92 @@ def test_selftest_counts_witness_edge_outside_allowed_edges(capsys, monkeypatch)
 def test_parser_is_built_once(tmp_path, capsys):
     path = _write(tmp_path, "p3.g", P3_TEXT)
     assert main(["check", path, "--property", "some"]) == 0
-    parser = cli._build_parser()
+    built = cli._build_parser()
     assert main(["check", path, "--property", "every"]) == 0
-    assert cli._build_parser() is parser
+    assert cli._build_parser() is built
+    assert cli._build_parser.cache_info().misses == 1
     capsys.readouterr()
+    # the command table main dispatches on comes out of the same cached
+    # call, and its entries are the top-level parser's own subparsers, so
+    # that -h and the dispatch cannot drift apart
+    parser, commands = built
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands) == list(action.choices) == ["check", "is-ur", "decompose", "oracle", "selftest"]
+    assert all(commands[name] is action.choices[name] for name in commands)
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """The number of ``parse_known_args`` calls made so far, in a list."""
+    calls = [0]
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{f}", "--property", "both", "--json"],
+    ["is-ur", "{f}", "--matching", "0-1"],
+    ["decompose", "{f}"],
+    ["oracle", "{f}", "--property", "some"],
+    ["selftest", "--nmax", "0", "--random", "0"],
+])
+def test_main_parses_argv_once(argv, tmp_path, parse_calls):
+    path = _write(tmp_path, "p3.g", P3_TEXT)
+    assert main([a.format(f=path) for a in argv]) == 0
+    assert parse_calls[0] == 1
+
+
+def test_main_reads_sys_argv_by_default(tmp_path, capsys, monkeypatch, parse_calls):
+    path = _write(tmp_path, "p3.g", P3_TEXT)
+    monkeypatch.setattr(sys, "argv", ["urmatch", "check", path, "--property", "some"])
+    assert main() == 0
+    assert capsys.readouterr().out == "true\n"
+    assert parse_calls[0] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "f", "--property=both"],
+    ["check", "f", "--prop", "both"],
+    ["check", "--property", "some", "f"],
+    ["check", "f", "g", "--property", "every"],
+    ["check", "f", "--property", "both", "--witness", "--all-failures"],
+    ["is-ur", "f", "--matching", "0-1"],
+    ["decompose", "f", "--json"],
+    ["oracle", "f", "--property", "every", "--force"],
+    ["selftest"],
+    ["selftest", "--nmax", "2", "--random", "3", "--seed", "5"],
+])
+def test_dispatch_builds_the_full_parsers_arguments(argv):
+    parser, commands = cli._build_parser()
+    full = vars(parser.parse_args(argv))
+    assert full.pop("command") == argv[0]
+    assert vars(commands[argv[0]].parse_args(argv[1:])) == full
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    ([], 2, "usage: urmatch [-h] {check,"),
+    (["nope"], 2, "usage: urmatch [-h] {check,"),
+    (["-h"], 0, "usage: urmatch [-h] {check,"),
+    (["check", "-h"], 0, "usage: urmatch check [-h]"),
+    (["check"], 2, "urmatch check: error: the following arguments are required"),
+    (["check", "{f}", "--property", "x"], 2, "urmatch check: error: argument --property"),
+    (["check", "{f}", "--property", "some", "--bogus"], 2,
+     "urmatch check: error: unrecognized arguments: --bogus"),
+])
+def test_usage_errors_and_help_exit(argv, code, text, tmp_path, capsys):
+    # help goes to stdout with 0, a usage error to stderr with 2
+    path = _write(tmp_path, "p3.g", P3_TEXT)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(f=path) for a in argv])
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert text in (captured.out if code == 0 else captured.err)
 
 
 def test_selftest_counts_decomposition_rejection(capsys, monkeypatch):
