@@ -196,9 +196,9 @@ def _check(args) -> int:
         else:
             lead = f"{path}: " if prefix_path else ""
             for prop, rep, _ms in reports:
-                tag = f" {rep.failure}" if rep.failure else ""
+                tags = "".join(f" {tag}" for tag in rep.failures)
                 name = f"{prop} " if args.property == "both" else ""
-                print(f"{lead}{name}{str(rep.answer).lower()}{tag}")
+                print(f"{lead}{name}{str(rep.answer).lower()}{tags}")
                 if args.witness and rep.witness is not None and rep.answer:
                     print(f"{lead}witness {_format_witness(rep)}")
     return 0

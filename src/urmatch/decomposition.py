@@ -46,10 +46,10 @@ class GallaiEdmonds:
     stays inside v's D component up to the vertex that ``match`` leaves
     unmatched there; ``forced`` holds the seed's forced pairs as a mate
     array (``matching._greedy_seed``), which every perfect matching of g[C]
-    holds inside C (``recognition._c_left``).  A decomposition built
-    without them serves the verifier only; the deciders refuse it.  ``upms``
-    is the deciders' memo (see ``recognition``); ``replace`` starts it
-    empty.
+    holds inside C (the lemma of ``matching._unforced_cycle``).  A
+    decomposition built without them serves the verifier only; the
+    deciders refuse it.  ``upms`` is the deciders' memo (see
+    ``recognition``); ``replace`` starts it empty.
 
     Views, each read off ``comp`` on first read: ``counts``, the numbers of
     D and of C components; ``a_list``, the A-vertices

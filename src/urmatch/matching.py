@@ -13,7 +13,8 @@ Edmonds forest of the final matching, so its labels are the Gallai-Edmonds
 labelling (dead-even is D, dead-odd A, unlabelled C) and its path pointers
 lead from every D vertex to the free vertex of its tree; an isolated free
 vertex is labelled without a search.  The seed's matches before its first
-greedy step, its forced pairs, are kept too: no search undoes them.  A
+greedy step, its forced pairs, are kept too: no search undoes them, and
+a uniqueness test leaves them out (``_unforced_cycle``).  A
 search's walks are bounded by the vertex count, so mates that are no
 involution raise.  Uniqueness of a given perfect matching M is one kernel,
 ``_m_alternating_cycle``, which returns an M-alternating cycle or None: a
@@ -150,6 +151,41 @@ def _greedy_seed(adj: tuple[tuple[int, ...], ...]) -> tuple[list[int], list[int]
                 deg[y] -= 1
                 if deg[y] == 1:
                     pendant.append(y)
+
+
+def _unforced_cycle(adj, match, forced, members):
+    """An M-alternating cycle of the subgraph of ``adj`` induced by
+    ``members``, or None if ``match`` (M) is its only perfect matching.  M
+    must be perfect on ``members`` and hold each forced pair among them
+    (``forced`` is the seed's, see ``_greedy_seed``), which is checked; the
+    kernel ``_m_alternating_cycle`` then runs once, on the members that no
+    forced pair covers, or not at all when they cover every member.  The C test
+    (``recognition._c_failure``) asks this of C, ``unique_perfect_matching``
+    of all of g.
+
+    Lemma: when M was grown from the seed by augmenting paths, every
+    perfect matching of the members holds each forced pair among them.
+    Let x_i w_i be the forced pairs in the seed's order.  When x_i was
+    matched, w_i was its one free neighbor, so its other neighbors lay in
+    earlier pairs.  An augmenting path through x_i w_i would leave x_i for
+    an earlier pair and run along it, so by induction on i none meets a
+    forced pair: they stay in M, so a forced pair that meets the members
+    lies among them.  In a perfect matching N of the members, a mate
+    y != w_i of x_i would lie in an earlier pair y z among them, which N
+    holds by induction, and z != x_i; so N matches x_i to w_i.  Deleting
+    the forced pairs therefore keeps the count of perfect matchings.
+    """
+    inside = set(members)
+    live = []
+    for v in members:
+        m, f = match[v], forced[v]
+        if m not in inside:
+            raise InternalCheckError(f"the matching is not perfect on the members at vertex {v}")
+        if f == -1:
+            live.append(v)
+        elif f != m or forced[m] != v:
+            raise InternalCheckError(f"the forced pair {v}-{f} is not in the matching")
+    return _m_alternating_cycle(adj, match, live) if live else None
 
 
 _UNLABELLED, _EVEN, _ODD, _DEAD_EVEN, _DEAD_ODD = 0, 1, 2, 3, 4
@@ -383,25 +419,24 @@ def _walk(match, parent, x, stop):
     raise InternalCheckError(f"the walk from {out[0]} misses {stop}")
 
 
-def _m_alternating_cycle(adj, match, alive, live):
+def _m_alternating_cycle(adj, match, live):
     """An M-alternating cycle of the subgraph of ``adj`` induced by the
-    vertices marked in ``alive``, or None if it has none.  ``match`` (M)
-    must be perfect on them, so None says that M is their only perfect
-    matching: a second one differs from M on such cycles.  ``live`` lists
-    the marked vertices, and no other is visited; ``alive`` and ``match``
-    are left untouched.  A cycle is a vertex list whose first edge is in M
-    and whose edges alternate, the closing one out of M; it is checked to
-    be one, on vertices of ``live``, before it is returned.  Its arrays
-    span the whole graph, so a caller with a ``live`` much smaller than
-    the graph, several times over, relabels it first (``recognition._c_left``).
+    vertices in ``live``, or None if it has none.  ``match`` (M) must be
+    perfect on them, so None says that M is their only perfect matching: a
+    second one differs from M on such cycles.  No vertex outside ``live``
+    is visited, and ``match`` is left untouched.  A cycle is a vertex list
+    whose first edge is in M and whose edges alternate, the closing one out
+    of M; it is checked to be one, on vertices of ``live``, before it is
+    returned.  Its arrays span the whole graph, so each call costs the
+    graph's size once; every uniqueness test is one call.
 
     See ``_cycle_or_none`` for the search and the lemma behind it.
     """
-    cycle = _cycle_or_none(adj, match, alive, live)
+    cycle = _cycle_or_none(adj, match, live)
     if cycle is not None:
         inside = set(live)
         k = len(cycle)
-        if k < 4 or k % 2 or len(set(cycle)) != k or not all(alive[v] and v in inside for v in cycle) \
+        if k < 4 or k % 2 or len(set(cycle)) != k or not all(v in inside for v in cycle) \
                 or not all(match[cycle[i]] == cycle[i + 1] and cycle[(i + 2) % k] in adj[cycle[i + 1]]
                            for i in range(0, k, 2)):
             raise InternalCheckError(f"the kernel's cycle {cycle} does not alternate inside the live vertices")
@@ -468,7 +503,7 @@ def _arc_cycle(adj, match, label, live):
     return None
 
 
-def _cycle_or_none(adj, match, alive, live):
+def _cycle_or_none(adj, match, live):
     """The search behind ``_m_alternating_cycle``.  First one depth-first
     search of the arc digraph (``_arc_cycle``), which finds a short cycle
     in most graphs that have one, at less than the cost of one Edmonds
@@ -537,12 +572,11 @@ def _cycle_or_none(adj, match, alive, live):
     blossom = [0] * n
     trial = list(match)  # match with t free during t's search, for _shrink
     for v in live:
-        if alive[v]:
-            label[v] = _UNLABELLED
-            blossom[v] = v
+        label[v] = _UNLABELLED
+        blossom[v] = v
     for v in live:
         m = match[v]
-        if label[v] == _UNLABELLED and (m == -1 or label[m] != _UNLABELLED or match[m] != v):
+        if m == -1 or label[m] != _UNLABELLED or match[m] != v:
             raise InternalCheckError(f"the matching is not perfect on the live vertices at {v}")
 
     cycle = _arc_cycle(adj, match, label, live)
@@ -662,23 +696,16 @@ def _contracted_cycle(adj, match, parent, members, stems):
 def unique_perfect_matching(g: Graph) -> Matching | None:
     """The unique perfect matching of g, or None if g has zero or several.
 
-    One maximum matching, then one call of the alternating-cycle kernel
-    ``_m_alternating_cycle`` on the vertices that the seed's forced pairs
-    leave, which must find no cycle there.  Every perfect matching of g
-    holds each forced pair (the lemma of ``recognition._c_left``, with C
-    all of g), so deleting them keeps the count of perfect matchings; on a
-    forest they cover g and the kernel does not run.  The empty graph has
-    the empty one.
+    One maximum matching, then one test that it is the only perfect
+    matching (``_unforced_cycle``): a call of the alternating-cycle kernel on
+    the vertices that the seed's forced pairs leave, which must find no
+    cycle there.  On a forest they cover g and the kernel does not run.
+    The empty graph has the empty one.
     """
     if g.n % 2:
         return None
     match, _, _, forced = _matcher(g)
-    if -1 in match:
-        return None
-    if any(f != -1 and f != m for f, m in zip(forced, match)):
-        raise InternalCheckError("a forced pair is not in the matching")
-    live = [v for v, f in enumerate(forced) if f == -1]
-    if live and _m_alternating_cycle(g.adj, match, [f == -1 for f in forced], live) is not None:
+    if -1 in match or _unforced_cycle(g.adj, match, forced, range(g.n)) is not None:
         return None
     return _matching_from_array(g, match)
 

@@ -8,8 +8,8 @@ and its memo; no decider matches gb, and only ``some_ur`` reads gb and
 member lists.  A run that stops at a C or D component test builds no other
 view.  Every uniqueness test is one call of the alternating-cycle kernel
 ``matching._m_alternating_cycle``: the C test makes one on what the seed's
-forced pairs leave of C (and one more per other component once a
-component fails), and each D - h test one.
+forced pairs leave of C (``matching._unforced_cycle``), and each D - h test
+one.
 Yes-instances of ``some_ur`` come with a witness matching, built as one
 mate array, that callers can re-verify.  ``every_ur`` takes the one route
 through the decomposition on every graph, bipartite ones included.  Only
@@ -36,6 +36,7 @@ from .matching import (
     _m_alternating_cycle,
     _matching_from_array,
     _search,
+    _unforced_cycle,
     unique_perfect_matching,  # noqa: F401  read as recognition.unique_perfect_matching by perfbench
 )
 
@@ -57,8 +58,8 @@ FAILURE_TAGS = frozenset({
 
 
 # ``GallaiEdmonds.upms``, the deciders' memo, so that deciders sharing one
-# decomposition test each set once: ``"c"`` maps to the indices of the C
-# components whose perfect matching is not unique (``_c_left``);
+# decomposition test each set once: ``"c"`` maps to the index of a C
+# component whose perfect matching is not unique, or None (``_c_failure``);
 # ``("cycle", ci)`` to whether D component ``ci``, of more than three
 # vertices, is an odd cycle (``_odd_cycle``), whose every h needs no test;
 # ``(ci, h)`` to whether D component ``ci`` minus its vertex h has a unique
@@ -105,63 +106,21 @@ def _decomposed(g: Graph, ge: GallaiEdmonds | None) -> GallaiEdmonds:
     return ge
 
 
-def _c_left(g: Graph, ge: GallaiEdmonds) -> frozenset[int]:
-    """The indices of the C components whose perfect matching is not unique,
-    memoised in ``ge.upms`` once C is not empty.  ``ge.match`` is perfect on
-    C, so component ci has a unique perfect matching, ``ge.match`` on it,
-    iff the kernel ``_m_alternating_cycle`` finds no alternating cycle in
-    it, on the component's vertices that the seed's forced pairs
-    (``ge.forced``) leave.  One call over all of those, on g's adjacency,
-    answers every component when it finds no cycle, as C's components
-    share no edge.  A cycle names one component that fails, and each other
-    component that the forced pairs leave some of then takes a call of its
-    own, on a relabelled copy of what they leave of it, so that the calls
-    together cost what the graph's size does.  No call runs when the
-    forced pairs cover C.
-
-    Lemma: every perfect matching of g[C] holds each forced pair inside C.
-    Let x_i w_i be the forced pairs in the seed's order.  When x_i was
-    matched, w_i was its one free neighbor, so its other neighbors lay in
-    earlier pairs.  An augmenting path through x_i w_i would leave x_i for
-    an earlier pair and run along it, so by induction on i none meets a
-    forced pair: they stay in ``ge.match``, which keeps C inside C.  In a
-    perfect matching M of g[C], a mate y != w_i of x_i would lie in an
-    earlier pair y z inside C, which M holds by induction, and z != x_i; so
-    M matches x_i to w_i.  Deleting the forced pairs therefore keeps each
-    component's count of perfect matchings.
+def _c_failure(g: Graph, ge: GallaiEdmonds) -> int | None:
+    """The index of a C component whose perfect matching is not unique, or
+    None if every one has a unique perfect matching, memoised in
+    ``ge.upms`` once C is not empty.  ``ge.match`` is perfect on C, so one
+    test of it on all of C (``_unforced_cycle``: one kernel call, on g's
+    adjacency, on what the seed's forced pairs ``ge.forced`` leave of C)
+    answers every component, as C's components share no edge: a cycle
+    lies in one component that fails, which is named.  No kernel call runs
+    when the forced pairs cover C.
     """
     if ge.counts[1] and "c" not in ge.upms:
-        match, comp, forced = ge.match, ge.comp, ge.forced
-        alive = [False] * len(comp)
-        live = []
-        for v, c in enumerate(comp):
-            if c <= -4:
-                m = match[v]
-                if m == -1 or comp[m] != c:
-                    raise InternalCheckError(f"the matching is not perfect on C at vertex {v}")
-                f = forced[v]
-                if f == -1:
-                    alive[v] = True
-                    live.append(v)
-                elif f != m or forced[m] != v:
-                    raise InternalCheckError(f"the forced pair {v}-{f} in C is not in the matching")
-        cycle = _m_alternating_cycle(g.adj, match, alive, live) if live else None
-        left = set()
-        if cycle is not None:
-            left.add(-4 - comp[cycle[0]])
-            lives: dict[int, list[int]] = {}
-            for v in live:
-                lives.setdefault(-4 - comp[v], []).append(v)
-            for ci, vs in lives.items():
-                if ci not in left:  # on its own copy, so that the call costs its size
-                    pos = {v: i for i, v in enumerate(vs)}
-                    sub = [[pos[w] for w in g.adj[v] if w in pos] for v in vs]
-                    k = len(vs)
-                    if _m_alternating_cycle(sub, [pos.get(match[v], -1) for v in vs], [True] * k,
-                                            range(k)) is not None:
-                        left.add(ci)
-        ge.upms["c"] = frozenset(left)
-    return ge.upms.get("c", frozenset())
+        comp = ge.comp
+        cycle = _unforced_cycle(g.adj, ge.match, ge.forced, [v for v, c in enumerate(comp) if c <= -4])
+        ge.upms["c"] = None if cycle is None else -4 - comp[cycle[0]]
+    return ge.upms.get("c")
 
 
 def _d_local(g: Graph, ge: GallaiEdmonds, ci: int):
@@ -244,9 +203,7 @@ def _unique_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int) -> bool:
         match, x = match[:], pos[h]
         for v, w in _flip(ge, ci, h).items():
             match[pos[v]] = pos.get(w, -1)
-        alive = [True] * len(match)
-        alive[x] = False
-        cycle = _m_alternating_cycle(adj, match, alive, [*range(x), *range(x + 1, len(match))])
+        cycle = _m_alternating_cycle(adj, match, [*range(x), *range(x + 1, len(match))])
         ge.upms[key] = cycle is None
         if cycle is not None:
             forest = _search(adj, match, [x], dead=cycle)
@@ -289,7 +246,7 @@ def _some_failures(g: Graph, ge: GallaiEdmonds, chosen: dict[int, tuple[int, int
     whose deletion leaves a unique perfect matching, and the A-vertex a that
     the ordering matched to h, or -1."""
     # condition 1: every untouched component has a unique perfect matching
-    if _c_left(g, ge):
+    if _c_failure(g, ge) is not None:
         yield C_COMPONENT_PM_NOT_UNIQUE
 
     # condition 2: gb has a maximum uniquely restricted matching inside the
@@ -358,7 +315,7 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
 
 def _every_failures(g: Graph, ge: GallaiEdmonds) -> Iterator[str]:
     """The tags of ``every_ur``'s four conditions that fail, in order."""
-    if _c_left(g, ge):
+    if _c_failure(g, ge) is not None:
         yield C_COMPONENT_PM_NOT_UNIQUE
     # one block search over g's adjacency, kept inside D
     if not _odd_cycle_blocks(g.adj, [c >= 0 for c in ge.comp]):

@@ -23,7 +23,7 @@ from .oracle import (
     oracle_some_ur,
 )
 from .recognition import (
-    _c_left,
+    _c_failure,
     _unique_minus,
     allowed_edges,
     every_ur,
@@ -61,8 +61,11 @@ def _instance(g: Graph, max_n: int, max_m: int) -> list[str]:
         if by_blocks != _component_all_near_perfect_unique(g, comp):
             problems.append(f"block test (_odd_cycle_blocks = {by_blocks}) disagrees with "
                             f"the per-vertex test on component {comp}")
-    # the deciders' uniqueness tests, on every set they may ask about
-    tested = [(comp, ci not in _c_left(g, ge)) for ci, comp in enumerate(ge.c_members)]
+    # the deciders' uniqueness tests, on every set they may ask about: the
+    # C test names a component with several perfect matchings, or none
+    # when each has one
+    failure = _c_failure(g, ge)
+    tested = [(comp, True) for comp in ge.c_members] if failure is None else [(ge.c_members[failure], False)]
     tested += [([v for v in comp if v != h], _unique_minus(g, ge, ci, h))
                for ci, comp in enumerate(ge.d_members) for h in comp]
     for piece, unique in tested:

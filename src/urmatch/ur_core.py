@@ -122,7 +122,4 @@ def is_uniquely_restricted(g: Graph, m: Matching) -> bool:
     _validate_matching_of(g, m)
     if not m.edges:
         return True
-    alive = [False] * g.n
-    for v in m.covered:
-        alive[v] = True
-    return _m_alternating_cycle(g.adj, _match_array(g, m), alive, sorted(m.covered)) is None
+    return _m_alternating_cycle(g.adj, _match_array(g, m), sorted(m.covered)) is None

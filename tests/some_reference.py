@@ -28,7 +28,7 @@ from urmatch.recognition import (
     D_COMPONENT_NO_UNIQUE_PM_VERTEX,
     GB_NO_UR_MATCHING_WITHIN_E,
     RecognitionReport,
-    _c_left,
+    _c_failure,
     _d_local,
 )
 
@@ -90,7 +90,7 @@ def some_ur_eager(g: Graph, ge: GallaiEdmonds | None = None, all_failures: bool 
     def no() -> RecognitionReport:
         return RecognitionReport("some_ur", False, None, failures[0], tuple(failures))
 
-    if _c_left(g, ge):
+    if _c_failure(g, ge) is not None:
         failures.append(C_COMPONENT_PM_NOT_UNIQUE)
         if not all_failures:
             return no()

@@ -33,10 +33,13 @@ from urmatch.recognition import every_ur, some_ur
 from urmatch.ur_core import _arcs, is_acyclic, is_uniquely_restricted
 
 
-def _check(adj, match, alive, live):
+def _check(adj, match, live):
     """The kernel on the vertices in ``live`` (ascending), held to the
     peel; a cycle must alternate under ``match`` inside ``live``."""
-    cycle = _m_alternating_cycle(adj, match, alive, live)
+    cycle = _m_alternating_cycle(adj, match, live)
+    alive = [False] * len(adj)
+    for v in live:
+        alive[v] = True
     assert (cycle is None) == (not _peel(adj, match, alive, live))
     if cycle is not None:
         assert is_alternating_cycle(adj, match, cycle)
@@ -58,7 +61,7 @@ def test_kernel_equals_the_peel_under_every_perfect_matching_exhaustive():
     for n in range(0, 7, 2):
         for g in enumerate_labeled_graphs(n):
             for match in _perfect_matchings(g):
-                seen.add(_check(g.adj, match, [True] * n, list(range(n))) is None)
+                seen.add(_check(g.adj, match, list(range(n))) is None)
     assert seen == {True, False}
 
 
@@ -77,7 +80,7 @@ def test_kernel_equals_the_peel_on_random_graphs_and_live_sets():
             if v < w and rng.random() < keep:
                 alive[v] = alive[w] = True
         live = [v for v in range(n) if alive[v]]
-        seen.add(_check(g.adj, match, alive, live) is None)
+        seen.add(_check(g.adj, match, live) is None)
     assert seen == {True, False}
 
 
@@ -91,17 +94,16 @@ def test_small_live_sets_of_a_large_graph():
         edges += [(a, b), (b, x), (x, y), (y, a), (a, p), (x, q)]
         match += [b, a, y, x, -1, -1]
     g = Graph.from_edges(3000, edges)
-    alive = [v % 6 < 4 for v in range(3000)]
     for c in (0, 7, 499):
         live = list(range(6 * c, 6 * c + 4))
-        cycle = _check(g.adj, match, alive, live)
+        cycle = _check(g.adj, match, live)
         assert cycle is not None and sorted(cycle) == live
     pendants = [v for v in range(12) if v % 6 in (0, 2, 4, 5)]  # a-p and x-q in copies 0 and 1
     pm = [4, -1, 5, -1, 0, 2, 10, -1, 11, -1, 6, 8] + [-1] * 2988
-    assert _check(g.adj, pm, [v in pendants for v in range(3000)], pendants) is None
+    assert _check(g.adj, pm, pendants) is None
 
 
-def test_c_test_calls_each_other_component_on_its_own_copy(monkeypatch):
+def test_c_test_takes_one_kernel_call(monkeypatch):
     # 400 C components, none with a vertex of degree 1, so that the seed
     # forces no pair: every 50th is a 4-cycle, with two perfect matchings,
     # and the others paths a-b-x-y with a triangle hung at a and at y,
@@ -117,16 +119,21 @@ def test_c_test_calls_each_other_component_on_its_own_copy(monkeypatch):
             edges += [(a, p), (p, q), (q, a), (y, r), (r, s), (s, y)]
     g = Graph.from_edges(3200, edges)
     sizes = []
-    real = recognition._m_alternating_cycle
-    monkeypatch.setattr(recognition, "_m_alternating_cycle",
-                        lambda adj, *rest: sizes.append(len(adj)) or real(adj, *rest))
+    real = matching._m_alternating_cycle
+    monkeypatch.setattr(matching, "_m_alternating_cycle",
+                        lambda adj, match, live: sizes.append((len(adj), len(live))) or real(adj, match, live))
     ge = gallai_edmonds(g)
     assert len(ge.c_members) == 400 and ge.forced.count(-1) == g.n
-    left = recognition._c_left(g, ge)
-    assert left == {-4 - ge.comp[a] for a in cycles}
-    assert left == {-4 - ge.comp[v] for v in _peel(g.adj, ge.match, [c <= -4 for c in ge.comp])}
-    # the first call spans the graph, each later one only its component
-    assert sizes[0] == g.n and len(sizes) == 400 and max(sizes[1:]) == 8
+    failing = {-4 - ge.comp[a] for a in cycles}
+    assert len(failing) == 8
+    assert failing == {-4 - ge.comp[v] for v in _peel(g.adj, ge.match, [c <= -4 for c in ge.comp])}
+    # one call, over all of C on g's arrays, names one of the 4-cycles
+    failure = recognition._c_failure(g, ge)
+    assert failure in failing
+    assert sizes == [(g.n, sum(map(len, ge.c_members)))]
+    # the deciders read the memo
+    assert some_ur(g, ge=ge).failure == every_ur(g, ge=ge).failure == "c_component_pm_not_unique"
+    assert len(sizes) == 1
 
 
 def test_kernel_equals_acyclic_dm_on_bipartite_graphs():
@@ -142,7 +149,7 @@ def test_kernel_equals_acyclic_dm_on_bipartite_graphs():
         adj = [[w for w in row if alive[w]] if alive[v] else [] for v, row in enumerate(g.adj)]
         acyclic = is_acyclic(_arcs(adj, [v < a for v in range(g.n)], match, True))
         live = [v for v in range(g.n) if alive[v]]
-        assert (_check(g.adj, match, alive, live) is None) == acyclic
+        assert (_check(g.adj, match, live) is None) == acyclic
         seen.add(acyclic)
     assert seen == {True, False}
 
@@ -160,22 +167,21 @@ def test_dumbbell_arc_cycle_is_no_alternating_cycle():
     walk = [0, 2, 4, 5, 7, 9, 11, 6]
     assert all((u, v) in arcs for u, v in zip(walk, walk[1:] + walk[:1]))
     assert {0, match[0]} <= set(walk)
-    assert _check(g.adj, match, [True] * 12, list(range(12))) is None
+    assert _check(g.adj, match, list(range(12))) is None
     assert unique_perfect_matching(g) is not None
 
 
 def test_kernel_leaves_its_arguments_alone_and_checks_its_input():
     g = cycle_graph(6)
-    match = (1, 0, 3, 2, 5, 4)
-    alive = [True] * 6
-    cycle = _m_alternating_cycle(g.adj, match, alive, range(6))
+    match = [1, 0, 3, 2, 5, 4]
+    cycle = _m_alternating_cycle(g.adj, match, range(6))
     assert is_alternating_cycle(g.adj, match, cycle)
-    assert match == (1, 0, 3, 2, 5, 4) and alive == [True] * 6
-    # masked vertices are not there: the path 1-2-3-4 of C6
-    assert _m_alternating_cycle(g.adj, [-1, 2, 1, 4, 3, -1], [0 < v < 5 for v in range(6)], [1, 2, 3, 4]) is None
+    assert match == [1, 0, 3, 2, 5, 4]
+    # vertices outside ``live`` are not there: the path 1-2-3-4 of C6
+    assert _m_alternating_cycle(g.adj, [-1, 2, 1, 4, 3, -1], [1, 2, 3, 4]) is None
     # a matching that is not perfect on the live vertices is refused
     with pytest.raises(InternalCheckError, match="not perfect"):
-        _m_alternating_cycle(path_graph(4).adj, [1, 0, -1, -1], [True] * 4, range(4))
+        _m_alternating_cycle(path_graph(4).adj, [1, 0, -1, -1], range(4))
 
 
 def test_every_returned_cycle_is_checked(monkeypatch):
@@ -184,11 +190,11 @@ def test_every_returned_cycle_is_checked(monkeypatch):
     for bogus in ([0, 1, 2, 3], [0, 1, 2, 3, 4, 5, 0, 1], [1, 0, 3, 2, 5, 4]):
         monkeypatch.setattr(matching, "_cycle_or_none", lambda *args, c=bogus: c)
         with pytest.raises(InternalCheckError, match="does not alternate"):
-            _m_alternating_cycle(g.adj, match, [True] * 6, range(6))
+            _m_alternating_cycle(g.adj, match, range(6))
     # a cycle outside the live vertices is refused too
     monkeypatch.setattr(matching, "_cycle_or_none", lambda *args: [0, 1, 2, 3, 4, 5])
     with pytest.raises(InternalCheckError, match="does not alternate"):
-        _m_alternating_cycle(g.adj, match, [True] * 6, range(5))
+        _m_alternating_cycle(g.adj, match, range(5))
 
 
 def test_nested_bridges_have_one_perfect_matching():
@@ -214,13 +220,13 @@ def test_nested_bridges_take_one_kernel_call_per_test(monkeypatch):
     for module in (matching, recognition, ur_core):
         real = module._m_alternating_cycle
         monkeypatch.setattr(module, "_m_alternating_cycle",
-                            lambda adj, match, alive, live, m=module.__name__, f=real:
-                            calls.append(m) or f(adj, match, alive, live))
+                            lambda adj, match, live, m=module.__name__, f=real:
+                            calls.append(m) or f(adj, match, live))
     g = nested_bridges(500, 1)
     ge = gallai_edmonds(g)
     assert len(ge.c_members) == 1 and -1 not in ge.match and ge.forced.count(-1) == g.n
     r = some_ur(g, ge=ge)
-    assert r.answer and calls == ["urmatch.recognition"]
+    assert r.answer and calls == ["urmatch.matching"]  # the C test's, in _unforced_cycle
     calls.clear()
     assert unique_perfect_matching(g) is not None and calls == ["urmatch.matching"]
     calls.clear()
@@ -242,7 +248,7 @@ def _kernel_lines(g):
     before = sys.gettrace()
     sys.settrace(trace)
     try:
-        cycle = _m_alternating_cycle(g.adj, match, [True] * g.n, range(g.n))
+        cycle = _m_alternating_cycle(g.adj, match, range(g.n))
     finally:
         sys.settrace(before)
     assert cycle is None

@@ -229,6 +229,26 @@ def test_check_all_failures_key(tmp_path, capsys):
     assert payload["all_failures"] == ["c_component_pm_not_unique"]
 
 
+K4_K5_TEXT = "n 9\n" + "".join(f"{u} {v}\n" for vs in (range(4), range(4, 9)) for u in vs for v in vs if u < v)
+
+
+def test_check_text_prints_every_failure(tmp_path, capsys):
+    # K4 is a C component with three perfect matchings and K5 a D
+    # component whose blocks are no odd cycles; the text lists the tags of
+    # the JSON's all_failures, in order, and only the first without it
+    path = _write(tmp_path, "k4k5.g", K4_K5_TEXT)
+    assert main(["check", path, "--property", "every", "--all-failures"]) == 0
+    assert capsys.readouterr().out == "false c_component_pm_not_unique d_component_blocks_not_odd_cycles\n"
+    assert main(["check", path, "--property", "both", "--all-failures"]) == 0
+    assert capsys.readouterr().out == ("some false c_component_pm_not_unique d_component_no_unique_pm_vertex\n"
+                                       "every false c_component_pm_not_unique d_component_blocks_not_odd_cycles\n")
+    assert main(["check", path, "--property", "every", "--all-failures", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_failures"] == [
+        "c_component_pm_not_unique", "d_component_blocks_not_odd_cycles"]
+    assert main(["check", path, "--property", "every"]) == 0
+    assert capsys.readouterr().out == "false c_component_pm_not_unique\n"
+
+
 def test_check_json_byte_stable_modulo_runtime(tmp_path, capsys):
     path = _write(tmp_path, "p3.g", P3_TEXT)
     outs = []
@@ -443,6 +463,17 @@ def test_selftest_counts_uniqueness_disagreement(capsys, monkeypatch):
     assert ", 0 disagreements" not in captured.out
 
 
+def test_selftest_counts_c_test_disagreement(capsys, monkeypatch):
+    # C4 is one C component with two perfect matchings, and the edge 0-1
+    # one with a single one: the C test must name the first and not the
+    # second
+    for answer, n, want in ((None, 4, "(unique = True) disagrees with the oracle on [0, 1, 2, 3]"),
+                            (0, 2, "(unique = False) disagrees with the oracle on [0, 1]")):
+        monkeypatch.setattr(selftest, "_c_failure", lambda g, ge, a=answer: a if ge.c_members else None)
+        assert main(["selftest", "--nmax", str(n), "--random", "0"]) == 4
+        assert f"uniqueness test {want}" in capsys.readouterr().err
+
+
 def test_selftest_counts_witness_edge_outside_allowed_edges(capsys, monkeypatch):
     # in the path 0 - 1 - 2, A = {1} and the witness matches 1 into D at 0
     monkeypatch.setattr(selftest, "allowed_edges", lambda g, ge: frozenset())
@@ -605,6 +636,18 @@ def test_one_uniqueness_kernel_in_library():
             elif isinstance(node, ast.ImportFrom):
                 found += [f"{path.name}:{node.lineno}:import {a.name}" for a in node.names if a.name in retired]
     assert found == []
+    # every library call of the kernel takes (adj, match, live) and sits in
+    # one of the three uniqueness tests, so that no per-component fork of
+    # the C test creeps back
+    calls = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_m_alternating_cycle":
+                    calls.append((path.name, getattr(stmt, "name", None), len(node.args), len(node.keywords)))
+    assert sorted(calls) == [("matching.py", "_unforced_cycle", 3, 0),
+                             ("recognition.py", "_unique_minus", 3, 0),
+                             ("ur_core.py", "is_uniquely_restricted", 3, 0)]
 
 
 def test_every_failure_tag_is_yielded():

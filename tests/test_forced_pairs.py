@@ -1,16 +1,19 @@
 """The Karp-Sipser seed's forced pairs and the uniqueness tests built on them.
 
-``recognition._c_left`` hands the alternating-cycle kernel only what the
-forced pairs leave of C, and ``unique_perfect_matching`` only what they
-leave of g.  One Kotzig peel of all of C, and of all of g, with no forced
-pairs (``peel_reference._peel``), are the references here, and a brute
-force over the perfect matchings of g[C] checks the lemma that makes the
-skip exact: every perfect matching of g[C] holds every forced pair inside C.
+The C test (``recognition._c_failure``) hands the alternating-cycle kernel
+only what the forced pairs leave of C, and ``unique_perfect_matching`` only
+what they leave of g, both through ``matching._unforced_cycle``.  One
+Kotzig peel of all of C, and of all of g, with no forced pairs
+(``peel_reference._peel``), are the references here, and a brute force
+over the perfect matchings of g[C] checks the lemma that makes the skip
+exact: every perfect matching of g[C] holds every forced pair inside C.
 """
 
 import random
+from dataclasses import replace
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 
 from peel_reference import _peel
@@ -23,19 +26,26 @@ from strategies import (
     seeded_random_graphs,
     sparse_graph_nm,
 )
-from urmatch import matching, recognition
+from urmatch import matching
 from urmatch.decomposition import gallai_edmonds
-from urmatch.families import path_graph
+from urmatch.families import cycle_graph, path_graph
 from urmatch.graph_core import Graph
-from urmatch.matching import _greedy_seed, _matching_from_array, _max_match_array, unique_perfect_matching
+from urmatch.matching import (
+    InternalCheckError,
+    _greedy_seed,
+    _matching_from_array,
+    _max_match_array,
+    unique_perfect_matching,
+)
 from urmatch.oracle import enumerate_labeled_graphs
-from urmatch.recognition import _c_left, some_ur
+from urmatch.recognition import _c_failure, some_ur
 
 SEVEN = [Graph.from_edges(7, h.edges()) for h in nx.graph_atlas_g() if h.number_of_nodes() == 7]
 
 
 def c_left_by_full_peel(g, ge):
-    """The C test with no forced pairs: one Kotzig peel of all of g[C]."""
+    """The C test with no forced pairs: one Kotzig peel of all of g[C],
+    naming every component that fails."""
     rest = _peel(g.adj, ge.match, [c <= -4 for c in ge.comp])
     return frozenset(-4 - ge.comp[v] for v in rest)
 
@@ -90,7 +100,8 @@ def _c_pairs(ge):
 
 def _check_against_full_peel(g):
     ge = gallai_edmonds(g)
-    assert _c_left(g, ge) == c_left_by_full_peel(g, ge)
+    failure, failing = _c_failure(g, ge), c_left_by_full_peel(g, ge)
+    assert (failure is None) == (not failing) and (failure is None or failure in failing)
     return ge
 
 
@@ -148,40 +159,41 @@ def test_forced_pairs_are_the_seeds_and_stay_in_the_matching():
             assert 0 < sum(f != -1 for f in ge.forced) < g.n
 
 
-def _spy_kernel_calls(monkeypatch, module):
+def _spy_kernel_calls(monkeypatch):
     """The number of live vertices each call of the alternating-cycle
-    kernel from ``module`` starts from."""
+    kernel from ``matching``, where the C test's and
+    ``unique_perfect_matching``'s are, starts from."""
     calls = []
-    real = module._m_alternating_cycle
+    real = matching._m_alternating_cycle
 
-    def spy(adj, match, alive, live):
+    def spy(adj, match, live):
         calls.append(len(live))
-        return real(adj, match, alive, live)
+        return real(adj, match, live)
 
-    monkeypatch.setattr(module, "_m_alternating_cycle", spy)
+    monkeypatch.setattr(matching, "_m_alternating_cycle", spy)
     return calls
 
 
 def test_c_test_runs_no_peel_when_the_forced_pairs_cover_c(monkeypatch):
-    calls = _spy_kernel_calls(monkeypatch, recognition)
+    calls = _spy_kernel_calls(monkeypatch)
     tree = Graph.from_edges(5000, random_tree_edges(5000, random.Random(3)))
     for g in (path_graph(10000), corona(tree)):
         ge = gallai_edmonds(g)
         assert len(ge.c_members) == 1 and -1 not in ge.forced
-        assert _c_left(g, ge) == frozenset() and ge.upms["c"] == frozenset()
+        assert _c_failure(g, ge) is None and ge.upms["c"] is None
         r = some_ur(g, ge=ge)
         assert r.answer and len(r.witness) == 5000
     assert calls == []
 
 
 def test_c_test_peels_only_the_unforced_c_vertices(monkeypatch):
-    calls = _spy_kernel_calls(monkeypatch, recognition)
+    calls = _spy_kernel_calls(monkeypatch)
     g = linear_triangle_tree(2000, 0.25, random.Random(7))
     ge = gallai_edmonds(g)
     c = [v for v, x in enumerate(ge.comp) if x <= -4]
     unforced = [v for v in c if ge.forced[v] == -1]
     assert 0 < len(unforced) < len(c) // 2
-    assert _c_left(g, ge) == frozenset()
+    assert _c_failure(g, ge) is None
     assert calls == [len(unforced)]
 
 
@@ -222,7 +234,7 @@ def test_unique_perfect_matching_equals_the_full_peel_on_hypothesis_graphs(g):
 
 
 def test_unique_perfect_matching_peels_only_the_unforced_vertices(monkeypatch):
-    calls = _spy_kernel_calls(monkeypatch, matching)
+    calls = _spy_kernel_calls(monkeypatch)
     tree = Graph.from_edges(5000, random_tree_edges(5000, random.Random(3)))
     for g in (path_graph(10000), corona(tree)):
         assert len(unique_perfect_matching(g)) == 5000
@@ -233,3 +245,29 @@ def test_unique_perfect_matching_peels_only_the_unforced_vertices(monkeypatch):
     assert 0 < unforced < g.n
     assert unique_perfect_matching(g) == upm_by_full_peel(g)
     assert calls == [unforced]
+
+
+def test_c_test_refuses_a_matching_not_perfect_on_c():
+    # the seed forces P2's one edge, all of C; a decomposition that puts
+    # vertex 1 in A leaves the mate of 0 outside C, and no kernel call
+    # would see it
+    g = path_graph(2)
+    ge = gallai_edmonds(g)
+    assert ge.comp == (-4, -4) and ge.forced == (1, 0)
+    with pytest.raises(InternalCheckError, match="not perfect on .* at vertex 0"):
+        some_ur(g, ge=replace(ge, comp=(-4, -1)))
+
+
+def test_c_test_refuses_a_forced_pair_outside_the_matching():
+    c4 = cycle_graph(4)
+    ge = gallai_edmonds(c4)
+    assert ge.match == (1, 0, 3, 2)
+    with pytest.raises(InternalCheckError, match="forced pair 0-3 .*not in the matching"):
+        some_ur(c4, ge=replace(ge, forced=(3, -1, -1, 0)))
+
+
+def test_unique_perfect_matching_refuses_a_forced_pair_outside_the_matching(monkeypatch):
+    seed = matching._greedy_seed
+    monkeypatch.setattr(matching, "_greedy_seed", lambda adj: (seed(adj)[0], [3, 2, 1, 0]))
+    with pytest.raises(InternalCheckError, match="forced pair.* not in the matching"):
+        unique_perfect_matching(cycle_graph(4))

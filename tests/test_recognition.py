@@ -63,7 +63,7 @@ from urmatch.recognition import (
     D_COMPONENT_NO_UNIQUE_PM_VERTEX,
     FAILURE_TAGS,
     GB_EDGE_MULTIPLE_NEIGHBORS,
-    _c_left,
+    _c_failure,
     _d_local,
     _flip,
     _odd_cycle,
@@ -141,14 +141,17 @@ def test_apex_two_c5_instance():
 
 def _counting_kernel_calls(monkeypatch):
     """The number of live vertices each uniqueness test of the deciders
-    (one call of the alternating-cycle kernel) starts from."""
+    (one call of the alternating-cycle kernel: the C test's in
+    ``matching._unforced_cycle``, the D - h tests' in ``recognition``)
+    starts from."""
     calls = []
 
-    def counting(adj, match, alive, live):
+    def counting(adj, match, live):
         calls.append(len(live))
-        return _m_alternating_cycle(adj, match, alive, live)
+        return _m_alternating_cycle(adj, match, live)
 
-    monkeypatch.setattr(recognition, "_m_alternating_cycle", counting)
+    for module in (matching, recognition):
+        monkeypatch.setattr(module, "_m_alternating_cycle", counting)
     return calls
 
 
@@ -156,8 +159,9 @@ def _tested_sets(ge):
     """The vertex sets whose uniqueness answers ``ge.upms`` holds."""
     out = set()
     for key in ge.upms:
-        if key == "c":
-            out.update(map(frozenset, ge.c_members))
+        if key == "c":  # a failing component, or all of them when none fails
+            failure = ge.upms[key]
+            out.update(map(frozenset, ge.c_members if failure is None else [ge.c_members[failure]]))
         elif isinstance(key[0], int):
             ci, h = key
             out.add(frozenset(ge.d_members[ci]) - {h})
@@ -197,7 +201,7 @@ def test_memo_keys_are_components_not_vertex_sets():
     some_ur(g, ge=ge, all_failures=True)
     every_ur(g, ge=ge)
     keys = set(ge.upms) - {"c"}
-    assert ge.c_members and ge.upms["c"] <= set(range(len(ge.c_members)))
+    assert ge.c_members and ge.upms["c"] in (None, *range(len(ge.c_members)))
     assert any(isinstance(key[0], int) for key in keys)
     assert not any(isinstance(key, frozenset) for key in keys)
     for key in keys:
@@ -305,12 +309,16 @@ def _check_uniqueness_tests(g):
     against the deletion device on the induced graph; returns the answers."""
     ge = gallai_edmonds(g)
     seen = set()
+    failing = set()
     for ci, comp in enumerate(ge.c_members):
         sub, back = induced_subgraph(g, comp)
         ref = unique_perfect_matching_by_deletion(sub)
-        assert (ci in _c_left(g, ge)) == (ref is None)
-        if ref is not None:  # the unique one is ge.match on the component
+        if ref is None:
+            failing.add(ci)
+        else:  # the unique one is ge.match on the component
             assert {(back[a], back[b]) for a, b in ref.edges} == {(v, ge.match[v]) for v in comp if ge.match[v] > v}
+    failure = _c_failure(g, ge)
+    assert (failure is None) == (not failing) and (failure is None or failure in failing)
     for ci, comp in enumerate(ge.d_members):
         for h in comp:
             ref = unique_perfect_matching_by_deletion(induced_subgraph(g, set(comp) - {h})[0])
@@ -364,7 +372,7 @@ def _check_memo_against_direct_peels(g):
         alive = [True] * len(match)
         alive[x] = False
         rest = _peel(adj, match, alive)
-        cycle = _m_alternating_cycle(adj, match, alive, [y for y in range(len(match)) if y != x])
+        cycle = _m_alternating_cycle(adj, match, [y for y in range(len(match)) if y != x])
         assert answer is (not rest) is (cycle is None)
         if cycle is not None:
             assert is_alternating_cycle(adj, match, cycle) and set(cycle) <= set(rest)
@@ -607,7 +615,7 @@ def _check_odd_cycle_rule(g, sample=None):
             _, adj, x, match = _perfect_minus(g, fresh, ci, h)
             alive = [True] * len(match)
             alive[x] = False
-            assert _m_alternating_cycle(adj, match, alive, [y for y in range(len(match)) if y != x]) is None
+            assert _m_alternating_cycle(adj, match, [y for y in range(len(match)) if y != x]) is None
             assert not _peel(adj, match, alive)
         assert ("d", ci) not in ge.upms
     return sizes
