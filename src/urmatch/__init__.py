@@ -5,7 +5,6 @@ from .decomposition import GallaiEdmonds, gallai_edmonds, verify_gallai_edmonds
 from .graph_core import (
     Graph,
     bipartition,
-    biconnected_blocks,
     blocks_are_odd_cycles,
     connected_components,
     edge_key,
@@ -15,7 +14,6 @@ from .graph_core import (
 from .matching import (
     Matching,
     edge_in_some_maximum_matching,
-    is_factor_critical,
     max_independent_set_bipartite,
     maximum_matching,
     maximum_matching_bipartite,
@@ -59,7 +57,6 @@ __all__ = [
     "MatchingEnumeration",
     "RecognitionReport",
     "allowed_edges",
-    "biconnected_blocks",
     "bipartition",
     "blocks_are_odd_cycles",
     "build_matching_digraph",
@@ -74,7 +71,6 @@ __all__ = [
     "gallai_edmonds",
     "induced_subgraph",
     "is_acyclic",
-    "is_factor_critical",
     "is_forest",
     "is_uniquely_restricted",
     "max_independent_set_bipartite",

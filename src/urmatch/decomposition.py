@@ -9,7 +9,9 @@ other.  The decomposition is one component array: ``_classes`` numbers
 the components of D and of C in it, and every view is read off it on
 first read; no induced graph is built.
 ``gallai_edmonds`` adds the Tutte-Berge count on A, from the component
-sizes, which checks that the matching is maximum.
+sizes, which checks that the matching is maximum.  ``verify_gallai_edmonds``
+checks a claim by its certificate, the matching and the path pointers, in
+one linear pass, and runs the matcher only for a claim without them.
 """
 
 from __future__ import annotations
@@ -17,18 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .graph_core import Graph, induced_subgraph
-from .matching import (
-    _DEAD_EVEN,
-    _DEAD_ODD,
-    _UNLABELLED,
-    InternalCheckError,
-    _matcher,
-    _max_match_array,
-    is_factor_critical,
-    maximum_matching,
-)
-from .ur_core import _reach
+from .graph_core import Graph
+from .matching import _DEAD_EVEN, _DEAD_ODD, _UNLABELLED, InternalCheckError, _greedy_seed, _matcher
 
 
 @dataclass(frozen=True)
@@ -159,49 +151,105 @@ def gallai_edmonds(g: Graph) -> GallaiEdmonds:
 
 
 def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
-    """Structure-theorem check of a claimed decomposition.
+    """Check a claimed decomposition against a certificate, in time linear
+    in g.
 
-    Verifies that ``ge`` was built on g's adjacency and that its component
-    array is the one that its D vertices induce, then the classical
-    structure-theorem consequences: factor-critical components on the
-    deficient side, perfectly matchable components on the untouched side,
-    the deficiency identity 2 nu(g) = n - (#D components - |A|),
-    nu(gb) = |A|, and positive surplus of gb seen from A: every nonempty S
-    of A-vertices has more than |S| component neighbors.  Given
-    nu(gb) = |A|, that holds iff every A-vertex reaches an unmatched
-    component vertex in D(M) of a maximum matching M of gb (one reachability
-    pass).  Without it a wrong D can pass every other test: ``{0}`` on the
-    path 0-1.  The matchings come from the library's own matcher, whose
-    seed's forced pairs a given ``forced`` must be: the C test skips them.
+    The certificate is a matching M and path pointers: the claim's
+    ``match`` and ``parent`` when it carries both, else those of one
+    matcher run.  The checks, in order:
+
+    1. ``ge`` is built on g's adjacency, and its component array is the
+       one its D vertices induce: A is D's outside neighborhood and C the
+       rest, so no edge joins D to C or two D components.
+    2. M is a matching of g: an involution whose pairs are edges of g.
+    3. M leaves #D components - |A| vertices free.
+    4. For each matched D vertex v, p = parent[match[v]] is a neighbor of
+       match[v]; v -> p is a forest on D rooted at the free D vertices (a
+       pointer out of D leaves v unreached from them); and no D vertex's
+       mate is a proper ancestor or descendant of it there (preorder
+       intervals).  The walk v, match[v], p, match[p], ... then is a path:
+       its forest vertices are distinct, and their mates distinct and off
+       the forest path.  It alternates, has even length and ends at a free
+       vertex, so M flipped along it is a matching as large as M that
+       misses v.
+    5. A given ``forced`` is the seed's forced pairs, which the C test
+       skips.
+
+    Then M is maximum and D is the set of missable vertices.  The walk
+    from a vertex of a D component K leaves K, if at all, along an edge of
+    M into A, since its edges out of M end at forest vertices, in D; so K
+    holds a vertex free or matched into A, and two if |K| is even.
+    Counting them, M leaves at least #D components - |A| vertices free,
+    and more if a D component is even, a vertex of A or C is free, or a
+    vertex of A is not matched into D.  By 3 none of these holds: every D
+    component is odd, and C is matched within itself, so its components
+    are even.  So M leaves odd(g - A) - |A| vertices free, the Tutte-Berge
+    bound: M is maximum and A a barrier, and by the barrier lemma (Lovasz
+    & Plummer, *Matching Theory*) every maximum matching matches each
+    vertex of A into an odd component of g - A and each even one within
+    itself, missing no vertex of A or C.  By 4 some maximum matching
+    misses each vertex of D.  So D is the Gallai-Edmonds D, and by 1 the
+    rest of the claim is the one D induces.  The other statements of the
+    structure theorem (factor-critical D components, perfectly matchable
+    C components, the positive surplus of gb seen from A) follow and are
+    not checked.  Without 4 a wrong D passes: ``{0}`` on the path 0-1.
     """
-    if ge.adj != g.adj or ge.comp is None or len(ge.comp) != g.n:
+    n, adj = g.n, g.adj
+    if ge.adj != adj or ge.comp is None or len(ge.comp) != n:
         return False
     # the classes that the claimed D induces: A is its outside neighborhood
-    d_nbrs = {w for v, c in enumerate(ge.comp) if c >= 0 for w in g.adj[v]}
+    d_nbrs = {w for v, c in enumerate(ge.comp) if c >= 0 for w in adj[v]}
     comp = [-2 if c >= 0 else -1 if v in d_nbrs else -3 for v, c in enumerate(ge.comp)]
-    _classes(g.adj, comp)
+    _classes(adj, comp)
     if ge.comp != tuple(comp):
         return False
 
-    for members in ge.d_members:
-        sub, _ = induced_subgraph(g, members)
-        if not is_factor_critical(sub):
-            return False
-    for members in ge.c_members:
-        sub, _ = induced_subgraph(g, members)
-        if 2 * len(maximum_matching(sub).edges) != sub.n:
+    if ge.match is None or ge.parent is None:
+        match, _, parent, _ = _matcher(g)
+    else:
+        match, parent = ge.match, ge.parent
+    if len(match) != n or len(parent) != n:
+        return False
+    for v, w in enumerate(match):
+        if w != -1 and not (0 <= w < n and match[w] == v and w in adj[v]):
             return False
 
-    match, _, _, forced = _matcher(g)
-    if ge.forced is not None and ge.forced != tuple(forced):
+    if match.count(-1) != ge.counts[0] - comp.count(-1):
         return False
-    nu = (g.n - match.count(-1)) // 2
-    k = len(ge.a_list)
-    if 2 * nu != g.n - (ge.counts[0] - k):
+
+    # the forest v -> parent[match[v]] on D, as children lists
+    roots: list[int] = []
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for v, c in enumerate(comp):
+        if c < 0:
+            continue
+        u = match[v]
+        if u == -1:
+            roots.append(v)
+        elif parent[u] in adj[u]:
+            kids[parent[u]].append(v)
+        else:
+            return False
+    # a depth-first preorder from the roots, in which each subtree is one
+    # interval: a vertex on a cycle of v -> p, or below a pointer out of D,
+    # is never reached
+    order, stack = [], roots
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(kids[v])
+    if len(order) != sum(c >= 0 for c in comp):
         return False
-    gb = ge.gb
-    mate = _max_match_array(gb)
-    if gb.n - mate.count(-1) != 2 * k:
-        return False
-    # gb vertices below k are A's: each must reach a free component vertex
-    return all(_reach(gb.adj, [v < k for v in range(gb.n)], mate, False)[:k])
+    pos, span = [-1] * n, [1] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    for v in reversed(order):
+        if match[v] != -1:
+            span[parent[match[v]]] += span[v]
+    # a mate below its D vertex; a mate above it is found from the mate
+    for v in order:
+        w = match[v]
+        if w != -1 and pos[v] < pos[w] < pos[v] + span[v]:
+            return False
+
+    return ge.forced is None or ge.forced == tuple(_greedy_seed(adj)[1])

@@ -3,10 +3,10 @@
 Vertices are dense integer ids ``0..n-1``.  Every operation iterates vertices
 and neighbors in ascending id order, so outputs are deterministic for a fixed
 input.  Induced subgraphs are new values that carry a map back to the
-original vertex ids.  The block searches run on an adjacency and a vertex
-mask (``_blocks``, and ``_odd_cycle_blocks``, one depth-first search with
-no block lists), so that the every-decider can test g[D] without building
-it; the public functions are their whole-graph wrappers.
+original vertex ids.  The odd-cycle block test runs on an adjacency and a
+vertex mask (``_odd_cycle_blocks``, one depth-first search with no block
+lists), so that the every-decider can test g[D] without building it;
+``blocks_are_odd_cycles`` is its whole-graph wrapper.
 """
 
 from __future__ import annotations
@@ -205,59 +205,6 @@ def validate_bipartition(g: Graph, sides: tuple[Iterable[int], Iterable[int]]) -
             if u < v and (u in side_a) == (v in side_a):
                 raise ValueError(f"edge ({u}, {v}) lies within one side")
     return side_a, side_b
-
-
-def _blocks(adj, keep):
-    """The blocks of the subgraph of ``adj`` induced by the vertices marked
-    in ``keep``, one edge list each, as an iterative Hopcroft-Tarjan search
-    with an edge stack finishes them.  A bridge is a one-edge block."""
-    n = len(adj)
-    disc = [0] * n  # discovery times from 1; 0 means unvisited
-    low = [0] * n
-    clock = 0
-    edges: list[tuple[int, int]] = []
-    for root in range(n):
-        if not keep[root] or disc[root]:
-            continue
-        clock += 1
-        disc[root] = low[root] = clock
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, p, it = stack[-1]
-            for w in it:
-                if w == p or not keep[w]:
-                    continue
-                if disc[w]:
-                    if disc[w] < disc[v]:  # a back edge, met from its lower end
-                        edges.append((v, w))
-                        if disc[w] < low[v]:
-                            low[v] = disc[w]
-                else:
-                    clock += 1
-                    disc[w] = low[w] = clock
-                    edges.append((v, w))
-                    stack.append((w, v, iter(adj[w])))
-                    break
-            else:
-                stack.pop()
-                if p == -1:
-                    continue
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if low[v] >= disc[p]:  # p separates the block of edge pv: pop it
-                    i = len(edges) - 1
-                    while edges[i] != (p, v):
-                        i -= 1
-                    yield edges[i:]
-                    del edges[i:]
-
-
-def biconnected_blocks(g: Graph) -> list[frozenset[tuple[int, int]]]:
-    """Edge sets of the biconnected blocks (bridges are single-edge blocks).
-
-    The blocks partition the edge set; isolated vertices contribute none.
-    """
-    return [frozenset(edge_key(*e) for e in block) for block in _blocks(g.adj, [True] * g.n)]
 
 
 def _odd_cycle_blocks(adj, keep) -> bool:

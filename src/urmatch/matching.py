@@ -710,18 +710,6 @@ def unique_perfect_matching(g: Graph) -> Matching | None:
     return _matching_from_array(g, match)
 
 
-def is_factor_critical(g: Graph) -> bool:
-    """True iff deleting any one vertex leaves a perfectly matchable graph."""
-    if g.n == 0:
-        return True
-    if g.n % 2 == 0:
-        return False
-    match, label, _, _ = _matcher(g)
-    if match.count(-1) != 1:
-        return False
-    return all(x == _DEAD_EVEN for x in label)
-
-
 def max_independent_set_bipartite(g: Graph, sides) -> frozenset[int]:
     """A maximum independent set of a bipartite graph: the complement of
     the Koenig cover of the matcher's maximum matching, which any maximum

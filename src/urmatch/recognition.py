@@ -346,8 +346,8 @@ def every_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = 
 
     By the Gallai-Edmonds structure theorem gb has positive surplus seen
     from A: every nonempty S of A-vertices has more than |S| component
-    neighbors (``verify_gallai_edmonds`` checks it).  Two consequences need
-    no matching of gb.
+    neighbors (true of any decomposition ``verify_gallai_edmonds``
+    accepts).  Two consequences need no matching of gb.
 
     Every maximum matching of gb is uniquely restricted iff gb is a forest.
     A maximum matching M of gb matches all of A, so no A-vertex is free and

@@ -5,9 +5,8 @@ orients every non-matching edge from A to B and every matching edge from B to
 A.  Directed cycles of D(M) are exactly the M-alternating cycles, so M is
 uniquely restricted iff D(M) is acyclic.  ``_arcs`` and ``_reach`` give
 D(M)'s lists and the masks of its reachability closures from a side mask
-and a mate array: ``build_matching_digraph`` wraps them for a given
-``Matching``, and ``verify_gallai_edmonds`` checks gb's surplus with one
-``_reach`` mask.  No decider builds D(M).  The general-graph UR test below
+and a mate array, and ``build_matching_digraph`` wraps them for a given
+``Matching``.  No decider or verifier builds D(M).  The general-graph UR test below
 does not use the digraph: M is uniquely restricted iff it is the unique
 perfect matching of g[V(M)], that is iff g[V(M)] has no M-alternating
 cycle, which the library's one alternating-cycle kernel

@@ -17,9 +17,10 @@ lists.
 The D-block test built one induced graph per D component and read its
 blocks; the blocks are read off networkx here.  It and the Kotzig peel's
 bridge step once read the block lists of an edge-stack search
-(``graph_core._blocks``): every block an odd cycle iff it has as many
-edges as vertices and an odd number of them, and a matched bridge is a
-one-edge block whose edge is matched.  One depth-first search does each
+(``_blocks``, once the library's, with ``graph_core.biconnected_blocks``
+its public wrapper): every block an odd cycle iff it has as many edges as
+vertices and an odd number of them, and a matched bridge is a one-edge
+block whose edge is matched.  One depth-first search does each
 (``graph_core._odd_cycle_blocks`` in the library, and the Kotzig peel's
 ``peel_reference._matched_bridges`` on the test side); the block-list
 forms live on here.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import networkx as nx
 
-from urmatch.graph_core import Graph, _blocks, induced_subgraph, is_forest
+from urmatch.graph_core import Graph, induced_subgraph, is_forest
 from urmatch.matching import maximum_matching_bipartite
 from urmatch.ur_core import build_matching_digraph, is_acyclic
 
@@ -80,6 +81,51 @@ def blocks_odd_by_networkx(g: Graph, comp) -> bool:
         if len(edges) != len(verts) or len(edges) % 2 == 0:
             return False
     return True
+
+
+def _blocks(adj, keep):
+    """The blocks of the subgraph of ``adj`` induced by the vertices marked
+    in ``keep``, one edge list each, as an iterative Hopcroft-Tarjan search
+    with an edge stack finishes them.  A bridge is a one-edge block."""
+    n = len(adj)
+    disc = [0] * n  # discovery times from 1; 0 means unvisited
+    low = [0] * n
+    clock = 0
+    edges: list[tuple[int, int]] = []
+    for root in range(n):
+        if not keep[root] or disc[root]:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, p, it = stack[-1]
+            for w in it:
+                if w == p or not keep[w]:
+                    continue
+                if disc[w]:
+                    if disc[w] < disc[v]:  # a back edge, met from its lower end
+                        edges.append((v, w))
+                        if disc[w] < low[v]:
+                            low[v] = disc[w]
+                else:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    edges.append((v, w))
+                    stack.append((w, v, iter(adj[w])))
+                    break
+            else:
+                stack.pop()
+                if p == -1:
+                    continue
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:  # p separates the block of edge pv: pop it
+                    i = len(edges) - 1
+                    while edges[i] != (p, v):
+                        i -= 1
+                    yield edges[i:]
+                    del edges[i:]
 
 
 def odd_cycle_blocks_by_blocks(adj, keep) -> bool:

@@ -36,6 +36,13 @@ free, isolated ones too (``matcher_searching_all``).  The library reads A
 off the dead-odd labels and labels an isolated free vertex without a
 search.
 
+The structure-theorem check that ``verify_gallai_edmonds`` once ran
+(``verify_by_resolving``): it solves the matching problems again, one
+factor-criticality test per D component, one maximum matching per C
+component, a second matcher run on g and one on gb, and a reachability
+pass over gb for its positive surplus seen from A.  The library checks
+the claim's own certificate in one linear pass instead.
+
 Uniqueness of a perfect matching by the deletion device: a perfect matching
 M is unique iff g - e has no perfect matching for every e in M.  It runs one
 augmenting search per matched edge, which is quadratic on paths and cycles;
@@ -47,18 +54,21 @@ from __future__ import annotations
 from functools import cached_property
 
 from urmatch.decomposition import GallaiEdmonds, _classes
+from lemma_helpers import is_factor_critical
 from urmatch.graph_core import Graph, connected_components, induced_subgraph
 from urmatch.matching import (
     InternalCheckError,
     Matching,
     _UNLABELLED,
     _greedy_seed,
+    _matcher,
     _matching_from_array,
     _max_match_array,
     _search,
     edge_in_some_maximum_matching,
     maximum_matching,
 )
+from urmatch.ur_core import _reach
 
 
 # the views of a decomposition: every cached property of its class
@@ -210,3 +220,51 @@ def unique_perfect_matching_by_deletion(g: Graph) -> Matching | None:
         match[u], match[v] = v, u
         adj[u] = g.adj[u]
     return _matching_from_array(g, match)
+
+
+def verify_by_resolving(g: Graph, ge: GallaiEdmonds) -> bool:
+    """Structure-theorem check of a claimed decomposition by re-solving.
+
+    Verifies that ``ge`` was built on g's adjacency and that its component
+    array is the one that its D vertices induce, then the classical
+    structure-theorem consequences: factor-critical components on the
+    deficient side, perfectly matchable components on the untouched side,
+    the deficiency identity 2 nu(g) = n - (#D components - |A|),
+    nu(gb) = |A|, and positive surplus of gb seen from A: every nonempty S
+    of A-vertices has more than |S| component neighbors.  Given
+    nu(gb) = |A|, that holds iff every A-vertex reaches an unmatched
+    component vertex in D(M) of a maximum matching M of gb (one reachability
+    pass).  Without it a wrong D can pass every other test: ``{0}`` on the
+    path 0-1.  The matchings come from the library's own matcher, whose
+    seed's forced pairs a given ``forced`` must be.
+    """
+    if ge.adj != g.adj or ge.comp is None or len(ge.comp) != g.n:
+        return False
+    d_nbrs = {w for v, c in enumerate(ge.comp) if c >= 0 for w in g.adj[v]}
+    comp = [-2 if c >= 0 else -1 if v in d_nbrs else -3 for v, c in enumerate(ge.comp)]
+    _classes(g.adj, comp)
+    if ge.comp != tuple(comp):
+        return False
+
+    for members in ge.d_members:
+        sub, _ = induced_subgraph(g, members)
+        if not is_factor_critical(sub):
+            return False
+    for members in ge.c_members:
+        sub, _ = induced_subgraph(g, members)
+        if 2 * len(maximum_matching(sub).edges) != sub.n:
+            return False
+
+    match, _, _, forced = _matcher(g)
+    if ge.forced is not None and ge.forced != tuple(forced):
+        return False
+    nu = (g.n - match.count(-1)) // 2
+    k = len(ge.a_list)
+    if 2 * nu != g.n - (ge.counts[0] - k):
+        return False
+    gb = ge.gb
+    mate = _max_match_array(gb)
+    if gb.n - mate.count(-1) != 2 * k:
+        return False
+    # gb vertices below k are A's: each must reach a free component vertex
+    return all(_reach(gb.adj, [v < k for v in range(gb.n)], mate, False)[:k])

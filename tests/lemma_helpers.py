@@ -2,15 +2,15 @@
 
 None of the deciders needs them: they state the lemmas the deciders rest on
 (accessibility orderings, Koenig maximality, single edge exchanges,
-alternating cycles) and the deletion operations the definitional checks are
-written with.
+alternating cycles, factor-criticality) and the deletion operations the
+definitional checks are written with.
 """
 
 from __future__ import annotations
 
 from urmatch.accessibility import _check_independent
 from urmatch.graph_core import Graph, edge_key, induced_subgraph, validate_bipartition
-from urmatch.matching import Matching
+from urmatch.matching import _DEAD_EVEN, Matching, _matcher
 from urmatch.ur_core import MatchingDigraph, build_matching_digraph
 
 
@@ -104,3 +104,17 @@ def is_alternating_cycle(adj, match, cycle) -> bool:
         if match[x] != y or z not in adj[y]:
             return False
     return True
+
+
+def is_factor_critical(g: Graph) -> bool:
+    """True iff deleting any one vertex leaves a perfectly matchable graph:
+    g is odd, the matcher leaves one vertex free, and its Edmonds labels
+    are all even, so every vertex is missable."""
+    if g.n == 0:
+        return True
+    if g.n % 2 == 0:
+        return False
+    match, label, _, _ = _matcher(g)
+    if match.count(-1) != 1:
+        return False
+    return all(x == _DEAD_EVEN for x in label)

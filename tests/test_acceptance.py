@@ -20,6 +20,7 @@ from lemma_helpers import (
     edge_exchanges,
     induced_matching_edges,
     is_accessibility_ordering,
+    is_factor_critical,
     konig_maximality_check,
 )
 from ordering_reference import rescanning_ordering
@@ -35,7 +36,6 @@ from urmatch.families import (
 from urmatch.graph_core import Graph, bipartition, blocks_are_odd_cycles
 from urmatch.matching import (
     Matching,
-    is_factor_critical,
     max_independent_set_bipartite,
     maximum_matching,
     unique_perfect_matching,

@@ -1,17 +1,19 @@
+import ast
 import copy
 import itertools
 import pickle
 import random
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from ge_reference import VIEWS, class_sets, classes_by_a_pass, contract_by_sets
-from lemma_helpers import delete_vertex
+from ge_reference import VIEWS, class_sets, classes_by_a_pass, contract_by_sets, verify_by_resolving
+from lemma_helpers import delete_vertex, is_factor_critical
 from strategies import giant, graphs, linear_triangle_tree, seeded_random_graphs, sparse_graph_nm
-from urmatch import decomposition, matching, ur_core
+from urmatch import decomposition, matching
 from urmatch.decomposition import GallaiEdmonds, gallai_edmonds, verify_gallai_edmonds
 from urmatch.families import (
     bowtie_graph,
@@ -23,7 +25,7 @@ from urmatch.families import (
 )
 from urmatch.graph_core import Graph, induced_subgraph
 from urmatch.recognition import _c_failure, every_ur, some_ur
-from urmatch.matching import InternalCheckError, is_factor_critical, maximum_matching, missable_vertices
+from urmatch.matching import InternalCheckError, maximum_matching, missable_vertices
 from urmatch.oracle import enumerate_labeled_graphs
 
 
@@ -169,23 +171,149 @@ def test_verifier_rejects_pairs_the_seed_did_not_force():
     assert verify_gallai_edmonds(c4, replace(ge, forced=None))
 
 
-def test_verifier_checks_gb_on_the_matchers_arrays(monkeypatch):
-    # nu(gb) and the surplus of gb come from the matcher's mate array and
-    # one reachability mask: no Matching or MatchingDigraph of gb is built
-    assert not {"maximum_matching_bipartite", "build_matching_digraph"} & set(vars(decomposition))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the verifier built a matching object of gb")
-
-    monkeypatch.setattr(matching, "maximum_matching_bipartite", refuse)
-    monkeypatch.setattr(ur_core, "build_matching_digraph", refuse)
-    monkeypatch.setattr(ur_core, "_arcs", refuse)
+def test_verifier_re_solves_nothing(monkeypatch):
+    # the verifier checks the claim's own certificate: it imports nothing
+    # from ur_core and none of the matching solvers, and runs the matcher
+    # once for a claim without a certificate, never for one with it
+    retired = {"induced_subgraph", "is_factor_critical", "maximum_matching", "_max_match_array", "_reach",
+               "maximum_matching_bipartite"}
+    tree = ast.parse(Path(decomposition.__file__).read_text())
+    imports = [(node.module, a.name) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for a in node.names]
+    assert [(m, name) for m, name in imports if m == "ur_core" or name in retired] == []
+    calls = []
+    real = decomposition._matcher
+    monkeypatch.setattr(decomposition, "_matcher", lambda g: calls.append(g) or real(g))
     for g in (star_graph(3), cycle_graph(5), giant(sparse_graph_nm(2000, 3000, random.Random(2000)))):
-        assert verify_gallai_edmonds(g, gallai_edmonds(g))
-    p2 = path_graph(2)  # {0} has zero surplus: only the mask rejects it
-    assert not verify_gallai_edmonds(p2, _claim(p2, {0}))
-    for host, wrong in _corrupt_claims():
-        assert not verify_gallai_edmonds(host, wrong)
+        ge = gallai_edmonds(g)
+        calls.clear()
+        assert verify_gallai_edmonds(g, ge) and calls == []
+        assert verify_gallai_edmonds(g, GallaiEdmonds(ge.comp, g.adj)) and calls == [g]
+
+
+def _set(values, i, x):
+    """``values`` with entry i replaced by x."""
+    out = list(values)
+    out[i] = x
+    return tuple(out)
+
+
+def test_certificate_rejects_an_even_d_component():
+    # D = {0, 1} on P2 is one even component, with A and C empty: the
+    # matching leaves no vertex free, not 1 - 0
+    p2 = path_graph(2)
+    assert not verify_gallai_edmonds(p2, _claim(p2, {0, 1}))
+
+
+def test_certificate_rejects_an_odd_c_component():
+    # an empty D on P3 leaves it one odd C component: the matching leaves
+    # one vertex free, not 0 - 0
+    p3 = path_graph(3)
+    assert not verify_gallai_edmonds(p3, _claim(p3, set()))
+
+
+def test_certificate_rejects_a_wrong_free_count():
+    # an empty D on K_{1,3} leaves one even C component, but every matching
+    # leaves two vertices free, not 0 - 0
+    g = star_graph(3)
+    assert not verify_gallai_edmonds(g, _claim(g, set()))
+    # C5 with a matched pair dropped leaves three free, not 1 - 0
+    c5 = cycle_graph(5)
+    ge = gallai_edmonds(c5)
+    v = next(v for v in range(5) if ge.match[v] != -1)
+    w = ge.match[v]
+    assert not verify_gallai_edmonds(c5, replace(ge, match=_set(_set(ge.match, v, -1), w, -1)))
+
+
+def test_certificate_rejects_a_pointer_that_is_unset_leaves_d_or_is_no_edge():
+    # C5 matched 0=1 and 2=3, with 0 -> 2 -> 4 and 3 -> 1 -> 4
+    c5 = cycle_graph(5)
+    ge = replace(gallai_edmonds(c5), match=(1, 0, 3, 2, -1), parent=(4, 2, 1, 4, -1))
+    assert verify_gallai_edmonds(c5, ge)
+    # 3's pointer unset, or 3 -> 4, which is no neighbor of 3's mate 2
+    for p in (-1, 4):
+        assert not verify_gallai_edmonds(c5, replace(ge, parent=_set(ge.parent, 2, p)))
+    # K_{1,4} with one leaf's pendant edge: D = {1, 2, 3}, A = {0} and
+    # C = {4, 5}; the center's pointer must not lead into C
+    g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)])
+    ge = gallai_edmonds(g)
+    assert class_sets(ge) == (frozenset({1, 2, 3}), frozenset({0}), frozenset({4, 5}))
+    assert verify_gallai_edmonds(g, ge)
+    assert not verify_gallai_edmonds(g, replace(ge, parent=_set(ge.parent, 0, 4)))
+
+
+# a certificate of K5 the verifier accepts: 0=1 and 2=3 matched, and each of
+# 0..3 points at the free vertex 4
+K5_MATCH, K5_PARENT = (1, 0, 3, 2, -1), (4, 4, 4, 4, -1)
+
+
+def _k5_claim(match=K5_MATCH, parent=K5_PARENT):
+    k5 = complete_graph(5)
+    return k5, replace(gallai_edmonds(k5), match=match, parent=parent)
+
+
+def test_certificate_rejects_a_cycle_of_pointers():
+    assert verify_gallai_edmonds(*_k5_claim())
+    # 0 -> 2 -> 0: 0's mate 1 points at 2 and 2's mate 3 at 0
+    assert not verify_gallai_edmonds(*_k5_claim(parent=(4, 2, 4, 0, -1)))
+    # 1 -> 1: 1's mate 0 points back at 1
+    assert not verify_gallai_edmonds(*_k5_claim(parent=(1, 4, 4, 4, -1)))
+
+
+def test_certificate_rejects_a_mate_pair_on_one_root_path():
+    # 0 -> 2 -> 1 -> 4: the walk from 0 meets its mate 1 again
+    assert not verify_gallai_edmonds(*_k5_claim(parent=(4, 2, 4, 1, -1)))
+
+
+def test_certificate_rejects_a_match_that_is_no_matching():
+    # 3's mate is 0, but 0's mate is 1
+    assert not verify_gallai_edmonds(*_k5_claim(match=(1, 0, 3, 0, -1)))
+    # an involution whose pair 0=2 is no edge of C5
+    c5 = cycle_graph(5)
+    assert not verify_gallai_edmonds(c5, replace(gallai_edmonds(c5), match=(2, -1, 0, 4, 3)))
+
+
+def test_certificate_rejects_wrong_lengths_and_ids():
+    wrong = [
+        {"match": K5_MATCH[:-1]},
+        {"parent": K5_PARENT + (-1,)},
+        {"match": (1, 0, 3, 2, 5)},
+        {"match": (1, 0, 3, 2, -2)},
+        {"parent": (5, 4, 4, 4, -1)},
+        {"parent": (-2, 4, 4, 4, -1)},
+    ]
+    for fields in wrong:
+        assert verify_gallai_edmonds(*_k5_claim(**fields)) is False
+
+
+def test_verifier_agrees_with_the_resolving_reference_exhaustively():
+    # every D-claim on every graph with at most 5 vertices, without a
+    # certificate and with the true decomposition's
+    for n in range(6):
+        for g in enumerate_labeled_graphs(n):
+            ge = gallai_edmonds(g)
+            for r in range(n + 1):
+                for d in itertools.combinations(range(n), r):
+                    claim = _claim(g, d)
+                    want = verify_by_resolving(g, claim)
+                    assert verify_gallai_edmonds(g, claim) == want
+                    assert verify_gallai_edmonds(g, replace(claim, match=ge.match, parent=ge.parent)) == want
+
+
+@settings(deadline=None, max_examples=200)
+@given(graphs(max_n=11))
+def test_verifier_agrees_with_the_resolving_reference(g):
+    # the true decomposition, one with forced pairs the seed did not force,
+    # and the ones that D with one vertex toggled induces, each with the
+    # true certificate and without one
+    ge = gallai_edmonds(g)
+    d_set = class_sets(ge)[0]
+    claims = [ge, replace(ge, forced=ge.match)]
+    claims += [replace(ge, comp=tuple(classes_by_a_pass(g, d_set ^ {v}))) for v in range(g.n)]
+    for claim in claims:
+        for c in (claim, replace(claim, match=None, parent=None)):
+            assert verify_gallai_edmonds(g, c) == verify_by_resolving(g, c)
+    assert verify_gallai_edmonds(g, ge)
 
 
 def test_verifier_rejects_a_decomposition_of_another_graph():
@@ -205,8 +333,9 @@ def test_random_sweep_verifies():
 
 
 def test_verifier_rejects_zero_surplus_on_p2():
-    # {0} passes every other check: A = {1} is matched into the component {0},
-    # but with surplus 0, and no maximum matching misses 0
+    # {0} passes the count: A = {1} is matched into the component {0}, but
+    # with surplus 0, and no maximum matching misses 0, so 0's pointer can
+    # only lead back to 0
     g = path_graph(2)
     assert not verify_gallai_edmonds(g, _claim(g, {0}))
     assert verify_gallai_edmonds(g, _claim(g, set()))

@@ -20,7 +20,6 @@ from urmatch.families import (
 )
 from urmatch.graph_core import (
     Graph,
-    biconnected_blocks,
     bipartition,
     blocks_are_odd_cycles,
     connected_components,
@@ -235,23 +234,6 @@ def test_validate_bipartition_rejects_bad_sides():
         validate_bipartition(g, (frozenset({0, 1}), frozenset({2})))
     with pytest.raises(ValueError):
         validate_bipartition(g, (frozenset({0}), frozenset({2})))
-
-
-def test_biconnected_blocks_bowtie():
-    blocks = biconnected_blocks(bowtie_graph())
-    keys = sorted(sorted(b) for b in blocks)
-    assert keys == [[(0, 1), (0, 2), (1, 2)], [(0, 3), (0, 4), (3, 4)]]
-
-
-def test_biconnected_blocks_partition_edges():
-    rng = random.Random(3)
-    for _ in range(100):
-        n = rng.randrange(1, 11)
-        edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.4]
-        g = Graph.from_edges(n, edges)
-        blocks = biconnected_blocks(g)
-        seen = [e for b in blocks for e in b]
-        assert sorted(seen) == sorted(g.edges)
 
 
 def test_blocks_are_odd_cycles():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from ge_reference import class_sets, classes_by_a_pass, edmonds_labels, matcher_searching_all, reference_classes
+from lemma_helpers import is_factor_critical
 from strategies import giant, graphs, linear_triangle_tree, random_graph_nm, sparse_graph_nm
 from urmatch import matching
 from urmatch.decomposition import gallai_edmonds
@@ -139,6 +140,7 @@ def test_long_triangle_chain_is_factor_critical():
     g = _triangle_chain(5000)
     assert g.n == 10001
     _assert_classes(g, frozenset(range(g.n)), frozenset(), frozenset())
+    assert is_factor_critical(g)
 
 
 def test_long_path_is_all_c():

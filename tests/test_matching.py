@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from ge_reference import missable_vertex, unique_perfect_matching_by_deletion
-from lemma_helpers import delete_vertex, is_alternating_cycle
+from lemma_helpers import delete_vertex, is_alternating_cycle, is_factor_critical
 import peel_reference
 from peel_reference import _alternating_cycle, _peel
 from strategies import (
@@ -34,7 +34,6 @@ from urmatch.matching import (
     _max_match_array,
     _search,
     edge_in_some_maximum_matching,
-    is_factor_critical,
     max_independent_set_bipartite,
     maximum_matching,
     maximum_matching_bipartite,

@@ -18,7 +18,6 @@ PUBLIC = [
     "RecognitionReport",
     "__version__",
     "allowed_edges",
-    "biconnected_blocks",
     "bipartition",
     "blocks_are_odd_cycles",
     "build_matching_digraph",
@@ -33,7 +32,6 @@ PUBLIC = [
     "gallai_edmonds",
     "induced_subgraph",
     "is_acyclic",
-    "is_factor_critical",
     "is_forest",
     "is_uniquely_restricted",
     "max_independent_set_bipartite",
