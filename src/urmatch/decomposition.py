@@ -5,9 +5,10 @@ searches leave behind labels D (the vertices v with nu(g - v) == nu(g))
 dead-even, A dead-odd and C not at all, and the matching, the forest's
 path pointers and the seed's forced pairs are kept.  The contracted graph
 ``gb`` keeps A on one side and one vertex per component of g[D] on the
-other.  The decomposition is one component array: ``_classes`` numbers
-the components of D and of C in it, and every view is read off it on
-first read; no induced graph is built.
+other.  The decomposition is one component array: the library's one
+component search, ``graph_core._classes``, numbers the components of D and
+of C in it, and every view is read off it on first read; no induced graph
+is built.
 ``gallai_edmonds`` adds the Tutte-Berge count on A, from the component
 sizes, which checks that the matching is maximum.  ``verify_gallai_edmonds``
 checks a claim by its certificate, the matching and the path pointers, in
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .graph_core import Graph
+from .graph_core import Graph, _classes
 from .matching import _DEAD_EVEN, _DEAD_ODD, _UNLABELLED, InternalCheckError, _greedy_seed, _matcher
 
 
@@ -108,33 +109,8 @@ class GallaiEdmonds:
         return Graph(len(rows), tuple(map(tuple, rows)))
 
 
-# the class of each label the matcher leaves: C, D and A (see ``_classes``)
+# the class of each label the matcher leaves: C, D and A (see ``graph_core._classes``)
 _CLASS = {_UNLABELLED: -3, _DEAD_EVEN: -2, _DEAD_ODD: -1}
-
-
-def _classes(adj, comp) -> int:
-    """Number the components of the class array ``comp`` in place, D -2, A
-    -1 and C -3 on entry, into the component array of ``GallaiEdmonds``,
-    and return how many of them are odd: one breadth-first search that
-    stays inside the class of its start numbers each."""
-    n_d = n_c = odd = 0
-    for s in range(len(adj)):  # ascending, so each component is numbered by its lowest vertex
-        cls = comp[s]
-        if cls == -2:
-            ci, n_d = n_d, n_d + 1
-        elif cls == -3:
-            ci, n_c = -4 - n_c, n_c + 1
-        else:
-            continue  # A, or visited
-        comp[s] = ci
-        queue = [s]
-        for v in queue:  # the loop also visits vertices appended while it runs
-            for w in adj[v]:
-                if comp[w] == cls:
-                    comp[w] = ci
-                    queue.append(w)
-        odd += len(queue) & 1
-    return odd
 
 
 def gallai_edmonds(g: Graph) -> GallaiEdmonds:

@@ -3,16 +3,18 @@
 Vertices are dense integer ids ``0..n-1``.  Every operation iterates vertices
 and neighbors in ascending id order, so outputs are deterministic for a fixed
 input.  Induced subgraphs are new values that carry a map back to the
-original vertex ids.  The odd-cycle block test runs on an adjacency and a
-vertex mask (``_odd_cycle_blocks``, one depth-first search with no block
-lists), so that the every-decider can test g[D] without building it;
+original vertex ids.  ``_classes`` is the library's one component search:
+it numbers in place the components of ``decomposition``'s classes, or of
+the kept vertices of ``connected_components``, which ``is_forest`` counts.
+The odd-cycle block test runs on an adjacency and a vertex mask
+(``_odd_cycle_blocks``, one depth-first search with no block lists), so
+that the every-decider can test g[D] without building it;
 ``blocks_are_odd_cycles`` is its whole-graph wrapper.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -112,60 +114,55 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return Graph(len(keep), adj), tuple(keep)
 
 
+def _classes(adj, comp) -> int:
+    """Number the components of the class array ``comp`` in place, D -2, A
+    -1 and C -3 on entry, into the component array of ``GallaiEdmonds``,
+    and return how many of them are odd: one breadth-first search that
+    stays inside the class of its start numbers each."""
+    n_d = n_c = odd = 0
+    for s in range(len(adj)):  # ascending, so each component is numbered by its lowest vertex
+        cls = comp[s]
+        if cls == -2:
+            ci, n_d = n_d, n_d + 1
+        elif cls == -3:
+            ci, n_c = -4 - n_c, n_c + 1
+        else:
+            continue  # A, or visited
+        comp[s] = ci
+        queue = [s]
+        for v in queue:  # the loop also visits vertices appended while it runs
+            for w in adj[v]:
+                if comp[w] == cls:
+                    comp[w] = ci
+                    queue.append(w)
+        odd += len(queue) & 1
+    return odd
+
+
 def connected_components(g: Graph, vertices: Iterable[int] | None = None) -> list[frozenset[int]]:
     """Vertex sets of the connected components of g[vertices], in g's ids,
     ordered by smallest member; all of g when ``vertices`` is None.
 
-    One breadth-first search over g's own adjacency: no subgraph is built.
+    The kept vertices are marked as D, the rest as A, and ``_classes``
+    numbers them by their lowest vertex: no subgraph is built.
     """
-    if vertices is None:
-        order: Iterable[int] = range(g.n)
-        todo = [True] * g.n
-    else:
-        order = sorted(set(vertices))
-        todo = [False] * g.n
-        for v in order:
-            if not 0 <= v < g.n:
-                raise ValueError(f"vertex {v} out of range")
-            todo[v] = True
-    out: list[frozenset[int]] = []
-    for start in order:
-        if not todo[start]:
-            continue
-        todo[start] = False
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.adj[v]:
-                if todo[w]:
-                    todo[w] = False
-                    comp.append(w)
-                    queue.append(w)
-        out.append(frozenset(comp))
-    return out
+    comp = [-1] * g.n
+    for v in range(g.n) if vertices is None else vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+        comp[v] = -2
+    _classes(g.adj, comp)
+    groups: list[list[int]] = [[] for _ in range(max(comp, default=-1) + 1)]
+    for v, c in enumerate(comp):
+        if c >= 0:
+            groups[c].append(v)
+    return list(map(frozenset, groups))
 
 
 def is_forest(g: Graph) -> bool:
-    """True iff the graph contains no cycle: one search per component,
-    which is a tree iff it has one edge fewer than vertices."""
-    adj = g.adj
-    todo = [True] * g.n
-    for start in range(g.n):
-        if not todo[start]:
-            continue
-        todo[start] = False
-        comp = [start]
-        ends = 0
-        for v in comp:  # the loop also visits vertices appended while it runs
-            ends += len(adj[v])
-            for w in adj[v]:
-                if todo[w]:
-                    todo[w] = False
-                    comp.append(w)
-        if ends != 2 * len(comp) - 2:
-            return False
-    return True
+    """True iff the graph contains no cycle: iff each component, a tree,
+    has one edge fewer than vertices."""
+    return g.m == g.n - len(connected_components(g))
 
 
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:

@@ -2,8 +2,8 @@
 
 One alternating-forest search with union-find blossoms (Edmonds) serves the
 one matcher and the deletion test of edges in some maximum matching; on a
-bipartite graph the matcher's mate array also gives the Koenig independent
-set (``max_independent_set_bipartite``).
+bipartite graph the matcher's Gallai-Edmonds labels also give the Koenig
+independent set (``max_independent_set_bipartite``).
 The matcher (``_matcher``) seeds with the degree-1 rule of Karp & Sipser, then
 searches from each vertex left free, lowest first, on arrays allocated once:
 a search that augments resets only what it labelled, and the Hungarian tree
@@ -712,23 +712,19 @@ def unique_perfect_matching(g: Graph) -> Matching | None:
 
 def max_independent_set_bipartite(g: Graph, sides) -> frozenset[int]:
     """A maximum independent set of a bipartite graph: the complement of
-    the Koenig cover of the matcher's maximum matching, which any maximum
-    matching gives.  The cover is the A-vertices that the alternating search
-    from the free A-vertices misses and the B-vertices it reaches, so v is
-    in the set iff ``reach[v]`` equals whether v is on side A, isolated
-    vertices of both sides too."""
+    the Koenig cover of the matcher's maximum matching M, read off its
+    Gallai-Edmonds labels.
+
+    The cover is the side-A vertices that the M-alternating search from
+    the free side-A vertices misses and the side-B vertices it reaches.
+    Bipartite D components are single vertices (a factor-critical bipartite
+    graph is K1), so the Gallai-Edmonds A is N(D).  By even paths the
+    search reaches exactly D on side A: flipping M along one misses its
+    end, and a maximum matching that misses a side-A vertex differs from M
+    by one from a free side-A vertex.  By odd paths it reaches their side-B
+    neighbors, which are A on side B.  So the set is the side-A vertices
+    labelled dead-even and the side-B vertices not labelled dead-odd,
+    isolated vertices of both sides too."""
     side_a, _ = validate_bipartition(g, sides)
-    mate = _max_match_array(g)
-    reach = [False] * g.n
-    queue = [a for a in side_a if mate[a] == -1]
-    for a in queue:
-        reach[a] = True
-    for a in queue:  # the loop also visits vertices appended while it runs
-        for b in g.adj[a]:
-            if not reach[b]:  # b is not a's mate, which reached a
-                reach[b] = True
-                a2 = mate[b]
-                if a2 != -1:
-                    reach[a2] = True
-                    queue.append(a2)
-    return frozenset(v for v, r in enumerate(reach) if r == (v in side_a))
+    label = _matcher(g)[1]
+    return frozenset(v for v, x in enumerate(label) if (x == _DEAD_EVEN if v in side_a else x != _DEAD_ODD))

@@ -37,50 +37,49 @@ class MatchingEnumeration:
     maximum_matchings: tuple[frozenset[tuple[int, int]], ...]
 
 
+def _extend(edges, i: int, covered: int, chosen: list, acc: list) -> None:
+    """Append to ``acc`` every matching that adds to ``chosen`` (covering
+    the bitmask ``covered``) edges from ``edges[i:]``: without edge i, then
+    with it if its ends are free."""
+    if i == len(edges):
+        acc.append(frozenset(chosen))
+        return
+    u, v = edges[i]
+    _extend(edges, i + 1, covered, chosen, acc)
+    if not (covered >> u) & 1 and not (covered >> v) & 1:
+        chosen.append(edges[i])
+        _extend(edges, i + 1, covered | (1 << u) | (1 << v), chosen, acc)
+        chosen.pop()
+
+
 def enumerate_matchings(g: Graph, *, max_n: int = DEFAULT_MAX_N, max_m: int = DEFAULT_MAX_M) -> MatchingEnumeration:
     """Every matching of g, by include/exclude recursion over edges in id order."""
     _check_guard(g, max_n, max_m)
-    edges = g.sorted_edges()
-    m = len(edges)
     acc: list[frozenset[tuple[int, int]]] = []
-    chosen: list[tuple[int, int]] = []
-
-    def rec(i: int, covered: int) -> None:
-        if i == m:
-            acc.append(frozenset(chosen))
-            return
-        u, v = edges[i]
-        rec(i + 1, covered)
-        if not (covered >> u) & 1 and not (covered >> v) & 1:
-            chosen.append(edges[i])
-            rec(i + 1, covered | (1 << u) | (1 << v))
-            chosen.pop()
-
-    rec(0, 0)
+    _extend(g.sorted_edges(), 0, 0, [], acc)
     best = max(len(s) for s in acc)
     maxima = tuple(s for s in acc if len(s) == best)
     return MatchingEnumeration(tuple(acc), best, maxima)
 
 
+def _completions(adj, covered: int, full: int) -> int:
+    """The number of ways to match the vertices outside the bitmask
+    ``covered`` (all of ``full``), the lowest of them first."""
+    if covered == full:
+        return 1
+    # lowest uncovered vertex must be matched by any perfect matching
+    v = (~covered & (covered + 1)).bit_length() - 1
+    total = 0
+    for w in adj[v]:
+        if not (covered >> w) & 1:
+            total += _completions(adj, covered | (1 << v) | (1 << w), full)
+    return total
+
+
 def count_perfect_matchings(g: Graph, *, max_n: int = DEFAULT_MAX_N, max_m: int = DEFAULT_MAX_M) -> int:
     """Number of perfect matchings, counted by matching the lowest free vertex."""
     _check_guard(g, max_n, max_m)
-    if g.n == 0:
-        return 1
-    full = (1 << g.n) - 1
-
-    def rec(covered: int) -> int:
-        if covered == full:
-            return 1
-        # lowest uncovered vertex must be matched by any perfect matching
-        v = (~covered & (covered + 1)).bit_length() - 1
-        total = 0
-        for w in g.adj[v]:
-            if not (covered >> w) & 1:
-                total += rec(covered | (1 << v) | (1 << w))
-        return total
-
-    return rec(0)
+    return _completions(g.adj, 0, (1 << g.n) - 1)
 
 
 def _covered_set(edges: frozenset[tuple[int, int]]) -> frozenset[int]:

@@ -3,10 +3,10 @@
 For a bipartite graph with sides (A, B) and a matching M, the digraph D(M)
 orients every non-matching edge from A to B and every matching edge from B to
 A.  Directed cycles of D(M) are exactly the M-alternating cycles, so M is
-uniquely restricted iff D(M) is acyclic.  ``_arcs`` and ``_reach`` give
-D(M)'s lists and the masks of its reachability closures from a side mask
-and a mate array, and ``build_matching_digraph`` wraps them for a given
-``Matching``.  No decider or verifier builds D(M).  The general-graph UR test below
+uniquely restricted iff D(M) is acyclic.  ``_arcs`` gives D(M)'s lists
+from a side mask and a mate array; ``build_matching_digraph`` builds them
+for a given ``Matching`` and takes V+ and V- as their closures.  No
+decider or verifier builds D(M).  The general-graph UR test below
 does not use the digraph: M is uniquely restricted iff it is the unique
 perfect matching of g[V(M)], that is iff g[V(M)] has no M-alternating
 cycle, which the library's one alternating-cycle kernel
@@ -15,7 +15,6 @@ cycle, which the library's one alternating-cycle kernel
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .graph_core import Graph, validate_bipartition
@@ -63,19 +62,16 @@ def _arcs(adj, in_a, mate, forward: bool) -> list[list[int]]:
     return out
 
 
-def _reach(adj, in_a, mate, forward: bool) -> list[bool]:
-    """The mask of V+ (all that D(M) reaches from the free A-vertices, these
-    included) when ``forward``, else of V- (all that reaches a free
-    B-vertex): a search along the arcs of ``_arcs``, without their lists."""
-    seen = [m == -1 and side == forward for side, m in zip(in_a, mate)]
-    queue = [v for v, s in enumerate(seen) if s]
+def _closure(lists, sources) -> frozenset[int]:
+    """All that ``lists`` reach from ``sources``, these included."""
+    seen = set(sources)
+    queue = list(seen)
     for u in queue:  # the loop also visits vertices appended while it runs
-        m = mate[u]
-        for w in adj[u] if in_a[u] == forward else ((m,) if m != -1 else ()):
-            if not seen[w]:
-                seen[w] = True
+        for w in lists[u]:
+            if w not in seen:
+                seen.add(w)
                 queue.append(w)
-    return seen
+    return frozenset(seen)
 
 
 def build_matching_digraph(g: Graph, sides, m: Matching) -> MatchingDigraph:
@@ -85,29 +81,24 @@ def build_matching_digraph(g: Graph, sides, m: Matching) -> MatchingDigraph:
     mate = _match_array(g, m)
     succ = tuple(map(tuple, _arcs(g.adj, in_a, mate, True)))
     pred = tuple(map(tuple, _arcs(g.adj, in_a, mate, False)))
-    v_plus, v_minus = (frozenset(v for v, r in enumerate(_reach(g.adj, in_a, mate, f)) if r)
-                       for f in (True, False))
-    return MatchingDigraph(succ, pred, side_a - m.covered, side_b - m.covered, v_plus, v_minus)
+    a0, b0 = side_a - m.covered, side_b - m.covered
+    return MatchingDigraph(succ, pred, a0, b0, _closure(succ, a0), _closure(pred, b0))
 
 
 def is_acyclic(succ: tuple[tuple[int, ...], ...]) -> bool:
     """Kahn peeling of the digraph given by successor lists: repeatedly
     delete in-degree-zero vertices."""
-    n = len(succ)
-    indeg = [0] * n
+    indeg = [0] * len(succ)
     for ws in succ:
         for w in ws:
             indeg[w] += 1
-    queue = deque(v for v in range(n) if indeg[v] == 0)
-    removed = 0
-    while queue:
-        v = queue.popleft()
-        removed += 1
+    queue = [v for v, d in enumerate(indeg) if d == 0]
+    for v in queue:  # the loop also visits vertices appended while it runs
         for w in succ[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 queue.append(w)
-    return removed == n
+    return len(queue) == len(succ)
 
 
 def is_uniquely_restricted(g: Graph, m: Matching) -> bool:

@@ -68,7 +68,7 @@ from urmatch.matching import (
     edge_in_some_maximum_matching,
     maximum_matching,
 )
-from urmatch.ur_core import _reach
+from urmatch.ur_core import build_matching_digraph
 
 
 # the views of a decomposition: every cached property of its class
@@ -267,4 +267,5 @@ def verify_by_resolving(g: Graph, ge: GallaiEdmonds) -> bool:
     if gb.n - mate.count(-1) != 2 * k:
         return False
     # gb vertices below k are A's: each must reach a free component vertex
-    return all(_reach(gb.adj, [v < k for v in range(gb.n)], mate, False)[:k])
+    md = build_matching_digraph(gb, gb_sides(ge), _matching_from_array(gb, mate))
+    return md.v_minus.issuperset(range(k))

@@ -3,14 +3,16 @@
 None of the deciders needs them: they state the lemmas the deciders rest on
 (accessibility orderings, Koenig maximality, single edge exchanges,
 alternating cycles, factor-criticality) and the deletion operations the
-definitional checks are written with.
+definitional checks are written with.  ``konig_independent_set_by_search``
+is the Koenig set as ``max_independent_set_bipartite`` first found it, by
+its own alternating search; the library reads it off the matcher's labels.
 """
 
 from __future__ import annotations
 
 from urmatch.accessibility import _check_independent
 from urmatch.graph_core import Graph, edge_key, induced_subgraph, validate_bipartition
-from urmatch.matching import _DEAD_EVEN, Matching, _matcher
+from urmatch.matching import _DEAD_EVEN, Matching, _matcher, _max_match_array
 from urmatch.ur_core import MatchingDigraph, build_matching_digraph
 
 
@@ -67,6 +69,28 @@ def is_accessibility_ordering(g: Graph, i_set, sigma) -> bool:
 def konig_maximality_check(md: MatchingDigraph) -> bool:
     """Koenig-style maximality: the matching is maximum iff the closures are disjoint."""
     return md.v_plus.isdisjoint(md.v_minus)
+
+
+def konig_independent_set_by_search(g: Graph, sides) -> frozenset[int]:
+    """The complement of the Koenig cover of the matcher's maximum
+    matching: the cover is the A-vertices that the alternating search from
+    the free A-vertices misses and the B-vertices it reaches, so v is in the
+    set iff ``reach[v]`` equals whether v is on side A."""
+    side_a, _ = validate_bipartition(g, sides)
+    mate = _max_match_array(g)
+    reach = [False] * g.n
+    queue = [a for a in side_a if mate[a] == -1]
+    for a in queue:
+        reach[a] = True
+    for a in queue:  # the loop also visits vertices appended while it runs
+        for b in g.adj[a]:
+            if not reach[b]:  # b is not a's mate, which reached a
+                reach[b] = True
+                a2 = mate[b]
+                if a2 != -1:
+                    reach[a2] = True
+                    queue.append(a2)
+    return frozenset(v for v, r in enumerate(reach) if r == (v in side_a))
 
 
 def edge_exchanges(g: Graph, sides, m: Matching) -> list[Matching]:

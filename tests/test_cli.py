@@ -626,8 +626,9 @@ def test_no_unused_import_in_library():
 def test_one_uniqueness_kernel_in_library():
     # the alternating-cycle kernel is the library's only uniqueness test:
     # no module defines or imports the Kotzig peel's names, which live on
-    # in tests/peel_reference.py, so no fallback to the peel creeps back
-    retired = {"_peel", "_matched_bridges", "_alternating_cycle"}
+    # in tests/peel_reference.py, so no fallback to the peel creeps back;
+    # nor ur_core's reach masks, a second encoding of D(M)'s arc rule
+    retired = {"_peel", "_matched_bridges", "_alternating_cycle", "_reach"}
     found = []
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):

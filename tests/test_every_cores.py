@@ -36,7 +36,7 @@ from urmatch.recognition import (
     every_ur,
     every_ur_bipartite,
 )
-from urmatch.ur_core import _reach, build_matching_digraph
+from urmatch.ur_core import build_matching_digraph
 
 
 def _check_bipartite(g, sides):
@@ -68,14 +68,17 @@ def test_every_ur_on_bipartite_graphs_equals_object_route_exhaustive():
 @settings(deadline=None, max_examples=100)
 @given(bipartite_graphs(max_side=6))
 def test_reach_masks_equal_closures_of_the_digraph(gs):
+    # D(M)'s lists orient each edge of g by the rule of D(M), and V+ and
+    # V- are their closures from the free vertices of the two sides
     g, sides = gs
-    md = build_matching_digraph(g, sides, maximum_matching_bipartite(g, sides))
-    in_a = [v in sides[0] for v in range(g.n)]
-    mate = _max_match_array(g)
-    for forward, lists, sources, want in ((True, md.succ, md.a0, md.v_plus),
-                                          (False, md.pred, md.b0, md.v_minus)):
-        mask = _reach(g.adj, in_a, mate, forward)
-        assert frozenset(v for v in range(g.n) if mask[v]) == closure(lists, sources) == want
+    m = maximum_matching_bipartite(g, sides)
+    md = build_matching_digraph(g, sides, m)
+    arcs = {(u, w) if (u in sides[0]) != ((u, w) in m.edges) else (w, u) for u, w in g.edges}
+    assert {(u, w) for u, ws in enumerate(md.succ) for w in ws} == arcs
+    assert {(u, w) for w, us in enumerate(md.pred) for u in us} == arcs
+    assert all(list(ws) == sorted(ws) for ws in md.succ + md.pred)
+    assert (md.a0, md.b0) == (frozenset(sides[0]) - m.covered, frozenset(sides[1]) - m.covered)
+    assert md.v_plus == closure(md.succ, md.a0) and md.v_minus == closure(md.pred, md.b0)
 
 
 def _gb_facts(ge):

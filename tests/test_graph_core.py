@@ -3,12 +3,15 @@ import random
 import tracemalloc
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lemma_helpers import delete_edge, delete_vertex
 from strategies import graphs
+from urmatch import decomposition, graph_core
+from urmatch.decomposition import gallai_edmonds
 from urmatch.families import (
     bowtie_graph,
     complete_bipartite,
@@ -136,6 +139,25 @@ def test_delete_vertex_and_edge():
     assert k.n == 4 and (0, 1) not in k.edges
 
 
+def test_one_component_search(monkeypatch):
+    # _classes is the library's one component search: the component views
+    # and the decomposition each number their components with it
+    calls = []
+    real = graph_core._classes
+
+    def spy(adj, comp):
+        calls.append(adj)
+        return real(adj, comp)
+
+    monkeypatch.setattr(graph_core, "_classes", spy)
+    monkeypatch.setattr(decomposition, "_classes", spy)
+    g = petersen_graph()
+    for f in (connected_components, is_forest, gallai_edmonds):
+        calls.clear()
+        f(g)
+        assert calls == [g.adj], f.__name__
+
+
 def test_connected_components_order():
     g = Graph.from_edges(6, [(4, 5), (1, 2)])
     comps = connected_components(g)
@@ -171,15 +193,20 @@ def test_is_forest_families():
     assert is_forest(Graph.from_edges(0, []))
 
 
+def _networkx_agrees(g):
+    """Whether ``is_forest`` and ``connected_components`` agree with
+    networkx, which has no forest answer for the empty graph."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    comps = sorted(map(frozenset, nx.connected_components(h)), key=min)
+    return connected_components(g) == comps and is_forest(g) == (g.n == 0 or nx.is_forest(h))
+
+
 @settings(deadline=None, max_examples=200)
 @given(graphs(max_n=12))
-def test_is_forest_matches_edge_count_identity(g):
-    # acyclic iff every component has |E| = |V| - 1
-    expected = all(
-        sum(1 for e in g.edges if e[0] in comp) == len(comp) - 1
-        for comp in connected_components(g)
-    )
-    assert is_forest(g) == expected
+def test_is_forest_matches_networkx(g):
+    assert _networkx_agrees(g)
 
 
 def test_is_forest_thousand_random():
@@ -188,8 +215,7 @@ def test_is_forest_thousand_random():
         n = rng.randrange(13)
         pairs = list(combinations(range(n), 2))
         edges = [e for e in pairs if rng.random() < rng.choice([0.08, 0.15, 0.3])]
-        g = Graph.from_edges(n, edges)
-        assert is_forest(g) == (g.m == g.n - len(connected_components(g)))
+        assert _networkx_agrees(Graph.from_edges(n, edges))
 
 
 def _two_color(g):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from ge_reference import missable_vertex, unique_perfect_matching_by_deletion
-from lemma_helpers import delete_vertex, is_alternating_cycle, is_factor_critical
+from lemma_helpers import delete_vertex, is_alternating_cycle, is_factor_critical, konig_independent_set_by_search
 import peel_reference
 from peel_reference import _alternating_cycle, _peel
 from strategies import (
@@ -40,7 +40,7 @@ from urmatch.matching import (
     missable_vertices,
     unique_perfect_matching,
 )
-from urmatch.oracle import enumerate_matchings
+from urmatch.oracle import enumerate_labeled_graphs, enumerate_matchings
 
 
 def _check_matching(g, m):
@@ -199,15 +199,33 @@ def test_max_independent_set_frozen():
     assert max_independent_set_bipartite(s, bipartition(s)) == frozenset({1, 2, 3})
 
 
+def _assert_konig_set(g, sides):
+    """The Koenig set read off the labels is the search's, set for set, an
+    independent set of n - nu vertices."""
+    i_set = max_independent_set_bipartite(g, sides)
+    assert i_set == konig_independent_set_by_search(g, sides)
+    assert all(not g.has_edge(u, w) for u in i_set for w in i_set if u < w)
+    # Gallai / Konig identity on bipartite graphs
+    assert len(i_set) == g.n - len(maximum_matching(g))
+
+
+def test_max_independent_set_equals_search_exhaustive():
+    # every bipartite labelled graph on at most 6 vertices, sides both ways
+    for n in range(7):
+        for g in enumerate_labeled_graphs(n):
+            sides = bipartition(g)
+            if sides is not None:
+                _assert_konig_set(g, sides)
+                _assert_konig_set(g, sides[::-1])
+
+
 @settings(deadline=None, max_examples=100)
 @given(bipartite_graphs(max_side=4))
 def test_max_independent_set_vs_brute(gs):
     g, sides = gs
-    i_set = max_independent_set_bipartite(g, sides)
-    assert all(not g.has_edge(u, w) for u in i_set for w in i_set if u < w)
-    assert len(i_set) == _brute_mis(g)
-    # Gallai / Konig identity on bipartite graphs
-    assert len(i_set) == g.n - len(maximum_matching(g))
+    for s in (sides, sides[::-1]):
+        _assert_konig_set(g, s)
+        assert len(max_independent_set_bipartite(g, s)) == _brute_mis(g)
 
 
 def test_random_sweep_matching_sizes():

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -38,6 +39,20 @@ def test_petersen_counts():
     assert enum.maximum_size == 5
     assert len(enum.maximum_matchings) == 6
     assert count_perfect_matchings(petersen_graph()) == 6
+
+
+def test_enumerations_leave_no_reference_cycle():
+    # the recursions take their state as arguments, so a call leaves no
+    # garbage that only the cycle collector could free
+    g = petersen_graph()
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_matchings(g)
+        count_perfect_matchings(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_count_perfect_matchings_families():

@@ -1,7 +1,10 @@
 """The public API is pinned: adding or removing a name shows up as a diff here."""
 
+import ast
+import sys
 from dataclasses import fields
 from functools import cached_property
+from pathlib import Path
 
 import urmatch
 from urmatch.decomposition import GallaiEdmonds
@@ -62,3 +65,20 @@ def test_decomposition_fields_and_views_are_pinned():
     assert [f.name for f in fields(GallaiEdmonds)] == ["comp", "adj", "match", "parent", "forced", "upms"]
     views = {name for name, attr in vars(GallaiEdmonds).items() if isinstance(attr, cached_property)}
     assert views == {"a_list", "counts", "d_members", "c_members", "attachments", "gb"}
+
+
+def test_library_imports_only_the_standard_library():
+    # urmatch has no runtime dependencies: every import of the package is
+    # relative or names a module of Python's standard library
+    found = []
+    for path in sorted(Path(urmatch.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}:{name}" for name in names
+                      if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert found == []
