@@ -219,7 +219,8 @@ def _cmd_decompose(args) -> int:
     c_verts: list[int] = []
     for v, c in enumerate(ge.comp):
         (d_verts if c >= 0 else a_verts if c == -1 else c_verts).append(v)
-    gb, k = ge.gb, len(a_verts)
+    k = len(a_verts)
+    gb_n, gb_edges = k + ge.counts[0], [(i, k + ci) for i, ci in sorted(ge.attachments)]
     if args.json:
         payload = {
             "input": args.file,
@@ -230,10 +231,10 @@ def _cmd_decompose(args) -> int:
             "c_set": c_verts,
             "d_components": ge.d_members,
             "gb": {
-                "n": gb.n,
-                "edges": [list(e) for e in gb.sorted_edges()],
+                "n": gb_n,
+                "edges": [list(e) for e in gb_edges],
                 "a_side": list(range(k)),
-                "component_side": list(range(k, gb.n)),
+                "component_side": list(range(k, gb_n)),
             },
             "contraction_map": [["a", v] for v in a_verts] + [["d", i] for i in range(ge.counts[0])],
         }
@@ -244,7 +245,7 @@ def _cmd_decompose(args) -> int:
         print("c_set", " ".join(map(str, c_verts)))
         for i, comp in enumerate(ge.d_members):
             print(f"d_component {i}:", " ".join(map(str, comp)))
-        print(f"gb n={gb.n} edges", " ".join(f"{u}-{v}" for u, v in gb.sorted_edges()))
+        print(f"gb n={gb_n} edges", " ".join(f"{u}-{v}" for u, v in gb_edges))
     return 0
 
 

@@ -4,11 +4,11 @@ The classes come from the matcher alone: the Edmonds forest that its failed
 searches leave behind labels D (the vertices v with nu(g - v) == nu(g))
 dead-even, A dead-odd and C not at all, and the matching, the forest's
 path pointers and the seed's forced pairs are kept.  The contracted graph
-``gb`` keeps A on one side and one vertex per component of g[D] on the
-other.  The decomposition is one component array: the library's one
-component search, ``graph_core._classes``, numbers the components of D and
-of C in it, and every view is read off it on first read; no induced graph
-is built.
+gb, with A on one side and one vertex per component of g[D] on the other,
+is kept as its edges, the attachments.  The decomposition is one component
+array: the library's one component search, ``graph_core._classes``,
+numbers the components of D and of C in it, and every view is read off it
+on first read; no induced graph and no graph for gb is built.
 ``gallai_edmonds`` adds the Tutte-Berge count on A, from the component
 sizes, which checks that the matching is maximum.  ``verify_gallai_edmonds``
 checks a claim by its certificate, the matching and the path pointers, in
@@ -26,7 +26,7 @@ from .matching import _DEAD_EVEN, _DEAD_ODD, _UNLABELLED, InternalCheckError, _g
 
 @dataclass(frozen=True)
 class GallaiEdmonds:
-    """The three vertex classes, their components and the contracted graph.
+    """The three vertex classes, their components and gb's edges.
 
     Fields: ``comp`` names each vertex's class and component: D component
     ci is ci, C component ci is -4 - ci, and A is -1, the components
@@ -48,10 +48,10 @@ class GallaiEdmonds:
     D and of C components; ``a_list``, the A-vertices
     ascending (gb vertex i < |A| is ``a_list[i]``); ``d_members`` and
     ``c_members``, the ascending vertex lists of the D and the C components
-    in ``comp``'s numbering; ``attachments``, the neighbors of the i-th
-    A-vertex inside D component ci, keyed ``(i, ci)``, one key per gb edge;
-    ``gb``: vertex i < |A| is the A-vertex ``a_list[i]`` and vertex
-    |A| + ci is D component ci.
+    in ``comp``'s numbering; ``attachments``, gb's edges, one key
+    ``(i, ci)`` per edge between gb vertex i, the A-vertex ``a_list[i]``,
+    and gb vertex |A| + ci, D component ci: it maps to the A-vertex's one
+    neighbor inside the component, or to -1 when it has several there.
     """
 
     comp: tuple[int, ...]
@@ -88,25 +88,15 @@ class GallaiEdmonds:
         return lists
 
     @cached_property
-    def attachments(self) -> dict[tuple[int, int], list[int]]:
+    def attachments(self) -> dict[tuple[int, int], int]:
         comp, adj = self.comp, self.adj
-        out: dict[tuple[int, int], list[int]] = {}
+        out: dict[tuple[int, int], int] = {}
         for i, a in enumerate(self.a_list):
             for w in adj[a]:
-                if comp[w] >= 0:
-                    out.setdefault((i, comp[w]), []).append(w)
+                ci = comp[w]
+                if ci >= 0 and out.setdefault((i, ci), w) != w:
+                    out[i, ci] = -1  # a second neighbor
         return out
-
-    @cached_property
-    def gb(self) -> Graph:
-        k = len(self.a_list)
-        rows: list[list[int]] = [[] for _ in range(k + self.counts[0])]
-        for i, ci in self.attachments:  # i ascending
-            rows[i].append(k + ci)
-            rows[k + ci].append(i)
-        for row in rows[:k]:
-            row.sort()
-        return Graph(len(rows), tuple(map(tuple, rows)))
 
 
 # the class of each label the matcher leaves: C, D and A (see ``graph_core._classes``)

@@ -4,12 +4,12 @@
 same vertex set?  ``every_ur``: do all of them?  Both reduce to structural
 conditions on the Gallai-Edmonds decomposition and read its arrays
 (``comp``, ``match``, ``parent`` and ``forced``), the views read off them
-and its memo; no decider matches gb, and only ``some_ur`` reads gb and
-member lists.  A run that stops at a C or D component test builds no other
-view.  Every uniqueness test is one call of the alternating-cycle kernel
-``matching._m_alternating_cycle``: the C test makes one on what the seed's
-forced pairs leave of C (``matching._unforced_cycle``), and each D - h test
-one.
+and its memo; no decider builds gb or matches it: both read gb's edges off
+the attachments, and only ``some_ur`` reads member lists.  A run that stops
+at a C or D component test builds no other view.  Every uniqueness test is
+one call of the alternating-cycle kernel ``matching._m_alternating_cycle``:
+the C test makes one on what the seed's forced pairs leave of C
+(``matching._unforced_cycle``), and each D - h test one.
 Yes-instances of ``some_ur`` come with a witness matching, built as one
 mate array, that callers can re-verify.  ``every_ur`` takes the one route
 through the decomposition on every graph, bipartite ones included.  Only
@@ -219,10 +219,10 @@ def _unique_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int) -> bool:
 def _eligible(g: Graph, ge: GallaiEdmonds, i: int, ci: int) -> bool:
     """Whether the gb edge between A-vertex ``i`` and D component ``ci`` may
     carry a uniquely restricted matching: ``ge.a_list[i]`` has exactly one
-    neighbor h in the component, and the component minus h has a unique
-    perfect matching."""
-    nbrs = ge.attachments[(i, ci)]
-    return len(nbrs) == 1 and _unique_minus(g, ge, ci, nbrs[0])
+    neighbor h in the component, the edge's attachment (-1 for several),
+    and the component minus h has a unique perfect matching."""
+    h = ge.attachments[i, ci]
+    return h != -1 and _unique_minus(g, ge, ci, h)
 
 
 def allowed_edges(g: Graph, ge: GallaiEdmonds) -> frozenset[tuple[int, int]]:
@@ -250,17 +250,22 @@ def _some_failures(g: Graph, ge: GallaiEdmonds, chosen: dict[int, tuple[int, int
         yield C_COMPONENT_PM_NOT_UNIQUE
 
     # condition 2: gb has a maximum uniquely restricted matching inside the
-    # eligible edges; equivalent to an ordering of a maximum independent set
+    # eligible edges; equivalent to an ordering of a maximum independent set,
+    # on gb's rows grouped from the attachment keys, in an order that no answer reads
     k = len(ge.a_list)
-    ordering = _e_good_ordering(ge.gb.adj, range(k, ge.gb.n), lambda i, j: _eligible(g, ge, i, j - k))
+    rows: list[list[int]] = [[] for _ in range(k + ge.counts[0])]
+    for i, ci in ge.attachments:
+        rows[i].append(k + ci)
+        rows[k + ci].append(i)
+    ordering = _e_good_ordering(rows, range(k, len(rows)), lambda i, j: _eligible(g, ge, i, j - k))
     if ordering is None:
         yield GB_NO_UR_MATCHING_WITHIN_E
     else:
         for i, j in ordering[1].items():  # i < k <= j: the ordered set is the component side
-            nbrs = ge.attachments.get((i, j - k), ())
-            if len(nbrs) != 1:  # the ordering only uses eligible edges
+            h = ge.attachments.get((i, j - k), -1)
+            if h == -1:  # the ordering only uses eligible edges
                 raise InternalCheckError(f"ordering edge {(i, j)} has no unique component neighbor")
-            chosen[j - k] = ge.a_list[i], nbrs[0]
+            chosen[j - k] = ge.a_list[i], h
 
     # condition 3: every deficient component has a vertex whose deletion
     # leaves a unique perfect matching; in a component the ordering matched,
@@ -325,8 +330,8 @@ def _every_failures(g: Graph, ge: GallaiEdmonds) -> Iterator[str]:
     k = len(ge.a_list)
     root = list(range(k + ge.counts[0]))
     cyclic = multiple = False
-    for (x, y), nbrs in ge.attachments.items():
-        multiple = multiple or len(nbrs) > 1
+    for (x, y), h in ge.attachments.items():
+        multiple = multiple or h == -1
         y += k
         while root[x] != x:
             root[x] = x = root[root[x]]

@@ -21,8 +21,10 @@ general component search, the attachments by scanning each component's
 neighbors, gb through ``Graph.from_edges``, and the component array from
 the component lists.  Every view of the library's ``GallaiEdmonds`` must
 equal the one of the same name here.  ``class_sets`` reads the classes as
-sets off a decomposition's component array, and ``gb_sides`` gb's two
-sides, for tests that compare sets or need a bipartition of gb.
+sets off a decomposition's component array, ``gb_graph`` builds gb from a
+decomposition's attachment keys, which the library holds as gb's edges
+and builds no graph from, and ``gb_sides`` gives gb's two sides, for tests
+that compare sets or need gb or its bipartition.
 
 The Edmonds labelling as the decomposition first found it: one more search
 from every free vertex of the matcher's maximum matching, on fresh arrays.
@@ -110,15 +112,23 @@ def class_sets(ge: GallaiEdmonds) -> tuple[frozenset[int], frozenset[int], froze
             frozenset(v for v, c in enumerate(comp) if c <= -4))
 
 
+def gb_graph(ge: GallaiEdmonds) -> Graph:
+    """gb as a graph: vertex i < |A| is the A-vertex ``ge.a_list[i]`` and
+    vertex |A| + ci is D component ci, one edge per attachment key."""
+    k = len(ge.a_list)
+    return Graph.from_edges(k + ge.counts[0], [(i, k + ci) for i, ci in ge.attachments])
+
+
 def gb_sides(ge: GallaiEdmonds) -> tuple[range, range]:
     """gb's A side and component side: the first |A| vertex ids, then the rest."""
     k = len(ge.a_list)
-    return range(k), range(k, ge.gb.n)
+    return range(k), range(k, k + ge.counts[0])
 
 
 def contract_by_sets(g: Graph, d_set: frozenset[int]) -> dict:
     """Every view of the decomposition that ``d_set`` induces on g, and its
-    ``comp``, by the direct route, keyed by name."""
+    ``comp``, by the direct route, keyed by name, and gb as a graph, keyed
+    ``"gb_graph"``."""
     a_set = frozenset(
         v for v in range(g.n) if v not in d_set and any(w in d_set for w in g.adj[v])
     )
@@ -128,12 +138,13 @@ def contract_by_sets(g: Graph, d_set: frozenset[int]) -> dict:
     a_list = sorted(a_set)
     a_pos = {v: i for i, v in enumerate(a_list)}
     k = len(a_list)
-    attachments: dict[tuple[int, int], list[int]] = {}
+    nbrs: dict[tuple[int, int], list[int]] = {}
     for ci, members in enumerate(d_components):
         for v in sorted(members):
             for w in g.adj[v]:
                 if w in a_set:
-                    attachments.setdefault((a_pos[w], ci), []).append(v)
+                    nbrs.setdefault((a_pos[w], ci), []).append(v)
+    attachments = {key: vs[0] if len(vs) == 1 else -1 for key, vs in nbrs.items()}
     gb = Graph.from_edges(k + len(d_components), [(i, k + ci) for i, ci in attachments])
     comp = [-1] * g.n
     for ci, members in enumerate(d_components):
@@ -148,8 +159,8 @@ def contract_by_sets(g: Graph, d_set: frozenset[int]) -> dict:
         "d_members": [sorted(c) for c in d_components],
         "c_members": [sorted(c) for c in c_components],
         "attachments": attachments,
-        "gb": gb,
         "comp": tuple(comp),
+        "gb_graph": gb,
     }
 
 
@@ -193,9 +204,9 @@ def edmonds_labels(adj, match):
 def gb_edge_condition_by_edges(g: Graph, ge: GallaiEdmonds) -> bool:
     """True iff no gb edge in some maximum matching of gb joins an A-vertex to
     a component in which it has two or more neighbors."""
-    k = len(ge.a_list)
-    for i, x in ge.gb.sorted_edges():  # i < k <= x
-        if not edge_in_some_maximum_matching(ge.gb, (i, x)):
+    k, gb = len(ge.a_list), gb_graph(ge)
+    for i, x in gb.sorted_edges():  # i < k <= x
+        if not edge_in_some_maximum_matching(gb, (i, x)):
             continue
         comp = set(ge.d_members[x - k])
         if len([w for w in g.adj[ge.a_list[i]] if w in comp]) != 1:
@@ -262,7 +273,7 @@ def verify_by_resolving(g: Graph, ge: GallaiEdmonds) -> bool:
     k = len(ge.a_list)
     if 2 * nu != g.n - (ge.counts[0] - k):
         return False
-    gb = ge.gb
+    gb = gb_graph(ge)
     mate = _max_match_array(gb)
     if gb.n - mate.count(-1) != 2 * k:
         return False

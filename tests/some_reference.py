@@ -18,6 +18,7 @@ That flip walks the matcher's path pointers in local ids
 
 from __future__ import annotations
 
+from ge_reference import gb_graph
 from urmatch.accessibility import _e_good_ordering
 from urmatch.decomposition import GallaiEdmonds, gallai_edmonds
 from urmatch.graph_core import Graph, edge_key
@@ -95,10 +96,9 @@ def some_ur_eager(g: Graph, ge: GallaiEdmonds | None = None, all_failures: bool 
         if not all_failures:
             return no()
 
-    k = len(ge.a_list)
-    eligible = {(i, k + ci) for (i, ci), nbrs in ge.attachments.items()
-                if len(nbrs) == 1 and unique_minus(ci, nbrs[0])}
-    ordering = _e_good_ordering(ge.gb.adj, range(k, ge.gb.n), lambda y, x: edge_key(y, x) in eligible)
+    k, gb = len(ge.a_list), gb_graph(ge)
+    eligible = {(i, k + ci) for (i, ci), h in ge.attachments.items() if h != -1 and unique_minus(ci, h)}
+    ordering = _e_good_ordering(gb.adj, range(k, gb.n), lambda y, x: edge_key(y, x) in eligible)
     if ordering is None:
         failures.append(GB_NO_UR_MATCHING_WITHIN_E)
         if not all_failures:
@@ -119,7 +119,9 @@ def some_ur_eager(g: Graph, ge: GallaiEdmonds | None = None, all_failures: bool 
     mate = ge.match
     witness = [(v, mate[v]) for v, c in enumerate(ge.comp) if c <= -4 and mate[v] > v]
     for i, j in ordering[1].items():
-        (h,) = ge.attachments[(i, j - k)]
+        h = ge.attachments[i, j - k]
+        if h == -1:
+            raise InternalCheckError(f"ordering edge {(i, j)} has no unique component neighbor")
         witness.append(edge_key(ge.a_list[i], h))
         chosen_h[j - k] = h
     for ci, h in chosen_h.items():

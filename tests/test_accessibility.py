@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings
 
+from ge_reference import gb_graph
 from lemma_helpers import induced_matching_edges, is_accessibility_ordering
 from ordering_reference import rescanning_ordering
 from strategies import bipartite_graphs, giant, linear_triangle_tree, sparse_graph_nm
@@ -245,10 +246,10 @@ def test_counter_core_equals_reference_on_gb_of_sparse_graphs():
     answers = []
     for g in graphs:
         ge = gallai_edmonds(g)
-        eligible = allowed_edges(g, ge)
-        i_max = range(len(ge.a_list), ge.gb.n)  # the component side, as in some_ur
-        want = rescanning_ordering(ge.gb, i_max, eligible)
-        assert _same_ordering(_e_good_ordering(ge.gb.adj, i_max, _member(eligible)), want)
+        eligible, gb = allowed_edges(g, ge), gb_graph(ge)
+        i_max = range(len(ge.a_list), gb.n)  # the component side, as in some_ur
+        want = rescanning_ordering(gb, i_max, eligible)
+        assert _same_ordering(_e_good_ordering(gb.adj, i_max, _member(eligible)), want)
         answers.append(want is None)
     assert answers[1] and answers.count(True) < len(answers)
 

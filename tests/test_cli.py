@@ -343,7 +343,7 @@ def _decompose_outputs(g, path):
     ref = contract_by_sets(g, frozenset(v for v in range(g.n) if label[v] == _EVEN))
     d_set = sorted(v for members in ref["d_members"] for v in members)
     c_set = sorted(v for members in ref["c_members"] for v in members)
-    a_list, gb, k = ref["a_list"], ref["gb"], len(ref["a_list"])
+    a_list, gb, k = ref["a_list"], ref["gb_graph"], len(ref["a_list"])
     payload = {
         "input": path,
         "n": g.n,
@@ -382,8 +382,12 @@ def _check_decompose_outputs(g):
 
 def test_decompose_outputs_equal_the_contraction_by_sets():
     rng = random.Random(2000)
+    # A = {0}, whose attachment keys come out as (0, 1), (0, 2), (0, 0):
+    # gb's edges print in order only once the keys are sorted
+    unsorted = Graph.from_edges(8, [(0, 2), (0, 3), (0, 6), (1, 6), (1, 7), (6, 7)])
+    assert list(gallai_edmonds(unsorted).attachments) == [(0, 1), (0, 2), (0, 0)]
     for g in (star_graph(4), bowtie_graph(), petersen_graph(), cycle_graph(7), two_c5_apex(),
-              Graph.from_edges(0, []), Graph.from_edges(7, [(1, 2), (2, 3), (5, 6)]),
+              Graph.from_edges(0, []), Graph.from_edges(7, [(1, 2), (2, 3), (5, 6)]), unsorted,
               giant(sparse_graph_nm(2000, 3000, rng))):
         _check_decompose_outputs(g)
 
@@ -649,6 +653,29 @@ def test_one_uniqueness_kernel_in_library():
     assert sorted(calls) == [("matching.py", "_unforced_cycle", 3, 0),
                              ("recognition.py", "_unique_minus", 3, 0),
                              ("ur_core.py", "is_uniquely_restricted", 3, 0)]
+
+
+def test_no_second_graph_for_gb():
+    # gb is held as its edges alone, the decomposition's attachment keys: no
+    # module defines or reads an attribute named gb, and neither the
+    # decomposition nor the deciders build a Graph, so that no second graph
+    # comes back as a view
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "gb":
+                found.append(f"{path.name}:{node.lineno}:def gb")
+            elif isinstance(node, ast.Attribute) and node.attr == "gb":
+                found.append(f"{path.name}:{node.lineno}:.gb")
+            elif isinstance(node, ast.ClassDef):
+                found += [f"{path.name}:{stmt.lineno}:gb =" for stmt in node.body
+                          if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                          for target in getattr(stmt, "targets", [getattr(stmt, "target", None)])
+                          if getattr(target, "id", None) == "gb"]
+            elif path.name in ("decomposition.py", "recognition.py") and isinstance(node, ast.Call) \
+                    and ast.unparse(node.func) in ("Graph", "Graph.from_edges"):
+                found.append(f"{path.name}:{node.lineno}:{ast.unparse(node.func)}(...)")
+    assert found == []
 
 
 def test_every_failure_tag_is_yielded():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from ge_reference import VIEWS, class_sets, classes_by_a_pass, contract_by_sets, verify_by_resolving
+from ge_reference import VIEWS, class_sets, classes_by_a_pass, contract_by_sets, gb_graph, verify_by_resolving
 from lemma_helpers import delete_vertex, is_factor_critical
 from strategies import giant, graphs, linear_triangle_tree, seeded_random_graphs, sparse_graph_nm
 from urmatch import decomposition, matching
@@ -42,9 +42,9 @@ def _labels(g, d_set):
 
 
 def _views(ge):
-    """Every view of ``ge`` and its ``comp``, keyed by name, as
-    ``contract_by_sets`` returns them."""
-    return {name: getattr(ge, name) for name in VIEWS + ("comp",)}
+    """Every view of ``ge``, its ``comp`` and gb built from its attachment
+    keys, keyed by name, as ``contract_by_sets`` returns them."""
+    return {name: getattr(ge, name) for name in VIEWS + ("comp",)} | {"gb_graph": gb_graph(ge)}
 
 
 def test_star_decomposition():
@@ -53,7 +53,7 @@ def test_star_decomposition():
     ge = gallai_edmonds(g)
     assert class_sets(ge) == (frozenset({1, 2, 3, 4}), frozenset({0}), frozenset())
     assert len(ge.d_members) == 4
-    assert ge.gb.n == 5
+    assert ge.attachments == {(0, 0): 1, (0, 1): 2, (0, 2): 3, (0, 3): 4}
     assert verify_gallai_edmonds(g, ge)
 
 
@@ -69,7 +69,7 @@ def test_perfectly_matchable_graph_is_all_c():
     for g in (path_graph(6), cycle_graph(8), complete_graph(4), petersen_graph()):
         ge = gallai_edmonds(g)
         assert class_sets(ge) == (frozenset(), frozenset(), frozenset(range(g.n)))
-        assert ge.gb.n == 0
+        assert gb_graph(ge).n == 0
         assert verify_gallai_edmonds(g, ge)
 
 
@@ -88,8 +88,9 @@ def test_contraction_map_layout():
     # gb vertex 0 is A-vertex 0, and 1 and 2 are the components {1} and {2}
     assert ge.a_list == [0]
     assert ge.d_members == [[1], [2]]
-    assert ge.gb.n == len(ge.a_list) + ge.counts[0] == 3
-    assert ge.gb.edges == frozenset({(0, 1), (0, 2)})
+    assert gb_graph(ge).n == len(ge.a_list) + ge.counts[0] == 3
+    assert gb_graph(ge).edges == frozenset({(0, 1), (0, 2)})
+    assert ge.attachments == {(0, 0): 1, (0, 1): 2}
 
 
 @settings(deadline=None, max_examples=150)
@@ -104,7 +105,7 @@ def test_structure_theorem_invariants(g):
     nu = len(maximum_matching(g))
     deficiency = g.n - 2 * nu
     assert deficiency == len(ge.d_members) - len(ge.a_list)
-    assert len(maximum_matching(ge.gb)) == len(ge.a_list)
+    assert len(maximum_matching(gb_graph(ge))) == len(ge.a_list)
 
 
 @settings(deadline=None, max_examples=100)
@@ -417,7 +418,6 @@ _READS = {
     "d_members": {"counts"},
     "c_members": {"counts"},
     "attachments": {"a_list"},
-    "gb": {"attachments", "a_list", "counts"},
 }
 
 

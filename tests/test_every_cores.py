@@ -17,7 +17,7 @@ from every_reference import (
     matched_bridges_by_blocks,
     odd_cycle_blocks_by_blocks,
 )
-from ge_reference import class_sets, gb_sides
+from ge_reference import class_sets, gb_graph, gb_sides
 from peel_reference import _matched_bridges, _peel
 from strategies import bipartite_graphs, giant, graphs, linear_triangle_tree, seeded_random_graphs, sparse_graph_nm
 from urmatch.decomposition import gallai_edmonds
@@ -87,9 +87,10 @@ def _gb_facts(ge):
     maximum matching of gb is uniquely restricted (by the object route's
     D(M) test) iff gb is a forest, and the component side is the Koenig
     independent set of gb."""
-    forest = is_forest(ge.gb)
-    assert (every_bipartite_by_objects(ge.gb, gb_sides(ge)) == []) == forest
-    assert max_independent_set_bipartite(ge.gb, gb_sides(ge)) == frozenset(range(len(ge.a_list), ge.gb.n))
+    gb = gb_graph(ge)
+    forest = is_forest(gb)
+    assert (every_bipartite_by_objects(gb, gb_sides(ge)) == []) == forest
+    assert max_independent_set_bipartite(gb, gb_sides(ge)) == frozenset(range(len(ge.a_list), gb.n))
     return forest
 
 
@@ -107,7 +108,7 @@ def test_every_bipartite_on_gb_of_sparse_graphs():
     for g in graphs_:
         ge = gallai_edmonds(g)
         answers.append(_gb_facts(ge))
-        assert _check_bipartite(ge.gb, gb_sides(ge)) == answers[-1]
+        assert _check_bipartite(gb_graph(ge), gb_sides(ge)) == answers[-1]
     assert True in answers and False in answers
 
 
@@ -231,8 +232,10 @@ def _check_gb_flags(g):
     ge = gallai_edmonds(g)
     tags = every_ur(g, ge=ge, all_failures=True).failures
     cyclic, multiple = GB_EVERY_MAX_MATCHING_NOT_UR in tags, GB_EDGE_MULTIPLE_NEIGHBORS in tags
-    assert cyclic == (not is_forest(ge.gb))
-    assert multiple == any(len(nbrs) > 1 for nbrs in ge.attachments.values())
+    assert cyclic == (not is_forest(gb_graph(ge)))
+    # an A-vertex with two neighbors in one D component, read off g
+    d_nbrs = [[ge.comp[w] for w in g.adj[a] if ge.comp[w] >= 0] for a in ge.a_list]
+    assert multiple == any(len(cs) > len(set(cs)) for cs in d_nbrs)
     return cyclic, multiple
 
 

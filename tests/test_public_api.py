@@ -64,7 +64,7 @@ def test_decomposition_fields_and_views_are_pinned():
     # views the deciders read, each built on first read
     assert [f.name for f in fields(GallaiEdmonds)] == ["comp", "adj", "match", "parent", "forced", "upms"]
     views = {name for name, attr in vars(GallaiEdmonds).items() if isinstance(attr, cached_property)}
-    assert views == {"a_list", "counts", "d_members", "c_members", "attachments", "gb"}
+    assert views == {"a_list", "counts", "d_members", "c_members", "attachments"}
 
 
 def test_library_imports_only_the_standard_library():

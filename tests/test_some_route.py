@@ -5,6 +5,7 @@ import random
 
 from hypothesis import given, settings
 
+from ge_reference import gb_graph
 from some_reference import some_ur_eager
 from strategies import giant, graphs, linear_triangle_tree, sparse_graph_nm
 from urmatch.accessibility import _e_good_ordering
@@ -99,13 +100,13 @@ def test_ordering_asks_once_per_vertex_of_the_set():
     for g in _sparse_instances()[:4]:
         ge = gallai_edmonds(g)
         eligible = allowed_edges(g, ge)
-        k = len(ge.a_list)
+        k, gb = len(ge.a_list), gb_graph(ge)
         asked = []
 
         def allowed(y, x):
             asked.append(x)
             return edge_key(y, x) in eligible
 
-        _e_good_ordering(ge.gb.adj, range(k, ge.gb.n), allowed)
-        assert len(asked) == len(set(asked)) and set(asked) <= set(range(k, ge.gb.n))
+        _e_good_ordering(gb.adj, range(k, gb.n), allowed)
+        assert len(asked) == len(set(asked)) and set(asked) <= set(range(k, gb.n))
         assert asked and len(asked) < len(ge.attachments)
