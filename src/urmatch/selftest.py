@@ -1,6 +1,9 @@
 """The ``urmatch selftest`` driver: the deciders, the decomposition and the
 deciders' uniqueness tests cross-checked against the brute-force oracle on
-every graph up to a size and on seeded random graphs.
+every graph up to a size and on seeded random graphs.  Each graph is
+matched once, by its decomposition, which the verifier checks by its own
+certificate; the block test on each D component is held to the oracle's
+perfect-matching counts of its D - h pieces.
 
 The command line imports this module only when the command runs.
 """
@@ -13,7 +16,6 @@ import sys
 from .decomposition import gallai_edmonds, verify_gallai_edmonds
 from .families import random_graph
 from .graph_core import Graph, _odd_cycle_blocks, induced_subgraph
-from .matching import maximum_matching, unique_perfect_matching
 from .oracle import (
     DEFAULT_MAX_M,
     DEFAULT_MAX_N,
@@ -32,18 +34,6 @@ from .recognition import (
 from .ur_core import is_uniquely_restricted
 
 
-def _component_all_near_perfect_unique(g: Graph, comp: list[int]) -> bool:
-    """Definitional form of the deficient-component condition: deleting any one
-    vertex of ``comp`` must leave a unique perfect matching.  The self-test
-    compares it with the block search that ``every_ur`` runs on D,
-    kept inside the one component."""
-    for h in comp:
-        sub, _ = induced_subgraph(g, [v for v in comp if v != h])
-        if unique_perfect_matching(sub) is None:
-            return False
-    return True
-
-
 def _instance(g: Graph, max_n: int, max_m: int) -> list[str]:
     """What on g disagrees with the oracle or with another route, one line each."""
     problems = []
@@ -56,26 +46,31 @@ def _instance(g: Graph, max_n: int, max_m: int) -> list[str]:
         problems.append("some_ur disagrees with oracle")
     if re.answer != oracle_every_ur(g, max_n=max_n, max_m=max_m):
         problems.append("every_ur disagrees with oracle")
-    for ci, comp in enumerate(ge.d_members):
-        by_blocks = _odd_cycle_blocks(g.adj, [c == ci for c in ge.comp])
-        if by_blocks != _component_all_near_perfect_unique(g, comp):
-            problems.append(f"block test (_odd_cycle_blocks = {by_blocks}) disagrees with "
-                            f"the per-vertex test on component {comp}")
     # the deciders' uniqueness tests, on every set they may ask about: the
     # C test names a component with several perfect matchings, or none
-    # when each has one
+    # when each has one; each D - h test answers for its piece, and the
+    # block test on each D component for all of its pieces at once
     failure = _c_failure(g, ge)
-    tested = [(comp, True) for comp in ge.c_members] if failure is None else [(ge.c_members[failure], False)]
-    tested += [([v for v in comp if v != h], _unique_minus(g, ge, ci, h))
+    tested = [(comp, True, -1) for comp in ge.c_members] if failure is None \
+        else [(ge.c_members[failure], False, -1)]
+    tested += [([v for v in comp if v != h], _unique_minus(g, ge, ci, h), ci)
                for ci, comp in enumerate(ge.d_members) for h in comp]
-    for piece, unique in tested:
-        sub = induced_subgraph(g, piece)[0]
-        if unique != (count_perfect_matchings(sub, max_n=max_n, max_m=max_m) == 1):
+    not_unique = set()  # the D components with a piece of other than one perfect matching
+    for piece, unique, ci in tested:
+        one = count_perfect_matchings(induced_subgraph(g, piece)[0], max_n=max_n, max_m=max_m) == 1
+        if unique != one:
             problems.append(f"uniqueness test (unique = {unique}) disagrees with the oracle "
                             f"on {piece}")
+        if not one:
+            not_unique.add(ci)
+    for ci, comp in enumerate(ge.d_members):
+        by_blocks = _odd_cycle_blocks(g.adj, [c == ci for c in ge.comp])
+        if by_blocks != (ci not in not_unique):
+            problems.append(f"block test (_odd_cycle_blocks = {by_blocks}) disagrees with "
+                            f"the oracle's D - h counts on component {comp}")
     if rs.answer:
         w = rs.witness
-        if w is None or len(w.edges) != len(maximum_matching(g).edges) \
+        if w is None or 2 * len(w.edges) != g.n - ge.match.count(-1) \
                 or not is_uniquely_restricted(g, w):
             problems.append("some_ur witness is not a maximum uniquely restricted matching")
         # each witness edge from A into D lies on a gb edge of allowed_edges

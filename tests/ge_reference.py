@@ -53,9 +53,10 @@ the library's Kotzig peel replaces it.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cached_property
 
-from urmatch.decomposition import GallaiEdmonds, _classes
+from urmatch.decomposition import GallaiEdmonds, _classes, gallai_edmonds
 from lemma_helpers import is_factor_critical
 from urmatch.graph_core import Graph, connected_components, induced_subgraph
 from urmatch.matching import (
@@ -174,6 +175,13 @@ def matcher_searching_all(g: Graph):
         if match[v] == -1:
             _search(g.adj, match, [v], state)
     return match, label, parent, forced
+
+
+def claim(g: Graph, comp) -> GallaiEdmonds:
+    """A claimed decomposition of g with the component array ``comp`` and
+    the certificate of g's own decomposition: its matching, path pointers
+    and forced pairs."""
+    return replace(gallai_edmonds(g), comp=tuple(comp))
 
 
 def classes_by_a_pass(g: Graph, d_set) -> list[int]:

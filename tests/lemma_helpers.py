@@ -2,17 +2,20 @@
 
 None of the deciders needs them: they state the lemmas the deciders rest on
 (accessibility orderings, Koenig maximality, single edge exchanges,
-alternating cycles, factor-criticality) and the deletion operations the
-definitional checks are written with.  ``konig_independent_set_by_search``
-is the Koenig set as ``max_independent_set_bipartite`` first found it, by
-its own alternating search; the library reads it off the matcher's labels.
+alternating cycles, factor-criticality, the deficient-component condition)
+and the deletion operations the definitional checks are written with.
+``konig_independent_set_by_search`` is the Koenig set as
+``max_independent_set_bipartite`` first found it, by its own alternating
+search; the library reads it off the matcher's labels.
+``component_all_near_perfect_unique`` states the D-block condition by one
+uniqueness test per deleted vertex, as the self-test first checked it.
 """
 
 from __future__ import annotations
 
 from urmatch.accessibility import _check_independent
 from urmatch.graph_core import Graph, edge_key, induced_subgraph, validate_bipartition
-from urmatch.matching import _DEAD_EVEN, Matching, _matcher, _max_match_array
+from urmatch.matching import _DEAD_EVEN, Matching, _matcher, _max_match_array, unique_perfect_matching
 from urmatch.ur_core import MatchingDigraph, build_matching_digraph
 
 
@@ -142,3 +145,15 @@ def is_factor_critical(g: Graph) -> bool:
     if match.count(-1) != 1:
         return False
     return all(x == _DEAD_EVEN for x in label)
+
+
+def component_all_near_perfect_unique(g: Graph, comp: list[int]) -> bool:
+    """Definitional form of the deficient-component condition: deleting any
+    one vertex of ``comp`` must leave a unique perfect matching.  Tests
+    compare it with the block search that ``every_ur`` runs on D, kept
+    inside the one component."""
+    for h in comp:
+        sub, _ = induced_subgraph(g, [v for v in comp if v != h])
+        if unique_perfect_matching(sub) is None:
+            return False
+    return True

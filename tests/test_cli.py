@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from ge_reference import contract_by_sets, edmonds_labels
 from strategies import giant, graphs, sparse_graph_nm, two_c5_apex
-from urmatch import cli, recognition, selftest
+from urmatch import cli, decomposition, matching, recognition, selftest
 from urmatch.cli import GraphParseError, main, parse_graph, render_graph
 from urmatch.decomposition import gallai_edmonds
 from urmatch.families import bowtie_graph, cycle_graph, path_graph, petersen_graph, star_graph
@@ -456,6 +456,25 @@ def test_selftest_block_test_masks_one_component():
                              (4, 5), (5, 6), (6, 7), (7, 8), (4, 8), (4, 6)])
     assert gallai_edmonds(g).d_members == [[1, 2, 3], [4, 5, 6, 7, 8]]
     assert selftest._instance(g, 12, 64) == []
+
+
+def test_selftest_matches_each_graph_once(monkeypatch):
+    # the decomposition's matching serves the verifier, the witness check
+    # and the D - h tests: one matcher run per graph, whether some_ur says
+    # yes (the triangle and the chorded 5-cycle on an apex) or no (K_{2,3})
+    masked = Graph.from_edges(9, [(0, 1), (0, 4), (1, 2), (2, 3), (1, 3),
+                                  (4, 5), (5, 6), (6, 7), (7, 8), (4, 8), (4, 6)])
+    k23 = Graph.from_edges(5, [(a, d) for a in (0, 1) for d in (2, 3, 4)])
+    calls = []
+    real = matching._matcher
+    for module in (matching, decomposition):
+        monkeypatch.setattr(module, "_matcher", lambda g: calls.append(g) or real(g))
+    for g, some in ((masked, True), (k23, False)):
+        ge = gallai_edmonds(g)
+        assert len(ge.d_members) > 1 and recognition.some_ur(g, ge=ge).answer is some
+        calls.clear()
+        assert selftest._instance(g, 12, 64) == []
+        assert calls == [g]
 
 
 def test_selftest_counts_uniqueness_disagreement(capsys, monkeypatch):

@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from ge_reference import VIEWS, class_sets, classes_by_a_pass, contract_by_sets, gb_graph, verify_by_resolving
+from ge_reference import VIEWS, claim, class_sets, classes_by_a_pass, contract_by_sets, gb_graph, verify_by_resolving
 from lemma_helpers import delete_vertex, is_factor_critical
 from strategies import giant, graphs, linear_triangle_tree, seeded_random_graphs, sparse_graph_nm
 from urmatch import decomposition, matching
-from urmatch.decomposition import GallaiEdmonds, gallai_edmonds, verify_gallai_edmonds
+from urmatch.decomposition import gallai_edmonds, verify_gallai_edmonds
 from urmatch.families import (
     bowtie_graph,
     complete_graph,
@@ -30,7 +30,7 @@ from urmatch.oracle import enumerate_labeled_graphs
 
 
 def _claim(g, d_set):
-    return GallaiEdmonds(tuple(classes_by_a_pass(g, d_set)), g.adj)
+    return claim(g, classes_by_a_pass(g, d_set))
 
 
 def _labels(g, d_set):
@@ -132,13 +132,13 @@ def _corrupt_claims():
     ge = gallai_edmonds(g)
     return [(g, wrong) for wrong in (
         _claim(g, {0, 1, 2, 3}),
-        GallaiEdmonds((-4, 0, 1, 2), g.adj),  # A marked as C
-        GallaiEdmonds((-1, 0, 0, 1), g.adj),  # two components merged
-        GallaiEdmonds((-1, 1, 0, 2), g.adj),  # not numbered by lowest vertex
-        GallaiEdmonds((-1, 0, 1), g.adj),
-        GallaiEdmonds(ge.comp, star_graph(4).adj[:4]),
+        claim(g, (-4, 0, 1, 2)),  # A marked as C
+        claim(g, (-1, 0, 0, 1)),  # two components merged
+        claim(g, (-1, 1, 0, 2)),  # not numbered by lowest vertex
+        claim(g, (-1, 0, 1)),
+        replace(ge, adj=star_graph(4).adj[:4]),
         replace(ge, comp=None),
-    )] + [(c4, GallaiEdmonds((-4, -4, -5, -5), c4.adj)), (c4, replace(gallai_edmonds(c4), forced=(1, 0, 3, 2)))]
+    )] + [(c4, claim(c4, (-4, -4, -5, -5))), (c4, replace(gallai_edmonds(c4), forced=(1, 0, 3, 2)))]
 
 
 def test_verifier_catches_corruption():
@@ -148,10 +148,10 @@ def test_verifier_catches_corruption():
     assert (ge.comp, ge.a_list, ge.d_members, ge.c_members) == ((-1, 0, 1, 2), [0], [[1], [2], [3]], [])
     for host, wrong in _corrupt_claims():
         assert not verify_gallai_edmonds(host, wrong)
-    assert verify_gallai_edmonds(g, GallaiEdmonds((-1, 0, 1, 2), g.adj))
+    assert verify_gallai_edmonds(g, claim(g, (-1, 0, 1, 2)))
     # C5 is one D component, whatever order a caller lists it in
     c5 = cycle_graph(5)
-    assert verify_gallai_edmonds(c5, GallaiEdmonds((0,) * 5, c5.adj))
+    assert verify_gallai_edmonds(c5, claim(c5, (0,) * 5))
     assert gallai_edmonds(c5).d_members == [[0, 1, 2, 3, 4]]
     # C4 is all C: one component, not two halves
     c4 = cycle_graph(4)
@@ -168,28 +168,34 @@ def test_verifier_rejects_pairs_the_seed_did_not_force():
     wrong = replace(ge, forced=ge.match)
     assert not verify_gallai_edmonds(c4, wrong)
     assert _c_failure(c4, ge) == 0 and _c_failure(c4, wrong) is None
-    # a claim without forced pairs is checked as before
-    assert verify_gallai_edmonds(c4, replace(ge, forced=None))
+    # a claim without forced pairs is rejected, not re-solved
+    assert not verify_gallai_edmonds(c4, replace(ge, forced=None))
 
 
 def test_verifier_re_solves_nothing(monkeypatch):
     # the verifier checks the claim's own certificate: it imports nothing
-    # from ur_core and none of the matching solvers, and runs the matcher
-    # once for a claim without a certificate, never for one with it
+    # from ur_core and none of the matching solvers, its body names no
+    # matcher, and it runs none, also for a claim without a certificate,
+    # which it rejects
     retired = {"induced_subgraph", "is_factor_critical", "maximum_matching", "_max_match_array", "_reach",
                "maximum_matching_bipartite"}
     tree = ast.parse(Path(decomposition.__file__).read_text())
     imports = [(node.module, a.name) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                for a in node.names]
     assert [(m, name) for m, name in imports if m == "ur_core" or name in retired] == []
+    verifier = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "verify_gallai_edmonds")
+    assert "_matcher" not in {node.id for node in ast.walk(verifier) if isinstance(node, ast.Name)}
     calls = []
     real = decomposition._matcher
     monkeypatch.setattr(decomposition, "_matcher", lambda g: calls.append(g) or real(g))
     for g in (star_graph(3), cycle_graph(5), giant(sparse_graph_nm(2000, 3000, random.Random(2000)))):
         ge = gallai_edmonds(g)
         calls.clear()
-        assert verify_gallai_edmonds(g, ge) and calls == []
-        assert verify_gallai_edmonds(g, GallaiEdmonds(ge.comp, g.adj)) and calls == [g]
+        assert verify_gallai_edmonds(g, ge)
+        for field in ("match", "parent", "forced"):
+            assert verify_gallai_edmonds(g, replace(ge, **{field: None})) is False
+        assert calls == []
 
 
 def _set(values, i, x):
@@ -288,17 +294,15 @@ def test_certificate_rejects_wrong_lengths_and_ids():
 
 
 def test_verifier_agrees_with_the_resolving_reference_exhaustively():
-    # every D-claim on every graph with at most 5 vertices, without a
-    # certificate and with the true decomposition's
+    # every D-claim on every graph with at most 5 vertices, with the true
+    # decomposition's certificate; without one it is rejected
     for n in range(6):
         for g in enumerate_labeled_graphs(n):
-            ge = gallai_edmonds(g)
             for r in range(n + 1):
                 for d in itertools.combinations(range(n), r):
-                    claim = _claim(g, d)
-                    want = verify_by_resolving(g, claim)
-                    assert verify_gallai_edmonds(g, claim) == want
-                    assert verify_gallai_edmonds(g, replace(claim, match=ge.match, parent=ge.parent)) == want
+                    c = _claim(g, d)
+                    assert verify_gallai_edmonds(g, c) == verify_by_resolving(g, c)
+                    assert not verify_gallai_edmonds(g, replace(c, match=None, parent=None))
 
 
 @settings(deadline=None, max_examples=200)
@@ -306,14 +310,14 @@ def test_verifier_agrees_with_the_resolving_reference_exhaustively():
 def test_verifier_agrees_with_the_resolving_reference(g):
     # the true decomposition, one with forced pairs the seed did not force,
     # and the ones that D with one vertex toggled induces, each with the
-    # true certificate and without one
+    # true certificate; without one each is rejected
     ge = gallai_edmonds(g)
     d_set = class_sets(ge)[0]
     claims = [ge, replace(ge, forced=ge.match)]
     claims += [replace(ge, comp=tuple(classes_by_a_pass(g, d_set ^ {v}))) for v in range(g.n)]
-    for claim in claims:
-        for c in (claim, replace(claim, match=None, parent=None)):
-            assert verify_gallai_edmonds(g, c) == verify_by_resolving(g, c)
+    for c in claims:
+        assert verify_gallai_edmonds(g, c) == verify_by_resolving(g, c)
+        assert not verify_gallai_edmonds(g, replace(c, match=None, parent=None))
     assert verify_gallai_edmonds(g, ge)
 
 

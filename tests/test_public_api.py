@@ -2,7 +2,7 @@
 
 import ast
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -63,6 +63,9 @@ def test_decomposition_fields_and_views_are_pinned():
     # the component array and what the deciders need beside it, and the
     # views the deciders read, each built on first read
     assert [f.name for f in fields(GallaiEdmonds)] == ["comp", "adj", "match", "parent", "forced", "upms"]
+    # the certificate is mandatory: the verifier checks it and runs no matcher
+    assert [f.name for f in fields(GallaiEdmonds) if f.default is MISSING and f.default_factory is MISSING] \
+        == ["comp", "adj", "match", "parent", "forced"]
     views = {name for name, attr in vars(GallaiEdmonds).items() if isinstance(attr, cached_property)}
     assert views == {"a_list", "counts", "d_members", "c_members", "attachments"}
 

@@ -19,7 +19,7 @@ from ge_reference import (
     gb_sides,
     unique_perfect_matching_by_deletion,
 )
-from lemma_helpers import is_alternating_cycle
+from lemma_helpers import component_all_near_perfect_unique, is_alternating_cycle
 from peel_reference import _peel
 from some_reference import _edges, _perfect_minus
 from strategies import (
@@ -82,7 +82,6 @@ from urmatch.recognition import (
     every_ur_bipartite,
     some_ur,
 )
-from urmatch.selftest import _component_all_near_perfect_unique
 from urmatch.ur_core import build_matching_digraph, is_uniquely_restricted
 
 
@@ -749,7 +748,7 @@ def _check_instance(g):
         assert rs.answer  # every maximum matching restricted-unique forces some
     for comp in ge.d_members:
         by_blocks = blocks_are_odd_cycles(induced_subgraph(g, comp)[0])
-        assert by_blocks == _component_all_near_perfect_unique(g, comp)
+        assert by_blocks == component_all_near_perfect_unique(g, comp)
     _check_perfect_minus(g, ge)
     _check_gb_edge_condition(g, ge)
 
