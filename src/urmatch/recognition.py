@@ -5,7 +5,8 @@ same vertex set?  ``every_ur``: do all of them?  Both reduce to structural
 conditions on the Gallai-Edmonds decomposition and read its arrays
 (``comp``, ``match``, ``parent`` and ``forced``), the views read off them
 and its memo; no decider builds gb or matches it: both read gb's edges off
-the attachments, and only ``some_ur`` reads member lists.  A run that stops
+the attachments, ``some_ur`` as one row per A-vertex and ``every_ur`` by
+their count first; only ``some_ur`` reads member lists.  A run that stops
 at a C or D component test builds no other view.  Every uniqueness test is
 one call of the alternating-cycle kernel ``matching._m_alternating_cycle``:
 the C test makes one on what the seed's forced pairs leave of C
@@ -137,24 +138,25 @@ def _d_local(g: Graph, ge: GallaiEdmonds, ci: int):
     return ge.upms[key]
 
 
-def _flip(ge: GallaiEdmonds, ci: int, h: int) -> dict[int, int]:
-    """The mates that change, in g's ids, when D component ``ci`` gives up
-    its vertex h (mapped to -1); the others keep theirs in ``ge.match``.
-    The walk h, match[h], parent[match[h]], ... follows the even alternating
-    path of the pointers to the component's free vertex, pairing each vertex
-    a pointer reaches with the one before it.  A pointer that is -1, leaves
-    the component or meets a vertex twice, or a walk longer than the
-    component, raises."""
+def _flip(ge: GallaiEdmonds, ci: int, h: int, mate: list[int], pos) -> None:
+    """Free h in ``mate``, which holds ``ge.match`` on D component ``ci``
+    through ``pos`` (``range(n)`` in g's ids; a mate outside it may read as
+    anything).  The walk h, match[h], parent[match[h]], ... follows the even
+    alternating path of the pointers to the component's free vertex, pairing
+    each vertex a pointer reaches with the one before it.  A pointer that is
+    -1 or leaves the component raises, and so does a vertex met twice: the
+    walk then finds a mate in ``mate`` changed or outruns the component."""
     match, parent, comp = ge.match, ge.parent, ge.comp
-    flip = {h: -1}
-    m = match[h]
+    m, prev = match[h], pos[h]
+    mate[prev] = -1
     for _ in ge.d_members[ci]:
         if m == -1 or comp[m] != ci:
-            return flip
-        p = parent[m]
-        if p == -1 or comp[p] != ci or p in flip:
+            return
+        lm, p = pos[m], parent[m]
+        if p == -1 or comp[p] != ci or mate[lm] != prev:
             break
-        flip[m], flip[p], m = p, m, match[p]
+        prev = pos[p]
+        mate[lm], mate[prev], m = prev, lm, match[p]
     raise InternalCheckError(f"D component {ci}: the path pointers from {h} miss its free vertex")
 
 
@@ -201,8 +203,7 @@ def _unique_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int) -> bool:
             return True
         verts, pos, adj, match = _d_local(g, ge, ci)
         match, x = match[:], pos[h]
-        for v, w in _flip(ge, ci, h).items():
-            match[pos[v]] = pos.get(w, -1)
+        _flip(ge, ci, h, match, pos)
         cycle = _m_alternating_cycle(adj, match, [*range(x), *range(x + 1, len(match))])
         ge.upms[key] = cycle is None
         if cycle is not None:
@@ -251,28 +252,27 @@ def _some_failures(g: Graph, ge: GallaiEdmonds, chosen: dict[int, tuple[int, int
 
     # condition 2: gb has a maximum uniquely restricted matching inside the
     # eligible edges; equivalent to an ordering of a maximum independent set,
-    # on gb's rows grouped from the attachment keys, in an order that no answer reads
-    k = len(ge.a_list)
-    rows: list[list[int]] = [[] for _ in range(k + ge.counts[0])]
+    # gb's component side, which needs rows on the A side only
+    rows: list[list[int]] = [[] for _ in ge.a_list]
     for i, ci in ge.attachments:
-        rows[i].append(k + ci)
-        rows[k + ci].append(i)
-    ordering = _e_good_ordering(rows, range(k, len(rows)), lambda i, j: _eligible(g, ge, i, j - k))
+        rows[i].append(ci)
+    ordering = _e_good_ordering(rows, ge.counts[0], lambda i, ci: _eligible(g, ge, i, ci))
     if ordering is None:
         yield GB_NO_UR_MATCHING_WITHIN_E
     else:
-        for i, j in ordering[1].items():  # i < k <= j: the ordered set is the component side
-            h = ge.attachments.get((i, j - k), -1)
+        for i, ci in ordering[1].items():
+            h = ge.attachments.get((i, ci), -1)
             if h == -1:  # the ordering only uses eligible edges
-                raise InternalCheckError(f"ordering edge {(i, j)} has no unique component neighbor")
-            chosen[j - k] = ge.a_list[i], h
+                raise InternalCheckError(f"ordering edge {(i, ci)} has no unique component neighbor")
+            chosen[ci] = ge.a_list[i], h
 
     # condition 3: every deficient component has a vertex whose deletion
-    # leaves a unique perfect matching; in a component the ordering matched,
-    # the vertex its edge attaches to is one
+    # leaves a unique perfect matching: where the ordering matched it, the one
+    # its edge attaches to, and any in a small component or an odd cycle
     for ci, members in enumerate(ge.d_members):
         if ci not in chosen:
-            h = next((h for h in members if _unique_minus(g, ge, ci, h)), None)  # ascending
+            small = len(members) <= 3 or _odd_cycle(g, ge, ci)
+            h = members[0] if small else next((h for h in members if _unique_minus(g, ge, ci, h)), None)
             if h is None:
                 yield D_COMPONENT_NO_UNIQUE_PM_VERTEX
                 return
@@ -297,8 +297,8 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
 
     Yes-answers carry a witness, built as one mate array: ``ge.match``
     with A cleared, each deficient component's flip to its good vertex
-    applied (``_flip``), and each A-vertex paired with the vertex its
-    ordering edge attaches to.
+    written into it (``_flip``), and each A-vertex paired with the vertex
+    its ordering edge attaches to.
     """
     ge = _decomposed(g, ge)
     chosen: dict[int, tuple[int, int]] = {}
@@ -308,11 +308,11 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     mate = list(ge.match)
     for a in ge.a_list:
         mate[a] = -1
+    ids = range(len(mate))
     for ci, (a, h) in chosen.items():
         if not _unique_minus(g, ge, ci, h):
             raise InternalCheckError(f"D component {ci} minus {h} has no unique perfect matching")
-        for v, w in _flip(ge, ci, h).items():
-            mate[v] = w
+        _flip(ge, ci, h, mate, ids)
         if a != -1:
             mate[a], mate[h] = h, a
     return RecognitionReport("some_ur", True, _matching_from_array(g, mate), None, ())
@@ -325,23 +325,24 @@ def _every_failures(g: Graph, ge: GallaiEdmonds) -> Iterator[str]:
     # one block search over g's adjacency, kept inside D
     if not _odd_cycle_blocks(g.adj, [c >= 0 for c in ge.comp]):
         yield D_COMPONENT_BLOCKS_NOT_ODD_CYCLES
-    # gb's two conditions in one pass over the attachments, one per gb
-    # edge, that joins gb's ends in a union-find (path halving)
-    k = len(ge.a_list)
-    root = list(range(k + ge.counts[0]))
-    cyclic = multiple = False
-    for (x, y), h in ge.attachments.items():
-        multiple = multiple or h == -1
-        y += k
-        while root[x] != x:
-            root[x] = x = root[root[x]]
-        while root[y] != y:
-            root[y] = y = root[root[y]]
-        cyclic = cyclic or x == y
-        root[x] = y
+    # gb's two conditions off the attachments: gb, on V = |A| + #D vertices,
+    # is cyclic if V > 0 and it has V edges or more, as a forest has fewer,
+    # and else iff a union-find (path halving) over its edges joins joined ends
+    k, att = len(ge.a_list), ge.attachments
+    cyclic = len(att) >= k + ge.counts[0] > 0
+    if not cyclic:
+        root = list(range(k + ge.counts[0]))
+        for x, y in att:
+            y += k
+            while root[x] != x:
+                root[x] = x = root[root[x]]
+            while root[y] != y:
+                root[y] = y = root[root[y]]
+            cyclic = cyclic or x == y
+            root[x] = y
     if cyclic:
         yield GB_EVERY_MAX_MATCHING_NOT_UR
-    if multiple:
+    if -1 in att.values():
         yield GB_EDGE_MULTIPLE_NEIGHBORS
 
 

@@ -9,7 +9,9 @@ is an odd cycle, and reads the witness's flips off g's arrays.  The eager
 route lives on here, so that tests can hold the on-demand one to it: its
 reports must be equal, witness included.  It answers every H - h, odd
 cycles included, with its own path flip on H's relabelled copy and a
-Kotzig peel, and builds its witness from the same flips.
+Kotzig peel, builds its witness from the same flips, and orders gb's rows
+with the counter greedy as the library first ran it
+(``ordering_reference.counter_ordering``).
 
 That flip walks the matcher's path pointers in local ids
 (``_perfect_minus``), as the library did before one walk on g's own arrays
@@ -19,7 +21,7 @@ That flip walks the matcher's path pointers in local ids
 from __future__ import annotations
 
 from ge_reference import gb_graph
-from urmatch.accessibility import _e_good_ordering
+from ordering_reference import counter_ordering
 from urmatch.decomposition import GallaiEdmonds, gallai_edmonds
 from urmatch.graph_core import Graph, edge_key
 from peel_reference import _peel
@@ -98,7 +100,7 @@ def some_ur_eager(g: Graph, ge: GallaiEdmonds | None = None, all_failures: bool 
 
     k, gb = len(ge.a_list), gb_graph(ge)
     eligible = {(i, k + ci) for (i, ci), h in ge.attachments.items() if h != -1 and unique_minus(ci, h)}
-    ordering = _e_good_ordering(gb.adj, range(k, gb.n), lambda y, x: edge_key(y, x) in eligible)
+    ordering = counter_ordering(gb.adj, range(k, gb.n), lambda y, x: edge_key(y, x) in eligible)
     if ordering is None:
         failures.append(GB_NO_UR_MATCHING_WITHIN_E)
         if not all_failures:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from ge_reference import gb_graph
 from lemma_helpers import induced_matching_edges, is_accessibility_ordering
-from ordering_reference import rescanning_ordering
+from ordering_reference import a_side_rows, core_ordering, counter_ordering, rescanning_ordering
 from strategies import bipartite_graphs, giant, linear_triangle_tree, sparse_graph_nm
 from urmatch.accessibility import _e_good_ordering, find_e_good_ordering
 from urmatch.decomposition import gallai_edmonds
@@ -200,7 +200,7 @@ def test_success_independent_of_independent_set_choice(gs):
 
 
 def _member(edges):
-    """The predicate ``_e_good_ordering`` asks: is edge (y, x) in ``edges``?"""
+    """The predicate the orderings ask, in g's ids: is edge (y, x) in ``edges``?"""
     return lambda y, x: edge_key(y, x) in edges
 
 
@@ -225,21 +225,26 @@ def test_counter_core_equals_rescanning_reference(gs):
     for i_set in _all_maximum_independent_sets(g):
         for allowed in subsets:
             want = rescanning_ordering(g, i_set, allowed)
-            assert _same_ordering(_e_good_ordering(g.adj, i_set, _member(allowed)), want)
+            got = core_ordering(g.adj, i_set, _member(allowed))
+            assert _same_ordering(got, want)
+            assert got == counter_ordering(g.adj, i_set, _member(allowed))
 
 
 def test_mixed_side_set_counts_only_its_own_vertices():
     # I = {1, 2, 3} holds 3 from the far side; seeing 4 must not make the
-    # cover vertex 0 placeable
+    # cover vertex 0 placeable, nor enter 0's XOR: 0 is in no row
     g = Graph.from_edges(5, [(0, 3), (0, 4), (1, 4)])
-    got = _e_good_ordering(g.adj, frozenset({1, 2, 3}), _member(g.edges))
+    got = core_ordering(g.adj, frozenset({1, 2, 3}), _member(g.edges))
     assert got is not None and got[0] == (1, 2, 3)
     assert _same_ordering(got, rescanning_ordering(g, {1, 2, 3}, g.edges))
+    assert got == counter_ordering(g.adj, frozenset({1, 2, 3}), _member(g.edges))
 
 
 def test_counter_core_equals_reference_on_gb_of_sparse_graphs():
     # the orderings some_ur asks for, on giants of G(n, 1.5n) and on trees
-    # with pendant triangles; the giant at 4000 with seed 0 has none
+    # with pendant triangles; the giant at 4000 with seed 0 has none.  The
+    # core runs on gb's ids and on the rows some_ur hands it, the A side's,
+    # with the D components numbered from 0
     graphs = [giant(sparse_graph_nm(n, 3 * n // 2, random.Random(seed)))
               for n, seed in ((2000, 0), (4000, 0), (4000, 3), (8000, 0))]
     graphs += [linear_triangle_tree(n, 0.25, random.Random(n)) for n in (1334, 2667, 5334)]
@@ -249,7 +254,12 @@ def test_counter_core_equals_reference_on_gb_of_sparse_graphs():
         eligible, gb = allowed_edges(g, ge), gb_graph(ge)
         i_max = range(len(ge.a_list), gb.n)  # the component side, as in some_ur
         want = rescanning_ordering(gb, i_max, eligible)
-        assert _same_ordering(_e_good_ordering(gb.adj, i_max, _member(eligible)), want)
+        got = core_ordering(gb.adj, i_max, _member(eligible))
+        assert _same_ordering(got, want) and got == counter_ordering(gb.adj, i_max, _member(eligible))
+        k = len(ge.a_list)
+        local = _e_good_ordering(a_side_rows(ge), ge.counts[0], lambda y, x: edge_key(y, k + x) in eligible)
+        assert local == (None if got is None else
+                         (tuple(x - k for x in got[0]), {y: x - k for y, x in got[1].items()}))
         answers.append(want is None)
     assert answers[1] and answers.count(True) < len(answers)
 

@@ -246,4 +246,15 @@ def test_gb_flags_equal_gb_itself():
         rng = random.Random(n)
         for g in (giant(sparse_graph_nm(n, 3 * n // 2, rng)), linear_triangle_tree(2 * n // 3, 0.25, rng)):
             flags.add(_check_gb_flags(g))
+    # dense random bipartite graphs, halves of 300 and 600, whose gb has
+    # more edges than vertices, so the edge count alone makes it cyclic;
+    # with a triangle on vertex 300 of the large half, joined to 0 of the
+    # small one, an A-vertex has two neighbors in one D component
+    rng = random.Random(8)
+    edges = [(u, 300 + v) for u in range(300) for v in range(600) if rng.random() < 0.02]
+    for extra in ([], [(0, 300), (0, 900), (300, 900), (300, 901), (900, 901)]):
+        g = Graph.from_edges(902, edges + extra)
+        ge = gallai_edmonds(g)
+        assert len(ge.attachments) >= len(ge.a_list) + ge.counts[0] > 0
+        assert _check_gb_flags(g) == (True, bool(extra))
     assert flags == {(False, False), (False, True), (True, False), (True, True)}

@@ -560,9 +560,28 @@ def test_corrupt_path_pointers_raise():
     loop[m0], loop[q0], loop[q1], loop[p0] = p0, p1, m0, p1
     for parent in ((-1,) * 7, tuple(loop)):
         with pytest.raises(recognition.InternalCheckError, match="free vertex"):
-            _flip(replace(ge, parent=parent), 0, x)
+            _flip(replace(ge, parent=parent), 0, x, list(match), range(7))
         with pytest.raises(recognition.InternalCheckError, match="free vertex"):
             _perfect_minus(g, replace(ge, parent=parent), 0, x)
+
+
+def test_path_walk_raises_on_a_vertex_met_twice():
+    # in C_7, pointers from x through m0, p0 and q0 back to m0, and on from
+    # x to the free vertex f, would end the walk at f with m0 paired twice;
+    # the walk raises, on g's ids and on the component's local ones
+    g = cycle_graph(7)
+    ge = gallai_edmonds(g)
+    match = ge.match
+    (f,) = [v for v in range(7) if match[v] == -1]
+    x, p0, _ = sorted(v for v in range(7) if v != f and match[v] > v)
+    m0, q0 = match[x], match[p0]
+    parent = list(ge.parent)
+    parent[m0], parent[q0], parent[x] = p0, m0, f
+    bad = replace(ge, parent=tuple(parent))
+    _, pos, _, base = _d_local(g, bad, 0)
+    for mate, ids in ((list(match), range(7)), (base[:], pos)):
+        with pytest.raises(recognition.InternalCheckError, match="free vertex"):
+            _flip(bad, 0, x, mate, ids)
 
 
 def test_witness_walk_raises_on_a_pointer_out_of_the_component():
@@ -576,7 +595,7 @@ def test_witness_walk_raises_on_a_pointer_out_of_the_component():
         parent[ge.match[h]] = out
         bad = replace(ge, parent=tuple(parent))
         with pytest.raises(recognition.InternalCheckError, match="free vertex"):
-            _flip(bad, 0, h)
+            _flip(bad, 0, h, list(bad.match), range(g.n))
         with pytest.raises(recognition.InternalCheckError, match="free vertex"):
             _perfect_minus(g, bad, 0, h)
 
@@ -767,13 +786,13 @@ def _check_perfect_minus(g, ge):
             for a, b in enumerate(match):
                 if a != x:
                     assert match[b] == a and edge_key(verts[a], verts[b]) in g.edges
-            flip = _flip(ge, ci, h)
-            assert [pos.get(flip.get(v, mate[v]), -1) for v in verts] == match
+            flipped = list(mate)
+            _flip(ge, ci, h, flipped, range(g.n))
+            assert [pos.get(flipped[v], -1) for v in verts] == match
             patched = base[:]
-            for v, w in flip.items():
-                patched[pos[v]] = pos.get(w, -1)
+            _flip(ge, ci, h, patched, pos)
             assert patched == match
-            assert [(v, w) for v in verts if (w := flip.get(v, mate[v])) > v] == _edges(verts, match)
+            assert [(v, w) for v in verts if (w := flipped[v]) > v] == _edges(verts, match)
 
 
 def _check_gb_edge_condition(g, ge):

@@ -6,6 +6,7 @@ import random
 from hypothesis import given, settings
 
 from ge_reference import gb_graph
+from ordering_reference import a_side_rows, counter_ordering
 from some_reference import some_ur_eager
 from strategies import giant, graphs, linear_triangle_tree, sparse_graph_nm
 from urmatch.accessibility import _e_good_ordering
@@ -97,16 +98,44 @@ def test_condition_3_skips_components_the_ordering_matched():
 
 
 def test_ordering_asks_once_per_vertex_of_the_set():
+    # on the rows some_ur hands the core, the A side's; it asks for the same
+    # edges, in the same order, as the counter greedy on rows on both sides,
+    # grouped from the keys in their order
     for g in _sparse_instances()[:4]:
         ge = gallai_edmonds(g)
         eligible = allowed_edges(g, ge)
         k, gb = len(ge.a_list), gb_graph(ge)
-        asked = []
+        asked, asked_on_gb = [], []
 
         def allowed(y, x):
-            asked.append(x)
+            asked.append(k + x)
+            return edge_key(y, k + x) in eligible
+
+        def allowed_on_gb(y, x):
+            asked_on_gb.append(x)
             return edge_key(y, x) in eligible
 
-        _e_good_ordering(gb.adj, range(k, gb.n), allowed)
+        _e_good_ordering(a_side_rows(ge), ge.counts[0], allowed)
         assert len(asked) == len(set(asked)) and set(asked) <= set(range(k, gb.n))
         assert asked and len(asked) < len(ge.attachments)
+        both: list[list[int]] = [[] for _ in range(gb.n)]
+        for i, ci in ge.attachments:
+            both[i].append(k + ci)
+            both[k + ci].append(i)
+        counter_ordering(both, range(k, gb.n), allowed_on_gb)
+        assert asked == asked_on_gb
+
+
+def test_reports_read_no_order_of_the_attachment_keys():
+    # row i of the ordering collects A-vertex i's keys wherever they stand,
+    # and the ordering's choices follow the ids alone, so attachments in
+    # another order give the same reports, witnesses included
+    instances = _sparse_instances()[:4] + [
+        Graph.from_edges(9, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (3, 6), (6, 7), (6, 8)])]
+    for g in instances:
+        want = [_report(some_ur(g, all_failures=af)) for af in (False, True)]
+        for turn in (lambda keys: keys[::-1], lambda keys: random.Random(len(keys)).sample(keys, len(keys))):
+            for af in (False, True):
+                ge = gallai_edmonds(g)
+                vars(ge)["attachments"] = {key: ge.attachments[key] for key in turn(list(ge.attachments))}
+                assert _report(some_ur(g, ge=ge, all_failures=af)) == want[af]
