@@ -3,28 +3,27 @@
 One alternating-forest search with union-find blossoms (Edmonds) serves the
 one matcher and the deletion test of edges in some maximum matching; on a
 bipartite graph the matcher's Gallai-Edmonds labels also give the Koenig
-independent set (``max_independent_set_bipartite``).
-The matcher (``_matcher``) seeds with the degree-1 rule of Karp & Sipser, then
-searches from each vertex left free, lowest first, on arrays allocated once:
-a search that augments resets only what it labelled, and the Hungarian tree
-of one that fails stays out of every later search, its even vertices marked
-dead-even and its odd ones dead-odd.  The trees left at the end form the
-Edmonds forest of the final matching, so its labels are the Gallai-Edmonds
-labelling (dead-even is D, dead-odd A, unlabelled C) and its path pointers
-lead from every D vertex to the free vertex of its tree; an isolated free
-vertex is labelled without a search.  The seed's matches before its first
-greedy step, its forced pairs, are kept too: no search undoes them, and
-a uniqueness test leaves them out (``_unforced_cycle``).  A
-search's walks are bounded by the vertex count, so mates that are no
-involution raise.  Uniqueness of a given perfect matching M is one kernel,
-``_m_alternating_cycle``, which returns an M-alternating cycle or None: a
-depth-first search of the digraph with an arc u -> match[w] per edge uw
-out of M finds most short cycles, and otherwise one search per matched edge
-rt tested, from t in the graph without r on state shared by all of them,
-decides, a failed search's tree leaving play but for its blossoms minus
-their bases (the lemma in ``_cycle_or_none``).  All searches iterate vertices and
-neighbors in ascending id order, so the "canonical" maximum matching
-returned for a given graph is reproducible.
+independent set (``max_independent_set_bipartite``).  The matcher
+(``_matcher``) seeds with the degree-1 rule of Karp & Sipser, then searches
+from each vertex left free, lowest first, on arrays allocated once; the
+Hungarian trees of the searches that fail stay out of every later one and
+form the Edmonds forest of the final matching, so its labels are the
+Gallai-Edmonds labelling (dead-even is D, dead-odd A, unlabelled C) and
+its path pointers lead from every D vertex to the free vertex of its tree.
+The seed's forced pairs, its matches before its first greedy step, are
+kept too: no search undoes them, and a uniqueness test leaves them out
+(``_unforced_cycle``).  A search's walks are bounded by the vertex count,
+so mates that are no involution raise.  Uniqueness of a given perfect
+matching M is one kernel, ``_m_alternating_cycle``, which returns an
+M-alternating cycle or None: a depth-first search of the digraph with an
+arc u -> match[w] per edge uw out of M finds most short cycles; otherwise a
+linear pass takes out the matched pairs that no cycle can use
+(``_settle_pairs``), and one search per matched edge rt left, from t in the
+graph without r on state shared by all of them, decides, a failed search's
+tree leaving play but for its blossoms minus their bases (the lemma in
+``_cycle_or_none``).  All searches iterate vertices and neighbors in
+ascending id order, so the "canonical" maximum matching returned for a
+given graph is reproducible.
 """
 
 from __future__ import annotations
@@ -504,12 +503,50 @@ def _arc_cycle(adj, match, label, live):
     return None
 
 
+def _settle_pairs(adj, match, label, live):
+    """Take out of play (``label`` dead-odd) each matched pair xy of
+    ``live`` that no M-alternating cycle uses; return how many stay.
+    Lemma: a cycle through xy enters x from some u and leaves y to some w
+    by edges out of M, u and w in play and distinct, as the cycle is even
+    and meets u once; so none does when x has no other neighbor in play,
+    or y none, or the two have one outside the pair between them (a
+    degree-1 vertex, a pendant triangle).  What is left keeps every cycle,
+    so the pass repeats on the neighbors of each pair that leaves, linear
+    by a count and an XOR per vertex of its neighbors in play but its mate,
+    which names the last one."""
+    count, last, todo, left = [0] * len(adj), [0] * len(adj), [], len(live)
+    for v in live:
+        mv, c, x = match[v], 0, 0
+        for w in adj[v]:
+            if w != mv and label[w] == _UNLABELLED:
+                c, x = c + 1, x ^ w
+        count[v], last[v] = c, x
+        if c < 2:
+            todo.append(v)
+    while todo:
+        x = todo.pop()
+        y = match[x]
+        if label[x] != _UNLABELLED or count[x] and count[y] and (count[y] > 1 or last[x] != last[y]):
+            continue  # gone, or x and y see two vertices outside the pair
+        label[x] = label[y] = _DEAD_ODD
+        left -= 2
+        for v in (x, y):
+            for w in adj[v]:
+                if label[w] == _UNLABELLED:
+                    count[w] = c = count[w] - 1
+                    last[w] ^= v
+                    if c < 2:
+                        todo.append(w)
+    return left
+
+
 def _cycle_or_none(adj, match, live):
     """The search behind ``_m_alternating_cycle``.  First one depth-first
     search of the arc digraph (``_arc_cycle``), which finds a short cycle
     in most graphs that have one, at less than the cost of one Edmonds
-    search.  If it finds none, the answer comes from one Edmonds search per
-    matched edge tested, on arrays shared by all of them, none of them over
+    search.  If it finds none, the settled-pair pass (``_settle_pairs``)
+    takes out the pairs no cycle uses, and one Edmonds search per matched
+    edge left decides, on arrays shared by all of them, none of them over
     a vertex that an earlier one left, unless a blossom holds it.
 
     Each vertex r still in play, in the order of ``live``, is tested in
@@ -554,18 +591,18 @@ def _cycle_or_none(adj, match, live):
     ``live``, deepest vertex first; every other vertex of T leaves play,
     and the cycles that remain are those of the vertices still in play.
 
-    Cost: the arc digraph search is linear.  Each Edmonds search, and the
-    contracted digraph search after it, scans each edge at its tree a
-    bounded number of times (the union-find aside), and a vertex that
-    leaves play does not return.  A vertex is searched again
+    Cost: the arc digraph search and the pass are linear.  Each Edmonds
+    search, and the contracted digraph search after it, scans each edge at
+    its tree a bounded number of times (the union-find aside), and a
+    vertex that leaves play does not return.  A vertex is searched again
     only from inside a blossom minus its base, which is smaller than the
     blossom, so the work is linear in the edges per level of blossom
-    nesting; that bound, not a linear one, is what this proof gives.  On
-    the nested blossoms of the family N_k (``tests/strategies.py``), which
-    made the Kotzig peel quadratic, the deepest vertex's tree climbs
-    through the nesting and settles it at the contracted level: the kernel
-    runs 60 to 170 lines of Python per vertex, walks and union-find steps
-    included, at every size from 1006 to 16006 vertices.
+    nesting; that bound, not a linear one, is what this proof gives.  The
+    nested blossoms of the family N_k (``tests/strategies.py``), which made
+    the Kotzig peel quadratic, the pass clears at 54 lines of Python per
+    vertex; without it, the deepest vertex's tree climbs through the
+    nesting and settles it at the contracted level in 60 to 170 lines per
+    vertex, walks and union-find steps included, from 1006 to 16006 vertices.
     """
     n = len(adj)
     label = [_DEAD_ODD] * n
@@ -581,7 +618,7 @@ def _cycle_or_none(adj, match, live):
             raise InternalCheckError(f"the matching is not perfect on the live vertices at {v}")
 
     cycle = _arc_cycle(adj, match, label, live)
-    if cycle is not None:
+    if cycle is not None or not _settle_pairs(adj, match, label, live):
         return cycle
 
     def find(x):

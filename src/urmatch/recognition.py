@@ -63,12 +63,10 @@ FAILURE_TAGS = frozenset({
 # component whose perfect matching is not unique, or None (``_c_failure``);
 # ``("cycle", ci)`` to whether D component ``ci``, of more than three
 # vertices, is an odd cycle (``_odd_cycle``), whose every h needs no test;
-# ``(ci, h)`` to whether D component ``ci`` minus its vertex h has a unique
-# perfect matching, for the components that are not; ``("d", ci)`` holds
-# H's relabelled adjacency and mate array, which those tests share
-# (``_d_local``).  The memo holds entries no caller asked for: a "no" for
-# one h of a D component writes a "no" for every h' that the kernel's
-# alternating cycle rules out.
+# ``("d", ci)``, for one that is not, to its relabelled copy and one
+# verdict per vertex h, whether H - h has a unique perfect matching
+# (``_d_local``), a "no" written too for each h' that a "no"'s alternating
+# cycle rules out (``_unique_minus``).
 
 
 @dataclass(frozen=True)
@@ -126,15 +124,16 @@ def _c_failure(g: Graph, ge: GallaiEdmonds) -> int | None:
 
 def _d_local(g: Graph, ge: GallaiEdmonds, ci: int):
     """D component ``ci`` in local ids 0..|H|-1, ascending with g's ids:
-    ``(verts, pos, adj, base)``, where ``verts`` maps back and ``pos``
-    forth, and ``base`` is ``ge.match`` inside H (-1 at the vertex it
-    leaves free in H); memoised in ``ge.upms``."""
+    ``(verts, pos, adj, base, verdict)``, where ``verts`` maps back and
+    ``pos`` forth, ``base`` is ``ge.match`` inside H (-1 at the vertex it
+    leaves free in H), and ``verdict`` is ``_unique_minus``'s answers, None
+    where untested; memoised in ``ge.upms``."""
     key = ("d", ci)
     if key not in ge.upms:
         verts, comp, mate = ge.d_members[ci], ge.comp, ge.match
         pos = {v: i for i, v in enumerate(verts)}
         adj = [[pos[w] for w in g.adj[v] if comp[w] == ci] for v in verts]
-        ge.upms[key] = verts, pos, adj, [pos.get(mate[v], -1) for v in verts]
+        ge.upms[key] = verts, pos, adj, [pos.get(mate[v], -1) for v in verts], [None] * len(verts)
     return ge.upms[key]
 
 
@@ -143,9 +142,10 @@ def _flip(ge: GallaiEdmonds, ci: int, h: int, mate: list[int], pos) -> None:
     through ``pos`` (``range(n)`` in g's ids; a mate outside it may read as
     anything).  The walk h, match[h], parent[match[h]], ... follows the even
     alternating path of the pointers to the component's free vertex, pairing
-    each vertex a pointer reaches with the one before it.  A pointer that is
-    -1 or leaves the component raises, and so does a vertex met twice: the
-    walk then finds a mate in ``mate`` changed or outruns the component."""
+    each vertex a pointer reaches with the one before it (from that vertex
+    itself, nothing).  A pointer that is -1 or leaves the component raises,
+    and so does a vertex met twice: the walk then finds a mate in ``mate``
+    changed or outruns the component."""
     match, parent, comp = ge.match, ge.parent, ge.comp
     m, prev = match[h], pos[h]
     mate[prev] = -1
@@ -184,46 +184,53 @@ def _unique_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int) -> bool:
     triangle is the only factor-critical graph on three vertices, and a
     larger H has its edges counted once (``_odd_cycle``).  Every other H - h
     takes one path flip (``_flip``) and one call of the kernel
-    ``_m_alternating_cycle`` on H's relabelled copy, memoised in
-    ``ge.upms``.
+    ``_m_alternating_cycle`` on H's relabelled copy, kept in its verdicts.
 
     A "no" rejects more vertices of the component with it.  The kernel's
     "no" is an even cycle C that alternates under the perfect matching M of
     H - h.  For any h' outside C such that H - V(C) - h' has a perfect
     matching, that matching plus either half of C gives two of H - h'.  M
     misses only h in H - V(C), so those h' are the even vertices of one
-    search from h with C dead, and each is memoised as a "no".  The
+    search from h with C dead, and each gets the verdict "no".  The
     kernel returns a short C where it can, which leaves more of H outside.
     """
-    if len(ge.d_members[ci]) <= 3:
+    if ("d", ci) not in ge.upms and (len(ge.d_members[ci]) <= 3 or _odd_cycle(g, ge, ci)):
         return True
-    key = (ci, h)
-    if key not in ge.upms:
-        if _odd_cycle(g, ge, ci):
-            return True
-        verts, pos, adj, match = _d_local(g, ge, ci)
-        match, x = match[:], pos[h]
+    verts, pos, adj, match, verdict = _d_local(g, ge, ci)
+    x = pos[h]
+    if verdict[x] is None:
+        match = match[:]
         _flip(ge, ci, h, match, pos)
         cycle = _m_alternating_cycle(adj, match, [*range(x), *range(x + 1, len(match))])
-        ge.upms[key] = cycle is None
+        verdict[x] = cycle is None
         if cycle is not None:
             forest = _search(adj, match, [x], dead=cycle)
             if forest is None:
                 raise InternalCheckError(f"D component {ci} minus {h} has no perfect matching")
             for y, lab in enumerate(forest[0]):
-                if lab == _EVEN and ge.upms.setdefault((ci, verts[y]), False):
-                    raise InternalCheckError(
-                        f"D component {ci} minus {verts[y]}: the memo and the alternating cycle disagree")
-    return ge.upms[key]
+                if lab == _EVEN:
+                    if verdict[y]:
+                        raise InternalCheckError(
+                            f"D component {ci} minus {verts[y]}: the memo and the alternating cycle disagree")
+                    verdict[y] = False
+    return verdict[x]
 
 
-def _eligible(g: Graph, ge: GallaiEdmonds, i: int, ci: int) -> bool:
-    """Whether the gb edge between A-vertex ``i`` and D component ``ci`` may
-    carry a uniquely restricted matching: ``ge.a_list[i]`` has exactly one
-    neighbor h in the component, the edge's attachment (-1 for several),
-    and the component minus h has a unique perfect matching."""
-    h = ge.attachments[i, ci]
-    return h != -1 and _unique_minus(g, ge, ci, h)
+def _eligible(g: Graph, ge: GallaiEdmonds, kept: list):
+    """``allowed_edges``' rule as a test ``allowed(i, ci)`` of the gb edge
+    between A-vertex i and D component ci: it reads the attachment h once,
+    tests nothing up to three vertices, and records each edge it allows as
+    ``kept[ci] = (i, h)``."""
+    att, members = ge.attachments, ge.d_members
+
+    def allowed(i: int, ci: int) -> bool:
+        h = att[i, ci]
+        if h == -1 or len(members[ci]) > 3 and not _unique_minus(g, ge, ci, h):
+            return False
+        kept[ci] = i, h
+        return True
+
+    return allowed
 
 
 def allowed_edges(g: Graph, ge: GallaiEdmonds) -> frozenset[tuple[int, int]]:
@@ -232,20 +239,22 @@ def allowed_edges(g: Graph, ge: GallaiEdmonds) -> frozenset[tuple[int, int]]:
     A gb edge between a-side vertex (for original vertex a) and a component H
     qualifies iff a has exactly one neighbor h inside H and H - h has a unique
     perfect matching.  This tests H - h for every single attachment;
-    ``some_ur`` asks the same question edge by edge, only where its ordering
-    reads the answer.  Like the deciders, it refuses a decomposition of
-    another graph or without its arrays.
+    ``some_ur`` asks the same question (``_eligible``) edge by edge, only
+    where its ordering reads the answer.  Like the deciders, it refuses a
+    decomposition of another graph or without its arrays.
     """
     ge = _decomposed(g, ge)
     k = len(ge.a_list)
-    return frozenset([(i, k + ci) for i, ci in ge.attachments if _eligible(g, ge, i, ci)])
+    allowed = _eligible(g, ge, [None] * ge.counts[0])
+    return frozenset([(i, k + ci) for i, ci in ge.attachments if allowed(i, ci)])
 
 
 def _some_failures(g: Graph, ge: GallaiEdmonds, chosen: dict[int, tuple[int, int]]) -> Iterator[str]:
     """The tags of ``some_ur``'s three conditions that fail, in order.  Once
     none has, ``chosen`` maps each D component to ``(a, h)``: a vertex h
     whose deletion leaves a unique perfect matching, and the A-vertex a that
-    the ordering matched to h, or -1."""
+    the ordering matched to h, or -1: condition 2 keeps the h of each edge
+    its rule allowed, and condition 3 reads the D - h verdicts."""
     # condition 1: every untouched component has a unique perfect matching
     if _c_failure(g, ge) is not None:
         yield C_COMPONENT_PM_NOT_UNIQUE
@@ -256,26 +265,30 @@ def _some_failures(g: Graph, ge: GallaiEdmonds, chosen: dict[int, tuple[int, int
     rows: list[list[int]] = [[] for _ in ge.a_list]
     for i, ci in ge.attachments:
         rows[i].append(ci)
-    ordering = _e_good_ordering(rows, ge.counts[0], lambda i, ci: _eligible(g, ge, i, ci))
+    kept: list[tuple[int, int] | None] = [None] * ge.counts[0]
+    ordering = _e_good_ordering(rows, ge.counts[0], _eligible(g, ge, kept))
     if ordering is None:
         yield GB_NO_UR_MATCHING_WITHIN_E
     else:
         for i, ci in ordering[1].items():
-            h = ge.attachments.get((i, ci), -1)
-            if h == -1:  # the ordering only uses eligible edges
-                raise InternalCheckError(f"ordering edge {(i, ci)} has no unique component neighbor")
-            chosen[ci] = ge.a_list[i], h
+            edge = kept[ci]
+            if edge is None or edge[0] != i:  # the ordering only uses eligible edges
+                raise InternalCheckError(f"ordering edge {(i, ci)} was never allowed")
+            chosen[ci] = ge.a_list[i], edge[1]
 
     # condition 3: every deficient component has a vertex whose deletion
     # leaves a unique perfect matching: where the ordering matched it, the one
-    # its edge attaches to, and any in a small component or an odd cycle
+    # its edge attaches to, any in a small component or an odd cycle, and
+    # else the first whose verdict is not "no", testing those without one
     for ci, members in enumerate(ge.d_members):
         if ci not in chosen:
-            small = len(members) <= 3 or _odd_cycle(g, ge, ci)
-            h = members[0] if small else next((h for h in members if _unique_minus(g, ge, ci, h)), None)
-            if h is None:
-                yield D_COMPONENT_NO_UNIQUE_PM_VERTEX
-                return
+            h = members[0]
+            if len(members) > 3 and not _odd_cycle(g, ge, ci):
+                h = next((h for h, ok in zip(members, _d_local(g, ge, ci)[4])
+                          if ok or ok is None and _unique_minus(g, ge, ci, h)), None)
+                if h is None:
+                    yield D_COMPONENT_NO_UNIQUE_PM_VERTEX
+                    return
             chosen[ci] = -1, h
 
 
@@ -296,9 +309,9 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     all of them when the ordering failed.
 
     Yes-answers carry a witness, built as one mate array: ``ge.match``
-    with A cleared, each deficient component's flip to its good vertex
-    written into it (``_flip``), and each A-vertex paired with the vertex
-    its ordering edge attaches to.
+    with A and its mates cleared, each D component flipped to its good
+    vertex h where h is still matched (``_flip``), and each A-vertex
+    paired with the vertex its ordering edge attaches to.
     """
     ge = _decomposed(g, ge)
     chosen: dict[int, tuple[int, int]] = {}
@@ -306,13 +319,14 @@ def some_ur(g: Graph, *, ge: GallaiEdmonds | None = None, all_failures: bool = F
     if not report.answer:
         return report
     mate = list(ge.match)
-    for a in ge.a_list:
-        mate[a] = -1
-    ids = range(len(mate))
+    for a in ge.a_list:  # a maximum matching matches A into D
+        mate[mate[a]] = mate[a] = -1
+    ids, members = range(len(mate)), ge.d_members
     for ci, (a, h) in chosen.items():
-        if not _unique_minus(g, ge, ci, h):
+        if len(members[ci]) > 3 and not _unique_minus(g, ge, ci, h):
             raise InternalCheckError(f"D component {ci} minus {h} has no unique perfect matching")
-        _flip(ge, ci, h, mate, ids)
+        if mate[h] != -1:
+            _flip(ge, ci, h, mate, ids)
         if a != -1:
             mate[a], mate[h] = h, a
     return RecognitionReport("some_ur", True, _matching_from_array(g, mate), None, ())

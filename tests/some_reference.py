@@ -15,7 +15,11 @@ with the counter greedy as the library first ran it
 
 That flip walks the matcher's path pointers in local ids
 (``_perfect_minus``), as the library did before one walk on g's own arrays
-(``recognition._flip``) served both the peel and the witness.
+(``recognition._flip``) served both the peel and the witness.  The witness
+rule that flipped every D component, before ``some_ur`` flipped only those
+whose chosen vertex is still matched, lives on too
+(``witness_flipping_every_component``), and ``d_verdicts`` reads the
+memo's D - h verdict lists as the ``(ci, h)`` answers they replaced.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from urmatch.recognition import (
     RecognitionReport,
     _c_failure,
     _d_local,
+    _flip,
 )
 
 
@@ -48,7 +53,7 @@ def _perfect_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int):
     from h to the component's one free vertex; flipping it frees h.  A walk
     that leaves the component, ends elsewhere or runs longer than the
     component raises."""
-    verts, pos, adj, _ = _d_local(g, ge, ci)
+    verts, pos, adj, _, _ = _d_local(g, ge, ci)
     parent = [pos.get(ge.parent[v], -1) for v in verts]
     match = [pos.get(ge.match[v], -1) for v in verts]
     x = pos[h]
@@ -64,6 +69,30 @@ def _perfect_minus(g: Graph, ge: GallaiEdmonds, ci: int, h: int):
         match[p] = m
         m = nxt
     raise InternalCheckError(f"D component {ci}: the path pointers from {h} miss its free vertex")
+
+
+def d_verdicts(ge: GallaiEdmonds) -> dict[tuple[int, int], bool]:
+    """The D - h answers that ``ge``'s memo holds, keyed ``(ci, h)``: each
+    verdict of a component's list (``recognition._d_local``) that is not
+    None, a "no" written by the rejection rule included."""
+    return {(key[1], h): ok for key, local in ge.upms.items() if key != "c" and key[0] == "d"
+            for h, ok in zip(local[0], local[4]) if ok is not None}
+
+
+def witness_flipping_every_component(g: Graph, ge: GallaiEdmonds, chosen: dict[int, tuple[int, int]]) -> Matching:
+    """The witness by the rule ``some_ur`` first used: ``ge.match`` with
+    A cleared, every D component flipped to its chosen h (a flip from the
+    vertex left unmatched in the component frees it alone), and each
+    A-vertex paired with its h; ``chosen`` as ``recognition._some_failures``
+    fills it."""
+    mate = list(ge.match)
+    for a in ge.a_list:
+        mate[a] = -1
+    for ci, (a, h) in chosen.items():
+        _flip(ge, ci, h, mate, range(g.n))
+        if a != -1:
+            mate[a], mate[h] = h, a
+    return Matching.from_edges(g, [(v, w) for v, w in enumerate(mate) if w > v])
 
 
 def unique_minus_by_peel(g: Graph, ge: GallaiEdmonds, ci: int, h: int) -> bool:

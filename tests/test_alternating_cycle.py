@@ -6,22 +6,35 @@ matchings, and on seeded random graphs with random live sets; on bipartite
 input, to the acyclicity of D(M).  Each cycle it returns must alternate
 inside the live vertices.  The nested-bridge family N_k
 (``strategies.nested_bridges``), the peel's quadratic case, takes one
-kernel call per uniqueness test and work linear in its size.
+kernel call per uniqueness test and work linear in its size.  The
+settled-pair pass (``matching._settle_pairs``) takes out only pairs that
+every perfect matching holds, and it leaves nothing of a tree with pendant
+triangles, so the C test there runs no Edmonds search.
 """
 
+import inspect
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
 
 from lemma_helpers import is_alternating_cycle
 from peel_reference import _peel
-from strategies import nested_bridges, random_graph_nm
+from strategies import corona, graphs, linear_triangle_tree, nested_bridges, random_graph_nm, random_tree_edges
 from urmatch import matching, recognition, ur_core
 from urmatch.decomposition import gallai_edmonds
 from urmatch.families import cycle_graph, path_graph
-from urmatch.graph_core import Graph
-from urmatch.matching import InternalCheckError, _m_alternating_cycle, _max_match_array, unique_perfect_matching
+from urmatch.graph_core import Graph, induced_subgraph
+from urmatch.matching import (
+    _DEAD_ODD,
+    _UNLABELLED,
+    InternalCheckError,
+    _m_alternating_cycle,
+    _max_match_array,
+    _settle_pairs,
+    unique_perfect_matching,
+)
 from urmatch.oracle import (
     count_perfect_matchings,
     enumerate_labeled_graphs,
@@ -257,8 +270,152 @@ def _kernel_lines(g):
 
 def test_kernel_work_on_nested_bridges_is_linear():
     # the peel ran k + 1 bridge searches over all that was left; the
-    # kernel runs 60 to 170 lines per vertex at each of these sizes, where
+    # kernel runs about 54 lines per vertex at each of these sizes, where
     # a quadratic one would run 16 times as many per vertex at the largest
     for seed in (1, 2):
         for k in (250, 1000, 4000):
             assert _kernel_lines(nested_bridges(k, seed)) < 250 * (4 * k + 6)
+
+
+def test_edmonds_phase_work_on_nested_bridges_is_linear(monkeypatch):
+    # the settled-pair pass clears N_k; without it the Edmonds phase
+    # settles the nesting at the contracted level, in 60 to 170 lines per
+    # vertex at each of these sizes
+    monkeypatch.setattr(matching, "_settle_pairs", lambda adj, match, label, live: len(live))
+    for seed in (1, 2):
+        for k in (250, 1000, 4000):
+            assert _kernel_lines(nested_bridges(k, seed)) < 250 * (4 * k + 6)
+
+
+def _settled(adj, match, live):
+    """The vertices that ``_settle_pairs`` takes out of play among ``live``,
+    on labels as the kernel sets them; the count of those it leaves in
+    play, which it returns, is checked."""
+    label = [_DEAD_ODD] * len(adj)
+    for v in live:
+        label[v] = _UNLABELLED
+    left = _settle_pairs(adj, match, label, live)
+    out = {v for v in live if label[v] != _UNLABELLED}
+    assert left == len(live) - len(out)
+    return out
+
+
+def _matched_live(g, rng=None):
+    """A maximum matching of g and the vertices it covers, or a random
+    part of them closed under the matching."""
+    match = _max_match_array(g)
+    kept = {v for v, w in enumerate(match) if w > v and (rng is None or rng.random() < 0.8)}
+    return match, sorted(kept | {match[v] for v in kept})
+
+
+@settings(deadline=None, max_examples=300)
+@given(graphs(max_n=10))
+def test_settled_pairs_lie_in_every_perfect_matching(g):
+    # each pair that leaves is in every perfect matching of the live
+    # vertices, so no alternating cycle uses it; the kernel with the pass
+    # equals the peel
+    match, live = _matched_live(g)
+    settled = _settled(g.adj, match, live)
+    sub, back = induced_subgraph(g, live)
+    pos = {v: i for i, v in enumerate(back)}
+    for x in settled:
+        y = match[x]
+        assert y in settled
+        if x < y:
+            without = Graph.from_edges(sub.n, sub.edges - {(pos[x], pos[y])})
+            assert count_perfect_matchings(without, max_n=10, max_m=45) == 0
+    _check(g.adj, match, live)
+
+
+def _chorded(g, chords, rng):
+    """g with ``chords`` random extra edges."""
+    edges = set(g.edges)
+    while len(edges) < g.m + chords:
+        u, v = rng.sample(range(g.n), 2)
+        edges.add((min(u, v), max(u, v)))
+    return Graph.from_edges(g.n, edges)
+
+
+def test_kernel_equals_the_peel_on_chorded_triangle_trees_and_coronas():
+    # trees with pendant triangles and tree coronas, which the pass clears,
+    # with a few chords, which leave it cycles to keep
+    rng = random.Random(34)
+    seen, cleared = set(), 0
+    for _ in range(150):
+        n = rng.randrange(4, 40)
+        base = linear_triangle_tree(n, 0.25, rng) if rng.random() < 0.5 else \
+            corona(Graph.from_edges(n, random_tree_edges(n, rng)))
+        g = _chorded(base, rng.choice((0, 1, 2, 4, 8)), rng)
+        match, live = _matched_live(g, rng)
+        settled = _settled(g.adj, match, live)
+        cleared += settled == set(live)
+        seen.add(_check(g.adj, match, live) is None)
+    assert seen == {True, False} and cleared > 10
+
+
+def _edmonds_lines(call):
+    """The lines of ``_cycle_or_none``'s Edmonds phase, from the test of
+    its first matched edge on, that ``call()`` runs."""
+    lines, start = inspect.getsourcelines(matching._cycle_or_none)
+    first = start + next(i for i, line in enumerate(lines) if "t = match[r]" in line)
+    code, hits = matching._cycle_or_none.__code__, []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line" and frame.f_lineno >= first:
+            hits.append(frame.f_lineno)
+        return trace
+
+    before = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(before)
+    return hits
+
+
+def test_c_test_on_triangle_trees_runs_no_edmonds_search(monkeypatch):
+    # C of a tree with pendant triangles has no even cycle: its pendant
+    # triangles' pairs and then its tree pairs, from the leaves in, leave
+    # play, and the kernel returns before its Edmonds phase
+    left = []
+    monkeypatch.setattr(matching, "_settle_pairs",
+                        lambda *args: left.append(_settle_pairs(*args)) or left[-1])
+    live_sizes = []
+    for n in (100, 400, 1600):
+        g = linear_triangle_tree(n, 0.25, random.Random(n))
+        ge = gallai_edmonds(g)
+        live_sizes.append(sum(c <= -4 and ge.forced[v] == -1 for v, c in enumerate(ge.comp)))
+        assert _edmonds_lines(lambda: recognition._c_failure(g, ge)) == []
+        assert ge.upms["c"] is None
+    assert min(live_sizes) > 0 and left == [0] * 3
+    # where pairs stay in play the phase runs: the dumbbell of two 5-cycles
+    # joined by the path 0-5-6-7, whose every pair sees two vertices
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(7 + i, 7 + (i + 1) % 5) for i in range(5)]
+    g = Graph.from_edges(12, [*edges, (0, 5), (5, 6), (6, 7)])
+    match = [5, 2, 1, 4, 3, 0, 7, 6, 9, 8, 11, 10]
+    assert _settled(g.adj, match, range(12)) == set()
+    assert _edmonds_lines(lambda: _m_alternating_cycle(g.adj, match, range(12))) != []
+
+
+def test_pendant_triangle_pair_settles_and_a_pair_seeing_two_vertices_does_not():
+    # the 4-cycle 0-1-2-3 matched 0-1 and 2-3, with the triangle 0-4-5
+    # hung at 0 and matched 4-5: the pair 4-5 sees only 0 outside it, the
+    # 4-cycle's pairs each see two vertices and carry its alternating cycle
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (0, 5), (4, 5)])
+    match = [1, 0, 3, 2, 5, 4]
+    assert _settled(g.adj, match, range(6)) == {4, 5}
+    assert sorted(_check(g.adj, match, list(range(6)))) == [0, 1, 2, 3]
+    # a pair whose ends each see one vertex outside it settles when it is
+    # the same one: 0-1 in the triangle 0-1-2 with the pendant edge 2-3,
+    # and then 2-3, which sees nothing; it stays when they differ, as 0-1
+    # in the 4-cycle 0-1-3-2 matched 0-1 and 2-3
+    tri = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    assert _settled(tri.adj, [1, 0, 3, 2], range(4)) == {0, 1, 2, 3}
+    square = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    assert _settled(square.adj, [1, 0, 3, 2], range(4)) == set()
+    # a pendant edge settles, and what it leaves settles after it: the path
+    # P_6 matched as its unique perfect matching
+    assert _settled(path_graph(6).adj, [1, 0, 3, 2, 5, 4], range(6)) == set(range(6))

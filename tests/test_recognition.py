@@ -21,7 +21,7 @@ from ge_reference import (
 )
 from lemma_helpers import component_all_near_perfect_unique, is_alternating_cycle
 from peel_reference import _peel
-from some_reference import _edges, _perfect_minus
+from some_reference import _edges, _perfect_minus, d_verdicts
 from strategies import (
     bipartite_graphs,
     corona,
@@ -166,13 +166,11 @@ def _counting_kernel_calls(monkeypatch):
 def _tested_sets(ge):
     """The vertex sets whose uniqueness answers ``ge.upms`` holds."""
     out = set()
-    for key in ge.upms:
-        if key == "c":  # a failing component, or all of them when none fails
-            failure = ge.upms[key]
-            out.update(map(frozenset, ge.c_members if failure is None else [ge.c_members[failure]]))
-        elif isinstance(key[0], int):
-            ci, h = key
-            out.add(frozenset(ge.d_members[ci]) - {h})
+    if "c" in ge.upms:  # a failing component, or all of them when none fails
+        failure = ge.upms["c"]
+        out.update(map(frozenset, ge.c_members if failure is None else [ge.c_members[failure]]))
+    for ci, h in d_verdicts(ge):
+        out.add(frozenset(ge.d_members[ci]) - {h})
     return out
 
 
@@ -194,7 +192,8 @@ def test_some_ur_tests_each_component_minus_h_once(monkeypatch):
     r = some_ur(g, ge=ge)
     assert r.answer and calls == [4, 4]
     assert _tested_sets(ge) == {frozenset({2, 3, 4, 5}), frozenset({7, 8, 9, 10})}
-    assert set(ge.upms) == {("cycle", 0), ("cycle", 1), ("d", 0), ("d", 1), (0, 1), (1, 6)}
+    assert set(ge.upms) == {("cycle", 0), ("cycle", 1), ("d", 0), ("d", 1)}
+    assert d_verdicts(ge) == {(0, 1): True, (1, 6): True}
     # the two 5-cycles themselves, and K_{1,3}'s three single-vertex
     # components, each minus its h, need no test
     calls.clear()
@@ -210,14 +209,18 @@ def test_memo_keys_are_components_not_vertex_sets():
     every_ur(g, ge=ge)
     keys = set(ge.upms) - {"c"}
     assert ge.c_members and ge.upms["c"] in (None, *range(len(ge.c_members)))
-    assert any(isinstance(key[0], int) for key in keys)
+    assert d_verdicts(ge)
     assert not any(isinstance(key, frozenset) for key in keys)
     for key in keys:
         assert isinstance(key, tuple) and len(key) == 2
         if key[0] == "cycle":
             assert ge.upms[key] is False and len(ge.d_members[key[1]]) > 3
-        elif key[0] != "d":
-            assert key[1] in ge.d_members[key[0]] and isinstance(ge.upms[key], bool)
+        else:  # one verdict list per component, over its local ids
+            assert key[0] == "d"
+            verts, verdict = ge.upms[key][0], ge.upms[key][4]
+            assert verts == ge.d_members[key[1]] and len(verdict) == len(verts)
+    for (ci, h), answer in d_verdicts(ge).items():
+        assert h in ge.d_members[ci] and isinstance(answer, bool)
 
 
 def test_allowed_edges_drops_multi_neighbor_attachments():
@@ -374,7 +377,7 @@ def _check_memo_against_direct_peels(g):
     and lies in what the peel leaves.  Returns the memoised answers."""
     ge, fresh = gallai_edmonds(g), gallai_edmonds(g)
     some_ur(g, ge=ge, all_failures=True)
-    answers = {key: value for key, value in ge.upms.items() if isinstance(key[0], int)}
+    answers = d_verdicts(ge)
     for (ci, h), answer in answers.items():
         _, adj, x, match = _perfect_minus(g, fresh, ci, h)
         alive = [True] * len(match)
@@ -578,7 +581,7 @@ def test_path_walk_raises_on_a_vertex_met_twice():
     parent = list(ge.parent)
     parent[m0], parent[q0], parent[x] = p0, m0, f
     bad = replace(ge, parent=tuple(parent))
-    _, pos, _, base = _d_local(g, bad, 0)
+    _, pos, _, base, _ = _d_local(g, bad, 0)
     for mate, ids in ((list(match), range(7)), (base[:], pos)):
         with pytest.raises(recognition.InternalCheckError, match="free vertex"):
             _flip(bad, 0, x, mate, ids)
@@ -778,7 +781,7 @@ def _check_perfect_minus(g, ge):
     # _unique_minus builds it, and its edges, as the witness reads them
     mate = ge.match
     for ci, comp in enumerate(ge.d_members):
-        _, pos, _, base = _d_local(g, ge, ci)
+        _, pos, _, base, _ = _d_local(g, ge, ci)
         assert base == [pos.get(mate[v], -1) for v in comp]
         for h in comp:
             verts, _, x, match = _perfect_minus(g, ge, ci, h)

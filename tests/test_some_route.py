@@ -7,17 +7,20 @@ from hypothesis import given, settings
 
 from ge_reference import gb_graph
 from ordering_reference import a_side_rows, counter_ordering
-from some_reference import some_ur_eager
+from some_reference import d_verdicts, some_ur_eager, witness_flipping_every_component
 from strategies import giant, graphs, linear_triangle_tree, sparse_graph_nm
 from urmatch.accessibility import _e_good_ordering
 from urmatch.decomposition import gallai_edmonds
 from urmatch.graph_core import Graph, edge_key
+from urmatch import recognition
 from urmatch.recognition import (
     D_COMPONENT_NO_UNIQUE_PM_VERTEX,
     GB_NO_UR_MATCHING_WITHIN_E,
+    _some_failures,
     allowed_edges,
     some_ur,
 )
+from urmatch.ur_core import is_uniquely_restricted
 
 
 def _report(r):
@@ -71,8 +74,8 @@ def test_on_demand_equals_eager_on_sparse_graphs():
 
 
 def _tested(ge):
-    """The ``(ci, h)`` keys of the D - h answers in the memo."""
-    return {key for key in ge.upms if isinstance(key[0], int)}
+    """The ``(ci, h)`` of the D - h answers in the memo's verdict lists."""
+    return set(d_verdicts(ge))
 
 
 def test_condition_3_skips_components_the_ordering_matched():
@@ -139,3 +142,90 @@ def test_reports_read_no_order_of_the_attachment_keys():
                 ge = gallai_edmonds(g)
                 vars(ge)["attachments"] = {key: ge.attachments[key] for key in turn(list(ge.attachments))}
                 assert _report(some_ur(g, ge=ge, all_failures=af)) == want[af]
+
+
+def _witness_flips(g, monkeypatch):
+    """``some_ur``'s report on g, the components it chose ``(a, h)`` for
+    (for a yes), and the h of each ``_flip`` call that wrote into the witness (the
+    D - h tests flip a local copy, read through a dict)."""
+    flips = []
+    real = recognition._flip
+
+    def counting(ge, ci, h, mate, pos):
+        if isinstance(pos, range):
+            flips.append(h)
+        return real(ge, ci, h, mate, pos)
+
+    ge = gallai_edmonds(g)
+    monkeypatch.setattr(recognition, "_flip", counting)
+    report = some_ur(g, ge=ge)
+    monkeypatch.undo()
+    chosen = {}
+    if report.answer:
+        assert list(_some_failures(g, ge, chosen)) == []
+    return ge, report, chosen, flips
+
+
+def _matched_after_clearing_a(ge, chosen):
+    """The chosen h that ``ge.match`` with each A-vertex and its mate
+    cleared still matches."""
+    cleared = set(ge.a_list) | {ge.match[a] for a in ge.a_list}
+    return [h for a, h in chosen.values() if ge.match[h] != -1 and h not in cleared]
+
+
+def test_witness_flips_only_components_whose_h_is_matched(monkeypatch):
+    # A = {0}: the pendants 1 and 2, the triangle 3-4-5 hung at 3 and the
+    # 5-cycle 6-7-8-9-10 with the chord 6-8 hung at 6 are its D components
+    g = Graph.from_edges(11, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (4, 5), (0, 6),
+                              (6, 7), (7, 8), (8, 9), (9, 10), (10, 6), (6, 8)])
+    ge, report, chosen, flips = _witness_flips(g, monkeypatch)
+    assert ge.a_list == [0] and sorted(map(len, ge.d_members)) == [1, 1, 3, 5]
+    assert report.answer and is_uniquely_restricted(g, report.witness)
+    assert sorted(flips) == sorted(_matched_after_clearing_a(ge, chosen))
+    assert 0 < len(flips) < len(chosen)
+    # and on the sparse giants and triangle trees, where most components
+    # are single vertices and triangles
+    counts = []
+    for g in _sparse_instances():
+        ge, report, chosen, flips = _witness_flips(g, monkeypatch)
+        if report.answer:
+            assert sorted(flips) == sorted(_matched_after_clearing_a(ge, chosen))
+            counts.append((len(flips), len(chosen)))
+    assert counts and all(f < c for f, c in counts) and any(f for f, _ in counts)
+
+
+def test_witness_equals_flipping_every_component():
+    # the rule the witness replaced: A cleared, every chosen component
+    # flipped, A paired with its h
+    answers = set()
+    for g in _sparse_instances():
+        ge = gallai_edmonds(g)
+        report = some_ur(g, ge=ge)
+        answers.add(report.answer)
+        if report.answer:
+            chosen = {}
+            assert list(_some_failures(g, ge, chosen)) == []
+            assert report.witness.edges == witness_flipping_every_component(g, ge, chosen).edges
+    assert answers == {True, False}
+
+
+def test_some_ur_asks_its_eligibility_rule_once_per_component(monkeypatch):
+    # the rule some_ur hands the ordering reads each asked edge's attachment
+    # once and keeps its h: it is asked at most once per D component, and
+    # every edge of the ordering was allowed
+    real = recognition._e_good_ordering
+    asked = []
+
+    def watching(rows, size, allowed):
+        def counting(i, ci):
+            asked.append(ci)
+            return allowed(i, ci)
+        found = real(rows, size, counting)
+        assert len(asked) == len(set(asked)) <= size
+        return found
+
+    monkeypatch.setattr(recognition, "_e_good_ordering", watching)
+    for g in _sparse_instances():
+        asked.clear()
+        report = some_ur(g, all_failures=True)
+        assert asked or not report.answer
