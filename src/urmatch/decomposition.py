@@ -7,10 +7,12 @@ path pointers and the seed's forced pairs are kept.  The contracted graph
 gb, with A on one side and one vertex per component of g[D] on the other,
 is kept as its edges, the attachments.  The decomposition is one component
 array: the library's one component search, ``graph_core._classes``,
-numbers the components of D and of C in it, and every view is read off it
-on first read; no induced graph and no graph for gb is built.
-``gallai_edmonds`` adds the Tutte-Berge count on A, from the component
-sizes, which checks that the matching is maximum.  ``verify_gallai_edmonds``
+numbers the components of D and of C in it and hands over what it counted,
+the component counts and the A-vertices, which come with the decomposition;
+the member lists and the attachments are read off the array on first read.
+No induced graph and no graph for gb is built.  ``gallai_edmonds`` adds the
+Tutte-Berge count on A, from the same search, which checks that the
+matching is maximum.  ``verify_gallai_edmonds``
 checks a claim by its certificate, the matching and the path pointers, in
 one linear pass, and runs no matcher.
 """
@@ -43,7 +45,7 @@ class GallaiEdmonds:
     is the deciders' memo (see ``recognition``); ``replace`` starts it
     empty.
 
-    Views, each read off ``comp`` on first read: ``counts``, the numbers of
+    Views, cached properties read off ``comp``: ``counts``, the numbers of
     D and of C components; ``a_list``, the A-vertices
     ascending (gb vertex i < |A| is ``a_list[i]``); ``d_members`` and
     ``c_members``, the ascending vertex lists of the D and the C components
@@ -51,6 +53,12 @@ class GallaiEdmonds:
     ``(i, ci)`` per edge between gb vertex i, the A-vertex ``a_list[i]``,
     and gb vertex |A| + ci, D component ci: it maps to the A-vertex's one
     neighbor inside the component, or to -1 when it has several there.
+    ``gallai_edmonds`` writes ``counts`` and ``a_list`` into the instance's
+    cache, where a first read would put them, from its component search;
+    the other three views, and every view of a decomposition built by
+    ``replace`` or by a caller (a claim), are built on first read, and a
+    copy keeps its original's cache.  Either way a cached view equals the
+    one its body reads off ``comp``; the verifier reads none of them.
     """
 
     comp: tuple[int, ...]
@@ -104,15 +112,21 @@ _CLASS = {_UNLABELLED: -3, _DEAD_EVEN: -2, _DEAD_ODD: -1}
 
 def gallai_edmonds(g: Graph) -> GallaiEdmonds:
     """The decomposition of g with its matching, path pointers and forced
-    pairs, its classes read off the matcher's labels; its views are built
-    when first read (see ``GallaiEdmonds``)."""
+    pairs, its classes read off the matcher's labels; ``counts`` and
+    ``a_list`` come from its one component search, the other views are
+    built when first read (see ``GallaiEdmonds``)."""
     match, label, parent, forced = _matcher(g)
     comp = list(map(_CLASS.__getitem__, label))
+    odd, n_d, n_c, a_list = _classes(g.adj, comp)
     # Tutte-Berge on S = A: every matching leaves odd - |A| vertices free or
     # more, odd being the number of odd components of g - A
-    if match.count(-1) != _classes(g.adj, comp) - label.count(_DEAD_ODD):
+    if match.count(-1) != odd - len(a_list):
         raise InternalCheckError("the Tutte-Berge count on A fails: the matching is not maximum")
-    return GallaiEdmonds(tuple(comp), g.adj, tuple(match), tuple(parent), tuple(forced))
+    ge = GallaiEdmonds(tuple(comp), g.adj, tuple(match), tuple(parent), tuple(forced))
+    # where cached_property keeps them: the values its bodies read off comp
+    views = vars(ge)
+    views["counts"], views["a_list"] = (n_d, n_c), a_list
+    return ge
 
 
 def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
@@ -167,7 +181,7 @@ def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
     # the classes that the claimed D induces: A is its outside neighborhood
     d_nbrs = {w for v, c in enumerate(ge.comp) if c >= 0 for w in adj[v]}
     comp = [-2 if c >= 0 else -1 if v in d_nbrs else -3 for v, c in enumerate(ge.comp)]
-    _classes(adj, comp)
+    _, n_d, _, a_list = _classes(adj, comp)
     if ge.comp != tuple(comp):
         return False
 
@@ -177,7 +191,8 @@ def verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds) -> bool:
         if w != -1 and not (0 <= w < n and match[w] == v and w in adj[v]):
             return False
 
-    if match.count(-1) != ge.counts[0] - comp.count(-1):
+    # the counts of its own search: a claim's cached views are not trusted
+    if match.count(-1) != n_d - len(a_list):
         return False
 
     # the forest v -> parent[match[v]] on D, as children lists

@@ -4,8 +4,9 @@ Vertices are dense integer ids ``0..n-1``.  Every operation iterates vertices
 and neighbors in ascending id order, so outputs are deterministic for a fixed
 input.  Induced subgraphs are new values that carry a map back to the
 original vertex ids.  ``_classes`` is the library's one component search:
-it numbers in place the components of ``decomposition``'s classes, or of
-the kept vertices of ``connected_components``, which ``is_forest`` counts.
+it numbers in place, and counts, the components of ``decomposition``'s
+classes, or of the kept vertices of ``connected_components``, which
+``is_forest`` counts.
 The odd-cycle block test runs on an adjacency and a vertex mask
 (``_odd_cycle_blocks``, one depth-first search with no block lists), so
 that the every-decider can test g[D] without building it;
@@ -114,20 +115,27 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return Graph(len(keep), adj), tuple(keep)
 
 
-def _classes(adj, comp) -> int:
+def _classes(adj, comp) -> tuple[int, int, int, list[int]]:
     """Number the components of the class array ``comp`` in place, D -2, A
     -1 and C -3 on entry, into the component array of ``GallaiEdmonds``,
-    and return how many of them are odd: one breadth-first search that
-    stays inside the class of its start numbers each."""
+    and return ``(odd, n_d, n_c, a_list)``: how many components are odd,
+    the numbers of D and of C components, and the A-vertices ascending.
+    One breadth-first search that stays inside the class of its start
+    numbers each; the outer loop meets the A-vertices, which no search
+    renumbers, in order."""
     n_d = n_c = odd = 0
+    a_list: list[int] = []
     for s in range(len(adj)):  # ascending, so each component is numbered by its lowest vertex
         cls = comp[s]
         if cls == -2:
             ci, n_d = n_d, n_d + 1
         elif cls == -3:
             ci, n_c = -4 - n_c, n_c + 1
+        elif cls == -1:
+            a_list.append(s)
+            continue
         else:
-            continue  # A, or visited
+            continue  # visited
         comp[s] = ci
         queue = [s]
         for v in queue:  # the loop also visits vertices appended while it runs
@@ -136,7 +144,7 @@ def _classes(adj, comp) -> int:
                     comp[w] = ci
                     queue.append(w)
         odd += len(queue) & 1
-    return odd
+    return odd, n_d, n_c, a_list
 
 
 def connected_components(g: Graph, vertices: Iterable[int] | None = None) -> list[frozenset[int]]:
@@ -151,8 +159,7 @@ def connected_components(g: Graph, vertices: Iterable[int] | None = None) -> lis
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
         comp[v] = -2
-    _classes(g.adj, comp)
-    groups: list[list[int]] = [[] for _ in range(max(comp, default=-1) + 1)]
+    groups: list[list[int]] = [[] for _ in range(_classes(g.adj, comp)[1])]
     for v, c in enumerate(comp):
         if c >= 0:
             groups[c].append(v)

@@ -1,11 +1,14 @@
 """Exponential brute-force references used to validate the polynomial algorithms.
 
 Everything here enumerates; nothing here shares code with the fast paths.
-Size guards are hard errors unless the caller raises the limits explicitly.
+Size guards are hard errors unless the caller raises the limits explicitly;
+a recursion that the interpreter's recursion limit would stop is refused
+whatever the limits.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
@@ -15,6 +18,8 @@ from .matching import Matching
 
 DEFAULT_MAX_N = 16
 DEFAULT_MAX_M = 24
+# the frames a caller's stack may hold below a recursion of the oracle
+_STACK_MARGIN = 200
 
 
 class GuardLimitError(RuntimeError):
@@ -26,6 +31,16 @@ def _check_guard(g: Graph, max_n: int, max_m: int) -> None:
         raise GuardLimitError(f"{g.n} vertices exceeds the oracle guard of {max_n}")
     if g.m > max_m:
         raise GuardLimitError(f"{g.m} edges exceeds the oracle guard of {max_m}")
+
+
+def _check_depth(depth: int, what: str) -> None:
+    """Refuse a recursion ``depth`` calls deep, one call per ``what``, that
+    the interpreter's recursion limit would stop; no raised guard lifts
+    this."""
+    limit = sys.getrecursionlimit()
+    if depth + _STACK_MARGIN > limit:
+        raise GuardLimitError(f"{what} need a recursion {depth} calls deep, "
+                              f"past the interpreter's recursion limit of {limit}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +70,7 @@ def _extend(edges, i: int, covered: int, chosen: list, acc: list) -> None:
 def enumerate_matchings(g: Graph, *, max_n: int = DEFAULT_MAX_N, max_m: int = DEFAULT_MAX_M) -> MatchingEnumeration:
     """Every matching of g, by include/exclude recursion over edges in id order."""
     _check_guard(g, max_n, max_m)
+    _check_depth(g.m + 1, f"{g.m} edges")
     acc: list[frozenset[tuple[int, int]]] = []
     _extend(g.sorted_edges(), 0, 0, [], acc)
     best = max(len(s) for s in acc)
@@ -79,11 +95,8 @@ def _completions(adj, covered: int, full: int) -> int:
 def count_perfect_matchings(g: Graph, *, max_n: int = DEFAULT_MAX_N, max_m: int = DEFAULT_MAX_M) -> int:
     """Number of perfect matchings, counted by matching the lowest free vertex."""
     _check_guard(g, max_n, max_m)
+    _check_depth(g.n // 2 + 1, f"{g.n} vertices")
     return _completions(g.adj, 0, (1 << g.n) - 1)
-
-
-def _covered_set(edges: frozenset[tuple[int, int]]) -> frozenset[int]:
-    return frozenset(v for e in edges for v in e)
 
 
 def oracle_is_ur(g: Graph, m: Matching, *, max_n: int = DEFAULT_MAX_N, max_m: int = DEFAULT_MAX_M) -> bool:
@@ -95,14 +108,47 @@ def oracle_is_ur(g: Graph, m: Matching, *, max_n: int = DEFAULT_MAX_N, max_m: in
     return count_perfect_matchings(sub, max_n=max_n, max_m=max_m) == 1
 
 
+def _count_largest(edges, i: int, covered: int, size: int, best: list) -> None:
+    """Count in ``best``, ``[size, Counter]``, the covered vertex sets (as
+    bitmasks) of the largest matchings met so far among those that add
+    edges from ``edges[i:]`` to a matching of ``size`` edges covering the
+    bitmask ``covered``: with edge i if its ends are free, then without it;
+    a branch that cannot reach ``best[0]`` edges is cut."""
+    if size + len(edges) - i < best[0]:
+        return
+    if i == len(edges):
+        if size > best[0]:
+            best[0], best[1] = size, Counter()
+        best[1][covered] += 1
+        return
+    u, v = edges[i]
+    if not (covered >> u) & 1 and not (covered >> v) & 1:
+        _count_largest(edges, i + 1, covered | (1 << u) | (1 << v), size + 1, best)
+    _count_largest(edges, i + 1, covered, size, best)
+
+
+# the last graph profiled and its profile: the self-test asks both
+# properties of each graph in turn, and one enumeration answers both
+_last_profile: list = [None, None]
+
+
 def _maximum_ur_profile(g: Graph, max_n: int, max_m: int) -> tuple[bool, bool]:
-    enum = enumerate_matchings(g, max_n=max_n, max_m=max_m)
+    """Whether some and whether every maximum matching of g is uniquely
+    restricted, from one include/exclude recursion over g's edges that
+    keeps only the covered sets of the largest matchings, counted; the
+    last graph's profile is kept for the next call on it."""
+    _check_guard(g, max_n, max_m)
+    if _last_profile[0] is g:
+        return _last_profile[1]
+    _check_depth(g.m + 1, f"{g.m} edges")
+    best: list = [0, Counter()]
+    _count_largest(g.sorted_edges(), 0, 0, 0, best)
     # two matchings witness each other's non-uniqueness iff they cover the same
     # vertex set; equal covered sets force equal sizes, so competitors of a
     # maximum matching are maximum themselves
-    counts = Counter(_covered_set(edges) for edges in enum.maximum_matchings)
-    flags = [counts[_covered_set(edges)] == 1 for edges in enum.maximum_matchings]
-    return any(flags), all(flags)
+    counts = best[1].values()
+    _last_profile[:] = g, (1 in counts, max(counts) == 1)
+    return _last_profile[1]
 
 
 def oracle_some_ur(g: Graph, *, max_n: int = DEFAULT_MAX_N, max_m: int = DEFAULT_MAX_M) -> bool:

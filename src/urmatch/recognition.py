@@ -3,11 +3,12 @@
 ``some_ur``: does some maximum matching of g admit no second matching on the
 same vertex set?  ``every_ur``: do all of them?  Both reduce to structural
 conditions on the Gallai-Edmonds decomposition and read its arrays
-(``comp``, ``match``, ``parent`` and ``forced``), the views read off them
-and its memo; no decider builds gb or matches it: both read gb's edges off
-the attachments, ``some_ur`` as one row per A-vertex and ``every_ur`` by
-their count first; only ``some_ur`` reads member lists.  A run that stops
-at a C or D component test builds no other view.  Every uniqueness test is
+(``comp``, ``match``, ``parent`` and ``forced``), its views and its memo;
+no decider builds gb or matches it: both read gb's edges off the
+attachments, ``some_ur`` as one row per A-vertex and ``every_ur`` by their
+count first; only ``some_ur`` reads member lists.  A run that stops at a C
+or D component test builds no view beyond the component counts and the A
+list, which come with the decomposition.  Every uniqueness test is
 one call of the alternating-cycle kernel ``matching._m_alternating_cycle``:
 the C test makes one on what the seed's forced pairs leave of C
 (``matching._unforced_cycle``), and each D - h test one.

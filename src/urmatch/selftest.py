@@ -2,7 +2,8 @@
 deciders' uniqueness tests cross-checked against the brute-force oracle on
 every graph up to a size and on seeded random graphs.  Each graph is
 matched once, by its decomposition, which the verifier checks by its own
-certificate; the block test on each D component is held to the oracle's
+certificate, and enumerated once by the oracle, whose one profile answers
+both properties; the block test on each D component is held to the oracle's
 perfect-matching counts of its D - h pieces.
 
 The command line imports this module only when the command runs.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import random
 import sys
+from collections.abc import Iterator
 
 from .decomposition import gallai_edmonds, verify_gallai_edmonds
 from .families import random_graph
@@ -42,6 +44,7 @@ def _instance(g: Graph, max_n: int, max_m: int) -> list[str]:
         problems.append("gallai_edmonds decomposition fails verify_gallai_edmonds")
     rs = some_ur(g, ge=ge)
     re = every_ur(g, ge=ge)
+    # one enumeration answers both: the oracle keeps the last graph's profile
     if rs.answer != oracle_some_ur(g, max_n=max_n, max_m=max_m):
         problems.append("some_ur disagrees with oracle")
     if re.answer != oracle_every_ur(g, max_n=max_n, max_m=max_m):
@@ -83,6 +86,16 @@ def _instance(g: Graph, max_n: int, max_m: int) -> list[str]:
     return problems
 
 
+def _random_instances(n_random: int, seed: int) -> Iterator[Graph]:
+    """The self-test's ``n_random`` seeded random graphs, on 7 to 10
+    vertices."""
+    rng = random.Random(seed)
+    for _ in range(n_random):
+        n = rng.randrange(7, 11)
+        p = rng.choice([0.2, 0.4, 0.6])
+        yield random_graph(n, p, rng)
+
+
 def run(nmax: int, n_random: int, seed: int) -> int:
     """Sweep every graph on up to ``nmax`` vertices and ``n_random`` seeded
     random ones; the exit code is 0, 2 for counts out of range, or 4 when
@@ -101,14 +114,10 @@ def run(nmax: int, n_random: int, seed: int) -> int:
             for msg in _instance(g, DEFAULT_MAX_N, DEFAULT_MAX_M):
                 disagreements += 1
                 print(f"disagreement on n={n} edges={sorted(g.edges)}: {msg}", file=sys.stderr)
-    rng = random.Random(seed)
-    for _ in range(n_random):
-        n = rng.randrange(7, 11)
-        p = rng.choice([0.2, 0.4, 0.6])
-        g = random_graph(n, p, rng)
+    for g in _random_instances(n_random, seed):
         for msg in _instance(g, 12, 64):
             disagreements += 1
-            print(f"disagreement on random n={n} edges={sorted(g.edges)}: {msg}", file=sys.stderr)
+            print(f"disagreement on random n={g.n} edges={sorted(g.edges)}: {msg}", file=sys.stderr)
     print(f"selftest: {exhaustive} exhaustive + {n_random} random instances, "
           f"{disagreements} disagreements")
     return 0 if disagreements == 0 else 4

@@ -76,6 +76,9 @@ from urmatch.ur_core import build_matching_digraph
 
 # the views of a decomposition: every cached property of its class
 VIEWS = tuple(name for name, attr in vars(GallaiEdmonds).items() if isinstance(attr, cached_property))
+# the views that gallai_edmonds hands over from its component search; the
+# others are built on first read
+SEEDED = frozenset({"counts", "a_list"})
 
 
 def _nu_without(g: Graph, v: int) -> int:

@@ -407,6 +407,19 @@ def test_oracle_guard_and_force(tmp_path, capsys):
     assert capsys.readouterr().out == "false\n"
 
 
+def test_oracle_force_refuses_a_recursion_past_the_limit(tmp_path):
+    # P_1500 under --force: the enumeration would recurse once per edge,
+    # past the interpreter's recursion limit, so the guard refuses it
+    # before recursing: exit 3, one line, no traceback
+    path = _write(tmp_path, "p1500.g", render_graph(path_graph(1500)))
+    for prop in ("some", "every"):
+        proc = subprocess.run([sys.executable, "-m", "urmatch.cli", "oracle", path, "--property", prop, "--force"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("oracle guard: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+
 def test_oracle_matches_checker(tmp_path, capsys):
     path = _write(tmp_path, "p3.g", P3_TEXT)
     assert main(["oracle", path, "--property", "every"]) == 0

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from ge_reference import VIEWS, claim, class_sets, classes_by_a_pass, contract_by_sets, gb_graph, verify_by_resolving
+from ge_reference import SEEDED, VIEWS, claim, class_sets, classes_by_a_pass, contract_by_sets, gb_graph, verify_by_resolving
 from lemma_helpers import delete_vertex, is_factor_critical
 from strategies import giant, graphs, linear_triangle_tree, seeded_random_graphs, sparse_graph_nm
 from urmatch import decomposition, matching
@@ -321,6 +321,26 @@ def test_verifier_agrees_with_the_resolving_reference(g):
     assert verify_gallai_edmonds(g, ge)
 
 
+def test_verifier_reads_no_cached_view():
+    # gallai_edmonds seeds counts and a_list; a claim whose caches are
+    # overwritten with wrong values, one pair of them squaring the free
+    # count of a claim with a matched pair dropped, is judged as
+    # replace(claim), which has no cache: the verifier counts on the
+    # component array it rebuilds
+    graphs = [cycle_graph(5), complete_graph(5)] + [g for n in range(6) for g in enumerate_labeled_graphs(n)]
+    for g in graphs:
+        ge = gallai_edmonds(g)
+        dropped = [replace(ge, match=_set(_set(ge.match, v, -1), w, -1)) for v, w in enumerate(ge.match) if v < w]
+        for c in [ge, *dropped]:
+            want = verify_gallai_edmonds(g, replace(c))
+            (n_d, n_c), a_list, free = c.counts, c.a_list, c.match.count(-1)
+            for counts, wrong_a in (((n_d + 2, n_c + 1), [*a_list, g.n]), ((free + len(a_list), n_c), [])):
+                bad = gallai_edmonds(g) if c is ge else replace(c)
+                vars(bad)["counts"], vars(bad)["a_list"] = counts, wrong_a
+                assert verify_gallai_edmonds(g, bad) == want
+        assert verify_gallai_edmonds(g, ge)
+
+
 def test_verifier_rejects_a_decomposition_of_another_graph():
     g, other = cycle_graph(7), path_graph(3)
     assert not verify_gallai_edmonds(g, gallai_edmonds(other))
@@ -426,18 +446,26 @@ _READS = {
 
 
 def _check_lazy_views(g):
-    """``gallai_edmonds`` builds no view up front; each view equals the
-    direct route's, and reading it builds only the views it is read off.
-    Copies keep the fields, and ``replace`` keeps them and starts the memo
-    empty."""
+    """``gallai_edmonds`` builds the seeded views up front, equal to the
+    ones ``replace(ge)`` reads off ``comp``, and no other; each view equals
+    the direct route's, and reading it builds only the views it is read
+    off.  Copies keep the fields, and ``replace`` keeps them and starts the
+    memo and the views empty."""
     ge = gallai_edmonds(g)
-    assert not set(VIEWS) & set(vars(ge))
+    assert set(VIEWS) & set(vars(ge)) == SEEDED
     want = contract_by_sets(g, frozenset(v for v in range(g.n) if ge.comp[v] >= 0))
     assert ge.comp == want["comp"]
+    bare = replace(ge)
+    assert {name: vars(ge)[name] for name in SEEDED} == {name: getattr(bare, name) for name in SEEDED} \
+        == {name: want[name] for name in SEEDED}
     for name in VIEWS:
         fresh = gallai_edmonds(g)
         assert getattr(fresh, name) == want[name]
         built = set(VIEWS) & set(vars(fresh))
+        assert built == {name} | _READS.get(name, set()) | SEEDED
+        bare = replace(fresh)
+        assert getattr(bare, name) == want[name]
+        built = set(VIEWS) & set(vars(bare))
         assert built == {name} | _READS.get(name, set())
     fields = (ge.comp, ge.adj, ge.match, ge.parent)
     ge.upms["x"] = 1
@@ -472,4 +500,5 @@ def test_lazy_views_are_built_for_their_names_only():
     for name in ("a_lst", "__setstate__", "__getnewargs__"):
         with pytest.raises(AttributeError):
             getattr(ge, name)
-    assert not set(VIEWS) & set(vars(ge))
+    assert set(VIEWS) & set(vars(ge)) == SEEDED
+    assert not set(VIEWS) & set(vars(replace(ge)))

@@ -72,6 +72,7 @@ from urmatch.recognition import (
     D_COMPONENT_NO_UNIQUE_PM_VERTEX,
     FAILURE_TAGS,
     GB_EDGE_MULTIPLE_NEIGHBORS,
+    GB_EVERY_MAX_MATCHING_NOT_UR,
     _c_failure,
     _d_local,
     _flip,
@@ -479,7 +480,8 @@ def test_decomposition_of_another_graph_is_refused():
 def test_early_stops_build_no_views():
     # C4 plus a disjoint triangle fails condition 1; K5 fails only the
     # D-block test.  Each run reads the component counts, to loop over the
-    # C components, and no other view: no member list
+    # C components, and builds no view beyond the two that come with the
+    # decomposition: no member list
     c4_triangle = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6)])
     k5 = complete_graph(5)
     runs = [(c4_triangle, every_ur, C_COMPONENT_PM_NOT_UNIQUE),
@@ -488,7 +490,7 @@ def test_early_stops_build_no_views():
     for g, decide, tag in runs:
         ge = gallai_edmonds(g)
         assert decide(g, ge=ge).failure == tag
-        assert set(VIEWS) & set(vars(ge)) == {"counts"}
+        assert set(VIEWS) & set(vars(ge)) == {"counts", "a_list"}
     assert every_ur(k5, all_failures=True).failures == (D_COMPONENT_BLOCKS_NOT_ODD_CYCLES,)
 
 
@@ -517,6 +519,21 @@ def test_every_builds_no_member_lists(g):
     every_ur(g, ge=ge, all_failures=True)
     # and gb's two conditions read the attachments
     assert not {"c_members", "d_members"} & set(vars(ge))
+
+
+def test_every_builds_no_member_lists_on_each_outcome():
+    # a yes-instance and one graph per failure tag, each failing only it:
+    # whichever condition stops the run, no member list is built
+    runs = [(path_graph(5), ()),
+            (cycle_graph(4), (C_COMPONENT_PM_NOT_UNIQUE,)),
+            (complete_graph(5), (D_COMPONENT_BLOCKS_NOT_ODD_CYCLES,)),
+            (complete_bipartite(2, 3), (GB_EVERY_MAX_MATCHING_NOT_UR,)),
+            (Graph.from_edges(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (2, 3)]), (GB_EDGE_MULTIPLE_NEIGHBORS,))]
+    for g, tags in runs:
+        for all_failures in (False, True):
+            ge = gallai_edmonds(g)
+            assert every_ur(g, ge=ge, all_failures=all_failures).failures == tags
+            assert not {"c_members", "d_members"} & set(vars(ge))
 
 
 def test_deciders_build_no_block_lists(tmp_path, capsys):
